@@ -65,6 +65,10 @@ class CheckResult:
     measured: str
     expected: str
 
+    def __post_init__(self):
+        # Comparisons on numpy scalars give numpy.bool, which json cannot write.
+        object.__setattr__(self, "passed", bool(self.passed))
+
 
 @dataclass
 class RunReport:
@@ -435,7 +439,7 @@ SCENARIOS = {
             "d": "input dimension (>= 2)",
             "q_values": "list of depolarizing parameters in [0, d^2/(d^2-1)]",
             "extra_points": "extra [d, q] pairs",
-            "starts": "optimizer starts per point",
+            "starts": "optimizer starts per point, at most; stops once the bracket closes",
             "tol": "allowed |numeric - analytic|",
         },
     },

@@ -542,13 +542,18 @@ class PinskerGap:
 
 
 def pinsker_gap(channel: QuantumChannel, rho, slack: float = 1e-10) -> PinskerGap:
-    """Both sides of the Pinsker pair for a sub-unital quantum operation.
+    """Both sides of the Pinsker pair for a trace-preserving sub-unital channel.
 
     Checks D >= ||rho - N^dag N(rho)||_1^2 / 2 and
     ||rho - N^dag N(rho)||_1 >= D / ||log rho||_inf, raising on violation.
+    The reverse bound follows from Jensen's operator inequality for the
+    unital map N^dag N, which is unital only when N is trace preserving;
+    for a trace-non-increasing operation it can fail (N = sqrt(1/2) id on
+    I/2 gives D = log 2 > ||rho - N^dag N(rho)||_1 ||log rho||_inf
+    = (1/2) log 2), so such inputs are rejected.
     """
-    if not channel.trace_nonincreasing:
-        raise WitnessError("Pinsker pair needs a trace-non-increasing operation")
+    if not channel.trace_preserving:
+        raise WitnessError("Pinsker pair needs a trace-preserving channel")
     if not unitality_class(channel).is_sub_unital:
         raise WitnessError("Pinsker pair needs a sub-unital operation")
     a = _require_full_rank(rho)

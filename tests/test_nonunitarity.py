@@ -1,0 +1,94 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from entroflow import (
+    QuantumChannel,
+    depolarizing,
+    diamond_distance,
+    gadc,
+    oslash_depolarizing_analytic,
+    oslash_norm,
+    proposition7_check,
+    unitary_channel,
+)
+from entroflow.nonunitarity import NonUnitarityError
+from entroflow.sampling import random_mixed_unitary_channel, random_unitary
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+# Few starts keep the open-bracket d = 3 cases cheap; the bracket holds for any number.
+STARTS = 2
+
+
+def _choi_of_difference(channel: QuantumChannel) -> np.ndarray:
+    """Choi matrix of id - N^dag N, built from Kraus operators alone."""
+    d = channel.dim_in
+    n_dag_n = channel.adjoint().compose(channel)
+    return QuantumChannel([np.eye(d)]).choi() - n_dag_n.choi()
+
+
+def _maximally_entangled_value(choi: np.ndarray, d: int) -> float:
+    return float(np.sum(np.abs(np.linalg.eigvalsh(choi)))) / d
+
+
+def _dual_bound(choi: np.ndarray, d: int) -> float:
+    lam, vecs = np.linalg.eigh(choi)
+    abs_j = (vecs * np.abs(lam)) @ vecs.conj().T
+    reduced = np.einsum("iaja->ij", abs_j.reshape(d, d, d, d))
+    return float(np.linalg.eigvalsh(reduced)[-1])
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=SEEDS, d=st.sampled_from([2, 3]), n_unitaries=st.integers(2, 4))
+def test_bracket_holds_on_random_unital_channels(seed, d, n_unitaries):
+    channel = random_mixed_unitary_channel(np.random.default_rng(seed), d, n_unitaries)
+    result = oslash_norm(channel, starts=STARTS, seed=seed)
+    choi = _choi_of_difference(channel)
+    assert result.upper == pytest.approx(_dual_bound(choi, d), abs=1e-10)
+    assert result.value >= _maximally_entangled_value(choi, d) - 1e-12
+    assert result.value <= result.upper + 1e-9
+    assert result.gap == pytest.approx(result.upper - result.value)
+    assert result.starts == len(result.per_start_values) <= STARTS
+
+
+@settings(max_examples=12, deadline=None)
+@given(d=st.sampled_from([2, 3]), fraction=st.floats(0.0, 1.0))
+def test_depolarizing_matches_closed_form_with_closed_bracket(d, fraction):
+    q = fraction * d**2 / (d**2 - 1)
+    result = oslash_norm(depolarizing(d, q))
+    assert abs(result.value - oslash_depolarizing_analytic(d, q)) <= 1e-9
+    assert result.gap <= 1e-6
+    assert result.starts == 1
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=SEEDS, d=st.sampled_from([2, 3]))
+def test_unitary_channel_gives_zero_with_closed_bracket(seed, d):
+    channel = unitary_channel(random_unitary(np.random.default_rng(seed), d))
+    result = oslash_norm(channel)
+    assert abs(result.value) <= 1e-12
+    assert result.gap <= 1e-6
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=SEEDS, d=st.sampled_from([2, 3]))
+def test_distance_of_a_channel_to_itself_is_zero(seed, d):
+    channel = random_mixed_unitary_channel(np.random.default_rng(seed), d, 3)
+    assert diamond_distance(channel, channel) == 0.0
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=SEEDS, d=st.sampled_from([2, 3]), weight=st.floats(0.5, 1.0))
+def test_proposition7_certifies_itself_on_mixed_unitary_channels(seed, d, weight):
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, d)
+    others = random_mixed_unitary_channel(rng, d, 2).kraus
+    channel = QuantumChannel([np.sqrt(weight) * u] + [np.sqrt(1.0 - weight) * k for k in others])
+    check = proposition7_check(channel, u, starts=STARTS, seed=seed)
+    assert check.certified
+    assert check.oslash_estimate <= check.bound + 1e-9
+
+
+def test_non_unital_channel_is_rejected():
+    with pytest.raises(NonUnitarityError):
+        oslash_norm(gadc(0.5, 1.0))
