@@ -1,30 +1,37 @@
-"""Small shared utilities."""
+"""Finite-difference stencils and the CSV writer shared across the package."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
-_THREAD_ENV = "ENTROFLOW_THREADS"
-
-
-def thread_count() -> int:
-    raw = os.environ.get(_THREAD_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+import numpy as np
 
 
-def pmap(fn, items):
-    """Map preserving order; threaded when ENTROFLOW_THREADS > 1.
+def central_difference(f, t: float, h: float):
+    """(f(t+h) - f(t-h)) / 2h; second order, needs f on [t-h, t+h]."""
+    return (f(t + h) - f(t - h)) / (2.0 * h)
 
-    Results are reduced in input order, so threading cannot change any
-    downstream floating-point reduction.
-    """
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+
+def one_sided_difference(f, t: float, h: float):
+    """(-3 f(t) + 4 f(t+h) - f(t+2h)) / 2h: second-order forward difference,
+    so it takes the right limit at a rank change or at the start of time."""
+    return (-3.0 * f(t) + 4.0 * f(t + h) - f(t + 2.0 * h)) / (2.0 * h)
+
+
+def time_derivative(f, t: float, h: float):
+    """Central difference when t >= h, else one-sided, so f is never
+    evaluated before time 0."""
+    if t >= h:
+        return central_difference(f, t, h)
+    return one_sided_difference(f, t, h)
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write rows under a header; numbers as repr(float(v)), so identical
+    values give byte-identical files, anything else as str(v)."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = [repr(float(v)) if isinstance(v, (int, float, np.floating)) else str(v)
+                 for v in row]
+        lines.append(",".join(cells))
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -31,7 +31,6 @@ __all__ = [
     "UnitalityTag",
     "UnitalityClass",
     "compose",
-    "choi_of",
     "is_cptp",
     "unitality_class",
     "identity_channel",
@@ -53,8 +52,6 @@ __all__ = [
     "annihilation_operator",
     "bosonic_generator",
     "thermal_state",
-    "lindblad_apply",
-    "lindblad_adjoint_apply",
 ]
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -250,11 +247,6 @@ def compose(outer, inner):
     if isinstance(outer, QuantumChannel) and isinstance(inner, QuantumChannel):
         return outer.compose(inner)
     return outer.superoperator().compose(inner)
-
-
-def choi_of(channel_like) -> np.ndarray:
-    """Choi matrix (id x N applied to the unnormalized maximally entangled operator)."""
-    return channel_like.choi()
 
 
 def is_cptp(channel_like, atol: float = 1e-8) -> CptpReport:
@@ -543,14 +535,6 @@ class LindbladGenerator:
             for term in self.jumps
         )
         return constant_h and constant_terms
-
-
-def lindblad_apply(generator: LindbladGenerator, t: float, rho) -> np.ndarray:
-    return generator.apply(t, rho)
-
-
-def lindblad_adjoint_apply(generator: LindbladGenerator, t: float, x) -> np.ndarray:
-    return generator.adjoint_apply(t, x)
 
 
 def dephasing_generator(rate) -> LindbladGenerator:

@@ -2,8 +2,7 @@
 
 Configs are JSON documents with explicit physical parameters; builtins are
 available by name.  ``run`` writes the output tables and a report.json, and
-exits nonzero when any check fails.  The only environment knob is
-ENTROFLOW_THREADS (worker count for the embarrassingly parallel loops).
+exits nonzero when any check fails.
 """
 
 from __future__ import annotations

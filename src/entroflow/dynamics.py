@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
+from ._util import central_difference, one_sided_difference, time_derivative, write_csv
 from .channels import LindbladGenerator, QuantumChannel, SuperOperator, gadc, dephasing_channel
 from .linalg import (
     DensityMatrix,
@@ -246,15 +247,8 @@ def closed_form_trajectory(state_fn, grid, derivative_fn=None,
     if derivative_fn is not None:
         derivatives = [hermitian_part(as_matrix(derivative_fn(float(t)))) for t in grid]
     else:
-        derivatives = []
-        for t in grid:
-            t = float(t)
-            s0 = as_matrix(state_fn(t))
-            s1 = as_matrix(state_fn(t + fd_step))
-            s2 = as_matrix(state_fn(t + 2.0 * fd_step))
-            derivatives.append(hermitian_part(
-                (-3.0 * s0 + 4.0 * s1 - s2) / (2.0 * fd_step)
-            ))
+        derivatives = [hermitian_part(one_sided_difference(
+            lambda tau: as_matrix(state_fn(tau)), float(t), fd_step)) for t in grid]
     supports = [support_projector(s) for s in states]
     return Trajectory(grid=grid, states=states, derivatives=derivatives,
                       supports=supports, state_fn=state_fn, derivative_fn=derivative_fn)
@@ -329,12 +323,10 @@ def entropy_rate_fd(traj: Trajectory, index: int, h: float = 1e-4,
     def entropy_at(tau: float) -> float:
         return von_neumann_entropy(hermitian_part(traj.state_at(tau)))
 
-    def central(step: float) -> float:
-        return (entropy_at(t + step) - entropy_at(t - step)) / (2.0 * step)
-
+    coarse = central_difference(entropy_at, t, h)
     if not richardson:
-        return central(h)
-    coarse, fine = central(h), central(0.5 * h)
+        return coarse
+    fine = central_difference(entropy_at, t, 0.5 * h)
     return (4.0 * fine - coarse) / 3.0
 
 
@@ -437,16 +429,8 @@ class ChannelFamily:
                 raise IntegrationError("channel family evaluated at negative time")
             return self.state(rho0, t)
 
-        def derivative_fn(t):
-            h = fd_step
-            if t >= h:
-                return (self.state(rho0, t + h) - self.state(rho0, t - h)) / (2.0 * h)
-            s0 = self.state(rho0, t)
-            s1 = self.state(rho0, t + h)
-            s2 = self.state(rho0, t + 2.0 * h)
-            return (-3.0 * s0 + 4.0 * s1 - s2) / (2.0 * h)
-
-        return closed_form_trajectory(state_fn, grid, derivative_fn=derivative_fn)
+        return closed_form_trajectory(
+            state_fn, grid, derivative_fn=lambda t: time_derivative(state_fn, t, fd_step))
 
 
 class GadcFamily(ChannelFamily):
@@ -473,7 +457,9 @@ class DephasingFamily(ChannelFamily):
 
     ``gamma_integral`` must be the antiderivative of the decoherence rate
     with Gamma(0) = 0; intermediate maps scale coherences by
-    exp(Gamma(t) - Gamma(t + eps)).
+    exp(Gamma(t) - Gamma(t + eps)).  Where Gamma decreases over the window
+    that factor exceeds 1 and the map is not CP, so it comes back as a
+    ``SuperOperator`` instead of a ``QuantumChannel``.
     """
 
     def __init__(self, gamma_integral):
@@ -483,9 +469,12 @@ class DephasingFamily(ChannelFamily):
     def at(self, t: float) -> QuantumChannel:
         return dephasing_channel(float(np.exp(-self.gamma_integral(t))))
 
-    def step(self, t: float, eps: float) -> QuantumChannel:
+    def step(self, t: float, eps: float) -> QuantumChannel | SuperOperator:
         decay = self.gamma_integral(t + eps) - self.gamma_integral(t)
-        return dephasing_channel(float(np.exp(-decay)))
+        coherence = float(np.exp(-decay))
+        if coherence <= 1.0:
+            return dephasing_channel(coherence)
+        return SuperOperator(np.diag([1.0, coherence, coherence, 1.0]))
 
 
 class GeneratorFamily(ChannelFamily):
@@ -562,13 +551,10 @@ def export_trajectory(traj: Trajectory, path) -> None:
         for j in range(d):
             header += [f"re_rho_{i}{j}", f"im_rho_{i}{j}"]
     header += ["entropy", "entropy_rate"]
-    lines = [",".join(header)]
+    rows = []
     for t, state, dot in zip(traj.grid, traj.states, traj.derivatives):
-        row = [repr(float(t))]
+        row = [t]
         for v in state.entries.reshape(-1):
-            row += [repr(float(v.real)), repr(float(v.imag))]
-        row.append(repr(von_neumann_entropy(state)))
-        row.append(repr(entropy_rate(state, dot)))
-        lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+            row += [v.real, v.imag]
+        rows.append(row + [von_neumann_entropy(state), entropy_rate(state, dot)])
+    write_csv(path, header, rows)

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import nonunitarity, witnesses
+from ._util import write_csv
 from .channels import (
     ConstantCoefficient,
     CosineSquaredCoefficient,
@@ -97,19 +98,6 @@ class RunReport:
         }
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [repr(float(v)) if isinstance(v, (int, float, np.floating)) else str(v)
-                 for v in row]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _uniform_grid(t_min: float, t_max: float, n_points: int) -> np.ndarray:
-    return np.linspace(t_min, t_max, n_points)
-
-
 # ---------------------------------------------------------------------------
 # fig1_gadc
 # ---------------------------------------------------------------------------
@@ -136,7 +124,7 @@ def _sign_change_times(grid: np.ndarray, values: np.ndarray) -> list[float]:
 
 def run_fig1_gadc(params: dict, outdir: Path, seed: int) -> tuple[list[CheckResult], list[str]]:
     omega = params["omega"]
-    grid = _uniform_grid(0.0, params["t_max"], round(params["t_max"] / params["t_step"]) + 1)
+    grid = np.linspace(0.0, params["t_max"], round(params["t_max"] / params["t_step"]) + 1)
     family = GadcFamily(omega)
     rho0 = DensityMatrix.maximally_mixed(2)
 
@@ -151,8 +139,8 @@ def run_fig1_gadc(params: dict, outdir: Path, seed: int) -> tuple[list[CheckResu
 
     w, _, _, f_closed = _gadc_closed_form(omega, grid)
     table = outdir / "fig1_gadc.csv"
-    _write_csv(table, ["t", "W", "entropy_rate", "f"],
-               zip(grid, w, rates, f_pipe))
+    write_csv(table, ["t", "W", "entropy_rate", "f"],
+              zip(grid, w, rates, f_pipe))
 
     compare = grid >= params["compare_from"]
     max_err = float(np.max(np.abs(f_pipe[compare] - f_closed[compare])))
@@ -202,7 +190,7 @@ def run_fig2_depolarizing(params: dict, outdir: Path, seed: int) -> tuple[list[C
     elapsed = time.perf_counter() - start
 
     table = outdir / "fig2_depolarizing.csv"
-    _write_csv(table, ["d", "q", "analytic", "numeric", "abs_error"], rows)
+    write_csv(table, ["d", "q", "analytic", "numeric", "abs_error"], rows)
     max_err = max(r[4] for r in rows)
     checks = [
         CheckResult("numeric matches analytic", max_err <= params["tol"],
@@ -225,12 +213,12 @@ def _closed_form_rate_table(traj: Trajectory, fd_h: float):
 
 
 def run_appendix_damping(params: dict, outdir: Path, seed: int):
-    grid = _uniform_grid(params["t_min"], params["t_max"], int(params["n_points"]))
+    grid = np.linspace(params["t_min"], params["t_max"], int(params["n_points"]))
     traj = closed_form_trajectory(damping_qubit_state, grid)
     rates, rates_fd = _closed_form_rate_table(traj, params["fd_h"])
     table = outdir / "appendixB_damping.csv"
-    _write_csv(table, ["t", "entropy", "entropy_rate", "entropy_rate_fd"],
-               zip(grid, traj.entropies(), rates, rates_fd))
+    write_csv(table, ["t", "entropy", "entropy_rate", "entropy_rate_fd"],
+              zip(grid, traj.entropies(), rates, rates_fd))
 
     max_disc = float(np.max(np.abs(rates - rates_fd)))
     half_life = float(np.log(2.0))
@@ -251,7 +239,7 @@ def run_appendix_damping(params: dict, outdir: Path, seed: int):
 
 def run_appendix_oscillatory(params: dict, outdir: Path, seed: int):
     margin = params["margin"]
-    grid = _uniform_grid(margin, params["t_max"] - margin, int(params["n_points"]))
+    grid = np.linspace(margin, params["t_max"] - margin, int(params["n_points"]))
     half_integers = np.arange(0.0, params["t_max"] + 0.5, 0.5)
     keep = np.array([
         np.min(np.abs(half_integers - t)) >= margin for t in grid
@@ -260,8 +248,8 @@ def run_appendix_oscillatory(params: dict, outdir: Path, seed: int):
     traj = closed_form_trajectory(oscillating_qubit_state, grid)
     rates, rates_fd = _closed_form_rate_table(traj, params["fd_h"])
     table = outdir / "appendixB_oscillatory.csv"
-    _write_csv(table, ["t", "entropy", "entropy_rate", "entropy_rate_fd"],
-               zip(grid, traj.entropies(), rates, rates_fd))
+    write_csv(table, ["t", "entropy", "entropy_rate", "entropy_rate_fd"],
+              zip(grid, traj.entropies(), rates, rates_fd))
 
     max_disc = float(np.max(np.abs(rates - rates_fd)))
     spot = closed_form_trajectory(oscillating_qubit_state, np.array([1e-10, 0.25]))
@@ -284,7 +272,7 @@ def run_appendix_oscillatory(params: dict, outdir: Path, seed: int):
 def run_gaussian_bounds(params: dict, outdir: Path, seed: int):
     cutoff = int(params["cutoff"])
     mean_photons = params["mean_photons"]
-    grid = _uniform_grid(0.0, params["t_max"], int(params["n_points"]))
+    grid = np.linspace(0.0, params["t_max"], int(params["n_points"]))
     rho0 = thermal_state(mean_photons, cutoff)
 
     rows = []
@@ -317,7 +305,7 @@ def run_gaussian_bounds(params: dict, outdir: Path, seed: int):
             f"<= {params['bound_tol']:g}"))
 
     table = outdir / "gaussian_bounds.csv"
-    _write_csv(table, ["dynamics", "t", "entropy_rate", "theorem2_bound"], rows)
+    write_csv(table, ["dynamics", "t", "entropy_rate", "theorem2_bound"], rows)
     return checks, [str(table)]
 
 
@@ -341,8 +329,7 @@ def _oscillating_dephasing(base: float, amplitude: float, frequency: float):
 
 
 def run_decoherence_measures(params: dict, outdir: Path, seed: int):
-    grid = _uniform_grid(0.0, params["t_max"],
-                         round(params["t_max"] / params["t_step"]) + 1)
+    grid = np.linspace(0.0, params["t_max"], round(params["t_max"] / params["t_step"]) + 1)
     rng = np.random.default_rng(seed)
     sampler = default_state_sampler(2, rng, n_random=int(params["n_random"]),
                                     bloch_points=int(params["bloch_points"]))
@@ -364,8 +351,8 @@ def run_decoherence_measures(params: dict, outdir: Path, seed: int):
         results[tag] = (m_gen.value, m_chan.value, blp)
 
     table = outdir / "decoherence_measures.csv"
-    _write_csv(table, ["profile", "measure_generator", "measure_channel", "blp"],
-               [(tag, *vals) for tag, vals in results.items()])
+    write_csv(table, ["profile", "measure_generator", "measure_channel", "blp"],
+              [(tag, *vals) for tag, vals in results.items()])
 
     tol = params["measure_tol"]
     mg_m, mc_m, blp_m = results["markovian"]
@@ -396,7 +383,7 @@ def run_decoherence_measures(params: dict, outdir: Path, seed: int):
 def run_custom(params: dict, outdir: Path, seed: int):
     generator = generator_from_document(params["generator"])
     rho0 = DensityMatrix(matrix_from_document(params["initial_state"]))
-    grid = _uniform_grid(0.0, params["t_max"], int(params["n_points"]))
+    grid = np.linspace(0.0, params["t_max"], int(params["n_points"]))
     traj = propagate(generator, rho0, grid)
     reports = witnesses.witness_reports(generator, traj)
 

@@ -1,9 +1,11 @@
 """Entropy-change bounds, rate limits, and non-Markovianity machinery.
 
 The central quantity is the pinned adjoint-generator trace Tr{Pi_t L_t^dag(rho_t)}:
-it vanishes for unital dynamics (witnessing non-unitality otherwise), its
-negative lower-bounds the entropy rate of any CP-divisible evolution, and its
-mismatch against the short-time channel derivative feeds the memory tests.
+it vanishes for unital dynamics at full-rank states (witnessing non-unitality
+when it does not; at rank-deficient states it can be nonzero for unital
+dynamics too), its negative lower-bounds the entropy rate of any
+CP-divisible evolution, and its mismatch against the short-time channel
+derivative feeds the memory tests.
 Measures maximize over sampled initial states, so reported values are
 certified lower bounds on the true suprema.
 """
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import pmap
+from ._util import time_derivative, write_csv
 from .channels import LindbladGenerator, QuantumChannel, SuperOperator, unitality_class
 from .dynamics import ChannelFamily, Trajectory, entropy_rate, propagate
 from .linalg import (
@@ -145,7 +147,12 @@ def _pinned_adjoint_trace(generator, t: float, rho) -> float:
 
 
 def nonunitality_witness(generator, t: float, rho) -> float:
-    """Tr{Pi_t L_t^dag(rho_t)}; zero for unital dynamics at every state."""
+    """Tr{Pi_t L_t^dag(rho_t)}.
+
+    Zero for unital dynamics at full-rank states, where Pi = I and
+    Tr{L^dag(rho)} = Tr{rho L(I)} = 0.  At rank-deficient states it need not
+    vanish: the sigma_z dephasing generator at |+> gives -gamma/2.
+    """
     return _pinned_adjoint_trace(generator, t, rho)
 
 
@@ -200,23 +207,11 @@ def epsilon_derivative(family: ChannelFamily, rho_t, t: float,
     return 2.0 * d2 - d1
 
 
-def _family_state_derivative(family: ChannelFamily, rho0, t: float,
-                             h: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
-    rho_t = hermitian_part(family.state(rho0, t))
-    if t >= h:
-        dot = (family.state(rho0, t + h) - family.state(rho0, t - h)) / (2.0 * h)
-    else:
-        s0 = family.state(rho0, t)
-        s1 = family.state(rho0, t + h)
-        s2 = family.state(rho0, t + 2.0 * h)
-        dot = (-3.0 * s0 + 4.0 * s1 - s2) / (2.0 * h)
-    return rho_t, hermitian_part(dot)
-
-
 def f_components(family: ChannelFamily, rho0, t: float,
                  eps0: float = EPSILON_STEP) -> tuple[float, float]:
     """(entropy rate, short-time derivative term) along the family trajectory."""
-    rho_t, rho_dot = _family_state_derivative(family, rho0, t)
+    rho_t = hermitian_part(family.state(rho0, t))
+    rho_dot = hermitian_part(time_derivative(lambda tau: family.state(rho0, tau), t, 1e-5))
     rate = entropy_rate(rho_t, rho_dot)
     return rate, epsilon_derivative(family, rho_t, t, eps0=eps0)
 
@@ -231,14 +226,7 @@ def witness_f_channel(family: ChannelFamily, rho0, t: float,
 def time_local_generator(family: ChannelFamily, t: float, h: float = 1e-5) -> SuperOperator:
     """Numerical time-local generator dM_t/dt o M_t^{-1} of a channel family."""
     m_t = family.at(t).superoperator().matrix
-    if t >= h:
-        m_dot = (family.at(t + h).superoperator().matrix
-                 - family.at(t - h).superoperator().matrix) / (2.0 * h)
-    else:
-        m0 = family.at(t).superoperator().matrix
-        m1 = family.at(t + h).superoperator().matrix
-        m2 = family.at(t + 2.0 * h).superoperator().matrix
-        m_dot = (-3.0 * m0 + 4.0 * m1 - m2) / (2.0 * h)
+    m_dot = time_derivative(lambda tau: family.at(tau).superoperator().matrix, t, h)
     dim = family.dim
     return SuperOperator(m_dot @ np.linalg.inv(m_t), dim_in=dim, dim_out=dim)
 
@@ -314,15 +302,9 @@ def witness_reports(generator: LindbladGenerator, traj: Trajectory,
 
 def export_witness_reports(reports, path) -> None:
     """CSV stream: t, rate, bound, f, nonunitality, flags (semicolon-joined)."""
-    lines = ["t,entropy_rate,theorem2_bound,f,nonunitality,flags"]
-    for r in reports:
-        flags = ";".join(sorted(r.flags))
-        lines.append(",".join([
-            repr(r.time), repr(r.entropy_rate), repr(r.theorem2_bound),
-            repr(r.f_value), repr(r.nonunitality), flags,
-        ]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ["t", "entropy_rate", "theorem2_bound", "f", "nonunitality", "flags"],
+              [(r.time, r.entropy_rate, r.theorem2_bound, r.f_value, r.nonunitality,
+                ";".join(sorted(r.flags))) for r in reports])
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +378,35 @@ def _violation_integral(grid: np.ndarray, values: np.ndarray, threshold: float,
     return total
 
 
+def _measure(state_sampler, grid, trajectory, value, evaluate,
+             eps_w: float, rank_margin: float) -> MeasureResult:
+    """Max over sampled initial states of the integrated violation of a witness.
+
+    ``trajectory(rho0, grid)`` gives the sampled trajectory,
+    ``value(t, state, state_dot)`` the witness at a grid point, and
+    ``evaluate(rho0, traj, t)`` the witness off the grid, for the bisection
+    that refines the window boundaries.
+    """
+    states = list(state_sampler)
+    if not states:
+        raise WitnessError("state sampler yielded no states")
+    grid = np.asarray(grid, dtype=float)
+
+    def one(rho0: DensityMatrix) -> float:
+        traj = trajectory(rho0, grid)
+        values = np.array([value(float(t), state, dot) for t, state, dot
+                           in zip(traj.grid, traj.states, traj.derivatives)])
+        excluded = _exclusion_mask(traj.grid, traj.rank_change_times(), rank_margin)
+        return _violation_integral(traj.grid, values, eps_w,
+                                   evaluate=lambda t: evaluate(rho0, traj, t),
+                                   excluded=excluded)
+
+    integrals = [one(rho0) for rho0 in states]
+    best = int(np.argmax(integrals))
+    return MeasureResult(value=float(integrals[best]), argmax_state=states[best],
+                         samples_used=len(states), sample_values=tuple(map(float, integrals)))
+
+
 def measure_generator(generator: LindbladGenerator, state_sampler, grid,
                       eps_w: float = EPS_WITNESS,
                       rank_margin: float = RANK_CHANGE_MARGIN) -> MeasureResult:
@@ -405,62 +416,29 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid,
     |dS/dt + Tr{Pi L^dag rho}| is integrated over the times where it is below
     -eps_w, with bisection refinement of the window boundaries.
     """
-    states = list(state_sampler)
-    if not states:
-        raise WitnessError("state sampler yielded no states")
-    grid = np.asarray(grid, dtype=float)
+    def value(t: float, state, dot) -> float:
+        return entropy_rate(state, dot) + _pinned_adjoint_trace(generator, t, state)
 
-    def one(rho0: DensityMatrix) -> float:
-        traj = propagate(generator, rho0, grid)
-        values = np.array([
-            entropy_rate(traj.states[k], traj.derivatives[k])
-            + _pinned_adjoint_trace(generator, float(t), traj.states[k])
-            for k, t in enumerate(traj.grid)
-        ])
-        excluded = _exclusion_mask(traj.grid, traj.rank_change_times(), rank_margin)
+    def evaluate(rho0, traj: Trajectory, t: float) -> float:
+        state = hermitian_part(traj.state_at(t))
+        return value(t, state, generator.apply(t, state))
 
-        def evaluate(t: float) -> float:
-            state = hermitian_part(traj.state_at(t))
-            dot = generator.apply(t, state)
-            return entropy_rate(state, dot) + _pinned_adjoint_trace(generator, t, state)
-
-        return _violation_integral(traj.grid, values, eps_w,
-                                   evaluate=evaluate, excluded=excluded)
-
-    integrals = pmap(one, states)
-    best = int(np.argmax(integrals))
-    return MeasureResult(value=float(integrals[best]), argmax_state=states[best],
-                         samples_used=len(states), sample_values=tuple(map(float, integrals)))
+    return _measure(state_sampler, grid, lambda rho0, g: propagate(generator, rho0, g),
+                    value, evaluate, eps_w, rank_margin)
 
 
 def measure_channel(family: ChannelFamily, state_sampler, grid,
                     eps_w: float = EPS_WITNESS, eps0: float = EPSILON_STEP,
                     rank_margin: float = RANK_CHANGE_MARGIN) -> MeasureResult:
     """Max over initial states of the integrated negative part of f(t)."""
-    states = list(state_sampler)
-    if not states:
-        raise WitnessError("state sampler yielded no states")
-    grid = np.asarray(grid, dtype=float)
+    def value(t: float, state: DensityMatrix, dot) -> float:
+        return entropy_rate(state, dot) + epsilon_derivative(family, state.entries, t, eps0=eps0)
 
-    def one(rho0: DensityMatrix) -> float:
-        traj = family.trajectory(rho0, grid)
-        values = np.array([
-            entropy_rate(traj.states[k], traj.derivatives[k])
-            + epsilon_derivative(family, traj.states[k].entries, float(t), eps0=eps0)
-            for k, t in enumerate(traj.grid)
-        ])
-        excluded = _exclusion_mask(traj.grid, traj.rank_change_times(), rank_margin)
+    def evaluate(rho0, traj: Trajectory, t: float) -> float:
+        return witness_f_channel(family, rho0, t, eps0=eps0)
 
-        def evaluate(t: float) -> float:
-            return witness_f_channel(family, rho0, t, eps0=eps0)
-
-        return _violation_integral(traj.grid, values, eps_w,
-                                   evaluate=evaluate, excluded=excluded)
-
-    integrals = pmap(one, states)
-    best = int(np.argmax(integrals))
-    return MeasureResult(value=float(integrals[best]), argmax_state=states[best],
-                         samples_used=len(states), sample_values=tuple(map(float, integrals)))
+    return _measure(state_sampler, grid, family.trajectory, value, evaluate,
+                    eps_w, rank_margin)
 
 
 def blp_measure(family: ChannelFamily, pair_sampler, grid) -> float:
@@ -478,7 +456,7 @@ def blp_measure(family: ChannelFamily, pair_sampler, grid) -> float:
         positive = np.clip(sigma, 0.0, None)
         return float(_trapezoid(positive, grid))
 
-    values = pmap(one, list(pair_sampler))
+    values = [one(pair) for pair in pair_sampler]
     return max(values) if values else 0.0
 
 

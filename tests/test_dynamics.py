@@ -9,6 +9,8 @@ from entroflow import (
     GeneratorFamily,
     IntegrationError,
     LindbladGenerator,
+    QuantumChannel,
+    SuperOperator,
     TailMassError,
     bosonic_generator,
     closed_form_trajectory,
@@ -248,6 +250,18 @@ class TestChannelFamilies:
         direct = fam.at(0.9).apply(rho0)
         stepped = fam.step(0.5, 0.4).apply(fam.at(0.5).apply(rho0))
         np.testing.assert_allclose(direct, stepped, atol=1e-7)
+
+    def test_dephasing_step_where_gamma_decreases_is_not_cp(self):
+        # gamma(t) = 0.5 + cos 2t is negative on (pi/3, 2pi/3), so Gamma decreases
+        # there and the interval map amplifies coherences: no Kraus form exists.
+        fam = DephasingFamily(lambda t: 0.5 * t + 0.5 * np.sin(2.0 * t))
+        step = fam.step(1.5, 1e-3)
+        assert isinstance(step, SuperOperator)
+        c = np.exp(fam.gamma_integral(1.5) - fam.gamma_integral(1.5 + 1e-3))
+        assert c > 1.0
+        np.testing.assert_allclose(step.matrix, np.diag([1.0, c, c, 1.0]), rtol=1e-12)
+        assert not is_cptp(step)
+        assert isinstance(fam.step(0.5, 1e-3), QuantumChannel)
 
 
 class TestClosedFormTrajectories:

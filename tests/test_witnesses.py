@@ -2,9 +2,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entroflow import DensityMatrix, QuantumChannel, pinsker_gap
-from entroflow.sampling import random_full_rank_state, random_mixed_unitary_channel
-from entroflow.witnesses import WitnessError
+from entroflow import (
+    DensityMatrix,
+    DephasingFamily,
+    QuantumChannel,
+    WitnessReport,
+    dephasing_generator,
+    depolarizing_generator,
+    entropy_change,
+    entropy_change_lower_bound,
+    environment_simulation_bound,
+    measure_channel,
+    measure_generator,
+    nonunitality_witness,
+    pinsker_gap,
+    unitary_channel,
+)
+from entroflow.sampling import (
+    default_state_sampler,
+    random_cptp_channel,
+    random_full_rank_state,
+    random_mixed_unitary_channel,
+    random_unitary,
+)
+from entroflow.scenarios import _oscillating_dephasing
+from entroflow.witnesses import WitnessError, export_witness_reports, time_local_generator
 
 
 def test_pinsker_gap_rejects_trace_nonincreasing_operation():
@@ -25,3 +47,71 @@ def test_pinsker_pair_on_random_unital_channels(seed, d):
     trace_norm = np.sqrt(2.0 * gap.half_trace_norm_sq)
     assert gap.half_trace_norm_sq - 1e-10 <= gap.relative_entropy
     assert gap.reverse_bound <= trace_norm + 1e-10
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
+def test_entropy_change_above_back_action_divergence(seed, d):
+    # Theorem 1 lower bound: S(N(rho)) - S(rho) >= D(rho || N^dag N(rho)).
+    rng = np.random.default_rng(seed)
+    channel = random_cptp_channel(rng, d)
+    rho = random_full_rank_state(rng, d)
+    assert entropy_change(channel, rho) >= entropy_change_lower_bound(channel, rho) - 1e-10
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_environment_simulation_bound_tight_for_unitary_interaction(seed):
+    rng = np.random.default_rng(seed)
+    interaction = unitary_channel(random_unitary(rng, 4))
+    delta_s, bound = environment_simulation_bound(
+        interaction, random_full_rank_state(rng, 2), random_full_rank_state(rng, 2))
+    assert delta_s == pytest.approx(bound, abs=1e-8)
+
+
+@pytest.mark.parametrize("generator", [dephasing_generator(0.7), depolarizing_generator(3, 0.2)],
+                         ids=["dephasing", "depolarizing_d3"])
+def test_nonunitality_witness_vanishes_for_unital_generator_at_full_rank(generator, rng):
+    for _ in range(5):
+        rho = random_full_rank_state(rng, generator.dim)
+        assert abs(nonunitality_witness(generator, 0.0, rho)) <= 1e-12
+
+
+def test_nonunitality_witness_nonzero_for_unital_generator_at_pure_state():
+    plus = DensityMatrix.pure(np.array([1.0, 1.0]))
+    assert nonunitality_witness(dephasing_generator(1.0), 0.0, plus) == pytest.approx(-0.5)
+
+
+@pytest.mark.parametrize("t", [0.5, 0.0], ids=["central", "one_sided"])
+def test_time_local_generator_recovers_dephasing(t):
+    generator = time_local_generator(DephasingFamily(lambda s: s), t)
+    np.testing.assert_allclose(generator.matrix, np.diag([0.0, -1.0, -1.0, 0.0]), atol=1e-8)
+
+
+def test_export_witness_reports_format(tmp_path):
+    reports = [
+        WitnessReport(time=0.5, entropy_rate=0.1, theorem2_bound=-0.25, f_value=1e-20,
+                      nonunitality=0.25, flags=frozenset({"test_b_passed", "test_a_passed"})),
+        WitnessReport(time=1.0, entropy_rate=-0.0, theorem2_bound=0.0, f_value=2.0,
+                      nonunitality=-0.0, flags=frozenset()),
+    ]
+    path = tmp_path / "w.csv"
+    export_witness_reports(reports, path)
+    assert path.read_text().splitlines() == [
+        "t,entropy_rate,theorem2_bound,f,nonunitality,flags",
+        "0.5,0.1,-0.25,1e-20,0.25,test_a_passed;test_b_passed",
+        "1.0,-0.0,0.0,2.0,-0.0,",
+    ]
+
+
+def test_measures_agree_on_non_cp_divisible_dephasing():
+    # The rate 0.5 + cos 2t is negative on (pi/3, 2pi/3), where the channel-side
+    # measure needs interval maps that are not CP.
+    generator, family = _oscillating_dephasing(0.5, 1.0, 2.0)
+    states = default_state_sampler(2, np.random.default_rng(7), n_random=2, bloch_points=1)
+    assert len(states) == 4
+    grid = np.linspace(0.0, 3.0, 61)
+    from_generator = measure_generator(generator, states, grid).value
+    from_channel = measure_channel(family, states, grid).value
+    assert from_generator > 1e-2
+    assert abs(from_generator - from_channel) <= 1e-5
