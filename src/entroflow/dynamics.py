@@ -1,9 +1,12 @@
 """Master-equation integration, intermediate propagators, and entropy rates.
 
 Trajectories carry states, generator-consistent derivatives, and support
-projectors on a fixed time grid.  Intermediate maps M_{t,s} are built as
-ordered products of single-step exponentials with step doubling until the
-superoperator matrices converge, which doubles as a convergence certificate.
+projectors on a fixed time grid.  One linear-dynamics engine serves both
+layers: ``propagate_many`` advances a stack of states together with RK4 and
+step doubling (``propagate`` is its single-state call), and intermediate maps
+M_{t,s} are products of commutator-free 4th-order Magnus steps, doubled until
+successive products agree.  Both stopping rules double as convergence
+certificates.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from scipy.linalg import expm
 from ._util import central_difference, one_sided_difference, time_derivative, write_csv
 from .channels import LindbladGenerator, QuantumChannel, SuperOperator, gadc, dephasing_channel
 from .linalg import (
+    ZERO_EIGENVALUE_RTOL,
     DensityMatrix,
     SupportProjector,
     as_matrix,
@@ -30,6 +34,7 @@ __all__ = [
     "TailMassError",
     "Trajectory",
     "propagate",
+    "propagate_many",
     "closed_form_trajectory",
     "intermediate_map",
     "entropy_rate",
@@ -146,6 +151,7 @@ def _rk4_step(generator: LindbladGenerator, rho: np.ndarray, t: float, dt: float
 
 
 def _rk4_segment(generator, rho, t0: float, t1: float, substeps: int) -> np.ndarray:
+    """RK4 from t0 to t1 in equal substeps, for one state or a stack (N, d, d)."""
     if t1 == t0:
         return rho.copy()
     dt = (t1 - t0) / substeps
@@ -155,41 +161,51 @@ def _rk4_segment(generator, rho, t0: float, t1: float, substeps: int) -> np.ndar
     return hermitian_part(out)
 
 
-def propagate(generator: LindbladGenerator, rho0: DensityMatrix, grid,
-              error_target: float = 1e-7, max_refinements: int = 12,
-              on_tail_breach: str = "raise") -> Trajectory:
-    """Integrate rho_dot = L_t(rho_t) over the grid with classical RK4.
+def _clean(raw: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Re-Hermitize and trace-renormalize a stack; returns it and the trace defects."""
+    sym = hermitian_part(raw)
+    tr = np.real(np.trace(sym, axis1=-2, axis2=-1))
+    sym = sym / tr[:, None, None]
+    min_eig = np.linalg.eigvalsh(sym)[:, 0]
+    worst = int(np.argmin(min_eig))
+    if min_eig[worst] < -STATE_PSD_LIMIT:
+        raise IntegrationError(
+            f"state at t={t:.6g} lost positivity: min eigenvalue {min_eig[worst]:.3e}"
+        )
+    return sym, np.abs(tr - 1.0)
 
-    Each grid interval is integrated with a doubling substep count until two
-    successive refinements agree in trace norm within ``error_target`` per
-    unit time, so the accumulated error over the grid respects the same
-    budget.  Accepted states are re-Hermitized and trace-renormalized
-    (defect logged); a PSD defect beyond 1e-6 is an integration failure.
-    For generators carrying a tail guard, a population breach either raises
-    (``on_tail_breach="raise"``) or truncates the trajectory at the last
-    trusted grid point (``"truncate"``).
+
+def propagate_many(generator: LindbladGenerator, states, grid,
+                   error_target: float = 1e-7, max_refinements: int = 12,
+                   on_tail_breach: str = "raise") -> list[Trajectory]:
+    """Integrate rho_dot = L_t(rho_t) over the grid for a stack of initial states.
+
+    The states are advanced together as one (N, d, d) stack with classical
+    RK4.  Each grid interval is integrated with a doubling substep count
+    until two successive refinements of every state agree in trace norm
+    within ``error_target`` per unit time, so the accumulated error over the
+    grid respects the same budget.  Accepted states are re-Hermitized and
+    trace-renormalized (defect logged per state); a PSD defect beyond 1e-6 is
+    an integration failure.  For generators carrying a tail guard, each
+    state's population breach either raises (``on_tail_breach="raise"``) or
+    truncates that state's trajectory at its last trusted grid point
+    (``"truncate"``) and drops it from the stack.  Returns one trajectory per
+    initial state, in order.
     """
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) <= 0):
         raise IntegrationError("time grid must be strictly increasing")
     if on_tail_breach not in ("raise", "truncate"):
         raise ValueError("on_tail_breach must be 'raise' or 'truncate'")
+    guard = generator.tail_guard
 
-    def clean(raw: np.ndarray, t: float) -> tuple[np.ndarray, float]:
-        sym = hermitian_part(raw)
-        tr = float(np.real(np.trace(sym)))
-        sym = sym / tr
-        min_eig = float(np.linalg.eigvalsh(sym)[0])
-        if min_eig < -STATE_PSD_LIMIT:
-            raise IntegrationError(
-                f"state at t={t:.6g} lost positivity: min eigenvalue {min_eig:.3e}"
-            )
-        return sym, abs(tr - 1.0)
-
-    current, defect0 = clean(rho0.entries, float(grid[0]))
-    clean_states = [DensityMatrix(current)]
-    defects = [defect0]
-    truncated_at: float | None = None
+    current, defect0 = _clean(np.stack([as_matrix(rho) for rho in states]), float(grid[0]))
+    n = len(current)
+    live = list(range(n))  # stack row -> state index
+    kept: list[list[DensityMatrix]] = [[DensityMatrix(rho)] for rho in current]
+    derivatives: list[list[np.ndarray]] = [[dot] for dot in generator.apply(float(grid[0]), current)]
+    defects: list[list[float]] = [[float(d)] for d in defect0]
+    truncated_at: list[float | None] = [None] * n
     substeps = 1
     for k in range(len(grid) - 1):
         t0, t1 = float(grid[k]), float(grid[k + 1])
@@ -199,7 +215,7 @@ def propagate(generator: LindbladGenerator, rho0: DensityMatrix, grid,
         for _ in range(max_refinements):
             substeps *= 2
             refined = _rk4_segment(generator, current, t0, t1, substeps)
-            disagreement = float(np.abs(np.linalg.eigvalsh(trial - refined)).sum())
+            disagreement = float(np.abs(np.linalg.eigvalsh(trial - refined)).sum(axis=-1).max())
             trial = refined
             if disagreement <= budget:
                 break
@@ -208,30 +224,49 @@ def propagate(generator: LindbladGenerator, rho0: DensityMatrix, grid,
                 f"integrator stalled on [{t0:.6g}, {t1:.6g}]: "
                 f"no convergence to {budget:.1e} within {max_refinements} doublings"
             )
-        current, defect = clean(trial, t1)
-        if generator.tail_guard is not None:
-            tail = generator.tail_guard.check(current)
-            if tail > generator.tail_guard.bound:
+        current, defect = _clean(trial, t1)
+        if guard is not None:
+            tails = np.array([guard.check(rho) for rho in current])
+            breached = tails > guard.bound
+            if breached.any():
                 if on_tail_breach == "raise":
                     raise TailMassError(
-                        f"tail mass {tail:.3e} exceeds "
-                        f"{generator.tail_guard.bound:.1e} at t={t1:.6g}"
+                        f"tail mass {tails.max():.3e} exceeds {guard.bound:.1e} at t={t1:.6g}"
                     )
-                truncated_at = t1
-                break
-        clean_states.append(DensityMatrix(current))
-        defects.append(defect)
+                for row in np.flatnonzero(breached):
+                    truncated_at[live[row]] = t1
+                keep = ~breached
+                live = [i for i, alive in zip(live, keep) if alive]
+                current, defect = current[keep], defect[keep]
+                if not live:
+                    break
+        dots = generator.apply(t1, current)
+        for row, i in enumerate(live):
+            kept[i].append(DensityMatrix(current[row]))
+            derivatives[i].append(dots[row])
+            defects[i].append(float(defect[row]))
 
-    if truncated_at is not None and len(clean_states) < 3:
-        raise TailMassError("tail guard tripped before any usable grid point")
-    grid = grid[:len(clean_states)]
-    derivatives = [generator.apply(float(t), s.entries)
-                   for t, s in zip(grid, clean_states)]
-    supports = [support_projector(s) for s in clean_states]
-    return Trajectory(grid=grid, states=clean_states, derivatives=derivatives,
-                      supports=supports, generator=generator,
-                      renormalization_defects=np.array(defects),
-                      truncated_at=truncated_at)
+    trajectories = []
+    for i in range(n):
+        if truncated_at[i] is not None and len(kept[i]) < 3:
+            raise TailMassError("tail guard tripped before any usable grid point")
+        trajectories.append(Trajectory(
+            grid=grid[:len(kept[i])], states=kept[i], derivatives=derivatives[i],
+            supports=[support_projector(s) for s in kept[i]], generator=generator,
+            renormalization_defects=np.array(defects[i]), truncated_at=truncated_at[i]))
+    return trajectories
+
+
+def propagate(generator: LindbladGenerator, rho0: DensityMatrix, grid,
+              error_target: float = 1e-7, max_refinements: int = 12,
+              on_tail_breach: str = "raise") -> Trajectory:
+    """Integrate rho_dot = L_t(rho_t) over the grid from one initial state.
+
+    The single-state call of :func:`propagate_many`, with the same step
+    doubling, certificates and tail-guard handling.
+    """
+    return propagate_many(generator, [rho0], grid, error_target=error_target,
+                          max_refinements=max_refinements, on_tail_breach=on_tail_breach)[0]
 
 
 def closed_form_trajectory(state_fn, grid, derivative_fn=None,
@@ -254,28 +289,42 @@ def closed_form_trajectory(state_fn, grid, derivative_fn=None,
                       supports=supports, state_fn=state_fn, derivative_fn=derivative_fn)
 
 
-def intermediate_map(generator: LindbladGenerator, s: float, t: float,
-                     steps: int = 8, atol: float = 1e-8,
-                     max_doublings: int = 14) -> SuperOperator:
-    """Propagator M_{t,s} as an ordered product of single-step exponentials.
+# Commutator-free 4th-order Magnus step (Blanes, Casas, Oteo & Ros, Phys. Rep.
+# 470, 151 (2009); Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)):
+# generators at the two Gauss points, mixed with these weights into two
+# exponentials per step.
+_GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+_CF4_WEIGHTS = ((3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0)
 
-    Each substep uses exp(L_tau * dtau) with tau at the substep midpoint;
-    the step count is doubled until successive superoperator matrices agree
-    entrywise within ``atol``.  Time-independent generators converge at the
-    first comparison since the product collapses to exp((t-s) L).
+
+def intermediate_map(generator: LindbladGenerator, s: float, t: float,
+                     steps: int = 1, atol: float = 1e-8,
+                     max_doublings: int = 14) -> SuperOperator:
+    """Propagator M_{t,s} by commutator-free 4th-order Magnus steps.
+
+    Each step of length h from tau takes the generators L1, L2 at the Gauss
+    points tau + (1/2 -+ sqrt(3)/6) h and multiplies
+    exp(h (a1 L1 + a2 L2)) exp(h (a2 L1 + a1 L2)) onto the product, with
+    a1, a2 = (3 -+ 2 sqrt(3))/12.  The step count is doubled from ``steps``
+    until successive products agree entrywise within ``atol``, which is the
+    convergence certificate.  The step is exact for a time-independent
+    generator, so those converge at the first comparison.
     """
     if t < s:
         raise IntegrationError("intermediate map requires s <= t")
     d = generator.dim
     if t == s:
         return SuperOperator.identity(d)
+    (c1, c2), (a1, a2) = _GAUSS_NODES, _CF4_WEIGHTS
 
     def ordered_product(n: int) -> np.ndarray:
-        dt = (t - s) / n
+        h = (t - s) / n
         out = np.eye(d * d, dtype=complex)
         for j in range(n):
-            tau = s + (j + 0.5) * dt
-            out = expm(generator.superoperator(tau).matrix * dt) @ out
+            tau = s + j * h
+            l1 = generator.superoperator(tau + c1 * h).matrix
+            l2 = generator.superoperator(tau + c2 * h).matrix
+            out = expm(h * (a1 * l1 + a2 * l2)) @ (expm(h * (a2 * l1 + a1 * l2)) @ out)
         return out
 
     current = ordered_product(steps)
@@ -300,6 +349,17 @@ def entropy_rate(rho, rho_dot) -> float:
     return float(-np.real(np.trace(dot @ matrix_log_on_support(rho))))
 
 
+def _rank_change_distance(rho, rho_dot) -> float:
+    """Time for the smallest eigenvalue to reach 0 at its current speed; inf
+    when the state is rank-deficient or that eigenvalue is not moving."""
+    lam, vecs = np.linalg.eigh(as_matrix(rho))
+    v = vecs[:, 0]
+    speed = abs(float(np.real(np.conj(v) @ as_matrix(rho_dot) @ v)))
+    if lam[0] <= ZERO_EIGENVALUE_RTOL * lam[-1] or speed == 0.0:
+        return np.inf
+    return float(lam[0]) / speed
+
+
 def entropy_rate_fd(traj: Trajectory, index: int, h: float = 1e-4,
                     richardson: bool = False) -> float:
     """Finite-difference entropy rate at a grid point, as an oracle.
@@ -308,7 +368,10 @@ def entropy_rate_fd(traj: Trajectory, index: int, h: float = 1e-4,
     trajectory has one, a short local integration when it has a generator,
     and the neighboring grid states otherwise (then h is the grid spacing).
     ``richardson=True`` combines the h and h/2 stencils for fourth-order
-    accuracy, which matters near rank-change instants.
+    accuracy, which matters near rank-change instants.  Off the grid, h is
+    capped at 1 % of the estimated distance to the nearest rank change,
+    lambda_min / |<v_min| rho_dot |v_min>|, so that neither stencil reaches
+    across it.
     """
     t = float(traj.grid[index])
 
@@ -319,6 +382,8 @@ def entropy_rate_fd(traj: Trajectory, index: int, h: float = 1e-4,
         s_plus = von_neumann_entropy(traj.states[index + 1])
         s_minus = von_neumann_entropy(traj.states[index - 1])
         return (s_plus - s_minus) / (2.0 * h)
+
+    h = min(h, 0.01 * _rank_change_distance(traj.states[index], traj.derivatives[index]))
 
     def entropy_at(tau: float) -> float:
         return von_neumann_entropy(hermitian_part(traj.state_at(tau)))

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._util import time_derivative, write_csv
 from .channels import LindbladGenerator, QuantumChannel, SuperOperator, unitality_class
-from .dynamics import ChannelFamily, Trajectory, entropy_rate, propagate
+from .dynamics import ChannelFamily, Trajectory, entropy_rate, propagate_many
 from .linalg import (
     INFINITE_DIVERGENCE,
     DensityMatrix,
@@ -378,30 +378,33 @@ def _violation_integral(grid: np.ndarray, values: np.ndarray, threshold: float,
     return total
 
 
-def _measure(state_sampler, grid, trajectory, value, evaluate,
+def _measure(state_sampler, grid, trajectories, value, evaluate,
              eps_w: float, rank_margin: float) -> MeasureResult:
     """Max over sampled initial states of the integrated violation of a witness.
 
-    ``trajectory(rho0, grid)`` gives the sampled trajectory,
-    ``value(t, state, state_dot)`` the witness at a grid point, and
+    ``trajectories(states, grid)`` gives the sampled trajectories, all in one
+    call, ``value(t, state, state_dot)`` the witness at a grid point, and
     ``evaluate(rho0, traj, t)`` the witness off the grid, for the bisection
-    that refines the window boundaries.
+    that refines the window boundaries.  Grid points within ``rank_margin``
+    of a rank change are excluded, and so is the grid point just before
+    each one: there the rate on the support misses the jump (at a pure
+    state it reads 0 while its right limit is +inf).
     """
     states = list(state_sampler)
     if not states:
         raise WitnessError("state sampler yielded no states")
     grid = np.asarray(grid, dtype=float)
 
-    def one(rho0: DensityMatrix) -> float:
-        traj = trajectory(rho0, grid)
+    def one(rho0: DensityMatrix, traj: Trajectory) -> float:
         values = np.array([value(float(t), state, dot) for t, state, dot
                            in zip(traj.grid, traj.states, traj.derivatives)])
         excluded = _exclusion_mask(traj.grid, traj.rank_change_times(), rank_margin)
+        excluded[:-1] |= np.diff(traj.ranks()) != 0
         return _violation_integral(traj.grid, values, eps_w,
                                    evaluate=lambda t: evaluate(rho0, traj, t),
                                    excluded=excluded)
 
-    integrals = [one(rho0) for rho0 in states]
+    integrals = [one(rho0, traj) for rho0, traj in zip(states, trajectories(states, grid))]
     best = int(np.argmax(integrals))
     return MeasureResult(value=float(integrals[best]), argmax_state=states[best],
                          samples_used=len(states), sample_values=tuple(map(float, integrals)))
@@ -412,7 +415,7 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid,
                       rank_margin: float = RANK_CHANGE_MARGIN) -> MeasureResult:
     """Max over initial states of the integrated Theorem-2 violation.
 
-    For each sampled rho_0 the trajectory is propagated and
+    The whole sampler is propagated as one stack, and for each sampled rho_0
     |dS/dt + Tr{Pi L^dag rho}| is integrated over the times where it is below
     -eps_w, with bisection refinement of the window boundaries.
     """
@@ -423,7 +426,7 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid,
         state = hermitian_part(traj.state_at(t))
         return value(t, state, generator.apply(t, state))
 
-    return _measure(state_sampler, grid, lambda rho0, g: propagate(generator, rho0, g),
+    return _measure(state_sampler, grid, lambda states, g: propagate_many(generator, states, g),
                     value, evaluate, eps_w, rank_margin)
 
 
@@ -437,8 +440,9 @@ def measure_channel(family: ChannelFamily, state_sampler, grid,
     def evaluate(rho0, traj: Trajectory, t: float) -> float:
         return witness_f_channel(family, rho0, t, eps0=eps0)
 
-    return _measure(state_sampler, grid, family.trajectory, value, evaluate,
-                    eps_w, rank_margin)
+    return _measure(state_sampler, grid,
+                    lambda states, g: [family.trajectory(rho0, g) for rho0 in states],
+                    value, evaluate, eps_w, rank_margin)
 
 
 def blp_measure(family: ChannelFamily, pair_sampler, grid) -> float:

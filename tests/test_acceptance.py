@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from entroflow.cli import main
 
 
@@ -8,4 +10,14 @@ def test_fig2_depolarizing_default_config(tmp_path):
     status = main(["run", "--scenario", "fig2_depolarizing", "--output-dir", str(tmp_path)])
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["passed"] is True
+    assert status == 0
+
+
+@pytest.mark.parametrize("scenario", ["fig1_gadc", "appendixB_damping", "appendixB_oscillatory",
+                                      "gaussian_bounds", "custom"])
+def test_default_config_passes(scenario, tmp_path):
+    """Every builtin scenario but decoherence_measures (minutes) with its real default config."""
+    status = main(["run", "--scenario", scenario, "--output-dir", str(tmp_path)])
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["passed"] is True, [c for c in report["checks"] if not c["passed"]]
     assert status == 0

@@ -314,6 +314,64 @@ class TestLindbladApply:
                                        gen.apply(t, rho), atol=1e-12)
 
 
+def _random_matrix(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+def _engine_generators(rng):
+    """One generator with constant parts, one whose Hamiltonian and operators are callables."""
+    h = _random_matrix(rng, 3)
+    h = 0.5 * (h + dagger(h))
+    a, b = _random_matrix(rng, 3), _random_matrix(rng, 3)
+    constant = LindbladGenerator(3, hamiltonian=h, jumps=[
+        JumpTerm(0.7, a), JumpTerm(CosineSquaredCoefficient(omega=1.3, scale=0.4), b)])
+    timed = LindbladGenerator(3, hamiltonian=lambda t: np.cos(t) * h, jumps=[
+        JumpTerm(lambda t: 0.2 + np.sin(t), lambda t: a + t * b), JumpTerm(0.5, b)])
+    return [constant, timed]
+
+
+class TestLindbladEngine:
+    """apply, adjoint_apply and superoperator(t) describe one map."""
+
+    def test_apply_adjoint_and_superoperator_agree(self, rng):
+        for gen in _engine_generators(rng):
+            for t in (0.0, 0.35, 1.7):
+                s = gen.superoperator(t).matrix
+                for _ in range(3):
+                    x, y = _random_matrix(rng, 3), _random_matrix(rng, 3)
+                    np.testing.assert_allclose(gen.apply(t, x).reshape(-1), s @ x.reshape(-1),
+                                               atol=1e-12)
+                    lhs = np.trace(dagger(y) @ gen.apply(t, x))
+                    rhs = np.trace(dagger(gen.adjoint_apply(t, y)) @ x)
+                    assert abs(lhs - rhs) <= 1e-10
+
+    def test_stacked_apply_matches_single(self, rng):
+        for gen in _engine_generators(rng):
+            stack = np.stack([_random_matrix(rng, 3) for _ in range(4)])
+            for t in (0.0, 0.9):
+                for apply in (gen.apply, gen.adjoint_apply):
+                    out = apply(t, stack)
+                    assert out.shape == stack.shape
+                    for x, y in zip(stack, out):
+                        np.testing.assert_allclose(y, apply(t, x), atol=1e-13)
+
+    def test_callable_hamiltonian_checked_at_every_time(self):
+        gen = LindbladGenerator(2, hamiltonian=lambda t: t * np.array([[0, 1], [0, 0]]))
+        np.testing.assert_allclose(gen.apply(0.0, np.eye(2) / 2), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            gen.apply(0.5, np.eye(2) / 2)
+
+    def test_constant_hamiltonian_checked_at_construction(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            LindbladGenerator(2, hamiltonian=np.array([[0, 1], [0, 0]]))
+
+    def test_plain_number_rates_are_time_independent(self):
+        assert LindbladGenerator(2, jumps=[JumpTerm(0.5, SIGMA_Z)]).is_time_independent()
+        assert dephasing_generator(1.0).is_time_independent()
+        assert not dephasing_generator(lambda t: 1.0 + t).is_time_independent()
+        assert not LindbladGenerator(2, hamiltonian=lambda t: SIGMA_Z).is_time_independent()
+
+
 class TestSerialization:
     def test_channel_round_trip_bit_exact(self, rng):
         ch = gadc(0.731, 5.0)

@@ -26,6 +26,7 @@ from entroflow import (
     is_cptp,
     oscillating_qubit_trajectory,
     propagate,
+    propagate_many,
     thermal_state,
     von_neumann_entropy,
 )
@@ -97,7 +98,42 @@ class TestPropagate:
                       np.array([0.0, 0.5, 0.4]))
 
 
+    def test_stacked_propagate_matches_single_states(self, rng):
+        gen = random_qubit_generator(rng, dim=3)
+        states = [random_full_rank_state(rng, 3), random_mixed_state(rng, 3),
+                  DensityMatrix.maximally_mixed(3)]
+        grid = np.linspace(0.0, 1.2, 13)
+        stacked = propagate_many(gen, states, grid)
+        assert len(stacked) == len(states)
+        for rho0, traj in zip(states, stacked):
+            single = propagate(gen, rho0, grid)
+            np.testing.assert_array_equal(traj.grid, single.grid)
+            for a, b in zip(traj.states, single.states):
+                assert np.max(np.abs(a.entries - b.entries)) <= 1e-7 * grid[-1]
+            np.testing.assert_allclose(traj.derivatives[-1], gen.apply(grid[-1], traj.states[-1]))
+
+    def test_stacked_tail_guard_truncates_each_state(self):
+        gen = bosonic_generator(1.2, 0.2, 20)
+        grid = np.linspace(0, 3.0, 31)
+        vacuum, warm = thermal_state(0.0, 20), thermal_state(0.2, 20)
+        stacked = propagate_many(gen, [vacuum, warm], grid, on_tail_breach="truncate")
+        for rho0, traj in zip([vacuum, warm], stacked):
+            single = propagate(gen, rho0, grid, on_tail_breach="truncate")
+            assert traj.truncated_at == single.truncated_at
+            assert len(traj) == len(single)
+
+
 class TestIntermediateMap:
+    def test_oscillating_dephasing_matches_closed_form(self):
+        # gamma(t) = 0.5 + cos 2t: coherences scale by exp(-Gamma), Gamma = int_s^t gamma.
+        atol = 1e-9
+        gen = dephasing_generator(lambda t: 0.5 + np.cos(2.0 * t))
+        for s, t in [(0.0, 0.9), (0.3, 2.4), (1.1, 1.9)]:
+            gamma = 0.5 * (t - s) + 0.5 * (np.sin(2.0 * t) - np.sin(2.0 * s))
+            c = np.exp(-gamma)
+            m = intermediate_map(gen, s, t, atol=atol)
+            assert np.max(np.abs(m.matrix - np.diag([1.0, c, c, 1.0]))) <= atol
+
     def test_time_independent_matches_expm(self):
         gen = dephasing_generator(1.0)
         m = intermediate_map(gen, 0.3, 1.7)

@@ -5,23 +5,31 @@ from hypothesis import given, settings, strategies as st
 from entroflow import (
     DensityMatrix,
     DephasingFamily,
+    LindbladGenerator,
     QuantumChannel,
     WitnessReport,
     dephasing_generator,
     depolarizing_generator,
     entropy_change,
     entropy_change_lower_bound,
+    entropy_change_upper_bound,
+    entropy_rate,
     environment_simulation_bound,
     measure_channel,
     measure_generator,
     nonunitality_witness,
     pinsker_gap,
+    propagate,
+    semigroup_sandwich,
+    theorem2_bound,
     unitary_channel,
 )
+from entroflow.channels import JumpTerm, SIGMA_Z
 from entroflow.sampling import (
     default_state_sampler,
     random_cptp_channel,
     random_full_rank_state,
+    random_mixed_state,
     random_mixed_unitary_channel,
     random_unitary,
 )
@@ -115,3 +123,56 @@ def test_measures_agree_on_non_cp_divisible_dephasing():
     from_channel = measure_channel(family, states, grid).value
     assert from_generator > 1e-2
     assert abs(from_generator - from_channel) <= 1e-5
+
+
+def test_markovian_measures_silent_on_pure_states():
+    # Pure states change rank at t = 0+; the grid point before that jump must not
+    # open a violation window.
+    generator = LindbladGenerator(2, jumps=[JumpTerm(0.5, SIGMA_Z)])
+    family = DephasingFamily(lambda t: t)
+    states = [DensityMatrix.pure([1.0, 1.0]), DensityMatrix.pure([1.0, 1j]),
+              DensityMatrix.pure([0.6, 0.8])]
+    grid = np.linspace(0.0, 3.0, 61)
+    assert measure_generator(generator, states, grid).value <= 1e-8
+    assert measure_channel(family, states, grid).value <= 1e-8
+
+
+def test_semigroup_sandwich_accepts_plain_number_rates(rng):
+    generator = LindbladGenerator(2, jumps=[JumpTerm(0.5, SIGMA_Z)])
+    bounds = semigroup_sandwich(generator, random_full_rank_state(rng, 2), 0.4)
+    assert bounds.lower <= bounds.entropy <= bounds.upper
+
+
+def _random_semigroup(rng, d):
+    """Random Hamiltonian and two jump operators of unit Frobenius norm, positive rates."""
+    def unit(m):
+        return m / np.linalg.norm(m)
+
+    h = unit(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    jumps = [JumpTerm(float(rng.uniform(0.1, 1.0)),
+                      unit(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))))
+             for _ in range(2)]
+    return LindbladGenerator(d, hamiltonian=h + h.conj().T, jumps=jumps)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
+def test_rate_above_theorem2_limit_on_cp_divisible_semigroups(seed, d):
+    # Theorem 2: dS/dt >= -Tr{Pi L^dag(rho)} along any CP-divisible evolution.  The
+    # start is full rank: at a pure start the rate on the support reads 0 while its
+    # right limit at the t = 0+ rank jump is +inf.
+    rng = np.random.default_rng(seed)
+    generator = _random_semigroup(rng, d)
+    traj = propagate(generator, random_mixed_state(rng, d), np.linspace(0.0, 1.0, 11))
+    for t, state, dot in zip(traj.grid, traj.states, traj.derivatives):
+        assert entropy_rate(state, dot) >= theorem2_bound(generator, float(t), state) - 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
+def test_entropy_change_below_subunital_upper_bound(seed, d):
+    # Theorem 1 upper bound for sub-unital channels: Delta S <= Tr{[rho - N^dag N(rho)] log rho}.
+    rng = np.random.default_rng(seed)
+    channel = random_mixed_unitary_channel(rng, d)
+    rho = random_full_rank_state(rng, d)
+    assert entropy_change(channel, rho) <= entropy_change_upper_bound(channel, rho) + 1e-10
