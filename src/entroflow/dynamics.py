@@ -1,9 +1,9 @@
 """Master-equation integration, intermediate propagators, and entropy rates.
 
-Trajectories carry states, generator-consistent derivatives, and support
-projectors on a fixed time grid.  One linear-dynamics engine serves both
-layers: ``propagate_many`` advances a stack of states together with RK4 and
-step doubling (``propagate`` is its single-state call), and intermediate maps
+Trajectories carry states, whose spectra give supports and ranks, and
+generator-consistent derivatives on a fixed time grid.  One linear-dynamics
+engine serves both layers: ``propagate_many`` advances a stack of states with
+RK4 and step doubling (``propagate`` is its single-state call), and intermediate maps
 M_{t,s} are products of commutator-free 4th-order Magnus steps, doubled until
 successive products agree.  Both stopping rules double as convergence
 certificates.
@@ -21,10 +21,12 @@ from .channels import LindbladGenerator, QuantumChannel, SuperOperator, gadc, de
 from .linalg import (
     ZERO_EIGENVALUE_RTOL,
     DensityMatrix,
+    LinalgError,
     SupportProjector,
     as_matrix,
     hermitian_part,
     matrix_log_on_support,
+    spectral_decompose,
     support_projector,
     von_neumann_entropy,
 )
@@ -55,7 +57,6 @@ __all__ = [
 
 TRACE_DOT_ATOL = 1e-9
 SUPPORT_DOT_ATOL = 1e-8
-STATE_PSD_LIMIT = 1e-6
 
 
 class IntegrationError(RuntimeError):
@@ -68,7 +69,8 @@ class TailMassError(IntegrationError):
 
 @dataclass
 class Trajectory:
-    """States, derivatives, and support projectors on an increasing time grid.
+    """States and their derivatives on an increasing time grid; ranks and
+    supports are read from the states' spectra, not stored.
 
     ``state_fn``/``derivative_fn`` are set for closed-form trajectories and
     bypass the integrator; ``generator`` is set when the trajectory came from
@@ -79,7 +81,6 @@ class Trajectory:
     grid: np.ndarray
     states: list[DensityMatrix]
     derivatives: list[np.ndarray]
-    supports: list[SupportProjector]
     generator: LindbladGenerator | None = None
     state_fn: object = None
     derivative_fn: object = None
@@ -98,30 +99,38 @@ class Trajectory:
                 raise IntegrationError(f"Tr(rho_dot) = {tr:.3e} at grid point {k}")
         ranks = self.ranks()
         for k in range(len(self.grid)):
-            if not self._rank_locally_constant(ranks, k):
+            if len(set(ranks[max(k - 1, 0):k + 2])) > 1:  # the rank changes next to k
                 continue
-            pinned = abs(np.trace(self.supports[k].entries @ self.derivatives[k]))
+            pinned = abs(np.trace(support_projector(self.states[k]).entries @ self.derivatives[k]))
             if pinned > SUPPORT_DOT_ATOL:
                 raise IntegrationError(
                     f"Tr(Pi rho_dot) = {pinned:.3e} at grid point {k}"
                 )
 
-    @staticmethod
-    def _rank_locally_constant(ranks: np.ndarray, k: int) -> bool:
-        lo = max(k - 1, 0)
-        hi = min(k + 1, len(ranks) - 1)
-        return ranks[lo] == ranks[k] == ranks[hi]
-
     def __len__(self) -> int:
         return len(self.grid)
 
+    @property
+    def supports(self) -> list[SupportProjector]:
+        return [support_projector(s) for s in self.states]
+
     def ranks(self) -> np.ndarray:
-        return np.array([pi.rank for pi in self.supports])
+        return np.array([s.spectrum.rank for s in self.states])
 
     def rank_change_times(self) -> np.ndarray:
         ranks = self.ranks()
         jumps = np.where(np.diff(ranks) != 0)[0]
         return self.grid[jumps + 1]
+
+    def rank_jump_rows(self, margin: float) -> np.ndarray:
+        """Grid points within ``margin`` of a rank change, and the point just
+        before each jump: there the rate on the support misses the jump (at a
+        pure state it reads 0 while its right limit is +inf)."""
+        rows = np.zeros(len(self.grid), dtype=bool)
+        for c in self.rank_change_times():
+            rows |= np.abs(self.grid - c) < margin
+        rows[:-1] |= np.diff(self.ranks()) != 0
+        return rows
 
     def entropies(self) -> np.ndarray:
         return np.array([von_neumann_entropy(s) for s in self.states])
@@ -161,18 +170,16 @@ def _rk4_segment(generator, rho, t0: float, t1: float, substeps: int) -> np.ndar
     return hermitian_part(out)
 
 
-def _clean(raw: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Re-Hermitize and trace-renormalize a stack; returns it and the trace defects."""
+def _clean(raw: np.ndarray, t: float) -> tuple[np.ndarray, list[DensityMatrix], np.ndarray]:
+    """Re-Hermitize and trace-renormalize a stack; returns it, its states and the trace defects."""
     sym = hermitian_part(raw)
     tr = np.real(np.trace(sym, axis1=-2, axis2=-1))
     sym = sym / tr[:, None, None]
-    min_eig = np.linalg.eigvalsh(sym)[:, 0]
-    worst = int(np.argmin(min_eig))
-    if min_eig[worst] < -STATE_PSD_LIMIT:
-        raise IntegrationError(
-            f"state at t={t:.6g} lost positivity: min eigenvalue {min_eig[worst]:.3e}"
-        )
-    return sym, np.abs(tr - 1.0)
+    try:
+        states = [DensityMatrix(rho) for rho in sym]
+    except LinalgError as exc:
+        raise IntegrationError(f"state at t={t:.6g} lost positivity: {exc}") from exc
+    return sym, states, np.abs(tr - 1.0)
 
 
 def propagate_many(generator: LindbladGenerator, states, grid,
@@ -185,12 +192,12 @@ def propagate_many(generator: LindbladGenerator, states, grid,
     until two successive refinements of every state agree in trace norm
     within ``error_target`` per unit time, so the accumulated error over the
     grid respects the same budget.  Accepted states are re-Hermitized and
-    trace-renormalized (defect logged per state); a PSD defect beyond 1e-6 is
-    an integration failure.  For generators carrying a tail guard, each
-    state's population breach either raises (``on_tail_breach="raise"``) or
-    truncates that state's trajectory at its last trusted grid point
-    (``"truncate"``) and drops it from the stack.  Returns one trajectory per
-    initial state, in order.
+    trace-renormalized (defect logged per state); one failing the
+    DensityMatrix PSD check is an integration failure.  For generators
+    carrying a tail guard, each state's population breach either raises
+    (``on_tail_breach="raise"``) or truncates that state's trajectory at its
+    last trusted grid point (``"truncate"``) and drops it from the stack.
+    Returns one trajectory per initial state, in order.
     """
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) <= 0):
@@ -199,10 +206,10 @@ def propagate_many(generator: LindbladGenerator, states, grid,
         raise ValueError("on_tail_breach must be 'raise' or 'truncate'")
     guard = generator.tail_guard
 
-    current, defect0 = _clean(np.stack([as_matrix(rho) for rho in states]), float(grid[0]))
+    current, accepted, defect0 = _clean(np.stack([as_matrix(rho) for rho in states]), float(grid[0]))
     n = len(current)
     live = list(range(n))  # stack row -> state index
-    kept: list[list[DensityMatrix]] = [[DensityMatrix(rho)] for rho in current]
+    kept: list[list[DensityMatrix]] = [[rho] for rho in accepted]
     derivatives: list[list[np.ndarray]] = [[dot] for dot in generator.apply(float(grid[0]), current)]
     defects: list[list[float]] = [[float(d)] for d in defect0]
     truncated_at: list[float | None] = [None] * n
@@ -224,7 +231,7 @@ def propagate_many(generator: LindbladGenerator, states, grid,
                 f"integrator stalled on [{t0:.6g}, {t1:.6g}]: "
                 f"no convergence to {budget:.1e} within {max_refinements} doublings"
             )
-        current, defect = _clean(trial, t1)
+        current, accepted, defect = _clean(trial, t1)
         if guard is not None:
             tails = np.array([guard.check(rho) for rho in current])
             breached = tails > guard.bound
@@ -237,12 +244,13 @@ def propagate_many(generator: LindbladGenerator, states, grid,
                     truncated_at[live[row]] = t1
                 keep = ~breached
                 live = [i for i, alive in zip(live, keep) if alive]
+                accepted = [rho for rho, alive in zip(accepted, keep) if alive]
                 current, defect = current[keep], defect[keep]
                 if not live:
                     break
         dots = generator.apply(t1, current)
         for row, i in enumerate(live):
-            kept[i].append(DensityMatrix(current[row]))
+            kept[i].append(accepted[row])
             derivatives[i].append(dots[row])
             defects[i].append(float(defect[row]))
 
@@ -251,8 +259,7 @@ def propagate_many(generator: LindbladGenerator, states, grid,
         if truncated_at[i] is not None and len(kept[i]) < 3:
             raise TailMassError("tail guard tripped before any usable grid point")
         trajectories.append(Trajectory(
-            grid=grid[:len(kept[i])], states=kept[i], derivatives=derivatives[i],
-            supports=[support_projector(s) for s in kept[i]], generator=generator,
+            grid=grid[:len(kept[i])], states=kept[i], derivatives=derivatives[i], generator=generator,
             renormalization_defects=np.array(defects[i]), truncated_at=truncated_at[i]))
     return trajectories
 
@@ -284,9 +291,8 @@ def closed_form_trajectory(state_fn, grid, derivative_fn=None,
     else:
         derivatives = [hermitian_part(one_sided_difference(
             lambda tau: as_matrix(state_fn(tau)), float(t), fd_step)) for t in grid]
-    supports = [support_projector(s) for s in states]
     return Trajectory(grid=grid, states=states, derivatives=derivatives,
-                      supports=supports, state_fn=state_fn, derivative_fn=derivative_fn)
+                      state_fn=state_fn, derivative_fn=derivative_fn)
 
 
 # Commutator-free 4th-order Magnus step (Blanes, Casas, Oteo & Ros, Phys. Rep.
@@ -352,12 +358,12 @@ def entropy_rate(rho, rho_dot) -> float:
 def _rank_change_distance(rho, rho_dot) -> float:
     """Time for the smallest eigenvalue to reach 0 at its current speed; inf
     when the state is rank-deficient or that eigenvalue is not moving."""
-    lam, vecs = np.linalg.eigh(as_matrix(rho))
-    v = vecs[:, 0]
+    es = spectral_decompose(rho)
+    lam_min, v = es.eigenvalues[-1], es.eigenvectors[:, -1]
     speed = abs(float(np.real(np.conj(v) @ as_matrix(rho_dot) @ v)))
-    if lam[0] <= ZERO_EIGENVALUE_RTOL * lam[-1] or speed == 0.0:
+    if lam_min <= ZERO_EIGENVALUE_RTOL * es.eigenvalues[0] or speed == 0.0:
         return np.inf
-    return float(lam[0]) / speed
+    return float(lam_min) / speed
 
 
 def entropy_rate_fd(traj: Trajectory, index: int, h: float = 1e-4,
@@ -458,7 +464,7 @@ def cp_divisibility_check(generator: LindbladGenerator, grid, atol: float = 1e-9
             v = rng.normal(size=generator.dim) + 1j * rng.normal(size=generator.dim)
             v /= np.linalg.norm(v)
             out = worst_map.apply(np.outer(v, v.conj()))
-            if np.linalg.eigvalsh(hermitian_part(out))[0] < -1e-8:
+            if spectral_decompose(hermitian_part(out)).eigenvalues[-1] < -1e-8:
                 positive = False
                 break
         verdict = "p_divisible_only_undetermined" if positive else "not_cp_divisible"

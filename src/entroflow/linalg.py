@@ -3,7 +3,9 @@
 Spectral decompositions, support projectors, matrix functions restricted to
 the support, von Neumann and relative entropies, Schatten norms, partial
 traces, and derivatives of trace functions.  All logarithms are natural, so
-entropic quantities are in nats.
+entropic quantities are in nats.  A :class:`DensityMatrix` carries its
+spectrum, which every spectral function here reads; a raw array gets one
+fresh decomposition per call.
 """
 
 from __future__ import annotations
@@ -111,6 +113,10 @@ class EigenSystem:
     def dim(self) -> int:
         return len(self.eigenvalues)
 
+    @property
+    def rank(self) -> int:
+        return int(_support_mask(self.eigenvalues, ZERO_EIGENVALUE_RTOL).sum())
+
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ dagger(v)
@@ -136,27 +142,32 @@ class DensityMatrix:
     """Hermitian, positive semi-definite matrix with unit (or sub-unit) trace.
 
     ``subnormalized=True`` relaxes the trace condition to Tr <= 1, which is
-    what trace-non-increasing operations produce.
+    what trace-non-increasing operations produce.  It carries ``spectrum``, its
+    one eigendecomposition, which the PSD check, support, log and entropy read.
     """
 
     entries: np.ndarray
     subnormalized: bool = False
     dim: int = field(init=False)
+    spectrum: EigenSystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = require_hermitian(self.entries, name="density matrix")
-        eigs = np.linalg.eigvalsh(a)
-        if eigs[0] < -PSD_ATOL:
-            raise LinalgError(f"density matrix not PSD: min eigenvalue {eigs[0]:.3e}")
+        spectrum = spectral_decompose(a)
+        lam_min = spectrum.eigenvalues[-1]
+        if lam_min < -PSD_ATOL:
+            raise LinalgError(f"density matrix not PSD: min eigenvalue {lam_min:.3e}")
         tr = float(np.real(np.trace(a)))
         if self.subnormalized:
             if tr > 1.0 + TRACE_ATOL:
                 raise LinalgError(f"sub-normalized state has trace {tr} > 1")
         elif abs(tr - 1.0) > TRACE_ATOL:
             raise LinalgError(f"density matrix has trace {tr}, expected 1")
-        a.setflags(write=False)
+        for array in (a, spectrum.eigenvalues, spectrum.eigenvectors):
+            array.setflags(write=False)
         object.__setattr__(self, "entries", a)
         object.__setattr__(self, "dim", a.shape[0])
+        object.__setattr__(self, "spectrum", spectrum)
 
     @classmethod
     def pure(cls, vector) -> "DensityMatrix":
@@ -183,14 +194,15 @@ class DensityMatrix:
 def spectral_decompose(operator, atol: float = HERMITICITY_ATOL) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    Inputs with asymmetry within ``atol`` are symmetrized; anything worse is
-    rejected.  The reconstruction V diag(w) V^dag matches the input to
-    machine precision.
+    A :class:`DensityMatrix` returns the spectrum it carries.  Inputs with
+    asymmetry within ``atol`` are symmetrized; anything worse is rejected.
+    The reconstruction V diag(w) V^dag matches the input to machine precision.
     """
+    if isinstance(operator, DensityMatrix):
+        return operator.spectrum
     a = require_hermitian(operator, atol=atol)
-    eigenvalues, eigenvectors = np.linalg.eigh(a)
-    order = np.argsort(eigenvalues)[::-1]
-    return EigenSystem(eigenvalues[order].copy(), eigenvectors[:, order].copy())
+    ascending, vectors = np.linalg.eigh(a)
+    return EigenSystem(ascending[::-1].copy(), vectors[:, ::-1].copy())
 
 
 def _support_mask(eigenvalues: np.ndarray, tol: float) -> np.ndarray:
@@ -223,8 +235,7 @@ def matrix_log_on_support(rho, tol: float = ZERO_EIGENVALUE_RTOL) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """-Tr{rho log rho} in nats, with the 0 log 0 = 0 convention."""
-    eigenvalues = np.linalg.eigvalsh(require_hermitian(rho, name="state"))
-    lam = np.clip(eigenvalues, 0.0, None)
+    lam = np.clip(spectral_decompose(rho).eigenvalues[::-1], 0.0, None)
     nz = lam > 0.0
     return float(-np.sum(lam[nz] * np.log(lam[nz])))
 
@@ -234,35 +245,20 @@ def relative_entropy(rho, sigma, support_atol: float = SUPPORT_LEAK_ATOL,
     """Quantum relative entropy D(rho || sigma).
 
     Returns :data:`INFINITE_DIVERGENCE` when supp(rho) is not contained in
-    supp(sigma), detected as Tr{(1 - Pi_sigma) rho} > ``support_atol``.  On
-    full-rank pairs the direct trace formula Tr{rho (log rho - log sigma)} is
-    used; otherwise the spectral double sum over eigenvector overlaps.
+    supp(sigma), detected as Tr{(1 - Pi_sigma) rho} > ``support_atol``;
+    otherwise sum_ij |<phi_i|psi_j>|^2 p_i (log p_i - log q_j) over the supports.
     """
-    r = require_hermitian(rho, name="rho")
-    s = require_hermitian(sigma, name="sigma")
-    if r.shape != s.shape:
-        raise LinalgError(f"dimension mismatch: {r.shape} vs {s.shape}")
-
-    es_r = spectral_decompose(r)
-    es_s = spectral_decompose(s)
+    es_r = spectral_decompose(rho)
+    es_s = spectral_decompose(sigma)
+    if es_r.dim != es_s.dim:
+        raise LinalgError(f"dimension mismatch: {es_r.dim} vs {es_s.dim}")
     mask_r = _support_mask(es_r.eigenvalues, tol)
     mask_s = _support_mask(es_s.eigenvalues, tol)
-
-    pi_s = es_s.eigenvectors[:, mask_s]
-    leak = float(np.real(np.trace(r))) - float(
-        np.real(np.sum(np.conj(pi_s) * (r @ pi_s)))
-    )
-    if leak > support_atol:
-        return INFINITE_DIVERGENCE
-
-    if bool(mask_r.all()) and bool(mask_s.all()):
-        diff = matrix_log_on_support(r, tol) - matrix_log_on_support(s, tol)
-        return float(np.real(np.trace(r @ diff)))
-
-    # Rank-deficient case: sum over |<phi_i|psi_j>|^2 p_i (log p_i - log q_j).
     p = es_r.eigenvalues[mask_r]
     q = es_s.eigenvalues[mask_s]
     overlaps = np.abs(dagger(es_r.eigenvectors[:, mask_r]) @ es_s.eigenvectors[:, mask_s]) ** 2
+    if float(np.sum(p * (1.0 - overlaps.sum(axis=1)))) > support_atol:
+        return INFINITE_DIVERGENCE
     log_ratio = np.log(p)[:, None] - np.log(q)[None, :]
     return float(np.sum(overlaps * p[:, None] * log_ratio))
 

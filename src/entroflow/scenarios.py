@@ -18,6 +18,7 @@ from scipy.optimize import brentq
 from . import nonunitarity, witnesses
 from ._util import write_csv
 from .channels import (
+    ChannelError,
     ConstantCoefficient,
     CosineSquaredCoefficient,
     JumpTerm,
@@ -39,9 +40,9 @@ from .dynamics import (
     oscillating_qubit_state,
     propagate,
 )
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, LinalgError
 from .sampling import default_pair_sampler, default_state_sampler
-from .serialize import generator_from_document, matrix_from_document
+from .serialize import SerializationError, generator_from_document, matrix_from_document
 
 __all__ = [
     "ScenarioError",
@@ -237,14 +238,19 @@ def run_appendix_damping(params: dict, outdir: Path, seed: int):
     return checks, [str(table)]
 
 
-def run_appendix_oscillatory(params: dict, outdir: Path, seed: int):
+def _oscillatory_grid(params: dict) -> np.ndarray:
+    """The grid points at least ``margin`` away from every rank change."""
     margin = params["margin"]
     grid = np.linspace(margin, params["t_max"] - margin, int(params["n_points"]))
     half_integers = np.arange(0.0, params["t_max"] + 0.5, 0.5)
     keep = np.array([
         np.min(np.abs(half_integers - t)) >= margin for t in grid
-    ])
-    grid = grid[keep]
+    ], dtype=bool)
+    return grid[keep]
+
+
+def run_appendix_oscillatory(params: dict, outdir: Path, seed: int):
+    grid = _oscillatory_grid(params)
     traj = closed_form_trajectory(oscillating_qubit_state, grid)
     rates, rates_fd = _closed_form_rate_table(traj, params["fd_h"])
     table = outdir / "appendixB_oscillatory.csv"
@@ -392,7 +398,8 @@ def run_custom(params: dict, outdir: Path, seed: int):
     witness_table = outdir / "custom_witnesses.csv"
     witnesses.export_witness_reports(reports, witness_table)
 
-    worst = min(r.violation for r in reports)
+    excluded = traj.rank_jump_rows(witnesses.RANK_CHANGE_MARGIN)
+    worst = min(r.violation for r, skip in zip(reports, excluded) if not skip)
     checks = [
         CheckResult("trajectory produced", True,
                     f"{len(traj)} points", "trajectory invariants validated"),
@@ -642,6 +649,8 @@ def validate_config(config: dict) -> list[str]:
                     problems.append(
                         f"extra point (d={dd}, q={q}) out of range: q <= d^2/(d^2-1) = {qm:.6g}"
                     )
+        if not (isinstance(params["starts"], int) and params["starts"] >= 1):
+            problems.append("starts must be an integer >= 1")
     if scenario == "fig1_gadc":
         if params["t_max"] <= 0 or params["t_step"] <= 0:
             problems.append("t_max and t_step must be positive")
@@ -650,20 +659,26 @@ def validate_config(config: dict) -> list[str]:
             problems.append("fd_h and tol must be positive")
     if scenario == "appendixB_damping" and params["t_min"] <= 0:
         problems.append("t_min must be positive (the rank changes at t = 0)")
+    if scenario == "appendixB_oscillatory" and not len(_oscillatory_grid(params)):
+        problems.append(f"margin {params['margin']:g} leaves no grid point between rank changes")
     if scenario == "gaussian_bounds":
-        if params["cutoff"] < 2:
-            problems.append("cutoff must be at least 2")
-        if params["mean_photons"] < 0:
-            problems.append("mean_photons must be non-negative")
-        for kind, gammas in params["dynamics"].items():
-            if gammas["gamma_plus"] < 0 or gammas["gamma_minus"] < 0:
-                problems.append(f"{kind}: rates must be non-negative")
+        try:  # the checks the run itself makes: rates, cutoff, thermal tail mass
+            for gammas in params["dynamics"].values():
+                bosonic_generator(gammas["gamma_plus"], gammas["gamma_minus"], int(params["cutoff"]))
+            thermal_state(params["mean_photons"], int(params["cutoff"]))
+        except ChannelError as exc:
+            problems.append(str(exc))
     if scenario == "decoherence_measures":
         if params["t_step"] <= 0 or params["t_max"] <= 0:
             problems.append("t_max and t_step must be positive")
     if scenario == "custom":
         if params["n_points"] < 2:
             problems.append("n_points must be at least 2")
+        try:  # the generator and state the run builds
+            generator_from_document(params["generator"])
+            DensityMatrix(matrix_from_document(params["initial_state"]))
+        except (SerializationError, ChannelError, LinalgError) as exc:
+            problems.append(str(exc))
     return problems
 
 

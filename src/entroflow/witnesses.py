@@ -29,6 +29,7 @@ from .linalg import (
     matrix_log_on_support,
     relative_entropy,
     schatten_norm,
+    spectral_decompose,
     support_projector,
     von_neumann_entropy,
 )
@@ -93,7 +94,7 @@ def entropy_change(channel: QuantumChannel, rho) -> float:
         raise WitnessError(
             f"state dim {a.shape[0]} does not match channel input {channel.dim_in}"
         )
-    return von_neumann_entropy(hermitian_part(channel.apply(a))) - von_neumann_entropy(a)
+    return von_neumann_entropy(hermitian_part(channel.apply(a))) - von_neumann_entropy(rho)
 
 
 def entropy_change_lower_bound(channel: QuantumChannel, rho):
@@ -102,14 +103,13 @@ def entropy_change_lower_bound(channel: QuantumChannel, rho):
 
     Returns the infinite-divergence sentinel on support violation.
     """
-    return relative_entropy(as_matrix(rho), _back_action(channel, rho))
+    return relative_entropy(rho, _back_action(channel, rho))
 
 
 def _require_full_rank(rho, name: str = "state") -> np.ndarray:
-    a = as_matrix(rho)
-    if np.linalg.eigvalsh(hermitian_part(a))[0] <= 1e-12:
+    if spectral_decompose(rho).eigenvalues[-1] <= 1e-12:
         raise WitnessError(f"{name} must be full rank for this bound")
-    return a
+    return as_matrix(rho)
 
 
 def entropy_change_upper_bound(channel: QuantumChannel, rho) -> float:
@@ -118,7 +118,7 @@ def entropy_change_upper_bound(channel: QuantumChannel, rho) -> float:
     if not unitality_class(channel).is_sub_unital:
         raise WitnessError("upper bound requires a sub-unital channel")
     diff = a - _back_action(channel, a)
-    return float(np.real(np.trace(diff @ matrix_log_on_support(a))))
+    return float(np.real(np.trace(diff @ matrix_log_on_support(rho))))
 
 
 def entropy_change_upper_bound_holder(channel: QuantumChannel, rho) -> float:
@@ -126,7 +126,7 @@ def entropy_change_upper_bound_holder(channel: QuantumChannel, rho) -> float:
     of the trace-form upper bound."""
     a = _require_full_rank(rho)
     diff = a - _back_action(channel, a)
-    return schatten_norm(diff, 1) * schatten_norm(matrix_log_on_support(a), np.inf)
+    return schatten_norm(diff, 1) * schatten_norm(matrix_log_on_support(rho), np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def _pinned_adjoint_trace(generator, t: float, rho) -> float:
         image = generator.adjoint().apply(a)
     else:
         raise WitnessError(f"unsupported generator type {type(generator).__name__}")
-    pi = support_projector(a)
+    pi = support_projector(rho)
     return float(np.real(np.trace(pi.entries @ image)))
 
 
@@ -175,12 +175,6 @@ def generator_commutator_expectation(generator: LindbladGenerator, t: float, rho
 # Channel-side witness: the short-time derivative and f(t)
 # ---------------------------------------------------------------------------
 
-def _pinned_back_action(step_map, pi: np.ndarray, rho: np.ndarray) -> float:
-    forward = step_map.apply(rho)
-    back = step_map.adjoint().apply(forward)
-    return float(np.real(np.trace(pi @ back)))
-
-
 def epsilon_derivative(family: ChannelFamily, rho_t, t: float,
                        eps0: float = EPSILON_STEP,
                        convergence_tol: float = 0.05) -> float:
@@ -189,14 +183,15 @@ def epsilon_derivative(family: ChannelFamily, rho_t, t: float,
     One-sided difference quotients at eps0 and eps0/2 combined with a single
     Richardson step (the limit is one-sided, but the quotient pair removes
     the linear error term).  A large disagreement between the two quotients
-    flags a non-smooth family.
+    flags a non-smooth family.  Tr{Pi M^dag M(rho)} is read as <M(Pi), M(rho)>_HS.
     """
     a = hermitian_part(as_matrix(rho_t))
-    pi = support_projector(a).entries
+    pi = support_projector(rho_t).entries
     base = float(np.real(np.trace(pi @ a)))
 
     def quotient(eps: float) -> float:
-        return (_pinned_back_action(family.step(t, eps), pi, a) - base) / eps
+        step_map = family.step(t, eps)
+        return (float(np.real(np.vdot(step_map.apply(pi), step_map.apply(a)))) - base) / eps
 
     d1 = quotient(eps0)
     d2 = quotient(0.5 * eps0)
@@ -210,10 +205,9 @@ def epsilon_derivative(family: ChannelFamily, rho_t, t: float,
 def f_components(family: ChannelFamily, rho0, t: float,
                  eps0: float = EPSILON_STEP) -> tuple[float, float]:
     """(entropy rate, short-time derivative term) along the family trajectory."""
-    rho_t = hermitian_part(family.state(rho0, t))
+    rho_t = DensityMatrix(hermitian_part(family.state(rho0, t)))
     rho_dot = hermitian_part(time_derivative(lambda tau: family.state(rho0, tau), t, 1e-5))
-    rate = entropy_rate(rho_t, rho_dot)
-    return rate, epsilon_derivative(family, rho_t, t, eps0=eps0)
+    return entropy_rate(rho_t, rho_dot), epsilon_derivative(family, rho_t, t, eps0=eps0)
 
 
 def witness_f_channel(family: ChannelFamily, rho0, t: float,
@@ -273,27 +267,26 @@ def witness_reports(generator: LindbladGenerator, traj: Trajectory,
     """One WitnessReport per trajectory point.
 
     The f column and test (a)/(c) need intermediate maps; when no family is
-    supplied the generator's own time-ordered propagators are used.
+    supplied the generator's own time-ordered propagators are used.  Rows
+    at a rank jump (:meth:`Trajectory.rank_jump_rows`) carry no test flags.
     """
     from .dynamics import GeneratorFamily
 
     fam = family if family is not None else GeneratorFamily(generator)
+    excluded = traj.rank_jump_rows(RANK_CHANGE_MARGIN)
     reports = []
     for k, t in enumerate(traj.grid):
         t = float(t)
-        state = traj.states[k].entries
+        state = traj.states[k]
         rate = entropy_rate(state, traj.derivatives[k])
         witness = _pinned_adjoint_trace(generator, t, state)
         bound = -witness
         eps_term = epsilon_derivative(fam, state, t, eps0=eps0)
         f_value = rate + eps_term
-        flags = set()
-        if test_a(f_value):
-            flags.add("test_a_passed")
-        if test_b(rate, bound):
-            flags.add("test_b_passed")
-        if test_c(eps_term, witness):
-            flags.add("test_c_passed")
+        flags = {name for name, passed in [("test_a_passed", test_a(f_value)),
+                                           ("test_b_passed", test_b(rate, bound)),
+                                           ("test_c_passed", test_c(eps_term, witness))]
+                 if passed and not excluded[k]}
         reports.append(WitnessReport(time=t, entropy_rate=rate, theorem2_bound=bound,
                                      f_value=f_value, nonunitality=witness,
                                      flags=frozenset(flags)))
@@ -319,13 +312,6 @@ class MeasureResult:
     argmax_state: DensityMatrix | None
     samples_used: int
     sample_values: tuple[float, ...]
-
-
-def _exclusion_mask(grid: np.ndarray, centers, margin: float) -> np.ndarray:
-    mask = np.zeros(len(grid), dtype=bool)
-    for c in centers:
-        mask |= np.abs(grid - c) < margin
-    return mask
 
 
 def _violation_integral(grid: np.ndarray, values: np.ndarray, threshold: float,
@@ -387,8 +373,7 @@ def _measure(state_sampler, grid, trajectories, value, evaluate,
     ``evaluate(rho0, traj, t)`` the witness off the grid, for the bisection
     that refines the window boundaries.  Grid points within ``rank_margin``
     of a rank change are excluded, and so is the grid point just before
-    each one: there the rate on the support misses the jump (at a pure
-    state it reads 0 while its right limit is +inf).
+    each one (:meth:`Trajectory.rank_jump_rows`).
     """
     states = list(state_sampler)
     if not states:
@@ -398,11 +383,9 @@ def _measure(state_sampler, grid, trajectories, value, evaluate,
     def one(rho0: DensityMatrix, traj: Trajectory) -> float:
         values = np.array([value(float(t), state, dot) for t, state, dot
                            in zip(traj.grid, traj.states, traj.derivatives)])
-        excluded = _exclusion_mask(traj.grid, traj.rank_change_times(), rank_margin)
-        excluded[:-1] |= np.diff(traj.ranks()) != 0
         return _violation_integral(traj.grid, values, eps_w,
                                    evaluate=lambda t: evaluate(rho0, traj, t),
-                                   excluded=excluded)
+                                   excluded=traj.rank_jump_rows(rank_margin))
 
     integrals = [one(rho0, traj) for rho0, traj in zip(states, trajectories(states, grid))]
     best = int(np.argmax(integrals))
@@ -435,7 +418,7 @@ def measure_channel(family: ChannelFamily, state_sampler, grid,
                     rank_margin: float = RANK_CHANGE_MARGIN) -> MeasureResult:
     """Max over initial states of the integrated negative part of f(t)."""
     def value(t: float, state: DensityMatrix, dot) -> float:
-        return entropy_rate(state, dot) + epsilon_derivative(family, state.entries, t, eps0=eps0)
+        return entropy_rate(state, dot) + epsilon_derivative(family, state, t, eps0=eps0)
 
     def evaluate(rho0, traj: Trajectory, t: float) -> float:
         return witness_f_channel(family, rho0, t, eps0=eps0)
@@ -503,16 +486,16 @@ def semigroup_sandwich(generator: LindbladGenerator, rho0, t: float,
 
     entropy = von_neumann_entropy(rho_t)
     lower = float(-np.real(np.trace(a @ matrix_log_on_support(rho_2t))))
-    upper = float(-np.real(np.trace(rho_2t @ matrix_log_on_support(a))))
+    upper = float(-np.real(np.trace(rho_2t @ matrix_log_on_support(rho0))))
     if not (lower - slack <= entropy <= upper + slack):
         raise WitnessError(
             f"sandwich violated at t={t}: {lower} <= {entropy} <= {upper}"
         )
-    d = relative_entropy(a, rho_2t)
+    d = relative_entropy(rho0, rho_2t)
     if is_infinite(d):
         raise WitnessError("relative entropy bound is infinite on a full-rank pair")
     return SandwichBounds(lower=lower, entropy=entropy, upper=upper,
-                          initial_entropy=von_neumann_entropy(a),
+                          initial_entropy=von_neumann_entropy(rho0),
                           relative_entropy_bound=float(d))
 
 
@@ -541,12 +524,12 @@ def pinsker_gap(channel: QuantumChannel, rho, slack: float = 1e-10) -> PinskerGa
     a = _require_full_rank(rho)
     back = _back_action(channel, a)
     _require_full_rank(back, "N^dag N(rho)")
-    d = relative_entropy(a, back)
+    d = relative_entropy(rho, back)
     if is_infinite(d):
         raise WitnessError("relative entropy infinite despite full-rank back action")
     d = float(d)
     tn = schatten_norm(a - back, 1)
-    log_norm = schatten_norm(matrix_log_on_support(a), np.inf)
+    log_norm = schatten_norm(matrix_log_on_support(rho), np.inf)
     if d < 0.5 * tn * tn - slack:
         raise WitnessError(f"Pinsker inequality violated: D={d}, ||.||_1={tn}")
     if tn < d / log_norm - slack:
@@ -573,11 +556,11 @@ def environment_simulation_bound(interaction: QuantumChannel, theta_c, rho_a,
             f"{interaction.dim_in}"
         )
     out = hermitian_part(interaction.apply(joint))
-    delta_s = von_neumann_entropy(out) - von_neumann_entropy(a)
+    delta_s = von_neumann_entropy(out) - von_neumann_entropy(rho_a)
     d = relative_entropy(joint, _back_action(interaction, joint))
     if is_infinite(d):
         raise WitnessError("simulation bound is infinite; support collapsed")
-    bound = von_neumann_entropy(c) + float(d)
+    bound = von_neumann_entropy(theta_c) + float(d)
     if delta_s < bound - slack:
         raise WitnessError(f"simulation bound violated: {delta_s} < {bound}")
     if len(interaction.kraus) == 1:

@@ -27,6 +27,7 @@ from entroflow import (
     oscillating_qubit_trajectory,
     propagate,
     propagate_many,
+    theorem2_bound,
     thermal_state,
     von_neumann_entropy,
 )
@@ -209,7 +210,7 @@ class TestEntropyRateFd:
         grid = np.linspace(0, 0.5, 51)
         traj = propagate(gen, random_full_rank_state(rng, 2), grid)
         grid_only = Trajectory(grid=traj.grid, states=traj.states,
-                               derivatives=traj.derivatives, supports=traj.supports)
+                               derivatives=traj.derivatives)
         fd = entropy_rate_fd(grid_only, 25)
         rate = entropy_rate(traj.states[25], traj.derivatives[25])
         assert fd == pytest.approx(rate, abs=1e-3)
@@ -317,6 +318,48 @@ class TestClosedFormTrajectories:
     def test_oscillating_entropy_values(self):
         traj = oscillating_qubit_trajectory(np.array([0.25]))
         assert traj.entropies()[0] == pytest.approx(np.log(2.0), abs=1e-12)
+
+
+def count_eig_calls(monkeypatch) -> list[str]:
+    """Record every numpy eigh/eigvalsh call made from now on."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestOneSpectrumPerState:
+    """A state is diagonalized once, when it is built; reads reuse that spectrum."""
+
+    @staticmethod
+    def read_everything(traj, generator):
+        traj.entropies()
+        traj.entropy_rates()
+        traj.ranks()
+        traj.supports
+        for t, state in zip(traj.grid, traj.states):
+            theorem2_bound(generator, float(t), state)
+
+    def test_propagated_trajectory(self, rng, monkeypatch):
+        gen = random_qubit_generator(rng, dim=3)
+        traj = propagate(gen, random_full_rank_state(rng, 3), np.linspace(0, 0.5, 11))
+        calls = count_eig_calls(monkeypatch)
+        self.read_everything(traj, gen)
+        assert calls == []
+
+    def test_closed_form_trajectory(self, monkeypatch):
+        traj = closed_form_trajectory(damping_qubit_state, np.linspace(0.0, 1.0, 11))
+        calls = count_eig_calls(monkeypatch)
+        self.read_everything(traj, dephasing_generator(1.0))
+        assert calls == []
+
+    def test_lost_positivity_is_an_integration_error(self):
+        start = np.diag([1.0 + 1e-7, -1e-7]).astype(complex)
+        with pytest.raises(IntegrationError, match="t=0 lost positivity"):
+            propagate_many(dephasing_generator(1.0), [start], np.linspace(0.0, 1.0, 3))
 
 
 class TestExport:

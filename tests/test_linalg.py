@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import logm
 
 from entroflow import (
     DensityMatrix,
@@ -17,7 +18,12 @@ from entroflow import (
     von_neumann_entropy,
 )
 from entroflow.linalg import INFINITE_DIVERGENCE, dagger
-from entroflow.sampling import haar_pure_state, random_cptp_channel, random_mixed_state
+from entroflow.sampling import (
+    haar_pure_state,
+    random_cptp_channel,
+    random_full_rank_state,
+    random_mixed_state,
+)
 
 from conftest import brute_force_partial_trace
 
@@ -158,6 +164,18 @@ class TestRelativeEntropy:
         rho = 0.5 * np.outer(v1, v1) + 0.5 * np.outer(v2, v2)
         expected = 0.5 * np.log(0.5 / 0.7) + 0.5 * np.log(0.5 / 0.3)
         assert relative_entropy(DensityMatrix(rho.astype(complex)), sigma) == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3, 4]))
+def test_relative_entropy_matches_logm_on_full_rank_pairs(seed, d):
+    """The overlap double sum against Tr{rho (log rho - log sigma)} from scipy's logm."""
+    rng = np.random.default_rng(seed)
+    rho, sigma = random_full_rank_state(rng, d), random_full_rank_state(rng, d)
+    r, s = rho.entries, sigma.entries
+    expected = float(np.real(np.trace(r @ (logm(r) - logm(s)))))
+    assert relative_entropy(rho, sigma) == pytest.approx(expected, abs=1e-10)
+    assert relative_entropy(r, s) == pytest.approx(expected, abs=1e-10)
 
 
 class TestSchattenNorm:

@@ -1,8 +1,12 @@
+import copy
+import csv
 import json
 
 import numpy as np
+import pytest
 
-from entroflow.scenarios import CheckResult, RunReport
+from entroflow.cli import main
+from entroflow.scenarios import DEFAULT_CONFIGS, CheckResult, RunReport, validate_config
 
 
 def test_check_result_coerces_numpy_bool_for_report_json():
@@ -10,3 +14,33 @@ def test_check_result_coerces_numpy_bool_for_report_json():
     assert type(check.passed) is bool
     report = RunReport(scenario="s", seed=0, wall_time_s=0.0, checks=[check])
     assert json.loads(json.dumps(report.to_document()))["checks"][0]["passed"] is True
+
+
+TRACE_TWO_STATE = [[[1.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [1.0, 0.0]]]
+
+
+@pytest.mark.parametrize("scenario, key, value", [
+    ("gaussian_bounds", "cutoff", 5),                     # thermal tail mass 1.3e-4
+    ("appendixB_oscillatory", "margin", 0.3),             # no grid point left
+    ("custom", "initial_state", TRACE_TWO_STATE),         # not a density matrix
+    ("fig2_depolarizing", "starts", 0),                   # no optimizer start
+])
+def test_bad_config_fails_in_validate(scenario, key, value, tmp_path):
+    config = copy.deepcopy(DEFAULT_CONFIGS[scenario])
+    config["parameters"][key] = value
+    assert validate_config(config)
+    status = main(["run", "--scenario", scenario, "--param", f"{key}={json.dumps(value)}",
+                   "--output-dir", str(tmp_path)])
+    assert status == 2
+
+
+def test_default_custom_run_flags_nothing_at_the_rank_jump(tmp_path):
+    # |+> under constant damping changes rank at t = 0+; the rows at that jump
+    # carry a one-sided rate and must neither flag memory nor set the worst gap.
+    assert main(["run", "--scenario", "custom", "--output-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "custom_witnesses.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["flags"] for r in rows] == [""] * len(rows)
+    report = json.loads((tmp_path / "report.json").read_text())
+    gap = next(c for c in report["checks"] if c["name"] == "worst rate-bound gap reported")
+    assert float(gap["measured"]) >= 0.0
