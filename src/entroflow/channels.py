@@ -16,7 +16,6 @@ import numpy as np
 
 from .linalg import (
     DensityMatrix,
-    LinalgError,
     as_matrix,
     dagger,
     hermitian_part,
@@ -26,6 +25,7 @@ from .linalg import (
 __all__ = [
     "ChannelError",
     "SuperOperator",
+    "apply_superoperators",
     "QuantumChannel",
     "CptpReport",
     "UnitalityTag",
@@ -122,6 +122,18 @@ class SuperOperator:
     @classmethod
     def identity(cls, dim: int) -> "SuperOperator":
         return cls(np.eye(dim * dim, dtype=complex), dim_in=dim, dim_out=dim)
+
+
+def apply_superoperators(matrices: np.ndarray, operators) -> np.ndarray:
+    """Apply a stack of superoperator matrices (T, d_out^2, d_in^2) to operators.
+
+    Operators (N, d_in, d_in) go through every map, giving (T, N, d_out, d_out);
+    operators (T, N, d_in, d_in) go row t through map t.
+    """
+    x = as_matrix(operators)
+    out = x.reshape(x.shape[:-2] + (-1,)) @ np.swapaxes(matrices, -1, -2)
+    d_out = round(out.shape[-1] ** 0.5)
+    return out.reshape(out.shape[:-1] + (d_out, d_out))
 
 
 class QuantumChannel:
@@ -468,6 +480,38 @@ class TailGuard:
         return float(np.sum(pops))
 
 
+def _right_product(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ b for a stack x (..., d, d) and one matrix b, as one product of the stacked rows."""
+    return (x.reshape(-1, x.shape[-1]) @ b).reshape(x.shape)
+
+
+def _left_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for one matrix a and a stack x, as (x^T a^T)^T."""
+    return _right_product(x.swapaxes(-1, -2), a.T).swapaxes(-1, -2)
+
+
+def _products(x: np.ndarray, per_row: bool):
+    """The (left, right) matrix products to use on x.  numpy multiplies a
+    stack of small matrices one at a time, several times slower than one
+    product of the stacked rows, so a stack of several matrices by one
+    operator goes through the stacked rows.  One matrix (the transposes'
+    copies would cost more, as for d = 40 Fock states) and operators that
+    differ per row take numpy's own product."""
+    if per_row or x.size == x.shape[-1] ** 2:
+        return np.matmul, np.matmul
+    return _left_product, _right_product
+
+
+def _at_times(t, rows: tuple[int, ...] | None, value):
+    """value(t) at one time (``rows`` None), or the values at an array of
+    times stacked to the shape ``rows`` + the value's own shape (numbers
+    as 1 x 1, to broadcast against matrices)."""
+    if rows is None:
+        return value(t)
+    values = np.array([value(float(s)) for s in t])
+    return values.reshape(rows + (values.shape[1:] or (1, 1)))
+
+
 class LindbladGenerator:
     """Time-dependent generator: -i[H, rho] + sum_i gamma_i (A_i rho A_i^dag - {A_i^dag A_i, rho}/2).
 
@@ -519,33 +563,50 @@ class LindbladGenerator:
     def terms_at(self, t: float) -> list[tuple[float, np.ndarray]]:
         return [(term.rate_at(t), term.operator_at(t)) for term in self.jumps]
 
-    def _effective_at(self, t: float):
-        """H_eff = H - (i/2) sum_i gamma_i A_i^dag A_i at t, and the (gamma_i, A_i, A_i^dag)."""
-        h_eff = self.hamiltonian_at(t)
+    def _effective_at(self, t, ndim: int = 2):
+        """H_eff = H - (i/2) sum_i gamma_i A_i^dag A_i at t, and the (gamma_i, A_i, A_i^dag).
+
+        ``t`` may be an array of times, one for each entry along the first
+        axis of a stack with ``ndim`` axes; the parts that depend on time are
+        then stacked over the times and shaped to broadcast against it.
+        """
+        rows = None if np.ndim(t) == 0 else (len(t),) + (1,) * (ndim - 3)
+        h_eff = self._hamiltonian
+        if h_eff is None:
+            h_eff = _at_times(t, rows, self.hamiltonian_at)
         terms = []
         for term, triple in zip(self.jumps, self._operators):
-            a, a_dag, ada = triple if triple is not None else self._operator_triple(term.operator(t))
-            gamma = term.rate_at(t)
+            if triple is None:
+                triple = np.moveaxis(_at_times(
+                    t, rows, lambda s: np.stack(self._operator_triple(term.operator(s)))), -3, 0)
+            a, a_dag, ada = triple
+            gamma = _at_times(t, rows, term.rate_at)
             h_eff = h_eff - (0.5j * gamma) * ada
             terms.append((gamma, a, a_dag))
         return h_eff, terms
 
-    def apply(self, t: float, rho) -> np.ndarray:
-        """L_t(rho) for one operator or a stack (..., d, d)."""
+    def apply(self, t, rho) -> np.ndarray:
+        """L_t(rho) for one operator or a stack (..., d, d).
+
+        ``t`` is one time, or an array of times, one for each entry along
+        the first axis of the stack.
+        """
         x = as_matrix(rho)
-        h_eff, terms = self._effective_at(t)
-        out = -1j * (h_eff @ x - x @ dagger(h_eff))
+        h_eff, terms = self._effective_at(t, x.ndim)
+        left, right = _products(x, np.ndim(t) > 0)
+        out = -1j * (left(h_eff, x) - right(x, dagger(h_eff)))
         for gamma, a, a_dag in terms:
-            out += gamma * (a @ x @ a_dag)
+            out += gamma * right(left(a, x), a_dag)
         return out
 
-    def adjoint_apply(self, t: float, x) -> np.ndarray:
-        """L_t^dag(x) for one operator or a stack (..., d, d)."""
+    def adjoint_apply(self, t, x) -> np.ndarray:
+        """L_t^dag(x) for one operator or a stack (..., d, d), with ``t`` as in :meth:`apply`."""
         y = as_matrix(x)
-        h_eff, terms = self._effective_at(t)
-        out = 1j * (dagger(h_eff) @ y - y @ h_eff)
+        h_eff, terms = self._effective_at(t, y.ndim)
+        left, right = _products(y, np.ndim(t) > 0)
+        out = 1j * (left(dagger(h_eff), y) - right(y, h_eff))
         for gamma, a, a_dag in terms:
-            out += gamma * (a_dag @ y @ a)
+            out += gamma * right(left(a_dag, y), a)
         return out
 
     def _hamiltonian_piece(self, h: np.ndarray) -> np.ndarray:

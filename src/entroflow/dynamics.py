@@ -1,33 +1,45 @@
 """Master-equation integration, intermediate propagators, and entropy rates.
 
-Trajectories carry states, whose spectra give supports and ranks, and
-generator-consistent derivatives on a fixed time grid.  One linear-dynamics
-engine serves both layers: ``propagate_many`` advances a stack of states with
-RK4 and step doubling (``propagate`` is its single-state call), and intermediate maps
-M_{t,s} are products of commutator-free 4th-order Magnus steps, doubled until
-successive products agree.  Both stopping rules double as convergence
-certificates.
+A trajectory is a stack: a (T, d, d) array of states on a fixed time grid,
+the (T, d, d) array of their generator-consistent derivatives, and one
+stacked eigendecomposition of the states, from which entropies, supports,
+ranks and entropy rates are read as arrays.  One linear-dynamics engine
+serves both layers: ``propagate_many`` advances a stack of states with RK4
+and step doubling (``propagate`` is its single-state call), and intermediate
+maps M_{t,s} are products of commutator-free 4th-order Magnus steps, doubled
+until successive products agree.  Both stopping rules double as convergence
+certificates.  Channel families give their maps as (T, d^2, d^2) stacks over
+a whole grid, which carry a stack of initial states to (T, N, d, d) states
+in one product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
 from ._util import central_difference, one_sided_difference, time_derivative, write_csv
-from .channels import LindbladGenerator, QuantumChannel, SuperOperator, gadc, dephasing_channel
+from .channels import (
+    ChannelError,
+    LindbladGenerator,
+    QuantumChannel,
+    SuperOperator,
+    apply_superoperators,
+    dephasing_channel,
+    gadc,
+)
 from .linalg import (
     ZERO_EIGENVALUE_RTOL,
     DensityMatrix,
+    EigenSystem,
     LinalgError,
     SupportProjector,
     as_matrix,
+    check_density_stack,
     hermitian_part,
-    matrix_log_on_support,
     spectral_decompose,
-    support_projector,
     von_neumann_entropy,
 )
 
@@ -37,6 +49,7 @@ __all__ = [
     "Trajectory",
     "propagate",
     "propagate_many",
+    "states_off_grid",
     "closed_form_trajectory",
     "intermediate_map",
     "entropy_rate",
@@ -67,101 +80,152 @@ class TailMassError(IntegrationError):
     """Truncated-mode population escaped past the trusted Fock levels."""
 
 
-@dataclass
 class Trajectory:
-    """States and their derivatives on an increasing time grid; ranks and
-    supports are read from the states' spectra, not stored.
+    """States and their derivatives on an increasing time grid, as stacks.
 
-    ``state_fn``/``derivative_fn`` are set for closed-form trajectories and
-    bypass the integrator; ``generator`` is set when the trajectory came from
-    propagating a master equation.  ``renormalization_defects`` logs the
-    trace defect removed at each grid point.
+    ``entries`` is the (T, d, d) array of states, ``derivatives`` the
+    (T, d, d) array of their time derivatives, and ``spectrum`` the stacked
+    eigendecomposition of ``entries`` (an :class:`EigenSystem` over T
+    matrices).  Entropies, logarithms on the supports, supports, ranks and
+    entropy rates are array expressions over that one spectrum, and
+    ``states`` reads the states as :class:`DensityMatrix` objects carrying
+    their part of it.
+
+    ``states`` may be given as a (T, d, d) array or a sequence of matrices,
+    which one stacked eigh validates (:func:`check_density_stack`), or as
+    DensityMatrix objects, whose spectra are reused.  ``spectrum`` passes the
+    stacked spectrum of states already validated, so that no state is
+    decomposed twice.  ``state_fn``/``derivative_fn`` are set for closed-form
+    trajectories and bypass the integrator; ``generator`` is set when the
+    trajectory came from propagating a master equation.
+    ``renormalization_defects`` logs the trace defect removed at each grid
+    point.
     """
 
-    grid: np.ndarray
-    states: list[DensityMatrix]
-    derivatives: list[np.ndarray]
-    generator: LindbladGenerator | None = None
-    state_fn: object = None
-    derivative_fn: object = None
-    renormalization_defects: np.ndarray | None = None
-    truncated_at: float | None = None
+    def __init__(self, grid, states, derivatives, generator: LindbladGenerator | None = None,
+                 state_fn=None, derivative_fn=None,
+                 renormalization_defects: np.ndarray | None = None,
+                 truncated_at: float | None = None, spectrum: EigenSystem | None = None):
+        self.grid = np.asarray(grid, dtype=float)
+        if not isinstance(states, np.ndarray):
+            states = list(states)
+            if spectrum is None and all(isinstance(s, DensityMatrix) for s in states):
+                spectrum = EigenSystem(np.stack([s.spectrum.eigenvalues for s in states]),
+                                       np.stack([s.spectrum.eigenvectors for s in states]))
+            states = [as_matrix(s) for s in states]
+        entries = as_matrix(states)
+        if spectrum is None:
+            entries, spectrum = check_density_stack(entries)
+        self.entries = entries
+        self.spectrum = spectrum
+        self.derivatives = as_matrix(derivatives)
+        self.generator = generator
+        self.state_fn = state_fn
+        self.derivative_fn = derivative_fn
+        self.renormalization_defects = renormalization_defects
+        self.truncated_at = truncated_at
+        self._states: list[DensityMatrix] | None = None
+        self._check()
 
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        if len(self.grid) != len(self.states):
-            raise IntegrationError("grid and states lengths differ")
+    def _check(self) -> None:
+        if len(self.grid) != len(self.entries) or len(self.grid) != len(self.derivatives):
+            raise IntegrationError("grid, states and derivatives lengths differ")
         if np.any(np.diff(self.grid) <= 0):
             raise IntegrationError("time grid must be strictly increasing")
-        for k, rho_dot in enumerate(self.derivatives):
-            tr = abs(np.trace(rho_dot))
-            if tr > TRACE_DOT_ATOL:
-                raise IntegrationError(f"Tr(rho_dot) = {tr:.3e} at grid point {k}")
+        traces = np.abs(np.trace(self.derivatives, axis1=-2, axis2=-1))
+        bad = np.flatnonzero(traces > TRACE_DOT_ATOL)
+        if bad.size:
+            raise IntegrationError(f"Tr(rho_dot) = {traces[bad[0]]:.3e} at grid point {bad[0]}")
         ranks = self.ranks()
-        for k in range(len(self.grid)):
-            if len(set(ranks[max(k - 1, 0):k + 2])) > 1:  # the rank changes next to k
-                continue
-            pinned = abs(np.trace(support_projector(self.states[k]).entries @ self.derivatives[k]))
-            if pinned > SUPPORT_DOT_ATOL:
-                raise IntegrationError(
-                    f"Tr(Pi rho_dot) = {pinned:.3e} at grid point {k}"
-                )
+        steady = np.ones(len(ranks), dtype=bool)  # the rank does not change next to k
+        steady[1:] &= ranks[1:] == ranks[:-1]
+        steady[:-1] &= ranks[:-1] == ranks[1:]
+        on_support = np.where(self.spectrum.support_mask(),
+                              self.spectrum.expectations(self.derivatives), 0.0)
+        pinned = np.abs(on_support.sum(axis=-1))
+        bad = np.flatnonzero(steady & (pinned > SUPPORT_DOT_ATOL))
+        if bad.size:
+            raise IntegrationError(f"Tr(Pi rho_dot) = {pinned[bad[0]]:.3e} at grid point {bad[0]}")
 
     def __len__(self) -> int:
         return len(self.grid)
 
     @property
+    def states(self) -> list[DensityMatrix]:
+        if self._states is None:
+            self._states = [DensityMatrix._from_checked(rho, self.spectrum[k])
+                            for k, rho in enumerate(self.entries)]
+        return self._states
+
+    @property
     def supports(self) -> list[SupportProjector]:
-        return [support_projector(s) for s in self.states]
+        return [SupportProjector(pi, rank=int(r))
+                for pi, r in zip(self.spectrum.projectors(), self.ranks())]
 
     def ranks(self) -> np.ndarray:
-        return np.array([s.spectrum.rank for s in self.states])
+        return self.spectrum.support_mask().sum(axis=-1)
 
     def rank_change_times(self) -> np.ndarray:
-        ranks = self.ranks()
-        jumps = np.where(np.diff(ranks) != 0)[0]
+        jumps = np.flatnonzero(np.diff(self.ranks()) != 0)
         return self.grid[jumps + 1]
 
     def rank_jump_rows(self, margin: float) -> np.ndarray:
         """Grid points within ``margin`` of a rank change, and the point just
         before each jump: there the rate on the support misses the jump (at a
         pure state it reads 0 while its right limit is +inf)."""
-        rows = np.zeros(len(self.grid), dtype=bool)
-        for c in self.rank_change_times():
-            rows |= np.abs(self.grid - c) < margin
-        rows[:-1] |= np.diff(self.ranks()) != 0
+        jumps = np.diff(self.ranks()) != 0
+        changes = self.grid[1:][jumps]
+        rows = np.any(np.abs(self.grid[:, None] - changes[None, :]) < margin, axis=1)
+        rows[:-1] |= jumps
         return rows
 
     def entropies(self) -> np.ndarray:
-        return np.array([von_neumann_entropy(s) for s in self.states])
+        return self.spectrum.entropies()
 
     def entropy_rates(self) -> np.ndarray:
-        return np.array([
-            entropy_rate(s, d) for s, d in zip(self.states, self.derivatives)
-        ])
+        return entropy_rate(self.spectrum, self.derivatives)
 
     def state_at(self, t: float, steps: int = 8) -> np.ndarray:
         """State at an off-grid time, from the closed form or a local integration."""
         if self.state_fn is not None:
             return as_matrix(self.state_fn(t))
-        if self.generator is None:
-            raise IntegrationError("trajectory has neither closed form nor generator")
-        k = int(np.argmin(np.abs(self.grid - t)))
-        return _rk4_segment(self.generator, self.states[k].entries,
-                            float(self.grid[k]), t, steps)
+        return states_off_grid([self], [0], [t], steps)[0]
 
 
-def _rk4_step(generator: LindbladGenerator, rho: np.ndarray, t: float, dt: float) -> np.ndarray:
+def states_off_grid(trajectories: list[Trajectory], rows, times, steps: int = 8) -> np.ndarray:
+    """The state of ``trajectories[rows[c]]`` at ``times[c]`` for every c, as
+    one (C, d, d) stack.
+
+    The trajectories must come from one generator on one grid (as
+    :func:`propagate_many` returns them).  Each state is integrated by RK4 in
+    ``steps`` substeps from the grid point nearest to its time, all of them
+    together, each row at its own times.
+    """
+    generator = trajectories[0].generator
+    if generator is None:
+        raise IntegrationError("trajectory has neither closed form nor generator")
+    grid = trajectories[0].grid
+    times = np.asarray(times, dtype=float)
+    nearest = np.argmin(np.abs(grid[None, :] - times[:, None]), axis=1)
+    starts = np.stack([trajectories[n].entries[k] for n, k in zip(rows, nearest)])
+    return _rk4_segment(generator, starts, grid[nearest], times, steps)
+
+
+def _rk4_step(generator: LindbladGenerator, rho: np.ndarray, t, dt) -> np.ndarray:
+    """One RK4 step; ``t`` and ``dt`` are numbers, or arrays with one entry
+    per state of the stack."""
+    h = dt if np.ndim(dt) == 0 else dt[:, None, None]
     k1 = generator.apply(t, rho)
-    k2 = generator.apply(t + 0.5 * dt, rho + 0.5 * dt * k1)
-    k3 = generator.apply(t + 0.5 * dt, rho + 0.5 * dt * k2)
-    k4 = generator.apply(t + dt, rho + dt * k3)
-    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = generator.apply(t + 0.5 * dt, rho + 0.5 * h * k1)
+    k3 = generator.apply(t + 0.5 * dt, rho + 0.5 * h * k2)
+    k4 = generator.apply(t + dt, rho + h * k3)
+    return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_segment(generator, rho, t0: float, t1: float, substeps: int) -> np.ndarray:
-    """RK4 from t0 to t1 in equal substeps, for one state or a stack (N, d, d)."""
-    if t1 == t0:
+def _rk4_segment(generator, rho, t0, t1, substeps: int) -> np.ndarray:
+    """RK4 from t0 to t1 in equal substeps, for one state or a stack (N, d, d);
+    t0 and t1 may also be arrays, one entry per state."""
+    if np.all(np.equal(t1, t0)):
         return rho.copy()
     dt = (t1 - t0) / substeps
     out = np.array(rho, dtype=complex)
@@ -170,16 +234,16 @@ def _rk4_segment(generator, rho, t0: float, t1: float, substeps: int) -> np.ndar
     return hermitian_part(out)
 
 
-def _clean(raw: np.ndarray, t: float) -> tuple[np.ndarray, list[DensityMatrix], np.ndarray]:
-    """Re-Hermitize and trace-renormalize a stack; returns it, its states and the trace defects."""
+def _clean(raw: np.ndarray, t: float) -> tuple[np.ndarray, EigenSystem, np.ndarray]:
+    """Re-Hermitize and trace-renormalize a stack and validate it with one
+    eigh; returns it, its spectra and the trace defects."""
     sym = hermitian_part(raw)
     tr = np.real(np.trace(sym, axis1=-2, axis2=-1))
-    sym = sym / tr[:, None, None]
     try:
-        states = [DensityMatrix(rho) for rho in sym]
+        sym, spectrum = check_density_stack(sym / tr[:, None, None])
     except LinalgError as exc:
         raise IntegrationError(f"state at t={t:.6g} lost positivity: {exc}") from exc
-    return sym, states, np.abs(tr - 1.0)
+    return sym, spectrum, np.abs(tr - 1.0)
 
 
 def propagate_many(generator: LindbladGenerator, states, grid,
@@ -192,9 +256,10 @@ def propagate_many(generator: LindbladGenerator, states, grid,
     until two successive refinements of every state agree in trace norm
     within ``error_target`` per unit time, so the accumulated error over the
     grid respects the same budget.  Accepted states are re-Hermitized and
-    trace-renormalized (defect logged per state); one failing the
-    DensityMatrix PSD check is an integration failure.  For generators
-    carrying a tail guard, each state's population breach either raises
+    trace-renormalized (defect logged per state) and validated with one
+    stacked eigh, whose spectra the trajectories keep; a state failing the
+    PSD check is an integration failure.  For generators carrying a tail
+    guard, each state's population breach either raises
     (``on_tail_breach="raise"``) or truncates that state's trajectory at its
     last trusted grid point (``"truncate"``) and drops it from the stack.
     Returns one trajectory per initial state, in order.
@@ -206,13 +271,24 @@ def propagate_many(generator: LindbladGenerator, states, grid,
         raise ValueError("on_tail_breach must be 'raise' or 'truncate'")
     guard = generator.tail_guard
 
-    current, accepted, defect0 = _clean(np.stack([as_matrix(rho) for rho in states]), float(grid[0]))
-    n = len(current)
-    live = list(range(n))  # stack row -> state index
-    kept: list[list[DensityMatrix]] = [[rho] for rho in accepted]
-    derivatives: list[list[np.ndarray]] = [[dot] for dot in generator.apply(float(grid[0]), current)]
-    defects: list[list[float]] = [[float(d)] for d in defect0]
+    current, spectrum, defect = _clean(np.stack([as_matrix(rho) for rho in states]), float(grid[0]))
+    n, d = current.shape[0], current.shape[-1]
+    rho = np.empty((len(grid), n, d, d), dtype=complex)
+    dots = np.empty_like(rho)
+    eigenvalues = np.empty((len(grid), n, d))
+    eigenvectors = np.empty_like(rho)
+    defects = np.empty((len(grid), n))
+    lengths = np.full(n, len(grid))
     truncated_at: list[float | None] = [None] * n
+    live = np.arange(n)  # stack row -> state index
+
+    def store(k: int, t: float) -> None:
+        rho[k, live], eigenvalues[k, live], eigenvectors[k, live] = \
+            current, spectrum.eigenvalues, spectrum.eigenvectors
+        dots[k, live] = generator.apply(t, current)
+        defects[k, live] = defect
+
+    store(0, float(grid[0]))
     substeps = 1
     for k in range(len(grid) - 1):
         t0, t1 = float(grid[k]), float(grid[k + 1])
@@ -231,36 +307,34 @@ def propagate_many(generator: LindbladGenerator, states, grid,
                 f"integrator stalled on [{t0:.6g}, {t1:.6g}]: "
                 f"no convergence to {budget:.1e} within {max_refinements} doublings"
             )
-        current, accepted, defect = _clean(trial, t1)
+        current, spectrum, defect = _clean(trial, t1)
         if guard is not None:
-            tails = np.array([guard.check(rho) for rho in current])
+            tails = np.array([guard.check(state) for state in current])
             breached = tails > guard.bound
             if breached.any():
                 if on_tail_breach == "raise":
                     raise TailMassError(
                         f"tail mass {tails.max():.3e} exceeds {guard.bound:.1e} at t={t1:.6g}"
                     )
-                for row in np.flatnonzero(breached):
-                    truncated_at[live[row]] = t1
+                for i in live[breached]:
+                    truncated_at[i] = t1
+                    lengths[i] = k + 1
                 keep = ~breached
-                live = [i for i, alive in zip(live, keep) if alive]
-                accepted = [rho for rho, alive in zip(accepted, keep) if alive]
-                current, defect = current[keep], defect[keep]
-                if not live:
+                live, current, defect = live[keep], current[keep], defect[keep]
+                spectrum = spectrum[keep]
+                if not live.size:
                     break
-        dots = generator.apply(t1, current)
-        for row, i in enumerate(live):
-            kept[i].append(accepted[row])
-            derivatives[i].append(dots[row])
-            defects[i].append(float(defect[row]))
+        store(k + 1, t1)
 
+    spectra = EigenSystem(eigenvalues, eigenvectors)
     trajectories = []
-    for i in range(n):
-        if truncated_at[i] is not None and len(kept[i]) < 3:
+    for i, m in enumerate(lengths):
+        if truncated_at[i] is not None and m < 3:
             raise TailMassError("tail guard tripped before any usable grid point")
         trajectories.append(Trajectory(
-            grid=grid[:len(kept[i])], states=kept[i], derivatives=derivatives[i], generator=generator,
-            renormalization_defects=np.array(defects[i]), truncated_at=truncated_at[i]))
+            grid[:m], rho[:m, i], dots[:m, i], generator=generator,
+            renormalization_defects=defects[:m, i], truncated_at=truncated_at[i],
+            spectrum=spectra[:m, i]))
     return trajectories
 
 
@@ -285,13 +359,13 @@ def closed_form_trajectory(state_fn, grid, derivative_fn=None,
     right-limits are taken at rank-change instants).
     """
     grid = np.asarray(grid, dtype=float)
-    states = [DensityMatrix(hermitian_part(as_matrix(state_fn(float(t))))) for t in grid]
+    states = np.stack([hermitian_part(as_matrix(state_fn(float(t)))) for t in grid])
     if derivative_fn is not None:
-        derivatives = [hermitian_part(as_matrix(derivative_fn(float(t)))) for t in grid]
+        derivatives = [as_matrix(derivative_fn(float(t))) for t in grid]
     else:
-        derivatives = [hermitian_part(one_sided_difference(
-            lambda tau: as_matrix(state_fn(tau)), float(t), fd_step)) for t in grid]
-    return Trajectory(grid=grid, states=states, derivatives=derivatives,
+        derivatives = [one_sided_difference(lambda tau: as_matrix(state_fn(tau)), float(t), fd_step)
+                       for t in grid]
+    return Trajectory(grid, states, hermitian_part(np.stack(derivatives)),
                       state_fn=state_fn, derivative_fn=derivative_fn)
 
 
@@ -346,13 +420,20 @@ def intermediate_map(generator: LindbladGenerator, s: float, t: float,
     )
 
 
-def entropy_rate(rho, rho_dot) -> float:
-    """dS/dt = -Tr{rho_dot log rho} with the logarithm taken on supp(rho)."""
+def entropy_rate(rho, rho_dot):
+    """dS/dt = -Tr{rho_dot log rho} with the logarithm taken on supp(rho),
+    read in the eigenbasis of rho as -sum_i log(lambda_i) <v_i|rho_dot|v_i>.
+
+    One state gives a float.  A stack of states (or their stacked
+    :class:`EigenSystem`) with a stack of derivatives gives an array.
+    """
     dot = as_matrix(rho_dot)
-    tr = abs(np.trace(dot))
+    tr = np.max(np.abs(np.trace(dot, axis1=-2, axis2=-1)))
     if tr > TRACE_DOT_ATOL:
         raise ValueError(f"state derivative must be traceless, got Tr = {tr:.3e}")
-    return float(-np.real(np.trace(dot @ matrix_log_on_support(rho))))
+    es = spectral_decompose(rho)
+    rates = -np.sum(es.support_logs() * es.expectations(dot), axis=-1)
+    return float(rates) if rates.ndim == 0 else rates
 
 
 def _rank_change_distance(rho, rho_dot) -> float:
@@ -385,11 +466,10 @@ def entropy_rate_fd(traj: Trajectory, index: int, h: float = 1e-4,
         if index <= 0 or index >= len(traj) - 1:
             raise IndexError("finite differences need an interior grid point")
         h = float(traj.grid[index + 1] - traj.grid[index])
-        s_plus = von_neumann_entropy(traj.states[index + 1])
-        s_minus = von_neumann_entropy(traj.states[index - 1])
+        s_minus, _, s_plus = traj.spectrum[index - 1:index + 2].entropies()
         return (s_plus - s_minus) / (2.0 * h)
 
-    h = min(h, 0.01 * _rank_change_distance(traj.states[index], traj.derivatives[index]))
+    h = min(h, 0.01 * _rank_change_distance(traj.spectrum[index], traj.derivatives[index]))
 
     def entropy_at(tau: float) -> float:
         return von_neumann_entropy(hermitian_part(traj.state_at(tau)))
@@ -480,7 +560,15 @@ class ChannelFamily:
     """A dynamics described by channels: M_{t,0} plus intermediate maps.
 
     Subclasses provide ``at(t)`` (the map from time 0 to t) and
-    ``step(t, eps)`` (the intermediate map from t to t + eps).
+    ``step(t, eps)`` (the intermediate map from t to t + eps) as map objects.
+    The analysis reads them as stacks over a whole grid:
+    ``superoperators(times)`` returns the (T, d^2, d^2) matrices of M_{t,0}
+    and ``steps(times, eps)`` those of M_{t+eps,t}, in the row-stacking
+    convention of :mod:`entroflow.channels`.  Here they stack ``at`` and
+    ``step``; families with closed forms override them to build every matrix
+    at once.  ``states``, ``trajectories`` and the witnesses apply those
+    stacks to (N, d, d) stacks of initial states, and the one-state, one-time
+    calls ``state`` and ``trajectory`` are their N = 1 and T = 1 cases.
     """
 
     dim: int
@@ -491,17 +579,69 @@ class ChannelFamily:
     def step(self, t: float, eps: float):
         raise NotImplementedError
 
+    def superoperators(self, times) -> np.ndarray:
+        return np.stack([self.at(float(t)).superoperator().matrix for t in np.atleast_1d(times)])
+
+    def steps(self, times, eps: float) -> np.ndarray:
+        return np.stack([self.step(float(t), eps).superoperator().matrix
+                         for t in np.atleast_1d(times)])
+
+    def states(self, rho0s, times) -> np.ndarray:
+        """M_{t,0}(rho_0) as a (T, N, d, d) stack.
+
+        ``rho0s`` is a sequence of N operators, each taken through every
+        time, or a (T, N, d, d) array whose row t goes through time t only.
+        """
+        times = np.asarray(times, dtype=float)
+        if np.any(times < 0):  # families are defined for t >= 0 only
+            raise IntegrationError("channel family evaluated at negative time")
+        return apply_superoperators(self.superoperators(times),
+                                    np.stack([as_matrix(rho) for rho in rho0s]))
+
     def state(self, rho0, t: float) -> np.ndarray:
-        return as_matrix(self.at(t).apply(rho0))
+        return self.states([rho0], [t])[0, 0]
+
+    def evolve(self, rho0s, times,
+               fd_step: float = 1e-5) -> tuple[np.ndarray, np.ndarray, EigenSystem]:
+        """States, their time derivatives and their spectra at ``times``.
+
+        ``rho0s`` as in :meth:`states`.  The derivatives come from the
+        stacked FD stencil with step ``fd_step``, the spectra from one eigh
+        over the whole (T, N, d, d) stack, which also validates the states.
+        """
+        states, spectrum = check_density_stack(hermitian_part(self.states(rho0s, times)))
+        dots = hermitian_part(time_derivative(lambda tau: self.states(rho0s, tau), times, fd_step))
+        return states, dots, spectrum
+
+    def trajectories(self, rho0s, grid, fd_step: float = 1e-5) -> list[Trajectory]:
+        """One trajectory per initial state on a shared grid, from one :meth:`evolve`."""
+        grid = np.asarray(grid, dtype=float)
+        rho0s = list(rho0s)
+        states, dots, spectrum = self.evolve(rho0s, grid, fd_step)
+        return [Trajectory(grid, states[:, n], dots[:, n], spectrum=spectrum[:, n],
+                           state_fn=lambda t, rho0=rho0: self.state(rho0, t))
+                for n, rho0 in enumerate(rho0s)]
 
     def trajectory(self, rho0: DensityMatrix, grid, fd_step: float = 1e-5) -> Trajectory:
-        def state_fn(t):
-            if t < 0:  # families are defined for t >= 0 only
-                raise IntegrationError("channel family evaluated at negative time")
-            return self.state(rho0, t)
+        return self.trajectories([rho0], grid, fd_step)[0]
 
-        return closed_form_trajectory(
-            state_fn, grid, derivative_fn=lambda t: time_derivative(state_fn, t, fd_step))
+
+def _trace_preserving(maps: np.ndarray, atol: float = 1e-8) -> np.ndarray:
+    """Check that a stack of superoperator matrices preserves the trace."""
+    d = round(maps.shape[-1] ** 0.5)
+    diagonal = np.arange(d) * (d + 1)  # entries of vec(X) holding X_ii
+    defect = float(np.max(np.abs(maps[..., diagonal, :].sum(axis=-2) - np.eye(d).reshape(-1))))
+    if defect > atol:
+        raise ChannelError(f"family map is not trace preserving: defect {defect:.3e}")
+    return maps
+
+
+def _coherence_maps(factors: np.ndarray) -> np.ndarray:
+    """Qubit maps that keep populations and scale coherences by ``factors``."""
+    maps = np.zeros(factors.shape + (4, 4), dtype=complex)
+    maps[..., 0, 0] = maps[..., 3, 3] = 1.0
+    maps[..., 1, 1] = maps[..., 2, 2] = factors
+    return _trace_preserving(maps)
 
 
 class GadcFamily(ChannelFamily):
@@ -522,15 +662,32 @@ class GadcFamily(ChannelFamily):
     def step(self, t: float, eps: float) -> QuantumChannel:
         return gadc(eps, self.omega)
 
+    def superoperators(self, times) -> np.ndarray:
+        """sum_i K_i (x) conj(K_i) of the :func:`gadc` Kraus operators, in closed form."""
+        t = np.atleast_1d(np.asarray(times, dtype=float))
+        p = np.cos(self.omega * t) ** 2
+        eta = np.exp(-t)
+        maps = np.zeros(t.shape + (4, 4), dtype=complex)
+        maps[:, 0, 0] = p + (1.0 - p) * eta
+        maps[:, 0, 3] = p * (1.0 - eta)
+        maps[:, 1, 1] = maps[:, 2, 2] = np.sqrt(eta)
+        maps[:, 3, 0] = (1.0 - p) * (1.0 - eta)
+        maps[:, 3, 3] = p * eta + (1.0 - p)
+        return _trace_preserving(maps)
+
+    def steps(self, times, eps: float) -> np.ndarray:
+        return np.broadcast_to(self.superoperators([eps]), (np.size(times), 4, 4))
+
 
 class DephasingFamily(ChannelFamily):
     """Pure-decoherence dynamics with accumulated decoherence Gamma(t).
 
     ``gamma_integral`` must be the antiderivative of the decoherence rate
-    with Gamma(0) = 0; intermediate maps scale coherences by
-    exp(Gamma(t) - Gamma(t + eps)).  Where Gamma decreases over the window
-    that factor exceeds 1 and the map is not CP, so it comes back as a
-    ``SuperOperator`` instead of a ``QuantumChannel``.
+    with Gamma(0) = 0, and accept an array of times; maps scale coherences by
+    exp(-Gamma(t)), and intermediate maps by exp(Gamma(t) - Gamma(t + eps)).
+    Where Gamma decreases over the window that factor exceeds 1 and the map
+    is not CP, so ``step`` returns it as a ``SuperOperator`` instead of a
+    ``QuantumChannel``, and ``steps`` keeps the factor as it is.
     """
 
     def __init__(self, gamma_integral):
@@ -541,15 +698,32 @@ class DephasingFamily(ChannelFamily):
         return dephasing_channel(float(np.exp(-self.gamma_integral(t))))
 
     def step(self, t: float, eps: float) -> QuantumChannel | SuperOperator:
-        decay = self.gamma_integral(t + eps) - self.gamma_integral(t)
-        coherence = float(np.exp(-decay))
+        coherence = float(self._step_coherences(t, eps)[0])
         if coherence <= 1.0:
             return dephasing_channel(coherence)
         return SuperOperator(np.diag([1.0, coherence, coherence, 1.0]))
 
+    def _step_coherences(self, times, eps: float) -> np.ndarray:
+        t = np.atleast_1d(np.asarray(times, dtype=float))
+        return np.exp(-(self.gamma_integral(t + eps) - self.gamma_integral(t)))
+
+    def superoperators(self, times) -> np.ndarray:
+        coherences = np.exp(-self.gamma_integral(np.atleast_1d(np.asarray(times, dtype=float))))
+        if np.any(np.abs(coherences) > 1.0):
+            raise ChannelError("coherence factor must lie in [-1, 1]")
+        return _coherence_maps(coherences)
+
+    def steps(self, times, eps: float) -> np.ndarray:
+        return _coherence_maps(self._step_coherences(times, eps))
+
 
 class GeneratorFamily(ChannelFamily):
-    """Dynamics induced by a Lindblad generator, via time-ordered propagators."""
+    """Dynamics induced by a Lindblad generator, via time-ordered propagators.
+
+    Its maps are Magnus products (:func:`intermediate_map`), cached per
+    interval and stacked by the base class; its trajectories come from
+    propagating all initial states as one stack.
+    """
 
     def __init__(self, generator: LindbladGenerator, map_atol: float = 1e-9):
         self.generator = generator
@@ -569,8 +743,8 @@ class GeneratorFamily(ChannelFamily):
     def step(self, t: float, eps: float) -> SuperOperator:
         return self._map(float(t), float(t) + float(eps))
 
-    def trajectory(self, rho0: DensityMatrix, grid, fd_step: float = 1e-5) -> Trajectory:
-        return propagate(self.generator, rho0, grid)
+    def trajectories(self, rho0s, grid, fd_step: float = 1e-5) -> list[Trajectory]:
+        return propagate_many(self.generator, rho0s, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -616,16 +790,12 @@ def export_trajectory(traj: Trajectory, path) -> None:
     entropy, then entropy rate.  Floats are rendered with repr so identical
     trajectories produce byte-identical files.
     """
-    d = traj.states[0].dim
+    d = traj.entries.shape[-1]
     header = ["t"]
     for i in range(d):
         for j in range(d):
             header += [f"re_rho_{i}{j}", f"im_rho_{i}{j}"]
     header += ["entropy", "entropy_rate"]
-    rows = []
-    for t, state, dot in zip(traj.grid, traj.states, traj.derivatives):
-        row = [t]
-        for v in state.entries.reshape(-1):
-            row += [v.real, v.imag]
-        rows.append(row + [von_neumann_entropy(state), entropy_rate(state, dot)])
-    write_csv(path, header, rows)
+    flat = traj.entries.reshape(len(traj), d * d)
+    re_im = np.stack([flat.real, flat.imag], axis=-1).reshape(len(traj), 2 * d * d)
+    write_csv(path, header, np.column_stack([traj.grid, re_im, traj.entropies(), traj.entropy_rates()]))

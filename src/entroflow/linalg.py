@@ -5,7 +5,10 @@ the support, von Neumann and relative entropies, Schatten norms, partial
 traces, and derivatives of trace functions.  All logarithms are natural, so
 entropic quantities are in nats.  A :class:`DensityMatrix` carries its
 spectrum, which every spectral function here reads; a raw array gets one
-fresh decomposition per call.
+fresh decomposition per call.  An :class:`EigenSystem` may hold the spectra
+of a whole stack (..., d, d) of matrices, and its support, log and entropy
+formulas act on every matrix of the stack at once; the single-matrix
+functions read the same formulas.
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ __all__ = [
     "DensityMatrix",
     "SupportProjector",
     "EigenSystem",
+    "check_density_stack",
     "as_matrix",
     "dagger",
     "hermitian_part",
+    "trace_product",
     "require_hermitian",
     "spectral_decompose",
     "support_projector",
@@ -91,10 +96,16 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + dagger(a))
 
 
+def trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tr{a b} for two matrices, or matrix by matrix for two stacks (..., d, d)."""
+    return np.einsum("...ij,...ji->...", a, b)
+
+
 def require_hermitian(operator, atol: float = HERMITICITY_ATOL, name: str = "operator") -> np.ndarray:
-    """Return the symmetrized matrix, rejecting inputs that are genuinely asymmetric."""
+    """Return the symmetrized matrix (or stack (..., d, d) of matrices),
+    rejecting inputs that are genuinely asymmetric."""
     a = as_matrix(operator)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise LinalgError(f"{name} must be a square matrix, got shape {a.shape}")
     asym = np.max(np.abs(a - dagger(a))) if a.size else 0.0
     if asym > atol:
@@ -104,22 +115,61 @@ def require_hermitian(operator, atol: float = HERMITICITY_ATOL, name: str = "ope
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvalues sorted in descending order with matching eigenvector columns."""
+    """Eigenvalues sorted in descending order with matching eigenvector columns.
+
+    For a stack of matrices the arrays are (..., d) and (..., d, d), and the
+    methods below return one result per matrix of the stack.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.eigenvalues)
+        return self.eigenvalues.shape[-1]
 
     @property
     def rank(self) -> int:
-        return int(_support_mask(self.eigenvalues, ZERO_EIGENVALUE_RTOL).sum())
+        return int(self.support_mask().sum())
+
+    def __getitem__(self, index) -> "EigenSystem":
+        """The spectra of part of a stack, indexed over its leading axes."""
+        return EigenSystem(self.eigenvalues[index], self.eigenvectors[index])
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ dagger(v)
+        return (v * self.eigenvalues[..., None, :]) @ dagger(v)
+
+    def support_mask(self, tol: float = ZERO_EIGENVALUE_RTOL) -> np.ndarray:
+        """Eigenvalues above tol * lambda_max, per matrix."""
+        return _support_mask(self.eigenvalues, tol)
+
+    def projectors(self, tol: float = ZERO_EIGENVALUE_RTOL) -> np.ndarray:
+        """Projectors onto the supports."""
+        v = self.eigenvectors
+        return hermitian_part((v * self.support_mask(tol)[..., None, :]) @ dagger(v))
+
+    def support_logs(self, tol: float = ZERO_EIGENVALUE_RTOL) -> np.ndarray:
+        """log lambda on the supports, 0 on the kernels, per matrix."""
+        mask = self.support_mask(tol)
+        return np.where(mask, np.log(np.where(mask, self.eigenvalues, 1.0)), 0.0)
+
+    def expectations(self, operators: np.ndarray) -> np.ndarray:
+        """Re <v_i|A|v_i> for every eigenvector v_i, per matrix: (..., d).
+
+        For Hermitian A this is the diagonal of V^dag A V, from the one
+        product A V and no other stacked temporary.
+        """
+        v = self.eigenvectors
+        w = operators @ v
+        return (np.einsum("...ji,...ji->...i", v.real, w.real)
+                + np.einsum("...ji,...ji->...i", v.imag, w.imag))
+
+    def entropies(self) -> np.ndarray:
+        """-sum lambda log lambda in nats, with the 0 log 0 = 0 convention."""
+        lam = np.clip(self.eigenvalues[..., ::-1], 0.0, None)
+        positive = lam > 0.0
+        return -np.sum(np.where(positive, lam * np.log(np.where(positive, lam, 1.0)), 0.0), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -152,22 +202,27 @@ class DensityMatrix:
     spectrum: EigenSystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = require_hermitian(self.entries, name="density matrix")
-        spectrum = spectral_decompose(a)
-        lam_min = spectrum.eigenvalues[-1]
-        if lam_min < -PSD_ATOL:
-            raise LinalgError(f"density matrix not PSD: min eigenvalue {lam_min:.3e}")
-        tr = float(np.real(np.trace(a)))
-        if self.subnormalized:
-            if tr > 1.0 + TRACE_ATOL:
-                raise LinalgError(f"sub-normalized state has trace {tr} > 1")
-        elif abs(tr - 1.0) > TRACE_ATOL:
-            raise LinalgError(f"density matrix has trace {tr}, expected 1")
-        for array in (a, spectrum.eigenvalues, spectrum.eigenvectors):
+        a = as_matrix(self.entries)
+        if a.ndim != 2:
+            raise LinalgError(f"density matrix must be a square matrix, got shape {a.shape}")
+        a, spectrum = check_density_stack(a, subnormalized=self.subnormalized)
+        self._set(a, spectrum)
+
+    def _set(self, entries: np.ndarray, spectrum: EigenSystem) -> None:
+        for array in (entries, spectrum.eigenvalues, spectrum.eigenvectors):
             array.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "dim", a.shape[0])
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "dim", entries.shape[0])
         object.__setattr__(self, "spectrum", spectrum)
+
+    @classmethod
+    def _from_checked(cls, entries: np.ndarray, spectrum: EigenSystem) -> "DensityMatrix":
+        """A state over one matrix of a stack that :func:`check_density_stack`
+        has validated, carrying its spectrum from that stack: no second eigh."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "subnormalized", False)
+        state._set(entries, spectrum)
+        return state
 
     @classmethod
     def pure(cls, vector) -> "DensityMatrix":
@@ -192,24 +247,53 @@ class DensityMatrix:
 
 
 def spectral_decompose(operator, atol: float = HERMITICITY_ATOL) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+    """Eigendecomposition of a Hermitian matrix, or of a stack (..., d, d) of
+    them in one eigh call, eigenvalues descending.
 
-    A :class:`DensityMatrix` returns the spectrum it carries.  Inputs with
-    asymmetry within ``atol`` are symmetrized; anything worse is rejected.
-    The reconstruction V diag(w) V^dag matches the input to machine precision.
+    A :class:`DensityMatrix` returns the spectrum it carries, and an
+    :class:`EigenSystem` is returned as it is.  Inputs with asymmetry within
+    ``atol`` are symmetrized; anything worse is rejected.  The reconstruction
+    V diag(w) V^dag matches the input to machine precision.
     """
     if isinstance(operator, DensityMatrix):
         return operator.spectrum
+    if isinstance(operator, EigenSystem):
+        return operator
     a = require_hermitian(operator, atol=atol)
     ascending, vectors = np.linalg.eigh(a)
-    return EigenSystem(ascending[::-1].copy(), vectors[:, ::-1].copy())
+    return EigenSystem(ascending[..., ::-1].copy(), vectors[..., ::-1].copy())
+
+
+def check_density_stack(operators, subnormalized: bool = False) -> tuple[np.ndarray, EigenSystem]:
+    """Validate a density matrix, or a stack (..., d, d) of them, with one eigh.
+
+    Each matrix must be Hermitian within ``HERMITICITY_ATOL``, PSD within
+    ``PSD_ATOL`` and of unit trace within ``TRACE_ATOL`` (at most 1 when
+    ``subnormalized``).  Returns the symmetrized stack and its spectra; the
+    first failing matrix of a stack raises :class:`LinalgError`, with its
+    index.
+    """
+    a = require_hermitian(operators, name="density matrix")
+    spectrum = spectral_decompose(a)
+    lam_min = spectrum.eigenvalues[..., -1]
+    tr = np.real(np.trace(a, axis1=-2, axis2=-1))
+    if subnormalized:
+        trace_check = (tr > 1.0 + TRACE_ATOL, "sub-normalized state has trace {tr} > 1")
+    else:
+        trace_check = (np.abs(tr - 1.0) > TRACE_ATOL, "density matrix has trace {tr}, expected 1")
+    for bad, message in ((lam_min < -PSD_ATOL, "density matrix not PSD: min eigenvalue {lam:.3e}"),
+                         trace_check):
+        if np.any(bad):
+            k = np.unravel_index(np.argmax(bad), bad.shape)
+            where = f" at stack index {tuple(map(int, k))}" if bad.ndim else ""
+            raise LinalgError(message.format(lam=lam_min[k], tr=tr[k]) + where)
+    return a, spectrum
 
 
 def _support_mask(eigenvalues: np.ndarray, tol: float) -> np.ndarray:
-    lam_max = float(eigenvalues.max(initial=0.0))
-    if lam_max <= 0.0:
-        return np.zeros_like(eigenvalues, dtype=bool)
-    return eigenvalues > tol * lam_max
+    """Eigenvalues above tol * lambda_max along the last axis; none when lambda_max <= 0."""
+    lam_max = eigenvalues.max(axis=-1, keepdims=True, initial=0.0)
+    return (eigenvalues > tol * lam_max) & (lam_max > 0.0)
 
 
 def support_projector(rho, tol: float = ZERO_EIGENVALUE_RTOL) -> SupportProjector:
@@ -217,27 +301,19 @@ def support_projector(rho, tol: float = ZERO_EIGENVALUE_RTOL) -> SupportProjecto
     if tol <= 0:
         raise LinalgError("support tolerance must be positive")
     es = spectral_decompose(rho)
-    mask = _support_mask(es.eigenvalues, tol)
-    v = es.eigenvectors[:, mask]
-    pi = v @ dagger(v)
-    return SupportProjector(hermitian_part(pi), rank=int(mask.sum()))
+    return SupportProjector(es.projectors(tol), rank=int(es.support_mask(tol).sum()))
 
 
 def matrix_log_on_support(rho, tol: float = ZERO_EIGENVALUE_RTOL) -> np.ndarray:
     """Natural matrix logarithm restricted to the support; zero on the kernel."""
     es = spectral_decompose(rho)
-    mask = _support_mask(es.eigenvalues, tol)
-    logs = np.zeros_like(es.eigenvalues)
-    logs[mask] = np.log(es.eigenvalues[mask])
     v = es.eigenvectors
-    return hermitian_part((v * logs) @ dagger(v))
+    return hermitian_part((v * es.support_logs(tol)[..., None, :]) @ dagger(v))
 
 
 def von_neumann_entropy(rho) -> float:
     """-Tr{rho log rho} in nats, with the 0 log 0 = 0 convention."""
-    lam = np.clip(spectral_decompose(rho).eigenvalues[::-1], 0.0, None)
-    nz = lam > 0.0
-    return float(-np.sum(lam[nz] * np.log(lam[nz])))
+    return float(spectral_decompose(rho).entropies())
 
 
 def relative_entropy(rho, sigma, support_atol: float = SUPPORT_LEAK_ATOL,

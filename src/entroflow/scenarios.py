@@ -34,7 +34,6 @@ from .dynamics import (
     Trajectory,
     closed_form_trajectory,
     damping_qubit_state,
-    entropy_rate,
     entropy_rate_fd,
     export_trajectory,
     oscillating_qubit_state,
@@ -123,19 +122,20 @@ def _sign_change_times(grid: np.ndarray, values: np.ndarray) -> list[float]:
     return times
 
 
+def _step_grid(params: dict) -> np.ndarray:
+    """0, t_step, ..., t_max: the grid of the scenarios set by a step."""
+    return np.linspace(0.0, params["t_max"], round(params["t_max"] / params["t_step"]) + 1)
+
+
 def run_fig1_gadc(params: dict, outdir: Path, seed: int) -> tuple[list[CheckResult], list[str]]:
     omega = params["omega"]
-    grid = np.linspace(0.0, params["t_max"], round(params["t_max"] / params["t_step"]) + 1)
+    grid = _step_grid(params)
     family = GadcFamily(omega)
     rho0 = DensityMatrix.maximally_mixed(2)
 
     start = time.perf_counter()
-    rates = np.empty(len(grid))
-    f_pipe = np.empty(len(grid))
-    for k, t in enumerate(grid):
-        rate, eps_term = witnesses.f_components(family, rho0, float(t))
-        rates[k] = rate
-        f_pipe[k] = rate + eps_term
+    rates, eps_terms = witnesses.f_components(family, rho0, grid)
+    f_pipe = rates + eps_terms
     elapsed = time.perf_counter() - start
 
     w, _, _, f_closed = _gadc_closed_form(omega, grid)
@@ -335,7 +335,7 @@ def _oscillating_dephasing(base: float, amplitude: float, frequency: float):
 
 
 def run_decoherence_measures(params: dict, outdir: Path, seed: int):
-    grid = np.linspace(0.0, params["t_max"], round(params["t_max"] / params["t_step"]) + 1)
+    grid = _step_grid(params)
     rng = np.random.default_rng(seed)
     sampler = default_state_sampler(2, rng, n_random=int(params["n_random"]),
                                     bloch_points=int(params["bloch_points"]))
@@ -420,7 +420,7 @@ SCENARIOS = {
         "parameters": {
             "omega": "modulation frequency (real)",
             "t_max": "end of the time window (> 0)",
-            "t_step": "grid spacing (> 0)",
+            "t_step": "grid spacing (> 0, at least two grid points)",
             "compare_from": "first time included in the closed-form comparison",
             "match_tol": "allowed |pipeline - closed form|",
             "boundary_tol": "allowed sign-change mismatch",
@@ -443,7 +443,7 @@ SCENARIOS = {
         "parameters": {
             "t_min": "first grid time (> 0, past the rank jump)",
             "t_max": "last grid time",
-            "n_points": "grid size",
+            "n_points": "grid size (integer >= 2)",
             "fd_h": "finite-difference step",
             "tol": "allowed |rate - finite difference|",
         },
@@ -453,7 +453,7 @@ SCENARIOS = {
         "description": "Entropy rate vs finite differences for the oscillatory trajectory",
         "parameters": {
             "t_max": "last grid time",
-            "n_points": "grid size before rank-change trimming",
+            "n_points": "grid size before rank-change trimming (at least two points left)",
             "margin": "excluded neighborhood around rank changes",
             "fd_h": "finite-difference step",
             "tol": "allowed |rate - finite difference|",
@@ -466,7 +466,7 @@ SCENARIOS = {
             "mean_photons": "thermal occupation of the initial state",
             "cutoff": "Fock-space truncation (>= 2)",
             "t_max": "end of the time window",
-            "n_points": "grid size",
+            "n_points": "grid size (integer >= 2)",
             "rate_tol": "slack for rate >= bound",
             "bound_tol": "slack for bound = gamma_+ - gamma_-",
             "dynamics": "map kind -> {gamma_plus, gamma_minus}",
@@ -481,10 +481,10 @@ SCENARIOS = {
             "amplitude": "cosine amplitude of the oscillating rate",
             "frequency": "cosine frequency of the oscillating rate",
             "t_max": "end of the time window",
-            "t_step": "grid spacing",
-            "n_random": "random states in the sampler",
-            "bloch_points": "Bloch-grid size in the sampler",
-            "n_pairs": "state pairs for the trace-distance baseline",
+            "t_step": "grid spacing (> 0, at least two grid points)",
+            "n_random": "random states in the sampler (integer >= 0)",
+            "bloch_points": "Bloch-grid size in the sampler (integer >= 0)",
+            "n_pairs": "state pairs for the trace-distance baseline (integer >= 1)",
             "measure_tol": "allowed |measure_generator - measure_channel|",
         },
     },
@@ -493,9 +493,9 @@ SCENARIOS = {
         "description": "Propagate a serialized generator and export trajectory + witnesses",
         "parameters": {
             "generator": "serialized generator document",
-            "initial_state": "matrix document of the initial state",
+            "initial_state": "matrix document of the initial state, of the generator's dimension",
             "t_max": "end of the time window",
-            "n_points": "grid size",
+            "n_points": "grid size (integer >= 2)",
         },
     },
 }
@@ -632,6 +632,18 @@ def validate_config(config: dict) -> list[str]:
     if problems:
         return problems
 
+    def count(name: str, minimum: int) -> None:
+        value = params[name]
+        if not (isinstance(value, int) and not isinstance(value, bool) and value >= minimum):
+            problems.append(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+    def step_grid() -> None:
+        if params["t_max"] <= 0 or params["t_step"] <= 0:
+            problems.append("t_max and t_step must be positive")
+        elif len(_step_grid(params)) < 2:
+            problems.append(f"t_step {params['t_step']:g} leaves fewer than two grid points "
+                            f"on [0, {params['t_max']:g}]")
+
     if scenario == "fig2_depolarizing":
         d = params["d"]
         if not (isinstance(d, int) and d >= 2):
@@ -649,18 +661,19 @@ def validate_config(config: dict) -> list[str]:
                     problems.append(
                         f"extra point (d={dd}, q={q}) out of range: q <= d^2/(d^2-1) = {qm:.6g}"
                     )
-        if not (isinstance(params["starts"], int) and params["starts"] >= 1):
-            problems.append("starts must be an integer >= 1")
-    if scenario == "fig1_gadc":
-        if params["t_max"] <= 0 or params["t_step"] <= 0:
-            problems.append("t_max and t_step must be positive")
+        count("starts", 1)
+    if scenario in ("fig1_gadc", "decoherence_measures"):
+        step_grid()
+    if scenario in ("appendixB_damping", "appendixB_oscillatory", "gaussian_bounds", "custom"):
+        count("n_points", 2)
     if scenario in ("appendixB_damping", "appendixB_oscillatory"):
         if params["fd_h"] <= 0 or params["tol"] <= 0:
             problems.append("fd_h and tol must be positive")
     if scenario == "appendixB_damping" and params["t_min"] <= 0:
         problems.append("t_min must be positive (the rank changes at t = 0)")
-    if scenario == "appendixB_oscillatory" and not len(_oscillatory_grid(params)):
-        problems.append(f"margin {params['margin']:g} leaves no grid point between rank changes")
+    if scenario == "appendixB_oscillatory" and not problems and len(_oscillatory_grid(params)) < 2:
+        problems.append(f"margin {params['margin']:g} leaves fewer than two grid points "
+                        "between rank changes")
     if scenario == "gaussian_bounds":
         try:  # the checks the run itself makes: rates, cutoff, thermal tail mass
             for gammas in params["dynamics"].values():
@@ -669,14 +682,16 @@ def validate_config(config: dict) -> list[str]:
         except ChannelError as exc:
             problems.append(str(exc))
     if scenario == "decoherence_measures":
-        if params["t_step"] <= 0 or params["t_max"] <= 0:
-            problems.append("t_max and t_step must be positive")
+        count("n_random", 0)
+        count("bloch_points", 0)
+        count("n_pairs", 1)
     if scenario == "custom":
-        if params["n_points"] < 2:
-            problems.append("n_points must be at least 2")
         try:  # the generator and state the run builds
-            generator_from_document(params["generator"])
-            DensityMatrix(matrix_from_document(params["initial_state"]))
+            generator = generator_from_document(params["generator"])
+            rho0 = DensityMatrix(matrix_from_document(params["initial_state"]))
+            if rho0.dim != generator.dim:
+                problems.append(f"initial_state is {rho0.dim}x{rho0.dim} but the generator "
+                                f"acts on dimension {generator.dim}")
         except (SerializationError, ChannelError, LinalgError) as exc:
             problems.append(str(exc))
     return problems

@@ -17,11 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import time_derivative, write_csv
-from .channels import LindbladGenerator, QuantumChannel, SuperOperator, unitality_class
-from .dynamics import ChannelFamily, Trajectory, entropy_rate, propagate_many
+from .channels import (
+    LindbladGenerator,
+    QuantumChannel,
+    SuperOperator,
+    apply_superoperators,
+    unitality_class,
+)
+from .dynamics import ChannelFamily, Trajectory, entropy_rate, propagate_many, states_off_grid
 from .linalg import (
-    INFINITE_DIVERGENCE,
     DensityMatrix,
+    EigenSystem,
     as_matrix,
     dagger,
     hermitian_part,
@@ -31,6 +37,7 @@ from .linalg import (
     schatten_norm,
     spectral_decompose,
     support_projector,
+    trace_product,
     von_neumann_entropy,
 )
 
@@ -133,17 +140,24 @@ def entropy_change_upper_bound_holder(channel: QuantumChannel, rho) -> float:
 # Rate bound and non-unitality witness
 # ---------------------------------------------------------------------------
 
-def _pinned_adjoint_trace(generator, t: float, rho) -> float:
-    """Tr{Pi_rho L_t^dag(rho)} for a structural generator or a superoperator."""
-    a = as_matrix(rho)
+def _pinned_adjoint_traces(generator, times, states: np.ndarray,
+                           projectors: np.ndarray) -> np.ndarray:
+    """Tr{Pi L_t^dag(rho)} for states and their support projectors (T, ..., d, d)
+    at times (T,), for a structural generator or a superoperator."""
     if isinstance(generator, LindbladGenerator):
-        image = generator.adjoint_apply(t, a)
-    elif isinstance(generator, SuperOperator):
-        image = generator.adjoint().apply(a)
+        images = generator.adjoint_apply(np.asarray(times, dtype=float), states)
+    elif isinstance(generator, SuperOperator):  # M^dag vec(x), as the row vec(x)^T conj(M)
+        flat = states.reshape(states.shape[:-2] + (-1,))
+        images = (flat @ generator.matrix.conj()).reshape(states.shape)
     else:
         raise WitnessError(f"unsupported generator type {type(generator).__name__}")
-    pi = support_projector(rho)
-    return float(np.real(np.trace(pi.entries @ image)))
+    return np.real(trace_product(projectors, images))
+
+
+def _pinned_adjoint_trace(generator, t: float, rho) -> float:
+    """Tr{Pi_rho L_t^dag(rho)}: the one-state case of :func:`_pinned_adjoint_traces`."""
+    pi = support_projector(rho).entries
+    return float(_pinned_adjoint_traces(generator, [t], as_matrix(rho)[None], pi[None])[0])
 
 
 def nonunitality_witness(generator, t: float, rho) -> float:
@@ -175,43 +189,80 @@ def generator_commutator_expectation(generator: LindbladGenerator, t: float, rho
 # Channel-side witness: the short-time derivative and f(t)
 # ---------------------------------------------------------------------------
 
-def epsilon_derivative(family: ChannelFamily, rho_t, t: float,
-                       eps0: float = EPSILON_STEP,
-                       convergence_tol: float = 0.05) -> float:
-    """d/d eps Tr{Pi_t (M_{t+eps,t})^dag M_{t+eps,t}(rho_t)} at eps -> 0+.
+def _epsilon_derivatives(family: ChannelFamily, times, states: np.ndarray, projectors: np.ndarray,
+                         eps0: float = EPSILON_STEP, convergence_tol: float = 0.05) -> np.ndarray:
+    """d/d eps Tr{Pi_t (M_{t+eps,t})^dag M_{t+eps,t}(rho_t)} at eps -> 0+ for
+    states and support projectors (T, N, d, d) at times (T,): a (T, N) array.
 
     One-sided difference quotients at eps0 and eps0/2 combined with a single
     Richardson step (the limit is one-sided, but the quotient pair removes
     the linear error term).  A large disagreement between the two quotients
     flags a non-smooth family.  Tr{Pi M^dag M(rho)} is read as <M(Pi), M(rho)>_HS.
     """
-    a = hermitian_part(as_matrix(rho_t))
-    pi = support_projector(rho_t).entries
-    base = float(np.real(np.trace(pi @ a)))
+    base = np.real(trace_product(projectors, states))
 
-    def quotient(eps: float) -> float:
-        step_map = family.step(t, eps)
-        return (float(np.real(np.vdot(step_map.apply(pi), step_map.apply(a)))) - base) / eps
+    def quotient(eps: float) -> np.ndarray:
+        maps = family.steps(times, eps)
+        overlap = np.sum(np.conj(apply_superoperators(maps, projectors))
+                         * apply_superoperators(maps, states), axis=(-2, -1))
+        return (np.real(overlap) - base) / eps
 
     d1 = quotient(eps0)
     d2 = quotient(0.5 * eps0)
-    if abs(d2 - d1) > convergence_tol * max(1.0, abs(d2)):
+    disagree = np.abs(d2 - d1) > convergence_tol * np.maximum(1.0, np.abs(d2))
+    if disagree.any():
+        k, n = np.argwhere(disagree)[0]
         raise WitnessError(
-            f"epsilon-derivative quotients disagree at t={t}: {d1} vs {d2}"
+            f"epsilon-derivative quotients disagree at t={times[k]}: {d1[k, n]} vs {d2[k, n]}"
         )
     return 2.0 * d2 - d1
 
 
-def f_components(family: ChannelFamily, rho0, t: float,
-                 eps0: float = EPSILON_STEP) -> tuple[float, float]:
-    """(entropy rate, short-time derivative term) along the family trajectory."""
-    rho_t = DensityMatrix(hermitian_part(family.state(rho0, t)))
-    rho_dot = hermitian_part(time_derivative(lambda tau: family.state(rho0, tau), t, 1e-5))
-    return entropy_rate(rho_t, rho_dot), epsilon_derivative(family, rho_t, t, eps0=eps0)
+def epsilon_derivative(family: ChannelFamily, rho_t, t: float,
+                       eps0: float = EPSILON_STEP,
+                       convergence_tol: float = 0.05) -> float:
+    """d/d eps Tr{Pi_t (M_{t+eps,t})^dag M_{t+eps,t}(rho_t)} at eps -> 0+, for
+    one state: the T = N = 1 case of the stacked derivative."""
+    a = hermitian_part(as_matrix(rho_t))
+    pi = support_projector(rho_t).entries
+    return float(_epsilon_derivatives(family, np.array([t], dtype=float), a[None, None],
+                                      pi[None, None], eps0, convergence_tol)[0, 0])
 
 
-def witness_f_channel(family: ChannelFamily, rho0, t: float,
-                      eps0: float = EPSILON_STEP) -> float:
+def _stack(trajectories: list[Trajectory]) -> tuple[np.ndarray, np.ndarray, EigenSystem]:
+    """The states, derivatives and spectra of trajectories on one grid, as
+    (T, N, ...) stacks (the order :meth:`ChannelFamily.evolve` returns)."""
+    def stacked(read):
+        return np.stack([read(traj) for traj in trajectories], axis=1)
+
+    return (stacked(lambda traj: traj.entries), stacked(lambda traj: traj.derivatives),
+            EigenSystem(stacked(lambda traj: traj.spectrum.eigenvalues),
+                        stacked(lambda traj: traj.spectrum.eigenvectors)))
+
+
+def _f_parts(family: ChannelFamily, times, states: np.ndarray, dots: np.ndarray,
+             spectrum: EigenSystem, eps0: float = EPSILON_STEP) -> tuple[np.ndarray, np.ndarray]:
+    """(entropy rates, short-time derivative terms) of f for states (T, N, d, d)
+    at times (T,), with their derivatives and spectra: two (T, N) arrays."""
+    return entropy_rate(spectrum, dots), _epsilon_derivatives(family, times, states,
+                                                              spectrum.projectors(), eps0=eps0)
+
+
+def f_components(family: ChannelFamily, rho0, t, eps0: float = EPSILON_STEP):
+    """(entropy rate, short-time derivative term) along the family trajectory.
+
+    ``t`` is one time, or an array of times; then both components are
+    arrays over it, computed as one stack.  The rate takes the state's
+    derivative from the FD stencil with h = 1e-5.
+    """
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    rates, eps_terms = _f_parts(family, times, *family.evolve([rho0], times), eps0=eps0)
+    if np.ndim(t):
+        return rates[:, 0], eps_terms[:, 0]
+    return float(rates[0, 0]), float(eps_terms[0, 0])
+
+
+def witness_f_channel(family: ChannelFamily, rho0, t, eps0: float = EPSILON_STEP):
     """f(t) = dS/dt + short-time derivative term; f < 0 certifies memory."""
     rate, eps_term = f_components(family, rho0, t, eps0=eps0)
     return rate + eps_term
@@ -219,8 +270,9 @@ def witness_f_channel(family: ChannelFamily, rho0, t: float,
 
 def time_local_generator(family: ChannelFamily, t: float, h: float = 1e-5) -> SuperOperator:
     """Numerical time-local generator dM_t/dt o M_t^{-1} of a channel family."""
-    m_t = family.at(t).superoperator().matrix
-    m_dot = time_derivative(lambda tau: family.at(tau).superoperator().matrix, t, h)
+    times = np.array([t], dtype=float)
+    m_t = family.superoperators(times)[0]
+    m_dot = time_derivative(family.superoperators, times, h)[0]
     dim = family.dim
     return SuperOperator(m_dot @ np.linalg.inv(m_t), dim_in=dim, dim_out=dim)
 
@@ -267,30 +319,29 @@ def witness_reports(generator: LindbladGenerator, traj: Trajectory,
     """One WitnessReport per trajectory point.
 
     The f column and test (a)/(c) need intermediate maps; when no family is
-    supplied the generator's own time-ordered propagators are used.  Rows
-    at a rank jump (:meth:`Trajectory.rank_jump_rows`) carry no test flags.
+    supplied the generator's own time-ordered propagators are used.  Every
+    column is computed over the whole trajectory at once.  Rows at a rank
+    jump (:meth:`Trajectory.rank_jump_rows`) carry no test flags.
     """
     from .dynamics import GeneratorFamily
 
     fam = family if family is not None else GeneratorFamily(generator)
     excluded = traj.rank_jump_rows(RANK_CHANGE_MARGIN)
-    reports = []
-    for k, t in enumerate(traj.grid):
-        t = float(t)
-        state = traj.states[k]
-        rate = entropy_rate(state, traj.derivatives[k])
-        witness = _pinned_adjoint_trace(generator, t, state)
-        bound = -witness
-        eps_term = epsilon_derivative(fam, state, t, eps0=eps0)
-        f_value = rate + eps_term
-        flags = {name for name, passed in [("test_a_passed", test_a(f_value)),
-                                           ("test_b_passed", test_b(rate, bound)),
-                                           ("test_c_passed", test_c(eps_term, witness))]
-                 if passed and not excluded[k]}
-        reports.append(WitnessReport(time=t, entropy_rate=rate, theorem2_bound=bound,
-                                     f_value=f_value, nonunitality=witness,
-                                     flags=frozenset(flags)))
-    return reports
+    projectors = traj.spectrum.projectors()
+    rates = traj.entropy_rates()
+    witness = _pinned_adjoint_traces(generator, traj.grid, traj.entries, projectors)
+    bounds = -witness
+    eps_terms = _epsilon_derivatives(fam, traj.grid, traj.entries[:, None], projectors[:, None],
+                                     eps0=eps0)[:, 0]
+    f_values = rates + eps_terms
+    tests = {"test_a_passed": test_a(f_values), "test_b_passed": test_b(rates, bounds),
+             "test_c_passed": test_c(eps_terms, witness)}
+    return [WitnessReport(time=float(t), entropy_rate=float(rates[k]),
+                          theorem2_bound=float(bounds[k]), f_value=float(f_values[k]),
+                          nonunitality=float(witness[k]),
+                          flags=frozenset(name for name, passed in tests.items()
+                                          if passed[k] and not excluded[k]))
+            for k, t in enumerate(traj.grid)]
 
 
 def export_witness_reports(reports, path) -> None:
@@ -314,83 +365,72 @@ class MeasureResult:
     sample_values: tuple[float, ...]
 
 
-def _violation_integral(grid: np.ndarray, values: np.ndarray, threshold: float,
-                        evaluate=None, excluded: np.ndarray | None = None,
-                        bisect_atol: float = 1e-6) -> float:
-    """Integral of |v| over {v < -threshold} by trapezoid rule.
+def _violation_integrals(grid: np.ndarray, values: np.ndarray, threshold: float,
+                         evaluate, excluded: np.ndarray, bisect_atol: float = 1e-6) -> np.ndarray:
+    """Integral of |v| over {v < -threshold} by trapezoid rule, per column
+    of the (T, N) values.
 
-    Interval endpoints where the violation switches on or off are refined by
-    bisection on ``evaluate`` when available (else linear interpolation).
-    Grid points under an exclusion mask are treated as non-violating; with
-    the default margins this only trims rank-change neighborhoods whose true
-    violation mass is zero.
+    Interval endpoints where the violation switches on or off are refined
+    by bisection on ``evaluate(columns, times)``, the witness off the grid
+    for each (column, time) pair; every window boundary is halved in the
+    same call.  Grid points under the exclusion mask are treated as
+    non-violating; with the default margins this only trims rank-change
+    neighborhoods whose true violation mass is zero.
     """
-    violating = (values < -threshold)
-    if excluded is not None:
-        violating &= ~excluded
-    if not violating.any():
-        return 0.0
+    violating = (values < -threshold) & ~excluded
+    a, b = violating[:-1], violating[1:]
+    v0, v1 = values[:-1], values[1:]
+    totals = np.sum(np.where(a & b, 0.5 * (-v0 - v1) * np.diff(grid)[:, None], 0.0), axis=0)
 
-    def crossing(t0, v0, t1, v1):
-        # Root of v(t) = -threshold inside [t0, t1].
-        target = -threshold
-        if evaluate is None:
-            if v1 == v0:
-                return 0.5 * (t0 + t1)
-            return t0 + (target - v0) * (t1 - t0) / (v1 - v0)
-        lo, hi = t0, t1
-        below_lo = v0 < target
-        while hi - lo > bisect_atol:
+    ks, ns = np.nonzero(a != b)  # one window boundary per (interval, column)
+    if ks.size:
+        t0, t1 = grid[ks], grid[ks + 1]
+        lo, hi = t0.copy(), t1.copy()
+        below_lo = v0[ks, ns] < -threshold
+        active = hi - lo > bisect_atol
+        while active.any():  # root of v(t) = -threshold inside [t0, t1]
             mid = 0.5 * (lo + hi)
-            if (evaluate(mid) < target) == below_lo:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    total = 0.0
-    for k in range(len(grid) - 1):
-        a, b = violating[k], violating[k + 1]
-        t0, t1 = float(grid[k]), float(grid[k + 1])
-        v0, v1 = float(values[k]), float(values[k + 1])
-        if a and b:
-            total += 0.5 * (-v0 - v1) * (t1 - t0)
-        elif a and not b:
-            t_star = min(max(crossing(t0, v0, t1, v1), t0), t1)
-            total += 0.5 * (-v0 + threshold) * (t_star - t0)
-        elif b and not a:
-            t_star = min(max(crossing(t0, v0, t1, v1), t0), t1)
-            total += 0.5 * (threshold - v1) * (t1 - t_star)
-    return total
+            keep_lo = (evaluate(ns[active], mid[active]) < -threshold) == below_lo[active]
+            lo[active] = np.where(keep_lo, mid[active], lo[active])
+            hi[active] = np.where(keep_lo, hi[active], mid[active])
+            active = hi - lo > bisect_atol
+        t_star = np.clip(0.5 * (lo + hi), t0, t1)
+        np.add.at(totals, ns, np.where(a[ks, ns], 0.5 * (-v0[ks, ns] + threshold) * (t_star - t0),
+                                       0.5 * (threshold - v1[ks, ns]) * (t1 - t_star)))
+    return totals
 
 
-def _measure(state_sampler, grid, trajectories, value, evaluate,
+def _measure(state_sampler, grid, trajectories, values, evaluate,
              eps_w: float, rank_margin: float) -> MeasureResult:
     """Max over sampled initial states of the integrated violation of a witness.
 
     ``trajectories(states, grid)`` gives the sampled trajectories, all in one
-    call, ``value(t, state, state_dot)`` the witness at a grid point, and
-    ``evaluate(rho0, traj, t)`` the witness off the grid, for the bisection
-    that refines the window boundaries.  Grid points within ``rank_margin``
-    of a rank change are excluded, and so is the grid point just before
-    each one (:meth:`Trajectory.rank_jump_rows`).
+    call, ``values(trajectories)`` the witness on the grid as a (T, N) array,
+    and ``evaluate(states, trajectories, columns, times)`` the witness off
+    the grid for (state, time) pairs, for the bisection that refines the
+    window boundaries.  Grid points within ``rank_margin`` of a rank change are
+    excluded, and so is the grid point just before each one
+    (:meth:`Trajectory.rank_jump_rows`).
     """
     states = list(state_sampler)
     if not states:
         raise WitnessError("state sampler yielded no states")
     grid = np.asarray(grid, dtype=float)
-
-    def one(rho0: DensityMatrix, traj: Trajectory) -> float:
-        values = np.array([value(float(t), state, dot) for t, state, dot
-                           in zip(traj.grid, traj.states, traj.derivatives)])
-        return _violation_integral(traj.grid, values, eps_w,
-                                   evaluate=lambda t: evaluate(rho0, traj, t),
-                                   excluded=traj.rank_jump_rows(rank_margin))
-
-    integrals = [one(rho0, traj) for rho0, traj in zip(states, trajectories(states, grid))]
+    trajs = trajectories(states, grid)
+    excluded = np.stack([traj.rank_jump_rows(rank_margin) for traj in trajs], axis=1)
+    integrals = _violation_integrals(grid, values(trajs), eps_w,
+                                     lambda ns, ts: evaluate(states, trajs, ns, ts), excluded)
     best = int(np.argmax(integrals))
     return MeasureResult(value=float(integrals[best]), argmax_state=states[best],
                          samples_used=len(states), sample_values=tuple(map(float, integrals)))
+
+
+def _generator_witness(generator: LindbladGenerator, times, states: np.ndarray, dots: np.ndarray,
+                       spectrum: EigenSystem) -> np.ndarray:
+    """dS/dt + Tr{Pi L_t^dag(rho_t)} for states (T, ..., d, d) at times (T,),
+    with their derivatives and spectra."""
+    return entropy_rate(spectrum, dots) + _pinned_adjoint_traces(generator, times, states,
+                                                                 spectrum.projectors())
 
 
 def measure_generator(generator: LindbladGenerator, state_sampler, grid,
@@ -402,49 +442,49 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid,
     |dS/dt + Tr{Pi L^dag rho}| is integrated over the times where it is below
     -eps_w, with bisection refinement of the window boundaries.
     """
-    def value(t: float, state, dot) -> float:
-        return entropy_rate(state, dot) + _pinned_adjoint_trace(generator, t, state)
+    def values(trajs: list[Trajectory]) -> np.ndarray:
+        return _generator_witness(generator, trajs[0].grid, *_stack(trajs))
 
-    def evaluate(rho0, traj: Trajectory, t: float) -> float:
-        state = hermitian_part(traj.state_at(t))
-        return value(t, state, generator.apply(t, state))
+    def evaluate(states, trajs, ns, ts) -> np.ndarray:
+        off_grid = hermitian_part(states_off_grid(trajs, ns, ts))
+        return _generator_witness(generator, ts, off_grid, generator.apply(ts, off_grid),
+                                  spectral_decompose(off_grid))
 
     return _measure(state_sampler, grid, lambda states, g: propagate_many(generator, states, g),
-                    value, evaluate, eps_w, rank_margin)
+                    values, evaluate, eps_w, rank_margin)
 
 
 def measure_channel(family: ChannelFamily, state_sampler, grid,
                     eps_w: float = EPS_WITNESS, eps0: float = EPSILON_STEP,
                     rank_margin: float = RANK_CHANGE_MARGIN) -> MeasureResult:
     """Max over initial states of the integrated negative part of f(t)."""
-    def value(t: float, state: DensityMatrix, dot) -> float:
-        return entropy_rate(state, dot) + epsilon_derivative(family, state, t, eps0=eps0)
+    def values(trajs: list[Trajectory]) -> np.ndarray:
+        rates, eps_terms = _f_parts(family, trajs[0].grid, *_stack(trajs), eps0=eps0)
+        return rates + eps_terms
 
-    def evaluate(rho0, traj: Trajectory, t: float) -> float:
-        return witness_f_channel(family, rho0, t, eps0=eps0)
+    def evaluate(states, trajs, ns, ts) -> np.ndarray:
+        starts = np.stack([as_matrix(states[n]) for n in ns])[:, None]  # row c at time ts[c] only
+        rates, eps_terms = _f_parts(family, ts, *family.evolve(starts, ts), eps0=eps0)
+        return (rates + eps_terms)[:, 0]
 
-    return _measure(state_sampler, grid,
-                    lambda states, g: [family.trajectory(rho0, g) for rho0 in states],
-                    value, evaluate, eps_w, rank_margin)
+    return _measure(state_sampler, grid, family.trajectories, values, evaluate, eps_w, rank_margin)
 
 
 def blp_measure(family: ChannelFamily, pair_sampler, grid) -> float:
     """Trace-distance revival measure: max over state pairs of the integrated
-    positive part of d/dt (1/2)||rho^1_t - rho^2_t||_1 (central differences)."""
+    positive part of d/dt (1/2)||rho^1_t - rho^2_t||_1 (central differences).
+
+    The maps are linear, so every pair's difference is evolved in one
+    (T, P, d, d) stack, and its trace norms come from one stacked eigvalsh.
+    """
+    pairs = list(pair_sampler)
+    if not pairs:
+        raise WitnessError("pair sampler yielded no state pairs")
     grid = np.asarray(grid, dtype=float)
-
-    def one(pair) -> float:
-        rho1, rho2 = pair
-        dists = np.array([
-            0.5 * schatten_norm(family.state(rho1, float(t)) - family.state(rho2, float(t)), 1)
-            for t in grid
-        ])
-        sigma = np.gradient(dists, grid)
-        positive = np.clip(sigma, 0.0, None)
-        return float(_trapezoid(positive, grid))
-
-    values = [one(pair) for pair in pair_sampler]
-    return max(values) if values else 0.0
+    evolved = family.states([as_matrix(rho1) - as_matrix(rho2) for rho1, rho2 in pairs], grid)
+    distances = 0.5 * np.abs(np.linalg.eigvalsh(hermitian_part(evolved))).sum(axis=-1)
+    revivals = np.clip(np.gradient(distances, grid, axis=0), 0.0, None)
+    return float(np.max(_trapezoid(revivals, grid, axis=0)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ def test_fig2_depolarizing_default_config(tmp_path):
 
 
 @pytest.mark.parametrize("scenario", ["fig1_gadc", "appendixB_damping", "appendixB_oscillatory",
-                                      "gaussian_bounds", "custom"])
+                                      "gaussian_bounds", "decoherence_measures", "custom"])
 def test_default_config_passes(scenario, tmp_path):
-    """Every builtin scenario but decoherence_measures (minutes) with its real default config."""
+    """Every builtin scenario with its real default config; decoherence_measures takes seconds."""
     status = main(["run", "--scenario", scenario, "--output-dir", str(tmp_path)])
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["passed"] is True, [c for c in report["checks"] if not c["passed"]]

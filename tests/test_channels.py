@@ -355,6 +355,16 @@ class TestLindbladEngine:
                     for x, y in zip(stack, out):
                         np.testing.assert_allclose(y, apply(t, x), atol=1e-13)
 
+    def test_array_of_times_applies_one_time_per_row(self, rng):
+        times = np.array([0.0, 0.4, 1.3])
+        for gen in _engine_generators(rng):
+            stack = np.stack([[_random_matrix(rng, 3) for _ in range(2)] for _ in times])
+            for apply in (gen.apply, gen.adjoint_apply):
+                out = apply(times, stack)
+                assert out.shape == stack.shape
+                for t, rows, images in zip(times, stack, out):
+                    np.testing.assert_allclose(images, apply(t, rows), atol=1e-13)
+
     def test_callable_hamiltonian_checked_at_every_time(self):
         gen = LindbladGenerator(2, hamiltonian=lambda t: t * np.array([[0, 1], [0, 0]]))
         np.testing.assert_allclose(gen.apply(0.0, np.eye(2) / 2), np.zeros((2, 2)))

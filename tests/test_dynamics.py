@@ -32,7 +32,7 @@ from entroflow import (
     von_neumann_entropy,
 )
 from entroflow.channels import JumpTerm, SIGMA_X, SIGMA_Y, SIGMA_Z
-from entroflow.dynamics import damping_qubit_state
+from entroflow.dynamics import Trajectory, _rk4_segment, damping_qubit_state, states_off_grid
 from entroflow.linalg import dagger
 from entroflow.sampling import random_full_rank_state, random_mixed_state
 
@@ -299,6 +299,107 @@ class TestChannelFamilies:
         np.testing.assert_allclose(step.matrix, np.diag([1.0, c, c, 1.0]), rtol=1e-12)
         assert not is_cptp(step)
         assert isinstance(fam.step(0.5, 1e-3), QuantumChannel)
+
+
+def _oscillating_family():
+    # gamma(t) = 0.5 + cos 2t is negative on (pi/3, 2pi/3): Gamma decreases there.
+    return DephasingFamily(lambda t: 0.5 * t + 0.5 * np.sin(2.0 * t))
+
+
+class TestStackedFamilyMaps:
+    """superoperators/steps over a grid are the per-time at/step maps, stacked."""
+
+    TIMES = np.array([0.0, 0.3, 1.2, 1.5, 1.9, 2.7])
+
+    @pytest.mark.parametrize("family", [
+        GadcFamily(5.0), _oscillating_family(), DephasingFamily(lambda t: t),
+        GeneratorFamily(dephasing_generator(lambda t: 0.5 + np.cos(2 * t))),
+    ], ids=["gadc", "oscillating_dephasing", "markovian_dephasing", "generator"])
+    def test_stacks_equal_per_time_maps(self, family):
+        stacked = family.superoperators(self.TIMES)
+        assert stacked.shape == (len(self.TIMES), 4, 4)
+        for t, m in zip(self.TIMES, stacked):
+            np.testing.assert_allclose(m, family.at(t).superoperator().matrix, rtol=0, atol=1e-14)
+        for eps in (1e-3, 5e-4):
+            steps = family.steps(self.TIMES, eps)
+            for t, m in zip(self.TIMES, steps):
+                np.testing.assert_allclose(m, family.step(t, eps).superoperator().matrix,
+                                           rtol=0, atol=1e-14)
+
+    def test_dephasing_steps_keep_factors_above_one(self):
+        fam = _oscillating_family()
+        t = np.array([1.2, 1.5, 1.9])  # inside (pi/3, 2pi/3)
+        factors = fam.steps(t, 1e-3)[:, 1, 1].real
+        assert np.all(factors > 1.0)
+        np.testing.assert_array_equal(
+            factors, np.exp(fam.gamma_integral(t) - fam.gamma_integral(t + 1e-3)))
+
+    def test_states_map_every_initial_state_through_every_time(self, rng):
+        fam = GadcFamily(5.0)
+        rho0s = [random_mixed_state(rng, 2) for _ in range(3)]
+        states = fam.states(rho0s, self.TIMES)
+        assert states.shape == (len(self.TIMES), 3, 2, 2)
+        for t, row in zip(self.TIMES, states):
+            for rho0, state in zip(rho0s, row):
+                np.testing.assert_allclose(state, gadc(t, 5.0).apply(rho0), atol=1e-14)
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(IntegrationError, match="negative time"):
+            GadcFamily(5.0).states([DensityMatrix.maximally_mixed(2)], [-0.1, 0.2])
+
+
+class TestStackedTrajectory:
+    """One eigh over the (T, d, d) states gives every spectral read."""
+
+    @staticmethod
+    def per_state(traj, margin):
+        states = [DensityMatrix(rho) for rho in traj.entries]
+        ranks = np.array([s.spectrum.rank for s in states])
+        rows = np.zeros(len(traj.grid), dtype=bool)
+        for k in range(len(traj.grid) - 1):
+            if ranks[k + 1] != ranks[k]:
+                rows |= np.abs(traj.grid - traj.grid[k + 1]) < margin
+                rows[k] = True
+        return (np.array([von_neumann_entropy(s) for s in states]),
+                np.array([entropy_rate(s, dot) for s, dot in zip(states, traj.derivatives)]),
+                ranks, rows)
+
+    def test_matches_per_state_formulas_with_one_eigh(self, rng, monkeypatch):
+        gen = random_qubit_generator(rng, dim=3)
+        psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+        grid = np.linspace(0.0, 0.6, 31)
+        run = propagate(gen, DensityMatrix.pure(psi), grid)  # rank 1 -> 3 at t = 0+
+        calls = count_eig_calls(monkeypatch)
+        traj = Trajectory(grid, run.entries, run.derivatives)
+        stacked = (traj.entropies(), traj.entropy_rates(), traj.ranks(), traj.rank_jump_rows(0.05))
+        assert calls == ["eigh"]
+        entropies, rates, ranks, rows = self.per_state(traj, 0.05)
+        np.testing.assert_allclose(stacked[0], entropies, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(stacked[1], rates, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(stacked[2], ranks)
+        np.testing.assert_array_equal(stacked[3], rows)
+        assert ranks[0] == 1 and ranks[-1] == 3 and rows.any()
+
+    def test_states_carry_the_stored_spectrum(self, rng, monkeypatch):
+        traj = GadcFamily(5.0).trajectory(random_mixed_state(rng, 2), np.linspace(0.0, 1.0, 11))
+        calls = count_eig_calls(monkeypatch)
+        for k, state in enumerate(traj.states):
+            np.testing.assert_array_equal(state.entries, traj.entries[k])
+            np.testing.assert_array_equal(state.spectrum.eigenvalues, traj.spectrum.eigenvalues[k])
+            assert von_neumann_entropy(state) == pytest.approx(traj.entropies()[k], abs=1e-15)
+        assert calls == []
+
+    def test_off_grid_states_match_one_state_rk4(self, rng):
+        gen = random_qubit_generator(rng, dim=3)
+        grid = np.linspace(0.0, 0.5, 11)
+        trajs = propagate_many(gen, [random_full_rank_state(rng, 3) for _ in range(3)], grid)
+        rows, times = [2, 0, 1, 2], [0.013, 0.27, 0.5, 0.449]
+        stacked = states_off_grid(trajs, rows, times)
+        for n, t, state in zip(rows, times, stacked):
+            k = int(np.argmin(np.abs(grid - t)))
+            one = _rk4_segment(gen, trajs[n].entries[k], float(grid[k]), t, 8)
+            np.testing.assert_allclose(state, one, atol=1e-14)
+            np.testing.assert_allclose(trajs[n].state_at(t), one, atol=1e-14)
 
 
 class TestClosedFormTrajectories:

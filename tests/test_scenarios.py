@@ -17,13 +17,20 @@ def test_check_result_coerces_numpy_bool_for_report_json():
 
 
 TRACE_TWO_STATE = [[[1.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [1.0, 0.0]]]
+QUTRIT_STATE = [[[p if i == j else 0.0, 0.0] for j in range(3)] for i, p in enumerate([0.34, 0.33, 0.33])]
 
 
 @pytest.mark.parametrize("scenario, key, value", [
     ("gaussian_bounds", "cutoff", 5),                     # thermal tail mass 1.3e-4
     ("appendixB_oscillatory", "margin", 0.3),             # no grid point left
     ("custom", "initial_state", TRACE_TWO_STATE),         # not a density matrix
+    ("custom", "initial_state", QUTRIT_STATE),            # 3x3 state, 2-level generator
     ("fig2_depolarizing", "starts", 0),                   # no optimizer start
+    ("fig1_gadc", "t_step", 10),                          # one grid point
+    ("decoherence_measures", "t_step", 10),               # one grid point
+    ("decoherence_measures", "n_pairs", 0),               # no pair for the trace-distance baseline
+    ("decoherence_measures", "bloch_points", -1),         # negative sample count
+    ("decoherence_measures", "n_random", 2.5),            # non-integer sample count
 ])
 def test_bad_config_fails_in_validate(scenario, key, value, tmp_path):
     config = copy.deepcopy(DEFAULT_CONFIGS[scenario])

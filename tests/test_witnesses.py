@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from entroflow import (
     DensityMatrix,
     DephasingFamily,
+    GadcFamily,
     LindbladGenerator,
     QuantumChannel,
     WitnessReport,
@@ -14,18 +15,24 @@ from entroflow import (
     entropy_change_lower_bound,
     entropy_change_upper_bound,
     entropy_rate,
+    blp_measure,
     environment_simulation_bound,
+    matrix_log_on_support,
     measure_channel,
     measure_generator,
     nonunitality_witness,
     pinsker_gap,
     propagate,
     semigroup_sandwich,
+    support_projector,
     theorem2_bound,
     unitary_channel,
+    witness_f_channel,
 )
 from entroflow.channels import JumpTerm, SIGMA_Z
+from entroflow.linalg import as_matrix, hermitian_part
 from entroflow.sampling import (
+    default_pair_sampler,
     default_state_sampler,
     random_cptp_channel,
     random_full_rank_state,
@@ -34,7 +41,7 @@ from entroflow.sampling import (
     random_unitary,
 )
 from entroflow.scenarios import _oscillating_dephasing
-from entroflow.witnesses import WitnessError, export_witness_reports, time_local_generator
+from entroflow.witnesses import WitnessError, _f_parts, export_witness_reports, time_local_generator
 
 
 def test_pinsker_gap_rejects_trace_nonincreasing_operation():
@@ -83,6 +90,14 @@ def test_nonunitality_witness_vanishes_for_unital_generator_at_full_rank(generat
     for _ in range(5):
         rho = random_full_rank_state(rng, generator.dim)
         assert abs(nonunitality_witness(generator, 0.0, rho)) <= 1e-12
+
+
+def test_theorem2_bound_reads_a_superoperator_generator(rng):
+    generator = LindbladGenerator(2, jumps=[JumpTerm(0.4, np.array([[0, 1], [0, 0]])),
+                                            JumpTerm(0.3, SIGMA_Z)])
+    for rho in (DensityMatrix.pure([1.0, 1j]), random_mixed_state(rng, 2)):
+        assert theorem2_bound(generator.superoperator(0.0), 0.0, rho) == pytest.approx(
+            theorem2_bound(generator, 0.0, rho), abs=1e-14)
 
 
 def test_nonunitality_witness_nonzero_for_unital_generator_at_pure_state():
@@ -176,3 +191,64 @@ def test_entropy_change_below_subunital_upper_bound(seed, d):
     channel = random_mixed_unitary_channel(rng, d)
     rho = random_full_rank_state(rng, d)
     assert entropy_change(channel, rho) <= entropy_change_upper_bound(channel, rho) + 1e-10
+
+
+def _f_per_point(family, rho0, t, h=1e-5, eps0=1e-3):
+    """f(t) one point at a time from the family's map objects: the state and its
+    central (one-sided before t = h) difference, the rate on the support, and the
+    Richardson pair of short-time quotients."""
+    def state(tau):
+        return family.at(tau).apply(rho0)
+
+    rho = DensityMatrix(hermitian_part(state(t)))
+    if t >= h:
+        dot = (state(t + h) - state(t - h)) / (2 * h)
+    else:
+        dot = (-3 * state(t) + 4 * state(t + h) - state(t + 2 * h)) / (2 * h)
+    rate = -np.real(np.trace(hermitian_part(dot) @ matrix_log_on_support(rho)))
+    pi = support_projector(rho).entries
+    base = np.real(np.trace(pi @ rho.entries))
+
+    def quotient(eps):
+        step = family.step(t, eps)
+        return (np.real(np.vdot(step.apply(pi), step.apply(rho.entries))) - base) / eps
+
+    return rate + 2 * quotient(eps0 / 2) - quotient(eps0)
+
+
+@pytest.mark.parametrize("family", [GadcFamily(5.0), _oscillating_dephasing(0.5, 1.0, 2.0)[1]],
+                         ids=["gadc", "oscillating_dephasing"])
+def test_stacked_f_matches_per_point_f(family, rng):
+    times = np.sort(np.concatenate([[0.0, 4e-6], rng.uniform(0.0, 3.0, 3)]))
+    states = [random_mixed_state(rng, 2), random_full_rank_state(rng, 2)]
+    for rho0 in states:  # 2 families x 2 states x 5 times = 20 points
+        stacked = witness_f_channel(family, rho0, times)
+        assert stacked.shape == times.shape
+        for t, f in zip(times, stacked):
+            assert f == pytest.approx(_f_per_point(family, rho0, t), abs=1e-10)
+            assert f == pytest.approx(witness_f_channel(family, rho0, t), abs=1e-10)
+    # Row-aligned pairs, as the measure's boundary bisection evaluates them.
+    pairs = np.stack([as_matrix(states[k % 2]) for k in range(len(times))])[:, None]
+    rates, eps_terms = _f_parts(family, times, *family.evolve(pairs, times))
+    for k, t in enumerate(times):
+        assert rates[k, 0] + eps_terms[k, 0] == pytest.approx(
+            _f_per_point(family, states[k % 2], t), abs=1e-10)
+
+
+@pytest.mark.parametrize("family", [GadcFamily(5.0), _oscillating_dephasing(0.5, 1.0, 2.0)[1]],
+                         ids=["gadc", "oscillating_dephasing"])
+def test_blp_measure_matches_per_pair_loop(family, rng):
+    pairs = default_pair_sampler(2, rng, n_pairs=20)
+    grid = np.linspace(0.0, 3.0, 151)
+    best = 0.0
+    for rho1, rho2 in pairs:
+        distances = [0.5 * np.linalg.svd(family.at(t).apply(rho1) - family.at(t).apply(rho2),
+                                         compute_uv=False).sum() for t in grid]
+        revivals = np.clip(np.gradient(distances, grid), 0.0, None)
+        best = max(best, float(np.sum(0.5 * (revivals[1:] + revivals[:-1]) * np.diff(grid))))
+    assert blp_measure(family, pairs, grid) == pytest.approx(best, abs=1e-12)
+
+
+def test_blp_measure_rejects_empty_pair_sampler():
+    with pytest.raises(WitnessError, match="no state pairs"):
+        blp_measure(DephasingFamily(lambda t: t), [], np.linspace(0.0, 1.0, 11))
