@@ -3,8 +3,12 @@
 Channels are carried in Kraus form; the superoperator matrix and the Choi
 matrix are derived caches.  Superoperator matrices use the row-stacking
 convention vec(X) = X.reshape(-1), under which the map X -> K X L has matrix
-kron(K, L.T).  Generators are kept structurally (Hamiltonian plus a list of
-rate/jump-operator pairs) so their adjoints are exact by construction.
+kron(K, L.T).  Generators keep their Hamiltonian and rate/jump-operator
+pairs, and are compiled once into sparse d^2 x d^2 matrices in that
+convention: one for all constant parts and one dissipator per time-dependent
+rate, each with its conjugate transpose, which is the matrix of the adjoint
+map.  Applying a generator or its adjoint and building its dense
+superoperator all read those matrices.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .linalg import (
     DensityMatrix,
@@ -475,41 +480,50 @@ class TailGuard:
     levels: int = 2
     bound: float = 1e-8
 
-    def check(self, state: np.ndarray) -> float:
-        pops = np.real(np.diagonal(state))[-self.levels:]
-        return float(np.sum(pops))
+    def check(self, state: np.ndarray):
+        """Population of the top ``levels`` levels: a float for one state, an
+        array for a stack (..., d, d)."""
+        pops = np.real(np.diagonal(state, axis1=-2, axis2=-1))[..., -self.levels:]
+        tails = np.sum(pops, axis=-1)
+        return float(tails) if tails.ndim == 0 else tails
 
 
-def _right_product(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ b for a stack x (..., d, d) and one matrix b, as one product of the stacked rows."""
-    return (x.reshape(-1, x.shape[-1]) @ b).reshape(x.shape)
+def _sandwich_matrix(dim: int, sandwiches) -> sparse.csr_array:
+    """Matrix of X -> sum_k c_k K_k X M_k for (c_k, K_k, M_k) in ``sandwiches``:
+    sum_k c_k kron(K_k, M_k^T) in the row-stacking convention, assembled as one
+    CSR matrix from the nonzero entries of the factors."""
+    n = dim * dim
+    if not sandwiches:
+        return sparse.csr_array((n, n), dtype=complex)
+    rows, cols, vals = [], [], []
+    for c, k, m in sandwiches:
+        m_t = m.T
+        kr, kc = np.nonzero(k)
+        mr, mc = np.nonzero(m_t)
+        rows.append((kr[:, None] * dim + mr).ravel())
+        cols.append((kc[:, None] * dim + mc).ravel())
+        vals.append((c * k[kr, kc][:, None] * m_t[mr, mc]).ravel())
+    return sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(n, n))
 
 
-def _left_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x for one matrix a and a stack x, as (x^T a^T)^T."""
-    return _right_product(x.swapaxes(-1, -2), a.T).swapaxes(-1, -2)
+def _commutator(h: np.ndarray) -> list:
+    """-i[H, X] as sandwiches."""
+    eye = np.eye(len(h), dtype=complex)
+    return [(-1j, h, eye), (1j, eye, h)]
 
 
-def _products(x: np.ndarray, per_row: bool):
-    """The (left, right) matrix products to use on x.  numpy multiplies a
-    stack of small matrices one at a time, several times slower than one
-    product of the stacked rows, so a stack of several matrices by one
-    operator goes through the stacked rows.  One matrix (the transposes'
-    copies would cost more, as for d = 40 Fock states) and operators that
-    differ per row take numpy's own product."""
-    if per_row or x.size == x.shape[-1] ** 2:
-        return np.matmul, np.matmul
-    return _left_product, _right_product
+def _dissipator(gamma: float, a: np.ndarray) -> list:
+    """gamma (A X A^dag - {A^dag A, X}/2) as sandwiches."""
+    a_dag = dagger(a)
+    ada = a_dag @ a
+    eye = np.eye(len(a), dtype=complex)
+    return [(gamma, a, a_dag), (-0.5 * gamma, ada, eye), (-0.5 * gamma, eye, ada)]
 
 
-def _at_times(t, rows: tuple[int, ...] | None, value):
-    """value(t) at one time (``rows`` None), or the values at an array of
-    times stacked to the shape ``rows`` + the value's own shape (numbers
-    as 1 x 1, to broadcast against matrices)."""
-    if rows is None:
-        return value(t)
-    values = np.array([value(float(s)) for s in t])
-    return values.reshape(rows + (values.shape[1:] or (1, 1)))
+def _constant_rate(rate) -> bool:
+    """A rate that does not depend on time: a number or a ConstantCoefficient."""
+    return isinstance(rate, ConstantCoefficient) or not callable(rate)
 
 
 class LindbladGenerator:
@@ -518,14 +532,20 @@ class LindbladGenerator:
     The Hamiltonian may be None (no coherent part), a constant matrix, or a
     callable of t.  Jump rates are numbers, coefficient objects, or callables.
 
-    Constant parts are compiled once: a constant Hamiltonian is checked for
-    Hermiticity at construction, and each constant jump operator keeps A,
-    A^dag and A^dag A.  ``apply`` then costs 2 + 2m matrix products for m
-    jump terms through the effective Hamiltonian H - (i/2) sum_i gamma_i
-    A_i^dag A_i, and accepts a stack (..., d, d) of operators.  The d^2 x d^2
-    superoperator pieces of the constant parts are built on the first
-    ``superoperator`` call only.  Callable parts are evaluated (and a
-    callable Hamiltonian checked) at every t.
+    The generator is compiled once, at construction, into sparse d^2 x d^2
+    matrices in the row-stacking convention: all constant parts (a constant
+    Hamiltonian and every jump term whose rate and operator are both
+    constant) merged into one matrix, and one dissipator D_i for each jump
+    term with a time-dependent rate and a constant operator, each with its
+    conjugate transpose.  A constant Hamiltonian is checked for Hermiticity
+    there, and it and every constant operator must be dim x dim.  A callable
+    Hamiltonian or operator is built into a matrix, and checked, at each time
+    it is evaluated.  ``apply`` reads a stack (..., d, d) as the columns
+    vec(x) of one d^2-row matrix and computes the constant matrix plus
+    sum_i gamma_i(t) D_i on it; ``adjoint_apply`` does the same with the
+    conjugate transposes, and ``superoperator`` returns the same sum as a
+    dense matrix.  A constant generator thus costs one sparse product per
+    call.
     """
 
     def __init__(self, dim: int, hamiltonian=None, jumps=(), tail_guard: TailGuard | None = None):
@@ -540,20 +560,37 @@ class LindbladGenerator:
         self.jumps = tuple(terms)
         self.tail_guard = tail_guard
         self._hamiltonian = None if callable(hamiltonian) else self._checked_hamiltonian(hamiltonian)
-        self._operators = [None if callable(term.operator) else self._operator_triple(term.operator)
-                           for term in self.jumps]
-        self._pieces: tuple[np.ndarray | None, list[np.ndarray | None]] | None = None
+        constant = [] if self._hamiltonian is None else _commutator(self._hamiltonian)
+        rated, self._callable_terms = [], []
+        for term in self.jumps:
+            if callable(term.operator):
+                self._callable_terms.append(term)
+                continue
+            a = self._checked_operator(term.operator)
+            if _constant_rate(term.rate):
+                constant += _dissipator(term.rate_at(0.0), a)
+            else:
+                rated.append((term, _sandwich_matrix(self.dim, _dissipator(1.0, a))))
+        self._callable_parts = self._hamiltonian is None or bool(self._callable_terms)
+        fixed = _sandwich_matrix(self.dim, constant)
+        self._compiled = {
+            False: (fixed, rated),
+            True: (fixed.conj().T.tocsr(), [(term, piece.conj().T.tocsr()) for term, piece in rated]),
+        }
+
+    def _checked_shape(self, a: np.ndarray, name: str) -> np.ndarray:
+        if a.shape != (self.dim, self.dim):
+            raise ChannelError(f"{name} has shape {a.shape}, but the generator acts on "
+                               f"dimension {self.dim}")
+        return a
 
     def _checked_hamiltonian(self, h) -> np.ndarray:
         if h is None:
             return np.zeros((self.dim, self.dim), dtype=complex)
-        return require_hermitian(h, name="hamiltonian")
+        return require_hermitian(self._checked_shape(as_matrix(h), "hamiltonian"), name="hamiltonian")
 
-    @staticmethod
-    def _operator_triple(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        a = np.asarray(op, dtype=complex)
-        a_dag = dagger(a)
-        return a, a_dag, a_dag @ a
+    def _checked_operator(self, op) -> np.ndarray:
+        return self._checked_shape(np.asarray(op, dtype=complex), "jump operator")
 
     def hamiltonian_at(self, t: float) -> np.ndarray:
         if self._hamiltonian is not None:
@@ -563,27 +600,33 @@ class LindbladGenerator:
     def terms_at(self, t: float) -> list[tuple[float, np.ndarray]]:
         return [(term.rate_at(t), term.operator_at(t)) for term in self.jumps]
 
-    def _effective_at(self, t, ndim: int = 2):
-        """H_eff = H - (i/2) sum_i gamma_i A_i^dag A_i at t, and the (gamma_i, A_i, A_i^dag).
+    def _built_at(self, t: float, adjoint: bool) -> sparse.sparray:
+        """The callable Hamiltonian and callable-operator terms at t, built
+        (and checked) now as one matrix; its conjugate transpose for the adjoint."""
+        sandwiches = [] if self._hamiltonian is not None else _commutator(self.hamiltonian_at(t))
+        for term in self._callable_terms:
+            sandwiches += _dissipator(term.rate_at(t), self._checked_operator(term.operator(t)))
+        m = _sandwich_matrix(self.dim, sandwiches)
+        return m.conj().T if adjoint else m
 
-        ``t`` may be an array of times, one for each entry along the first
-        axis of a stack with ``ndim`` axes; the parts that depend on time are
-        then stacked over the times and shaped to broadcast against it.
-        """
-        rows = None if np.ndim(t) == 0 else (len(t),) + (1,) * (ndim - 3)
-        h_eff = self._hamiltonian
-        if h_eff is None:
-            h_eff = _at_times(t, rows, self.hamiltonian_at)
-        terms = []
-        for term, triple in zip(self.jumps, self._operators):
-            if triple is None:
-                triple = np.moveaxis(_at_times(
-                    t, rows, lambda s: np.stack(self._operator_triple(term.operator(s)))), -3, 0)
-            a, a_dag, ada = triple
-            gamma = _at_times(t, rows, term.rate_at)
-            h_eff = h_eff - (0.5j * gamma) * ada
-            terms.append((gamma, a, a_dag))
-        return h_eff, terms
+    def _act(self, t, x: np.ndarray, adjoint: bool) -> np.ndarray:
+        """L_t(x), or L_t^dag(x), for a stack x (..., d, d) at one time or at
+        an array of times, one for each entry along the first axis."""
+        d = self.dim
+        if x.shape[-2:] != (d, d):
+            raise ChannelError(f"operator shape {x.shape} does not match dim {d}")
+        cols = x.reshape(-1, d * d).T
+        fixed, rated = self._compiled[adjoint]
+        out = fixed @ cols
+        times = np.atleast_1d(t)
+        per_time = cols.shape[1] // len(times)
+        for term, piece in rated:
+            out += np.repeat([term.rate_at(float(s)) for s in times], per_time) * (piece @ cols)
+        if self._callable_parts:
+            for k, s in enumerate(times):
+                block = slice(k * per_time, (k + 1) * per_time)
+                out[:, block] += self._built_at(float(s), adjoint) @ cols[:, block]
+        return out.T.reshape(x.shape)
 
     def apply(self, t, rho) -> np.ndarray:
         """L_t(rho) for one operator or a stack (..., d, d).
@@ -591,54 +634,26 @@ class LindbladGenerator:
         ``t`` is one time, or an array of times, one for each entry along
         the first axis of the stack.
         """
-        x = as_matrix(rho)
-        h_eff, terms = self._effective_at(t, x.ndim)
-        left, right = _products(x, np.ndim(t) > 0)
-        out = -1j * (left(h_eff, x) - right(x, dagger(h_eff)))
-        for gamma, a, a_dag in terms:
-            out += gamma * right(left(a, x), a_dag)
-        return out
+        return self._act(t, as_matrix(rho), adjoint=False)
 
     def adjoint_apply(self, t, x) -> np.ndarray:
         """L_t^dag(x) for one operator or a stack (..., d, d), with ``t`` as in :meth:`apply`."""
-        y = as_matrix(x)
-        h_eff, terms = self._effective_at(t, y.ndim)
-        left, right = _products(y, np.ndim(t) > 0)
-        out = 1j * (left(dagger(h_eff), y) - right(y, h_eff))
-        for gamma, a, a_dag in terms:
-            out += gamma * right(left(a_dag, y), a)
-        return out
-
-    def _hamiltonian_piece(self, h: np.ndarray) -> np.ndarray:
-        eye = np.eye(self.dim, dtype=complex)
-        return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-
-    def _dissipator_piece(self, triple) -> np.ndarray:
-        a, _, ada = triple
-        eye = np.eye(self.dim, dtype=complex)
-        return np.kron(a, a.conj()) - 0.5 * np.kron(ada, eye) - 0.5 * np.kron(eye, ada.T)
+        return self._act(t, as_matrix(x), adjoint=True)
 
     def superoperator(self, t: float) -> SuperOperator:
-        """Matrix of L_t: the Hamiltonian piece plus sum_i gamma_i(t) D_i."""
-        if self._pieces is None:
-            h_piece = None if self._hamiltonian is None else self._hamiltonian_piece(self._hamiltonian)
-            self._pieces = (h_piece, [None if triple is None else self._dissipator_piece(triple)
-                                      for triple in self._operators])
-        h_piece, dissipators = self._pieces
-        m = self._hamiltonian_piece(self.hamiltonian_at(t)) if h_piece is None else h_piece.copy()
-        for term, piece in zip(self.jumps, dissipators):
-            if piece is None:
-                piece = self._dissipator_piece(self._operator_triple(term.operator(t)))
-            m += term.rate_at(t) * piece
+        """Matrix of L_t: the compiled constant matrix plus sum_i gamma_i(t) D_i, dense."""
+        fixed, rated = self._compiled[False]
+        m = fixed.toarray()
+        for term, piece in rated:
+            m += term.rate_at(t) * piece.toarray()
+        if self._callable_parts:
+            m += self._built_at(t, adjoint=False).toarray()
         return SuperOperator(m, dim_in=self.dim, dim_out=self.dim)
 
     def is_time_independent(self) -> bool:
         constant_h = not callable(self.hamiltonian)
-        constant_terms = all(
-            (isinstance(term.rate, ConstantCoefficient) or not callable(term.rate))
-            and not callable(term.operator)
-            for term in self.jumps
-        )
+        constant_terms = all(_constant_rate(term.rate) and not callable(term.operator)
+                             for term in self.jumps)
         return constant_h and constant_terms
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from ._util import central_difference, one_sided_difference, time_derivative, write_csv
+from ._util import one_sided_difference, time_derivative, write_csv
 from .channels import (
     ChannelError,
     LindbladGenerator,
@@ -36,11 +36,11 @@ from .linalg import (
     EigenSystem,
     LinalgError,
     SupportProjector,
+    _entropies,
     as_matrix,
     check_density_stack,
     hermitian_part,
     spectral_decompose,
-    von_neumann_entropy,
 )
 
 __all__ = [
@@ -309,7 +309,7 @@ def propagate_many(generator: LindbladGenerator, states, grid,
             )
         current, spectrum, defect = _clean(trial, t1)
         if guard is not None:
-            tails = np.array([guard.check(state) for state in current])
+            tails = guard.check(current)
             breached = tails > guard.bound
             if breached.any():
                 if on_tail_breach == "raise":
@@ -447,38 +447,48 @@ def _rank_change_distance(rho, rho_dot) -> float:
     return float(lam_min) / speed
 
 
-def entropy_rate_fd(traj: Trajectory, index: int, h: float = 1e-4,
-                    richardson: bool = False) -> float:
-    """Finite-difference entropy rate at a grid point, as an oracle.
+def _entropy_rates_fd(traj: Trajectory, indices, h: float = 1e-4,
+                      richardson: bool = False) -> np.ndarray:
+    """Finite-difference entropy rates at the grid points ``indices``, as an oracle.
 
-    Central difference (S(t+h) - S(t-h)) / 2h using the closed form when the
+    Central differences (S(t+h) - S(t-h)) / 2h using the closed form when the
     trajectory has one, a short local integration when it has a generator,
     and the neighboring grid states otherwise (then h is the grid spacing).
     ``richardson=True`` combines the h and h/2 stencils for fourth-order
     accuracy, which matters near rank-change instants.  Off the grid, h is
-    capped at 1 % of the estimated distance to the nearest rank change,
-    lambda_min / |<v_min| rho_dot |v_min>|, so that neither stencil reaches
-    across it.
+    capped at each point at 1 % of the estimated distance to the nearest rank
+    change, lambda_min / |<v_min| rho_dot |v_min>|, so that neither stencil
+    reaches across it.  The entropies of every stencil state come from one
+    stacked eigvalsh.
     """
-    t = float(traj.grid[index])
-
+    indices = np.asarray(indices, dtype=int)
     if traj.state_fn is None and traj.generator is None:
-        if index <= 0 or index >= len(traj) - 1:
+        if np.any((indices <= 0) | (indices >= len(traj) - 1)):
             raise IndexError("finite differences need an interior grid point")
-        h = float(traj.grid[index + 1] - traj.grid[index])
-        s_minus, _, s_plus = traj.spectrum[index - 1:index + 2].entropies()
-        return (s_plus - s_minus) / (2.0 * h)
+        spacing = traj.grid[indices + 1] - traj.grid[indices]
+        entropies = traj.entropies()
+        return (entropies[indices + 1] - entropies[indices - 1]) / (2.0 * spacing)
 
-    h = min(h, 0.01 * _rank_change_distance(traj.spectrum[index], traj.derivatives[index]))
+    caps = [0.01 * _rank_change_distance(traj.spectrum[k], traj.derivatives[k]) for k in indices]
+    coarse = np.minimum(h, caps)
+    steps = np.stack([coarse, 0.5 * coarse] if richardson else [coarse])
+    t = traj.grid[indices]
+    taus = np.stack([t + steps, t - steps]).ravel()
+    if traj.state_fn is not None:
+        states = np.stack([as_matrix(traj.state_fn(float(tau))) for tau in taus])
+    else:
+        states = states_off_grid([traj], np.zeros(len(taus), dtype=int), taus)
+    s_plus, s_minus = _entropies(np.linalg.eigvalsh(hermitian_part(states))).reshape(
+        (2,) + steps.shape)
+    rates = (s_plus - s_minus) / (2.0 * steps)
+    return (4.0 * rates[1] - rates[0]) / 3.0 if richardson else rates[0]
 
-    def entropy_at(tau: float) -> float:
-        return von_neumann_entropy(hermitian_part(traj.state_at(tau)))
 
-    coarse = central_difference(entropy_at, t, h)
-    if not richardson:
-        return coarse
-    fine = central_difference(entropy_at, t, 0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+def entropy_rate_fd(traj: Trajectory, index: int, h: float = 1e-4,
+                    richardson: bool = False) -> float:
+    """Finite-difference entropy rate at one grid point: the one-index case
+    of the stacked oracle, with the same stencils and step cap."""
+    return float(_entropy_rates_fd(traj, [index], h=h, richardson=richardson)[0])
 
 
 @dataclass(frozen=True)

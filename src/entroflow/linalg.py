@@ -167,9 +167,16 @@ class EigenSystem:
 
     def entropies(self) -> np.ndarray:
         """-sum lambda log lambda in nats, with the 0 log 0 = 0 convention."""
-        lam = np.clip(self.eigenvalues[..., ::-1], 0.0, None)
-        positive = lam > 0.0
-        return -np.sum(np.where(positive, lam * np.log(np.where(positive, lam, 1.0)), 0.0), axis=-1)
+        return _entropies(self.eigenvalues[..., ::-1])
+
+
+def _entropies(eigenvalues: np.ndarray) -> np.ndarray:
+    """-sum lambda log lambda over the last axis of (..., d) eigenvalues, in
+    nats, with 0 log 0 = 0; summed in ascending order, as eigh and eigvalsh
+    return them."""
+    lam = np.clip(eigenvalues, 0.0, None)
+    positive = lam > 0.0
+    return -np.sum(np.where(positive, lam * np.log(np.where(positive, lam, 1.0)), 0.0), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,9 @@ from .dynamics import (
     DephasingFamily,
     GadcFamily,
     Trajectory,
+    _entropy_rates_fd,
     closed_form_trajectory,
     damping_qubit_state,
-    entropy_rate_fd,
     export_trajectory,
     oscillating_qubit_state,
     propagate,
@@ -207,9 +207,7 @@ def run_fig2_depolarizing(params: dict, outdir: Path, seed: int) -> tuple[list[C
 
 def _closed_form_rate_table(traj: Trajectory, fd_h: float):
     rates = traj.entropy_rates()
-    rates_fd = np.array([
-        entropy_rate_fd(traj, k, h=fd_h, richardson=True) for k in range(len(traj))
-    ])
+    rates_fd = _entropy_rates_fd(traj, np.arange(len(traj)), h=fd_h, richardson=True)
     return rates, rates_fd
 
 
@@ -289,10 +287,8 @@ def run_gaussian_bounds(params: dict, outdir: Path, seed: int):
         traj = propagate(generator, rho0, grid, on_tail_breach="truncate")
         expected = gp - gm
         rates = traj.entropy_rates()
-        bounds = np.array([
-            witnesses.theorem2_bound(generator, float(t), state)
-            for t, state in zip(traj.grid, traj.states)
-        ])
+        bounds = -witnesses._pinned_adjoint_traces(generator, traj.grid, traj.entries,
+                                                   traj.spectrum.projectors())
         for t, r, b in zip(traj.grid, rates, bounds):
             rows.append((kind, t, r, b))
         worst_gap = float(np.min(rates - bounds))

@@ -24,6 +24,7 @@ from entroflow import (
     unitary_channel,
     von_neumann_entropy,
 )
+from entroflow import channels
 from entroflow.channels import (
     ConstantCoefficient,
     CosineSquaredCoefficient,
@@ -380,6 +381,128 @@ class TestLindbladEngine:
         assert dephasing_generator(1.0).is_time_independent()
         assert not dephasing_generator(lambda t: 1.0 + t).is_time_independent()
         assert not LindbladGenerator(2, hamiltonian=lambda t: SIGMA_Z).is_time_independent()
+
+
+def _dense_lindblad(h, terms, x, adjoint=False):
+    """-i[H, x] + sum gamma (A x A^dag - {A^dag A, x}/2), or its adjoint
+    i[H, x] + sum gamma (A^dag x A - {A^dag A, x}/2), with plain numpy
+    products on one operator or a stack."""
+    sign = 1j if adjoint else -1j
+    out = sign * (h @ x - x @ h)
+    for gamma, a in terms:
+        a_dag = dagger(a)
+        ada = a_dag @ a
+        sandwich = a_dag @ x @ a if adjoint else a @ x @ a_dag
+        out = out + gamma * (sandwich - 0.5 * (ada @ x + x @ ada))
+    return out
+
+
+def _dense_lindblad_matrix(h, terms):
+    """Row-stacking matrix of the reference map, one basis matrix per column."""
+    d = h.shape[0]
+    basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return _dense_lindblad(h, terms, basis).reshape(d * d, d * d).T
+
+
+def _assert_close(actual, expected, rtol=1e-12):
+    assert np.linalg.norm(actual - expected) <= rtol * np.linalg.norm(expected)
+
+
+def _reference_cases(rng):
+    """(generator, parts) pairs; parts(t) gives the Hamiltonian and the
+    (rate, operator) list that the generator holds at time t."""
+    h = _random_matrix(rng, 3)
+    h = 0.5 * (h + dagger(h))
+    a, b = _random_matrix(rng, 3), _random_matrix(rng, 3)
+    cos2 = CosineSquaredCoefficient(omega=1.3, scale=0.4)
+    decay = ExponentialCoefficient(decay=0.8, scale=1.1)
+    return [
+        (LindbladGenerator(3, hamiltonian=h, jumps=[JumpTerm(0.7, a), JumpTerm(0.3, b)]),
+         lambda t: (h, [(0.7, a), (0.3, b)])),
+        (LindbladGenerator(3, hamiltonian=h, jumps=[
+            JumpTerm(0.7, a), JumpTerm(cos2, b), JumpTerm(decay, a), JumpTerm(lambda t: np.sin(3 * t), b)]),
+         lambda t: (h, [(0.7, a), (cos2(t), b), (decay(t), a), (np.sin(3 * t), b)])),
+        (LindbladGenerator(3, hamiltonian=lambda t: np.cos(t) * h, jumps=[
+            JumpTerm(lambda t: 0.2 + np.sin(t), lambda t: a + t * b), JumpTerm(0.5, b)]),
+         lambda t: (np.cos(t) * h, [(0.2 + np.sin(t), a + t * b), (0.5, b)])),
+    ]
+
+
+class TestLindbladAgainstDenseReference:
+    """apply, adjoint_apply and superoperator(t) against plain numpy products."""
+
+    def test_apply_and_adjoint_apply(self, rng):
+        for gen, parts in _reference_cases(rng):
+            for t in (0.0, 0.35, 1.7):
+                h, terms = parts(t)
+                single = _random_matrix(rng, 3)  # not Hermitian
+                stack = np.stack([_random_matrix(rng, 3) for _ in range(4)])
+                for x in (single, stack):
+                    _assert_close(gen.apply(t, x), _dense_lindblad(h, terms, x))
+                    _assert_close(gen.adjoint_apply(t, x), _dense_lindblad(h, terms, x, adjoint=True))
+
+    def test_superoperator(self, rng):
+        for gen, parts in _reference_cases(rng):
+            for t in (0.0, 0.35, 1.7):
+                _assert_close(gen.superoperator(t).matrix, _dense_lindblad_matrix(*parts(t)))
+
+    def test_array_of_times_one_per_row(self, rng):
+        times = np.array([0.0, 0.4, 1.3])
+        for gen, parts in _reference_cases(rng):
+            stack = np.stack([[_random_matrix(rng, 3) for _ in range(2)] for _ in times])
+            for adjoint, apply in ((False, gen.apply), (True, gen.adjoint_apply)):
+                expected = np.stack([_dense_lindblad(*parts(t), rows, adjoint=adjoint)
+                                     for t, rows in zip(times, stack)])
+                _assert_close(apply(times, stack), expected)
+
+    def test_bosonic_generator_at_cutoff_40(self, rng):
+        gen = bosonic_generator(0.8, 0.3, 40)
+        a = annihilation_operator(40)
+        h, terms = np.zeros((40, 40), dtype=complex), [(0.8, dagger(a)), (0.3, a)]
+        stack = np.stack([_random_matrix(rng, 40) for _ in range(3)])
+        _assert_close(gen.apply(0.5, stack), _dense_lindblad(h, terms, stack))
+        _assert_close(gen.adjoint_apply(0.5, stack), _dense_lindblad(h, terms, stack, adjoint=True))
+        s = gen.superoperator(0.5).matrix
+        _assert_close((stack.reshape(3, -1) @ s.T).reshape(stack.shape), _dense_lindblad(h, terms, stack))
+
+    def test_constant_generator_builds_no_piece_per_call(self, rng, monkeypatch):
+        built = []
+        compile_matrix = channels._sandwich_matrix
+        monkeypatch.setattr(channels, "_sandwich_matrix",
+                            lambda *args: built.append(1) or compile_matrix(*args))
+        constant, rated, timed = [gen for gen, _ in _reference_cases(rng)]
+        at_construction = len(built)
+        x = _random_matrix(rng, 3)
+        for gen in (constant, rated):  # constant operators, with constant or time-dependent rates
+            for t in (0.0, 0.5, np.array([0.1, 0.2])):
+                y = x if np.ndim(t) == 0 else np.stack([x, x])
+                gen.apply(t, y)
+                gen.adjoint_apply(t, y)
+            gen.superoperator(0.3)
+        assert len(built) == at_construction
+        timed.apply(0.5, x)  # callable parts are built at every evaluation
+        assert len(built) == at_construction + 1
+
+
+class TestLindbladShapes:
+    def test_mis_sized_constant_parts_rejected_at_construction(self):
+        with pytest.raises(ChannelError, match="jump operator has shape"):
+            LindbladGenerator(2, jumps=[JumpTerm(0.5, np.eye(3))])
+        with pytest.raises(ChannelError, match="hamiltonian has shape"):
+            LindbladGenerator(2, hamiltonian=np.eye(3))
+
+    def test_mis_sized_callable_parts_rejected_when_evaluated(self):
+        gen = LindbladGenerator(2, jumps=[JumpTerm(0.5, lambda t: np.eye(2 + int(t > 1)))])
+        gen.apply(0.5, np.eye(2))
+        with pytest.raises(ChannelError, match="jump operator has shape"):
+            gen.apply(1.5, np.eye(2))
+        gen = LindbladGenerator(2, hamiltonian=lambda t: np.eye(3))
+        with pytest.raises(ChannelError, match="hamiltonian has shape"):
+            gen.superoperator(0.0)
+
+    def test_mis_sized_input_rejected(self):
+        with pytest.raises(ChannelError, match="does not match dim"):
+            dephasing_generator(1.0).apply(0.0, np.eye(4))
 
 
 class TestSerialization:

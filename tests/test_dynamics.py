@@ -32,8 +32,17 @@ from entroflow import (
     von_neumann_entropy,
 )
 from entroflow.channels import JumpTerm, SIGMA_X, SIGMA_Y, SIGMA_Z
-from entroflow.dynamics import Trajectory, _rk4_segment, damping_qubit_state, states_off_grid
-from entroflow.linalg import dagger
+from entroflow._util import central_difference
+from entroflow.dynamics import (
+    Trajectory,
+    _entropy_rates_fd,
+    _rank_change_distance,
+    _rk4_segment,
+    damping_qubit_state,
+    oscillating_qubit_state,
+    states_off_grid,
+)
+from entroflow.linalg import dagger, hermitian_part
 from entroflow.sampling import random_full_rank_state, random_mixed_state
 
 DAMPING_RATE_AT_ONE = -0.19914228500721254  # e^-1 log(e^-1 / (1 - e^-1))
@@ -202,6 +211,23 @@ class TestEntropyRateFd:
         extrapolated = entropy_rate_fd(traj, 1, h=1e-4, richardson=True)
         assert abs(extrapolated - exact) <= 1e-6
         assert abs(extrapolated - exact) < abs(plain - exact)
+
+    def test_stacked_table_matches_pointwise_stencils(self):
+        # Points next to the rank changes at t = 1/2 and 1 take a capped step.
+        grid = np.array([0.1, 0.3, 0.499, 0.7, 0.9995])
+        traj = oscillating_qubit_trajectory(grid)
+        table = _entropy_rates_fd(traj, np.arange(len(grid)), h=1e-4, richardson=True)
+
+        def entropy_at(tau):
+            return von_neumann_entropy(hermitian_part(oscillating_qubit_state(tau)))
+
+        for k, t in enumerate(grid):
+            h = min(1e-4, 0.01 * _rank_change_distance(traj.spectrum[k], traj.derivatives[k]))
+            coarse = central_difference(entropy_at, t, h)
+            fine = central_difference(entropy_at, t, 0.5 * h)
+            assert table[k] == pytest.approx((4.0 * fine - coarse) / 3.0, rel=1e-12, abs=1e-12)
+            assert entropy_rate_fd(traj, k, h=1e-4, richardson=True) == table[k]
+        assert 0.01 * _rank_change_distance(traj.spectrum[4], traj.derivatives[4]) < 1e-4
 
     def test_grid_only_uses_neighbors(self, rng):
         from entroflow.dynamics import Trajectory

@@ -18,6 +18,11 @@ def test_check_result_coerces_numpy_bool_for_report_json():
 
 TRACE_TWO_STATE = [[[1.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [1.0, 0.0]]]
 QUTRIT_STATE = [[[p if i == j else 0.0, 0.0] for j in range(3)] for i, p in enumerate([0.34, 0.33, 0.33])]
+QUTRIT_MATRIX = [[[1.0 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
+QUTRIT_JUMP_GENERATOR = {"kind": "lindblad_generator", "dim": 2, "hamiltonian": None,
+                         "jumps": [{"rate": {"type": "constant", "value": 0.5}, "operator": QUTRIT_MATRIX}]}
+QUTRIT_HAMILTONIAN_GENERATOR = {**QUTRIT_JUMP_GENERATOR, "hamiltonian": QUTRIT_MATRIX,
+                                "jumps": DEFAULT_CONFIGS["custom"]["parameters"]["generator"]["jumps"]}
 
 
 @pytest.mark.parametrize("scenario, key, value", [
@@ -25,6 +30,8 @@ QUTRIT_STATE = [[[p if i == j else 0.0, 0.0] for j in range(3)] for i, p in enum
     ("appendixB_oscillatory", "margin", 0.3),             # no grid point left
     ("custom", "initial_state", TRACE_TWO_STATE),         # not a density matrix
     ("custom", "initial_state", QUTRIT_STATE),            # 3x3 state, 2-level generator
+    ("custom", "generator", QUTRIT_JUMP_GENERATOR),       # 3x3 jump operator, dim 2
+    ("custom", "generator", QUTRIT_HAMILTONIAN_GENERATOR),  # 3x3 Hamiltonian, dim 2
     ("fig2_depolarizing", "starts", 0),                   # no optimizer start
     ("fig1_gadc", "t_step", 10),                          # one grid point
     ("decoherence_measures", "t_step", 10),               # one grid point
