@@ -533,19 +533,21 @@ class LindbladGenerator:
     callable of t.  Jump rates are numbers, coefficient objects, or callables.
 
     The generator is compiled once, at construction, into sparse d^2 x d^2
-    matrices in the row-stacking convention: all constant parts (a constant
+    blocks in the row-stacking convention: all constant parts (a constant
     Hamiltonian and every jump term whose rate and operator are both
-    constant) merged into one matrix, and one dissipator D_i for each jump
-    term with a time-dependent rate and a constant operator, each with its
-    conjugate transpose.  A constant Hamiltonian is checked for Hermiticity
-    there, and it and every constant operator must be dim x dim.  A callable
-    Hamiltonian or operator is built into a matrix, and checked, at each time
-    it is evaluated.  ``apply`` reads a stack (..., d, d) as the columns
-    vec(x) of one d^2-row matrix and computes the constant matrix plus
-    sum_i gamma_i(t) D_i on it; ``adjoint_apply`` does the same with the
-    conjugate transposes, and ``superoperator`` returns the same sum as a
-    dense matrix.  A constant generator thus costs one sparse product per
-    call.
+    constant) merged into one block L_0, and one dissipator D_i for each
+    jump term with a time-dependent rate and a constant operator.  The
+    blocks are stacked vertically into one CSR matrix [L_0; D_1; ...; D_m],
+    and their conjugate transposes into a second one for the adjoint.  A
+    constant Hamiltonian is checked for Hermiticity there, and it and every
+    constant operator must be dim x dim.  A callable Hamiltonian or operator
+    is built into a matrix, and checked, at each time it is evaluated.
+    ``apply`` reads a stack (..., d, d) as the columns vec(x) of one
+    d^2-row matrix, multiplies the stacked matrix onto them once, and
+    combines the row blocks as L_0 x + sum_i gamma_i(t) D_i x;
+    ``adjoint_apply`` does the same with the conjugate transposes, and
+    ``superoperator`` returns the same sum of the same blocks as a dense
+    matrix.  Every call thus costs one sparse product.
     """
 
     def __init__(self, dim: int, hamiltonian=None, jumps=(), tail_guard: TailGuard | None = None):
@@ -561,7 +563,7 @@ class LindbladGenerator:
         self.tail_guard = tail_guard
         self._hamiltonian = None if callable(hamiltonian) else self._checked_hamiltonian(hamiltonian)
         constant = [] if self._hamiltonian is None else _commutator(self._hamiltonian)
-        rated, self._callable_terms = [], []
+        rated, dissipators, self._callable_terms = [], [], []
         for term in self.jumps:
             if callable(term.operator):
                 self._callable_terms.append(term)
@@ -570,12 +572,14 @@ class LindbladGenerator:
             if _constant_rate(term.rate):
                 constant += _dissipator(term.rate_at(0.0), a)
             else:
-                rated.append((term, _sandwich_matrix(self.dim, _dissipator(1.0, a))))
+                rated.append(term)
+                dissipators.append(_sandwich_matrix(self.dim, _dissipator(1.0, a)))
+        blocks = [_sandwich_matrix(self.dim, constant)] + dissipators
+        self._rated_terms = tuple(rated)
         self._callable_parts = self._hamiltonian is None or bool(self._callable_terms)
-        fixed = _sandwich_matrix(self.dim, constant)
         self._compiled = {
-            False: (fixed, rated),
-            True: (fixed.conj().T.tocsr(), [(term, piece.conj().T.tocsr()) for term, piece in rated]),
+            False: sparse.vstack(blocks, format="csr"),
+            True: sparse.vstack([b.conj().T.tocsr() for b in blocks], format="csr"),
         }
 
     def _checked_shape(self, a: np.ndarray, name: str) -> np.ndarray:
@@ -615,13 +619,15 @@ class LindbladGenerator:
         d = self.dim
         if x.shape[-2:] != (d, d):
             raise ChannelError(f"operator shape {x.shape} does not match dim {d}")
-        cols = x.reshape(-1, d * d).T
-        fixed, rated = self._compiled[adjoint]
-        out = fixed @ cols
+        n = d * d
+        cols = x.reshape(-1, n).T
+        blocks = self._compiled[adjoint] @ cols
+        out = blocks[:n]
         times = np.atleast_1d(t)
         per_time = cols.shape[1] // len(times)
-        for term, piece in rated:
-            out += np.repeat([term.rate_at(float(s)) for s in times], per_time) * (piece @ cols)
+        for i, term in enumerate(self._rated_terms, start=1):
+            rates = np.repeat([term.rate_at(float(s)) for s in times], per_time)
+            out += rates * blocks[i * n:(i + 1) * n]
         if self._callable_parts:
             for k, s in enumerate(times):
                 block = slice(k * per_time, (k + 1) * per_time)
@@ -641,11 +647,12 @@ class LindbladGenerator:
         return self._act(t, as_matrix(x), adjoint=True)
 
     def superoperator(self, t: float) -> SuperOperator:
-        """Matrix of L_t: the compiled constant matrix plus sum_i gamma_i(t) D_i, dense."""
-        fixed, rated = self._compiled[False]
-        m = fixed.toarray()
-        for term, piece in rated:
-            m += term.rate_at(t) * piece.toarray()
+        """Matrix of L_t: the compiled block L_0 plus sum_i gamma_i(t) D_i, dense."""
+        n = self.dim * self.dim
+        blocks = self._compiled[False].toarray()
+        m = blocks[:n]
+        for i, term in enumerate(self._rated_terms, start=1):
+            m += term.rate_at(t) * blocks[i * n:(i + 1) * n]
         if self._callable_parts:
             m += self._built_at(t, adjoint=False).toarray()
         return SuperOperator(m, dim_in=self.dim, dim_out=self.dim)
@@ -676,10 +683,33 @@ def depolarizing_generator(dim: int, rate: float) -> LindbladGenerator:
     return LindbladGenerator(dim, jumps=jumps)
 
 
-def annihilation_operator(cutoff: int) -> np.ndarray:
-    """Truncated field-mode annihilation operator, a|n> = sqrt(n)|n-1>."""
+def check_cutoff(cutoff: int) -> None:
+    """A truncated mode keeps at least two Fock levels."""
     if cutoff < 2:
         raise ChannelError("cutoff must be at least 2")
+
+
+def check_bosonic_rates(gamma_plus: float, gamma_minus: float) -> None:
+    """Both rates of a phase-insensitive bosonic generator are non-negative."""
+    if gamma_plus < 0 or gamma_minus < 0:
+        raise ChannelError("bosonic rates must be non-negative")
+
+
+def check_thermal_tail(mean_photons: float, cutoff: int, tail_atol: float = 1e-8) -> None:
+    """A non-negative mean photon number whose thermal tail beyond the
+    cutoff, (N/(N+1))^cutoff, stays within ``tail_atol`` (the vacuum has none)."""
+    if mean_photons < 0:
+        raise ChannelError("mean photon number must be non-negative")
+    tail = (mean_photons / (mean_photons + 1.0))**cutoff if mean_photons > 0 else 0.0
+    if tail > tail_atol:
+        raise ChannelError(
+            f"cutoff {cutoff} insufficient for N={mean_photons}: tail mass {tail:.3e}"
+        )
+
+
+def annihilation_operator(cutoff: int) -> np.ndarray:
+    """Truncated field-mode annihilation operator, a|n> = sqrt(n)|n-1>."""
+    check_cutoff(cutoff)
     return np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
 
 
@@ -692,8 +722,7 @@ def bosonic_generator(gamma_plus: float, gamma_minus: float, cutoff: int,
     generator carries a tail guard: propagation is trusted only while the
     population of the top two levels stays below ``tail_bound``.
     """
-    if gamma_plus < 0 or gamma_minus < 0:
-        raise ChannelError("bosonic rates must be non-negative")
+    check_bosonic_rates(gamma_plus, gamma_minus)
     a = annihilation_operator(cutoff)
     jumps = [
         JumpTerm(ConstantCoefficient(float(gamma_plus)), dagger(a)),
@@ -710,17 +739,11 @@ def thermal_state(mean_photons: float, cutoff: int, tail_atol: float = 1e-8) -> 
     otherwise the cutoff is declared insufficient.  The retained weights are
     renormalized.
     """
-    if mean_photons < 0:
-        raise ChannelError("mean photon number must be non-negative")
+    check_thermal_tail(mean_photons, cutoff, tail_atol)
     if mean_photons == 0:
         probs = np.zeros(cutoff)
         probs[0] = 1.0
         return DensityMatrix.diagonal(probs)
     ratio = mean_photons / (mean_photons + 1.0)
-    tail = ratio**cutoff
-    if tail > tail_atol:
-        raise ChannelError(
-            f"cutoff {cutoff} insufficient for N={mean_photons}: tail mass {tail:.3e}"
-        )
     probs = ratio ** np.arange(cutoff) / (mean_photons + 1.0)
     return DensityMatrix.diagonal(probs / probs.sum())

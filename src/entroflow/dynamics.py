@@ -40,6 +40,7 @@ from .linalg import (
     as_matrix,
     check_density_stack,
     hermitian_part,
+    require_hermitian,
     spectral_decompose,
 )
 
@@ -89,7 +90,9 @@ class Trajectory:
     matrices).  Entropies, logarithms on the supports, supports, ranks and
     entropy rates are array expressions over that one spectrum, and
     ``states`` reads the states as :class:`DensityMatrix` objects carrying
-    their part of it.
+    their part of it.  The support check at construction computes the
+    expectations <v_i|rho_dot|v_i> of the derivatives in the eigenbases
+    once, and ``entropy_rates`` reads them.
 
     ``states`` may be given as a (T, d, d) array or a sequence of matrices,
     which one stacked eigh validates (:func:`check_density_stack`), or as
@@ -140,8 +143,8 @@ class Trajectory:
         steady = np.ones(len(ranks), dtype=bool)  # the rank does not change next to k
         steady[1:] &= ranks[1:] == ranks[:-1]
         steady[:-1] &= ranks[:-1] == ranks[1:]
-        on_support = np.where(self.spectrum.support_mask(),
-                              self.spectrum.expectations(self.derivatives), 0.0)
+        self._expectations = self.spectrum.expectations(self.derivatives)
+        on_support = np.where(self.spectrum.support_mask(), self._expectations, 0.0)
         pinned = np.abs(on_support.sum(axis=-1))
         bad = np.flatnonzero(steady & (pinned > SUPPORT_DOT_ATOL))
         if bad.size:
@@ -183,7 +186,7 @@ class Trajectory:
         return self.spectrum.entropies()
 
     def entropy_rates(self) -> np.ndarray:
-        return entropy_rate(self.spectrum, self.derivatives)
+        return _entropy_rates(self.spectrum, self._expectations)
 
     def state_at(self, t: float, steps: int = 8) -> np.ndarray:
         """State at an off-grid time, from the closed form or a local integration."""
@@ -211,39 +214,77 @@ def states_off_grid(trajectories: list[Trajectory], rows, times, steps: int = 8)
     return _rk4_segment(generator, starts, grid[nearest], times, steps)
 
 
-def _rk4_step(generator: LindbladGenerator, rho: np.ndarray, t, dt) -> np.ndarray:
+def _rk4_step(generator: LindbladGenerator, rho: np.ndarray, t, dt, k1=None) -> np.ndarray:
     """One RK4 step; ``t`` and ``dt`` are numbers, or arrays with one entry
-    per state of the stack."""
+    per state of the stack.  ``k1``, when given, is L_t(rho), already known.
+
+    The stage inputs share one scratch buffer and the stages are summed into
+    ``k2``, in the order of rho + h/6 (k1 + 2 k2 + 2 k3 + k4).
+    """
     h = dt if np.ndim(dt) == 0 else dt[:, None, None]
-    k1 = generator.apply(t, rho)
-    k2 = generator.apply(t + 0.5 * dt, rho + 0.5 * h * k1)
-    k3 = generator.apply(t + 0.5 * dt, rho + 0.5 * h * k2)
-    k4 = generator.apply(t + dt, rho + h * k3)
-    return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    half = 0.5 * h
+    if k1 is None:
+        k1 = generator.apply(t, rho)
+    stage = np.multiply(half, k1)
+    stage += rho
+    k2 = generator.apply(t + 0.5 * dt, stage)
+    np.multiply(half, k2, out=stage)
+    stage += rho
+    k3 = generator.apply(t + 0.5 * dt, stage)
+    np.multiply(h, k3, out=stage)
+    stage += rho
+    k4 = generator.apply(t + dt, stage)
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= h / 6.0
+    k2 += rho
+    return k2
 
 
-def _rk4_segment(generator, rho, t0, t1, substeps: int) -> np.ndarray:
+def _rk4_segment(generator, rho, t0, t1, substeps: int, k1=None) -> np.ndarray:
     """RK4 from t0 to t1 in equal substeps, for one state or a stack (N, d, d);
-    t0 and t1 may also be arrays, one entry per state."""
+    t0 and t1 may also be arrays, one entry per state.  ``k1``, when given,
+    is L_{t0}(rho), which the first substep then does not recompute."""
     if np.all(np.equal(t1, t0)):
         return rho.copy()
     dt = (t1 - t0) / substeps
-    out = np.array(rho, dtype=complex)
+    out = np.asarray(rho, dtype=complex)
     for j in range(substeps):
-        out = _rk4_step(generator, out, t0 + j * dt, dt)
+        out = _rk4_step(generator, out, t0 + j * dt, dt, k1 if j == 0 else None)
     return hermitian_part(out)
 
 
+# ||X||_F <= ||X||_1 <= sqrt(d) ||X||_F decides a trace-norm test without an
+# eigensolver unless the value lies within this relative margin of the
+# bracket's ends, where rounding of the two norms could disagree.
+_BRACKET_MARGIN = 1e-9
+
+
+def _trace_norms_exceed(x: np.ndarray, budget: float) -> bool:
+    """Whether the largest trace norm of a Hermitian stack (N, d, d) exceeds
+    ``budget``: read from the Frobenius bracket when it decides, otherwise
+    from one stacked eigvalsh."""
+    squares = np.einsum("nij,nij->n", x.real, x.real) + np.einsum("nij,nij->n", x.imag, x.imag)
+    frobenius = float(np.sqrt(np.max(squares)))
+    if frobenius > budget * (1.0 + _BRACKET_MARGIN):
+        return True
+    if np.sqrt(x.shape[-1]) * frobenius <= budget * (1.0 - _BRACKET_MARGIN):
+        return False
+    return float(np.abs(np.linalg.eigvalsh(x)).sum(axis=-1).max()) > budget
+
+
 def _clean(raw: np.ndarray, t: float) -> tuple[np.ndarray, EigenSystem, np.ndarray]:
-    """Re-Hermitize and trace-renormalize a stack and validate it with one
-    eigh; returns it, its spectra and the trace defects."""
-    sym = hermitian_part(raw)
-    tr = np.real(np.trace(sym, axis1=-2, axis2=-1))
+    """Trace-renormalize a stack of Hermitian matrices and validate it with
+    one eigh; returns it, its spectra and the trace defects."""
+    tr = np.real(np.trace(raw, axis1=-2, axis2=-1))
     try:
-        sym, spectrum = check_density_stack(sym / tr[:, None, None])
+        states, spectrum = check_density_stack(raw / tr[:, None, None])
     except LinalgError as exc:
         raise IntegrationError(f"state at t={t:.6g} lost positivity: {exc}") from exc
-    return sym, spectrum, np.abs(tr - 1.0)
+    return states, spectrum, np.abs(tr - 1.0)
 
 
 def propagate_many(generator: LindbladGenerator, states, grid,
@@ -251,18 +292,30 @@ def propagate_many(generator: LindbladGenerator, states, grid,
                    on_tail_breach: str = "raise") -> list[Trajectory]:
     """Integrate rho_dot = L_t(rho_t) over the grid for a stack of initial states.
 
-    The states are advanced together as one (N, d, d) stack with classical
-    RK4.  Each grid interval is integrated with a doubling substep count
-    until two successive refinements of every state agree in trace norm
-    within ``error_target`` per unit time, so the accumulated error over the
-    grid respects the same budget.  Accepted states are re-Hermitized and
+    The initial states must be Hermitian within ``HERMITICITY_ATOL``; the
+    first that is not raises :class:`IntegrationError` with its index.  The
+    states are advanced together as one (N, d, d) stack with classical RK4.
+    Each grid interval is integrated with a doubling substep count until two
+    successive refinements of every state agree in trace norm within
+    ``error_target`` per unit time, so the accumulated error over the grid
+    respects the same budget; that agreement is the certificate.
+
+    Each interval does its work once.  Every segment of interval k starts
+    from the derivative L_{t_k}(rho_k) stored for grid point k, so the
+    first RK4 stage is shared by the trial, the refined segment and every
+    further refinement.  The trace-norm test reads the bracket
+    ||X||_F <= ||X||_1 <= sqrt(d) ||X||_F: it accepts when sqrt(d) ||X||_F
+    is within budget, rejects when ||X||_F is not, and takes eigenvalues
+    only in between, so its decisions, the substep counts and the states
+    are those of an eigvalsh test.  Accepted states are Hermitized once,
     trace-renormalized (defect logged per state) and validated with one
     stacked eigh, whose spectra the trajectories keep; a state failing the
-    PSD check is an integration failure.  For generators carrying a tail
-    guard, each state's population breach either raises
-    (``on_tail_breach="raise"``) or truncates that state's trajectory at its
-    last trusted grid point (``"truncate"``) and drops it from the stack.
-    Returns one trajectory per initial state, in order.
+    PSD check is an integration failure.
+
+    For generators carrying a tail guard, each state's population breach
+    either raises (``on_tail_breach="raise"``) or truncates that state's
+    trajectory at its last trusted grid point (``"truncate"``) and drops it
+    from the stack.  Returns one trajectory per initial state, in order.
     """
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) <= 0):
@@ -271,7 +324,11 @@ def propagate_many(generator: LindbladGenerator, states, grid,
         raise ValueError("on_tail_breach must be 'raise' or 'truncate'")
     guard = generator.tail_guard
 
-    current, spectrum, defect = _clean(np.stack([as_matrix(rho) for rho in states]), float(grid[0]))
+    try:
+        initial = require_hermitian(np.stack([as_matrix(rho) for rho in states]), name="initial state")
+    except LinalgError as exc:
+        raise IntegrationError(str(exc)) from exc
+    current, spectrum, defect = _clean(initial, float(grid[0]))
     n, d = current.shape[0], current.shape[-1]
     rho = np.empty((len(grid), n, d, d), dtype=complex)
     dots = np.empty_like(rho)
@@ -294,13 +351,14 @@ def propagate_many(generator: LindbladGenerator, states, grid,
         t0, t1 = float(grid[k]), float(grid[k + 1])
         budget = error_target * (t1 - t0)
         substeps = max(1, substeps // 2)
-        trial = _rk4_segment(generator, current, t0, t1, substeps)
+        k1 = dots[k, live]
+        trial = _rk4_segment(generator, current, t0, t1, substeps, k1)
         for _ in range(max_refinements):
             substeps *= 2
-            refined = _rk4_segment(generator, current, t0, t1, substeps)
-            disagreement = float(np.abs(np.linalg.eigvalsh(trial - refined)).sum(axis=-1).max())
+            refined = _rk4_segment(generator, current, t0, t1, substeps, k1)
+            converged = not _trace_norms_exceed(trial - refined, budget)
             trial = refined
-            if disagreement <= budget:
+            if converged:
                 break
         else:
             raise IntegrationError(
@@ -432,8 +490,14 @@ def entropy_rate(rho, rho_dot):
     if tr > TRACE_DOT_ATOL:
         raise ValueError(f"state derivative must be traceless, got Tr = {tr:.3e}")
     es = spectral_decompose(rho)
-    rates = -np.sum(es.support_logs() * es.expectations(dot), axis=-1)
+    rates = _entropy_rates(es, es.expectations(dot))
     return float(rates) if rates.ndim == 0 else rates
+
+
+def _entropy_rates(spectrum: EigenSystem, expectations: np.ndarray) -> np.ndarray:
+    """-sum_i log(lambda_i) <v_i|rho_dot|v_i> over the supports, from the
+    expectations of the derivatives in the eigenbases."""
+    return -np.sum(spectrum.support_logs() * expectations, axis=-1)
 
 
 def _rank_change_distance(rho, rho_dot) -> float:

@@ -103,13 +103,18 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def require_hermitian(operator, atol: float = HERMITICITY_ATOL, name: str = "operator") -> np.ndarray:
     """Return the symmetrized matrix (or stack (..., d, d) of matrices),
-    rejecting inputs that are genuinely asymmetric."""
+    rejecting inputs that are genuinely asymmetric; for a stack, the error
+    names the index of the first asymmetric matrix."""
     a = as_matrix(operator)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise LinalgError(f"{name} must be a square matrix, got shape {a.shape}")
-    asym = np.max(np.abs(a - dagger(a))) if a.size else 0.0
-    if asym > atol:
-        raise LinalgError(f"{name} is not Hermitian: max asymmetry {asym:.3e} > {atol:.1e}")
+    gaps = np.abs(a - dagger(a))
+    if gaps.max(initial=0.0) > atol:
+        asym = gaps.max(axis=(-2, -1))
+        k = np.unravel_index(np.argmax(asym > atol), asym.shape)
+        where = f" at stack index {tuple(map(int, k))}" if asym.ndim else ""
+        raise LinalgError(f"{name} is not Hermitian: max asymmetry {asym[k]:.3e} > {atol:.1e}"
+                          + where)
     return hermitian_part(a)
 
 
@@ -266,7 +271,11 @@ def spectral_decompose(operator, atol: float = HERMITICITY_ATOL) -> EigenSystem:
         return operator.spectrum
     if isinstance(operator, EigenSystem):
         return operator
-    a = require_hermitian(operator, atol=atol)
+    return _eigh(require_hermitian(operator, atol=atol))
+
+
+def _eigh(a: np.ndarray) -> EigenSystem:
+    """One eigh of an exactly Hermitian matrix or stack, eigenvalues descending."""
     ascending, vectors = np.linalg.eigh(a)
     return EigenSystem(ascending[..., ::-1].copy(), vectors[..., ::-1].copy())
 
@@ -281,7 +290,7 @@ def check_density_stack(operators, subnormalized: bool = False) -> tuple[np.ndar
     index.
     """
     a = require_hermitian(operators, name="density matrix")
-    spectrum = spectral_decompose(a)
+    spectrum = _eigh(a)
     lam_min = spectrum.eigenvalues[..., -1]
     tr = np.real(np.trace(a, axis1=-2, axis2=-1))
     if subnormalized:

@@ -25,6 +25,9 @@ from .channels import (
     LindbladGenerator,
     SIGMA_Z,
     bosonic_generator,
+    check_bosonic_rates,
+    check_cutoff,
+    check_thermal_tail,
     depolarizing,
     thermal_state,
 )
@@ -671,10 +674,11 @@ def validate_config(config: dict) -> list[str]:
         problems.append(f"margin {params['margin']:g} leaves fewer than two grid points "
                         "between rank changes")
     if scenario == "gaussian_bounds":
-        try:  # the checks the run itself makes: rates, cutoff, thermal tail mass
+        try:  # the checks the run itself makes, in its order: rates, cutoff, thermal tail mass
             for gammas in params["dynamics"].values():
-                bosonic_generator(gammas["gamma_plus"], gammas["gamma_minus"], int(params["cutoff"]))
-            thermal_state(params["mean_photons"], int(params["cutoff"]))
+                check_bosonic_rates(gammas["gamma_plus"], gammas["gamma_minus"])
+                check_cutoff(int(params["cutoff"]))
+            check_thermal_tail(params["mean_photons"], int(params["cutoff"]))
         except ChannelError as exc:
             problems.append(str(exc))
     if scenario == "decoherence_measures":

@@ -38,11 +38,12 @@ from entroflow.dynamics import (
     _entropy_rates_fd,
     _rank_change_distance,
     _rk4_segment,
+    _trace_norms_exceed,
     damping_qubit_state,
     oscillating_qubit_state,
     states_off_grid,
 )
-from entroflow.linalg import dagger, hermitian_part
+from entroflow.linalg import LinalgError, dagger, hermitian_part
 from entroflow.sampling import random_full_rank_state, random_mixed_state
 
 DAMPING_RATE_AT_ONE = -0.19914228500721254  # e^-1 log(e^-1 / (1 - e^-1))
@@ -131,6 +132,134 @@ class TestPropagate:
             single = propagate(gen, rho0, grid, on_tail_breach="truncate")
             assert traj.truncated_at == single.truncated_at
             assert len(traj) == len(single)
+
+
+def reference_propagate(generator, states, grid, error_target=1e-7):
+    """The step-doubling loop written plainly: every segment computes its own
+    first stage, the trace-norm test always takes eigenvalues, states are
+    symmetrized at every turn, and the loop stops at a tail-guard breach.
+    Returns the (T, N, d, d) states and derivatives and the (T, N, d)
+    descending eigenvalues."""
+    def segment(rho, t0, t1, n):
+        dt = (t1 - t0) / n
+        for j in range(n):
+            t = t0 + j * dt
+            k1 = generator.apply(t, rho)
+            k2 = generator.apply(t + 0.5 * dt, rho + 0.5 * dt * k1)
+            k3 = generator.apply(t + 0.5 * dt, rho + 0.5 * dt * k2)
+            k4 = generator.apply(t + dt, rho + dt * k3)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return hermitian_part(rho)
+
+    def clean(raw):
+        sym = hermitian_part(raw)
+        sym = hermitian_part(sym / np.real(np.trace(sym, axis1=-2, axis2=-1))[:, None, None])
+        return sym, np.linalg.eigh(sym)[0][..., ::-1]
+
+    rho, lam = clean(np.stack([getattr(s, "entries", s) for s in states]).astype(complex))
+    entries, dots, eigenvalues = [rho], [generator.apply(grid[0], rho)], [lam]
+    substeps = 1
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        substeps = max(1, substeps // 2)
+        trial, converged = segment(rho, t0, t1, substeps), False
+        while not converged:
+            substeps *= 2
+            refined = segment(rho, t0, t1, substeps)
+            disagreement = np.abs(np.linalg.eigvalsh(trial - refined)).sum(axis=-1).max()
+            trial, converged = refined, disagreement <= error_target * (t1 - t0)
+        rho, lam = clean(trial)
+        guard = generator.tail_guard
+        if guard is not None and np.any(guard.check(rho) > guard.bound):
+            break
+        entries.append(rho)
+        dots.append(generator.apply(t1, rho))
+        eigenvalues.append(lam)
+    return np.stack(entries), np.stack(dots), np.stack(eigenvalues)
+
+
+def _reference_cases():
+    rng = np.random.default_rng(8)
+    h0, h1 = (hermitian_part(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+              for _ in range(2))
+    jump = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    timed = LindbladGenerator(3, hamiltonian=lambda t: h0 + t * h1,
+                              jumps=[JumpTerm(lambda t: 0.5 + 0.3 * np.sin(3.0 * t), jump)])
+    return {
+        "bosonic amplifier, tail truncation": (
+            bosonic_generator(1.2, 0.2, 12), [thermal_state(0.05, 12)], np.linspace(0.0, 0.3, 31)),
+        "oscillating dephasing, 3 states": (
+            dephasing_generator(lambda t: 0.5 + np.cos(2.0 * t)),
+            [random_full_rank_state(rng, 2), random_mixed_state(rng, 2), DensityMatrix.pure([1, 1j])],
+            np.linspace(0.0, 3.0, 31)),
+        "callable Hamiltonian, timed rate": (
+            timed, [random_full_rank_state(rng, 3)], np.linspace(0.0, 1.0, 11)),
+    }
+
+
+class TestOnePassPerInterval:
+    """The shared first stage, the Frobenius bracket and the single
+    validation leave every number of the plain loop unchanged."""
+
+    @pytest.mark.parametrize("case", list(_reference_cases()))
+    def test_equals_the_plain_step_doubling_loop(self, case):
+        generator, states, grid = _reference_cases()[case]
+        trajs = propagate_many(generator, states, grid, on_tail_breach="truncate")
+        entries, dots, eigenvalues = reference_propagate(generator, states, grid)
+        for n, traj in enumerate(trajs):
+            assert len(traj) == len(entries)
+            assert np.array_equal(traj.entries, entries[:, n])
+            assert np.array_equal(traj.derivatives, dots[:, n])
+            assert np.array_equal(traj.spectrum.eigenvalues, eigenvalues[:, n])
+        if generator.tail_guard is not None:
+            assert trajs[0].truncated_at is not None
+
+    def test_bracket_decides_as_eigvalsh(self, rng, monkeypatch):
+        d = 6
+        x = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
+        x = hermitian_part(x) * np.array([1.0, 0.3, 2.0, 0.01])[:, None, None]
+        norm = np.abs(np.linalg.eigvalsh(x)).sum(axis=-1).max()
+        frobenius = np.linalg.norm(x, axis=(-2, -1)).max()
+        calls = count_eig_calls(monkeypatch)
+        undecided = []
+        for budget in norm * np.array([0.2, 0.9, 0.999, 1.0, 1.001, 1.05, 5.0]):
+            calls.clear()
+            assert _trace_norms_exceed(x, budget) == (norm > budget)
+            undecided.append(frobenius <= budget < np.sqrt(d) * frobenius)
+            assert calls == (["eigvalsh"] if undecided[-1] else [])
+        assert any(undecided) and not all(undecided)
+
+    def test_bracket_ends_are_exact_for_extreme_spectra(self, monkeypatch):
+        d = 5
+        rank_one = np.zeros((1, d, d), dtype=complex)
+        rank_one[0, 0, 0] = 1.0                     # ||X||_1 = ||X||_F
+        flat = np.eye(d, dtype=complex)[None] / d   # ||X||_1 = sqrt(d) ||X||_F
+        calls = count_eig_calls(monkeypatch)
+        assert _trace_norms_exceed(rank_one, 0.99)
+        assert not _trace_norms_exceed(flat, 1.01)
+        assert calls == []
+
+    def test_first_stage_shared_within_an_interval(self, monkeypatch):
+        gen = dephasing_generator(1.0)
+        grid = np.linspace(0.0, 1.0, 51)
+        calls = []
+        apply = gen.apply
+        monkeypatch.setattr(gen, "apply", lambda t, rho: calls.append(t) or apply(t, rho))
+        propagate(gen, DensityMatrix.pure([1, 1]), grid)
+        # per interval: 1 substep (3 new stages) against 2 (7), then the stored derivative
+        assert len(calls) == 11 * (len(grid) - 1) + 1
+
+    def test_non_hermitian_initial_state_rejected_with_its_index(self):
+        lopsided = np.array([[0.5, 0.4], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(LinalgError, match="not Hermitian"):
+            DensityMatrix(lopsided)
+        with pytest.raises(IntegrationError, match=r"initial state is not Hermitian.*index \(1,\)"):
+            propagate_many(dephasing_generator(1.0), [DensityMatrix.maximally_mixed(2), lopsided],
+                           np.linspace(0.0, 1.0, 3))
+
+    def test_trajectory_rates_equal_the_stacked_formula(self, rng):
+        traj = propagate(random_qubit_generator(rng, dim=3), random_full_rank_state(rng, 3),
+                         np.linspace(0.0, 0.5, 11))
+        assert np.array_equal(traj.entropy_rates(), entropy_rate(traj.spectrum, traj.derivatives))
 
 
 class TestIntermediateMap:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from entroflow.channels import ChannelError, LindbladGenerator, bosonic_generator, thermal_state
 from entroflow.cli import main
 from entroflow.scenarios import DEFAULT_CONFIGS, CheckResult, RunReport, validate_config
 
@@ -38,6 +39,8 @@ QUTRIT_HAMILTONIAN_GENERATOR = {**QUTRIT_JUMP_GENERATOR, "hamiltonian": QUTRIT_M
     ("decoherence_measures", "n_pairs", 0),               # no pair for the trace-distance baseline
     ("decoherence_measures", "bloch_points", -1),         # negative sample count
     ("decoherence_measures", "n_random", 2.5),            # non-integer sample count
+    ("gaussian_bounds", "cutoff", 1),                     # no room for a ladder operator
+    ("gaussian_bounds", "mean_photons", -1),              # negative occupation
 ])
 def test_bad_config_fails_in_validate(scenario, key, value, tmp_path):
     config = copy.deepcopy(DEFAULT_CONFIGS[scenario])
@@ -46,6 +49,24 @@ def test_bad_config_fails_in_validate(scenario, key, value, tmp_path):
     status = main(["run", "--scenario", scenario, "--param", f"{key}={json.dumps(value)}",
                    "--output-dir", str(tmp_path)])
     assert status == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("cutoff", 1), ("cutoff", 5), ("mean_photons", -1),
+    ("dynamics", {"amplifier": {"gamma_plus": 1.2, "gamma_minus": -0.2}}),
+])
+def test_gaussian_bounds_validate_reports_what_the_run_raises(key, value, monkeypatch):
+    params = copy.deepcopy(DEFAULT_CONFIGS["gaussian_bounds"]["parameters"])
+    params[key] = value
+    with pytest.raises(ChannelError) as raised:
+        for gammas in params["dynamics"].values():
+            bosonic_generator(gammas["gamma_plus"], gammas["gamma_minus"], params["cutoff"])
+        thermal_state(params["mean_photons"], params["cutoff"])
+    built = []
+    monkeypatch.setattr(LindbladGenerator, "__init__", lambda *args, **kw: built.append(args))
+    config = {**DEFAULT_CONFIGS["gaussian_bounds"], "parameters": params}
+    assert validate_config(config) == [str(raised.value)]
+    assert built == []
 
 
 def test_default_custom_run_flags_nothing_at_the_rank_jump(tmp_path):
