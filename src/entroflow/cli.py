@@ -20,8 +20,13 @@ __all__ = ["main"]
 
 def _load_config(args) -> dict:
     if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:  # unreadable file, malformed JSON
+            raise ScenarioError(f"cannot load config {args.config}: {exc}") from None
+        if not isinstance(config, dict):
+            raise ScenarioError(f"config {args.config} is not a JSON object")
     elif args.scenario:
         if args.scenario not in DEFAULT_CONFIGS:
             raise ScenarioError(
@@ -38,7 +43,10 @@ def _load_config(args) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        config.setdefault("parameters", {})[key] = value
+        params = config.setdefault("parameters", {})
+        if not isinstance(params, dict):
+            raise ScenarioError(f"cannot set {key!r}: 'parameters' is not a mapping")
+        params[key] = value
     return config
 
 

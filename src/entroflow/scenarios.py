@@ -4,12 +4,21 @@ Each scenario takes an explicit parameter dict (no hidden physical
 constants), writes plot-ready CSV tables, and returns pass/fail checks with
 the measured values.  Identical configurations and seeds produce
 byte-identical tables.
+
+Every parameter is declared once, as a :class:`Param` in the catalog
+``SCENARIOS``; ``DEFAULT_CONFIGS`` and the ``list`` text derive from it, and
+``validate_config`` is one loop over it: unknown and missing names, each
+value's JSON type and range, the time grid the run builds (two strictly
+increasing points at least), then the scenario's cross-parameter and
+constructor ``"check"``.  Runners read the validated values as they are.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +43,6 @@ from .channels import (
 from .dynamics import (
     DephasingFamily,
     GadcFamily,
-    Trajectory,
     _entropy_rates_fd,
     closed_form_trajectory,
     damping_qubit_state,
@@ -60,6 +68,51 @@ __all__ = [
 
 class ScenarioError(ValueError):
     pass
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+_JSON_TYPES = {
+    int: ("integer", _is_int),
+    float: ("number", _is_number),
+    list: ("list", lambda value: isinstance(value, list)),
+    dict: ("mapping", lambda value: isinstance(value, dict)),
+}
+
+
+@dataclass(frozen=True)
+class Param:
+    """One scenario parameter: default, doc and range (>= low, > low if strict).
+
+    The JSON type comes from the default: an integer default takes integers
+    only, a float default any finite number, a list or dict default the same
+    container; ``bool`` is never a number.  Ranges a package helper already
+    checks (Fock cutoff, thermal occupation, bosonic rates) get no ``low``:
+    the scenario's ``check`` calls that helper, so a bad value is reported
+    once, in the run's own words, and no generator is built.
+    """
+
+    default: object
+    doc: str
+    low: float | None = None
+    strict: bool = False
+
+    @property
+    def spec(self) -> str:
+        """The JSON type and range, as in ``number > 0``."""
+        kind = _JSON_TYPES[type(self.default)][0]
+        return kind if self.low is None else f"{kind} {'>' if self.strict else '>='} {self.low:g}"
+
+    def problems(self, name: str, value) -> list[str]:
+        ok = _JSON_TYPES[type(self.default)][1](value) and (
+            self.low is None or value > self.low or (value == self.low and not self.strict))
+        return [] if ok else [f"{name}: expected {self.spec}, got {value!r}"]
 
 
 @dataclass(frozen=True)
@@ -92,11 +145,7 @@ class RunReport:
             "seed": self.seed,
             "wall_time_s": self.wall_time_s,
             "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed,
-                 "measured": c.measured, "expected": c.expected}
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "outputs": self.outputs,
         }
 
@@ -115,19 +164,27 @@ def _gadc_closed_form(omega: float, t: np.ndarray):
     return w, w_dot, rate, rate + w
 
 
-def _sign_change_times(grid: np.ndarray, values: np.ndarray) -> list[float]:
-    times = []
-    for k in range(len(grid) - 1):
-        a, b = values[k], values[k + 1]
-        if a == 0.0 or a * b >= 0.0:
-            continue
-        times.append(float(grid[k] + (0.0 - a) * (grid[k + 1] - grid[k]) / (b - a)))
-    return times
+def _sign_changes(values: np.ndarray) -> np.ndarray:
+    """The k at which values[k] is nonzero and values[k + 1] has the other sign."""
+    return np.flatnonzero((values[:-1] != 0.0) & (values[:-1] * values[1:] < 0.0))
 
 
 def _step_grid(params: dict) -> np.ndarray:
     """0, t_step, ..., t_max: the grid of the scenarios set by a step."""
     return np.linspace(0.0, params["t_max"], round(params["t_max"] / params["t_step"]) + 1)
+
+
+def _window_grid(params: dict) -> np.ndarray:
+    """n_points evenly spaced times on [0, t_max]."""
+    return np.linspace(0.0, params["t_max"], params["n_points"])
+
+
+def _check_fig1_gadc(params: dict) -> list[str]:
+    t_end = _step_grid(params)[-1]
+    if params["compare_from"] > t_end:
+        return [f"compare_from {params['compare_from']:g} leaves no grid point on "
+                f"[0, {t_end:g}] for the closed-form comparison"]
+    return []
 
 
 def run_fig1_gadc(params: dict, outdir: Path, seed: int) -> tuple[list[CheckResult], list[str]]:
@@ -143,8 +200,7 @@ def run_fig1_gadc(params: dict, outdir: Path, seed: int) -> tuple[list[CheckResu
 
     w, _, _, f_closed = _gadc_closed_form(omega, grid)
     table = outdir / "fig1_gadc.csv"
-    write_csv(table, ["t", "W", "entropy_rate", "f"],
-              zip(grid, w, rates, f_pipe))
+    write_csv(table, ["t", "W", "entropy_rate", "f"], zip(grid, w, rates, f_pipe))
 
     compare = grid >= params["compare_from"]
     max_err = float(np.max(np.abs(f_pipe[compare] - f_closed[compare])))
@@ -152,11 +208,10 @@ def run_fig1_gadc(params: dict, outdir: Path, seed: int) -> tuple[list[CheckResu
     def closed_f(t: float) -> float:
         return float(_gadc_closed_form(omega, np.array([t]))[3][0])
 
-    pipe_roots = _sign_change_times(grid, f_pipe)
-    closed_roots = []
-    for k in range(len(grid) - 1):
-        if f_closed[k] != 0.0 and f_closed[k] * f_closed[k + 1] < 0.0:
-            closed_roots.append(brentq(closed_f, grid[k], grid[k + 1], xtol=1e-12))
+    ks = _sign_changes(f_pipe)
+    pipe_roots = grid[ks] - f_pipe[ks] * (grid[ks + 1] - grid[ks]) / (f_pipe[ks + 1] - f_pipe[ks])
+    closed_roots = [brentq(closed_f, grid[k], grid[k + 1], xtol=1e-12)
+                    for k in _sign_changes(f_closed)]
     boundary_ok = len(pipe_roots) == len(closed_roots) and all(
         abs(a - b) <= params["boundary_tol"] + params["t_step"]
         for a, b in zip(pipe_roots, closed_roots)
@@ -179,16 +234,34 @@ def run_fig1_gadc(params: dict, outdir: Path, seed: int) -> tuple[list[CheckResu
 # fig2_depolarizing
 # ---------------------------------------------------------------------------
 
+def _depolarizing_points(params: dict) -> list[tuple]:
+    """The (d, q) points of the run: each of q_values at d, then extra_points."""
+    d = params["d"]
+    return [(d, q) for q in params["q_values"]] + [tuple(p) for p in params["extra_points"]]
+
+
+def _check_fig2_depolarizing(params: dict) -> list[str]:
+    problems = [f"q_values entry {q!r} is not a number"
+                for q in params["q_values"] if not _is_number(q)]
+    problems += [f"extra_points entry {p!r} is not a [d, q] pair of an integer and a number"
+                 for p in params["extra_points"] if not (
+                     isinstance(p, list) and len(p) == 2 and _is_int(p[0]) and _is_number(p[1]))]
+    points = [] if problems else _depolarizing_points(params)
+    if not (problems or points):
+        return ["q_values and extra_points are both empty: no (d, q) point to compute"]
+    return problems + [f"point (d={d}, q={q}) out of range: d >= 2 and 0 <= q <= d^2/(d^2-1)"
+                       for d, q in points if d < 2 or not 0.0 <= q <= d**2 / (d**2 - 1)]
+
+
 def run_fig2_depolarizing(params: dict, outdir: Path, seed: int) -> tuple[list[CheckResult], list[str]]:
-    points = [(int(params["d"]), float(q)) for q in params["q_values"]]
-    points += [(int(d), float(q)) for d, q in params.get("extra_points", [])]
+    points = _depolarizing_points(params)
 
     start = time.perf_counter()
     rows = []
     for k, (d, q) in enumerate(points):
         analytic = nonunitarity.oslash_depolarizing_analytic(d, q)
         numeric = nonunitarity.oslash_norm(
-            depolarizing(d, q), starts=int(params["starts"]), seed=seed + k
+            depolarizing(d, q), starts=params["starts"], seed=seed + k
         ).value
         rows.append((d, q, analytic, numeric, abs(numeric - analytic)))
     elapsed = time.perf_counter() - start
@@ -208,29 +281,33 @@ def run_fig2_depolarizing(params: dict, outdir: Path, seed: int) -> tuple[list[C
 # Appendix-style closed-form trajectories
 # ---------------------------------------------------------------------------
 
-def _closed_form_rate_table(traj: Trajectory, fd_h: float):
+def _fd_rate_check(state, grid: np.ndarray, params: dict, table: Path) -> CheckResult:
+    """Tabulate a closed-form trajectory's entropy rate and its finite differences; compare."""
+    traj = closed_form_trajectory(state, grid)
     rates = traj.entropy_rates()
-    rates_fd = _entropy_rates_fd(traj, np.arange(len(traj)), h=fd_h, richardson=True)
-    return rates, rates_fd
+    rates_fd = _entropy_rates_fd(traj, np.arange(len(traj)), h=params["fd_h"], richardson=True)
+    write_csv(table, ["t", "entropy", "entropy_rate", "entropy_rate_fd"],
+              zip(grid, traj.entropies(), rates, rates_fd))
+    max_disc = float(np.max(np.abs(rates - rates_fd)))
+    return CheckResult("rate matches finite differences", max_disc <= params["tol"],
+                       f"max |rate - fd| = {max_disc:.3e}", f"<= {params['tol']:g}")
+
+
+def _damping_grid(params: dict) -> np.ndarray:
+    """n_points evenly spaced times on [t_min, t_max]."""
+    return np.linspace(params["t_min"], params["t_max"], params["n_points"])
 
 
 def run_appendix_damping(params: dict, outdir: Path, seed: int):
-    grid = np.linspace(params["t_min"], params["t_max"], int(params["n_points"]))
-    traj = closed_form_trajectory(damping_qubit_state, grid)
-    rates, rates_fd = _closed_form_rate_table(traj, params["fd_h"])
     table = outdir / "appendixB_damping.csv"
-    write_csv(table, ["t", "entropy", "entropy_rate", "entropy_rate_fd"],
-              zip(grid, traj.entropies(), rates, rates_fd))
-
-    max_disc = float(np.max(np.abs(rates - rates_fd)))
+    fd_check = _fd_rate_check(damping_qubit_state, _damping_grid(params), params, table)
     half_life = float(np.log(2.0))
     peak_traj = closed_form_trajectory(damping_qubit_state, np.array([half_life, 1.0]))
     rate_ln2, rate_one = peak_traj.entropy_rates()
     analytic_one = float(np.exp(-1.0) * np.log(np.exp(-1.0) / (1.0 - np.exp(-1.0))))
 
     checks = [
-        CheckResult("rate matches finite differences", max_disc <= params["tol"],
-                    f"max |rate - fd| = {max_disc:.3e}", f"<= {params['tol']:g}"),
+        fd_check,
         CheckResult("rate vanishes at t = ln 2", abs(rate_ln2) <= 1e-8,
                     f"{rate_ln2:.3e}", "0 within 1e-8"),
         CheckResult("rate at t = 1", abs(rate_one - analytic_one) <= 1e-5,
@@ -242,28 +319,18 @@ def run_appendix_damping(params: dict, outdir: Path, seed: int):
 def _oscillatory_grid(params: dict) -> np.ndarray:
     """The grid points at least ``margin`` away from every rank change."""
     margin = params["margin"]
-    grid = np.linspace(margin, params["t_max"] - margin, int(params["n_points"]))
+    grid = np.linspace(margin, params["t_max"] - margin, params["n_points"])
     half_integers = np.arange(0.0, params["t_max"] + 0.5, 0.5)
-    keep = np.array([
-        np.min(np.abs(half_integers - t)) >= margin for t in grid
-    ], dtype=bool)
-    return grid[keep]
+    return grid[np.min(np.abs(half_integers[:, None] - grid), axis=0) >= margin]
 
 
 def run_appendix_oscillatory(params: dict, outdir: Path, seed: int):
-    grid = _oscillatory_grid(params)
-    traj = closed_form_trajectory(oscillating_qubit_state, grid)
-    rates, rates_fd = _closed_form_rate_table(traj, params["fd_h"])
     table = outdir / "appendixB_oscillatory.csv"
-    write_csv(table, ["t", "entropy", "entropy_rate", "entropy_rate_fd"],
-              zip(grid, traj.entropies(), rates, rates_fd))
-
-    max_disc = float(np.max(np.abs(rates - rates_fd)))
+    fd_check = _fd_rate_check(oscillating_qubit_state, _oscillatory_grid(params), params, table)
     spot = closed_form_trajectory(oscillating_qubit_state, np.array([1e-10, 0.25]))
     limit_rate, quarter_rate = spot.entropy_rates()
     checks = [
-        CheckResult("rate matches finite differences", max_disc <= params["tol"],
-                    f"max |rate - fd| = {max_disc:.3e}", f"<= {params['tol']:g}"),
+        fd_check,
         CheckResult("rate at t = 1/4", abs(quarter_rate) <= 1e-6,
                     f"{quarter_rate:.3e}", "0 within 1e-6"),
         CheckResult("one-sided limit at t -> 0+", abs(limit_rate) <= 1e-6,
@@ -276,17 +343,35 @@ def run_appendix_oscillatory(params: dict, outdir: Path, seed: int):
 # gaussian_bounds
 # ---------------------------------------------------------------------------
 
+def _check_gaussian_bounds(params: dict) -> list[str]:
+    dynamics = params["dynamics"]
+    if not dynamics:
+        return ["dynamics is empty: no map to check"]
+    problems = [f"dynamics[{kind!r}] needs numbers gamma_plus and gamma_minus only, got {gammas!r}"
+                for kind, gammas in dynamics.items()
+                if not (isinstance(gammas, dict) and set(gammas) == {"gamma_plus", "gamma_minus"}
+                        and all(_is_number(g) for g in gammas.values()))]
+    if problems:
+        return problems
+    try:  # the checks the run itself makes, in its order: rates, cutoff, thermal tail mass
+        for gammas in dynamics.values():
+            check_bosonic_rates(gammas["gamma_plus"], gammas["gamma_minus"])
+            check_cutoff(params["cutoff"])
+        check_thermal_tail(params["mean_photons"], params["cutoff"])
+    except ChannelError as exc:
+        return [str(exc)]
+    return []
+
+
 def run_gaussian_bounds(params: dict, outdir: Path, seed: int):
-    cutoff = int(params["cutoff"])
-    mean_photons = params["mean_photons"]
-    grid = np.linspace(0.0, params["t_max"], int(params["n_points"]))
-    rho0 = thermal_state(mean_photons, cutoff)
+    grid = _window_grid(params)
+    rho0 = thermal_state(params["mean_photons"], params["cutoff"])
 
     rows = []
     checks = []
     for kind, gammas in params["dynamics"].items():
         gp, gm = gammas["gamma_plus"], gammas["gamma_minus"]
-        generator = bosonic_generator(gp, gm, cutoff)
+        generator = bosonic_generator(gp, gm, params["cutoff"])
         traj = propagate(generator, rho0, grid, on_tail_breach="truncate")
         expected = gp - gm
         rates = traj.entropy_rates()
@@ -336,10 +421,9 @@ def _oscillating_dephasing(base: float, amplitude: float, frequency: float):
 def run_decoherence_measures(params: dict, outdir: Path, seed: int):
     grid = _step_grid(params)
     rng = np.random.default_rng(seed)
-    sampler = default_state_sampler(2, rng, n_random=int(params["n_random"]),
-                                    bloch_points=int(params["bloch_points"]))
-    pairs = default_pair_sampler(2, np.random.default_rng(seed + 1),
-                                 n_pairs=int(params["n_pairs"]))
+    sampler = default_state_sampler(2, rng, n_random=params["n_random"],
+                                    bloch_points=params["bloch_points"])
+    pairs = default_pair_sampler(2, np.random.default_rng(seed + 1), n_pairs=params["n_pairs"])
 
     markov_gen = LindbladGenerator(
         2, jumps=[JumpTerm(ConstantCoefficient(0.5 * params["markovian_rate"]), SIGMA_Z)])
@@ -385,11 +469,26 @@ def run_decoherence_measures(params: dict, outdir: Path, seed: int):
 # custom
 # ---------------------------------------------------------------------------
 
+def _custom_inputs(params: dict) -> tuple[LindbladGenerator, DensityMatrix]:
+    """The generator and initial state the run propagates."""
+    return (generator_from_document(params["generator"]),
+            DensityMatrix(matrix_from_document(params["initial_state"])))
+
+
+def _check_custom(params: dict) -> list[str]:
+    try:
+        generator, rho0 = _custom_inputs(params)
+    except (SerializationError, ChannelError, LinalgError) as exc:
+        return [str(exc)]
+    if rho0.dim != generator.dim:
+        return [f"initial_state is {rho0.dim}x{rho0.dim} but the generator "
+                f"acts on dimension {generator.dim}"]
+    return []
+
+
 def run_custom(params: dict, outdir: Path, seed: int):
-    generator = generator_from_document(params["generator"])
-    rho0 = DensityMatrix(matrix_from_document(params["initial_state"]))
-    grid = np.linspace(0.0, params["t_max"], int(params["n_points"]))
-    traj = propagate(generator, rho0, grid)
+    generator, rho0 = _custom_inputs(params)
+    traj = propagate(generator, rho0, _window_grid(params))
     reports = witnesses.witness_reports(generator, traj)
 
     traj_table = outdir / "custom_trajectory.csv"
@@ -398,7 +497,7 @@ def run_custom(params: dict, outdir: Path, seed: int):
     witnesses.export_witness_reports(reports, witness_table)
 
     excluded = traj.rank_jump_rows(witnesses.RANK_CHANGE_MARGIN)
-    worst = min(r.violation for r, skip in zip(reports, excluded) if not skip)
+    worst = min((r.violation for r, skip in zip(reports, excluded) if not skip), default=np.nan)
     checks = [
         CheckResult("trajectory produced", True,
                     f"{len(traj)} points", "trajectory invariants validated"),
@@ -414,287 +513,147 @@ def run_custom(params: dict, outdir: Path, seed: int):
 
 SCENARIOS = {
     "fig1_gadc": {
-        "runner": run_fig1_gadc,
+        "runner": run_fig1_gadc, "grid": _step_grid, "check": _check_fig1_gadc,
         "description": "Memory witness f(t) for the generalized amplitude damping family",
         "parameters": {
-            "omega": "modulation frequency (real)",
-            "t_max": "end of the time window (> 0)",
-            "t_step": "grid spacing (> 0, at least two grid points)",
-            "compare_from": "first time included in the closed-form comparison",
-            "match_tol": "allowed |pipeline - closed form|",
-            "boundary_tol": "allowed sign-change mismatch",
+            "omega": Param(5.0, "modulation frequency"),
+            "t_max": Param(3.0, "end of the time window", low=0, strict=True),
+            "t_step": Param(1e-3, "grid spacing", low=0, strict=True),
+            "compare_from": Param(0.01, "first time included in the closed-form comparison"),
+            "match_tol": Param(1e-4, "allowed |pipeline - closed form|", low=0),
+            "boundary_tol": Param(1e-3, "allowed sign-change mismatch", low=0),
         },
     },
     "fig2_depolarizing": {
-        "runner": run_fig2_depolarizing,
+        "runner": run_fig2_depolarizing, "check": _check_fig2_depolarizing,
         "description": "Non-unitarity norm of depolarizing channels vs the closed form",
         "parameters": {
-            "d": "input dimension (>= 2)",
-            "q_values": "list of depolarizing parameters in [0, d^2/(d^2-1)]",
-            "extra_points": "extra [d, q] pairs",
-            "starts": "optimizer starts per point, at most; stops once the bracket closes",
-            "tol": "allowed |numeric - analytic|",
+            "d": Param(2, "input dimension of q_values", low=2),
+            "q_values": Param([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7,
+                               0.8, 0.9, 1.0, 1.1, 1.2, 1.3],
+                              "depolarizing parameters q in [0, d^2/(d^2-1)]"),
+            "extra_points": Param([[3, 0.5], [3, 1.0]], "extra [d, q] pairs"),
+            "starts": Param(32, "optimizer starts per point; fewer once the bracket closes", low=1),
+            "tol": Param(1e-3, "allowed |numeric - analytic|", low=0),
         },
     },
     "appendixB_damping": {
-        "runner": run_appendix_damping,
+        "runner": run_appendix_damping, "grid": _damping_grid,
         "description": "Entropy rate vs finite differences for the damping trajectory",
         "parameters": {
-            "t_min": "first grid time (> 0, past the rank jump)",
-            "t_max": "last grid time",
-            "n_points": "grid size (integer >= 2)",
-            "fd_h": "finite-difference step",
-            "tol": "allowed |rate - finite difference|",
+            "t_min": Param(1e-3, "first grid time, past the t = 0 rank jump", low=0, strict=True),
+            "t_max": Param(3.0, "last grid time", low=0, strict=True),
+            "n_points": Param(120, "grid size", low=2),
+            "fd_h": Param(1e-4, "finite-difference step", low=0, strict=True),
+            "tol": Param(1e-6, "allowed |rate - finite difference|", low=0, strict=True),
         },
     },
     "appendixB_oscillatory": {
-        "runner": run_appendix_oscillatory,
+        "runner": run_appendix_oscillatory, "grid": _oscillatory_grid,
         "description": "Entropy rate vs finite differences for the oscillatory trajectory",
         "parameters": {
-            "t_max": "last grid time",
-            "n_points": "grid size before rank-change trimming (at least two points left)",
-            "margin": "excluded neighborhood around rank changes",
-            "fd_h": "finite-difference step",
-            "tol": "allowed |rate - finite difference|",
+            "t_max": Param(3.0, "last grid time", low=0, strict=True),
+            "n_points": Param(160, "grid size before rank-change trimming", low=2),
+            "margin": Param(1e-3, "excluded neighborhood of rank changes", low=0, strict=True),
+            "fd_h": Param(1e-4, "finite-difference step", low=0, strict=True),
+            "tol": Param(1e-6, "allowed |rate - finite difference|", low=0, strict=True),
         },
     },
     "gaussian_bounds": {
-        "runner": run_gaussian_bounds,
+        "runner": run_gaussian_bounds, "grid": _window_grid, "check": _check_gaussian_bounds,
         "description": "Rate lower limits gamma_+ - gamma_- for truncated bosonic dynamics",
         "parameters": {
-            "mean_photons": "thermal occupation of the initial state",
-            "cutoff": "Fock-space truncation (>= 2)",
-            "t_max": "end of the time window",
-            "n_points": "grid size (integer >= 2)",
-            "rate_tol": "slack for rate >= bound",
-            "bound_tol": "slack for bound = gamma_+ - gamma_-",
-            "dynamics": "map kind -> {gamma_plus, gamma_minus}",
+            "mean_photons": Param(0.2, "thermal occupation of the initial state, at least 0"),
+            "cutoff": Param(40, "Fock-space truncation, at least 2"),
+            "t_max": Param(5.0, "end of the time window", low=0, strict=True),
+            "n_points": Param(101, "grid size", low=2),
+            "rate_tol": Param(1e-6, "slack for rate >= bound", low=0),
+            "bound_tol": Param(1e-6, "slack for bound = gamma_+ - gamma_-", low=0),
+            "dynamics": Param({"amplifier": {"gamma_plus": 1.2, "gamma_minus": 0.2},
+                               "lossy": {"gamma_plus": 0.2, "gamma_minus": 1.2},
+                               "additive": {"gamma_plus": 0.2, "gamma_minus": 0.2}},
+                              "map kind -> {gamma_plus, gamma_minus}, non-negative rates"),
         },
     },
     "decoherence_measures": {
-        "runner": run_decoherence_measures,
+        "runner": run_decoherence_measures, "grid": _step_grid,
         "description": "Generator/channel memory measures and the trace-distance baseline",
         "parameters": {
-            "markovian_rate": "constant decoherence rate of the control profile",
-            "base": "constant part of the oscillating rate",
-            "amplitude": "cosine amplitude of the oscillating rate",
-            "frequency": "cosine frequency of the oscillating rate",
-            "t_max": "end of the time window",
-            "t_step": "grid spacing (> 0, at least two grid points)",
-            "n_random": "random states in the sampler (integer >= 0)",
-            "bloch_points": "Bloch-grid size in the sampler (integer >= 0)",
-            "n_pairs": "state pairs for the trace-distance baseline (integer >= 1)",
-            "measure_tol": "allowed |measure_generator - measure_channel|",
+            "markovian_rate": Param(1.0, "constant dephasing rate of the control profile", low=0),
+            "base": Param(0.5, "constant part of the oscillating rate"),
+            "amplitude": Param(1.0, "cosine amplitude of the oscillating rate"),
+            "frequency": Param(2.0, "cosine frequency of the oscillating rate", low=0, strict=True),
+            "t_max": Param(3.0, "end of the time window", low=0, strict=True),
+            "t_step": Param(4e-3, "grid spacing", low=0, strict=True),
+            "n_random": Param(16, "random states in the sampler", low=0),
+            "bloch_points": Param(48, "Bloch-grid size in the sampler", low=0),
+            "n_pairs": Param(64, "state pairs for the trace-distance baseline", low=1),
+            "measure_tol": Param(1e-5, "allowed |measure_generator - measure_channel|", low=0),
         },
     },
     "custom": {
-        "runner": run_custom,
+        "runner": run_custom, "grid": _window_grid, "check": _check_custom,
         "description": "Propagate a serialized generator and export trajectory + witnesses",
         "parameters": {
-            "generator": "serialized generator document",
-            "initial_state": "matrix document of the initial state, of the generator's dimension",
-            "t_max": "end of the time window",
-            "n_points": "grid size (integer >= 2)",
+            "generator": Param({"kind": "lindblad_generator", "dim": 2, "hamiltonian": None,
+                                "jumps": [{"rate": {"type": "constant", "value": 0.5},
+                                           "operator": [[[1.0, 0.0], [0.0, 0.0]],
+                                                        [[0.0, 0.0], [-1.0, 0.0]]]}]},
+                               "serialized generator document"),
+            "initial_state": Param([[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]],
+                                   "matrix document of the initial state, generator-sized"),
+            "t_max": Param(2.0, "end of the time window", low=0, strict=True),
+            "n_points": Param(101, "grid size", low=2),
         },
     },
 }
 
 
 DEFAULT_CONFIGS = {
-    "fig1_gadc": {
-        "scenario": "fig1_gadc",
-        "seed": 7,
-        "parameters": {
-            "omega": 5.0,
-            "t_max": 3.0,
-            "t_step": 1e-3,
-            "compare_from": 0.01,
-            "match_tol": 1e-4,
-            "boundary_tol": 1e-3,
-        },
-    },
-    "fig2_depolarizing": {
-        "scenario": "fig2_depolarizing",
-        "seed": 7,
-        "parameters": {
-            "d": 2,
-            "q_values": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7,
-                         0.8, 0.9, 1.0, 1.1, 1.2, 1.3],
-            "extra_points": [[3, 0.5], [3, 1.0]],
-            "starts": 32,
-            "tol": 1e-3,
-        },
-    },
-    "appendixB_damping": {
-        "scenario": "appendixB_damping",
-        "seed": 7,
-        "parameters": {
-            "t_min": 1e-3,
-            "t_max": 3.0,
-            "n_points": 120,
-            "fd_h": 1e-4,
-            "tol": 1e-6,
-        },
-    },
-    "appendixB_oscillatory": {
-        "scenario": "appendixB_oscillatory",
-        "seed": 7,
-        "parameters": {
-            "t_max": 3.0,
-            "n_points": 160,
-            "margin": 1e-3,
-            "fd_h": 1e-4,
-            "tol": 1e-6,
-        },
-    },
-    "gaussian_bounds": {
-        "scenario": "gaussian_bounds",
-        "seed": 7,
-        "parameters": {
-            "mean_photons": 0.2,
-            "cutoff": 40,
-            "t_max": 5.0,
-            "n_points": 101,
-            "rate_tol": 1e-6,
-            "bound_tol": 1e-6,
-            "dynamics": {
-                "amplifier": {"gamma_plus": 1.2, "gamma_minus": 0.2},
-                "lossy": {"gamma_plus": 0.2, "gamma_minus": 1.2},
-                "additive": {"gamma_plus": 0.2, "gamma_minus": 0.2},
-            },
-        },
-    },
-    "decoherence_measures": {
-        "scenario": "decoherence_measures",
-        "seed": 7,
-        "parameters": {
-            "markovian_rate": 1.0,
-            "base": 0.5,
-            "amplitude": 1.0,
-            "frequency": 2.0,
-            "t_max": 3.0,
-            "t_step": 4e-3,
-            "n_random": 16,
-            "bloch_points": 48,
-            "n_pairs": 64,
-            "measure_tol": 1e-5,
-        },
-    },
-    "custom": {
-        "scenario": "custom",
-        "seed": 7,
-        "parameters": {
-            "generator": {
-                "kind": "lindblad_generator",
-                "dim": 2,
-                "hamiltonian": None,
-                "jumps": [{
-                    "rate": {"type": "constant", "value": 0.5},
-                    "operator": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
-                }],
-            },
-            "initial_state": [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]],
-            "t_max": 2.0,
-            "n_points": 101,
-        },
-    },
+    name: {"scenario": name, "seed": 7,
+           "parameters": {key: copy.deepcopy(p.default) for key, p in meta["parameters"].items()}}
+    for name, meta in SCENARIOS.items()
 }
 
 
 def list_scenarios() -> dict:
     return {
-        name: {"description": meta["description"], "parameters": meta["parameters"]}
+        name: {"description": meta["description"],
+               "parameters": {key: f"{p.doc} ({p.spec})" for key, p in meta["parameters"].items()}}
         for name, meta in SCENARIOS.items()
     }
 
 
 def validate_config(config: dict) -> list[str]:
-    """Schema and range diagnostics without executing anything."""
-    problems = []
+    """Schema, range and construction diagnostics, derived from the catalog;
+    runs no scenario, and reports a malformed value instead of raising."""
+    if not isinstance(config, dict):
+        return [f"a config is a mapping of scenario, seed and parameters, got {config!r}"]
     scenario = config.get("scenario")
     if scenario is None:
-        problems.append("missing 'scenario'; required fields: scenario, seed, parameters")
-        return problems
-    if scenario not in SCENARIOS:
-        problems.append(f"unknown scenario {scenario!r}; known: {sorted(SCENARIOS)}")
-        return problems
-    if not isinstance(config.get("seed", 0), int):
-        problems.append("'seed' must be an integer")
+        return ["missing 'scenario'; required fields: scenario, seed, parameters"]
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
+        return [f"unknown scenario {scenario!r}; known: {sorted(SCENARIOS)}"]
+    meta = SCENARIOS[scenario]
+    spec = meta["parameters"]
+    problems = [] if _is_int(config.get("seed", 0)) else ["'seed' must be an integer"]
     params = config.get("parameters")
     if not isinstance(params, dict):
-        problems.append("missing 'parameters' mapping; required parameters: "
-                        + ", ".join(SCENARIOS[scenario]["parameters"]))
-        return problems
-    for name in SCENARIOS[scenario]["parameters"]:
-        if name not in params:
-            problems.append(f"missing parameter {name!r}")
+        return problems + ["missing 'parameters' mapping; required parameters: " + ", ".join(spec)]
+    problems += [f"unknown parameter {name!r}; known: {', '.join(spec)}"
+                 for name in params if name not in spec]
+    for name, param in spec.items():
+        problems += param.problems(name, params[name]) if name in params \
+            else [f"missing parameter {name!r}"]
     if problems:
         return problems
-
-    def count(name: str, minimum: int) -> None:
-        value = params[name]
-        if not (isinstance(value, int) and not isinstance(value, bool) and value >= minimum):
-            problems.append(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-    def step_grid() -> None:
-        if params["t_max"] <= 0 or params["t_step"] <= 0:
-            problems.append("t_max and t_step must be positive")
-        elif len(_step_grid(params)) < 2:
-            problems.append(f"t_step {params['t_step']:g} leaves fewer than two grid points "
-                            f"on [0, {params['t_max']:g}]")
-
-    if scenario == "fig2_depolarizing":
-        d = params["d"]
-        if not (isinstance(d, int) and d >= 2):
-            problems.append("d must be an integer >= 2")
-        else:
-            q_max = d**2 / (d**2 - 1)
-            for q in params["q_values"]:
-                if not 0.0 <= q <= q_max:
-                    problems.append(
-                        f"q={q} out of range: q must satisfy q <= d^2/(d^2-1) = {q_max:.6g}"
-                    )
-            for dd, q in params.get("extra_points", []):
-                qm = dd**2 / (dd**2 - 1)
-                if not 0.0 <= q <= qm:
-                    problems.append(
-                        f"extra point (d={dd}, q={q}) out of range: q <= d^2/(d^2-1) = {qm:.6g}"
-                    )
-        count("starts", 1)
-    if scenario in ("fig1_gadc", "decoherence_measures"):
-        step_grid()
-    if scenario in ("appendixB_damping", "appendixB_oscillatory", "gaussian_bounds", "custom"):
-        count("n_points", 2)
-    if scenario in ("appendixB_damping", "appendixB_oscillatory"):
-        if params["fd_h"] <= 0 or params["tol"] <= 0:
-            problems.append("fd_h and tol must be positive")
-    if scenario == "appendixB_damping" and params["t_min"] <= 0:
-        problems.append("t_min must be positive (the rank changes at t = 0)")
-    if scenario == "appendixB_oscillatory" and not problems and len(_oscillatory_grid(params)) < 2:
-        problems.append(f"margin {params['margin']:g} leaves fewer than two grid points "
-                        "between rank changes")
-    if scenario == "gaussian_bounds":
-        try:  # the checks the run itself makes, in its order: rates, cutoff, thermal tail mass
-            for gammas in params["dynamics"].values():
-                check_bosonic_rates(gammas["gamma_plus"], gammas["gamma_minus"])
-                check_cutoff(int(params["cutoff"]))
-            check_thermal_tail(params["mean_photons"], int(params["cutoff"]))
-        except ChannelError as exc:
-            problems.append(str(exc))
-    if scenario == "decoherence_measures":
-        count("n_random", 0)
-        count("bloch_points", 0)
-        count("n_pairs", 1)
-    if scenario == "custom":
-        try:  # the generator and state the run builds
-            generator = generator_from_document(params["generator"])
-            rho0 = DensityMatrix(matrix_from_document(params["initial_state"]))
-            if rho0.dim != generator.dim:
-                problems.append(f"initial_state is {rho0.dim}x{rho0.dim} but the generator "
-                                f"acts on dimension {generator.dim}")
-        except (SerializationError, ChannelError, LinalgError) as exc:
-            problems.append(str(exc))
-    return problems
+    if "grid" in meta:
+        grid = meta["grid"](params)
+        if len(grid) < 2 or np.any(np.diff(grid) <= 0.0):
+            span = f" on [{grid[0]:g}, {grid[-1]:g}]" if len(grid) else ""
+            return [f"the time grid must hold at least two strictly increasing points; "
+                    f"these parameters give {len(grid)}{span}"]
+    return meta["check"](params) if "check" in meta else []
 
 
 def run_config(config: dict, output_dir, seed_override: int | None = None) -> RunReport:

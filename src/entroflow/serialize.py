@@ -40,13 +40,39 @@ class SerializationError(ValueError):
     pass
 
 
+_REQUIRED = object()
+
+
+def _field(doc, key: str, what: str, default=_REQUIRED, number: bool = False):
+    """doc[key] of a ``what`` document; a missing key or a non-number raises."""
+    if not isinstance(doc, dict) or (key not in doc and default is _REQUIRED):
+        raise SerializationError(f"{what} document has no {key!r}: {doc!r}")
+    value = doc.get(key, default)
+    if number and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise SerializationError(f"{what} {key!r} must be a number, got {value!r}")
+    return value
+
+
 def matrix_to_document(matrix) -> list:
     m = np.asarray(matrix, dtype=complex)
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
+def _complex(entry, i: int, j: int) -> complex:
+    try:
+        re, im = entry
+        return complex(re, im)
+    except (TypeError, ValueError):
+        raise SerializationError(
+            f"matrix entry [{i}][{j}] is not an [re, im] pair: {entry!r}") from None
+
+
 def matrix_from_document(doc) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in doc])
+    if not (isinstance(doc, list) and doc
+            and all(isinstance(row, list) and len(row) == len(doc[0]) > 0 for row in doc)):
+        raise SerializationError(f"a matrix document is a list of equally long rows, got {doc!r}")
+    return np.array([[_complex(entry, i, j) for j, entry in enumerate(row)]
+                     for i, row in enumerate(doc)])
 
 
 def _rate_to_document(rate) -> dict:
@@ -64,13 +90,16 @@ def _rate_to_document(rate) -> dict:
 
 
 def _rate_from_document(doc: dict):
-    kind = doc.get("type")
+    kind = _field(doc, "type", "rate")
+    what = f"{kind} rate"
     if kind == "constant":
-        return ConstantCoefficient(doc["value"])
+        return ConstantCoefficient(_field(doc, "value", what, number=True))
     if kind == "cosine_squared":
-        return CosineSquaredCoefficient(omega=doc["omega"], scale=doc.get("scale", 1.0))
+        return CosineSquaredCoefficient(omega=_field(doc, "omega", what, number=True),
+                                        scale=_field(doc, "scale", what, 1.0, number=True))
     if kind == "exponential":
-        return ExponentialCoefficient(decay=doc["decay"], scale=doc.get("scale", 1.0))
+        return ExponentialCoefficient(decay=_field(doc, "decay", what, number=True),
+                                      scale=_field(doc, "scale", what, 1.0, number=True))
     raise SerializationError(f"unknown rate tag {kind!r}")
 
 
@@ -123,17 +152,19 @@ def generator_to_document(generator: LindbladGenerator) -> dict:
 
 
 def generator_from_document(doc: dict) -> LindbladGenerator:
-    if doc.get("kind") != "lindblad_generator":
+    if _field(doc, "kind", "generator", None) != "lindblad_generator":
         raise SerializationError(f"not a generator document: kind={doc.get('kind')!r}")
-    hamiltonian = None if doc["hamiltonian"] is None else matrix_from_document(doc["hamiltonian"])
-    jumps = [
-        JumpTerm(_rate_from_document(j["rate"]), matrix_from_document(j["operator"]))
-        for j in doc["jumps"]
-    ]
+    dim, hamiltonian, jumps = (_field(doc, k, "generator") for k in ("dim", "hamiltonian", "jumps"))
+    if not (isinstance(dim, int) and dim > 0 and isinstance(jumps, list)):
+        raise SerializationError(f"generator 'dim' must be a positive integer and 'jumps' a list: "
+                                 f"{doc!r}")
+    hamiltonian = None if hamiltonian is None else matrix_from_document(hamiltonian)
+    jumps = [JumpTerm(_rate_from_document(_field(j, "rate", "jump")),
+                      matrix_from_document(_field(j, "operator", "jump"))) for j in jumps]
     guard = doc.get("tail_guard")
-    tail_guard = TailGuard(levels=guard["levels"], bound=guard["bound"]) if guard else None
-    return LindbladGenerator(doc["dim"], hamiltonian=hamiltonian, jumps=jumps,
-                             tail_guard=tail_guard)
+    tail_guard = TailGuard(levels=_field(guard, "levels", "tail_guard"),
+                           bound=_field(guard, "bound", "tail_guard")) if guard else None
+    return LindbladGenerator(dim, hamiltonian=hamiltonian, jumps=jumps, tail_guard=tail_guard)
 
 
 def to_document(obj) -> dict:

@@ -7,7 +7,15 @@ import pytest
 
 from entroflow.channels import ChannelError, LindbladGenerator, bosonic_generator, thermal_state
 from entroflow.cli import main
-from entroflow.scenarios import DEFAULT_CONFIGS, CheckResult, RunReport, validate_config
+from entroflow.scenarios import (
+    SCENARIOS,
+    DEFAULT_CONFIGS,
+    CheckResult,
+    RunReport,
+    _oscillatory_grid,
+    _sign_changes,
+    validate_config,
+)
 
 
 def test_check_result_coerces_numpy_bool_for_report_json():
@@ -17,6 +25,18 @@ def test_check_result_coerces_numpy_bool_for_report_json():
     assert json.loads(json.dumps(report.to_document()))["checks"][0]["passed"] is True
 
 
+def test_vectorized_grid_helpers_match_their_loops(rng):
+    values = rng.normal(size=200)
+    values[::7] = 0.0
+    loop = [k for k in range(len(values) - 1) if values[k] != 0.0 and values[k] * values[k + 1] < 0.0]
+    assert _sign_changes(values).tolist() == loop
+    for margin, n_points in [(1e-3, 160), (0.05, 301), (0.2, 41)]:
+        grid = np.linspace(margin, 3.0 - margin, n_points)
+        keep = [np.min(np.abs(np.arange(0.0, 3.5, 0.5) - t)) >= margin for t in grid]
+        params = {"t_max": 3.0, "n_points": n_points, "margin": margin}
+        assert np.array_equal(_oscillatory_grid(params), grid[keep])
+
+
 TRACE_TWO_STATE = [[[1.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [1.0, 0.0]]]
 QUTRIT_STATE = [[[p if i == j else 0.0, 0.0] for j in range(3)] for i, p in enumerate([0.34, 0.33, 0.33])]
 QUTRIT_MATRIX = [[[1.0 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
@@ -24,6 +44,8 @@ QUTRIT_JUMP_GENERATOR = {"kind": "lindblad_generator", "dim": 2, "hamiltonian": 
                          "jumps": [{"rate": {"type": "constant", "value": 0.5}, "operator": QUTRIT_MATRIX}]}
 QUTRIT_HAMILTONIAN_GENERATOR = {**QUTRIT_JUMP_GENERATOR, "hamiltonian": QUTRIT_MATRIX,
                                 "jumps": DEFAULT_CONFIGS["custom"]["parameters"]["generator"]["jumps"]}
+RATELESS_GENERATOR = {**QUTRIT_JUMP_GENERATOR, "jumps": [
+    {"rate": {"type": "constant"}, "operator": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}
 
 
 @pytest.mark.parametrize("scenario, key, value", [
@@ -41,6 +63,23 @@ QUTRIT_HAMILTONIAN_GENERATOR = {**QUTRIT_JUMP_GENERATOR, "hamiltonian": QUTRIT_M
     ("decoherence_measures", "n_random", 2.5),            # non-integer sample count
     ("gaussian_bounds", "cutoff", 1),                     # no room for a ladder operator
     ("gaussian_bounds", "mean_photons", -1),              # negative occupation
+    ("fig1_gadc", "t_max", "abc"),                        # not a number
+    ("fig1_gadc", "omega", "abc"),                        # not a number
+    ("fig1_gadc", "t_stpe", 0.01),                        # misspelt parameter name
+    ("fig1_gadc", "compare_from", 5.0),                   # nothing left to compare
+    ("fig2_depolarizing", "q_values", 0.3),               # not a list
+    ("fig2_depolarizing", "q_values", [0.3, "x"]),        # non-number entry
+    ("fig2_depolarizing", "extra_points", [[1, 0.5]]),    # d = 1
+    ("fig2_depolarizing", "extra_points", [[3]]),         # not a [d, q] pair
+    ("appendixB_damping", "t_max", -1),                   # window ends before it starts
+    ("decoherence_measures", "frequency", 0),             # divides the rate integral
+    ("gaussian_bounds", "dynamics", {"a": {"gamma_plus": 1}}),  # no gamma_minus
+    ("gaussian_bounds", "dynamics", {}),                  # nothing to check
+    ("gaussian_bounds", "cutoff", 40.0),                  # not an integer
+    ("custom", "t_max", -2),                              # negative window
+    ("custom", "generator", {"kind": "lindblad_generator", "dim": 2}),  # no hamiltonian, jumps
+    ("custom", "initial_state", [[1, 0], [0, 0]]),        # entries are not [re, im] pairs
+    ("custom", "generator", RATELESS_GENERATOR),          # constant rate without a value
 ])
 def test_bad_config_fails_in_validate(scenario, key, value, tmp_path):
     config = copy.deepcopy(DEFAULT_CONFIGS[scenario])
@@ -49,6 +88,18 @@ def test_bad_config_fails_in_validate(scenario, key, value, tmp_path):
     status = main(["run", "--scenario", scenario, "--param", f"{key}={json.dumps(value)}",
                    "--output-dir", str(tmp_path)])
     assert status == 2
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("generator", {"kind": "lindblad_generator", "dim": 2}, "no 'hamiltonian'"),
+    ("initial_state", [[1, 0], [0, 0]], "entry [0][0]"),
+    ("generator", RATELESS_GENERATOR, "no 'value'"),
+])
+def test_custom_validate_names_the_malformed_part(key, value, named):
+    config = copy.deepcopy(DEFAULT_CONFIGS["custom"])
+    config["parameters"][key] = value
+    [problem] = validate_config(config)
+    assert named in problem
 
 
 @pytest.mark.parametrize("key, value", [
@@ -79,3 +130,38 @@ def test_default_custom_run_flags_nothing_at_the_rank_jump(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     gap = next(c for c in report["checks"] if c["name"] == "worst rate-bound gap reported")
     assert float(gap["measured"]) >= 0.0
+
+
+@pytest.mark.parametrize("text, params", [
+    (None, None),                          # no such file
+    ("{", None),                           # malformed JSON
+    ("[]", None),                          # not a JSON object
+    (json.dumps({"scenario": "fig1_gadc", "seed": 7, "parameters": []}), ["t_max=1"]),
+])
+def test_bad_config_file_exits_2(text, params, tmp_path):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    overrides = [arg for p in params or [] for arg in ("--param", p)]
+    assert main(["validate", "--config", str(path), *overrides]) == 2
+    assert main(["run", "--config", str(path), *overrides, "--output-dir", str(tmp_path)]) == 2
+
+
+def _json_type_matches(value, default) -> bool:
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_validate_never_raises(scenario):
+    for key, param in SCENARIOS[scenario]["parameters"].items():
+        for value in ["x", None, True, [], {}, -1, 0]:
+            config = copy.deepcopy(DEFAULT_CONFIGS[scenario])
+            config["parameters"][key] = value
+            problems = validate_config(config)
+            assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
+            if not _json_type_matches(value, param.default):
+                assert problems, (key, value)

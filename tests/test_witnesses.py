@@ -14,6 +14,7 @@ from entroflow import (
     entropy_change,
     entropy_change_lower_bound,
     entropy_change_upper_bound,
+    entropy_change_upper_bound_holder,
     entropy_rate,
     blp_measure,
     environment_simulation_bound,
@@ -41,7 +42,13 @@ from entroflow.sampling import (
     random_unitary,
 )
 from entroflow.scenarios import _oscillating_dephasing
-from entroflow.witnesses import WitnessError, _f_parts, export_witness_reports, time_local_generator
+from entroflow.witnesses import (
+    WitnessError,
+    _f_parts,
+    export_witness_reports,
+    generator_commutator_expectation,
+    time_local_generator,
+)
 
 
 def test_pinsker_gap_rejects_trace_nonincreasing_operation():
@@ -191,6 +198,30 @@ def test_entropy_change_below_subunital_upper_bound(seed, d):
     channel = random_mixed_unitary_channel(rng, d)
     rho = random_full_rank_state(rng, d)
     assert entropy_change(channel, rho) <= entropy_change_upper_bound(channel, rho) + 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
+def test_holder_relaxation_above_trace_form_upper_bound(seed, d):
+    # Delta S <= Tr{[rho - N^dag N(rho)] log rho} <= ||rho - N^dag N(rho)||_1 ||log rho||_inf.
+    rng = np.random.default_rng(seed)
+    channel = random_mixed_unitary_channel(rng, d)
+    rho = random_full_rank_state(rng, d)
+    upper = entropy_change_upper_bound(channel, rho)
+    assert entropy_change(channel, rho) <= upper + 1e-10
+    assert upper <= entropy_change_upper_bound_holder(channel, rho) + 1e-10
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3, 4]))
+def test_commutator_form_equals_theorem2_bound_at_full_rank(seed, d):
+    # At rho > 0, Pi = I and -Tr{L^dag(rho)} = -Tr{rho L(I)} = sum_i gamma_i <[A_i^dag, A_i]>:
+    # the Hamiltonian drops out of L(I).
+    rng = np.random.default_rng(seed)
+    generator = _random_semigroup(rng, d)
+    rho = random_full_rank_state(rng, d)
+    assert generator_commutator_expectation(generator, 0.3, rho) == pytest.approx(
+        theorem2_bound(generator, 0.3, rho), abs=1e-12)
 
 
 def _f_per_point(family, rho0, t, h=1e-5, eps0=1e-3):
