@@ -188,10 +188,6 @@ class QuantumChannel:
             out += k @ a @ dagger(k)
         return out
 
-    def apply_state(self, rho: DensityMatrix) -> DensityMatrix:
-        sub = rho.subnormalized or not self.trace_preserving
-        return DensityMatrix(hermitian_part(self.apply(rho)), subnormalized=sub)
-
     def adjoint(self) -> "QuantumChannel":
         """Hilbert-Schmidt adjoint, Kraus set {K_i^dag}; unital when self is TP."""
         return QuantumChannel([dagger(k) for k in self.kraus])
@@ -216,9 +212,6 @@ class QuantumChannel:
             j.setflags(write=False)
             self._choi = j
         return self._choi
-
-    def on_identity(self) -> np.ndarray:
-        return self.apply(np.eye(self.dim_in, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -288,10 +281,7 @@ def is_cptp(channel_like, atol: float = 1e-8) -> CptpReport:
 
 def unitality_class(channel_like, atol: float = 1e-9) -> UnitalityClass:
     """Classify N(I) against I by the spectrum of N(I) - I."""
-    if isinstance(channel_like, QuantumChannel):
-        image = channel_like.on_identity()
-    else:
-        image = channel_like.apply(np.eye(channel_like.dim_in, dtype=complex))
+    image = channel_like.apply(np.eye(channel_like.dim_in, dtype=complex))
     deviation = np.linalg.eigvalsh(hermitian_part(image - np.eye(image.shape[0])))
     lo, hi = float(deviation[0]), float(deviation[-1])
     if hi <= atol and lo >= -atol:

@@ -2,15 +2,15 @@
 
 A trajectory is a stack: a (T, d, d) array of states on a fixed time grid,
 the (T, d, d) array of their generator-consistent derivatives, and one
-stacked eigendecomposition of the states, from which entropies, supports,
-ranks and entropy rates are read as arrays.  One linear-dynamics engine
-serves both layers: ``propagate_many`` advances a stack of states with RK4
-and step doubling (``propagate`` is its single-state call), and intermediate
-maps M_{t,s} are products of commutator-free 4th-order Magnus steps, doubled
+stacked eigendecomposition of the states, from which entropies, ranks and
+entropy rates are read as arrays.  One linear-dynamics engine serves both
+layers: ``propagate_many`` advances a stack of states with RK4 and step
+doubling (``propagate`` is its single-state call), and intermediate maps
+M_{t,s} are products of commutator-free 4th-order Magnus steps, doubled
 until successive products agree.  Both stopping rules double as convergence
-certificates.  Channel families give their maps as (T, d^2, d^2) stacks over
-a whole grid, which carry a stack of initial states to (T, N, d, d) states
-in one product.
+certificates.  A channel family is its maps over a grid, as two
+(T, d^2, d^2) stacks, M_{t,0} and M_{t+eps,t}, which carry a stack of
+initial states to (T, N, d, d) states in one product.
 """
 
 from __future__ import annotations
@@ -24,18 +24,15 @@ from ._util import one_sided_difference, time_derivative, write_csv
 from .channels import (
     ChannelError,
     LindbladGenerator,
-    QuantumChannel,
     SuperOperator,
     apply_superoperators,
-    dephasing_channel,
-    gadc,
+    is_cptp,
 )
 from .linalg import (
     ZERO_EIGENVALUE_RTOL,
     DensityMatrix,
     EigenSystem,
     LinalgError,
-    SupportProjector,
     _entropies,
     as_matrix,
     check_density_stack,
@@ -87,35 +84,27 @@ class Trajectory:
     ``entries`` is the (T, d, d) array of states, ``derivatives`` the
     (T, d, d) array of their time derivatives, and ``spectrum`` the stacked
     eigendecomposition of ``entries`` (an :class:`EigenSystem` over T
-    matrices).  Entropies, logarithms on the supports, supports, ranks and
-    entropy rates are array expressions over that one spectrum, and
-    ``states`` reads the states as :class:`DensityMatrix` objects carrying
-    their part of it.  The support check at construction computes the
-    expectations <v_i|rho_dot|v_i> of the derivatives in the eigenbases
-    once, and ``entropy_rates`` reads them.
+    matrices).  Entropies, logarithms on the supports, ranks and entropy
+    rates are array expressions over that one spectrum, and ``states`` reads
+    the states as :class:`DensityMatrix` objects carrying their part of it.
+    The support check at construction computes the expectations
+    <v_i|rho_dot|v_i> of the derivatives in the eigenbases once, and
+    ``entropy_rates`` reads them.
 
-    ``states`` may be given as a (T, d, d) array or a sequence of matrices,
-    which one stacked eigh validates (:func:`check_density_stack`), or as
-    DensityMatrix objects, whose spectra are reused.  ``spectrum`` passes the
-    stacked spectrum of states already validated, so that no state is
-    decomposed twice.  ``state_fn``/``derivative_fn`` are set for closed-form
-    trajectories and bypass the integrator; ``generator`` is set when the
-    trajectory came from propagating a master equation.
-    ``renormalization_defects`` logs the trace defect removed at each grid
-    point.
+    ``states`` and ``derivatives`` are (T, d, d) arrays.  The states are
+    validated with one stacked eigh (:func:`check_density_stack`) unless
+    ``spectrum`` passes the stacked spectrum of states already validated, so
+    that no state is decomposed twice.  ``state_fn`` is set for closed-form
+    trajectories and gives the state off the grid without the integrator;
+    ``generator`` is set when the trajectory came from propagating a master
+    equation.  ``renormalization_defects`` logs the trace defect removed at
+    each grid point.
     """
 
     def __init__(self, grid, states, derivatives, generator: LindbladGenerator | None = None,
-                 state_fn=None, derivative_fn=None,
-                 renormalization_defects: np.ndarray | None = None,
+                 state_fn=None, renormalization_defects: np.ndarray | None = None,
                  truncated_at: float | None = None, spectrum: EigenSystem | None = None):
         self.grid = np.asarray(grid, dtype=float)
-        if not isinstance(states, np.ndarray):
-            states = list(states)
-            if spectrum is None and all(isinstance(s, DensityMatrix) for s in states):
-                spectrum = EigenSystem(np.stack([s.spectrum.eigenvalues for s in states]),
-                                       np.stack([s.spectrum.eigenvectors for s in states]))
-            states = [as_matrix(s) for s in states]
         entries = as_matrix(states)
         if spectrum is None:
             entries, spectrum = check_density_stack(entries)
@@ -124,7 +113,6 @@ class Trajectory:
         self.derivatives = as_matrix(derivatives)
         self.generator = generator
         self.state_fn = state_fn
-        self.derivative_fn = derivative_fn
         self.renormalization_defects = renormalization_defects
         self.truncated_at = truncated_at
         self._states: list[DensityMatrix] | None = None
@@ -160,17 +148,8 @@ class Trajectory:
                             for k, rho in enumerate(self.entries)]
         return self._states
 
-    @property
-    def supports(self) -> list[SupportProjector]:
-        return [SupportProjector(pi, rank=int(r))
-                for pi, r in zip(self.spectrum.projectors(), self.ranks())]
-
     def ranks(self) -> np.ndarray:
         return self.spectrum.support_mask().sum(axis=-1)
-
-    def rank_change_times(self) -> np.ndarray:
-        jumps = np.flatnonzero(np.diff(self.ranks()) != 0)
-        return self.grid[jumps + 1]
 
     def rank_jump_rows(self, margin: float) -> np.ndarray:
         """Grid points within ``margin`` of a rank change, and the point just
@@ -188,12 +167,6 @@ class Trajectory:
     def entropy_rates(self) -> np.ndarray:
         return _entropy_rates(self.spectrum, self._expectations)
 
-    def state_at(self, t: float, steps: int = 8) -> np.ndarray:
-        """State at an off-grid time, from the closed form or a local integration."""
-        if self.state_fn is not None:
-            return as_matrix(self.state_fn(t))
-        return states_off_grid([self], [0], [t], steps)[0]
-
 
 def states_off_grid(trajectories: list[Trajectory], rows, times, steps: int = 8) -> np.ndarray:
     """The state of ``trajectories[rows[c]]`` at ``times[c]`` for every c, as
@@ -206,7 +179,7 @@ def states_off_grid(trajectories: list[Trajectory], rows, times, steps: int = 8)
     """
     generator = trajectories[0].generator
     if generator is None:
-        raise IntegrationError("trajectory has neither closed form nor generator")
+        raise IntegrationError("off-grid states need the trajectory's generator")
     grid = trajectories[0].grid
     times = np.asarray(times, dtype=float)
     nearest = np.argmin(np.abs(grid[None, :] - times[:, None]), axis=1)
@@ -423,8 +396,7 @@ def closed_form_trajectory(state_fn, grid, derivative_fn=None,
     else:
         derivatives = [one_sided_difference(lambda tau: as_matrix(state_fn(tau)), float(t), fd_step)
                        for t in grid]
-    return Trajectory(grid, states, hermitian_part(np.stack(derivatives)),
-                      state_fn=state_fn, derivative_fn=derivative_fn)
+    return Trajectory(grid, states, hermitian_part(np.stack(derivatives)), state_fn=state_fn)
 
 
 # Commutator-free 4th-order Magnus step (Blanes, Casas, Oteo & Ros, Phys. Rep.
@@ -586,8 +558,6 @@ def cp_divisibility_check(generator: LindbladGenerator, grid, atol: float = 1e-9
     P-divisibility, it only reports that CP evidence failed without a
     positivity counterexample).  Sampled rate signs are reported alongside.
     """
-    from .channels import is_cptp  # local import avoids a cycle at module load
-
     grid = np.asarray(grid, dtype=float)
     evidence = []
     worst_map: SuperOperator | None = None
@@ -627,38 +597,26 @@ def cp_divisibility_check(generator: LindbladGenerator, grid, atol: float = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# Channel families: trajectories plus intermediate maps
+# Channel families: maps over a grid, as stacks
 # ---------------------------------------------------------------------------
 
 class ChannelFamily:
-    """A dynamics described by channels: M_{t,0} plus intermediate maps.
+    """A dynamics described by its maps, as stacks over a whole grid.
 
-    Subclasses provide ``at(t)`` (the map from time 0 to t) and
-    ``step(t, eps)`` (the intermediate map from t to t + eps) as map objects.
-    The analysis reads them as stacks over a whole grid:
     ``superoperators(times)`` returns the (T, d^2, d^2) matrices of M_{t,0}
-    and ``steps(times, eps)`` those of M_{t+eps,t}, in the row-stacking
-    convention of :mod:`entroflow.channels`.  Here they stack ``at`` and
-    ``step``; families with closed forms override them to build every matrix
-    at once.  ``states``, ``trajectories`` and the witnesses apply those
-    stacks to (N, d, d) stacks of initial states, and the one-state, one-time
-    calls ``state`` and ``trajectory`` are their N = 1 and T = 1 cases.
+    and ``steps(times, eps)`` those of the intermediate maps M_{t+eps,t}, in
+    the row-stacking convention of :mod:`entroflow.channels`; subclasses
+    give both.  ``states``, ``evolve``, ``trajectories`` and the witnesses
+    apply them to (N, d, d) stacks of initial states.
     """
 
     dim: int
 
-    def at(self, t: float):
-        raise NotImplementedError
-
-    def step(self, t: float, eps: float):
-        raise NotImplementedError
-
     def superoperators(self, times) -> np.ndarray:
-        return np.stack([self.at(float(t)).superoperator().matrix for t in np.atleast_1d(times)])
+        raise NotImplementedError
 
     def steps(self, times, eps: float) -> np.ndarray:
-        return np.stack([self.step(float(t), eps).superoperator().matrix
-                         for t in np.atleast_1d(times)])
+        raise NotImplementedError
 
     def states(self, rho0s, times) -> np.ndarray:
         """M_{t,0}(rho_0) as a (T, N, d, d) stack.
@@ -671,9 +629,6 @@ class ChannelFamily:
             raise IntegrationError("channel family evaluated at negative time")
         return apply_superoperators(self.superoperators(times),
                                     np.stack([as_matrix(rho) for rho in rho0s]))
-
-    def state(self, rho0, t: float) -> np.ndarray:
-        return self.states([rho0], [t])[0, 0]
 
     def evolve(self, rho0s, times,
                fd_step: float = 1e-5) -> tuple[np.ndarray, np.ndarray, EigenSystem]:
@@ -688,16 +643,14 @@ class ChannelFamily:
         return states, dots, spectrum
 
     def trajectories(self, rho0s, grid, fd_step: float = 1e-5) -> list[Trajectory]:
-        """One trajectory per initial state on a shared grid, from one :meth:`evolve`."""
+        """One trajectory per initial state on a shared grid, from one :meth:`evolve`;
+        each keeps its state off the grid in closed form."""
         grid = np.asarray(grid, dtype=float)
         rho0s = list(rho0s)
         states, dots, spectrum = self.evolve(rho0s, grid, fd_step)
         return [Trajectory(grid, states[:, n], dots[:, n], spectrum=spectrum[:, n],
-                           state_fn=lambda t, rho0=rho0: self.state(rho0, t))
+                           state_fn=lambda t, rho0=rho0: self.states([rho0], [t])[0, 0])
                 for n, rho0 in enumerate(rho0s)]
-
-    def trajectory(self, rho0: DensityMatrix, grid, fd_step: float = 1e-5) -> Trajectory:
-        return self.trajectories([rho0], grid, fd_step)[0]
 
 
 def _trace_preserving(maps: np.ndarray, atol: float = 1e-8) -> np.ndarray:
@@ -730,12 +683,6 @@ class GadcFamily(ChannelFamily):
         self.omega = float(omega)
         self.dim = 2
 
-    def at(self, t: float) -> QuantumChannel:
-        return gadc(t, self.omega)
-
-    def step(self, t: float, eps: float) -> QuantumChannel:
-        return gadc(eps, self.omega)
-
     def superoperators(self, times) -> np.ndarray:
         """sum_i K_i (x) conj(K_i) of the :func:`gadc` Kraus operators, in closed form."""
         t = np.atleast_1d(np.asarray(times, dtype=float))
@@ -759,27 +706,13 @@ class DephasingFamily(ChannelFamily):
     ``gamma_integral`` must be the antiderivative of the decoherence rate
     with Gamma(0) = 0, and accept an array of times; maps scale coherences by
     exp(-Gamma(t)), and intermediate maps by exp(Gamma(t) - Gamma(t + eps)).
-    Where Gamma decreases over the window that factor exceeds 1 and the map
-    is not CP, so ``step`` returns it as a ``SuperOperator`` instead of a
-    ``QuantumChannel``, and ``steps`` keeps the factor as it is.
+    Where Gamma decreases over the window that factor exceeds 1 and the
+    interval map is not CP; ``steps`` keeps the factor as it is.
     """
 
     def __init__(self, gamma_integral):
         self.gamma_integral = gamma_integral
         self.dim = 2
-
-    def at(self, t: float) -> QuantumChannel:
-        return dephasing_channel(float(np.exp(-self.gamma_integral(t))))
-
-    def step(self, t: float, eps: float) -> QuantumChannel | SuperOperator:
-        coherence = float(self._step_coherences(t, eps)[0])
-        if coherence <= 1.0:
-            return dephasing_channel(coherence)
-        return SuperOperator(np.diag([1.0, coherence, coherence, 1.0]))
-
-    def _step_coherences(self, times, eps: float) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        return np.exp(-(self.gamma_integral(t + eps) - self.gamma_integral(t)))
 
     def superoperators(self, times) -> np.ndarray:
         coherences = np.exp(-self.gamma_integral(np.atleast_1d(np.asarray(times, dtype=float))))
@@ -788,34 +721,35 @@ class DephasingFamily(ChannelFamily):
         return _coherence_maps(coherences)
 
     def steps(self, times, eps: float) -> np.ndarray:
-        return _coherence_maps(self._step_coherences(times, eps))
+        t = np.atleast_1d(np.asarray(times, dtype=float))
+        return _coherence_maps(np.exp(-(self.gamma_integral(t + eps) - self.gamma_integral(t))))
 
 
 class GeneratorFamily(ChannelFamily):
     """Dynamics induced by a Lindblad generator, via time-ordered propagators.
 
-    Its maps are Magnus products (:func:`intermediate_map`), cached per
-    interval and stacked by the base class; its trajectories come from
-    propagating all initial states as one stack.
+    Its maps are the matrices of Magnus products (:func:`intermediate_map`),
+    cached per interval; its trajectories come from propagating all initial
+    states as one stack.
     """
 
     def __init__(self, generator: LindbladGenerator, map_atol: float = 1e-9):
         self.generator = generator
         self.dim = generator.dim
         self.map_atol = map_atol
-        self._cache: dict[tuple[float, float], SuperOperator] = {}
+        self._cache: dict[tuple[float, float], np.ndarray] = {}
 
-    def _map(self, s: float, t: float) -> SuperOperator:
+    def _map(self, s: float, t: float) -> np.ndarray:
         key = (s, t)
         if key not in self._cache:
-            self._cache[key] = intermediate_map(self.generator, s, t, atol=self.map_atol)
+            self._cache[key] = intermediate_map(self.generator, s, t, atol=self.map_atol).matrix
         return self._cache[key]
 
-    def at(self, t: float) -> SuperOperator:
-        return self._map(0.0, float(t))
+    def superoperators(self, times) -> np.ndarray:
+        return np.stack([self._map(0.0, float(t)) for t in np.atleast_1d(times)])
 
-    def step(self, t: float, eps: float) -> SuperOperator:
-        return self._map(float(t), float(t) + float(eps))
+    def steps(self, times, eps: float) -> np.ndarray:
+        return np.stack([self._map(float(t), float(t) + float(eps)) for t in np.atleast_1d(times)])
 
     def trajectories(self, rho0s, grid, fd_step: float = 1e-5) -> list[Trajectory]:
         return propagate_many(self.generator, rho0s, grid)

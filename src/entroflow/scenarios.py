@@ -43,6 +43,7 @@ from .channels import (
 from .dynamics import (
     DephasingFamily,
     GadcFamily,
+    TailMassError,
     _entropy_rates_fd,
     closed_form_trajectory,
     damping_qubit_state,
@@ -372,7 +373,12 @@ def run_gaussian_bounds(params: dict, outdir: Path, seed: int):
     for kind, gammas in params["dynamics"].items():
         gp, gm = gammas["gamma_plus"], gammas["gamma_minus"]
         generator = bosonic_generator(gp, gm, params["cutoff"])
-        traj = propagate(generator, rho0, grid, on_tail_breach="truncate")
+        try:
+            traj = propagate(generator, rho0, grid, on_tail_breach="truncate")
+        except TailMassError as exc:  # the grid is too coarse for the tail guard
+            checks.append(CheckResult(f"{kind}: tail guard leaves a usable grid", False,
+                                      str(exc), "at least 3 grid points"))
+            continue
         expected = gp - gm
         rates = traj.entropy_rates()
         bounds = -witnesses._pinned_adjoint_traces(generator, traj.grid, traj.entries,
@@ -416,6 +422,31 @@ def _oscillating_dephasing(base: float, amplitude: float, frequency: float):
         return base * t + (amplitude / frequency) * np.sin(frequency * t)
 
     return generator, DephasingFamily(gamma_integral)
+
+
+def _check_decoherence_measures(params: dict) -> list[str]:
+    """Gamma(t) = base t + (amplitude/frequency) sin(frequency t) must stay >= 0
+    on [0, t_max], or the dephasing maps are not completely positive.  Its
+    minima lie at the window's ends or where cos(frequency t) = -base/amplitude,
+    at t = (+-phi + 2 pi k)/frequency with phi = arccos(-base/amplitude).  On
+    each branch sin(frequency t) is fixed, so Gamma is linear in k and only the
+    first and last k in the window matter."""
+    base, amplitude, frequency = params["base"], params["amplitude"], params["frequency"]
+    t_max = params["t_max"]
+    times = [0.0, t_max]
+    if amplitude != 0.0 and abs(base / amplitude) <= 1.0:
+        for theta in np.array([1.0, -1.0]) * np.arccos(-base / amplitude):
+            first = np.ceil(-theta / (2.0 * np.pi))
+            last = np.floor((frequency * t_max - theta) / (2.0 * np.pi))
+            if first <= last:
+                times += [(theta + 2.0 * np.pi * k) / frequency for k in (first, last)]
+    times = np.clip(times, 0.0, t_max)
+    gamma = base * times + (amplitude / frequency) * np.sin(frequency * times)
+    k = int(np.argmin(gamma))
+    if gamma[k] < 0.0:
+        return [f"the integrated rate base*t + (amplitude/frequency)*sin(frequency*t) is "
+                f"{gamma[k]:.3g} at t = {times[k]:.4g}: the dephasing maps are not CP"]
+    return []
 
 
 def run_decoherence_measures(params: dict, outdir: Path, seed: int):
@@ -577,6 +608,7 @@ SCENARIOS = {
     },
     "decoherence_measures": {
         "runner": run_decoherence_measures, "grid": _step_grid,
+        "check": _check_decoherence_measures,
         "description": "Generator/channel memory measures and the trace-distance baseline",
         "parameters": {
             "markovian_rate": Param(1.0, "constant dephasing rate of the control profile", low=0),

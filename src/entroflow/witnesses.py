@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from ._util import time_derivative, write_csv
 from .channels import (
@@ -24,7 +25,14 @@ from .channels import (
     apply_superoperators,
     unitality_class,
 )
-from .dynamics import ChannelFamily, Trajectory, entropy_rate, propagate_many, states_off_grid
+from .dynamics import (
+    ChannelFamily,
+    GeneratorFamily,
+    Trajectory,
+    entropy_rate,
+    propagate_many,
+    states_off_grid,
+)
 from .linalg import (
     DensityMatrix,
     EigenSystem,
@@ -323,8 +331,6 @@ def witness_reports(generator: LindbladGenerator, traj: Trajectory,
     column is computed over the whole trajectory at once.  Rows at a rank
     jump (:meth:`Trajectory.rank_jump_rows`) carry no test flags.
     """
-    from .dynamics import GeneratorFamily
-
     fam = family if family is not None else GeneratorFamily(generator)
     excluded = traj.rank_jump_rows(RANK_CHANGE_MARGIN)
     projectors = traj.spectrum.projectors()
@@ -508,8 +514,6 @@ def semigroup_sandwich(generator: LindbladGenerator, rho0, t: float,
     Requires a time-independent generator whose superoperator is Hermitian
     (self-adjoint map), unital, and a full-rank initial state.
     """
-    from scipy.linalg import expm
-
     if not generator.is_time_independent():
         raise WitnessError("sandwich bounds need a time-independent generator")
     s = generator.superoperator(0.0)

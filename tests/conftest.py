@@ -1,6 +1,15 @@
 import numpy as np
 import pytest
 
+from entroflow import (
+    DephasingFamily,
+    GadcFamily,
+    SuperOperator,
+    dephasing_channel,
+    gadc,
+    intermediate_map,
+)
+
 _ACCEPTANCE: dict[str, str] = {}
 
 
@@ -25,6 +34,25 @@ def brute_force_partial_trace(rho: np.ndarray, dims, keep: str) -> np.ndarray:
                 for b in range(d_b):
                     out[i, j] += rho[i * d_b + b, j * d_b + b]
     return out
+
+
+def reference_maps(family):
+    """M_{t,0} and M_{t+eps,t} of a channel family as two callables giving map
+    objects, built without the family's stacks: :func:`gadc` for GADC (whose
+    step is the channel at time eps), :func:`dephasing_channel` for dephasing,
+    or the diagonal SuperOperator where its coherence factor exceeds 1, and
+    :func:`intermediate_map` for a generator."""
+    if isinstance(family, GadcFamily):
+        return (lambda t: gadc(t, family.omega)), (lambda t, eps: gadc(eps, family.omega))
+    if isinstance(family, DephasingFamily):
+        def coherence_map(s, t):
+            c = float(np.exp(family.gamma_integral(s) - family.gamma_integral(t)))
+            return dephasing_channel(c) if c <= 1.0 else SuperOperator(np.diag([1.0, c, c, 1.0]))
+        return (lambda t: coherence_map(0.0, t)), (lambda t, eps: coherence_map(t, t + eps))
+
+    def interval_map(s, t):
+        return intermediate_map(family.generator, s, t, atol=family.map_atol)
+    return (lambda t: interval_map(0.0, t)), (lambda t, eps: interval_map(t, t + eps))
 
 
 def pytest_runtest_logreport(report):

@@ -100,7 +100,7 @@ class TestAdjoint:
 
     def test_adjoint_of_tp_is_unital(self, rng):
         n = random_cptp_channel(rng, 3)
-        np.testing.assert_allclose(n.adjoint().on_identity(), np.eye(3), atol=1e-10)
+        np.testing.assert_allclose(n.adjoint().apply(np.eye(3)), np.eye(3), atol=1e-10)
 
 
 class TestCompose:

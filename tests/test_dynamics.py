@@ -9,7 +9,6 @@ from entroflow import (
     GeneratorFamily,
     IntegrationError,
     LindbladGenerator,
-    QuantumChannel,
     SuperOperator,
     TailMassError,
     bosonic_generator,
@@ -31,7 +30,8 @@ from entroflow import (
     thermal_state,
     von_neumann_entropy,
 )
-from entroflow.channels import JumpTerm, SIGMA_X, SIGMA_Y, SIGMA_Z
+from entroflow.channels import JumpTerm, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_superoperators
+from entroflow import dynamics
 from entroflow._util import central_difference
 from entroflow.dynamics import (
     Trajectory,
@@ -45,6 +45,8 @@ from entroflow.dynamics import (
 )
 from entroflow.linalg import LinalgError, dagger, hermitian_part
 from entroflow.sampling import random_full_rank_state, random_mixed_state
+
+from conftest import reference_maps
 
 DAMPING_RATE_AT_ONE = -0.19914228500721254  # e^-1 log(e^-1 / (1 - e^-1))
 
@@ -86,8 +88,8 @@ class TestPropagate:
         traj = propagate(gen, random_full_rank_state(rng, 2), np.linspace(0, 1, 21))
         for dot in traj.derivatives:
             assert abs(np.trace(dot)) <= 1e-9
-        for pi, dot in zip(traj.supports, traj.derivatives):
-            assert abs(np.trace(pi.entries @ dot)) <= 1e-8
+        for pi, dot in zip(traj.spectrum.projectors(), traj.derivatives):
+            assert abs(np.trace(pi @ dot)) <= 1e-8
 
     def test_tail_guard_raises(self):
         gen = bosonic_generator(1.2, 0.2, 20)  # amplifier outgrows the cutoff
@@ -364,7 +366,7 @@ class TestEntropyRateFd:
         gen = random_qubit_generator(rng)
         grid = np.linspace(0, 0.5, 51)
         traj = propagate(gen, random_full_rank_state(rng, 2), grid)
-        grid_only = Trajectory(grid=traj.grid, states=traj.states,
+        grid_only = Trajectory(grid=traj.grid, states=traj.entries,
                                derivatives=traj.derivatives)
         fd = entropy_rate_fd(grid_only, 25)
         rate = entropy_rate(traj.states[25], traj.derivatives[25])
@@ -413,13 +415,14 @@ class TestChannelFamilies:
         fam = GadcFamily(5.0)
         rho0 = random_mixed_state(rng, 2)
         for t in (0.0, 0.4, 1.1):
-            np.testing.assert_allclose(fam.state(rho0, t), gadc(t, 5.0).apply(rho0), atol=1e-14)
+            np.testing.assert_allclose(fam.states([rho0], [t])[0, 0], gadc(t, 5.0).apply(rho0),
+                                       atol=1e-14)
 
     def test_gadc_family_trajectory_derivatives(self):
         fam = GadcFamily(5.0)
         rho0 = DensityMatrix.maximally_mixed(2)
         grid = np.linspace(0.0, 1.0, 11)
-        traj = fam.trajectory(rho0, grid)
+        [traj] = fam.trajectories([rho0], grid)
         t = 0.5
         w_dot = -10 * np.sin(10 * t) * (1 - np.exp(-t)) + np.cos(10 * t) * np.exp(-t)
         np.testing.assert_allclose(traj.derivatives[5], 0.5 * np.diag([w_dot, -w_dot]), atol=1e-9)
@@ -430,7 +433,7 @@ class TestChannelFamilies:
         gen = dephasing_generator(gamma)
         rho0 = random_mixed_state(rng, 2)
         grid = np.linspace(0, 1.5, 16)
-        traj_fam = fam.trajectory(rho0, grid)
+        [traj_fam] = fam.trajectories([rho0], grid)
         traj_gen = propagate(gen, rho0, grid)
         for a, b in zip(traj_fam.states, traj_gen.states):
             assert np.max(np.abs(a.entries - b.entries)) <= 1e-7
@@ -439,21 +442,20 @@ class TestChannelFamilies:
         gen = dephasing_generator(lambda t: 0.5 + np.cos(2 * t))
         fam = GeneratorFamily(gen)
         rho0 = random_mixed_state(rng, 2)
-        direct = fam.at(0.9).apply(rho0)
-        stepped = fam.step(0.5, 0.4).apply(fam.at(0.5).apply(rho0))
+        direct = fam.states([rho0], [0.9])[0, 0]
+        stepped = apply_superoperators(fam.steps([0.5], 0.4), fam.states([rho0], [0.5]))[0, 0]
         np.testing.assert_allclose(direct, stepped, atol=1e-7)
 
     def test_dephasing_step_where_gamma_decreases_is_not_cp(self):
         # gamma(t) = 0.5 + cos 2t is negative on (pi/3, 2pi/3), so Gamma decreases
         # there and the interval map amplifies coherences: no Kraus form exists.
         fam = DephasingFamily(lambda t: 0.5 * t + 0.5 * np.sin(2.0 * t))
-        step = fam.step(1.5, 1e-3)
-        assert isinstance(step, SuperOperator)
+        step = SuperOperator(fam.steps([1.5], 1e-3)[0])
         c = np.exp(fam.gamma_integral(1.5) - fam.gamma_integral(1.5 + 1e-3))
         assert c > 1.0
         np.testing.assert_allclose(step.matrix, np.diag([1.0, c, c, 1.0]), rtol=1e-12)
         assert not is_cptp(step)
-        assert isinstance(fam.step(0.5, 1e-3), QuantumChannel)
+        assert is_cptp(SuperOperator(fam.steps([0.5], 1e-3)[0]))
 
 
 def _oscillating_family():
@@ -462,7 +464,7 @@ def _oscillating_family():
 
 
 class TestStackedFamilyMaps:
-    """superoperators/steps over a grid are the per-time at/step maps, stacked."""
+    """superoperators/steps over a grid are the per-time reference maps, stacked."""
 
     TIMES = np.array([0.0, 0.3, 1.2, 1.5, 1.9, 2.7])
 
@@ -471,14 +473,15 @@ class TestStackedFamilyMaps:
         GeneratorFamily(dephasing_generator(lambda t: 0.5 + np.cos(2 * t))),
     ], ids=["gadc", "oscillating_dephasing", "markovian_dephasing", "generator"])
     def test_stacks_equal_per_time_maps(self, family):
+        at, step = reference_maps(family)
         stacked = family.superoperators(self.TIMES)
         assert stacked.shape == (len(self.TIMES), 4, 4)
         for t, m in zip(self.TIMES, stacked):
-            np.testing.assert_allclose(m, family.at(t).superoperator().matrix, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(m, at(t).superoperator().matrix, rtol=0, atol=1e-14)
         for eps in (1e-3, 5e-4):
             steps = family.steps(self.TIMES, eps)
             for t, m in zip(self.TIMES, steps):
-                np.testing.assert_allclose(m, family.step(t, eps).superoperator().matrix,
+                np.testing.assert_allclose(m, step(t, eps).superoperator().matrix,
                                            rtol=0, atol=1e-14)
 
     def test_dephasing_steps_keep_factors_above_one(self):
@@ -497,6 +500,31 @@ class TestStackedFamilyMaps:
         for t, row in zip(self.TIMES, states):
             for rho0, state in zip(rho0s, row):
                 np.testing.assert_allclose(state, gadc(t, 5.0).apply(rho0), atol=1e-14)
+
+    def test_generator_family_builds_each_map_once(self, monkeypatch):
+        fam = GeneratorFamily(dephasing_generator(lambda t: 0.5 + np.cos(2 * t)))
+        built = []
+
+        def counted(*args, _original=dynamics.intermediate_map, **kwargs):
+            built.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "intermediate_map", counted)
+        first = (fam.superoperators(self.TIMES), fam.steps(self.TIMES, 1e-3))
+        assert len(built) == 2 * len(self.TIMES)
+        again = (fam.superoperators(self.TIMES), fam.steps(self.TIMES, 1e-3))
+        assert len(built) == 2 * len(self.TIMES)
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a, b)
+
+    def test_family_trajectory_rates_match_finite_differences(self, rng):
+        # The trajectory keeps its closed form: the FD oracle reads the family
+        # off the grid, the rates read the stacked FD derivative on it.
+        grid = np.linspace(0.1, 1.0, 10)
+        [traj] = GadcFamily(5.0).trajectories([random_full_rank_state(rng, 2)], grid)
+        rates = traj.entropy_rates()
+        for k in range(len(grid)):
+            assert entropy_rate_fd(traj, k, richardson=True) == pytest.approx(rates[k], abs=1e-6)
 
     def test_negative_time_rejected(self):
         with pytest.raises(IntegrationError, match="negative time"):
@@ -536,7 +564,8 @@ class TestStackedTrajectory:
         assert ranks[0] == 1 and ranks[-1] == 3 and rows.any()
 
     def test_states_carry_the_stored_spectrum(self, rng, monkeypatch):
-        traj = GadcFamily(5.0).trajectory(random_mixed_state(rng, 2), np.linspace(0.0, 1.0, 11))
+        grid = np.linspace(0.0, 1.0, 11)
+        [traj] = GadcFamily(5.0).trajectories([random_mixed_state(rng, 2)], grid)
         calls = count_eig_calls(monkeypatch)
         for k, state in enumerate(traj.states):
             np.testing.assert_array_equal(state.entries, traj.entries[k])
@@ -554,15 +583,15 @@ class TestStackedTrajectory:
             k = int(np.argmin(np.abs(grid - t)))
             one = _rk4_segment(gen, trajs[n].entries[k], float(grid[k]), t, 8)
             np.testing.assert_allclose(state, one, atol=1e-14)
-            np.testing.assert_allclose(trajs[n].state_at(t), one, atol=1e-14)
+            np.testing.assert_allclose(states_off_grid([trajs[n]], [0], [t])[0], one, atol=1e-14)
 
 
 class TestClosedFormTrajectories:
     def test_damping_supports_track_rank_jump(self):
         traj = damping_qubit_trajectory(np.array([0.0, 0.1, 0.5]))
-        assert traj.supports[0].rank == 1
-        assert traj.supports[1].rank == 2
-        assert list(traj.rank_change_times()) == [pytest.approx(0.1)]
+        assert list(traj.ranks()) == [1, 2, 2]
+        assert np.trace(traj.spectrum.projectors()[0]).real == pytest.approx(1.0)
+        assert list(traj.rank_jump_rows(0.01)) == [True, True, False]
 
     def test_fd_derivative_fallback(self):
         grid = np.linspace(0.1, 1.0, 10)
@@ -595,7 +624,7 @@ class TestOneSpectrumPerState:
         traj.entropies()
         traj.entropy_rates()
         traj.ranks()
-        traj.supports
+        traj.spectrum.projectors()
         for t, state in zip(traj.grid, traj.states):
             theorem2_bound(generator, float(t), state)
 

@@ -14,6 +14,7 @@ from entroflow.scenarios import (
     RunReport,
     _oscillatory_grid,
     _sign_changes,
+    run_config,
     validate_config,
 )
 
@@ -80,6 +81,9 @@ RATELESS_GENERATOR = {**QUTRIT_JUMP_GENERATOR, "jumps": [
     ("custom", "generator", {"kind": "lindblad_generator", "dim": 2}),  # no hamiltonian, jumps
     ("custom", "initial_state", [[1, 0], [0, 0]]),        # entries are not [re, im] pairs
     ("custom", "generator", RATELESS_GENERATOR),          # constant rate without a value
+    ("decoherence_measures", "base", 0),                  # Gamma(t) < 0 for t > pi/2
+    ("decoherence_measures", "base", -0.5),               # Gamma(t) < 0 for t > 0.95
+    ("decoherence_measures", "amplitude", 7),             # Gamma(t) < 0 near t = 2.3
 ])
 def test_bad_config_fails_in_validate(scenario, key, value, tmp_path):
     config = copy.deepcopy(DEFAULT_CONFIGS[scenario])
@@ -118,6 +122,19 @@ def test_gaussian_bounds_validate_reports_what_the_run_raises(key, value, monkey
     config = {**DEFAULT_CONFIGS["gaussian_bounds"], "parameters": params}
     assert validate_config(config) == [str(raised.value)]
     assert built == []
+
+
+def test_coarse_gaussian_grid_fails_a_check_and_keeps_the_other_rows(tmp_path):
+    # At 6 points the amplifier breaches the tail guard in its first interval.
+    config = copy.deepcopy(DEFAULT_CONFIGS["gaussian_bounds"])
+    config["parameters"]["n_points"] = 6
+    report = run_config(config, tmp_path)
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["amplifier: tail guard leaves a usable grid"]
+    assert "tail guard tripped" in failed[0].measured
+    with open(tmp_path / "gaussian_bounds.csv") as fh:
+        kinds = [row["dynamics"] for row in csv.DictReader(fh)]
+    assert kinds == ["lossy"] * 6 + ["additive"] * 6
 
 
 def test_default_custom_run_flags_nothing_at_the_rank_jump(tmp_path):

@@ -50,6 +50,8 @@ from entroflow.witnesses import (
     time_local_generator,
 )
 
+from conftest import reference_maps
+
 
 def test_pinsker_gap_rejects_trace_nonincreasing_operation():
     # N = sqrt(1/2) id on I/2: D = log 2 exceeds ||rho - N^dag N(rho)||_1 ||log rho||_inf
@@ -225,11 +227,13 @@ def test_commutator_form_equals_theorem2_bound_at_full_rank(seed, d):
 
 
 def _f_per_point(family, rho0, t, h=1e-5, eps0=1e-3):
-    """f(t) one point at a time from the family's map objects: the state and its
-    central (one-sided before t = h) difference, the rate on the support, and the
-    Richardson pair of short-time quotients."""
+    """f(t) one point at a time from reference map objects of the family: the
+    state and its central (one-sided before t = h) difference, the rate on the
+    support, and the Richardson pair of short-time quotients."""
+    at, step_map = reference_maps(family)
+
     def state(tau):
-        return family.at(tau).apply(rho0)
+        return at(tau).apply(rho0)
 
     rho = DensityMatrix(hermitian_part(state(t)))
     if t >= h:
@@ -241,7 +245,7 @@ def _f_per_point(family, rho0, t, h=1e-5, eps0=1e-3):
     base = np.real(np.trace(pi @ rho.entries))
 
     def quotient(eps):
-        step = family.step(t, eps)
+        step = step_map(t, eps)
         return (np.real(np.vdot(step.apply(pi), step.apply(rho.entries))) - base) / eps
 
     return rate + 2 * quotient(eps0 / 2) - quotient(eps0)
@@ -271,9 +275,10 @@ def test_stacked_f_matches_per_point_f(family, rng):
 def test_blp_measure_matches_per_pair_loop(family, rng):
     pairs = default_pair_sampler(2, rng, n_pairs=20)
     grid = np.linspace(0.0, 3.0, 151)
+    at, _ = reference_maps(family)
     best = 0.0
     for rho1, rho2 in pairs:
-        distances = [0.5 * np.linalg.svd(family.at(t).apply(rho1) - family.at(t).apply(rho2),
+        distances = [0.5 * np.linalg.svd(at(t).apply(rho1) - at(t).apply(rho2),
                                          compute_uv=False).sum() for t in grid]
         revivals = np.clip(np.gradient(distances, grid), 0.0, None)
         best = max(best, float(np.sum(0.5 * (revivals[1:] + revivals[:-1]) * np.diff(grid))))
