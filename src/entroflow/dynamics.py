@@ -8,9 +8,10 @@ layers: ``propagate_many`` advances a stack of states with RK4 and step
 doubling (``propagate`` is its single-state call), and intermediate maps
 M_{t,s} are products of commutator-free 4th-order Magnus steps, doubled
 until successive products agree.  Both stopping rules double as convergence
-certificates.  A channel family is its maps over a grid, as two
-(T, d^2, d^2) stacks, M_{t,0} and M_{t+eps,t}, which carry a stack of
-initial states to (T, N, d, d) states in one product.
+certificates.  A channel family is its maps over a grid as (T, d^2, d^2)
+stacks, M_{t,0}, M_{t+eps,t} and the exact limits d/dt M_{t,0} and
+K_t = d/d eps M_{t+eps,t} at eps = 0, each carrying a stack of initial
+states to (T, N, d, d) states in one product: no finite differences.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from ._util import one_sided_difference, time_derivative, write_csv
+from ._util import write_csv
 from .channels import (
     ChannelError,
     LindbladGenerator,
@@ -381,22 +382,14 @@ def propagate(generator: LindbladGenerator, rho0: DensityMatrix, grid,
                           max_refinements=max_refinements, on_tail_breach=on_tail_breach)[0]
 
 
-def closed_form_trajectory(state_fn, grid, derivative_fn=None,
-                           fd_step: float = 1e-6) -> Trajectory:
-    """Trajectory from a closed-form state callable, bypassing the integrator.
-
-    Derivatives come from ``derivative_fn`` when supplied, otherwise from
-    second-order one-sided differences of the state callable (forward, so
-    right-limits are taken at rank-change instants).
-    """
+def closed_form_trajectory(state_fn, grid, derivative_fn) -> Trajectory:
+    """Trajectory from closed-form callables of the state and of its time
+    derivative (at a rank-change instant, its right limit), bypassing the
+    integrator."""
     grid = np.asarray(grid, dtype=float)
     states = np.stack([hermitian_part(as_matrix(state_fn(float(t)))) for t in grid])
-    if derivative_fn is not None:
-        derivatives = [as_matrix(derivative_fn(float(t))) for t in grid]
-    else:
-        derivatives = [one_sided_difference(lambda tau: as_matrix(state_fn(tau)), float(t), fd_step)
-                       for t in grid]
-    return Trajectory(grid, states, hermitian_part(np.stack(derivatives)), state_fn=state_fn)
+    derivatives = np.stack([as_matrix(derivative_fn(float(t))) for t in grid])
+    return Trajectory(grid, states, hermitian_part(derivatives), state_fn=state_fn)
 
 
 # Commutator-free 4th-order Magnus step (Blanes, Casas, Oteo & Ros, Phys. Rep.
@@ -603,11 +596,13 @@ def cp_divisibility_check(generator: LindbladGenerator, grid, atol: float = 1e-9
 class ChannelFamily:
     """A dynamics described by its maps, as stacks over a whole grid.
 
-    ``superoperators(times)`` returns the (T, d^2, d^2) matrices of M_{t,0}
-    and ``steps(times, eps)`` those of the intermediate maps M_{t+eps,t}, in
-    the row-stacking convention of :mod:`entroflow.channels`; subclasses
-    give both.  ``states``, ``evolve``, ``trajectories`` and the witnesses
-    apply them to (N, d, d) stacks of initial states.
+    Subclasses give the (T, d^2, d^2) matrices, in the row-stacking
+    convention of :mod:`entroflow.channels`, of M_{t,0} (``superoperators``),
+    of the intermediate maps M_{t+eps,t} (``steps``, the finite-eps reference)
+    and of K_t = d/d eps M_{t+eps,t} at eps = 0 (``step_generators``);
+    ``derivatives``, d/dt M_{t,0}, is K_t M_{t,0} for maps that compose.
+    ``states``, ``evolve``, ``trajectories`` and the witnesses apply them to
+    (N, d, d) stacks of initial states.
     """
 
     dim: int
@@ -617,6 +612,12 @@ class ChannelFamily:
 
     def steps(self, times, eps: float) -> np.ndarray:
         raise NotImplementedError
+
+    def step_generators(self, times) -> np.ndarray:
+        raise NotImplementedError
+
+    def derivatives(self, times) -> np.ndarray:
+        return self.step_generators(times) @ self.superoperators(times)
 
     def states(self, rho0s, times) -> np.ndarray:
         """M_{t,0}(rho_0) as a (T, N, d, d) stack.
@@ -630,24 +631,25 @@ class ChannelFamily:
         return apply_superoperators(self.superoperators(times),
                                     np.stack([as_matrix(rho) for rho in rho0s]))
 
-    def evolve(self, rho0s, times,
-               fd_step: float = 1e-5) -> tuple[np.ndarray, np.ndarray, EigenSystem]:
+    def evolve(self, rho0s, times) -> tuple[np.ndarray, np.ndarray, EigenSystem]:
         """States, their time derivatives and their spectra at ``times``.
 
-        ``rho0s`` as in :meth:`states`.  The derivatives come from the
-        stacked FD stencil with step ``fd_step``, the spectra from one eigh
-        over the whole (T, N, d, d) stack, which also validates the states.
+        ``rho0s`` as in :meth:`states`.  The derivatives are the
+        :meth:`derivatives` maps applied to the initial states, the spectra
+        come from one eigh over the whole (T, N, d, d) stack, which also
+        validates the states.
         """
         states, spectrum = check_density_stack(hermitian_part(self.states(rho0s, times)))
-        dots = hermitian_part(time_derivative(lambda tau: self.states(rho0s, tau), times, fd_step))
-        return states, dots, spectrum
+        dots = apply_superoperators(self.derivatives(times),
+                                    np.stack([as_matrix(rho) for rho in rho0s]))
+        return states, hermitian_part(dots), spectrum
 
-    def trajectories(self, rho0s, grid, fd_step: float = 1e-5) -> list[Trajectory]:
+    def trajectories(self, rho0s, grid) -> list[Trajectory]:
         """One trajectory per initial state on a shared grid, from one :meth:`evolve`;
         each keeps its state off the grid in closed form."""
         grid = np.asarray(grid, dtype=float)
         rho0s = list(rho0s)
-        states, dots, spectrum = self.evolve(rho0s, grid, fd_step)
+        states, dots, spectrum = self.evolve(rho0s, grid)
         return [Trajectory(grid, states[:, n], dots[:, n], spectrum=spectrum[:, n],
                            state_fn=lambda t, rho0=rho0: self.states([rho0], [t])[0, 0])
                 for n, rho0 in enumerate(rho0s)]
@@ -676,7 +678,8 @@ class GadcFamily(ChannelFamily):
 
     The intermediate map over a short window is the channel at time eps
     itself, which is the convention under which the evolved maximally mixed
-    state picks up the population imbalance W_t.
+    state picks up the population imbalance W_t.  So its maps do not compose:
+    ``derivatives`` is a closed form, and K_t is d/dt M_{t,0} at t = 0.
     """
 
     def __init__(self, omega: float):
@@ -696,18 +699,39 @@ class GadcFamily(ChannelFamily):
         maps[:, 3, 3] = p * eta + (1.0 - p)
         return _trace_preserving(maps)
 
+    def derivatives(self, times) -> np.ndarray:
+        """d/dt of :meth:`superoperators`, with p' = -omega sin(2 omega t), eta' = -eta."""
+        t = np.atleast_1d(np.asarray(times, dtype=float))
+        p = np.cos(self.omega * t) ** 2
+        p_dot = -self.omega * np.sin(2.0 * self.omega * t)
+        eta = np.exp(-t)
+        maps = np.zeros(t.shape + (4, 4), dtype=complex)
+        maps[:, 0, 0] = p_dot * (1.0 - eta) - (1.0 - p) * eta
+        maps[:, 0, 3] = p_dot * (1.0 - eta) + p * eta
+        maps[:, 3] = -maps[:, 0]
+        maps[:, 1, 1] = maps[:, 2, 2] = -0.5 * np.sqrt(eta)
+        return maps
+
     def steps(self, times, eps: float) -> np.ndarray:
         return np.broadcast_to(self.superoperators([eps]), (np.size(times), 4, 4))
+
+    def step_generators(self, times) -> np.ndarray:
+        return np.broadcast_to(self.derivatives([0.0]), (np.size(times), 4, 4))
 
 
 class DephasingFamily(ChannelFamily):
     """Pure-decoherence dynamics with accumulated decoherence Gamma(t).
 
     ``gamma_integral`` must be the antiderivative of the decoherence rate
-    with Gamma(0) = 0, and accept an array of times; maps scale coherences by
-    exp(-Gamma(t)), and intermediate maps by exp(Gamma(t) - Gamma(t + eps)).
-    Where Gamma decreases over the window that factor exceeds 1 and the
-    interval map is not CP; ``steps`` keeps the factor as it is.
+    with Gamma(0) = 0; maps scale coherences by exp(-Gamma(t)), and
+    intermediate maps by exp(Gamma(t) - Gamma(t + eps)).  Where Gamma
+    decreases over the window that factor exceeds 1 and the interval map is
+    not CP; ``steps`` keeps the factor as it is.
+
+    ``gamma_integral`` takes arrays of complex times too, as an analytic
+    numpy expression: the rate gamma(t) = Gamma'(t) of K_t is its complex-step
+    derivative Im Gamma(t + ih)/h (Squire & Trapp, SIAM Rev. 40, 110 (1998)),
+    exact to rounding.  One that drops the imaginary part raises ChannelError.
     """
 
     def __init__(self, gamma_integral):
@@ -724,13 +748,24 @@ class DephasingFamily(ChannelFamily):
         t = np.atleast_1d(np.asarray(times, dtype=float))
         return _coherence_maps(np.exp(-(self.gamma_integral(t + eps) - self.gamma_integral(t))))
 
+    def step_generators(self, times) -> np.ndarray:
+        t = np.atleast_1d(np.asarray(times, dtype=float))
+        h = 1e-20  # no difference is taken, so no rounding error grows as h shrinks
+        shifted = self.gamma_integral(t + 1j * h)
+        if not np.iscomplexobj(shifted):
+            raise ChannelError("gamma_integral dropped the imaginary part of a complex time: "
+                               "it must be an analytic numpy expression of complex times")
+        maps = np.zeros(t.shape + (4, 4), dtype=complex)
+        maps[:, 1, 1] = maps[:, 2, 2] = -np.imag(shifted) / h
+        return maps
+
 
 class GeneratorFamily(ChannelFamily):
     """Dynamics induced by a Lindblad generator, via time-ordered propagators.
 
     Its maps are the matrices of Magnus products (:func:`intermediate_map`),
-    cached per interval; its trajectories come from propagating all initial
-    states as one stack.
+    cached per interval, and K_t is the superoperator of L_t; its
+    trajectories come from propagating all initial states as one stack.
     """
 
     def __init__(self, generator: LindbladGenerator, map_atol: float = 1e-9):
@@ -751,7 +786,11 @@ class GeneratorFamily(ChannelFamily):
     def steps(self, times, eps: float) -> np.ndarray:
         return np.stack([self._map(float(t), float(t) + float(eps)) for t in np.atleast_1d(times)])
 
-    def trajectories(self, rho0s, grid, fd_step: float = 1e-5) -> list[Trajectory]:
+    def step_generators(self, times) -> np.ndarray:
+        return np.stack([self.generator.superoperator(float(t)).matrix
+                         for t in np.atleast_1d(times)])
+
+    def trajectories(self, rho0s, grid) -> list[Trajectory]:
         return propagate_many(self.generator, rho0s, grid)
 
 

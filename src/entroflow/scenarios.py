@@ -9,7 +9,8 @@ Every parameter is declared once, as a :class:`Param` in the catalog
 ``SCENARIOS``; ``DEFAULT_CONFIGS`` and the ``list`` text derive from it, and
 ``validate_config`` is one loop over it: unknown and missing names, each
 value's JSON type and range, the time grid the run builds (two strictly
-increasing points at least), then the scenario's cross-parameter and
+increasing points at least, and at most ``MAX_GRID_POINTS``, counted before
+the grid is allocated), then the scenario's cross-parameter and
 constructor ``"check"``.  Runners read the validated values as they are.
 """
 
@@ -45,10 +46,9 @@ from .dynamics import (
     GadcFamily,
     TailMassError,
     _entropy_rates_fd,
-    closed_form_trajectory,
-    damping_qubit_state,
+    damping_qubit_trajectory,
     export_trajectory,
-    oscillating_qubit_state,
+    oscillating_qubit_trajectory,
     propagate,
 )
 from .linalg import DensityMatrix, LinalgError
@@ -69,6 +69,9 @@ __all__ = [
 
 class ScenarioError(ValueError):
     pass
+
+
+MAX_GRID_POINTS = 100_000  # the largest default grid, fig1_gadc's, has 3,001
 
 
 def _is_int(value) -> bool:
@@ -170,14 +173,23 @@ def _sign_changes(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero((values[:-1] != 0.0) & (values[:-1] * values[1:] < 0.0))
 
 
+def _grid(start: float, stop: float, points: int) -> np.ndarray:
+    """``points`` evenly spaced times on [start, stop], refused before allocation above the cap."""
+    if points > MAX_GRID_POINTS:
+        raise ScenarioError(f"the time grid asks for more than {MAX_GRID_POINTS} points")
+    return np.linspace(start, stop, points)
+
+
 def _step_grid(params: dict) -> np.ndarray:
-    """0, t_step, ..., t_max: the grid of the scenarios set by a step."""
-    return np.linspace(0.0, params["t_max"], round(params["t_max"] / params["t_step"]) + 1)
+    """0, t_step, ..., t_max: the grid of the scenarios set by a step (its
+    count capped before rounding, where t_max / t_step may overflow)."""
+    return _grid(0.0, params["t_max"],
+                 round(min(params["t_max"] / params["t_step"], MAX_GRID_POINTS)) + 1)
 
 
 def _window_grid(params: dict) -> np.ndarray:
     """n_points evenly spaced times on [0, t_max]."""
-    return np.linspace(0.0, params["t_max"], params["n_points"])
+    return _grid(0.0, params["t_max"], params["n_points"])
 
 
 def _check_fig1_gadc(params: dict) -> list[str]:
@@ -282,13 +294,12 @@ def run_fig2_depolarizing(params: dict, outdir: Path, seed: int) -> tuple[list[C
 # Appendix-style closed-form trajectories
 # ---------------------------------------------------------------------------
 
-def _fd_rate_check(state, grid: np.ndarray, params: dict, table: Path) -> CheckResult:
+def _fd_rate_check(traj, params: dict, table: Path) -> CheckResult:
     """Tabulate a closed-form trajectory's entropy rate and its finite differences; compare."""
-    traj = closed_form_trajectory(state, grid)
     rates = traj.entropy_rates()
     rates_fd = _entropy_rates_fd(traj, np.arange(len(traj)), h=params["fd_h"], richardson=True)
     write_csv(table, ["t", "entropy", "entropy_rate", "entropy_rate_fd"],
-              zip(grid, traj.entropies(), rates, rates_fd))
+              zip(traj.grid, traj.entropies(), rates, rates_fd))
     max_disc = float(np.max(np.abs(rates - rates_fd)))
     return CheckResult("rate matches finite differences", max_disc <= params["tol"],
                        f"max |rate - fd| = {max_disc:.3e}", f"<= {params['tol']:g}")
@@ -296,14 +307,14 @@ def _fd_rate_check(state, grid: np.ndarray, params: dict, table: Path) -> CheckR
 
 def _damping_grid(params: dict) -> np.ndarray:
     """n_points evenly spaced times on [t_min, t_max]."""
-    return np.linspace(params["t_min"], params["t_max"], params["n_points"])
+    return _grid(params["t_min"], params["t_max"], params["n_points"])
 
 
 def run_appendix_damping(params: dict, outdir: Path, seed: int):
     table = outdir / "appendixB_damping.csv"
-    fd_check = _fd_rate_check(damping_qubit_state, _damping_grid(params), params, table)
+    fd_check = _fd_rate_check(damping_qubit_trajectory(_damping_grid(params)), params, table)
     half_life = float(np.log(2.0))
-    peak_traj = closed_form_trajectory(damping_qubit_state, np.array([half_life, 1.0]))
+    peak_traj = damping_qubit_trajectory(np.array([half_life, 1.0]))
     rate_ln2, rate_one = peak_traj.entropy_rates()
     analytic_one = float(np.exp(-1.0) * np.log(np.exp(-1.0) / (1.0 - np.exp(-1.0))))
 
@@ -318,17 +329,18 @@ def run_appendix_damping(params: dict, outdir: Path, seed: int):
 
 
 def _oscillatory_grid(params: dict) -> np.ndarray:
-    """The grid points at least ``margin`` away from every rank change."""
+    """The grid points at least ``margin`` away from every rank change, the
+    half-integers; the nearest one to t is round(2t)/2."""
     margin = params["margin"]
-    grid = np.linspace(margin, params["t_max"] - margin, params["n_points"])
-    half_integers = np.arange(0.0, params["t_max"] + 0.5, 0.5)
-    return grid[np.min(np.abs(half_integers[:, None] - grid), axis=0) >= margin]
+    grid = _grid(margin, params["t_max"] - margin, params["n_points"])
+    return grid[np.abs(grid - np.round(2.0 * grid) / 2.0) >= margin]
 
 
 def run_appendix_oscillatory(params: dict, outdir: Path, seed: int):
     table = outdir / "appendixB_oscillatory.csv"
-    fd_check = _fd_rate_check(oscillating_qubit_state, _oscillatory_grid(params), params, table)
-    spot = closed_form_trajectory(oscillating_qubit_state, np.array([1e-10, 0.25]))
+    traj = oscillating_qubit_trajectory(_oscillatory_grid(params))
+    fd_check = _fd_rate_check(traj, params, table)
+    spot = oscillating_qubit_trajectory(np.array([1e-10, 0.25]))
     limit_rate, quarter_rate = spot.entropy_rates()
     checks = [
         fd_check,
@@ -680,7 +692,10 @@ def validate_config(config: dict) -> list[str]:
     if problems:
         return problems
     if "grid" in meta:
-        grid = meta["grid"](params)
+        try:
+            grid = meta["grid"](params)
+        except ScenarioError as exc:
+            return [str(exc)]
         if len(grid) < 2 or np.any(np.diff(grid) <= 0.0):
             span = f" on [{grid[0]:g}, {grid[-1]:g}]" if len(grid) else ""
             return [f"the time grid must hold at least two strictly increasing points; "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from ._util import time_derivative, write_csv
+from ._util import write_csv
 from .channels import (
     LindbladGenerator,
     QuantumChannel,
@@ -85,7 +85,6 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 EPS_WITNESS = 1e-7       # violation threshold for the rate tests
 EPS_TEST_C = 1e-6        # mismatch threshold for the derivative-consistency test
-EPSILON_STEP = 1e-3      # base step for the short-time channel derivative
 RANK_CHANGE_MARGIN = 1e-3
 
 
@@ -197,44 +196,26 @@ def generator_commutator_expectation(generator: LindbladGenerator, t: float, rho
 # Channel-side witness: the short-time derivative and f(t)
 # ---------------------------------------------------------------------------
 
-def _epsilon_derivatives(family: ChannelFamily, times, states: np.ndarray, projectors: np.ndarray,
-                         eps0: float = EPSILON_STEP, convergence_tol: float = 0.05) -> np.ndarray:
-    """d/d eps Tr{Pi_t (M_{t+eps,t})^dag M_{t+eps,t}(rho_t)} at eps -> 0+ for
+def _epsilon_derivatives(family: ChannelFamily, times, states: np.ndarray,
+                         projectors: np.ndarray) -> np.ndarray:
+    """d/d eps Tr{Pi_t (M_{t+eps,t})^dag M_{t+eps,t}(rho_t)} at eps = 0 for
     states and support projectors (T, N, d, d) at times (T,): a (T, N) array.
 
-    One-sided difference quotients at eps0 and eps0/2 combined with a single
-    Richardson step (the limit is one-sided, but the quotient pair removes
-    the linear error term).  A large disagreement between the two quotients
-    flags a non-smooth family.  Tr{Pi M^dag M(rho)} is read as <M(Pi), M(rho)>_HS.
+    Tr{Pi M^dag M(rho)} is <M(Pi), M(rho)>_HS and M_{t,t} = id, so the limit
+    is <K_t(Pi), rho> + <Pi, K_t(rho)> = Tr{Pi (K_t + K_t^dag)(rho)}, with
+    K_t the family's step generator: one product over the stack.
     """
-    base = np.real(trace_product(projectors, states))
-
-    def quotient(eps: float) -> np.ndarray:
-        maps = family.steps(times, eps)
-        overlap = np.sum(np.conj(apply_superoperators(maps, projectors))
-                         * apply_superoperators(maps, states), axis=(-2, -1))
-        return (np.real(overlap) - base) / eps
-
-    d1 = quotient(eps0)
-    d2 = quotient(0.5 * eps0)
-    disagree = np.abs(d2 - d1) > convergence_tol * np.maximum(1.0, np.abs(d2))
-    if disagree.any():
-        k, n = np.argwhere(disagree)[0]
-        raise WitnessError(
-            f"epsilon-derivative quotients disagree at t={times[k]}: {d1[k, n]} vs {d2[k, n]}"
-        )
-    return 2.0 * d2 - d1
+    k = family.step_generators(times)
+    return np.real(trace_product(projectors, apply_superoperators(
+        k + np.conj(np.swapaxes(k, -1, -2)), states)))
 
 
-def epsilon_derivative(family: ChannelFamily, rho_t, t: float,
-                       eps0: float = EPSILON_STEP,
-                       convergence_tol: float = 0.05) -> float:
-    """d/d eps Tr{Pi_t (M_{t+eps,t})^dag M_{t+eps,t}(rho_t)} at eps -> 0+, for
+def epsilon_derivative(family: ChannelFamily, rho_t, t: float) -> float:
+    """d/d eps Tr{Pi_t (M_{t+eps,t})^dag M_{t+eps,t}(rho_t)} at eps = 0, for
     one state: the T = N = 1 case of the stacked derivative."""
     a = hermitian_part(as_matrix(rho_t))
     pi = support_projector(rho_t).entries
-    return float(_epsilon_derivatives(family, np.array([t], dtype=float), a[None, None],
-                                      pi[None, None], eps0, convergence_tol)[0, 0])
+    return float(_epsilon_derivatives(family, [t], a[None, None], pi[None, None])[0, 0])
 
 
 def _stack(trajectories: list[Trajectory]) -> tuple[np.ndarray, np.ndarray, EigenSystem]:
@@ -249,40 +230,38 @@ def _stack(trajectories: list[Trajectory]) -> tuple[np.ndarray, np.ndarray, Eige
 
 
 def _f_parts(family: ChannelFamily, times, states: np.ndarray, dots: np.ndarray,
-             spectrum: EigenSystem, eps0: float = EPSILON_STEP) -> tuple[np.ndarray, np.ndarray]:
+             spectrum: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
     """(entropy rates, short-time derivative terms) of f for states (T, N, d, d)
     at times (T,), with their derivatives and spectra: two (T, N) arrays."""
     return entropy_rate(spectrum, dots), _epsilon_derivatives(family, times, states,
-                                                              spectrum.projectors(), eps0=eps0)
+                                                              spectrum.projectors())
 
 
-def f_components(family: ChannelFamily, rho0, t, eps0: float = EPSILON_STEP):
+def f_components(family: ChannelFamily, rho0, t):
     """(entropy rate, short-time derivative term) along the family trajectory.
 
     ``t`` is one time, or an array of times; then both components are
-    arrays over it, computed as one stack.  The rate takes the state's
-    derivative from the FD stencil with h = 1e-5.
+    arrays over it, computed as one stack.  The rate reads the state's
+    derivative from the family's exact d/dt M_{t,0}.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    rates, eps_terms = _f_parts(family, times, *family.evolve([rho0], times), eps0=eps0)
+    rates, eps_terms = _f_parts(family, times, *family.evolve([rho0], times))
     if np.ndim(t):
         return rates[:, 0], eps_terms[:, 0]
     return float(rates[0, 0]), float(eps_terms[0, 0])
 
 
-def witness_f_channel(family: ChannelFamily, rho0, t, eps0: float = EPSILON_STEP):
+def witness_f_channel(family: ChannelFamily, rho0, t):
     """f(t) = dS/dt + short-time derivative term; f < 0 certifies memory."""
-    rate, eps_term = f_components(family, rho0, t, eps0=eps0)
+    rate, eps_term = f_components(family, rho0, t)
     return rate + eps_term
 
 
-def time_local_generator(family: ChannelFamily, t: float, h: float = 1e-5) -> SuperOperator:
-    """Numerical time-local generator dM_t/dt o M_t^{-1} of a channel family."""
+def time_local_generator(family: ChannelFamily, t: float) -> SuperOperator:
+    """Time-local generator dM_t/dt o M_t^{-1} of a channel family."""
     times = np.array([t], dtype=float)
-    m_t = family.superoperators(times)[0]
-    m_dot = time_derivative(family.superoperators, times, h)[0]
-    dim = family.dim
-    return SuperOperator(m_dot @ np.linalg.inv(m_t), dim_in=dim, dim_out=dim)
+    generator = family.derivatives(times)[0] @ np.linalg.inv(family.superoperators(times)[0])
+    return SuperOperator(generator, dim_in=family.dim, dim_out=family.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +301,7 @@ class WitnessReport:
 
 
 def witness_reports(generator: LindbladGenerator, traj: Trajectory,
-                    family: ChannelFamily | None = None,
-                    eps0: float = EPSILON_STEP) -> list[WitnessReport]:
+                    family: ChannelFamily | None = None) -> list[WitnessReport]:
     """One WitnessReport per trajectory point.
 
     The f column and test (a)/(c) need intermediate maps; when no family is
@@ -337,8 +315,8 @@ def witness_reports(generator: LindbladGenerator, traj: Trajectory,
     rates = traj.entropy_rates()
     witness = _pinned_adjoint_traces(generator, traj.grid, traj.entries, projectors)
     bounds = -witness
-    eps_terms = _epsilon_derivatives(fam, traj.grid, traj.entries[:, None], projectors[:, None],
-                                     eps0=eps0)[:, 0]
+    eps_terms = _epsilon_derivatives(fam, traj.grid, traj.entries[:, None],
+                                     projectors[:, None])[:, 0]
     f_values = rates + eps_terms
     tests = {"test_a_passed": test_a(f_values), "test_b_passed": test_b(rates, bounds),
              "test_c_passed": test_c(eps_terms, witness)}
@@ -461,16 +439,16 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid,
 
 
 def measure_channel(family: ChannelFamily, state_sampler, grid,
-                    eps_w: float = EPS_WITNESS, eps0: float = EPSILON_STEP,
+                    eps_w: float = EPS_WITNESS,
                     rank_margin: float = RANK_CHANGE_MARGIN) -> MeasureResult:
     """Max over initial states of the integrated negative part of f(t)."""
     def values(trajs: list[Trajectory]) -> np.ndarray:
-        rates, eps_terms = _f_parts(family, trajs[0].grid, *_stack(trajs), eps0=eps0)
+        rates, eps_terms = _f_parts(family, trajs[0].grid, *_stack(trajs))
         return rates + eps_terms
 
     def evaluate(states, trajs, ns, ts) -> np.ndarray:
         starts = np.stack([as_matrix(states[n]) for n in ns])[:, None]  # row c at time ts[c] only
-        rates, eps_terms = _f_parts(family, ts, *family.evolve(starts, ts), eps0=eps0)
+        rates, eps_terms = _f_parts(family, ts, *family.evolve(starts, ts))
         return (rates + eps_terms)[:, 0]
 
     return _measure(state_sampler, grid, family.trajectories, values, evaluate, eps_w, rank_margin)

@@ -30,11 +30,18 @@ from entroflow import (
     thermal_state,
     von_neumann_entropy,
 )
-from entroflow.channels import JumpTerm, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_superoperators
+from entroflow.channels import (
+    ChannelError,
+    JumpTerm,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    apply_superoperators,
+)
 from entroflow import dynamics
-from entroflow._util import central_difference
 from entroflow.dynamics import (
     Trajectory,
+    _damping_qubit_derivative,
     _entropy_rates_fd,
     _rank_change_distance,
     _rk4_segment,
@@ -349,13 +356,15 @@ class TestEntropyRateFd:
         traj = oscillating_qubit_trajectory(grid)
         table = _entropy_rates_fd(traj, np.arange(len(grid)), h=1e-4, richardson=True)
 
-        def entropy_at(tau):
-            return von_neumann_entropy(hermitian_part(oscillating_qubit_state(tau)))
+        def central_difference(t, h):
+            def entropy_at(tau):
+                return von_neumann_entropy(hermitian_part(oscillating_qubit_state(tau)))
+            return (entropy_at(t + h) - entropy_at(t - h)) / (2.0 * h)
 
         for k, t in enumerate(grid):
             h = min(1e-4, 0.01 * _rank_change_distance(traj.spectrum[k], traj.derivatives[k]))
-            coarse = central_difference(entropy_at, t, h)
-            fine = central_difference(entropy_at, t, 0.5 * h)
+            coarse = central_difference(t, h)
+            fine = central_difference(t, 0.5 * h)
             assert table[k] == pytest.approx((4.0 * fine - coarse) / 3.0, rel=1e-12, abs=1e-12)
             assert entropy_rate_fd(traj, k, h=1e-4, richardson=True) == table[k]
         assert 0.01 * _rank_change_distance(traj.spectrum[4], traj.derivatives[4]) < 1e-4
@@ -484,6 +493,45 @@ class TestStackedFamilyMaps:
                 np.testing.assert_allclose(m, step(t, eps).superoperator().matrix,
                                            rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("family, k_tol", [
+        (GadcFamily(5.0), 1.3e-5), (_oscillating_family(), 6e-7),
+        (DephasingFamily(lambda t: t), 1e-7),
+        (GeneratorFamily(dephasing_generator(lambda t: 0.5 + np.cos(2 * t))), 6e-7),
+    ], ids=["gadc", "oscillating_dephasing", "markovian_dephasing", "generator"])
+    def test_exact_limits_match_finite_differences(self, family, k_tol):
+        # K_t against the Richardson quotient 2 q(eps/2) - q(eps) of the steps,
+        # q(eps) = (M_{t+eps,t} - I)/eps at eps = 1e-3, whose O(eps^2) error on
+        # TIMES is 1.25e-5 (GADC), 5.3e-7 (oscillating dephasing, generator) and
+        # 8.3e-8 (Markovian dephasing).  d/dt M_{t,0} against the central
+        # difference of the maps with h = 1e-5, taken about t + h so that no
+        # time is negative: 7.4e-9 at most (GADC).
+        eps, h = 1e-3, 1e-5
+
+        def quotient(e):
+            return (family.steps(self.TIMES, e) - np.eye(4)) / e
+
+        generators = family.step_generators(self.TIMES)
+        assert generators.shape == (len(self.TIMES), 4, 4)
+        np.testing.assert_allclose(generators, 2 * quotient(eps / 2) - quotient(eps),
+                                   rtol=0, atol=k_tol)
+        mid = self.TIMES + h
+        central = (family.superoperators(mid + h) - family.superoperators(mid - h)) / (2 * h)
+        np.testing.assert_allclose(family.derivatives(mid), central, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("base, amplitude, frequency",
+                             [(0.5, 1.0, 2.0), (1.0, 0.0, 1.0), (0.3, -0.2, 7.0)])
+    def test_dephasing_rate_is_exact(self, base, amplitude, frequency):
+        t = np.linspace(0.0, 3.0, 301)
+        fam = DephasingFamily(lambda s: base * s + (amplitude / frequency) * np.sin(frequency * s))
+        expected = np.zeros((len(t), 4, 4))
+        expected[:, 1, 1] = expected[:, 2, 2] = -(base + amplitude * np.cos(frequency * t))
+        np.testing.assert_allclose(fam.step_generators(t), expected, rtol=0, atol=1e-14)
+
+    def test_dephasing_rate_needs_complex_times(self):
+        fam = DephasingFamily(lambda t: np.real(t))  # Gamma(t) = t, read at real times only
+        with pytest.raises(ChannelError, match="complex time"):
+            fam.step_generators([0.5])
+
     def test_dephasing_steps_keep_factors_above_one(self):
         fam = _oscillating_family()
         t = np.array([1.2, 1.5, 1.9])  # inside (pi/3, 2pi/3)
@@ -519,7 +567,7 @@ class TestStackedFamilyMaps:
 
     def test_family_trajectory_rates_match_finite_differences(self, rng):
         # The trajectory keeps its closed form: the FD oracle reads the family
-        # off the grid, the rates read the stacked FD derivative on it.
+        # off the grid, the rates read the exact derivative on it.
         grid = np.linspace(0.1, 1.0, 10)
         [traj] = GadcFamily(5.0).trajectories([random_full_rank_state(rng, 2)], grid)
         rates = traj.entropy_rates()
@@ -593,13 +641,6 @@ class TestClosedFormTrajectories:
         assert np.trace(traj.spectrum.projectors()[0]).real == pytest.approx(1.0)
         assert list(traj.rank_jump_rows(0.01)) == [True, True, False]
 
-    def test_fd_derivative_fallback(self):
-        grid = np.linspace(0.1, 1.0, 10)
-        traj = closed_form_trajectory(damping_qubit_state, grid)
-        exact = damping_qubit_trajectory(grid)
-        for a, b in zip(traj.derivatives, exact.derivatives):
-            assert np.max(np.abs(a - b)) <= 1e-7
-
     def test_oscillating_entropy_values(self):
         traj = oscillating_qubit_trajectory(np.array([0.25]))
         assert traj.entropies()[0] == pytest.approx(np.log(2.0), abs=1e-12)
@@ -636,7 +677,8 @@ class TestOneSpectrumPerState:
         assert calls == []
 
     def test_closed_form_trajectory(self, monkeypatch):
-        traj = closed_form_trajectory(damping_qubit_state, np.linspace(0.0, 1.0, 11))
+        traj = closed_form_trajectory(damping_qubit_state, np.linspace(0.0, 1.0, 11),
+                                      _damping_qubit_derivative)
         calls = count_eig_calls(monkeypatch)
         self.read_everything(traj, dephasing_generator(1.0))
         assert calls == []

@@ -12,6 +12,7 @@ from entroflow.scenarios import (
     DEFAULT_CONFIGS,
     CheckResult,
     RunReport,
+    _gadc_closed_form,
     _oscillatory_grid,
     _sign_changes,
     run_config,
@@ -84,6 +85,9 @@ RATELESS_GENERATOR = {**QUTRIT_JUMP_GENERATOR, "jumps": [
     ("decoherence_measures", "base", 0),                  # Gamma(t) < 0 for t > pi/2
     ("decoherence_measures", "base", -0.5),               # Gamma(t) < 0 for t > 0.95
     ("decoherence_measures", "amplitude", 7),             # Gamma(t) < 0 near t = 2.3
+    ("fig1_gadc", "t_step", 1e-6),                        # 3,000,001 grid points
+    ("gaussian_bounds", "n_points", 3000000),             # 3,000,000 grid points
+    ("fig1_gadc", "t_step", 1e-9),                        # 3e9 points, 24 GB as a grid
 ])
 def test_bad_config_fails_in_validate(scenario, key, value, tmp_path):
     config = copy.deepcopy(DEFAULT_CONFIGS[scenario])
@@ -135,6 +139,37 @@ def test_coarse_gaussian_grid_fails_a_check_and_keeps_the_other_rows(tmp_path):
     with open(tmp_path / "gaussian_bounds.csv") as fh:
         kinds = [row["dynamics"] for row in csv.DictReader(fh)]
     assert kinds == ["lossy"] * 6 + ["additive"] * 6
+
+
+def _table(path) -> dict[str, np.ndarray]:
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    return {key: np.array([float(row[key]) for row in rows]) for key in rows[0]}
+
+
+def test_fig1_gadc_f_is_the_closed_form(tmp_path):
+    config = DEFAULT_CONFIGS["fig1_gadc"]
+    assert run_config(config, tmp_path).passed
+    table = _table(tmp_path / "fig1_gadc.csv")
+    f_closed = _gadc_closed_form(config["parameters"]["omega"], table["t"])[3]
+    assert np.max(np.abs(table["f"] - f_closed)) <= 1e-12
+
+
+def _damping_rate(t):
+    e = np.exp(-t)
+    return e * np.log(e / (1.0 - e))
+
+
+def _oscillating_rate(t):
+    return np.pi * np.sin(2.0 * np.pi * t) * np.log(np.cos(np.pi * t) ** 2 / np.sin(np.pi * t) ** 2)
+
+
+@pytest.mark.parametrize("scenario, rate", [("appendixB_damping", _damping_rate),
+                                            ("appendixB_oscillatory", _oscillating_rate)])
+def test_appendix_rates_are_the_closed_form(scenario, rate, tmp_path):
+    assert run_config(DEFAULT_CONFIGS[scenario], tmp_path).passed
+    table = _table(tmp_path / f"{scenario}.csv")
+    assert np.max(np.abs(table["entropy_rate"] - rate(table["t"]))) <= 1e-12
 
 
 def test_default_custom_run_flags_nothing_at_the_rank_jump(tmp_path):
