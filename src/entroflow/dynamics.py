@@ -1,17 +1,18 @@
 """Master-equation integration, intermediate propagators, and entropy rates.
 
-A trajectory is a stack: a (T, d, d) array of states on a fixed time grid,
-the (T, d, d) array of their generator-consistent derivatives, and one
-stacked eigendecomposition of the states, from which entropies, ranks and
-entropy rates are read as arrays.  One linear-dynamics engine serves both
-layers: ``propagate_many`` advances a stack of states with RK4 and step
-doubling (``propagate`` is its single-state call), and intermediate maps
-M_{t,s} are products of commutator-free 4th-order Magnus steps, doubled
-until successive products agree.  Both stopping rules double as convergence
-certificates.  A channel family is its maps over a grid as (T, d^2, d^2)
-stacks, M_{t,0}, M_{t+eps,t} and the exact limits d/dt M_{t,0} and
-K_t = d/d eps M_{t+eps,t} at eps = 0, each carrying a stack of initial
-states to (T, N, d, d) states in one product: no finite differences.
+A trajectory is a stack whose leading axis is time: a (T, d, d) array of
+states on a fixed time grid for one initial state, or (T, N, d, d) for N,
+the array of their generator-consistent derivatives, and one stacked
+eigendecomposition of the states, from which entropies, ranks and entropy
+rates are read as arrays.  One linear-dynamics engine serves both layers:
+``propagate`` advances one state or a stack of states with RK4 and step
+doubling, and intermediate maps M_{t,s} are products of commutator-free
+4th-order Magnus steps, doubled until successive products agree.  Both
+stopping rules double as convergence certificates.  A channel family is its
+maps over a grid as (T, d^2, d^2) stacks, M_{t,0}, M_{t+eps,t} and the exact
+limits d/dt M_{t,0} and K_t = d/d eps M_{t+eps,t} at eps = 0, each carrying
+a stack of initial states to (T, N, d, d) states in one product: no finite
+differences.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "TailMassError",
     "Trajectory",
     "propagate",
-    "propagate_many",
     "states_off_grid",
     "closed_form_trajectory",
     "intermediate_map",
@@ -80,26 +80,30 @@ class TailMassError(IntegrationError):
 
 
 class Trajectory:
-    """States and their derivatives on an increasing time grid, as stacks.
+    """States and their derivatives on an increasing time grid, as stacks
+    whose leading axis is time.
 
-    ``entries`` is the (T, d, d) array of states, ``derivatives`` the
-    (T, d, d) array of their time derivatives, and ``spectrum`` the stacked
-    eigendecomposition of ``entries`` (an :class:`EigenSystem` over T
-    matrices).  Entropies, logarithms on the supports, ranks and entropy
-    rates are array expressions over that one spectrum, and ``states`` reads
-    the states as :class:`DensityMatrix` objects carrying their part of it.
-    The support check at construction computes the expectations
-    <v_i|rho_dot|v_i> of the derivatives in the eigenbases once, and
-    ``entropy_rates`` reads them.
+    ``entries`` is the (T, d, d) array of the states of one initial state,
+    or (T, N, d, d) for N initial states; ``derivatives``, of the same
+    shape, holds their time derivatives, and ``spectrum`` is the stacked
+    eigendecomposition of ``entries`` (an :class:`EigenSystem` over the
+    batch axes).  Entropies, logarithms on the supports, ranks, rank-jump
+    rows and entropy rates are array expressions over that one spectrum,
+    shaped (T,) or (T, N); ``states`` lists every state of the stack as a
+    :class:`DensityMatrix` carrying its part of it, in time-major order
+    (all N states at the first time, then at the next).  The support check
+    at construction computes the expectations <v_i|rho_dot|v_i> of the
+    derivatives in the eigenbases once, and ``entropy_rates`` reads them.
 
-    ``states`` and ``derivatives`` are (T, d, d) arrays.  The states are
-    validated with one stacked eigh (:func:`check_density_stack`) unless
-    ``spectrum`` passes the stacked spectrum of states already validated, so
-    that no state is decomposed twice.  ``state_fn`` is set for closed-form
-    trajectories and gives the state off the grid without the integrator;
-    ``generator`` is set when the trajectory came from propagating a master
-    equation.  ``renormalization_defects`` logs the trace defect removed at
-    each grid point.
+    The states are validated with one stacked eigh
+    (:func:`check_density_stack`) unless ``spectrum`` passes the stacked
+    spectrum of states already validated, so that no state is decomposed
+    twice.  ``state_fn`` is set for closed-form trajectories and gives the
+    states off the grid without the integrator; ``generator`` is set when
+    the trajectory came from propagating a master equation.
+    ``renormalization_defects`` logs the trace defect removed at each state,
+    and ``truncated_at`` the time at which a tail-guard breach ended the
+    whole stack.
     """
 
     def __init__(self, grid, states, derivatives, generator: LindbladGenerator | None = None,
@@ -120,24 +124,20 @@ class Trajectory:
         self._check()
 
     def _check(self) -> None:
-        if len(self.grid) != len(self.entries) or len(self.grid) != len(self.derivatives):
+        if len(self.grid) != len(self.entries) or self.entries.shape != self.derivatives.shape:
             raise IntegrationError("grid, states and derivatives lengths differ")
         if np.any(np.diff(self.grid) <= 0):
             raise IntegrationError("time grid must be strictly increasing")
         traces = np.abs(np.trace(self.derivatives, axis1=-2, axis2=-1))
-        bad = np.flatnonzero(traces > TRACE_DOT_ATOL)
-        if bad.size:
-            raise IntegrationError(f"Tr(rho_dot) = {traces[bad[0]]:.3e} at grid point {bad[0]}")
+        _raise_at(traces > TRACE_DOT_ATOL, traces, "Tr(rho_dot)")
         ranks = self.ranks()
-        steady = np.ones(len(ranks), dtype=bool)  # the rank does not change next to k
+        steady = np.ones(ranks.shape, dtype=bool)  # the rank does not change next to k
         steady[1:] &= ranks[1:] == ranks[:-1]
         steady[:-1] &= ranks[:-1] == ranks[1:]
         self._expectations = self.spectrum.expectations(self.derivatives)
         on_support = np.where(self.spectrum.support_mask(), self._expectations, 0.0)
         pinned = np.abs(on_support.sum(axis=-1))
-        bad = np.flatnonzero(steady & (pinned > SUPPORT_DOT_ATOL))
-        if bad.size:
-            raise IntegrationError(f"Tr(Pi rho_dot) = {pinned[bad[0]]:.3e} at grid point {bad[0]}")
+        _raise_at(steady & (pinned > SUPPORT_DOT_ATOL), pinned, "Tr(Pi rho_dot)")
 
     def __len__(self) -> int:
         return len(self.grid)
@@ -145,8 +145,11 @@ class Trajectory:
     @property
     def states(self) -> list[DensityMatrix]:
         if self._states is None:
-            self._states = [DensityMatrix._from_checked(rho, self.spectrum[k])
-                            for k, rho in enumerate(self.entries)]
+            d = self.entries.shape[-1]
+            spectrum = EigenSystem(self.spectrum.eigenvalues.reshape(-1, d),
+                                   self.spectrum.eigenvectors.reshape(-1, d, d))
+            self._states = [DensityMatrix._from_checked(rho, spectrum[k])
+                            for k, rho in enumerate(self.entries.reshape(-1, d, d))]
         return self._states
 
     def ranks(self) -> np.ndarray:
@@ -154,11 +157,11 @@ class Trajectory:
 
     def rank_jump_rows(self, margin: float) -> np.ndarray:
         """Grid points within ``margin`` of a rank change, and the point just
-        before each jump: there the rate on the support misses the jump (at a
-        pure state it reads 0 while its right limit is +inf)."""
-        jumps = np.diff(self.ranks()) != 0
-        changes = self.grid[1:][jumps]
-        rows = np.any(np.abs(self.grid[:, None] - changes[None, :]) < margin, axis=1)
+        before each jump, per state: there the rate on the support misses the
+        jump (at a pure state it reads 0 while its right limit is +inf)."""
+        jumps = np.diff(self.ranks(), axis=0) != 0
+        at = np.flatnonzero(np.any(jumps, axis=tuple(range(1, jumps.ndim))))
+        rows = (np.abs(self.grid[:, None] - self.grid[at + 1][None, :]) < margin) @ jumps[at]
         rows[:-1] |= jumps
         return rows
 
@@ -169,23 +172,28 @@ class Trajectory:
         return _entropy_rates(self.spectrum, self._expectations)
 
 
-def states_off_grid(trajectories: list[Trajectory], rows, times, steps: int = 8) -> np.ndarray:
-    """The state of ``trajectories[rows[c]]`` at ``times[c]`` for every c, as
-    one (C, d, d) stack.
+def _raise_at(bad: np.ndarray, values: np.ndarray, name: str) -> None:
+    """IntegrationError naming the first flagged entry of a (T,) or (T, N) mask."""
+    if bad.any():
+        k = np.unravel_index(np.argmax(bad), bad.shape)
+        state = f", state {k[1]}" if len(k) > 1 else ""
+        raise IntegrationError(f"{name} = {values[k]:.3e} at grid point {k[0]}{state}")
 
-    The trajectories must come from one generator on one grid (as
-    :func:`propagate_many` returns them).  Each state is integrated by RK4 in
-    ``steps`` substeps from the grid point nearest to its time, all of them
-    together, each row at its own times.
+
+def states_off_grid(traj: Trajectory, columns, times, steps: int = 8) -> np.ndarray:
+    """The state ``columns[c]`` of a propagated stack at ``times[c]`` for every
+    c, as one (C, d, d) stack; a one-state trajectory has the one column 0.
+
+    Each state is integrated by RK4 in ``steps`` substeps from the grid point
+    nearest to its time, all of them together, each at its own times.
     """
-    generator = trajectories[0].generator
-    if generator is None:
+    if traj.generator is None:
         raise IntegrationError("off-grid states need the trajectory's generator")
-    grid = trajectories[0].grid
     times = np.asarray(times, dtype=float)
-    nearest = np.argmin(np.abs(grid[None, :] - times[:, None]), axis=1)
-    starts = np.stack([trajectories[n].entries[k] for n, k in zip(rows, nearest)])
-    return _rk4_segment(generator, starts, grid[nearest], times, steps)
+    nearest = np.argmin(np.abs(traj.grid[None, :] - times[:, None]), axis=1)
+    d = traj.entries.shape[-1]
+    starts = traj.entries.reshape(len(traj), -1, d, d)[nearest, columns]
+    return _rk4_segment(traj.generator, starts, traj.grid[nearest], times, steps)
 
 
 def _rk4_step(generator: LindbladGenerator, rho: np.ndarray, t, dt, k1=None) -> np.ndarray:
@@ -261,18 +269,29 @@ def _clean(raw: np.ndarray, t: float) -> tuple[np.ndarray, EigenSystem, np.ndarr
     return states, spectrum, np.abs(tr - 1.0)
 
 
-def propagate_many(generator: LindbladGenerator, states, grid,
-                   error_target: float = 1e-7, max_refinements: int = 12,
-                   on_tail_breach: str = "raise") -> list[Trajectory]:
-    """Integrate rho_dot = L_t(rho_t) over the grid for a stack of initial states.
+def _state_stack(states) -> np.ndarray:
+    """One state as a (d, d) array or several as an (N, d, d) stack: a
+    :class:`DensityMatrix` or an array as it is, any other iterable stacked."""
+    if isinstance(states, (DensityMatrix, np.ndarray)):
+        return as_matrix(states)
+    return np.stack([as_matrix(rho) for rho in states])
 
-    The initial states must be Hermitian within ``HERMITICITY_ATOL``; the
-    first that is not raises :class:`IntegrationError` with its index.  The
-    states are advanced together as one (N, d, d) stack with classical RK4.
-    Each grid interval is integrated with a doubling substep count until two
-    successive refinements of every state agree in trace norm within
-    ``error_target`` per unit time, so the accumulated error over the grid
-    respects the same budget; that agreement is the certificate.
+
+def propagate(generator: LindbladGenerator, states, grid,
+              error_target: float = 1e-7, max_refinements: int = 12,
+              on_tail_breach: str = "raise") -> Trajectory:
+    """Integrate rho_dot = L_t(rho_t) over the grid from one initial state, or
+    from a sequence or (N, d, d) stack of them.
+
+    Returns one :class:`Trajectory`: (T, d, d) for one state, (T, N, d, d)
+    for a stack.  The initial states must be Hermitian within
+    ``HERMITICITY_ATOL``; the first that is not raises
+    :class:`IntegrationError` with its index.  The states are advanced
+    together as one (N, d, d) stack with classical RK4.  Each grid interval
+    is integrated with a doubling substep count until two successive
+    refinements of every state agree in trace norm within ``error_target``
+    per unit time, so the accumulated error over the grid respects the same
+    budget; that agreement is the certificate.
 
     Each interval does its work once.  Every segment of interval k starts
     from the derivative L_{t_k}(rho_k) stored for grid point k, so the
@@ -283,13 +302,14 @@ def propagate_many(generator: LindbladGenerator, states, grid,
     only in between, so its decisions, the substep counts and the states
     are those of an eigvalsh test.  Accepted states are Hermitized once,
     trace-renormalized (defect logged per state) and validated with one
-    stacked eigh, whose spectra the trajectories keep; a state failing the
+    stacked eigh, whose spectra the trajectory keeps; a state failing the
     PSD check is an integration failure.
 
-    For generators carrying a tail guard, each state's population breach
-    either raises (``on_tail_breach="raise"``) or truncates that state's
-    trajectory at its last trusted grid point (``"truncate"``) and drops it
-    from the stack.  Returns one trajectory per initial state, in order.
+    For generators carrying a tail guard, a population breach of any state
+    either raises (``on_tail_breach="raise"``) or ends the whole stack at
+    its last trusted grid point (``"truncate"``), with ``truncated_at`` the
+    time of the breach; fewer than 3 trusted points raise
+    :class:`TailMassError` either way.
     """
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) <= 0):
@@ -298,8 +318,10 @@ def propagate_many(generator: LindbladGenerator, states, grid,
         raise ValueError("on_tail_breach must be 'raise' or 'truncate'")
     guard = generator.tail_guard
 
+    stack = _state_stack(states)
+    single = stack.ndim == 2
     try:
-        initial = require_hermitian(np.stack([as_matrix(rho) for rho in states]), name="initial state")
+        initial = require_hermitian(stack[None] if single else stack, name="initial state")
     except LinalgError as exc:
         raise IntegrationError(str(exc)) from exc
     current, spectrum, defect = _clean(initial, float(grid[0]))
@@ -309,23 +331,20 @@ def propagate_many(generator: LindbladGenerator, states, grid,
     eigenvalues = np.empty((len(grid), n, d))
     eigenvectors = np.empty_like(rho)
     defects = np.empty((len(grid), n))
-    lengths = np.full(n, len(grid))
-    truncated_at: list[float | None] = [None] * n
-    live = np.arange(n)  # stack row -> state index
 
     def store(k: int, t: float) -> None:
-        rho[k, live], eigenvalues[k, live], eigenvectors[k, live] = \
-            current, spectrum.eigenvalues, spectrum.eigenvectors
-        dots[k, live] = generator.apply(t, current)
-        defects[k, live] = defect
+        rho[k], eigenvalues[k], eigenvectors[k] = current, spectrum.eigenvalues, spectrum.eigenvectors
+        dots[k] = generator.apply(t, current)
+        defects[k] = defect
 
     store(0, float(grid[0]))
     substeps = 1
+    length, truncated_at = len(grid), None
     for k in range(len(grid) - 1):
         t0, t1 = float(grid[k]), float(grid[k + 1])
         budget = error_target * (t1 - t0)
         substeps = max(1, substeps // 2)
-        k1 = dots[k, live]
+        k1 = dots[k]
         trial = _rk4_segment(generator, current, t0, t1, substeps, k1)
         for _ in range(max_refinements):
             substeps *= 2
@@ -342,44 +361,21 @@ def propagate_many(generator: LindbladGenerator, states, grid,
         current, spectrum, defect = _clean(trial, t1)
         if guard is not None:
             tails = guard.check(current)
-            breached = tails > guard.bound
-            if breached.any():
+            if np.any(tails > guard.bound):
                 if on_tail_breach == "raise":
                     raise TailMassError(
                         f"tail mass {tails.max():.3e} exceeds {guard.bound:.1e} at t={t1:.6g}"
                     )
-                for i in live[breached]:
-                    truncated_at[i] = t1
-                    lengths[i] = k + 1
-                keep = ~breached
-                live, current, defect = live[keep], current[keep], defect[keep]
-                spectrum = spectrum[keep]
-                if not live.size:
-                    break
+                length, truncated_at = k + 1, t1
+                break
         store(k + 1, t1)
 
-    spectra = EigenSystem(eigenvalues, eigenvectors)
-    trajectories = []
-    for i, m in enumerate(lengths):
-        if truncated_at[i] is not None and m < 3:
-            raise TailMassError("tail guard tripped before any usable grid point")
-        trajectories.append(Trajectory(
-            grid[:m], rho[:m, i], dots[:m, i], generator=generator,
-            renormalization_defects=defects[:m, i], truncated_at=truncated_at[i],
-            spectrum=spectra[:m, i]))
-    return trajectories
-
-
-def propagate(generator: LindbladGenerator, rho0: DensityMatrix, grid,
-              error_target: float = 1e-7, max_refinements: int = 12,
-              on_tail_breach: str = "raise") -> Trajectory:
-    """Integrate rho_dot = L_t(rho_t) over the grid from one initial state.
-
-    The single-state call of :func:`propagate_many`, with the same step
-    doubling, certificates and tail-guard handling.
-    """
-    return propagate_many(generator, [rho0], grid, error_target=error_target,
-                          max_refinements=max_refinements, on_tail_breach=on_tail_breach)[0]
+    if truncated_at is not None and length < 3:
+        raise TailMassError("tail guard tripped before any usable grid point")
+    rows = (slice(length), 0) if single else slice(length)
+    return Trajectory(grid[:length], rho[rows], dots[rows], generator=generator,
+                      renormalization_defects=defects[rows], truncated_at=truncated_at,
+                      spectrum=EigenSystem(eigenvalues, eigenvectors)[rows])
 
 
 def closed_form_trajectory(state_fn, grid, derivative_fn) -> Trajectory:
@@ -476,9 +472,10 @@ def _rank_change_distance(rho, rho_dot) -> float:
     return float(lam_min) / speed
 
 
-def _entropy_rates_fd(traj: Trajectory, indices, h: float = 1e-4,
-                      richardson: bool = False) -> np.ndarray:
-    """Finite-difference entropy rates at the grid points ``indices``, as an oracle.
+def entropy_rate_fd(traj: Trajectory, index, h: float = 1e-4, richardson: bool = False):
+    """Finite-difference entropy rate of a one-state trajectory at the grid
+    point ``index``, as an oracle: a float for an int index, an array for an
+    array of indices.
 
     Central differences (S(t+h) - S(t-h)) / 2h using the closed form when the
     trajectory has one, a short local integration when it has a generator,
@@ -490,34 +487,31 @@ def _entropy_rates_fd(traj: Trajectory, indices, h: float = 1e-4,
     reaches across it.  The entropies of every stencil state come from one
     stacked eigvalsh.
     """
-    indices = np.asarray(indices, dtype=int)
+    if traj.entries.ndim != 3:
+        raise IntegrationError("finite-difference rates need a one-state (T, d, d) trajectory")
+    indices = np.atleast_1d(np.asarray(index, dtype=int))
     if traj.state_fn is None and traj.generator is None:
         if np.any((indices <= 0) | (indices >= len(traj) - 1)):
             raise IndexError("finite differences need an interior grid point")
         spacing = traj.grid[indices + 1] - traj.grid[indices]
         entropies = traj.entropies()
-        return (entropies[indices + 1] - entropies[indices - 1]) / (2.0 * spacing)
-
-    caps = [0.01 * _rank_change_distance(traj.spectrum[k], traj.derivatives[k]) for k in indices]
-    coarse = np.minimum(h, caps)
-    steps = np.stack([coarse, 0.5 * coarse] if richardson else [coarse])
-    t = traj.grid[indices]
-    taus = np.stack([t + steps, t - steps]).ravel()
-    if traj.state_fn is not None:
-        states = np.stack([as_matrix(traj.state_fn(float(tau))) for tau in taus])
+        rates = (entropies[indices + 1] - entropies[indices - 1]) / (2.0 * spacing)
     else:
-        states = states_off_grid([traj], np.zeros(len(taus), dtype=int), taus)
-    s_plus, s_minus = _entropies(np.linalg.eigvalsh(hermitian_part(states))).reshape(
-        (2,) + steps.shape)
-    rates = (s_plus - s_minus) / (2.0 * steps)
-    return (4.0 * rates[1] - rates[0]) / 3.0 if richardson else rates[0]
-
-
-def entropy_rate_fd(traj: Trajectory, index: int, h: float = 1e-4,
-                    richardson: bool = False) -> float:
-    """Finite-difference entropy rate at one grid point: the one-index case
-    of the stacked oracle, with the same stencils and step cap."""
-    return float(_entropy_rates_fd(traj, [index], h=h, richardson=richardson)[0])
+        caps = [0.01 * _rank_change_distance(traj.spectrum[k], traj.derivatives[k])
+                for k in indices]
+        coarse = np.minimum(h, caps)
+        steps = np.stack([coarse, 0.5 * coarse] if richardson else [coarse])
+        t = traj.grid[indices]
+        taus = np.stack([t + steps, t - steps]).ravel()
+        if traj.state_fn is not None:
+            states = np.stack([as_matrix(traj.state_fn(float(tau))) for tau in taus])
+        else:
+            states = states_off_grid(traj, np.zeros(len(taus), dtype=int), taus)
+        s_plus, s_minus = _entropies(np.linalg.eigvalsh(hermitian_part(states))).reshape(
+            (2,) + steps.shape)
+        rates = (s_plus - s_minus) / (2.0 * steps)
+        rates = (4.0 * rates[1] - rates[0]) / 3.0 if richardson else rates[0]
+    return float(rates[0]) if np.ndim(index) == 0 else rates
 
 
 @dataclass(frozen=True)
@@ -620,39 +614,36 @@ class ChannelFamily:
         return self.step_generators(times) @ self.superoperators(times)
 
     def states(self, rho0s, times) -> np.ndarray:
-        """M_{t,0}(rho_0) as a (T, N, d, d) stack.
-
-        ``rho0s`` is a sequence of N operators, each taken through every
-        time, or a (T, N, d, d) array whose row t goes through time t only.
+        """M_{t,0}(rho_0) as a (T, d, d) stack for one operator, (T, N, d, d)
+        for a sequence or (N, d, d) stack of N operators, each taken through
+        every time; a (T, N, d, d) array goes row t through time t only.
         """
         times = np.asarray(times, dtype=float)
         if np.any(times < 0):  # families are defined for t >= 0 only
             raise IntegrationError("channel family evaluated at negative time")
-        return apply_superoperators(self.superoperators(times),
-                                    np.stack([as_matrix(rho) for rho in rho0s]))
+        return apply_superoperators(self.superoperators(times), _state_stack(rho0s))
 
     def evolve(self, rho0s, times) -> tuple[np.ndarray, np.ndarray, EigenSystem]:
         """States, their time derivatives and their spectra at ``times``.
 
         ``rho0s`` as in :meth:`states`.  The derivatives are the
         :meth:`derivatives` maps applied to the initial states, the spectra
-        come from one eigh over the whole (T, N, d, d) stack, which also
-        validates the states.
+        come from one eigh over the whole stack, which also validates the
+        states.
         """
-        states, spectrum = check_density_stack(hermitian_part(self.states(rho0s, times)))
-        dots = apply_superoperators(self.derivatives(times),
-                                    np.stack([as_matrix(rho) for rho in rho0s]))
+        starts = _state_stack(rho0s)
+        states, spectrum = check_density_stack(hermitian_part(self.states(starts, times)))
+        dots = apply_superoperators(self.derivatives(times), starts)
         return states, hermitian_part(dots), spectrum
 
-    def trajectories(self, rho0s, grid) -> list[Trajectory]:
-        """One trajectory per initial state on a shared grid, from one :meth:`evolve`;
-        each keeps its state off the grid in closed form."""
-        grid = np.asarray(grid, dtype=float)
-        rho0s = list(rho0s)
-        states, dots, spectrum = self.evolve(rho0s, grid)
-        return [Trajectory(grid, states[:, n], dots[:, n], spectrum=spectrum[:, n],
-                           state_fn=lambda t, rho0=rho0: self.states([rho0], [t])[0, 0])
-                for n, rho0 in enumerate(rho0s)]
+    def trajectories(self, rho0s, grid) -> Trajectory:
+        """The trajectory of one initial state, or of a stack of them, on a
+        grid, from one :meth:`evolve`; it keeps its states off the grid in
+        closed form."""
+        starts = _state_stack(rho0s)
+        states, dots, spectrum = self.evolve(starts, grid)
+        return Trajectory(grid, states, dots, spectrum=spectrum,
+                          state_fn=lambda t: self.states(starts, [t])[0])
 
 
 def _trace_preserving(maps: np.ndarray, atol: float = 1e-8) -> np.ndarray:
@@ -765,7 +756,7 @@ class GeneratorFamily(ChannelFamily):
 
     Its maps are the matrices of Magnus products (:func:`intermediate_map`),
     cached per interval, and K_t is the superoperator of L_t; its
-    trajectories come from propagating all initial states as one stack.
+    trajectory comes from propagating all initial states as one stack.
     """
 
     def __init__(self, generator: LindbladGenerator, map_atol: float = 1e-9):
@@ -790,8 +781,8 @@ class GeneratorFamily(ChannelFamily):
         return np.stack([self.generator.superoperator(float(t)).matrix
                          for t in np.atleast_1d(times)])
 
-    def trajectories(self, rho0s, grid) -> list[Trajectory]:
-        return propagate_many(self.generator, rho0s, grid)
+    def trajectories(self, rho0s, grid) -> Trajectory:
+        return propagate(self.generator, rho0s, grid)
 
 
 # ---------------------------------------------------------------------------

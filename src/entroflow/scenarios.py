@@ -44,9 +44,10 @@ from .channels import (
 from .dynamics import (
     DephasingFamily,
     GadcFamily,
+    IntegrationError,
     TailMassError,
-    _entropy_rates_fd,
     damping_qubit_trajectory,
+    entropy_rate_fd,
     export_trajectory,
     oscillating_qubit_trajectory,
     propagate,
@@ -297,7 +298,7 @@ def run_fig2_depolarizing(params: dict, outdir: Path, seed: int) -> tuple[list[C
 def _fd_rate_check(traj, params: dict, table: Path) -> CheckResult:
     """Tabulate a closed-form trajectory's entropy rate and its finite differences; compare."""
     rates = traj.entropy_rates()
-    rates_fd = _entropy_rates_fd(traj, np.arange(len(traj)), h=params["fd_h"], richardson=True)
+    rates_fd = entropy_rate_fd(traj, np.arange(len(traj)), h=params["fd_h"], richardson=True)
     write_csv(table, ["t", "entropy", "entropy_rate", "entropy_rate_fd"],
               zip(traj.grid, traj.entropies(), rates, rates_fd))
     max_disc = float(np.max(np.abs(rates - rates_fd)))
@@ -531,7 +532,11 @@ def _check_custom(params: dict) -> list[str]:
 
 def run_custom(params: dict, outdir: Path, seed: int):
     generator, rho0 = _custom_inputs(params)
-    traj = propagate(generator, rho0, _window_grid(params))
+    expected = f"trajectory invariants validated on [0, {params['t_max']:g}]"
+    try:
+        traj = propagate(generator, rho0, _window_grid(params), on_tail_breach="truncate")
+    except IntegrationError as exc:  # lost positivity, stalled, or no usable grid
+        return [CheckResult("trajectory produced", False, str(exc), expected)], []
     reports = witnesses.witness_reports(generator, traj)
 
     traj_table = outdir / "custom_trajectory.csv"
@@ -541,9 +546,12 @@ def run_custom(params: dict, outdir: Path, seed: int):
 
     excluded = traj.rank_jump_rows(witnesses.RANK_CHANGE_MARGIN)
     worst = min((r.violation for r, skip in zip(reports, excluded) if not skip), default=np.nan)
+    span = f"[0, {traj.grid[-1]:.3g}]"
+    if traj.truncated_at is not None:
+        span += f" (tail-guard truncation at t={traj.truncated_at:.3g})"
     checks = [
-        CheckResult("trajectory produced", True,
-                    f"{len(traj)} points", "trajectory invariants validated"),
+        CheckResult("trajectory produced", traj.truncated_at is None,
+                    f"{len(traj)} points on {span}", expected),
         CheckResult("worst rate-bound gap reported", True,
                     f"{worst:.6g}", "informational"),
     ]

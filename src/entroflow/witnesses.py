@@ -25,14 +25,7 @@ from .channels import (
     apply_superoperators,
     unitality_class,
 )
-from .dynamics import (
-    ChannelFamily,
-    GeneratorFamily,
-    Trajectory,
-    entropy_rate,
-    propagate_many,
-    states_off_grid,
-)
+from .dynamics import ChannelFamily, Trajectory, entropy_rate, propagate, states_off_grid
 from .linalg import (
     DensityMatrix,
     EigenSystem,
@@ -218,17 +211,6 @@ def epsilon_derivative(family: ChannelFamily, rho_t, t: float) -> float:
     return float(_epsilon_derivatives(family, [t], a[None, None], pi[None, None])[0, 0])
 
 
-def _stack(trajectories: list[Trajectory]) -> tuple[np.ndarray, np.ndarray, EigenSystem]:
-    """The states, derivatives and spectra of trajectories on one grid, as
-    (T, N, ...) stacks (the order :meth:`ChannelFamily.evolve` returns)."""
-    def stacked(read):
-        return np.stack([read(traj) for traj in trajectories], axis=1)
-
-    return (stacked(lambda traj: traj.entries), stacked(lambda traj: traj.derivatives),
-            EigenSystem(stacked(lambda traj: traj.spectrum.eigenvalues),
-                        stacked(lambda traj: traj.spectrum.eigenvectors)))
-
-
 def _f_parts(family: ChannelFamily, times, states: np.ndarray, dots: np.ndarray,
              spectrum: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
     """(entropy rates, short-time derivative terms) of f for states (T, N, d, d)
@@ -302,21 +284,26 @@ class WitnessReport:
 
 def witness_reports(generator: LindbladGenerator, traj: Trajectory,
                     family: ChannelFamily | None = None) -> list[WitnessReport]:
-    """One WitnessReport per trajectory point.
+    """One WitnessReport per point of a one-state trajectory.
 
-    The f column and test (a)/(c) need intermediate maps; when no family is
-    supplied the generator's own time-ordered propagators are used.  Every
-    column is computed over the whole trajectory at once.  Rows at a rank
-    jump (:meth:`Trajectory.rank_jump_rows`) carry no test flags.
+    The f column and test (a)/(c) need the short-time derivative term
+    Tr{Pi (K_t + K_t^dag)(rho_t)}; when no family is supplied K_t = L_t, so
+    the term is the witness plus Re Tr{Pi L_t(rho_t)}, read from one stacked
+    generator application with no dense superoperator.  Every column is
+    computed over the whole trajectory at once.  Rows at a rank jump
+    (:meth:`Trajectory.rank_jump_rows`) carry no test flags.
     """
-    fam = family if family is not None else GeneratorFamily(generator)
     excluded = traj.rank_jump_rows(RANK_CHANGE_MARGIN)
     projectors = traj.spectrum.projectors()
     rates = traj.entropy_rates()
     witness = _pinned_adjoint_traces(generator, traj.grid, traj.entries, projectors)
     bounds = -witness
-    eps_terms = _epsilon_derivatives(fam, traj.grid, traj.entries[:, None],
-                                     projectors[:, None])[:, 0]
+    if family is None:
+        eps_terms = witness + np.real(trace_product(projectors,
+                                                    generator.apply(traj.grid, traj.entries)))
+    else:
+        eps_terms = _epsilon_derivatives(family, traj.grid, traj.entries[:, None],
+                                         projectors[:, None])[:, 0]
     f_values = rates + eps_terms
     tests = {"test_a_passed": test_a(f_values), "test_b_passed": test_b(rates, bounds),
              "test_c_passed": test_c(eps_terms, witness)}
@@ -388,22 +375,22 @@ def _measure(state_sampler, grid, trajectories, values, evaluate,
              eps_w: float, rank_margin: float) -> MeasureResult:
     """Max over sampled initial states of the integrated violation of a witness.
 
-    ``trajectories(states, grid)`` gives the sampled trajectories, all in one
-    call, ``values(trajectories)`` the witness on the grid as a (T, N) array,
-    and ``evaluate(states, trajectories, columns, times)`` the witness off
-    the grid for (state, time) pairs, for the bisection that refines the
-    window boundaries.  Grid points within ``rank_margin`` of a rank change are
-    excluded, and so is the grid point just before each one
-    (:meth:`Trajectory.rank_jump_rows`).
+    ``trajectories(states, grid)`` gives one stacked (T, N, d, d) trajectory
+    of all N sampled states, ``values(traj)`` the witness on the grid as a
+    (T, N) array, and ``evaluate(states, traj, columns, times)`` the witness
+    off the grid for (state, time) pairs, for the bisection that refines the
+    window boundaries.  Grid points within ``rank_margin`` of a rank change
+    of a state are excluded for that state, and so is the grid point just
+    before each change (:meth:`Trajectory.rank_jump_rows`, read as (T, N)).
     """
     states = list(state_sampler)
     if not states:
         raise WitnessError("state sampler yielded no states")
     grid = np.asarray(grid, dtype=float)
-    trajs = trajectories(states, grid)
-    excluded = np.stack([traj.rank_jump_rows(rank_margin) for traj in trajs], axis=1)
-    integrals = _violation_integrals(grid, values(trajs), eps_w,
-                                     lambda ns, ts: evaluate(states, trajs, ns, ts), excluded)
+    traj = trajectories(states, grid)
+    integrals = _violation_integrals(grid, values(traj), eps_w,
+                                     lambda ns, ts: evaluate(states, traj, ns, ts),
+                                     traj.rank_jump_rows(rank_margin))
     best = int(np.argmax(integrals))
     return MeasureResult(value=float(integrals[best]), argmax_state=states[best],
                          samples_used=len(states), sample_values=tuple(map(float, integrals)))
@@ -426,15 +413,16 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid,
     |dS/dt + Tr{Pi L^dag rho}| is integrated over the times where it is below
     -eps_w, with bisection refinement of the window boundaries.
     """
-    def values(trajs: list[Trajectory]) -> np.ndarray:
-        return _generator_witness(generator, trajs[0].grid, *_stack(trajs))
+    def values(traj: Trajectory) -> np.ndarray:
+        return _generator_witness(generator, traj.grid, traj.entries, traj.derivatives,
+                                  traj.spectrum)
 
-    def evaluate(states, trajs, ns, ts) -> np.ndarray:
-        off_grid = hermitian_part(states_off_grid(trajs, ns, ts))
+    def evaluate(states, traj, ns, ts) -> np.ndarray:
+        off_grid = hermitian_part(states_off_grid(traj, ns, ts))
         return _generator_witness(generator, ts, off_grid, generator.apply(ts, off_grid),
                                   spectral_decompose(off_grid))
 
-    return _measure(state_sampler, grid, lambda states, g: propagate_many(generator, states, g),
+    return _measure(state_sampler, grid, lambda states, g: propagate(generator, states, g),
                     values, evaluate, eps_w, rank_margin)
 
 
@@ -442,11 +430,12 @@ def measure_channel(family: ChannelFamily, state_sampler, grid,
                     eps_w: float = EPS_WITNESS,
                     rank_margin: float = RANK_CHANGE_MARGIN) -> MeasureResult:
     """Max over initial states of the integrated negative part of f(t)."""
-    def values(trajs: list[Trajectory]) -> np.ndarray:
-        rates, eps_terms = _f_parts(family, trajs[0].grid, *_stack(trajs))
+    def values(traj: Trajectory) -> np.ndarray:
+        rates, eps_terms = _f_parts(family, traj.grid, traj.entries, traj.derivatives,
+                                    traj.spectrum)
         return rates + eps_terms
 
-    def evaluate(states, trajs, ns, ts) -> np.ndarray:
+    def evaluate(states, traj, ns, ts) -> np.ndarray:
         starts = np.stack([as_matrix(states[n]) for n in ns])[:, None]  # row c at time ts[c] only
         rates, eps_terms = _f_parts(family, ts, *family.evolve(starts, ts))
         return (rates + eps_terms)[:, 0]

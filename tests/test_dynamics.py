@@ -25,7 +25,6 @@ from entroflow import (
     is_cptp,
     oscillating_qubit_trajectory,
     propagate,
-    propagate_many,
     theorem2_bound,
     thermal_state,
     von_neumann_entropy,
@@ -42,7 +41,6 @@ from entroflow import dynamics
 from entroflow.dynamics import (
     Trajectory,
     _damping_qubit_derivative,
-    _entropy_rates_fd,
     _rank_change_distance,
     _rk4_segment,
     _trace_norms_exceed,
@@ -123,24 +121,29 @@ class TestPropagate:
         states = [random_full_rank_state(rng, 3), random_mixed_state(rng, 3),
                   DensityMatrix.maximally_mixed(3)]
         grid = np.linspace(0.0, 1.2, 13)
-        stacked = propagate_many(gen, states, grid)
-        assert len(stacked) == len(states)
-        for rho0, traj in zip(states, stacked):
+        stacked = propagate(gen, states, grid)
+        assert stacked.entries.shape == stacked.derivatives.shape == (len(grid), len(states), 3, 3)
+        assert len(stacked.states) == len(grid) * len(states)  # time-major
+        np.testing.assert_array_equal(stacked.states[len(states) + 2].entries, stacked.entries[1, 2])
+        for n, rho0 in enumerate(states):
             single = propagate(gen, rho0, grid)
-            np.testing.assert_array_equal(traj.grid, single.grid)
-            for a, b in zip(traj.states, single.states):
-                assert np.max(np.abs(a.entries - b.entries)) <= 1e-7 * grid[-1]
-            np.testing.assert_allclose(traj.derivatives[-1], gen.apply(grid[-1], traj.states[-1]))
+            assert single.entries.shape == (len(grid), 3, 3)
+            np.testing.assert_array_equal(stacked.grid, single.grid)
+            for a, b in zip(stacked.entries[:, n], single.entries):
+                assert np.max(np.abs(a - b)) <= 1e-7 * grid[-1]
+        np.testing.assert_allclose(stacked.derivatives[-1], gen.apply(grid[-1], stacked.entries[-1]))
 
-    def test_stacked_tail_guard_truncates_each_state(self):
+    def test_stacked_tail_guard_ends_the_whole_stack(self):
         gen = bosonic_generator(1.2, 0.2, 20)
         grid = np.linspace(0, 3.0, 31)
         vacuum, warm = thermal_state(0.0, 20), thermal_state(0.2, 20)
-        stacked = propagate_many(gen, [vacuum, warm], grid, on_tail_breach="truncate")
-        for rho0, traj in zip([vacuum, warm], stacked):
-            single = propagate(gen, rho0, grid, on_tail_breach="truncate")
-            assert traj.truncated_at == single.truncated_at
-            assert len(traj) == len(single)
+        singles = [propagate(gen, rho0, grid, on_tail_breach="truncate") for rho0 in (vacuum, warm)]
+        first = min(singles, key=len)
+        assert len(first) < max(map(len, singles))  # the two states breach at different times
+        stacked = propagate(gen, [vacuum, warm], grid, on_tail_breach="truncate")
+        assert stacked.truncated_at == first.truncated_at
+        assert len(stacked) == len(first)
+        assert stacked.entries.shape[:2] == (len(first), 2)
 
 
 def reference_propagate(generator, states, grid, error_target=1e-7):
@@ -212,15 +215,14 @@ class TestOnePassPerInterval:
     @pytest.mark.parametrize("case", list(_reference_cases()))
     def test_equals_the_plain_step_doubling_loop(self, case):
         generator, states, grid = _reference_cases()[case]
-        trajs = propagate_many(generator, states, grid, on_tail_breach="truncate")
+        traj = propagate(generator, states, grid, on_tail_breach="truncate")
         entries, dots, eigenvalues = reference_propagate(generator, states, grid)
-        for n, traj in enumerate(trajs):
-            assert len(traj) == len(entries)
-            assert np.array_equal(traj.entries, entries[:, n])
-            assert np.array_equal(traj.derivatives, dots[:, n])
-            assert np.array_equal(traj.spectrum.eigenvalues, eigenvalues[:, n])
+        assert len(traj) == len(entries)
+        assert np.array_equal(traj.entries, entries)
+        assert np.array_equal(traj.derivatives, dots)
+        assert np.array_equal(traj.spectrum.eigenvalues, eigenvalues)
         if generator.tail_guard is not None:
-            assert trajs[0].truncated_at is not None
+            assert traj.truncated_at is not None
 
     def test_bracket_decides_as_eigvalsh(self, rng, monkeypatch):
         d = 6
@@ -262,8 +264,8 @@ class TestOnePassPerInterval:
         with pytest.raises(LinalgError, match="not Hermitian"):
             DensityMatrix(lopsided)
         with pytest.raises(IntegrationError, match=r"initial state is not Hermitian.*index \(1,\)"):
-            propagate_many(dephasing_generator(1.0), [DensityMatrix.maximally_mixed(2), lopsided],
-                           np.linspace(0.0, 1.0, 3))
+            propagate(dephasing_generator(1.0), [DensityMatrix.maximally_mixed(2), lopsided],
+                      np.linspace(0.0, 1.0, 3))
 
     def test_trajectory_rates_equal_the_stacked_formula(self, rng):
         traj = propagate(random_qubit_generator(rng, dim=3), random_full_rank_state(rng, 3),
@@ -354,7 +356,7 @@ class TestEntropyRateFd:
         # Points next to the rank changes at t = 1/2 and 1 take a capped step.
         grid = np.array([0.1, 0.3, 0.499, 0.7, 0.9995])
         traj = oscillating_qubit_trajectory(grid)
-        table = _entropy_rates_fd(traj, np.arange(len(grid)), h=1e-4, richardson=True)
+        table = entropy_rate_fd(traj, np.arange(len(grid)), h=1e-4, richardson=True)
 
         def central_difference(t, h):
             def entropy_at(tau):
@@ -366,7 +368,8 @@ class TestEntropyRateFd:
             coarse = central_difference(t, h)
             fine = central_difference(t, 0.5 * h)
             assert table[k] == pytest.approx((4.0 * fine - coarse) / 3.0, rel=1e-12, abs=1e-12)
-            assert entropy_rate_fd(traj, k, h=1e-4, richardson=True) == table[k]
+            one = entropy_rate_fd(traj, k, h=1e-4, richardson=True)
+            assert isinstance(one, float) and one == table[k]
         assert 0.01 * _rank_change_distance(traj.spectrum[4], traj.derivatives[4]) < 1e-4
 
     def test_grid_only_uses_neighbors(self, rng):
@@ -382,6 +385,12 @@ class TestEntropyRateFd:
         assert fd == pytest.approx(rate, abs=1e-3)
         with pytest.raises(IndexError):
             entropy_rate_fd(grid_only, 0)
+
+    def test_stacked_trajectory_rejected(self):
+        traj = GadcFamily(5.0).trajectories([DensityMatrix.maximally_mixed(2)] * 2,
+                                            np.linspace(0.1, 1.0, 10))
+        with pytest.raises(IntegrationError, match="one-state"):
+            entropy_rate_fd(traj, 3)
 
     def test_theorem1_agreement_on_random_trajectories(self, rng):
         for dim in (2, 3):
@@ -431,7 +440,7 @@ class TestChannelFamilies:
         fam = GadcFamily(5.0)
         rho0 = DensityMatrix.maximally_mixed(2)
         grid = np.linspace(0.0, 1.0, 11)
-        [traj] = fam.trajectories([rho0], grid)
+        traj = fam.trajectories(rho0, grid)
         t = 0.5
         w_dot = -10 * np.sin(10 * t) * (1 - np.exp(-t)) + np.cos(10 * t) * np.exp(-t)
         np.testing.assert_allclose(traj.derivatives[5], 0.5 * np.diag([w_dot, -w_dot]), atol=1e-9)
@@ -442,7 +451,7 @@ class TestChannelFamilies:
         gen = dephasing_generator(gamma)
         rho0 = random_mixed_state(rng, 2)
         grid = np.linspace(0, 1.5, 16)
-        [traj_fam] = fam.trajectories([rho0], grid)
+        traj_fam = fam.trajectories(rho0, grid)
         traj_gen = propagate(gen, rho0, grid)
         for a, b in zip(traj_fam.states, traj_gen.states):
             assert np.max(np.abs(a.entries - b.entries)) <= 1e-7
@@ -569,7 +578,7 @@ class TestStackedFamilyMaps:
         # The trajectory keeps its closed form: the FD oracle reads the family
         # off the grid, the rates read the exact derivative on it.
         grid = np.linspace(0.1, 1.0, 10)
-        [traj] = GadcFamily(5.0).trajectories([random_full_rank_state(rng, 2)], grid)
+        traj = GadcFamily(5.0).trajectories(random_full_rank_state(rng, 2), grid)
         rates = traj.entropy_rates()
         for k in range(len(grid)):
             assert entropy_rate_fd(traj, k, richardson=True) == pytest.approx(rates[k], abs=1e-6)
@@ -613,7 +622,7 @@ class TestStackedTrajectory:
 
     def test_states_carry_the_stored_spectrum(self, rng, monkeypatch):
         grid = np.linspace(0.0, 1.0, 11)
-        [traj] = GadcFamily(5.0).trajectories([random_mixed_state(rng, 2)], grid)
+        traj = GadcFamily(5.0).trajectories(random_mixed_state(rng, 2), grid)
         calls = count_eig_calls(monkeypatch)
         for k, state in enumerate(traj.states):
             np.testing.assert_array_equal(state.entries, traj.entries[k])
@@ -621,17 +630,49 @@ class TestStackedTrajectory:
             assert von_neumann_entropy(state) == pytest.approx(traj.entropies()[k], abs=1e-15)
         assert calls == []
 
+    @staticmethod
+    def reference_rank_jump_rows(grid, ranks, margin):
+        """Rank-jump rows of one state's rank sequence, by the one-state formula."""
+        jumps = np.diff(ranks) != 0
+        changes = grid[1:][jumps]
+        rows = np.any(np.abs(grid[:, None] - changes[None, :]) < margin, axis=1)
+        rows[:-1] |= jumps
+        return rows
+
+    @pytest.mark.parametrize("n_states", [None, 1, 5])
+    def test_batched_rank_jump_rows_match_the_one_state_formula(self, rng, n_states):
+        grid = np.cumsum(rng.uniform(0.5, 1.5, size=40)) * 1e-2
+        shape = (len(grid),) if n_states is None else (len(grid), n_states)
+        # ranks in {1, 2, 3} that hold for a few grid points, then change
+        jumps, shift = rng.random(shape) < 0.2, rng.integers(0, 2, size=shape)
+        ranks = 1 + shift
+        for k in range(1, len(grid)):
+            ranks[k] = np.where(jumps[k], (ranks[k - 1] + shift[k]) % 3 + 1, ranks[k - 1])
+        states = (np.arange(3) < ranks[..., None]) / ranks[..., None]
+        states = states[..., None] * np.eye(3)
+        traj = Trajectory(grid, states, np.zeros_like(states))
+        np.testing.assert_array_equal(traj.ranks(), ranks)
+        columns = ranks[:, None] if n_states is None else ranks
+        assert np.all(np.count_nonzero(np.diff(columns, axis=0), axis=0) >= 3)
+        for margin in (1e-3, 0.025, 0.06):  # inside one spacing, up to several
+            rows = traj.rank_jump_rows(margin)
+            assert rows.shape == shape
+            reference = np.stack([self.reference_rank_jump_rows(grid, column, margin)
+                                  for column in columns.T], axis=1)
+            np.testing.assert_array_equal(rows, reference.reshape(shape))
+
     def test_off_grid_states_match_one_state_rk4(self, rng):
         gen = random_qubit_generator(rng, dim=3)
         grid = np.linspace(0.0, 0.5, 11)
-        trajs = propagate_many(gen, [random_full_rank_state(rng, 3) for _ in range(3)], grid)
-        rows, times = [2, 0, 1, 2], [0.013, 0.27, 0.5, 0.449]
-        stacked = states_off_grid(trajs, rows, times)
-        for n, t, state in zip(rows, times, stacked):
+        traj = propagate(gen, [random_full_rank_state(rng, 3) for _ in range(3)], grid)
+        columns, times = [2, 0, 1, 2], [0.013, 0.27, 0.5, 0.449]
+        stacked = states_off_grid(traj, columns, times)
+        for n, t, state in zip(columns, times, stacked):
             k = int(np.argmin(np.abs(grid - t)))
-            one = _rk4_segment(gen, trajs[n].entries[k], float(grid[k]), t, 8)
+            one = _rk4_segment(gen, traj.entries[k, n], float(grid[k]), t, 8)
             np.testing.assert_allclose(state, one, atol=1e-14)
-            np.testing.assert_allclose(states_off_grid([trajs[n]], [0], [t])[0], one, atol=1e-14)
+            column = Trajectory(grid, traj.entries[:, n], traj.derivatives[:, n], generator=gen)
+            np.testing.assert_allclose(states_off_grid(column, [0], [t])[0], one, atol=1e-14)
 
 
 class TestClosedFormTrajectories:
@@ -686,7 +727,7 @@ class TestOneSpectrumPerState:
     def test_lost_positivity_is_an_integration_error(self):
         start = np.diag([1.0 + 1e-7, -1e-7]).astype(complex)
         with pytest.raises(IntegrationError, match="t=0 lost positivity"):
-            propagate_many(dephasing_generator(1.0), [start], np.linspace(0.0, 1.0, 3))
+            propagate(dephasing_generator(1.0), [start], np.linspace(0.0, 1.0, 3))
 
 
 class TestExport:

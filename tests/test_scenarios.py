@@ -7,6 +7,7 @@ import pytest
 
 from entroflow.channels import ChannelError, LindbladGenerator, bosonic_generator, thermal_state
 from entroflow.cli import main
+from entroflow.serialize import generator_to_document, matrix_to_document
 from entroflow.scenarios import (
     SCENARIOS,
     DEFAULT_CONFIGS,
@@ -182,6 +183,42 @@ def test_default_custom_run_flags_nothing_at_the_rank_jump(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     gap = next(c for c in report["checks"] if c["name"] == "worst rate-bound gap reported")
     assert float(gap["measured"]) >= 0.0
+
+
+def _run_custom(tmp_path, capsys, **parameters):
+    """Run ``custom`` from the CLI with overridden parameters; return the exit
+    status, the report's failed checks and everything printed."""
+    config = copy.deepcopy(DEFAULT_CONFIGS["custom"])
+    config["parameters"].update(parameters)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    status = main(["run", "--config", str(path), "--output-dir", str(tmp_path)])
+    report = json.loads((tmp_path / "report.json").read_text())
+    printed = capsys.readouterr()
+    return status, [c for c in report["checks"] if not c["passed"]], printed.out + printed.err
+
+
+def test_custom_tail_guarded_amplifier_fails_a_check(tmp_path, capsys):
+    # The amplifier outgrows its Fock cutoff at t = 0.25: the run writes the
+    # trusted span and fails the check that names it, instead of raising.
+    status, failed, printed = _run_custom(
+        tmp_path, capsys, generator=generator_to_document(bosonic_generator(1.2, 0.2, 20)),
+        initial_state=matrix_to_document(thermal_state(0.2, 20).entries), t_max=3.0, n_points=61)
+    assert status == 1
+    assert [c["name"] for c in failed] == ["trajectory produced"]
+    assert "on [0, 0.2] (tail-guard truncation at t=0.25)" in failed[0]["measured"]
+    assert len(_table(tmp_path / "custom_trajectory.csv")["t"]) == 5
+    assert "Traceback" not in printed
+
+
+def test_custom_lost_positivity_fails_a_check(tmp_path, capsys):
+    generator = copy.deepcopy(DEFAULT_CONFIGS["custom"]["parameters"]["generator"])
+    generator["jumps"][0]["rate"]["value"] = -0.5
+    status, failed, printed = _run_custom(tmp_path, capsys, generator=generator)
+    assert status == 1
+    assert [c["name"] for c in failed] == ["trajectory produced"]
+    assert "state at t=0.02 lost positivity" in failed[0]["measured"]
+    assert "Traceback" not in printed
 
 
 @pytest.mark.parametrize("text, params", [

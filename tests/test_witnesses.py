@@ -6,6 +6,7 @@ from entroflow import (
     DensityMatrix,
     DephasingFamily,
     GadcFamily,
+    GeneratorFamily,
     LindbladGenerator,
     QuantumChannel,
     WitnessReport,
@@ -29,6 +30,7 @@ from entroflow import (
     theorem2_bound,
     unitary_channel,
     witness_f_channel,
+    witness_reports,
 )
 from entroflow.channels import JumpTerm, SIGMA_Z
 from entroflow.linalg import as_matrix, hermitian_part
@@ -190,6 +192,29 @@ def test_rate_above_theorem2_limit_on_cp_divisible_semigroups(seed, d):
     traj = propagate(generator, random_mixed_state(rng, d), np.linspace(0.0, 1.0, 11))
     for t, state, dot in zip(traj.grid, traj.states, traj.derivatives):
         assert entropy_rate(state, dot) >= theorem2_bound(generator, float(t), state) - 1e-6
+
+
+def test_witness_reports_without_a_family_build_no_superoperator(rng, monkeypatch):
+    generator = _random_semigroup(rng, 3)
+    traj = propagate(generator, random_mixed_state(rng, 3), np.linspace(0.0, 1.0, 11))
+    built = []
+    superoperator = LindbladGenerator.superoperator
+    monkeypatch.setattr(LindbladGenerator, "superoperator",
+                        lambda self, t: built.append(t) or superoperator(self, t))
+    assert len(witness_reports(generator, traj)) == len(traj)
+    assert built == []
+
+
+def test_witness_reports_f_matches_the_generator_family(rng):
+    # Without a family K_t = L_t: the f column is the GeneratorFamily route
+    # read from one generator application instead of dense superoperators.
+    generator = _random_semigroup(rng, 3)
+    traj = propagate(generator, random_mixed_state(rng, 3), np.linspace(0.0, 1.0, 11))
+    plain = witness_reports(generator, traj)
+    dense = witness_reports(generator, traj, GeneratorFamily(generator))
+    np.testing.assert_allclose([r.f_value for r in plain], [r.f_value for r in dense],
+                               rtol=0, atol=1e-12)
+    assert [r.flags for r in plain] == [r.flags for r in dense]
 
 
 @settings(max_examples=25, deadline=None)
