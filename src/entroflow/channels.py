@@ -538,6 +538,15 @@ class LindbladGenerator:
     ``adjoint_apply`` does the same with the conjugate transposes, and
     ``superoperator`` returns the same sum of the same blocks as a dense
     matrix.  Every call thus costs one sparse product.
+
+    The compiled pattern also splits the coordinates of vec(x) into
+    invariant sets (:meth:`invariant_sets`, labelled on first use and
+    cached): entries outside the sets an operator touches stay zero under
+    every L_t, so the generator may act on those sets alone.
+    :meth:`restricted` gives that action through dense restrictions of the
+    compiled blocks; :func:`~entroflow.dynamics.propagate` takes it for
+    stacks whose sets hold at most d coordinates.  A generator with a
+    callable Hamiltonian or operator has no fixed pattern and no sets.
     """
 
     def __init__(self, dim: int, hamiltonian=None, jumps=(), tail_guard: TailGuard | None = None):
@@ -571,6 +580,7 @@ class LindbladGenerator:
             False: sparse.vstack(blocks, format="csr"),
             True: sparse.vstack([b.conj().T.tocsr() for b in blocks], format="csr"),
         }
+        self._sets: np.ndarray | None = None
 
     def _checked_shape(self, a: np.ndarray, name: str) -> np.ndarray:
         if a.shape != (self.dim, self.dim):
@@ -647,11 +657,90 @@ class LindbladGenerator:
             m += self._built_at(t, adjoint=False).toarray()
         return SuperOperator(m, dim_in=self.dim, dim_out=self.dim)
 
+    def invariant_sets(self) -> np.ndarray | None:
+        """The invariant set of each coordinate of vec(x), as a (d^2,) array
+        of labels; None for a generator with callable parts.
+
+        Two coordinates share a set when an entry of a compiled block couples
+        them, in either direction, and all populations (i, i) share one, so
+        that the sets of a phase-covariant generator are its coherence
+        orders whatever its rates (a union of invariant sets is invariant).
+        An operator vanishing on a set keeps vanishing there under every L_t.
+        The labels are the largest coordinate of each set, spread along the
+        entries of the compiled blocks and of their conjugate transposes,
+        with pointer jumping, until they settle; once per generator.
+        """
+        if self._callable_parts:
+            return None
+        if self._sets is None:
+            d, n = self.dim, self.dim * self.dim
+            # the stored entries of every compiled block and of its transpose
+            rows = np.concatenate([np.repeat(np.arange(m.shape[0]) % n, np.diff(m.indptr))
+                                   for m in self._compiled.values()])
+            cols = np.concatenate([m.indices for m in self._compiled.values()])
+            populations = np.arange(d) * (d + 1)
+            labels = np.arange(n)
+            while True:
+                spread = labels.copy()
+                np.maximum.at(spread, rows, labels[cols])
+                spread[populations] = spread[populations].max()
+                spread = spread[spread]
+                if np.array_equal(spread, labels):
+                    break
+                labels = spread
+            self._sets = labels
+        return self._sets
+
+    def restricted(self, index) -> _Restriction:
+        """The generator on the coordinates ``index`` of vec(x), a union of
+        its invariant sets, through dense restrictions of its compiled blocks."""
+        return _Restriction(self, np.asarray(index))
+
     def is_time_independent(self) -> bool:
         constant_h = not callable(self.hamiltonian)
         constant_terms = all(_constant_rate(term.rate) and not callable(term.operator)
                              for term in self.jumps)
         return constant_h and constant_terms
+
+
+class _Restriction:
+    """A generator without callable parts on the coordinates ``index`` of
+    vec(x), a union of its invariant sets, as (N, m) rows y.
+
+    Each compiled block, L_0 and every rated D_i, is restricted to those
+    coordinates once, as a dense m x m matrix; ``apply(t, y)`` is
+    y L_0^T + sum_i gamma_i(t) y D_i^T at one time t.  ``coordinates``
+    gathers the rows from an (N, d, d) stack that vanishes off ``index``,
+    and ``states`` scatters them back into one.
+    """
+
+    def __init__(self, generator: LindbladGenerator, index: np.ndarray):
+        self.dim, self.index = generator.dim, index
+        n, m = self.dim * self.dim, len(index)
+        compiled = generator._compiled[False]
+        self._rated_terms = generator._rated_terms
+        position = np.full(n, -1)
+        position[index] = np.arange(m)
+        block, row = np.divmod(np.repeat(np.arange(compiled.shape[0]), np.diff(compiled.indptr)), n)
+        kept = position[row] >= 0  # the rows of the sets, whose entries lie in the sets too
+        # each block transposed, since the rows y (N, m) multiply it from the left
+        self._blocks = np.zeros((1 + len(self._rated_terms), m, m), dtype=complex)
+        transposed = (block[kept], position[compiled.indices[kept]], position[row[kept]])
+        self._blocks[transposed] = compiled.data[kept]
+
+    def apply(self, t: float, y: np.ndarray) -> np.ndarray:
+        out = y @ self._blocks[0]
+        for term, block in zip(self._rated_terms, self._blocks[1:]):
+            out += term.rate_at(float(t)) * (y @ block)
+        return out
+
+    def coordinates(self, states: np.ndarray) -> np.ndarray:
+        return states.reshape(len(states), -1)[:, self.index]
+
+    def states(self, y: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(y), self.dim * self.dim), dtype=complex)
+        out[:, self.index] = y
+        return out.reshape(len(y), self.dim, self.dim)
 
 
 def dephasing_generator(rate) -> LindbladGenerator:

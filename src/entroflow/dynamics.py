@@ -193,10 +193,10 @@ def states_off_grid(traj: Trajectory, columns, times, steps: int = 8) -> np.ndar
     nearest = np.argmin(np.abs(traj.grid[None, :] - times[:, None]), axis=1)
     d = traj.entries.shape[-1]
     starts = traj.entries.reshape(len(traj), -1, d, d)[nearest, columns]
-    return _rk4_segment(traj.generator, starts, traj.grid[nearest], times, steps)
+    return hermitian_part(_rk4_segment(traj.generator, starts, traj.grid[nearest], times, steps))
 
 
-def _rk4_step(generator: LindbladGenerator, rho: np.ndarray, t, dt, k1=None) -> np.ndarray:
+def _rk4_step(generator, rho: np.ndarray, t, dt, k1=None) -> np.ndarray:
     """One RK4 step; ``t`` and ``dt`` are numbers, or arrays with one entry
     per state of the stack.  ``k1``, when given, is L_t(rho), already known.
 
@@ -227,16 +227,18 @@ def _rk4_step(generator: LindbladGenerator, rho: np.ndarray, t, dt, k1=None) -> 
 
 
 def _rk4_segment(generator, rho, t0, t1, substeps: int, k1=None) -> np.ndarray:
-    """RK4 from t0 to t1 in equal substeps, for one state or a stack (N, d, d);
-    t0 and t1 may also be arrays, one entry per state.  ``k1``, when given,
-    is L_{t0}(rho), which the first substep then does not recompute."""
+    """RK4 from t0 to t1 in equal substeps, for one state or a stack (N, d, d),
+    or for the coordinates (N, m) of a :meth:`LindbladGenerator.restricted`
+    generator; t0 and t1 may also be arrays, one entry per state.  ``k1``,
+    when given, is L_{t0}(rho), which the first substep then does not
+    recompute.  The result is not Hermitized."""
     if np.all(np.equal(t1, t0)):
         return rho.copy()
     dt = (t1 - t0) / substeps
     out = np.asarray(rho, dtype=complex)
     for j in range(substeps):
         out = _rk4_step(generator, out, t0 + j * dt, dt, k1 if j == 0 else None)
-    return hermitian_part(out)
+    return out
 
 
 # ||X||_F <= ||X||_1 <= sqrt(d) ||X||_F decides a trace-norm test without an
@@ -277,6 +279,36 @@ def _state_stack(states) -> np.ndarray:
     return np.stack([as_matrix(rho) for rho in states])
 
 
+class _WholeStates:
+    """A generator acting on (N, d, d) stacks as they are: the coordinates
+    ``propagate`` integrates are the states themselves."""
+
+    def __init__(self, generator: LindbladGenerator):
+        self.apply = generator.apply
+
+    @staticmethod
+    def coordinates(states: np.ndarray) -> np.ndarray:
+        return states
+
+    @staticmethod
+    def states(coordinates: np.ndarray) -> np.ndarray:
+        return coordinates
+
+
+def _integration_operator(generator: LindbladGenerator, states: np.ndarray):
+    """What ``propagate`` integrates an (N, d, d) stack with: the generator
+    restricted to the union of its invariant sets that the stack touches,
+    when that union holds m <= d coordinates, so that a dense m x m product
+    costs no more than one pass over a state; otherwise the whole generator."""
+    labels = generator.invariant_sets()
+    if labels is not None:
+        touched = np.any(states.reshape(len(states), -1) != 0, axis=0)
+        index = np.flatnonzero(np.isin(labels, labels[touched]))
+        if len(index) <= generator.dim:
+            return generator.restricted(index)
+    return _WholeStates(generator)
+
+
 def propagate(generator: LindbladGenerator, states, grid,
               error_target: float = 1e-7, max_refinements: int = 12,
               on_tail_breach: str = "raise") -> Trajectory:
@@ -305,6 +337,17 @@ def propagate(generator: LindbladGenerator, states, grid,
     stacked eigh, whose spectra the trajectory keeps; a state failing the
     PSD check is an integration failure.
 
+    When the generator has no callable parts and the invariant sets
+    (:meth:`LindbladGenerator.invariant_sets`) that the initial stack
+    touches hold m <= d coordinates, as a Fock-diagonal start of a
+    phase-insensitive bosonic generator does (its d populations), the same
+    loop runs on (N, m) coordinate rows through dense m x m restrictions of
+    the compiled blocks.  Every segment is scattered back to (N, d, d)
+    before the Hermitization, so the trace-norm test, the validation, the
+    tail guard and the stored derivatives and spectra see d x d states as
+    on the full path; the numbers differ from it by the summation order
+    only.  Any other generator or stack runs on the full sparse ``apply``.
+
     For generators carrying a tail guard, a population breach of any state
     either raises (``on_tail_breach="raise"``) or ends the whole stack at
     its last trusted grid point (``"truncate"``), with ``truncated_at`` the
@@ -325,6 +368,7 @@ def propagate(generator: LindbladGenerator, states, grid,
     except LinalgError as exc:
         raise IntegrationError(str(exc)) from exc
     current, spectrum, defect = _clean(initial, float(grid[0]))
+    operator = _integration_operator(generator, current)
     n, d = current.shape[0], current.shape[-1]
     rho = np.empty((len(grid), n, d, d), dtype=complex)
     dots = np.empty_like(rho)
@@ -332,23 +376,30 @@ def propagate(generator: LindbladGenerator, states, grid,
     eigenvectors = np.empty_like(rho)
     defects = np.empty((len(grid), n))
 
-    def store(k: int, t: float) -> None:
+    def store(k: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Keep the state at grid point k; its coordinates and their derivative."""
         rho[k], eigenvalues[k], eigenvectors[k] = current, spectrum.eigenvalues, spectrum.eigenvectors
-        dots[k] = generator.apply(t, current)
+        y = operator.coordinates(current)
+        k1 = operator.apply(t, y)
+        dots[k] = operator.states(k1)
         defects[k] = defect
+        return y, k1
 
-    store(0, float(grid[0]))
+    def segment(substeps: int) -> np.ndarray:
+        """The states at t1 from the coordinates y at t0, in ``substeps`` steps."""
+        return hermitian_part(operator.states(_rk4_segment(operator, y, t0, t1, substeps, k1)))
+
+    y, k1 = store(0, float(grid[0]))
     substeps = 1
     length, truncated_at = len(grid), None
     for k in range(len(grid) - 1):
         t0, t1 = float(grid[k]), float(grid[k + 1])
         budget = error_target * (t1 - t0)
         substeps = max(1, substeps // 2)
-        k1 = dots[k]
-        trial = _rk4_segment(generator, current, t0, t1, substeps, k1)
+        trial = segment(substeps)
         for _ in range(max_refinements):
             substeps *= 2
-            refined = _rk4_segment(generator, current, t0, t1, substeps, k1)
+            refined = segment(substeps)
             converged = not _trace_norms_exceed(trial - refined, budget)
             trial = refined
             if converged:
@@ -368,7 +419,7 @@ def propagate(generator: LindbladGenerator, states, grid,
                     )
                 length, truncated_at = k + 1, t1
                 break
-        store(k + 1, t1)
+        y, k1 = store(k + 1, t1)
 
     if truncated_at is not None and length < 3:
         raise TailMassError("tail guard tripped before any usable grid point")

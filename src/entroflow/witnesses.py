@@ -25,7 +25,14 @@ from .channels import (
     apply_superoperators,
     unitality_class,
 )
-from .dynamics import ChannelFamily, Trajectory, entropy_rate, propagate, states_off_grid
+from .dynamics import (
+    ChannelFamily,
+    GeneratorFamily,
+    Trajectory,
+    entropy_rate,
+    propagate,
+    states_off_grid,
+)
 from .linalg import (
     DensityMatrix,
     EigenSystem,
@@ -196,8 +203,15 @@ def _epsilon_derivatives(family: ChannelFamily, times, states: np.ndarray,
 
     Tr{Pi M^dag M(rho)} is <M(Pi), M(rho)>_HS and M_{t,t} = id, so the limit
     is <K_t(Pi), rho> + <Pi, K_t(rho)> = Tr{Pi (K_t + K_t^dag)(rho)}, with
-    K_t the family's step generator: one product over the stack.
+    K_t the family's step generator: one product over the stack.  For a
+    :class:`GeneratorFamily` K_t = L_t, and the term is read from one
+    ``adjoint_apply`` and one ``apply`` of the generator over the stack,
+    with no dense d^2 x d^2 matrix.
     """
+    if isinstance(family, GeneratorFamily):
+        generator, times = family.generator, np.asarray(times, dtype=float)
+        return (_pinned_adjoint_traces(generator, times, states, projectors)
+                + np.real(trace_product(projectors, generator.apply(times, states))))
     k = family.step_generators(times)
     return np.real(trace_product(projectors, apply_superoperators(
         k + np.conj(np.swapaxes(k, -1, -2)), states)))
@@ -287,11 +301,11 @@ def witness_reports(generator: LindbladGenerator, traj: Trajectory,
     """One WitnessReport per point of a one-state trajectory.
 
     The f column and test (a)/(c) need the short-time derivative term
-    Tr{Pi (K_t + K_t^dag)(rho_t)}; when no family is supplied K_t = L_t, so
-    the term is the witness plus Re Tr{Pi L_t(rho_t)}, read from one stacked
-    generator application with no dense superoperator.  Every column is
-    computed over the whole trajectory at once.  Rows at a rank jump
-    (:meth:`Trajectory.rank_jump_rows`) carry no test flags.
+    Tr{Pi (K_t + K_t^dag)(rho_t)}; when no family is supplied K_t = L_t,
+    the :class:`GeneratorFamily` of the generator, whose term is read from
+    sparse generator applications with no dense superoperator.  Every
+    column is computed over the whole trajectory at once.  Rows at a rank
+    jump (:meth:`Trajectory.rank_jump_rows`) carry no test flags.
     """
     excluded = traj.rank_jump_rows(RANK_CHANGE_MARGIN)
     projectors = traj.spectrum.projectors()
@@ -299,11 +313,9 @@ def witness_reports(generator: LindbladGenerator, traj: Trajectory,
     witness = _pinned_adjoint_traces(generator, traj.grid, traj.entries, projectors)
     bounds = -witness
     if family is None:
-        eps_terms = witness + np.real(trace_product(projectors,
-                                                    generator.apply(traj.grid, traj.entries)))
-    else:
-        eps_terms = _epsilon_derivatives(family, traj.grid, traj.entries[:, None],
-                                         projectors[:, None])[:, 0]
+        family = GeneratorFamily(generator)
+    eps_terms = _epsilon_derivatives(family, traj.grid, traj.entries[:, None],
+                                     projectors[:, None])[:, 0]
     f_values = rates + eps_terms
     tests = {"test_a_passed": test_a(f_values), "test_b_passed": test_b(rates, bounds),
              "test_c_passed": test_c(eps_terms, witness)}

@@ -383,6 +383,58 @@ class TestLindbladEngine:
         assert not LindbladGenerator(2, hamiltonian=lambda t: SIGMA_Z).is_time_independent()
 
 
+def _sets(gen):
+    labels = gen.invariant_sets()
+    return sorted(np.flatnonzero(labels == label).tolist() for label in np.unique(labels))
+
+
+def _phase_covariant(rng, cutoff, lowering=True, raising=True):
+    """H = omega a^dag a with jumps a (time-dependent rate) and a^dag (constant rate)."""
+    a = annihilation_operator(cutoff)
+    jumps = [JumpTerm(CosineSquaredCoefficient(omega=1.3, scale=rng.uniform(0.2, 1.0)), a)] * lowering
+    jumps += [JumpTerm(rng.uniform(0.1, 1.0), dagger(a))] * raising
+    return LindbladGenerator(cutoff, hamiltonian=rng.uniform(0.5, 2.0) * np.diag(np.arange(cutoff)),
+                             jumps=jumps)
+
+
+class TestInvariantSets:
+    """The coordinates of vec(x) split into sets that no L_t couples."""
+
+    def test_sigma_z_dephasing_keeps_each_coherence_apart(self):
+        assert _sets(dephasing_generator(1.0)) == [[0, 3], [1], [2]]  # {00, 11}, {01}, {10}
+        assert _sets(dephasing_generator(lambda t: 1.0 + t)) == [[0, 3], [1], [2]]
+
+    def test_sigma_x_jump_swaps_populations_and_coherences(self):
+        assert _sets(LindbladGenerator(2, jumps=[(0.7, SIGMA_X)])) == [[0, 3], [1, 2]]
+
+    def test_random_jump_couples_everything(self, rng):
+        assert _sets(LindbladGenerator(3, jumps=[(0.5, _random_matrix(rng, 3))])) == [list(range(9))]
+
+    def test_callable_parts_have_no_sets(self, rng):
+        constant, timed = _engine_generators(rng)
+        assert constant.invariant_sets() is not None and timed.invariant_sets() is None
+        assert LindbladGenerator(2, hamiltonian=lambda t: SIGMA_Z).invariant_sets() is None
+        assert LindbladGenerator(2, jumps=[(0.5, lambda t: SIGMA_X)]).invariant_sets() is None
+
+    def test_restricted_apply_equals_the_full_one_in_every_coherence_order(self, rng):
+        # Both jumps, and each alone: one-way couplings join a set too.
+        for cutoff, lowering, raising in [(int(c), True, True) for c in rng.integers(6, 11, size=4)] \
+                + [(7, True, False), (8, False, True)]:
+            gen = _phase_covariant(rng, cutoff, lowering, raising)
+            orders = np.subtract.outer(np.arange(cutoff), np.arange(cutoff)).reshape(-1)
+            assert _sets(gen) == sorted(np.flatnonzero(orders == q).tolist()
+                                        for q in range(1 - cutoff, cutoff))
+            for q in range(1 - cutoff, cutoff):
+                x = np.diag(rng.normal(size=cutoff - abs(q)) + 1j * rng.normal(size=cutoff - abs(q)), -q)
+                labels = gen.invariant_sets()
+                restricted = gen.restricted(np.flatnonzero(labels == labels[orders == q][0]))
+                for t in (0.0, 0.7):
+                    y = restricted.coordinates(x[None])
+                    assert y.shape == (1, cutoff - abs(q))
+                    np.testing.assert_allclose(restricted.states(restricted.apply(t, y)),
+                                               gen.apply(t, x[None]), rtol=0, atol=1e-13)
+
+
 def _dense_lindblad(h, terms, x, adjoint=False):
     """-i[H, x] + sum gamma (A x A^dag - {A^dag A, x}/2), or its adjoint
     i[H, x] + sum gamma (A^dag x A - {A^dag A, x}/2), with plain numpy

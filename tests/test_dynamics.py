@@ -146,22 +146,27 @@ class TestPropagate:
         assert stacked.entries.shape[:2] == (len(first), 2)
 
 
-def reference_propagate(generator, states, grid, error_target=1e-7):
+def reference_propagate(generator, states, grid, error_target=1e-7, operator=None):
     """The step-doubling loop written plainly: every segment computes its own
     first stage, the trace-norm test always takes eigenvalues, states are
     symmetrized at every turn, and the loop stops at a tail-guard breach.
-    Returns the (T, N, d, d) states and derivatives and the (T, N, d)
-    descending eigenvalues."""
+    The loop runs on the coordinates of ``operator``, by default the one
+    ``propagate`` picks for the initial stack.  Returns the (T, N, d, d)
+    states and derivatives and the (T, N, d) descending eigenvalues."""
     def segment(rho, t0, t1, n):
+        y = operator.coordinates(rho)
         dt = (t1 - t0) / n
         for j in range(n):
             t = t0 + j * dt
-            k1 = generator.apply(t, rho)
-            k2 = generator.apply(t + 0.5 * dt, rho + 0.5 * dt * k1)
-            k3 = generator.apply(t + 0.5 * dt, rho + 0.5 * dt * k2)
-            k4 = generator.apply(t + dt, rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return hermitian_part(rho)
+            k1 = operator.apply(t, y)
+            k2 = operator.apply(t + 0.5 * dt, y + 0.5 * dt * k1)
+            k3 = operator.apply(t + 0.5 * dt, y + 0.5 * dt * k2)
+            k4 = operator.apply(t + dt, y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return hermitian_part(operator.states(y))
+
+    def derivative(t, rho):
+        return operator.states(operator.apply(t, operator.coordinates(rho)))
 
     def clean(raw):
         sym = hermitian_part(raw)
@@ -169,7 +174,9 @@ def reference_propagate(generator, states, grid, error_target=1e-7):
         return sym, np.linalg.eigh(sym)[0][..., ::-1]
 
     rho, lam = clean(np.stack([getattr(s, "entries", s) for s in states]).astype(complex))
-    entries, dots, eigenvalues = [rho], [generator.apply(grid[0], rho)], [lam]
+    if operator is None:
+        operator = dynamics._integration_operator(generator, rho)
+    entries, dots, eigenvalues = [rho], [derivative(grid[0], rho)], [lam]
     substeps = 1
     for t0, t1 in zip(grid[:-1], grid[1:]):
         substeps = max(1, substeps // 2)
@@ -184,7 +191,7 @@ def reference_propagate(generator, states, grid, error_target=1e-7):
         if guard is not None and np.any(guard.check(rho) > guard.bound):
             break
         entries.append(rho)
-        dots.append(generator.apply(t1, rho))
+        dots.append(derivative(t1, rho))
         eigenvalues.append(lam)
     return np.stack(entries), np.stack(dots), np.stack(eigenvalues)
 
@@ -223,6 +230,50 @@ class TestOnePassPerInterval:
         assert np.array_equal(traj.spectrum.eigenvalues, eigenvalues)
         if generator.tail_guard is not None:
             assert traj.truncated_at is not None
+
+    def test_block_path_agrees_with_the_full_sparse_path(self):
+        generator, states, grid = _reference_cases()["bosonic amplifier, tail truncation"]
+        traj = propagate(generator, states, grid, on_tail_breach="truncate")
+        operator = dynamics._integration_operator(generator, traj.entries[0])
+        assert not isinstance(operator, dynamics._WholeStates)
+        assert len(operator.index) == generator.dim  # the populations
+        entries, dots, eigenvalues = reference_propagate(
+            generator, states, grid, operator=dynamics._WholeStates(generator))
+        assert len(traj) == len(entries)
+        np.testing.assert_allclose(traj.entries, entries, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.derivatives, dots, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.spectrum.eigenvalues, eigenvalues, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["callable Hamiltonian", "callable operator",
+                                      "stack touching every set"])
+    def test_full_path_is_the_plain_sparse_loop(self, case):
+        # Bit for bit the loop over the whole generator's apply: these
+        # trajectories are those of the sparse path alone.
+        rng = np.random.default_rng(13)
+        h = hermitian_part(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        lower = np.diag([1.0, 1.0], 1).astype(complex)
+        generator, states = {
+            "callable Hamiltonian": (
+                LindbladGenerator(3, hamiltonian=lambda t: np.cos(t) * h, jumps=[(0.4, lower)]),
+                [DensityMatrix.diagonal([0.6, 0.3, 0.1])]),
+            "callable operator": (
+                LindbladGenerator(3, hamiltonian=np.diag([0.0, 1.0, 2.0]),
+                                  jumps=[(0.4, lambda t: np.cos(t) * lower)]),
+                [DensityMatrix.diagonal([0.6, 0.3, 0.1])]),
+            "stack touching every set": (
+                LindbladGenerator(3, hamiltonian=np.diag([0.0, 1.0, 2.0]),
+                                  jumps=[(0.4, lower), (0.2, dagger(lower))]),
+                [DensityMatrix.diagonal([0.6, 0.3, 0.1]), random_full_rank_state(rng, 3)]),
+        }[case]
+        grid = np.linspace(0.0, 1.0, 11)
+        traj = propagate(generator, states, grid)
+        stack = np.stack([rho.entries for rho in states])
+        assert isinstance(dynamics._integration_operator(generator, stack), dynamics._WholeStates)
+        entries, dots, eigenvalues = reference_propagate(
+            generator, states, grid, operator=dynamics._WholeStates(generator))
+        assert np.array_equal(traj.entries, entries)
+        assert np.array_equal(traj.derivatives, dots)
+        assert np.array_equal(traj.spectrum.eigenvalues, eigenvalues)
 
     def test_bracket_decides_as_eigvalsh(self, rng, monkeypatch):
         d = 6
@@ -669,7 +720,7 @@ class TestStackedTrajectory:
         stacked = states_off_grid(traj, columns, times)
         for n, t, state in zip(columns, times, stacked):
             k = int(np.argmin(np.abs(grid - t)))
-            one = _rk4_segment(gen, traj.entries[k, n], float(grid[k]), t, 8)
+            one = hermitian_part(_rk4_segment(gen, traj.entries[k, n], float(grid[k]), t, 8))
             np.testing.assert_allclose(state, one, atol=1e-14)
             column = Trajectory(grid, traj.entries[:, n], traj.derivatives[:, n], generator=gen)
             np.testing.assert_allclose(states_off_grid(column, [0], [t])[0], one, atol=1e-14)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,8 @@ from entroflow import (
     LindbladGenerator,
     QuantumChannel,
     WitnessReport,
+    annihilation_operator,
+    bosonic_generator,
     dephasing_generator,
     depolarizing_generator,
     entropy_change,
@@ -28,12 +32,13 @@ from entroflow import (
     semigroup_sandwich,
     support_projector,
     theorem2_bound,
+    thermal_state,
     unitary_channel,
     witness_f_channel,
     witness_reports,
 )
-from entroflow.channels import JumpTerm, SIGMA_Z
-from entroflow.linalg import as_matrix, hermitian_part
+from entroflow.channels import JumpTerm, SIGMA_Z, apply_superoperators
+from entroflow.linalg import as_matrix, dagger, hermitian_part, trace_product
 from entroflow.sampling import (
     default_pair_sampler,
     default_state_sampler,
@@ -46,6 +51,7 @@ from entroflow.sampling import (
 from entroflow.scenarios import _oscillating_dephasing
 from entroflow.witnesses import (
     WitnessError,
+    _epsilon_derivatives,
     _f_parts,
     export_witness_reports,
     generator_commutator_expectation,
@@ -205,16 +211,52 @@ def test_witness_reports_without_a_family_build_no_superoperator(rng, monkeypatc
     assert built == []
 
 
+def _dense_epsilon_terms(family, times, states, projectors):
+    """Tr{Pi (K_t + K_t^dag)(rho)} from the family's dense (T, d^2, d^2) step generators."""
+    k = family.step_generators(times)
+    return np.real(trace_product(projectors, apply_superoperators(
+        k + np.conj(np.swapaxes(k, -1, -2)), states)))
+
+
 def test_witness_reports_f_matches_the_generator_family(rng):
-    # Without a family K_t = L_t: the f column is the GeneratorFamily route
-    # read from one generator application instead of dense superoperators.
+    # Without a family K_t = L_t: the f column is the GeneratorFamily route,
+    # read from sparse generator applications; both agree with the dense
+    # route through the stacked superoperators of L_t.
     generator = _random_semigroup(rng, 3)
     traj = propagate(generator, random_mixed_state(rng, 3), np.linspace(0.0, 1.0, 11))
+    family = GeneratorFamily(generator)
     plain = witness_reports(generator, traj)
-    dense = witness_reports(generator, traj, GeneratorFamily(generator))
-    np.testing.assert_allclose([r.f_value for r in plain], [r.f_value for r in dense],
+    with_family = witness_reports(generator, traj, family)
+    assert [r.f_value for r in plain] == [r.f_value for r in with_family]
+    assert [r.flags for r in plain] == [r.flags for r in with_family]
+    projectors = traj.spectrum.projectors()
+    dense = _dense_epsilon_terms(family, traj.grid, traj.entries[:, None], projectors[:, None])
+    np.testing.assert_allclose([r.f_value for r in plain], traj.entropy_rates() + dense[:, 0],
                                rtol=0, atol=1e-12)
-    assert [r.flags for r in plain] == [r.flags for r in dense]
+
+
+def test_generator_family_epsilon_terms_need_no_dense_superoperators():
+    # A (T, N) stack at time-dependent rates, against the dense route; and
+    # witness_reports at d = 20 over 101 points, which built 101 dense
+    # 400 x 400 superoperators and their adjoints (558 MiB at its peak).
+    generator = bosonic_generator(0.2, 1.2, 20)
+    grid = np.linspace(0.0, 2.0, 101)
+    traj = propagate(generator, [thermal_state(0.2, 20), thermal_state(0.5, 20)], grid)
+    timed = GeneratorFamily(LindbladGenerator(20, jumps=[
+        (lambda t: 0.5 + 0.3 * np.sin(t), annihilation_operator(20)), (0.2, dagger(annihilation_operator(20)))]))
+    for family in (GeneratorFamily(generator), timed):
+        times, states, projectors = grid[::10], traj.entries[::10], traj.spectrum.projectors()[::10]
+        np.testing.assert_allclose(_epsilon_derivatives(family, times, states, projectors),
+                                   _dense_epsilon_terms(family, times, states, projectors),
+                                   rtol=0, atol=1e-12)
+    single = propagate(generator, thermal_state(0.2, 20), grid)
+    tracemalloc.start()
+    try:
+        witness_reports(generator, single, GeneratorFamily(generator))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
 
 
 @settings(max_examples=25, deadline=None)
