@@ -35,6 +35,7 @@ from .linalg import (
     DensityMatrix,
     EigenSystem,
     LinalgError,
+    _density_spectra,
     _entropies,
     as_matrix,
     check_density_stack,
@@ -185,7 +186,11 @@ def states_off_grid(traj: Trajectory, columns, times, steps: int = 8) -> np.ndar
     c, as one (C, d, d) stack; a one-state trajectory has the one column 0.
 
     Each state is integrated by RK4 in ``steps`` substeps from the grid point
-    nearest to its time, all of them together, each at its own times.
+    nearest to its time, all of them together, each at its own times, through
+    the operator :func:`propagate` would pick for these starts: the dense
+    restriction to the invariant sets they touch when those hold
+    m <= max(d, 16) coordinates, as every qubit or qutrit stack does, and
+    the sparse generator otherwise.
     """
     if traj.generator is None:
         raise IntegrationError("off-grid states need the trajectory's generator")
@@ -193,17 +198,20 @@ def states_off_grid(traj: Trajectory, columns, times, steps: int = 8) -> np.ndar
     nearest = np.argmin(np.abs(traj.grid[None, :] - times[:, None]), axis=1)
     d = traj.entries.shape[-1]
     starts = traj.entries.reshape(len(traj), -1, d, d)[nearest, columns]
-    return hermitian_part(_rk4_segment(traj.generator, starts, traj.grid[nearest], times, steps))
+    operator = _integration_operator(traj.generator, starts)
+    ends = _rk4_segment(operator, operator.coordinates(starts), traj.grid[nearest], times, steps)
+    return hermitian_part(operator.states(ends))
 
 
 def _rk4_step(generator, rho: np.ndarray, t, dt, k1=None) -> np.ndarray:
     """One RK4 step; ``t`` and ``dt`` are numbers, or arrays with one entry
-    per state of the stack.  ``k1``, when given, is L_t(rho), already known.
+    per state of the stack, a matrix (N, d, d) or a coordinate row (N, m).
+    ``k1``, when given, is L_t(rho), already known.
 
     The stage inputs share one scratch buffer and the stages are summed into
     ``k2``, in the order of rho + h/6 (k1 + 2 k2 + 2 k3 + k4).
     """
-    h = dt if np.ndim(dt) == 0 else dt[:, None, None]
+    h = dt.reshape((-1,) + (1,) * (rho.ndim - 1)) if isinstance(dt, np.ndarray) else dt
     half = 0.5 * h
     if k1 is None:
         k1 = generator.apply(t, rho)
@@ -229,7 +237,7 @@ def _rk4_step(generator, rho: np.ndarray, t, dt, k1=None) -> np.ndarray:
 def _rk4_segment(generator, rho, t0, t1, substeps: int, k1=None) -> np.ndarray:
     """RK4 from t0 to t1 in equal substeps, for one state or a stack (N, d, d),
     or for the coordinates (N, m) of a :meth:`LindbladGenerator.restricted`
-    generator; t0 and t1 may also be arrays, one entry per state.  ``k1``,
+    generator; t0 and t1 may also be arrays, one entry per state or row.  ``k1``,
     when given, is L_{t0}(rho), which the first substep then does not
     recompute.  The result is not Hermitized."""
     if np.all(np.equal(t1, t0)):
@@ -261,11 +269,14 @@ def _trace_norms_exceed(x: np.ndarray, budget: float) -> bool:
 
 
 def _clean(raw: np.ndarray, t: float) -> tuple[np.ndarray, EigenSystem, np.ndarray]:
-    """Trace-renormalize a stack of Hermitian matrices and validate it with
-    one eigh; returns it, its spectra and the trace defects."""
+    """Trace-renormalize a stack of exactly Hermitian matrices (a
+    :func:`hermitian_part`) and validate it with one eigh; returns it, its
+    spectra and the trace defects.  Divided by real traces the stack stays
+    exactly Hermitian, so it is not symmetrized again."""
     tr = np.real(np.trace(raw, axis1=-2, axis2=-1))
+    states = raw / tr[:, None, None]
     try:
-        states, spectrum = check_density_stack(raw / tr[:, None, None])
+        spectrum = _density_spectra(states)
     except LinalgError as exc:
         raise IntegrationError(f"state at t={t:.6g} lost positivity: {exc}") from exc
     return states, spectrum, np.abs(tr - 1.0)
@@ -295,16 +306,26 @@ class _WholeStates:
         return coordinates
 
 
+# Restrictions up to this many coordinates are integrated as dense products
+# even when m > d: up to m = 25 one dense (N, m) x (m, m) apply took 3-8 us
+# against 6-14 us for the sparse product's dispatch (N = 1-16 states, on a
+# 2-core host), the two were level near m = 36-64, and the sparse one led at
+# m = 100.  16 covers every stack of a qubit, qutrit or d = 4 generator.
+_DENSE_COORDINATES = 16
+
+
 def _integration_operator(generator: LindbladGenerator, states: np.ndarray):
-    """What ``propagate`` integrates an (N, d, d) stack with: the generator
-    restricted to the union of its invariant sets that the stack touches,
-    when that union holds m <= d coordinates, so that a dense m x m product
-    costs no more than one pass over a state; otherwise the whole generator."""
+    """What ``propagate`` and ``states_off_grid`` integrate an (N, d, d) stack
+    with: the generator restricted to the union of its invariant sets that
+    the stack touches, when that union holds m <= max(d, 16) coordinates,
+    so that a dense m x m product costs no more than one pass over a state
+    or less than the sparse product's dispatch; otherwise the whole
+    generator."""
     labels = generator.invariant_sets()
     if labels is not None:
         touched = np.any(states.reshape(len(states), -1) != 0, axis=0)
         index = np.flatnonzero(np.isin(labels, labels[touched]))
-        if len(index) <= generator.dim:
+        if len(index) <= max(generator.dim, _DENSE_COORDINATES):
             return generator.restricted(index)
     return _WholeStates(generator)
 
@@ -339,14 +360,15 @@ def propagate(generator: LindbladGenerator, states, grid,
 
     When the generator has no callable parts and the invariant sets
     (:meth:`LindbladGenerator.invariant_sets`) that the initial stack
-    touches hold m <= d coordinates, as a Fock-diagonal start of a
-    phase-insensitive bosonic generator does (its d populations), the same
-    loop runs on (N, m) coordinate rows through dense m x m restrictions of
-    the compiled blocks.  Every segment is scattered back to (N, d, d)
-    before the Hermitization, so the trace-norm test, the validation, the
-    tail guard and the stored derivatives and spectra see d x d states as
-    on the full path; the numbers differ from it by the summation order
-    only.  Any other generator or stack runs on the full sparse ``apply``.
+    touches hold m <= max(d, 16) coordinates, as a Fock-diagonal start of a
+    phase-insensitive bosonic generator does (its d populations) and every
+    stack of a generator with d <= 4 does, the same loop runs on (N, m)
+    coordinate rows through dense m x m restrictions of the compiled
+    blocks.  Every segment is scattered back to (N, d, d) before the
+    Hermitization, so the trace-norm test, the validation, the tail guard
+    and the stored derivatives and spectra see d x d states as on the full
+    path; the numbers differ from it by the summation order only.  Any
+    other generator or stack runs on the full sparse ``apply``.
 
     For generators carrying a tail guard, a population breach of any state
     either raises (``on_tail_breach="raise"``) or ends the whole stack at

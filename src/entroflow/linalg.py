@@ -159,6 +159,12 @@ class EigenSystem:
         mask = self.support_mask(tol)
         return np.where(mask, np.log(np.where(mask, self.eigenvalues, 1.0)), 0.0)
 
+    def support_traces(self, operators: np.ndarray, tol: float = ZERO_EIGENVALUE_RTOL) -> np.ndarray:
+        """Re Tr{Pi A} per matrix, with Pi the projector onto its support:
+        the :meth:`expectations` of A summed over the support, with no
+        projector built."""
+        return np.where(self.support_mask(tol), self.expectations(operators), 0.0).sum(axis=-1)
+
     def expectations(self, operators: np.ndarray) -> np.ndarray:
         """Re <v_i|A|v_i> for every eigenvector v_i, per matrix: (..., d).
 
@@ -290,6 +296,14 @@ def check_density_stack(operators, subnormalized: bool = False) -> tuple[np.ndar
     index.
     """
     a = require_hermitian(operators, name="density matrix")
+    return a, _density_spectra(a, subnormalized)
+
+
+def _density_spectra(a: np.ndarray, subnormalized: bool = False) -> EigenSystem:
+    """The spectra of an exactly Hermitian matrix or stack, after the PSD and
+    trace checks of :func:`check_density_stack`, which this is without the
+    Hermiticity check: for stacks already symmetrized, such as a
+    :func:`hermitian_part` divided by real traces."""
     spectrum = _eigh(a)
     lam_min = spectrum.eigenvalues[..., -1]
     tr = np.real(np.trace(a, axis1=-2, axis2=-1))
@@ -303,7 +317,7 @@ def check_density_stack(operators, subnormalized: bool = False) -> tuple[np.ndar
             k = np.unravel_index(np.argmax(bad), bad.shape)
             where = f" at stack index {tuple(map(int, k))}" if bad.ndim else ""
             raise LinalgError(message.format(lam=lam_min[k], tr=tr[k]) + where)
-    return a, spectrum
+    return spectrum
 
 
 def _support_mask(eigenvalues: np.ndarray, tol: float) -> np.ndarray:

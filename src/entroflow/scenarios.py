@@ -395,7 +395,7 @@ def run_gaussian_bounds(params: dict, outdir: Path, seed: int):
         expected = gp - gm
         rates = traj.entropy_rates()
         bounds = -witnesses._pinned_adjoint_traces(generator, traj.grid, traj.entries,
-                                                   traj.spectrum.projectors())
+                                                   traj.spectrum)
         for t, r, b in zip(traj.grid, rates, bounds):
             rows.append((kind, t, r, b))
         worst_gap = float(np.min(rates - bounds))

@@ -44,8 +44,6 @@ from .linalg import (
     relative_entropy,
     schatten_norm,
     spectral_decompose,
-    support_projector,
-    trace_product,
     von_neumann_entropy,
 )
 
@@ -148,9 +146,10 @@ def entropy_change_upper_bound_holder(channel: QuantumChannel, rho) -> float:
 # ---------------------------------------------------------------------------
 
 def _pinned_adjoint_traces(generator, times, states: np.ndarray,
-                           projectors: np.ndarray) -> np.ndarray:
-    """Tr{Pi L_t^dag(rho)} for states and their support projectors (T, ..., d, d)
-    at times (T,), for a structural generator or a superoperator."""
+                           spectrum: EigenSystem) -> np.ndarray:
+    """Tr{Pi L_t^dag(rho)} for states (T, ..., d, d) with their spectra at
+    times (T,), for a structural generator or a superoperator: the
+    expectations of L_t^dag(rho) summed over the supports."""
     if isinstance(generator, LindbladGenerator):
         images = generator.adjoint_apply(np.asarray(times, dtype=float), states)
     elif isinstance(generator, SuperOperator):  # M^dag vec(x), as the row vec(x)^T conj(M)
@@ -158,13 +157,13 @@ def _pinned_adjoint_traces(generator, times, states: np.ndarray,
         images = (flat @ generator.matrix.conj()).reshape(states.shape)
     else:
         raise WitnessError(f"unsupported generator type {type(generator).__name__}")
-    return np.real(trace_product(projectors, images))
+    return spectrum.support_traces(images)
 
 
 def _pinned_adjoint_trace(generator, t: float, rho) -> float:
     """Tr{Pi_rho L_t^dag(rho)}: the one-state case of :func:`_pinned_adjoint_traces`."""
-    pi = support_projector(rho).entries
-    return float(_pinned_adjoint_traces(generator, [t], as_matrix(rho)[None], pi[None])[0])
+    spectrum = spectral_decompose(rho)
+    return float(_pinned_adjoint_traces(generator, [t], as_matrix(rho)[None], spectrum[None])[0])
 
 
 def nonunitality_witness(generator, t: float, rho) -> float:
@@ -197,40 +196,40 @@ def generator_commutator_expectation(generator: LindbladGenerator, t: float, rho
 # ---------------------------------------------------------------------------
 
 def _epsilon_derivatives(family: ChannelFamily, times, states: np.ndarray,
-                         projectors: np.ndarray) -> np.ndarray:
+                         spectrum: EigenSystem) -> np.ndarray:
     """d/d eps Tr{Pi_t (M_{t+eps,t})^dag M_{t+eps,t}(rho_t)} at eps = 0 for
-    states and support projectors (T, N, d, d) at times (T,): a (T, N) array.
+    states (T, N, d, d) with their spectra at times (T,): a (T, N) array.
 
     Tr{Pi M^dag M(rho)} is <M(Pi), M(rho)>_HS and M_{t,t} = id, so the limit
     is <K_t(Pi), rho> + <Pi, K_t(rho)> = Tr{Pi (K_t + K_t^dag)(rho)}, with
-    K_t the family's step generator: one product over the stack.  For a
+    K_t the family's step generator: one product over the stack, whose
+    expectations are summed over the supports.  For a
     :class:`GeneratorFamily` K_t = L_t, and the term is read from one
     ``adjoint_apply`` and one ``apply`` of the generator over the stack,
     with no dense d^2 x d^2 matrix.
     """
     if isinstance(family, GeneratorFamily):
         generator, times = family.generator, np.asarray(times, dtype=float)
-        return (_pinned_adjoint_traces(generator, times, states, projectors)
-                + np.real(trace_product(projectors, generator.apply(times, states))))
-    k = family.step_generators(times)
-    return np.real(trace_product(projectors, apply_superoperators(
-        k + np.conj(np.swapaxes(k, -1, -2)), states)))
+        images = generator.adjoint_apply(times, states) + generator.apply(times, states)
+    else:
+        k = family.step_generators(times)
+        images = apply_superoperators(k + np.conj(np.swapaxes(k, -1, -2)), states)
+    return spectrum.support_traces(images)
 
 
 def epsilon_derivative(family: ChannelFamily, rho_t, t: float) -> float:
     """d/d eps Tr{Pi_t (M_{t+eps,t})^dag M_{t+eps,t}(rho_t)} at eps = 0, for
     one state: the T = N = 1 case of the stacked derivative."""
     a = hermitian_part(as_matrix(rho_t))
-    pi = support_projector(rho_t).entries
-    return float(_epsilon_derivatives(family, [t], a[None, None], pi[None, None])[0, 0])
+    spectrum = spectral_decompose(rho_t)
+    return float(_epsilon_derivatives(family, [t], a[None, None], spectrum[None, None])[0, 0])
 
 
 def _f_parts(family: ChannelFamily, times, states: np.ndarray, dots: np.ndarray,
              spectrum: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
     """(entropy rates, short-time derivative terms) of f for states (T, N, d, d)
     at times (T,), with their derivatives and spectra: two (T, N) arrays."""
-    return entropy_rate(spectrum, dots), _epsilon_derivatives(family, times, states,
-                                                              spectrum.projectors())
+    return entropy_rate(spectrum, dots), _epsilon_derivatives(family, times, states, spectrum)
 
 
 def f_components(family: ChannelFamily, rho0, t):
@@ -308,14 +307,13 @@ def witness_reports(generator: LindbladGenerator, traj: Trajectory,
     jump (:meth:`Trajectory.rank_jump_rows`) carry no test flags.
     """
     excluded = traj.rank_jump_rows(RANK_CHANGE_MARGIN)
-    projectors = traj.spectrum.projectors()
     rates = traj.entropy_rates()
-    witness = _pinned_adjoint_traces(generator, traj.grid, traj.entries, projectors)
+    witness = _pinned_adjoint_traces(generator, traj.grid, traj.entries, traj.spectrum)
     bounds = -witness
     if family is None:
         family = GeneratorFamily(generator)
     eps_terms = _epsilon_derivatives(family, traj.grid, traj.entries[:, None],
-                                     projectors[:, None])[:, 0]
+                                     traj.spectrum[:, None])[:, 0]
     f_values = rates + eps_terms
     tests = {"test_a_passed": test_a(f_values), "test_b_passed": test_b(rates, bounds),
              "test_c_passed": test_c(eps_terms, witness)}
@@ -412,8 +410,7 @@ def _generator_witness(generator: LindbladGenerator, times, states: np.ndarray, 
                        spectrum: EigenSystem) -> np.ndarray:
     """dS/dt + Tr{Pi L_t^dag(rho_t)} for states (T, ..., d, d) at times (T,),
     with their derivatives and spectra."""
-    return entropy_rate(spectrum, dots) + _pinned_adjoint_traces(generator, times, states,
-                                                                 spectrum.projectors())
+    return entropy_rate(spectrum, dots) + _pinned_adjoint_traces(generator, times, states, spectrum)
 
 
 def measure_generator(generator: LindbladGenerator, state_sampler, grid,
@@ -430,7 +427,7 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid,
                                   traj.spectrum)
 
     def evaluate(states, traj, ns, ts) -> np.ndarray:
-        off_grid = hermitian_part(states_off_grid(traj, ns, ts))
+        off_grid = states_off_grid(traj, ns, ts)
         return _generator_witness(generator, ts, off_grid, generator.apply(ts, off_grid),
                                   spectral_decompose(off_grid))
 

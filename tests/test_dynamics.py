@@ -35,6 +35,7 @@ from entroflow.channels import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _Restriction,
     apply_superoperators,
 )
 from entroflow import dynamics
@@ -232,26 +233,35 @@ class TestOnePassPerInterval:
             assert traj.truncated_at is not None
 
     def test_block_path_agrees_with_the_full_sparse_path(self):
-        generator, states, grid = _reference_cases()["bosonic amplifier, tail truncation"]
-        traj = propagate(generator, states, grid, on_tail_breach="truncate")
-        operator = dynamics._integration_operator(generator, traj.entries[0])
-        assert not isinstance(operator, dynamics._WholeStates)
-        assert len(operator.index) == generator.dim  # the populations
-        entries, dots, eigenvalues = reference_propagate(
-            generator, states, grid, operator=dynamics._WholeStates(generator))
-        assert len(traj) == len(entries)
-        np.testing.assert_allclose(traj.entries, entries, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(traj.derivatives, dots, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(traj.spectrum.eigenvalues, eigenvalues, rtol=0, atol=1e-12)
+        # The d populations of a thermal start, and the whole space (m = 4)
+        # of a qubit stack, which lies within the dense limit.
+        for case, m in (("bosonic amplifier, tail truncation", 12),
+                        ("oscillating dephasing, 3 states", 4)):
+            generator, states, grid = _reference_cases()[case]
+            traj = propagate(generator, states, grid, on_tail_breach="truncate")
+            operator = dynamics._integration_operator(generator, traj.entries[0])
+            assert isinstance(operator, _Restriction)
+            assert len(operator.index) == m
+            entries, dots, eigenvalues = reference_propagate(
+                generator, states, grid, operator=dynamics._WholeStates(generator))
+            assert len(traj) == len(entries)
+            np.testing.assert_allclose(traj.entries, entries, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(traj.derivatives, dots, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(traj.spectrum.eigenvalues, eigenvalues, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("case", ["callable Hamiltonian", "callable operator",
-                                      "stack touching every set"])
+                                      "stack touching every set", "d = 5 stack above the dense limit"])
     def test_full_path_is_the_plain_sparse_loop(self, case):
-        # Bit for bit the loop over the whole generator's apply: these
-        # trajectories are those of the sparse path alone.
+        # Callable generators and stacks whose sets hold more than
+        # max(d, 16) coordinates run bit for bit the loop over the whole
+        # generator's apply: these trajectories are those of the sparse path
+        # alone.  A d = 3 stack touching every set (m = 9) lies within the
+        # limit: it takes the dense restriction, which agrees with that loop
+        # to rounding.
         rng = np.random.default_rng(13)
         h = hermitian_part(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
         lower = np.diag([1.0, 1.0], 1).astype(complex)
+        lower5 = np.diag(np.ones(4), 1).astype(complex)
         generator, states = {
             "callable Hamiltonian": (
                 LindbladGenerator(3, hamiltonian=lambda t: np.cos(t) * h, jumps=[(0.4, lower)]),
@@ -264,13 +274,24 @@ class TestOnePassPerInterval:
                 LindbladGenerator(3, hamiltonian=np.diag([0.0, 1.0, 2.0]),
                                   jumps=[(0.4, lower), (0.2, dagger(lower))]),
                 [DensityMatrix.diagonal([0.6, 0.3, 0.1]), random_full_rank_state(rng, 3)]),
+            "d = 5 stack above the dense limit": (
+                LindbladGenerator(5, hamiltonian=np.diag(np.arange(5.0)),
+                                  jumps=[(0.4, lower5), (0.2, dagger(lower5))]),
+                [random_full_rank_state(rng, 5)]),
         }[case]
         grid = np.linspace(0.0, 1.0, 11)
         traj = propagate(generator, states, grid)
         stack = np.stack([rho.entries for rho in states])
-        assert isinstance(dynamics._integration_operator(generator, stack), dynamics._WholeStates)
+        operator = dynamics._integration_operator(generator, stack)
         entries, dots, eigenvalues = reference_propagate(
             generator, states, grid, operator=dynamics._WholeStates(generator))
+        if case == "stack touching every set":
+            assert isinstance(operator, _Restriction) and len(operator.index) == 9
+            np.testing.assert_allclose(traj.entries, entries, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(traj.derivatives, dots, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(traj.spectrum.eigenvalues, eigenvalues, rtol=0, atol=1e-12)
+            return
+        assert isinstance(operator, dynamics._WholeStates)
         assert np.array_equal(traj.entries, entries)
         assert np.array_equal(traj.derivatives, dots)
         assert np.array_equal(traj.spectrum.eigenvalues, eigenvalues)
@@ -304,8 +325,16 @@ class TestOnePassPerInterval:
         gen = dephasing_generator(1.0)
         grid = np.linspace(0.0, 1.0, 51)
         calls = []
-        apply = gen.apply
-        monkeypatch.setattr(gen, "apply", lambda t, rho: calls.append(t) or apply(t, rho))
+        pick = dynamics._integration_operator
+
+        def counted(generator, states):
+            """The operator propagate integrates with, its applies counted."""
+            operator = pick(generator, states)
+            apply = operator.apply
+            operator.apply = lambda t, y: calls.append(t) or apply(t, y)
+            return operator
+
+        monkeypatch.setattr(dynamics, "_integration_operator", counted)
         propagate(gen, DensityMatrix.pure([1, 1]), grid)
         # per interval: 1 substep (3 new stages) against 2 (7), then the stored derivative
         assert len(calls) == 11 * (len(grid) - 1) + 1
@@ -724,6 +753,30 @@ class TestStackedTrajectory:
             np.testing.assert_allclose(state, one, atol=1e-14)
             column = Trajectory(grid, traj.entries[:, n], traj.derivatives[:, n], generator=gen)
             np.testing.assert_allclose(states_off_grid(column, [0], [t])[0], one, atol=1e-14)
+
+    def test_restricted_rows_take_one_time_each(self, rng):
+        # (N, m) coordinate rows of a qubit stack (m = 4) at per-row times,
+        # through the dense restriction, against the whole-state segment;
+        # then states_off_grid, which integrates through the same operator.
+        gen = dephasing_generator(lambda t: 0.5 + np.cos(2.0 * t))
+        starts = np.stack([random_mixed_state(rng, 2).entries for _ in range(6)])
+        t0 = rng.uniform(0.0, 2.5, size=6)
+        t1 = t0 + rng.uniform(0.01, 0.2, size=6)
+        operator = dynamics._integration_operator(gen, starts)
+        assert isinstance(operator, _Restriction) and len(operator.index) == 4
+        rows = _rk4_segment(operator, operator.coordinates(starts), t0, t1, 8)
+        assert rows.shape == (6, 4)
+        whole = _rk4_segment(dynamics._WholeStates(gen), starts, t0, t1, 8)
+        np.testing.assert_allclose(operator.states(rows), whole, rtol=0, atol=1e-12)
+
+        grid = np.linspace(0.0, 3.0, 31)
+        traj = propagate(gen, starts[:3], grid)
+        columns, times = np.array([0, 2, 1, 0, 2, 1]), np.array([0.013, 0.27, 1.5, 2.449, 2.99, 0.7])
+        nearest = np.argmin(np.abs(grid[None, :] - times[:, None]), axis=1)
+        expected = _rk4_segment(dynamics._WholeStates(gen), traj.entries[nearest, columns],
+                                grid[nearest], times, 8)
+        np.testing.assert_allclose(states_off_grid(traj, columns, times), hermitian_part(expected),
+                                   rtol=0, atol=1e-12)
 
 
 class TestClosedFormTrajectories:

@@ -38,7 +38,7 @@ from entroflow import (
     witness_reports,
 )
 from entroflow.channels import JumpTerm, SIGMA_Z, apply_superoperators
-from entroflow.linalg import as_matrix, dagger, hermitian_part, trace_product
+from entroflow.linalg import as_matrix, dagger, hermitian_part, spectral_decompose, trace_product
 from entroflow.sampling import (
     default_pair_sampler,
     default_state_sampler,
@@ -53,6 +53,7 @@ from entroflow.witnesses import (
     WitnessError,
     _epsilon_derivatives,
     _f_parts,
+    _pinned_adjoint_traces,
     export_witness_reports,
     generator_commutator_expectation,
     time_local_generator,
@@ -235,6 +236,34 @@ def test_witness_reports_f_matches_the_generator_family(rng):
                                rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3, 12])
+def test_support_traces_equal_the_projector_form(rng, d):
+    # Tr{Pi X} as the expectations of X summed over the support, against the
+    # trace with the support projector, on rank-deficient (T, N, d, d) stacks.
+    shape = (4, 3)
+    ranks = rng.integers(1, d, size=shape)
+    g = rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
+    v = np.linalg.qr(g)[0]
+    p = rng.uniform(0.1, 1.0, size=shape + (d,)) * (np.arange(d) < ranks[..., None])
+    p /= p.sum(axis=-1, keepdims=True)
+    states = hermitian_part((v * p[..., None, :]) @ dagger(v))
+    spectrum = spectral_decompose(states)
+    np.testing.assert_array_equal(spectrum.support_mask().sum(axis=-1), ranks)
+    projectors = spectrum.projectors()
+    x = rng.normal(size=states.shape) + 1j * rng.normal(size=states.shape)
+    np.testing.assert_allclose(spectrum.support_traces(x), np.real(trace_product(projectors, x)),
+                               rtol=0, atol=1e-12)
+    generator, times = _random_semigroup(rng, d), np.linspace(0.0, 1.0, shape[0])
+    np.testing.assert_allclose(
+        _pinned_adjoint_traces(generator, times, states, spectrum),
+        np.real(trace_product(projectors, generator.adjoint_apply(times, states))),
+        rtol=0, atol=1e-12)
+    family = GeneratorFamily(generator)
+    np.testing.assert_allclose(_epsilon_derivatives(family, times, states, spectrum),
+                               _dense_epsilon_terms(family, times, states, projectors),
+                               rtol=0, atol=1e-12)
+
+
 def test_generator_family_epsilon_terms_need_no_dense_superoperators():
     # A (T, N) stack at time-dependent rates, against the dense route; and
     # witness_reports at d = 20 over 101 points, which built 101 dense
@@ -245,9 +274,9 @@ def test_generator_family_epsilon_terms_need_no_dense_superoperators():
     timed = GeneratorFamily(LindbladGenerator(20, jumps=[
         (lambda t: 0.5 + 0.3 * np.sin(t), annihilation_operator(20)), (0.2, dagger(annihilation_operator(20)))]))
     for family in (GeneratorFamily(generator), timed):
-        times, states, projectors = grid[::10], traj.entries[::10], traj.spectrum.projectors()[::10]
-        np.testing.assert_allclose(_epsilon_derivatives(family, times, states, projectors),
-                                   _dense_epsilon_terms(family, times, states, projectors),
+        times, states, spectrum = grid[::10], traj.entries[::10], traj.spectrum[::10]
+        np.testing.assert_allclose(_epsilon_derivatives(family, times, states, spectrum),
+                                   _dense_epsilon_terms(family, times, states, spectrum.projectors()),
                                    rtol=0, atol=1e-12)
     single = propagate(generator, thermal_state(0.2, 20), grid)
     tracemalloc.start()
