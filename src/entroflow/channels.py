@@ -628,13 +628,19 @@ class LindbladGenerator:
         times = np.atleast_1d(t)
         per_time = cols.shape[1] // len(times)
         for i, term in enumerate(self._rated_terms, start=1):
-            rates = np.repeat([term.rate_at(float(s)) for s in times], per_time)
-            out += rates * blocks[i * n:(i + 1) * n]
+            part = blocks[i * n:(i + 1) * n]
+            part *= np.repeat([term.rate_at(float(s)) for s in times], per_time)
+            out += part
         if self._callable_parts:
             for k, s in enumerate(times):
                 block = slice(k * per_time, (k + 1) * per_time)
                 out[:, block] += self._built_at(float(s), adjoint) @ cols[:, block]
-        return out.T.reshape(x.shape)
+        # Returned in C order: a strided (N, d, d) view would send every later
+        # elementwise step through numpy's strided loops, whose rounding
+        # differs from the contiguous ones, so a state's trajectory would
+        # depend on the stack it is in.  With the rated blocks scaled in
+        # place, the copy sits beside no other temporary.
+        return np.ascontiguousarray(out.T).reshape(x.shape)
 
     def apply(self, t, rho) -> np.ndarray:
         """L_t(rho) for one operator or a stack (..., d, d).

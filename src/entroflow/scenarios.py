@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import nonunitarity, witnesses
 from ._util import write_csv
@@ -174,6 +173,26 @@ def _sign_changes(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero((values[:-1] != 0.0) & (values[:-1] * values[1:] < 0.0))
 
 
+def _gadc_closed_roots(omega: float, grid: np.ndarray, f_closed: np.ndarray) -> np.ndarray:
+    """The zeros of the closed-form f, one per sign change of ``f_closed`` on ``grid``.
+
+    Every bracket is halved in the same vectorized step, keeping its left end
+    while f at the midpoint has the sign of f there, until each is narrower
+    than 1e-12 + 4 eps |t| (the relative term ends the loop where adjacent
+    floats lie farther apart than 1e-12).
+    """
+    ks = _sign_changes(f_closed)
+    lo, hi = grid[ks], grid[ks + 1]
+    sign_lo = np.sign(f_closed[ks])
+    tol = 1e-12 + 4.0 * np.finfo(float).eps * np.abs(hi)
+    while np.any(hi - lo > tol):
+        mid = 0.5 * (lo + hi)
+        keep_lo = np.sign(_gadc_closed_form(omega, mid)[3]) == sign_lo
+        lo = np.where(keep_lo, mid, lo)
+        hi = np.where(keep_lo, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def _grid(start: float, stop: float, points: int) -> np.ndarray:
     """``points`` evenly spaced times on [start, stop], refused before allocation above the cap."""
     if points > MAX_GRID_POINTS:
@@ -219,13 +238,9 @@ def run_fig1_gadc(params: dict, outdir: Path, seed: int) -> tuple[list[CheckResu
     compare = grid >= params["compare_from"]
     max_err = float(np.max(np.abs(f_pipe[compare] - f_closed[compare])))
 
-    def closed_f(t: float) -> float:
-        return float(_gadc_closed_form(omega, np.array([t]))[3][0])
-
     ks = _sign_changes(f_pipe)
     pipe_roots = grid[ks] - f_pipe[ks] * (grid[ks + 1] - grid[ks]) / (f_pipe[ks + 1] - f_pipe[ks])
-    closed_roots = [brentq(closed_f, grid[k], grid[k + 1], xtol=1e-12)
-                    for k in _sign_changes(f_closed)]
+    closed_roots = _gadc_closed_roots(omega, grid, f_closed)
     boundary_ok = len(pipe_roots) == len(closed_roots) and all(
         abs(a - b) <= params["boundary_tol"] + params["t_step"]
         for a, b in zip(pipe_roots, closed_roots)

@@ -250,7 +250,8 @@ class TestOnePassPerInterval:
             np.testing.assert_allclose(traj.spectrum.eigenvalues, eigenvalues, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("case", ["callable Hamiltonian", "callable operator",
-                                      "stack touching every set", "d = 5 stack above the dense limit"])
+                                      "stack touching every set", "d = 5 stack above the dense limit",
+                                      "two-state d = 5 stack above the dense limit"])
     def test_full_path_is_the_plain_sparse_loop(self, case):
         # Callable generators and stacks whose sets hold more than
         # max(d, 16) coordinates run bit for bit the loop over the whole
@@ -278,6 +279,10 @@ class TestOnePassPerInterval:
                 LindbladGenerator(5, hamiltonian=np.diag(np.arange(5.0)),
                                   jumps=[(0.4, lower5), (0.2, dagger(lower5))]),
                 [random_full_rank_state(rng, 5)]),
+            "two-state d = 5 stack above the dense limit": (
+                LindbladGenerator(5, hamiltonian=np.diag(np.arange(5.0)),
+                                  jumps=[(0.4, lower5), (0.2, dagger(lower5))]),
+                [random_full_rank_state(rng, 5), random_full_rank_state(rng, 5)]),
         }[case]
         grid = np.linspace(0.0, 1.0, 11)
         traj = propagate(generator, states, grid)

@@ -1,9 +1,16 @@
 import copy
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+
+import entroflow
 
 from entroflow.channels import ChannelError, LindbladGenerator, bosonic_generator, thermal_state
 from entroflow.cli import main
@@ -14,8 +21,10 @@ from entroflow.scenarios import (
     CheckResult,
     RunReport,
     _gadc_closed_form,
+    _gadc_closed_roots,
     _oscillatory_grid,
     _sign_changes,
+    _step_grid,
     run_config,
     validate_config,
 )
@@ -38,6 +47,40 @@ def test_vectorized_grid_helpers_match_their_loops(rng):
         keep = [np.min(np.abs(np.arange(0.0, 3.5, 0.5) - t)) >= margin for t in grid]
         params = {"t_max": 3.0, "n_points": n_points, "margin": margin}
         assert np.array_equal(_oscillatory_grid(params), grid[keep])
+
+
+@pytest.mark.parametrize("omega, crossings", [(5.0, 19), (2.0, 7), (11.0, 41)])  # 5.0: the default
+def test_closed_form_roots_match_brentq(omega, crossings):
+    grid = _step_grid(DEFAULT_CONFIGS["fig1_gadc"]["parameters"])
+    f_closed = _gadc_closed_form(omega, grid)[3]
+    roots = _gadc_closed_roots(omega, grid, f_closed)
+    expected = [brentq(lambda t: _gadc_closed_form(omega, np.array([t]))[3][0],
+                       grid[k], grid[k + 1], xtol=1e-12) for k in _sign_changes(f_closed)]
+    assert len(roots) == len(expected) == crossings
+    np.testing.assert_allclose(roots, expected, rtol=0, atol=1e-12)
+
+
+def test_closed_form_roots_without_a_sign_change(monkeypatch):
+    def never_called(omega, t):
+        raise AssertionError("the closed form was evaluated off the grid")
+
+    monkeypatch.setattr("entroflow.scenarios._gadc_closed_form", never_called)
+    grid = np.linspace(0.0, 1.0, 11)
+    roots = _gadc_closed_roots(5.0, grid, np.ones_like(grid))
+    assert roots.shape == (0,)
+
+
+def test_package_import_leaves_scipy_optimize_out():
+    # A fresh interpreter: scipy.optimize costs about 0.3 s of start-up, and
+    # the package needs nothing from it.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(entroflow.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys; import entroflow, entroflow.cli, entroflow.scenarios; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 TRACE_TWO_STATE = [[[1.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [1.0, 0.0]]]
