@@ -436,6 +436,11 @@ class ExponentialCoefficient:
         return self.scale * np.exp(-self.decay * t)
 
 
+# Coefficients whose call is a numpy expression, so that it takes an array of
+# times whole; a constant broadcasts its value.
+_ARRAY_COEFFICIENTS = (ConstantCoefficient, CosineSquaredCoefficient, ExponentialCoefficient)
+
+
 def _as_coefficient(rate):
     if isinstance(rate, (int, float)):
         return ConstantCoefficient(float(rate))
@@ -455,8 +460,17 @@ class JumpTerm:
     rate: object
     operator: object
 
-    def rate_at(self, t: float) -> float:
-        return float(self.rate(t)) if callable(self.rate) else float(self.rate)
+    def rate_at(self, t):
+        """gamma(t): a float for one time, an array of the same shape for an
+        array of times.  The coefficient classes take the array whole; any
+        other callable is called once per time, here only."""
+        if not isinstance(t, np.ndarray):
+            return float(self.rate(t)) if callable(self.rate) else float(self.rate)
+        if isinstance(self.rate, _ARRAY_COEFFICIENTS):
+            return np.broadcast_to(self.rate(t), t.shape)
+        if callable(self.rate):
+            return np.array([float(self.rate(float(s))) for s in t.ravel()]).reshape(t.shape)
+        return np.full(t.shape, float(self.rate))
 
     def operator_at(self, t: float) -> np.ndarray:
         op = self.operator(t) if callable(self.operator) else self.operator
@@ -473,8 +487,11 @@ class TailGuard:
     def check(self, state: np.ndarray):
         """Population of the top ``levels`` levels: a float for one state, an
         array for a stack (..., d, d)."""
-        pops = np.real(np.diagonal(state, axis1=-2, axis2=-1))[..., -self.levels:]
-        tails = np.sum(pops, axis=-1)
+        return self.tails(np.real(np.diagonal(state, axis1=-2, axis2=-1)))
+
+    def tails(self, populations: np.ndarray):
+        """The same from the populations (..., d) of the levels in order."""
+        tails = np.sum(populations[..., -self.levels:], axis=-1)
         return float(tails) if tails.ndim == 0 else tails
 
 
@@ -544,11 +561,12 @@ class LindbladGenerator:
     cached): entries outside the sets an operator touches stay zero under
     every L_t, so the generator may act on those sets alone.
     :meth:`restricted` gives that action through dense restrictions of the
-    compiled blocks; :func:`~entroflow.dynamics.propagate` and
-    :func:`~entroflow.dynamics.states_off_grid` take it for stacks whose
-    sets hold m <= max(d, 16) coordinates (every stack of a generator with
-    d <= 4), and the sparse product for wider ones.  A generator with a
-    callable Hamiltonian or operator has no fixed pattern and no sets.
+    compiled blocks, for stacks whose sets hold m <= max(d, 16)
+    coordinates (every stack of a generator with d <= 4):
+    :func:`~entroflow.dynamics.propagate` builds its interval maps from
+    them and :func:`~entroflow.dynamics.states_off_grid` its RK4 steps.
+    Wider stacks take the sparse product.  A generator with a callable
+    Hamiltonian or operator has no fixed pattern and no sets.
     """
 
     def __init__(self, dim: int, hamiltonian=None, jumps=(), tail_guard: TailGuard | None = None):
@@ -629,7 +647,7 @@ class LindbladGenerator:
         per_time = cols.shape[1] // len(times)
         for i, term in enumerate(self._rated_terms, start=1):
             part = blocks[i * n:(i + 1) * n]
-            part *= np.repeat([term.rate_at(float(s)) for s in times], per_time)
+            part *= np.repeat(term.rate_at(times), per_time)
             out += part
         if self._callable_parts:
             for k, s in enumerate(times):
@@ -713,30 +731,50 @@ class LindbladGenerator:
 
 class _Restriction:
     """A generator without callable parts on the coordinates ``index`` of
-    vec(x), a union of its invariant sets, as (N, m) rows y.
+    vec(x), a union of its invariant sets, as (..., m) rows y.
 
     Each compiled block, L_0 and every rated D_i, is restricted to those
-    coordinates once, as a dense m x m matrix; ``apply(t, y)`` is
-    y L_0^T + sum_i gamma_i(t) y D_i^T at one time t, or at an (N,) array
-    of times, one per row.  ``coordinates`` gathers the rows from an
-    (N, d, d) stack that vanishes off ``index``, and ``states`` scatters
-    them back into one.  The integrators take it for m <= max(d, 16), where
-    one dense product costs less than the sparse one's dispatch.
+    coordinates once, as a dense m x m matrix B_0, B_i acting on rows from
+    the right: y' = y G(t) with G(t) = B_0 + sum_i gamma_i(t) B_i, which
+    ``generators`` gives as a stack at an array of times and ``apply(t, y)``
+    multiplies onto (N, m) rows at one time t, or at an (N,) array of times,
+    one per row.  ``coordinates`` gathers the rows from an (N, d, d) stack
+    that vanishes off ``index``, and ``states`` scatters a (..., m) stack of
+    them back into (..., d, d).  ``transpose`` is the position of the
+    coordinate of x_ji for each x_ij (the index of a Hermitian stack holds
+    both), and ``populations`` that of each x_ii in level order (all
+    populations share one set).  The integrators take it for
+    m <= max(d, 16), where one dense product costs less than the sparse
+    one's dispatch.
     """
 
     def __init__(self, generator: LindbladGenerator, index: np.ndarray):
         self.dim, self.index = generator.dim, index
-        n, m = self.dim * self.dim, len(index)
+        d, n, m = self.dim, self.dim * self.dim, len(index)
         compiled = generator._compiled[False]
         self._rated_terms = generator._rated_terms
         position = np.full(n, -1)
         position[index] = np.arange(m)
+        row_of, col_of = np.divmod(index, d)
+        self.transpose = position[col_of * d + row_of]
+        self.populations = position[np.arange(d) * (d + 1)]
         block, row = np.divmod(np.repeat(np.arange(compiled.shape[0]), np.diff(compiled.indptr)), n)
         kept = position[row] >= 0  # the rows of the sets, whose entries lie in the sets too
         # each block transposed, since the rows y (N, m) multiply it from the left
         self._blocks = np.zeros((1 + len(self._rated_terms), m, m), dtype=complex)
         transposed = (block[kept], position[compiled.indices[kept]], position[row[kept]])
         self._blocks[transposed] = compiled.data[kept]
+
+    @property
+    def time_independent(self) -> bool:
+        return not self._rated_terms
+
+    def generators(self, times: np.ndarray) -> np.ndarray:
+        """G(t) at every entry of an array of times, as a (..., m, m) stack."""
+        out = np.broadcast_to(self._blocks[0], times.shape + self._blocks.shape[1:]).copy()
+        for term, block in zip(self._rated_terms, self._blocks[1:]):
+            out += term.rate_at(times)[..., None, None] * block
+        return out
 
     def apply(self, t, y: np.ndarray) -> np.ndarray:
         # ndarray.dot: the same BLAS product as @ on these 2-d operands, at
@@ -745,8 +783,7 @@ class _Restriction:
         out = y.dot(self._blocks[0])
         per_row = isinstance(t, np.ndarray)
         for term, block in zip(self._rated_terms, self._blocks[1:]):
-            rate = (np.array([term.rate_at(float(s)) for s in t])[:, None] if per_row
-                    else term.rate_at(float(t)))
+            rate = term.rate_at(t)[:, None] if per_row else term.rate_at(float(t))
             out += rate * y.dot(block)
         return out
 
@@ -754,9 +791,9 @@ class _Restriction:
         return states.reshape(len(states), -1)[:, self.index]
 
     def states(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(y), self.dim * self.dim), dtype=complex)
-        out[:, self.index] = y
-        return out.reshape(len(y), self.dim, self.dim)
+        out = np.zeros(y.shape[:-1] + (self.dim * self.dim,), dtype=complex)
+        out[..., self.index] = y
+        return out.reshape(y.shape[:-1] + (self.dim, self.dim))
 
 
 def dephasing_generator(rate) -> LindbladGenerator:

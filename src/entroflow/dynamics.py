@@ -4,15 +4,18 @@ A trajectory is a stack whose leading axis is time: a (T, d, d) array of
 states on a fixed time grid for one initial state, or (T, N, d, d) for N,
 the array of their generator-consistent derivatives, and one stacked
 eigendecomposition of the states, from which entropies, ranks and entropy
-rates are read as arrays.  One linear-dynamics engine serves both layers:
-``propagate`` advances one state or a stack of states with RK4 and step
-doubling, and intermediate maps M_{t,s} are products of commutator-free
-4th-order Magnus steps, doubled until successive products agree.  Both
-stopping rules double as convergence certificates.  A channel family is its
-maps over a grid as (T, d^2, d^2) stacks, M_{t,0}, M_{t+eps,t} and the exact
-limits d/dt M_{t,0} and K_t = d/d eps M_{t+eps,t} at eps = 0, each carrying
-a stack of initial states to (T, N, d, d) states in one product: no finite
-differences.
+rates are read as arrays.  Commutator-free 4th-order Magnus (CF4) steps
+serve both layers.  ``propagate`` advances one state or a stack of states
+through the CF4 maps of all grid intervals, built at once, when the stack
+lies in a dense restriction of the generator to its invariant sets, and by
+RK4 interval by interval otherwise; either way each interval doubles its
+step count until the states from n and 2n steps agree.  Intermediate maps
+M_{t,s} are products of the same steps, doubled until successive products
+agree.  Both stopping rules double as convergence certificates.  A channel
+family is its maps over a grid as (T, d^2, d^2) stacks, M_{t,0},
+M_{t+eps,t} and the exact limits d/dt M_{t,0} and
+K_t = d/d eps M_{t+eps,t} at eps = 0, each carrying a stack of initial
+states to (T, N, d, d) states in one product: no finite differences.
 """
 
 from __future__ import annotations
@@ -255,17 +258,37 @@ def _rk4_segment(generator, rho, t0, t1, substeps: int, k1=None) -> np.ndarray:
 _BRACKET_MARGIN = 1e-9
 
 
+def _exceeding(squares: np.ndarray, budgets: np.ndarray, dim: int, trace_norms) -> np.ndarray:
+    """Per row of a (K, N) array of squared Frobenius norms of Hermitian
+    d x d matrices, whether the largest trace norm in the row exceeds the
+    row's budget (K,): read from the Frobenius bracket where it decides,
+    otherwise from ``trace_norms(rows)``, the trace norms of the (K', N)
+    matrices of the rows (a boolean mask) that it leaves open."""
+    frobenius = np.sqrt(squares.max(axis=-1))
+    over = frobenius > budgets * (1.0 + _BRACKET_MARGIN)
+    undecided = ~over & (np.sqrt(dim) * frobenius > budgets * (1.0 - _BRACKET_MARGIN))
+    if undecided.any():
+        over[undecided] = trace_norms(undecided).max(axis=-1) > budgets[undecided]
+    return over
+
+
 def _trace_norms_exceed(x: np.ndarray, budget: float) -> bool:
     """Whether the largest trace norm of a Hermitian stack (N, d, d) exceeds
     ``budget``: read from the Frobenius bracket when it decides, otherwise
     from one stacked eigvalsh."""
     squares = np.einsum("nij,nij->n", x.real, x.real) + np.einsum("nij,nij->n", x.imag, x.imag)
-    frobenius = float(np.sqrt(np.max(squares)))
-    if frobenius > budget * (1.0 + _BRACKET_MARGIN):
-        return True
-    if np.sqrt(x.shape[-1]) * frobenius <= budget * (1.0 - _BRACKET_MARGIN):
-        return False
-    return float(np.abs(np.linalg.eigvalsh(x)).sum(axis=-1).max()) > budget
+    return bool(_exceeding(squares[None], np.array([budget]), x.shape[-1],
+                           lambda rows: np.abs(np.linalg.eigvalsh(x)).sum(axis=-1)[None])[0])
+
+
+def _spectra_at(states: np.ndarray, t: float) -> EigenSystem:
+    """The spectra of a stack of exactly Hermitian, trace-renormalized
+    states at time t, from one eigh; a state failing the PSD check is an
+    integration failure."""
+    try:
+        return _density_spectra(states)
+    except LinalgError as exc:
+        raise IntegrationError(f"state at t={t:.6g} lost positivity: {exc}") from exc
 
 
 def _clean(raw: np.ndarray, t: float) -> tuple[np.ndarray, EigenSystem, np.ndarray]:
@@ -275,11 +298,18 @@ def _clean(raw: np.ndarray, t: float) -> tuple[np.ndarray, EigenSystem, np.ndarr
     exactly Hermitian, so it is not symmetrized again."""
     tr = np.real(np.trace(raw, axis1=-2, axis2=-1))
     states = raw / tr[:, None, None]
+    return states, _spectra_at(states, t), np.abs(tr - 1.0)
+
+
+def _validated(states: np.ndarray, grid: np.ndarray) -> EigenSystem:
+    """The spectra of the states (T, N, d, d) on the grid, from one eigh;
+    lost positivity names the first failing time, as :func:`_clean` does."""
     try:
-        spectrum = _density_spectra(states)
-    except LinalgError as exc:
-        raise IntegrationError(f"state at t={t:.6g} lost positivity: {exc}") from exc
-    return states, spectrum, np.abs(tr - 1.0)
+        return _density_spectra(states)
+    except LinalgError:
+        for t, row in zip(grid, states):
+            _spectra_at(row, float(t))
+        raise
 
 
 def _state_stack(states) -> np.ndarray:
@@ -306,11 +336,16 @@ class _WholeStates:
         return coordinates
 
 
-# Restrictions up to this many coordinates are integrated as dense products
-# even when m > d: up to m = 25 one dense (N, m) x (m, m) apply took 3-8 us
-# against 6-14 us for the sparse product's dispatch (N = 1-16 states, on a
-# 2-core host), the two were level near m = 36-64, and the sparse one led at
-# m = 100.  16 covers every stack of a qubit, qutrit or d = 4 generator.
+# Restrictions up to this many coordinates, or up to d, are propagated as
+# dense m x m products even when m > d.  The limit was measured on the RK4
+# apply: up to m = 25 one dense (N, m) x (m, m) apply took 3-8 us against
+# 6-14 us for the sparse product's dispatch (N = 1-16 states, on a 2-core
+# host), the two were level near m = 36-64, and the sparse one led at
+# m = 100.  The interval maps chain one such product per grid interval,
+# where RK4 takes at least seven, plus the maps' exponentials, so the limit
+# stands for them: every stack of a qubit, qutrit or d = 4 generator takes
+# them, and so does a Fock-diagonal stack of a phase-insensitive bosonic
+# generator (its m = d populations) at any cutoff.
 _DENSE_COORDINATES = 16
 
 
@@ -340,35 +375,32 @@ def propagate(generator: LindbladGenerator, states, grid,
     for a stack.  The initial states must be Hermitian within
     ``HERMITICITY_ATOL``; the first that is not raises
     :class:`IntegrationError` with its index.  The states are advanced
-    together as one (N, d, d) stack with classical RK4.  Each grid interval
-    is integrated with a doubling substep count until two successive
-    refinements of every state agree in trace norm within ``error_target``
-    per unit time, so the accumulated error over the grid respects the same
-    budget; that agreement is the certificate.
-
-    Each interval does its work once.  Every segment of interval k starts
-    from the derivative L_{t_k}(rho_k) stored for grid point k, so the
-    first RK4 stage is shared by the trial, the refined segment and every
-    further refinement.  The trace-norm test reads the bracket
+    together as one stack.  Over every grid interval, the states reached
+    with n and with 2n steps must agree in trace norm within
+    ``error_target`` per unit time, so that the accumulated error over the
+    grid respects the same budget; that agreement is the certificate, and
+    an interval doubles n until it holds, at most ``max_refinements``
+    times, or the integrator stalls.  The trace-norm test reads the bracket
     ||X||_F <= ||X||_1 <= sqrt(d) ||X||_F: it accepts when sqrt(d) ||X||_F
     is within budget, rejects when ||X||_F is not, and takes eigenvalues
-    only in between, so its decisions, the substep counts and the states
-    are those of an eigvalsh test.  Accepted states are Hermitized once,
-    trace-renormalized (defect logged per state) and validated with one
-    stacked eigh, whose spectra the trajectory keeps; a state failing the
-    PSD check is an integration failure.
+    only in between.  Each state is Hermitized and trace-renormalized once
+    (the defect is logged per state), and the states are validated with
+    one eigh, whose spectra the trajectory keeps; a state failing the PSD
+    check is an integration failure, named by its time.
 
     When the generator has no callable parts and the invariant sets
     (:meth:`LindbladGenerator.invariant_sets`) that the initial stack
     touches hold m <= max(d, 16) coordinates, as a Fock-diagonal start of a
     phase-insensitive bosonic generator does (its d populations) and every
-    stack of a generator with d <= 4 does, the same loop runs on (N, m)
-    coordinate rows through dense m x m restrictions of the compiled
-    blocks.  Every segment is scattered back to (N, d, d) before the
-    Hermitization, so the trace-norm test, the validation, the tail guard
-    and the stored derivatives and spectra see d x d states as on the full
-    path; the numbers differ from it by the summation order only.  Any
-    other generator or stack runs on the full sparse ``apply``.
+    stack of a generator with d <= 4 does, the stack is propagated as
+    (N, m) coordinate rows by the m x m maps of the grid intervals, all
+    built at once (:func:`_map_intervals`): commutator-free 4th-order Magnus
+    steps, exact for a time-independent generator, whose maps are then one
+    exponential per interval width.  The rows are chained through the maps,
+    and the Hermitization, the renormalization, the tail guard and the
+    certificate read the rows; the states are scattered to (T, N, d, d)
+    once.  Any other generator or stack runs classical RK4 on the full
+    sparse ``apply``, interval by interval (:func:`_rk4_intervals`).
 
     For generators carrying a tail guard, a population breach of any state
     either raises (``on_tail_breach="raise"``) or ends the whole stack at
@@ -381,7 +413,6 @@ def propagate(generator: LindbladGenerator, states, grid,
         raise IntegrationError("time grid must be strictly increasing")
     if on_tail_breach not in ("raise", "truncate"):
         raise ValueError("on_tail_breach must be 'raise' or 'truncate'")
-    guard = generator.tail_guard
 
     stack = _state_stack(states)
     single = stack.ndim == 2
@@ -391,6 +422,46 @@ def propagate(generator: LindbladGenerator, states, grid,
         raise IntegrationError(str(exc)) from exc
     current, spectrum, defect = _clean(initial, float(grid[0]))
     operator = _integration_operator(generator, current)
+    intervals = _rk4_intervals if isinstance(operator, _WholeStates) else _map_intervals
+    rho, dots, spectrum, defects, truncated_at = intervals(
+        operator, generator.tail_guard, grid, current, spectrum, defect,
+        error_target, max_refinements, on_tail_breach)
+
+    if truncated_at is not None and len(rho) < 3:
+        raise TailMassError("tail guard tripped before any usable grid point")
+    rows = (slice(None), 0) if single else slice(None)
+    return Trajectory(grid[:len(rho)], rho[rows], dots[rows], generator=generator,
+                      renormalization_defects=defects[rows], truncated_at=truncated_at,
+                      spectrum=spectrum[rows])
+
+
+def _breach_message(tails: np.ndarray, bound: float, t: float) -> str:
+    return f"tail mass {tails.max():.3e} exceeds {bound:.1e} at t={t:.6g}"
+
+
+def _stall_message(t0: float, t1: float, budget: float, max_refinements: int) -> str:
+    return (f"integrator stalled on [{t0:.6g}, {t1:.6g}]: "
+            f"no convergence to {budget:.1e} within {max_refinements} doublings")
+
+
+def _rk4_intervals(operator, guard, grid, current, spectrum, defect,
+                   error_target, max_refinements, on_tail_breach):
+    """:func:`propagate` by classical RK4 with step doubling, interval by
+    interval, from the cleaned initial stack ``current`` (N, d, d), its
+    spectra and trace defects.  Returns the states, their derivatives,
+    spectra and trace defects up to the last trusted grid point, and the
+    time of the tail breach that ended them (None).
+
+    Each interval does its work once.  Every segment of interval k starts
+    from the derivative L_{t_k}(rho_k) stored for grid point k, so the
+    first RK4 stage is shared by the trial, the refined segment and every
+    further refinement, and the substep count starts from half the last
+    interval's.  The bracket decides as an eigvalsh test would, so the
+    substep counts and the states are those of the plain loop.  On a dense
+    restriction the segments are scattered back to (N, d, d) before the
+    Hermitization, and their numbers differ from the full path's by the
+    summation order only.
+    """
     n, d = current.shape[0], current.shape[-1]
     rho = np.empty((len(grid), n, d, d), dtype=complex)
     dots = np.empty_like(rho)
@@ -427,28 +498,177 @@ def propagate(generator: LindbladGenerator, states, grid,
             if converged:
                 break
         else:
-            raise IntegrationError(
-                f"integrator stalled on [{t0:.6g}, {t1:.6g}]: "
-                f"no convergence to {budget:.1e} within {max_refinements} doublings"
-            )
+            raise IntegrationError(_stall_message(t0, t1, budget, max_refinements))
         current, spectrum, defect = _clean(trial, t1)
         if guard is not None:
             tails = guard.check(current)
             if np.any(tails > guard.bound):
                 if on_tail_breach == "raise":
-                    raise TailMassError(
-                        f"tail mass {tails.max():.3e} exceeds {guard.bound:.1e} at t={t1:.6g}"
-                    )
+                    raise TailMassError(_breach_message(tails, guard.bound, t1))
                 length, truncated_at = k + 1, t1
                 break
         y, k1 = store(k + 1, t1)
+    return (rho[:length], dots[:length], EigenSystem(eigenvalues, eigenvectors)[:length],
+            defects[:length], truncated_at)
 
-    if truncated_at is not None and length < 3:
-        raise TailMassError("tail guard tripped before any usable grid point")
-    rows = (slice(length), 0) if single else slice(length)
-    return Trajectory(grid[:length], rho[rows], dots[rows], generator=generator,
-                      renormalization_defects=defects[rows], truncated_at=truncated_at,
-                      spectrum=EigenSystem(eigenvalues, eigenvectors)[rows])
+
+# Commutator-free 4th-order Magnus step (Blanes, Casas, Oteo & Ros, Phys. Rep.
+# 470, 151 (2009); Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)):
+# generators at the two Gauss points, mixed with these weights into two
+# exponentials per step.
+_GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+_CF4_WEIGHTS = ((3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0)
+
+# Interval widths within this relative distance of each other share one
+# exponential: the widths of a linspace grid differ by rounding only (on
+# 101 points, 8 distinct widths within 8.9e-16 of each other).
+_WIDTH_RTOL = 1e-12
+
+
+def _cf4_maps(operator, starts: np.ndarray, widths: np.ndarray, steps: int) -> np.ndarray:
+    """The (K, m, m) maps of the intervals [t, t + h] of a dense restriction
+    in ``steps`` equal CF4 steps each, in its row convention: a step of
+    length s from tau is y -> y exp(s (a2 G1 + a1 G2)) exp(s (a1 G1 + a2 G2))
+    with G1, G2 = G(tau + (1/2 -+ sqrt(3)/6) s), the transpose of the
+    :func:`intermediate_map` step.  The rates of all Gauss points come from
+    one array call per term, the exponentials from one batched expm, and
+    the steps of each interval are multiplied in pairs."""
+    (c1, c2), (a1, a2) = _GAUSS_NODES, _CF4_WEIGHTS
+    s = (widths / steps)[:, None]
+    tau = starts[:, None] + s * np.arange(steps)
+    g1, g2 = operator.generators(tau + c1 * s), operator.generators(tau + c2 * s)
+    s = s[..., None, None]
+    maps = expm(s * (a2 * g1 + a1 * g2)) @ expm(s * (a1 * g1 + a2 * g2))
+    while maps.shape[1] > 1:
+        maps = maps[:, 0::2] @ maps[:, 1::2]
+    return maps[:, 0]
+
+
+def _width_maps(operator, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The map exp(h G) of a time-independent dense restriction for each
+    distinct interval width h, and the index of each interval's width.
+
+    Widths within ``_WIDTH_RTOL`` of the smallest of their group share its
+    exponential E: exp((w + delta) G) = E exp(delta G), and the residual
+    factor is I + delta G to rounding, since delta ||G|| stays near 1e-13.
+    """
+    unique, which = np.unique(widths, return_inverse=True)
+    leads = []
+    for i, width in enumerate(unique):
+        if not leads or width > unique[leads[-1]] * (1.0 + _WIDTH_RTOL):
+            leads.append(i)
+    group = np.searchsorted(leads, np.arange(len(unique)), side="right") - 1
+    g = operator.generators(np.array(0.0))
+    exps = expm(unique[leads][:, None, None] * g)
+    residual = (unique - unique[leads][group])[:, None, None]
+    return exps[group] + residual * (exps @ g)[group], which
+
+
+def _maps_disagree(operator, rows: np.ndarray, coarse: np.ndarray, fine: np.ndarray,
+                   budgets: np.ndarray) -> np.ndarray:
+    """Per interval k, whether the states rows[k] (N, m) carried by the
+    coarse and by the fine map of the interval differ in trace norm by more
+    than budgets[k], for any of them: the difference is Hermitized on the
+    rows, and only the intervals the Frobenius bracket leaves open are
+    scattered to d x d for one eigvalsh."""
+    gap = np.matmul(rows, fine - coarse)
+    gap += gap[..., operator.transpose].conj()
+    gap *= 0.5
+    squares = (np.einsum("knm,knm->kn", gap.real, gap.real)
+               + np.einsum("knm,knm->kn", gap.imag, gap.imag))
+    return _exceeding(squares, budgets, operator.dim,
+                      lambda open_: np.abs(np.linalg.eigvalsh(operator.states(gap[open_]))).sum(axis=-1))
+
+
+def _map_intervals(operator, guard, grid, current, spectrum, defect,
+                   error_target, max_refinements, on_tail_breach):
+    """:func:`propagate` on a dense restriction by the maps of its grid
+    intervals, with the arguments and results of :func:`_rk4_intervals`.
+
+    A time-independent restriction takes one exponential per interval width
+    (:func:`_width_maps`); CF4 is exact for it, so the n- and 2n-step maps
+    coincide and the certificate holds by construction.  Otherwise every
+    interval gets its 1- and 2-step CF4 maps at once (:func:`_cf4_maps`).
+    The rows are chained through the 2n-step maps, and every interval up to
+    the first tail breach compares the states its n- and 2n-step maps carry
+    from the chained state at its start; the intervals that fail double
+    their own n, and the chain is redone from the first of them.  An
+    interval that would pass ``max_refinements`` doublings stalls the
+    integrator, once the intervals before it have converged and the states
+    up to it have been validated.
+
+    The chained rows are Hermitized through the transpose permutation of
+    the coordinates and divided by their traces, the sums of the population
+    coordinates; each state logs the trace defect its interval map left.
+    The tail guard reads the population rows.  The states up to the first
+    breach, that one included, are scattered to (T, N, d, d) and validated
+    with one eigh, the initial states among them (``spectrum`` is not read),
+    and the derivatives are one product with G(t_k).
+    """
+    n_states, m = current.shape[0], len(operator.index)
+    widths = np.diff(grid)
+    z = np.empty((len(grid), n_states, m), dtype=complex)
+    z[0] = operator.coordinates(current)
+
+    def settle(maps: np.ndarray, which: np.ndarray, start: int):
+        """Chain the maps on from grid point ``start``; the Hermitized and
+        renormalized rows, their traces before renormalization, the tails
+        and the first breaching grid point (None)."""
+        for k in range(start, len(which)):
+            np.dot(z[k], maps[which[k]], out=z[k + 1])
+        rows = z + z[..., operator.transpose].conj()
+        rows *= 0.5
+        traces = rows[..., operator.populations].real.sum(axis=-1)
+        rows /= traces[..., None]
+        rows[0] = z[0]
+        if guard is None:
+            return rows, traces, None, None
+        tails = guard.tails(rows[..., operator.populations].real)
+        over = np.any(tails[1:] > guard.bound, axis=-1)
+        return rows, traces, tails, (1 + int(np.argmax(over)) if over.any() else None)
+
+    if operator.time_independent:
+        rows, traces, tails, breach = settle(*_width_maps(operator, widths), 0)
+    else:
+        which = np.arange(len(widths))
+        counts = np.ones(len(widths), dtype=int)
+        coarse, fine = (_cf4_maps(operator, grid[:-1], widths, steps) for steps in (1, 2))
+        most = 2 ** (max_refinements - 1)  # the coarse count of an interval's last comparison
+        start = 0
+        while True:
+            rows, traces, tails, breach = settle(fine, which, start)
+            stop = len(widths) if breach is None else breach
+            failing = np.zeros(len(widths), dtype=bool)
+            failing[start:stop] = _maps_disagree(operator, rows[start:stop], coarse[start:stop],
+                                                 fine[start:stop], error_target * widths[start:stop])
+            if not failing.any():
+                break
+            start = int(np.argmax(failing))
+            if counts[start] >= most:
+                _validated(operator.states(rows[:start + 1]), grid)
+                raise IntegrationError(_stall_message(grid[start], grid[start + 1],
+                                                      error_target * widths[start], max_refinements))
+            grow = failing & (counts < most)
+            counts[grow] *= 2
+            coarse[grow] = fine[grow]
+            for steps in np.unique(counts[grow]):
+                pick = grow & (counts == steps)
+                fine[pick] = _cf4_maps(operator, grid[:-1][pick], widths[pick], 2 * steps)
+
+    length = len(grid) if breach is None else breach + 1
+    states = operator.states(rows[:length])
+    spectrum = _validated(states, grid)
+    truncated_at = None
+    if breach is not None:
+        if on_tail_breach == "raise":
+            raise TailMassError(_breach_message(tails[breach], guard.bound, grid[breach]))
+        length, truncated_at = breach, float(grid[breach])
+    defects = np.empty((length, n_states))
+    defects[0] = defect
+    defects[1:] = np.abs(traces[1:length] / traces[:length - 1] - 1.0)
+    derivatives = operator.apply(np.repeat(grid[:length], n_states), rows[:length].reshape(-1, m))
+    return (states[:length], operator.states(derivatives.reshape(length, n_states, m)),
+            spectrum[:length], defects, truncated_at)
 
 
 def closed_form_trajectory(state_fn, grid, derivative_fn) -> Trajectory:
@@ -459,14 +679,6 @@ def closed_form_trajectory(state_fn, grid, derivative_fn) -> Trajectory:
     states = np.stack([hermitian_part(as_matrix(state_fn(float(t)))) for t in grid])
     derivatives = np.stack([as_matrix(derivative_fn(float(t))) for t in grid])
     return Trajectory(grid, states, hermitian_part(derivatives), state_fn=state_fn)
-
-
-# Commutator-free 4th-order Magnus step (Blanes, Casas, Oteo & Ros, Phys. Rep.
-# 470, 151 (2009); Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)):
-# generators at the two Gauss points, mixed with these weights into two
-# exponentials per step.
-_GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
-_CF4_WEIGHTS = ((3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0)
 
 
 def intermediate_map(generator: LindbladGenerator, s: float, t: float,
@@ -632,10 +844,7 @@ def cp_divisibility_check(generator: LindbladGenerator, grid, atol: float = 1e-9
             worst_map = m
 
     midpoints = 0.5 * (grid[:-1] + grid[1:])
-    min_rates = tuple(
-        float(min(term.rate_at(float(t)) for t in midpoints))
-        for term in generator.jumps
-    )
+    min_rates = tuple(float(np.min(term.rate_at(midpoints))) for term in generator.jumps)
 
     cp_ok = all(e.choi_min_eigenvalue >= -atol and e.trace_defect <= 1e-7
                 for e in evidence)

@@ -480,6 +480,26 @@ def _reference_cases(rng):
     ]
 
 
+class TestRatesOnArrays:
+    RATES = [0.7, ConstantCoefficient(-0.25), CosineSquaredCoefficient(omega=1.3, scale=0.4),
+             ExponentialCoefficient(decay=0.8, scale=1.1), lambda t: np.sin(3 * t)]
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_array_of_times_equals_one_time_each(self, rate):
+        times = np.array([[0.0, 0.35, 1.7], [2.0, 2.5, 3.1]])
+        term = JumpTerm(rate, SIGMA_Z)
+        rates = term.rate_at(times)
+        assert rates.shape == times.shape and isinstance(term.rate_at(0.35), float)
+        np.testing.assert_allclose(rates, [[term.rate_at(float(t)) for t in row] for row in times],
+                                   rtol=1e-15, atol=0)
+
+    def test_one_call_per_time_only_for_arbitrary_callables(self):
+        calls = []
+        term = JumpTerm(lambda t: calls.append(t) or 2.0 * t, SIGMA_Z)
+        np.testing.assert_array_equal(term.rate_at(np.arange(4.0)), [0.0, 2.0, 4.0, 6.0])
+        assert calls == [0.0, 1.0, 2.0, 3.0] and all(type(t) is float for t in calls)
+
+
 class TestLindbladAgainstDenseReference:
     """apply, adjoint_apply and superoperator(t) against plain numpy products."""
 

@@ -31,6 +31,8 @@ from entroflow import (
 )
 from entroflow.channels import (
     ChannelError,
+    ConstantCoefficient,
+    CosineSquaredCoefficient,
     JumpTerm,
     SIGMA_X,
     SIGMA_Y,
@@ -216,12 +218,19 @@ def _reference_cases():
     }
 
 
+@pytest.fixture
+def rk4(monkeypatch):
+    """propagate through its RK4 loop on every operator, the dense
+    restriction included, where it otherwise takes the interval maps."""
+    monkeypatch.setattr(dynamics, "_map_intervals", dynamics._rk4_intervals)
+
+
 class TestOnePassPerInterval:
     """The shared first stage, the Frobenius bracket and the single
-    validation leave every number of the plain loop unchanged."""
+    validation leave every number of the plain RK4 loop unchanged."""
 
     @pytest.mark.parametrize("case", list(_reference_cases()))
-    def test_equals_the_plain_step_doubling_loop(self, case):
+    def test_equals_the_plain_step_doubling_loop(self, case, rk4):
         generator, states, grid = _reference_cases()[case]
         traj = propagate(generator, states, grid, on_tail_breach="truncate")
         entries, dots, eigenvalues = reference_propagate(generator, states, grid)
@@ -232,9 +241,10 @@ class TestOnePassPerInterval:
         if generator.tail_guard is not None:
             assert traj.truncated_at is not None
 
-    def test_block_path_agrees_with_the_full_sparse_path(self):
+    def test_block_path_agrees_with_the_full_sparse_path(self, rk4):
         # The d populations of a thermal start, and the whole space (m = 4)
-        # of a qubit stack, which lies within the dense limit.
+        # of a qubit stack, which lies within the dense limit: the RK4 loop
+        # on the dense restriction against the same loop on the sparse apply.
         for case, m in (("bosonic amplifier, tail truncation", 12),
                         ("oscillating dephasing, 3 states", 4)):
             generator, states, grid = _reference_cases()[case]
@@ -252,13 +262,13 @@ class TestOnePassPerInterval:
     @pytest.mark.parametrize("case", ["callable Hamiltonian", "callable operator",
                                       "stack touching every set", "d = 5 stack above the dense limit",
                                       "two-state d = 5 stack above the dense limit"])
-    def test_full_path_is_the_plain_sparse_loop(self, case):
+    def test_full_path_is_the_plain_sparse_loop(self, case, rk4):
         # Callable generators and stacks whose sets hold more than
         # max(d, 16) coordinates run bit for bit the loop over the whole
         # generator's apply: these trajectories are those of the sparse path
         # alone.  A d = 3 stack touching every set (m = 9) lies within the
-        # limit: it takes the dense restriction, which agrees with that loop
-        # to rounding.
+        # limit: it takes the dense restriction, on which the RK4 loop agrees
+        # with that one to rounding.
         rng = np.random.default_rng(13)
         h = hermitian_part(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
         lower = np.diag([1.0, 1.0], 1).astype(complex)
@@ -326,7 +336,7 @@ class TestOnePassPerInterval:
         assert not _trace_norms_exceed(flat, 1.01)
         assert calls == []
 
-    def test_first_stage_shared_within_an_interval(self, monkeypatch):
+    def test_first_stage_shared_within_an_interval(self, monkeypatch, rk4):
         gen = dephasing_generator(1.0)
         grid = np.linspace(0.0, 1.0, 51)
         calls = []
@@ -356,6 +366,125 @@ class TestOnePassPerInterval:
         traj = propagate(random_qubit_generator(rng, dim=3), random_full_rank_state(rng, 3),
                          np.linspace(0.0, 0.5, 11))
         assert np.array_equal(traj.entropy_rates(), entropy_rate(traj.spectrum, traj.derivatives))
+
+
+def oscillating_dephasing(base=0.5, amplitude=1.0, frequency=2.0):
+    """gamma(t) = base + amplitude cos(frequency t) on sigma_z, from the
+    serializable coefficients (rates on arrays of times), and Gamma(t)."""
+    generator = LindbladGenerator(2, jumps=[
+        JumpTerm(ConstantCoefficient(0.5 * (base - amplitude)), SIGMA_Z),
+        JumpTerm(CosineSquaredCoefficient(omega=0.5 * frequency, scale=amplitude), SIGMA_Z)])
+    return generator, lambda t: base * t + amplitude / frequency * np.sin(frequency * t)
+
+
+def trace_norms(x):
+    return np.abs(np.linalg.eigvalsh(x)).sum(axis=-1)
+
+
+class TestIntervalMaps:
+    """propagate on a dense restriction: CF4 interval maps, built at once."""
+
+    def test_oscillating_dephasing_matches_closed_form(self, rng):
+        generator, gamma = oscillating_dephasing()
+        starts = np.stack([DensityMatrix.pure([1, 1j]).entries, random_mixed_state(rng, 2).entries,
+                           random_full_rank_state(rng, 2).entries])
+        grid = np.linspace(0.0, 3.0, 61)
+        traj = propagate(generator, starts, grid)
+        factors = np.exp(-gamma(grid))[:, None, None, None]
+        exact = np.where(np.eye(2, dtype=bool), starts[None], starts[None] * factors)
+        errors = trace_norms(traj.entries - exact).max(axis=-1)
+        assert np.all(errors <= 1e-7 * grid + 1e-15)
+        np.testing.assert_allclose(traj.derivatives, generator.apply(np.repeat(grid, 3), traj.entries
+                                   .reshape(-1, 2, 2)).reshape(traj.entries.shape), rtol=0, atol=1e-15)
+
+    def test_non_commuting_generator_agrees_with_rk4(self, rng):
+        # A constant sigma_x drive against a time-dependent damping.
+        generator = LindbladGenerator(2, hamiltonian=SIGMA_X, jumps=[
+            JumpTerm(CosineSquaredCoefficient(omega=1.5, scale=0.8), np.array([[0, 1], [0, 0]]))])
+        starts = [random_full_rank_state(rng, 2), DensityMatrix.pure([1, 0])]
+        grid = np.linspace(0.0, 2.0, 41)
+        traj = propagate(generator, starts, grid)
+        operator = dynamics._integration_operator(generator, traj.entries[0])
+        assert isinstance(operator, _Restriction) and not operator.time_independent
+        entries, dots, eigenvalues = reference_propagate(
+            generator, starts, grid, operator=dynamics._WholeStates(generator))
+        assert np.all(trace_norms(traj.entries - entries).max(axis=-1) <= 1e-7 * grid)
+        assert np.max(np.abs(traj.spectrum.eigenvalues - eigenvalues)) <= 1e-7 * grid[-1]
+        assert np.max(np.abs(traj.derivatives - dots)) <= 1e-7 * grid[-1]
+
+    def test_long_interval_doubles_alone(self, monkeypatch):
+        generator, gamma = oscillating_dephasing()
+        grid = np.append(np.linspace(0.0, 1.0, 41), 4.0)
+        built = []
+
+        def counted(operator, starts, widths, steps, _original=dynamics._cf4_maps):
+            built.append((len(starts), steps))
+            return _original(operator, starts, widths, steps)
+
+        monkeypatch.setattr(dynamics, "_cf4_maps", counted)
+        traj = propagate(generator, DensityMatrix.pure([1, 1]), grid)
+        assert built[:2] == [(41, 1), (41, 2)]
+        assert len(built) > 2 and all(count == 1 for count, _ in built[2:])
+        assert [steps for _, steps in built[2:]] == [4 * 2**j for j in range(len(built) - 2)]
+        exact = 0.5 * np.exp(-gamma(grid))
+        assert np.all(np.abs(traj.entries[:, 0, 1] - exact) <= 0.5e-7 * grid + 1e-16)
+
+    def test_stall_names_the_interval(self):
+        generator, _ = oscillating_dephasing()
+        grid = np.append(np.linspace(0.0, 1.0, 11), 4.0)
+        with pytest.raises(IntegrationError, match=r"stalled on \[1, 4\].* within 2 doublings"):
+            propagate(generator, DensityMatrix.pure([1, 1]), grid, max_refinements=2)
+
+    def test_lost_positivity_names_its_time_as_rk4_does(self, monkeypatch):
+        # Without the constant part, Gamma(t) = sin(2t)/2 turns negative
+        # after pi/2: the coherence of |+> exceeds 1/2, and the state is no
+        # longer PSD at the next grid point, t = 1.6.
+        generator, _ = oscillating_dephasing(base=0.0)
+        grid = np.linspace(0.0, 3.0, 31)
+        for intervals in (dynamics._map_intervals, dynamics._rk4_intervals):
+            monkeypatch.setattr(dynamics, "_map_intervals", intervals)
+            with pytest.raises(IntegrationError, match=r"^state at t=1\.6 lost positivity: "
+                                                       r"density matrix not PSD: .* at stack index \(0,\)$"):
+                propagate(generator, DensityMatrix.pure([1, 1]), grid)
+
+    def test_amplifier_truncates_where_rk4_does(self, monkeypatch):
+        generator, states, grid = _reference_cases()["bosonic amplifier, tail truncation"]
+        trajectories, breaches = [], []
+        for intervals in (dynamics._map_intervals, dynamics._rk4_intervals):
+            monkeypatch.setattr(dynamics, "_map_intervals", intervals)
+            trajectories.append(propagate(generator, states, grid, on_tail_breach="truncate"))
+            with pytest.raises(TailMassError) as breach:
+                propagate(generator, states, grid)
+            breaches.append(str(breach.value).split(" at ")[1])
+        mapped, stepped = trajectories
+        assert mapped.truncated_at is not None
+        assert (len(mapped), mapped.truncated_at) == (len(stepped), stepped.truncated_at)
+        assert np.max(trace_norms(mapped.entries - stepped.entries)) <= 1e-7 * grid[-1]
+        assert breaches[0] == breaches[1]
+
+    def test_lossy_thermal_fixed_point_stays_fixed(self):
+        # N0 = gamma_+ / (gamma_- - gamma_+) = 0.2 is the lossy map's fixed point
+        cutoff = 80
+        traj = propagate(bosonic_generator(0.2, 1.2, cutoff), thermal_state(0.2, cutoff),
+                         np.linspace(0.0, 5.0, 101), on_tail_breach="truncate")
+        assert traj.truncated_at is None
+        assert np.max(np.abs(traj.entropy_rates())) <= 1e-12
+
+    def test_restriction_applies_once(self, monkeypatch):
+        calls = []
+        pick = dynamics._integration_operator
+
+        def counted(generator, states):
+            operator = pick(generator, states)
+            apply = operator.apply
+            operator.apply = lambda t, y: calls.append(t) or apply(t, y)
+            return operator
+
+        monkeypatch.setattr(dynamics, "_integration_operator", counted)
+        for generator in (dephasing_generator(1.0), oscillating_dephasing()[0]):
+            calls.clear()
+            traj = propagate(generator, DensityMatrix.pure([1, 1]), np.linspace(0.0, 1.0, 51))
+            assert len(calls) == 1 and np.array_equal(calls[0], traj.grid)
 
 
 class TestIntermediateMap:
