@@ -561,12 +561,11 @@ class LindbladGenerator:
     cached): entries outside the sets an operator touches stay zero under
     every L_t, so the generator may act on those sets alone.
     :meth:`restricted` gives that action through dense restrictions of the
-    compiled blocks, for stacks whose sets hold m <= max(d, 16)
-    coordinates (every stack of a generator with d <= 4):
-    :func:`~entroflow.dynamics.propagate` builds its interval maps from
-    them and :func:`~entroflow.dynamics.states_off_grid` its RK4 steps.
-    Wider stacks take the sparse product.  A generator with a callable
-    Hamiltonian or operator has no fixed pattern and no sets.
+    compiled blocks, which :func:`~entroflow.dynamics.propagate` takes for
+    stacks whose sets hold m <= max(d, 16) coordinates, and every
+    intermediate map M_{t,s} for all d^2 coordinates.  A generator with a
+    callable Hamiltonian or operator has no fixed pattern and no sets; its
+    maps read :meth:`superoperators`.
     """
 
     def __init__(self, dim: int, hamiltonian=None, jumps=(), tail_guard: TailGuard | None = None):
@@ -682,6 +681,12 @@ class LindbladGenerator:
         if self._callable_parts:
             m += self._built_at(t, adjoint=False).toarray()
         return SuperOperator(m, dim_in=self.dim, dim_out=self.dim)
+
+    def superoperators(self, times) -> np.ndarray:
+        """The matrices of L_t at an array of times, as a (..., d^2, d^2) stack."""
+        times = np.asarray(times, dtype=float)
+        return np.array([self.superoperator(float(t)).matrix for t in times.ravel()]).reshape(
+            times.shape + (self.dim ** 2,) * 2)
 
     def invariant_sets(self) -> np.ndarray | None:
         """The invariant set of each coordinate of vec(x), as a (d^2,) array

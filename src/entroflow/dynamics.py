@@ -4,23 +4,23 @@ A trajectory is a stack whose leading axis is time: a (T, d, d) array of
 states on a fixed time grid for one initial state, or (T, N, d, d) for N,
 the array of their generator-consistent derivatives, and one stacked
 eigendecomposition of the states, from which entropies, ranks and entropy
-rates are read as arrays.  Commutator-free 4th-order Magnus (CF4) steps
-serve both layers.  ``propagate`` advances one state or a stack of states
-through the CF4 maps of all grid intervals, built at once, when the stack
-lies in a dense restriction of the generator to its invariant sets, and by
-RK4 interval by interval otherwise; either way each interval doubles its
-step count until the states from n and 2n steps agree.  Intermediate maps
-M_{t,s} are products of the same steps, doubled until successive products
-agree.  Both stopping rules double as convergence certificates.  A channel
-family is its maps over a grid as (T, d^2, d^2) stacks, M_{t,0},
-M_{t+eps,t} and the exact limits d/dt M_{t,0} and
-K_t = d/d eps M_{t+eps,t} at eps = 0, each carrying a stack of initial
-states to (T, N, d, d) states in one product: no finite differences.
+rates are read as arrays.  One engine builds the commutator-free
+4th-order Magnus (CF4) maps of many intervals at once: ``propagate`` chains
+them when the stack lies in a dense restriction of the generator to its
+invariant sets (RK4 otherwise), and intermediate maps M_{t,s} are the same
+maps on the whole space.  Each interval doubles its own step count until
+its n- and 2n-step states, or maps, agree: the convergence certificate.  A
+channel family is its maps over a grid as (T, d^2, d^2) stacks, M_{t,0}
+and the exact limits d/dt M_{t,0} and K_t = d/d eps M_{t+eps,t} at
+eps = 0, each carrying a stack of initial states to (T, N, d, d) states in
+one product: no finite differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import expm
@@ -529,10 +529,9 @@ def _cf4_maps(operator, starts: np.ndarray, widths: np.ndarray, steps: int) -> n
     """The (K, m, m) maps of the intervals [t, t + h] of a dense restriction
     in ``steps`` equal CF4 steps each, in its row convention: a step of
     length s from tau is y -> y exp(s (a2 G1 + a1 G2)) exp(s (a1 G1 + a2 G2))
-    with G1, G2 = G(tau + (1/2 -+ sqrt(3)/6) s), the transpose of the
-    :func:`intermediate_map` step.  The rates of all Gauss points come from
-    one array call per term, the exponentials from one batched expm, and
-    the steps of each interval are multiplied in pairs."""
+    with G1, G2 = G(tau + (1/2 -+ sqrt(3)/6) s).  The rates of all Gauss
+    points come from one array call per term, the exponentials from one
+    batched expm, and the steps of each interval are multiplied in pairs."""
     (c1, c2), (a1, a2) = _GAUSS_NODES, _CF4_WEIGHTS
     s = (widths / steps)[:, None]
     tau = starts[:, None] + s * np.arange(steps)
@@ -540,6 +539,8 @@ def _cf4_maps(operator, starts: np.ndarray, widths: np.ndarray, steps: int) -> n
     s = s[..., None, None]
     maps = expm(s * (a2 * g1 + a1 * g2)) @ expm(s * (a1 * g1 + a2 * g2))
     while maps.shape[1] > 1:
+        if maps.shape[1] % 2:
+            maps = np.concatenate([maps[:, :-2], maps[:, -2:-1] @ maps[:, -1:]], axis=1)
         maps = maps[:, 0::2] @ maps[:, 1::2]
     return maps[:, 0]
 
@@ -578,6 +579,23 @@ def _maps_disagree(operator, rows: np.ndarray, coarse: np.ndarray, fine: np.ndar
                + np.einsum("knm,knm->kn", gap.imag, gap.imag))
     return _exceeding(squares, budgets, operator.dim,
                       lambda open_: np.abs(np.linalg.eigvalsh(operator.states(gap[open_]))).sum(axis=-1))
+
+
+def _regrow(operator, starts: np.ndarray, widths: np.ndarray, counts: np.ndarray,
+            coarse: np.ndarray, fine: np.ndarray, failing: np.ndarray, most: int) -> int | None:
+    """Double, in place, the step count n of the failing intervals below
+    ``most``, one :func:`_cf4_maps` call per count; or return the first
+    failing interval, regrowing none, when its n is ``most``."""
+    first = int(np.argmax(failing))
+    if counts[first] >= most:
+        return first
+    grow = failing & (counts < most)
+    counts[grow] *= 2
+    coarse[grow] = fine[grow]
+    for steps in np.unique(counts[grow]):
+        pick = grow & (counts == steps)
+        fine[pick] = _cf4_maps(operator, starts[pick], widths[pick], 2 * steps)
+    return None
 
 
 def _map_intervals(operator, guard, grid, current, spectrum, defect,
@@ -630,9 +648,9 @@ def _map_intervals(operator, guard, grid, current, spectrum, defect,
     if operator.time_independent:
         rows, traces, tails, breach = settle(*_width_maps(operator, widths), 0)
     else:
-        which = np.arange(len(widths))
+        starts, which = grid[:-1], np.arange(len(widths))
         counts = np.ones(len(widths), dtype=int)
-        coarse, fine = (_cf4_maps(operator, grid[:-1], widths, steps) for steps in (1, 2))
+        coarse, fine = (_cf4_maps(operator, starts, widths, steps) for steps in (1, 2))
         most = 2 ** (max_refinements - 1)  # the coarse count of an interval's last comparison
         start = 0
         while True:
@@ -644,16 +662,10 @@ def _map_intervals(operator, guard, grid, current, spectrum, defect,
             if not failing.any():
                 break
             start = int(np.argmax(failing))
-            if counts[start] >= most:
+            if _regrow(operator, starts, widths, counts, coarse, fine, failing, most) is not None:
                 _validated(operator.states(rows[:start + 1]), grid)
                 raise IntegrationError(_stall_message(grid[start], grid[start + 1],
                                                       error_target * widths[start], max_refinements))
-            grow = failing & (counts < most)
-            counts[grow] *= 2
-            coarse[grow] = fine[grow]
-            for steps in np.unique(counts[grow]):
-                pick = grow & (counts == steps)
-                fine[pick] = _cf4_maps(operator, grid[:-1][pick], widths[pick], 2 * steps)
 
     length = len(grid) if breach is None else breach + 1
     states = operator.states(rows[:length])
@@ -681,47 +693,48 @@ def closed_form_trajectory(state_fn, grid, derivative_fn) -> Trajectory:
     return Trajectory(grid, states, hermitian_part(derivatives), state_fn=state_fn)
 
 
+def _whole_space(generator: LindbladGenerator):
+    """The generator on all d^2 coordinates, G(t) being the transposed L_t."""
+    if generator.invariant_sets() is not None:
+        return generator.restricted(np.arange(generator.dim ** 2))
+    return SimpleNamespace(time_independent=False, generators=lambda times: np.swapaxes(
+        generator.superoperators(times), -1, -2))
+
+
+def _certified_maps(operator, starts: np.ndarray, widths: np.ndarray, atol,
+                    steps: int = 1, max_doublings: int = 14) -> np.ndarray:
+    """The (K, m, m) row-convention maps of the intervals [starts, starts +
+    widths] at once: exact exponentials for a time-independent generator,
+    else CF4 maps from ``steps`` steps, each interval doubling its count
+    until its n- and 2n-step maps agree entrywise within ``atol``."""
+    if operator.time_independent:
+        maps, which = _width_maps(operator, widths)
+        return maps[which]
+    counts = np.full(len(widths), steps)
+    coarse, fine = (_cf4_maps(operator, starts, widths, n) for n in (steps, 2 * steps))
+    while (failing := ~(np.max(np.abs(fine - coarse), axis=(-2, -1)) <= atol)).any():
+        stalled = _regrow(operator, starts, widths, counts, coarse, fine, failing,
+                          steps * 2 ** (max_doublings - 1))
+        if stalled is not None:
+            raise IntegrationError("time-ordered product did not converge to "
+                                   f"{np.broadcast_to(atol, widths.shape)[stalled]:.1e} "
+                                   f"within {max_doublings} doublings")
+    return fine
+
+
 def intermediate_map(generator: LindbladGenerator, s: float, t: float,
                      steps: int = 1, atol: float = 1e-8,
                      max_doublings: int = 14) -> SuperOperator:
-    """Propagator M_{t,s} by commutator-free 4th-order Magnus steps.
-
-    Each step of length h from tau takes the generators L1, L2 at the Gauss
-    points tau + (1/2 -+ sqrt(3)/6) h and multiplies
-    exp(h (a1 L1 + a2 L2)) exp(h (a2 L1 + a1 L2)) onto the product, with
-    a1, a2 = (3 -+ 2 sqrt(3))/12.  The step count is doubled from ``steps``
-    until successive products agree entrywise within ``atol``, which is the
-    convergence certificate.  The step is exact for a time-independent
-    generator, so those converge at the first comparison.
-    """
+    """Propagator M_{t,s}: the one-interval case of :func:`_certified_maps`,
+    whose CF4 step count is doubled from ``steps``, at most ``max_doublings``
+    times, until the n- and 2n-step maps agree entrywise within ``atol``."""
+    if not (np.isfinite(s) and np.isfinite(t)):
+        raise IntegrationError("intermediate map needs finite times")
     if t < s:
         raise IntegrationError("intermediate map requires s <= t")
-    d = generator.dim
-    if t == s:
-        return SuperOperator.identity(d)
-    (c1, c2), (a1, a2) = _GAUSS_NODES, _CF4_WEIGHTS
-
-    def ordered_product(n: int) -> np.ndarray:
-        h = (t - s) / n
-        out = np.eye(d * d, dtype=complex)
-        for j in range(n):
-            tau = s + j * h
-            l1 = generator.superoperator(tau + c1 * h).matrix
-            l2 = generator.superoperator(tau + c2 * h).matrix
-            out = expm(h * (a1 * l1 + a2 * l2)) @ (expm(h * (a2 * l1 + a1 * l2)) @ out)
-        return out
-
-    current = ordered_product(steps)
-    for _ in range(max_doublings):
-        steps *= 2
-        refined = ordered_product(steps)
-        if np.max(np.abs(refined - current)) <= atol:
-            return SuperOperator(refined, dim_in=d, dim_out=d)
-        current = refined
-    raise IntegrationError(
-        f"time-ordered product did not converge to {atol:.1e} "
-        f"within {max_doublings} doublings"
-    )
+    maps = _certified_maps(_whole_space(generator), np.array([float(s)]), np.array([t - s]),
+                           atol, steps, max_doublings)
+    return SuperOperator(maps[0].T)
 
 
 def entropy_rate(rho, rho_dot):
@@ -831,17 +844,16 @@ def cp_divisibility_check(generator: LindbladGenerator, grid, atol: float = 1e-9
     positivity counterexample).  Sampled rate signs are reported alongside.
     """
     grid = np.asarray(grid, dtype=float)
-    evidence = []
-    worst_map: SuperOperator | None = None
-    worst_eig = np.inf
-    for a, b in zip(grid[:-1], grid[1:]):
-        m = intermediate_map(generator, float(a), float(b))
-        report = is_cptp(m, atol=atol)
-        evidence.append(IntervalEvidence(float(a), float(b),
-                                         report.choi_min_eigenvalue, report.trace_defect))
-        if report.choi_min_eigenvalue < worst_eig:
-            worst_eig = report.choi_min_eigenvalue
-            worst_map = m
+    if len(grid) < 2 or not np.all(np.isfinite(grid)):
+        raise IntegrationError("time grid needs at least 2 finite points")
+    if np.any(np.diff(grid) <= 0):
+        raise IntegrationError("time grid must be strictly increasing")
+    maps = [SuperOperator(m.T) for m in _certified_maps(_whole_space(generator), grid[:-1],
+                                                         np.diff(grid), atol=1e-8)]
+    reports = [is_cptp(m, atol=atol) for m in maps]
+    evidence = [IntervalEvidence(float(a), float(b), r.choi_min_eigenvalue, r.trace_defect)
+                for a, b, r in zip(grid[:-1], grid[1:], reports)]
+    worst_map = maps[int(np.argmin([r.choi_min_eigenvalue for r in reports]))]
 
     midpoints = 0.5 * (grid[:-1] + grid[1:])
     min_rates = tuple(float(np.min(term.rate_at(midpoints))) for term in generator.jumps)
@@ -873,9 +885,9 @@ class ChannelFamily:
     """A dynamics described by its maps, as stacks over a whole grid.
 
     Subclasses give the (T, d^2, d^2) matrices, in the row-stacking
-    convention of :mod:`entroflow.channels`, of M_{t,0} (``superoperators``),
-    of the intermediate maps M_{t+eps,t} (``steps``, the finite-eps reference)
-    and of K_t = d/d eps M_{t+eps,t} at eps = 0 (``step_generators``);
+    convention of :mod:`entroflow.channels`, of M_{t,0} (``superoperators``)
+    and of K_t = d/d eps M_{t+eps,t} at eps = 0 (``step_generators``), the
+    exact short-time limit of the intermediate maps M_{t+eps,t};
     ``derivatives``, d/dt M_{t,0}, is K_t M_{t,0} for maps that compose.
     ``states``, ``evolve``, ``trajectories`` and the witnesses apply them to
     (N, d, d) stacks of initial states.
@@ -884,9 +896,6 @@ class ChannelFamily:
     dim: int
 
     def superoperators(self, times) -> np.ndarray:
-        raise NotImplementedError
-
-    def steps(self, times, eps: float) -> np.ndarray:
         raise NotImplementedError
 
     def step_generators(self, times) -> np.ndarray:
@@ -938,14 +947,6 @@ def _trace_preserving(maps: np.ndarray, atol: float = 1e-8) -> np.ndarray:
     return maps
 
 
-def _coherence_maps(factors: np.ndarray) -> np.ndarray:
-    """Qubit maps that keep populations and scale coherences by ``factors``."""
-    maps = np.zeros(factors.shape + (4, 4), dtype=complex)
-    maps[..., 0, 0] = maps[..., 3, 3] = 1.0
-    maps[..., 1, 1] = maps[..., 2, 2] = factors
-    return _trace_preserving(maps)
-
-
 class GadcFamily(ChannelFamily):
     """Generalized-amplitude-damping dynamics at modulation frequency omega.
 
@@ -985,9 +986,6 @@ class GadcFamily(ChannelFamily):
         maps[:, 1, 1] = maps[:, 2, 2] = -0.5 * np.sqrt(eta)
         return maps
 
-    def steps(self, times, eps: float) -> np.ndarray:
-        return np.broadcast_to(self.superoperators([eps]), (np.size(times), 4, 4))
-
     def step_generators(self, times) -> np.ndarray:
         return np.broadcast_to(self.derivatives([0.0]), (np.size(times), 4, 4))
 
@@ -997,9 +995,8 @@ class DephasingFamily(ChannelFamily):
 
     ``gamma_integral`` must be the antiderivative of the decoherence rate
     with Gamma(0) = 0; maps scale coherences by exp(-Gamma(t)), and
-    intermediate maps by exp(Gamma(t) - Gamma(t + eps)).  Where Gamma
-    decreases over the window that factor exceeds 1 and the interval map is
-    not CP; ``steps`` keeps the factor as it is.
+    intermediate maps by exp(Gamma(t) - Gamma(t + eps)), which exceeds 1
+    where Gamma decreases: there the interval map is not CP.
 
     ``gamma_integral`` takes arrays of complex times too, as an analytic
     numpy expression: the rate gamma(t) = Gamma'(t) of K_t is its complex-step
@@ -1015,11 +1012,10 @@ class DephasingFamily(ChannelFamily):
         coherences = np.exp(-self.gamma_integral(np.atleast_1d(np.asarray(times, dtype=float))))
         if np.any(np.abs(coherences) > 1.0):
             raise ChannelError("coherence factor must lie in [-1, 1]")
-        return _coherence_maps(coherences)
-
-    def steps(self, times, eps: float) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        return _coherence_maps(np.exp(-(self.gamma_integral(t + eps) - self.gamma_integral(t))))
+        maps = np.zeros(coherences.shape + (4, 4), dtype=complex)
+        maps[..., 0, 0] = maps[..., 3, 3] = 1.0
+        maps[..., 1, 1] = maps[..., 2, 2] = coherences
+        return _trace_preserving(maps)
 
     def step_generators(self, times) -> np.ndarray:
         t = np.atleast_1d(np.asarray(times, dtype=float))
@@ -1036,32 +1032,30 @@ class DephasingFamily(ChannelFamily):
 class GeneratorFamily(ChannelFamily):
     """Dynamics induced by a Lindblad generator, via time-ordered propagators.
 
-    Its maps are the matrices of Magnus products (:func:`intermediate_map`),
-    cached per interval, and K_t is the superoperator of L_t; its
-    trajectory comes from propagating all initial states as one stack.
+    M_{t,0} chains the maps of the intervals between the sorted distinct
+    times, 0 prepended, built in one :func:`_certified_maps` call (O(T)),
+    each certified to ``map_atol`` times its share of the span; K_t is the
+    superoperator of L_t, and trajectories propagate the stack of states.
     """
 
     def __init__(self, generator: LindbladGenerator, map_atol: float = 1e-9):
         self.generator = generator
         self.dim = generator.dim
         self.map_atol = map_atol
-        self._cache: dict[tuple[float, float], np.ndarray] = {}
-
-    def _map(self, s: float, t: float) -> np.ndarray:
-        key = (s, t)
-        if key not in self._cache:
-            self._cache[key] = intermediate_map(self.generator, s, t, atol=self.map_atol).matrix
-        return self._cache[key]
 
     def superoperators(self, times) -> np.ndarray:
-        return np.stack([self._map(0.0, float(t)) for t in np.atleast_1d(times)])
-
-    def steps(self, times, eps: float) -> np.ndarray:
-        return np.stack([self._map(float(t), float(t) + float(eps)) for t in np.atleast_1d(times)])
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        if not np.all((times >= 0.0) & (times < np.inf)):
+            raise IntegrationError("generator family maps need finite times t >= 0")
+        knots, which = np.unique(np.append(0.0, times), return_inverse=True)
+        widths = np.diff(knots)
+        maps = _certified_maps(_whole_space(self.generator), knots[:-1], widths,
+                               self.map_atol * widths / knots[-1])
+        chained = np.stack(list(accumulate(maps, np.matmul, initial=np.eye(self.dim ** 2))))
+        return np.swapaxes(chained, -1, -2)[which[1:]]
 
     def step_generators(self, times) -> np.ndarray:
-        return np.stack([self.generator.superoperator(float(t)).matrix
-                         for t in np.atleast_1d(times)])
+        return self.generator.superoperators(np.atleast_1d(times))
 
     def trajectories(self, rho0s, grid) -> Trajectory:
         return propagate(self.generator, rho0s, grid)

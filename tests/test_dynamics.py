@@ -38,7 +38,6 @@ from entroflow.channels import (
     SIGMA_Y,
     SIGMA_Z,
     _Restriction,
-    apply_superoperators,
 )
 from entroflow import dynamics
 from entroflow.dynamics import (
@@ -495,8 +494,9 @@ class TestIntermediateMap:
         for s, t in [(0.0, 0.9), (0.3, 2.4), (1.1, 1.9)]:
             gamma = 0.5 * (t - s) + 0.5 * (np.sin(2.0 * t) - np.sin(2.0 * s))
             c = np.exp(-gamma)
-            m = intermediate_map(gen, s, t, atol=atol)
-            assert np.max(np.abs(m.matrix - np.diag([1.0, c, c, 1.0]))) <= atol
+            for steps in (1, 3):  # an odd count multiplies its last two steps first
+                m = intermediate_map(gen, s, t, steps=steps, atol=atol)
+                assert np.max(np.abs(m.matrix - np.diag([1.0, c, c, 1.0]))) <= atol
 
     def test_time_independent_matches_expm(self):
         gen = dephasing_generator(1.0)
@@ -526,6 +526,23 @@ class TestIntermediateMap:
         report = is_cptp(intermediate_map(gen, 0.0, 0.8))
         assert report.choi_min_eigenvalue >= -1e-9
         assert report.passed
+
+    def test_callable_hamiltonian_rotates_coherences(self):
+        # H(t) = cos(t) sigma_z: rho_01 picks up exp(-2i (sin t - sin s))
+        gen = LindbladGenerator(2, hamiltonian=lambda t: np.cos(t) * SIGMA_Z)
+        for s, t in [(0.0, 1.3), (0.4, 2.9)]:
+            phase = np.exp(-2j * (np.sin(t) - np.sin(s)))
+            m = intermediate_map(gen, s, t)
+            assert np.max(np.abs(m.matrix - np.diag([1.0, phase, np.conj(phase), 1.0]))) <= 1e-8
+
+    def test_non_finite_time_fails_up_front(self, monkeypatch):
+        _forbid_maps(monkeypatch)
+        gen = oscillating_dephasing()[0]
+        for s, t in [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf)]:
+            with pytest.raises(IntegrationError, match="finite"):
+                intermediate_map(gen, s, t)
+        with pytest.raises(IntegrationError, match="requires s <= t"):
+            intermediate_map(gen, 1.0, 0.5)
 
 
 class TestEntropyRate:
@@ -616,6 +633,14 @@ class TestEntropyRateFd:
                 assert abs(rate - fd) <= 1e-6
 
 
+def _forbid_maps(monkeypatch):
+    """Make building any interval map fail the test."""
+    def built(*args):
+        raise AssertionError("an interval map was built")
+    for kernel in ("_cf4_maps", "_width_maps"):
+        monkeypatch.setattr(dynamics, kernel, built)
+
+
 class TestCpDivisibility:
     def test_markovian_dephasing(self):
         report = cp_divisibility_check(dephasing_generator(1.0), np.linspace(0, 1, 6))
@@ -640,6 +665,37 @@ class TestCpDivisibility:
         gen = bosonic_generator(1.5, 0.5, 6)
         report = cp_divisibility_check(gen, np.linspace(0, 0.4, 3))
         assert report.verdict == "cp_divisible"
+
+    @pytest.mark.parametrize("grid", [np.array([1.0, 1.1, 1.2]), np.linspace(0.0, 3.0, 31)],
+                             ids=["edge_of_window", "whole_period"])
+    def test_choi_minima_match_closed_form(self, grid):
+        # Coherences scale by exp(-dGamma) over an interval, so its Choi
+        # matrix has eigenvalues 1 -+ exp(-dGamma) and 0: the minimum is
+        # min(0, 1 - exp(-dGamma)), negative where Gamma decreases.
+        generator, gamma = oscillating_dephasing()
+        report = cp_divisibility_check(generator, grid)
+        expected = np.minimum(0.0, 1.0 - np.exp(-np.diff(gamma(grid))))
+        minima = [e.choi_min_eigenvalue for e in report.intervals]
+        assert [(e.t_start, e.t_end) for e in report.intervals] == list(zip(grid[:-1], grid[1:]))
+        assert np.max(np.abs(np.array(minima) - expected)) <= 1e-8
+        assert np.any(expected < -1e-3) and report.verdict == "not_cp_divisible"
+
+    def test_grid_of_one_point_fails_up_front(self, monkeypatch):
+        _forbid_maps(monkeypatch)
+        with pytest.raises(IntegrationError, match="at least 2"):
+            cp_divisibility_check(oscillating_dephasing()[0], [0.5])
+
+    def test_repeated_time_fails_up_front(self, monkeypatch):
+        _forbid_maps(monkeypatch)
+        for grid in ([0.0, 0.0, 1.0], [0.0, 1.0, 0.5]):
+            with pytest.raises(IntegrationError, match="time grid must be strictly increasing"):
+                cp_divisibility_check(oscillating_dephasing()[0], grid)
+
+    def test_non_finite_time_fails_up_front(self, monkeypatch):
+        _forbid_maps(monkeypatch)
+        for grid in ([0.0, np.nan, 1.0], [0.0, np.inf]):
+            with pytest.raises(IntegrationError, match="finite"):
+                cp_divisibility_check(oscillating_dephasing()[0], grid)
 
 
 class TestChannelFamilies:
@@ -675,19 +731,21 @@ class TestChannelFamilies:
         fam = GeneratorFamily(gen)
         rho0 = random_mixed_state(rng, 2)
         direct = fam.states([rho0], [0.9])[0, 0]
-        stepped = apply_superoperators(fam.steps([0.5], 0.4), fam.states([rho0], [0.5]))[0, 0]
+        _, step = reference_maps(fam)
+        stepped = step(0.5, 0.4).apply(fam.states([rho0], [0.5])[0, 0])
         np.testing.assert_allclose(direct, stepped, atol=1e-7)
 
     def test_dephasing_step_where_gamma_decreases_is_not_cp(self):
         # gamma(t) = 0.5 + cos 2t is negative on (pi/3, 2pi/3), so Gamma decreases
         # there and the interval map amplifies coherences: no Kraus form exists.
         fam = DephasingFamily(lambda t: 0.5 * t + 0.5 * np.sin(2.0 * t))
-        step = SuperOperator(fam.steps([1.5], 1e-3)[0])
+        _, step_map = reference_maps(fam)
+        step = step_map(1.5, 1e-3).superoperator()
         c = np.exp(fam.gamma_integral(1.5) - fam.gamma_integral(1.5 + 1e-3))
         assert c > 1.0
         np.testing.assert_allclose(step.matrix, np.diag([1.0, c, c, 1.0]), rtol=1e-12)
         assert not is_cptp(step)
-        assert is_cptp(SuperOperator(fam.steps([0.5], 1e-3)[0]))
+        assert is_cptp(step_map(0.5, 1e-3))
 
 
 def _oscillating_family():
@@ -696,7 +754,7 @@ def _oscillating_family():
 
 
 class TestStackedFamilyMaps:
-    """superoperators/steps over a grid are the per-time reference maps, stacked."""
+    """superoperators over a grid are the per-time reference maps, stacked."""
 
     TIMES = np.array([0.0, 0.3, 1.2, 1.5, 1.9, 2.7])
 
@@ -705,16 +763,21 @@ class TestStackedFamilyMaps:
         GeneratorFamily(dephasing_generator(lambda t: 0.5 + np.cos(2 * t))),
     ], ids=["gadc", "oscillating_dephasing", "markovian_dephasing", "generator"])
     def test_stacks_equal_per_time_maps(self, family):
-        at, step = reference_maps(family)
+        at, _ = reference_maps(family)
         stacked = family.superoperators(self.TIMES)
         assert stacked.shape == (len(self.TIMES), 4, 4)
-        for t, m in zip(self.TIMES, stacked):
-            np.testing.assert_allclose(m, at(t).superoperator().matrix, rtol=0, atol=1e-14)
-        for eps in (1e-3, 5e-4):
-            steps = family.steps(self.TIMES, eps)
-            for t, m in zip(self.TIMES, steps):
-                np.testing.assert_allclose(m, step(t, eps).superoperator().matrix,
-                                           rtol=0, atol=1e-14)
+        if isinstance(family, GeneratorFamily):
+            # M_{t,0} is the ordered product of the maps between the times,
+            # each certified to its share of map_atol over the span
+            span = self.TIMES[-1]
+            reference = [SuperOperator.identity(2)]
+            for s, t in zip(self.TIMES[:-1], self.TIMES[1:]):
+                step = intermediate_map(family.generator, s, t, atol=family.map_atol * (t - s) / span)
+                reference.append(step.compose(reference[-1]))
+        else:
+            reference = [at(t).superoperator() for t in self.TIMES]
+        for m, expected in zip(stacked, reference):
+            np.testing.assert_allclose(m, expected.matrix, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("family, k_tol", [
         (GadcFamily(5.0), 1.3e-5), (_oscillating_family(), 6e-7),
@@ -730,8 +793,11 @@ class TestStackedFamilyMaps:
         # time is negative: 7.4e-9 at most (GADC).
         eps, h = 1e-3, 1e-5
 
+        _, step = reference_maps(family)
+
         def quotient(e):
-            return (family.steps(self.TIMES, e) - np.eye(4)) / e
+            steps = np.stack([step(t, e).superoperator().matrix for t in self.TIMES])
+            return (steps - np.eye(4)) / e
 
         generators = family.step_generators(self.TIMES)
         assert generators.shape == (len(self.TIMES), 4, 4)
@@ -755,14 +821,6 @@ class TestStackedFamilyMaps:
         with pytest.raises(ChannelError, match="complex time"):
             fam.step_generators([0.5])
 
-    def test_dephasing_steps_keep_factors_above_one(self):
-        fam = _oscillating_family()
-        t = np.array([1.2, 1.5, 1.9])  # inside (pi/3, 2pi/3)
-        factors = fam.steps(t, 1e-3)[:, 1, 1].real
-        assert np.all(factors > 1.0)
-        np.testing.assert_array_equal(
-            factors, np.exp(fam.gamma_integral(t) - fam.gamma_integral(t + 1e-3)))
-
     def test_states_map_every_initial_state_through_every_time(self, rng):
         fam = GadcFamily(5.0)
         rho0s = [random_mixed_state(rng, 2) for _ in range(3)]
@@ -772,21 +830,38 @@ class TestStackedFamilyMaps:
             for rho0, state in zip(rho0s, row):
                 np.testing.assert_allclose(state, gadc(t, 5.0).apply(rho0), atol=1e-14)
 
-    def test_generator_family_builds_each_map_once(self, monkeypatch):
-        fam = GeneratorFamily(dephasing_generator(lambda t: 0.5 + np.cos(2 * t)))
+    def test_generator_family_steps_grow_linearly(self, monkeypatch):
+        # T times 0.03 apart: chaining the interval maps builds each interval
+        # once (30 and 668 CF4 steps for T = 11 and 101; the shares of
+        # map_atol shrink as the span grows), where maps built from 0 for
+        # every time grow quadratically (242 and 23,576 steps).
         built = []
 
-        def counted(*args, _original=dynamics.intermediate_map, **kwargs):
-            built.append(args)
-            return _original(*args, **kwargs)
+        def counted(operator, starts, widths, steps, _original=dynamics._cf4_maps):
+            built.append(len(starts) * steps)
+            return _original(operator, starts, widths, steps)
 
-        monkeypatch.setattr(dynamics, "intermediate_map", counted)
-        first = (fam.superoperators(self.TIMES), fam.steps(self.TIMES, 1e-3))
-        assert len(built) == 2 * len(self.TIMES)
-        again = (fam.superoperators(self.TIMES), fam.steps(self.TIMES, 1e-3))
-        assert len(built) == 2 * len(self.TIMES)
-        for a, b in zip(first, again):
-            np.testing.assert_array_equal(a, b)
+        monkeypatch.setattr(dynamics, "_cf4_maps", counted)
+        fam = GeneratorFamily(dephasing_generator(lambda t: 0.5 + np.cos(2 * t)))
+        counts = {}
+        for n in (11, 101):
+            built.clear()
+            fam.superoperators(0.03 * np.arange(n))
+            counts[n] = sum(built)
+        assert counts[11] >= 3 * 10 and counts[101] >= 3 * 100  # a 1- and a 2-step map each
+        assert counts[101] <= 3 * (100 / 10) * counts[11]
+
+    def test_generator_family_takes_unsorted_repeated_times(self, rng):
+        fam = GeneratorFamily(dephasing_generator(lambda t: 0.5 + np.cos(2 * t)))
+        times = np.linspace(0.0, 3.0, 101)
+        times = np.concatenate([rng.permutation(times), times[[7, 50, 50, 100]]])
+        maps = fam.superoperators(times)
+        assert maps.shape == (len(times), 4, 4)
+        coherences = np.exp(-(0.5 * times + 0.5 * np.sin(2.0 * times)))
+        expected = np.zeros_like(maps)
+        expected[:, 0, 0] = expected[:, 3, 3] = 1.0
+        expected[:, 1, 1] = expected[:, 2, 2] = coherences
+        assert np.max(np.abs(maps - expected)) <= fam.map_atol
 
     def test_family_trajectory_rates_match_finite_differences(self, rng):
         # The trajectory keeps its closed form: the FD oracle reads the family
