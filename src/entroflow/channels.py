@@ -472,10 +472,6 @@ class JumpTerm:
             return np.array([float(self.rate(float(s))) for s in t.ravel()]).reshape(t.shape)
         return np.full(t.shape, float(self.rate))
 
-    def operator_at(self, t: float) -> np.ndarray:
-        op = self.operator(t) if callable(self.operator) else self.operator
-        return np.asarray(op, dtype=complex)
-
 
 @dataclass(frozen=True)
 class TailGuard:
@@ -615,18 +611,11 @@ class LindbladGenerator:
     def _checked_operator(self, op) -> np.ndarray:
         return self._checked_shape(np.asarray(op, dtype=complex), "jump operator")
 
-    def hamiltonian_at(self, t: float) -> np.ndarray:
-        if self._hamiltonian is not None:
-            return self._hamiltonian
-        return self._checked_hamiltonian(self.hamiltonian(t))
-
-    def terms_at(self, t: float) -> list[tuple[float, np.ndarray]]:
-        return [(term.rate_at(t), term.operator_at(t)) for term in self.jumps]
-
     def _built_at(self, t: float, adjoint: bool) -> sparse.sparray:
         """The callable Hamiltonian and callable-operator terms at t, built
         (and checked) now as one matrix; its conjugate transpose for the adjoint."""
-        sandwiches = [] if self._hamiltonian is not None else _commutator(self.hamiltonian_at(t))
+        sandwiches = ([] if self._hamiltonian is not None
+                      else _commutator(self._checked_hamiltonian(self.hamiltonian(t))))
         for term in self._callable_terms:
             sandwiches += _dissipator(term.rate_at(t), self._checked_operator(term.operator(t)))
         m = _sandwich_matrix(self.dim, sandwiches)

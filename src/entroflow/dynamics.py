@@ -130,8 +130,7 @@ class Trajectory:
     def _check(self) -> None:
         if len(self.grid) != len(self.entries) or self.entries.shape != self.derivatives.shape:
             raise IntegrationError("grid, states and derivatives lengths differ")
-        if np.any(np.diff(self.grid) <= 0):
-            raise IntegrationError("time grid must be strictly increasing")
+        _checked_grid(self.grid)
         traces = np.abs(np.trace(self.derivatives, axis1=-2, axis2=-1))
         _raise_at(traces > TRACE_DOT_ATOL, traces, "Tr(rho_dot)")
         ranks = self.ranks()
@@ -176,6 +175,17 @@ class Trajectory:
         return _entropy_rates(self.spectrum, self._expectations)
 
 
+def _checked_grid(grid) -> np.ndarray:
+    """The grid as floats; IntegrationError unless its times are finite and
+    strictly increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise IntegrationError("time grid needs finite times")
+    if np.any(np.diff(grid) <= 0):
+        raise IntegrationError("time grid must be strictly increasing")
+    return grid
+
+
 def _raise_at(bad: np.ndarray, values: np.ndarray, name: str) -> None:
     """IntegrationError naming the first flagged entry of a (T,) or (T, N) mask."""
     if bad.any():
@@ -184,16 +194,20 @@ def _raise_at(bad: np.ndarray, values: np.ndarray, name: str) -> None:
         raise IntegrationError(f"{name} = {values[k]:.3e} at grid point {k[0]}{state}")
 
 
-def states_off_grid(traj: Trajectory, columns, times, steps: int = 8) -> np.ndarray:
+# RK4 substeps from the nearest grid point to an off-grid time.
+_OFF_GRID_STEPS = 8
+
+
+def states_off_grid(traj: Trajectory, columns, times) -> np.ndarray:
     """The state ``columns[c]`` of a propagated stack at ``times[c]`` for every
     c, as one (C, d, d) stack; a one-state trajectory has the one column 0.
 
-    Each state is integrated by RK4 in ``steps`` substeps from the grid point
-    nearest to its time, all of them together, each at its own times, through
-    the operator :func:`propagate` would pick for these starts: the dense
-    restriction to the invariant sets they touch when those hold
-    m <= max(d, 16) coordinates, as every qubit or qutrit stack does, and
-    the sparse generator otherwise.
+    Each state is integrated by RK4 in ``_OFF_GRID_STEPS`` substeps from the
+    grid point nearest to its time, all of them together, each at its own
+    times, through the operator :func:`propagate` would pick for these
+    starts: the dense restriction to the invariant sets they touch when
+    those hold m <= max(d, 16) coordinates, as every qubit or qutrit stack
+    does, and the sparse generator otherwise.
     """
     if traj.generator is None:
         raise IntegrationError("off-grid states need the trajectory's generator")
@@ -202,7 +216,8 @@ def states_off_grid(traj: Trajectory, columns, times, steps: int = 8) -> np.ndar
     d = traj.entries.shape[-1]
     starts = traj.entries.reshape(len(traj), -1, d, d)[nearest, columns]
     operator = _integration_operator(traj.generator, starts)
-    ends = _rk4_segment(operator, operator.coordinates(starts), traj.grid[nearest], times, steps)
+    ends = _rk4_segment(operator, operator.coordinates(starts), traj.grid[nearest], times,
+                        _OFF_GRID_STEPS)
     return hermitian_part(operator.states(ends))
 
 
@@ -408,9 +423,7 @@ def propagate(generator: LindbladGenerator, states, grid,
     time of the breach; fewer than 3 trusted points raise
     :class:`TailMassError` either way.
     """
-    grid = np.asarray(grid, dtype=float)
-    if np.any(np.diff(grid) <= 0):
-        raise IntegrationError("time grid must be strictly increasing")
+    grid = _checked_grid(grid)
     if on_tail_breach not in ("raise", "truncate"):
         raise ValueError("on_tail_breach must be 'raise' or 'truncate'")
 
@@ -843,11 +856,9 @@ def cp_divisibility_check(generator: LindbladGenerator, grid, atol: float = 1e-9
     P-divisibility, it only reports that CP evidence failed without a
     positivity counterexample).  Sampled rate signs are reported alongside.
     """
-    grid = np.asarray(grid, dtype=float)
-    if len(grid) < 2 or not np.all(np.isfinite(grid)):
+    grid = _checked_grid(grid)
+    if len(grid) < 2:
         raise IntegrationError("time grid needs at least 2 finite points")
-    if np.any(np.diff(grid) <= 0):
-        raise IntegrationError("time grid must be strictly increasing")
     maps = [SuperOperator(m.T) for m in _certified_maps(_whole_space(generator), grid[:-1],
                                                          np.diff(grid), atol=1e-8)]
     reports = [is_cptp(m, atol=atol) for m in maps]
@@ -931,6 +942,7 @@ class ChannelFamily:
         """The trajectory of one initial state, or of a stack of them, on a
         grid, from one :meth:`evolve`; it keeps its states off the grid in
         closed form."""
+        grid = _checked_grid(grid)
         starts = _state_stack(rho0s)
         states, dots, spectrum = self.evolve(starts, grid)
         return Trajectory(grid, states, dots, spectrum=spectrum,

@@ -1,8 +1,8 @@
 """Dense complex Hermitian linear algebra for density operators.
 
-Spectral decompositions, support projectors, matrix functions restricted to
-the support, von Neumann and relative entropies, Schatten norms, partial
-traces, and derivatives of trace functions.  All logarithms are natural, so
+Spectral decompositions, supports and the matrix log restricted to them,
+von Neumann and relative entropies, Schatten norms and partial traces.
+All logarithms are natural, so
 entropic quantities are in nats.  A :class:`DensityMatrix` carries its
 spectrum, which every spectral function here reads; a raw array gets one
 fresh decomposition per call.  An :class:`EigenSystem` may hold the spectra
@@ -28,23 +28,19 @@ __all__ = [
     "INFINITE_DIVERGENCE",
     "is_infinite",
     "DensityMatrix",
-    "SupportProjector",
     "EigenSystem",
     "check_density_stack",
     "as_matrix",
     "dagger",
     "hermitian_part",
-    "trace_product",
     "require_hermitian",
     "spectral_decompose",
-    "support_projector",
     "matrix_log_on_support",
     "von_neumann_entropy",
     "relative_entropy",
     "schatten_norm",
     "trace_distance",
     "partial_trace",
-    "trace_function_derivative",
 ]
 
 # Eigenvalues <= ZERO_EIGENVALUE_RTOL * lambda_max are treated as kernel.
@@ -83,7 +79,7 @@ def is_infinite(value) -> bool:
 
 
 def as_matrix(operator) -> np.ndarray:
-    """Unwrap DensityMatrix / SupportProjector, or coerce to a complex array."""
+    """Unwrap a DensityMatrix, or coerce to a complex array."""
     entries = getattr(operator, "entries", operator)
     return np.asarray(entries, dtype=complex)
 
@@ -96,22 +92,19 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + dagger(a))
 
 
-def trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tr{a b} for two matrices, or matrix by matrix for two stacks (..., d, d)."""
-    return np.einsum("...ij,...ji->...", a, b)
-
-
 def require_hermitian(operator, atol: float = HERMITICITY_ATOL, name: str = "operator") -> np.ndarray:
     """Return the symmetrized matrix (or stack (..., d, d) of matrices),
-    rejecting inputs that are genuinely asymmetric; for a stack, the error
-    names the index of the first asymmetric matrix."""
+    rejecting inputs that are genuinely asymmetric or hold a non-finite
+    entry (its gap is NaN); for a stack, the error names the index of the
+    first such matrix."""
     a = as_matrix(operator)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise LinalgError(f"{name} must be a square matrix, got shape {a.shape}")
-    gaps = np.abs(a - dagger(a))
-    if gaps.max(initial=0.0) > atol:
+    with np.errstate(invalid="ignore"):  # an infinite diagonal entry gives a NaN gap
+        gaps = np.abs(a - dagger(a))
+    if not gaps.max(initial=0.0) <= atol:
         asym = gaps.max(axis=(-2, -1))
-        k = np.unravel_index(np.argmax(asym > atol), asym.shape)
+        k = np.unravel_index(np.argmin(asym <= atol), asym.shape)
         where = f" at stack index {tuple(map(int, k))}" if asym.ndim else ""
         raise LinalgError(f"{name} is not Hermitian: max asymmetry {asym[k]:.3e} > {atol:.1e}"
                           + where)
@@ -188,21 +181,6 @@ def _entropies(eigenvalues: np.ndarray) -> np.ndarray:
     lam = np.clip(eigenvalues, 0.0, None)
     positive = lam > 0.0
     return -np.sum(np.where(positive, lam * np.log(np.where(positive, lam, 1.0)), 0.0), axis=-1)
-
-
-@dataclass(frozen=True)
-class SupportProjector:
-    """Projection onto the span of eigenvectors with non-negligible eigenvalues."""
-
-    entries: np.ndarray
-    rank: int
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def complement(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex) - self.entries
 
 
 @dataclass(frozen=True)
@@ -307,15 +285,16 @@ def _density_spectra(a: np.ndarray, subnormalized: bool = False) -> EigenSystem:
     spectrum = _eigh(a)
     lam_min = spectrum.eigenvalues[..., -1]
     tr = np.real(np.trace(a, axis1=-2, axis2=-1))
+    # Each check states what passes, so that NaN fails it.
     if subnormalized:
-        trace_check = (tr > 1.0 + TRACE_ATOL, "sub-normalized state has trace {tr} > 1")
+        trace_check = (tr <= 1.0 + TRACE_ATOL, "sub-normalized state has trace {tr} > 1")
     else:
-        trace_check = (np.abs(tr - 1.0) > TRACE_ATOL, "density matrix has trace {tr}, expected 1")
-    for bad, message in ((lam_min < -PSD_ATOL, "density matrix not PSD: min eigenvalue {lam:.3e}"),
-                         trace_check):
-        if np.any(bad):
-            k = np.unravel_index(np.argmax(bad), bad.shape)
-            where = f" at stack index {tuple(map(int, k))}" if bad.ndim else ""
+        trace_check = (np.abs(tr - 1.0) <= TRACE_ATOL, "density matrix has trace {tr}, expected 1")
+    for ok, message in ((lam_min >= -PSD_ATOL, "density matrix not PSD: min eigenvalue {lam:.3e}"),
+                        trace_check):
+        if not np.all(ok):
+            k = np.unravel_index(np.argmin(ok), ok.shape)
+            where = f" at stack index {tuple(map(int, k))}" if ok.ndim else ""
             raise LinalgError(message.format(lam=lam_min[k], tr=tr[k]) + where)
     return spectrum
 
@@ -324,14 +303,6 @@ def _support_mask(eigenvalues: np.ndarray, tol: float) -> np.ndarray:
     """Eigenvalues above tol * lambda_max along the last axis; none when lambda_max <= 0."""
     lam_max = eigenvalues.max(axis=-1, keepdims=True, initial=0.0)
     return (eigenvalues > tol * lam_max) & (lam_max > 0.0)
-
-
-def support_projector(rho, tol: float = ZERO_EIGENVALUE_RTOL) -> SupportProjector:
-    """Projector onto the eigenvectors of ``rho`` with eigenvalue > tol * lambda_max."""
-    if tol <= 0:
-        raise LinalgError("support tolerance must be positive")
-    es = spectral_decompose(rho)
-    return SupportProjector(es.projectors(tol), rank=int(es.support_mask(tol).sum()))
 
 
 def matrix_log_on_support(rho, tol: float = ZERO_EIGENVALUE_RTOL) -> np.ndarray:
@@ -411,27 +382,3 @@ def partial_trace(rho_ab, dims: tuple[int, int], keep: str) -> DensityMatrix:
     sub = isinstance(rho_ab, DensityMatrix) and rho_ab.subnormalized
     return DensityMatrix(hermitian_part(reduced), subnormalized=sub)
 
-
-def trace_function_derivative(a, a_dot, f: str = "xlogx", h: float = 0.0,
-                              tol: float = ZERO_EIGENVALUE_RTOL) -> float:
-    """d/ds Tr{f(A + s A_dot)} at s = 0, i.e. Tr{f'(A) A_dot}.
-
-    f' is evaluated spectrally on the support of A.  Supported tags:
-    ``"xlogx"`` for f(x) = x log x (f'(x) = log x + 1) and ``"power"`` for
-    f(x) = x**(1 + h) (f'(x) = (1 + h) x**h).
-    """
-    es = spectral_decompose(a)
-    direction = require_hermitian(a_dot, name="A_dot")
-    mask = _support_mask(np.abs(es.eigenvalues), tol)
-    lam = es.eigenvalues[mask]
-    if f == "xlogx":
-        if np.any(lam < 0):
-            raise LinalgError("x log x requires a PSD operator")
-        fprime = np.log(lam) + 1.0
-    elif f == "power":
-        fprime = (1.0 + h) * lam**h
-    else:
-        raise LinalgError(f"unsupported scalar function tag {f!r}")
-    v = es.eigenvectors[:, mask]
-    rotated = dagger(v) @ direction @ v
-    return float(np.real(np.sum(fprime * np.diagonal(rotated))))

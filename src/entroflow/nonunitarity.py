@@ -34,7 +34,6 @@ __all__ = [
     "NonUnitarityError",
     "PureBipartiteState",
     "OslashResult",
-    "oslash_objective",
     "oslash_norm",
     "oslash_depolarizing_analytic",
     "success_probability",
@@ -82,9 +81,6 @@ class PureBipartiteState:
         v = rng.normal(size=dim**2) + 1j * rng.normal(size=dim**2)
         return cls(v / np.linalg.norm(v), dim)
 
-    def density(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
 
 def _difference_superoperator(channel: QuantumChannel) -> np.ndarray:
     """Matrix of id - N^dag o N."""
@@ -108,17 +104,6 @@ def _require_hermiticity_preserving(map_matrix: np.ndarray, dim: int) -> None:
     choi = _choi_tensor(map_matrix, dim).reshape(dim * dim, dim * dim)
     if np.max(np.abs(choi - choi.conj().T)) > 1e-9:
         raise NonUnitarityError("map is not Hermiticity-preserving")
-
-
-def oslash_objective(channel: QuantumChannel, psi: PureBipartiteState) -> float:
-    """Trace norm of (id (x) (id - N^dag N)) applied to the pure input."""
-    if not unitality_class(channel).is_unital:
-        raise NonUnitarityError("the non-unitarity norm is defined for unital channels only")
-    if channel.dim_in != psi.dim:
-        raise NonUnitarityError("state dimension does not match channel input")
-    choi = _choi_tensor(_difference_superoperator(channel), psi.dim)
-    eigs = np.linalg.eigvalsh(_local_map_output(choi, psi.amplitudes, psi.dim))
-    return float(np.sum(np.abs(eigs)))
 
 
 @dataclass(frozen=True)

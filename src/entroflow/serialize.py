@@ -44,12 +44,13 @@ _REQUIRED = object()
 
 
 def _field(doc, key: str, what: str, default=_REQUIRED, number: bool = False):
-    """doc[key] of a ``what`` document; a missing key or a non-number raises."""
+    """doc[key] of a ``what`` document; a missing key or a non-number (NaN and inf too) raises."""
     if not isinstance(doc, dict) or (key not in doc and default is _REQUIRED):
         raise SerializationError(f"{what} document has no {key!r}: {doc!r}")
     value = doc.get(key, default)
-    if number and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise SerializationError(f"{what} {key!r} must be a number, got {value!r}")
+    if number and (isinstance(value, bool) or not isinstance(value, (int, float))
+                   or isinstance(value, float) and not np.isfinite(value)):
+        raise SerializationError(f"{what} {key!r} must be a finite number, got {value!r}")
     return value
 
 
@@ -61,10 +62,13 @@ def matrix_to_document(matrix) -> list:
 def _complex(entry, i: int, j: int) -> complex:
     try:
         re, im = entry
-        return complex(re, im)
+        value = complex(re, im)
     except (TypeError, ValueError):
         raise SerializationError(
             f"matrix entry [{i}][{j}] is not an [re, im] pair: {entry!r}") from None
+    if not np.isfinite(value):
+        raise SerializationError(f"matrix entry [{i}][{j}] is not finite: {entry!r}")
+    return value
 
 
 def matrix_from_document(doc) -> np.ndarray:

@@ -59,11 +59,8 @@ __all__ = [
     "entropy_change_upper_bound_holder",
     "theorem2_bound",
     "nonunitality_witness",
-    "generator_commutator_expectation",
     "epsilon_derivative",
     "f_components",
-    "witness_f_channel",
-    "time_local_generator",
     "test_a",
     "test_b",
     "test_c",
@@ -181,16 +178,6 @@ def theorem2_bound(generator, t: float, rho) -> float:
     return -_pinned_adjoint_trace(generator, t, rho)
 
 
-def generator_commutator_expectation(generator: LindbladGenerator, t: float, rho) -> float:
-    """sum_i gamma_i <[A_i^dag, A_i]>_rho, the full-rank form of the rate bound."""
-    a = as_matrix(rho)
-    total = 0.0
-    for gamma, op in generator.terms_at(t):
-        comm = dagger(op) @ op - op @ dagger(op)
-        total += gamma * float(np.real(np.trace(comm @ a)))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Channel-side witness: the short-time derivative and f(t)
 # ---------------------------------------------------------------------------
@@ -244,19 +231,6 @@ def f_components(family: ChannelFamily, rho0, t):
     if np.ndim(t):
         return rates[:, 0], eps_terms[:, 0]
     return float(rates[0, 0]), float(eps_terms[0, 0])
-
-
-def witness_f_channel(family: ChannelFamily, rho0, t):
-    """f(t) = dS/dt + short-time derivative term; f < 0 certifies memory."""
-    rate, eps_term = f_components(family, rho0, t)
-    return rate + eps_term
-
-
-def time_local_generator(family: ChannelFamily, t: float) -> SuperOperator:
-    """Time-local generator dM_t/dt o M_t^{-1} of a channel family."""
-    times = np.array([t], dtype=float)
-    generator = family.derivatives(times)[0] @ np.linalg.inv(family.superoperators(times)[0])
-    return SuperOperator(generator, dim_in=family.dim, dim_out=family.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from entroflow.serialize import (
     generator_from_document,
     generator_to_document,
     load,
+    matrix_from_document,
 )
 
 
@@ -603,12 +604,26 @@ class TestSerialization:
         for t in (0.0, 0.7, 2.0):
             for orig, copy in zip(gen.jumps, back.jumps):
                 assert copy.rate_at(t) == orig.rate_at(t)
-                assert np.array_equal(copy.operator_at(t), orig.operator_at(t))
+                assert np.array_equal(copy.operator, orig.operator)
 
     def test_unserializable_rate_rejected(self):
         gen = dephasing_generator(lambda t: np.sin(t))
         with pytest.raises(SerializationError):
             generator_to_document(gen)
+
+    @pytest.mark.parametrize("entry", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0]])
+    def test_non_finite_matrix_entry_rejected(self, entry):
+        with pytest.raises(SerializationError, match=r"entry \[1\]\[0\] is not finite"):
+            matrix_from_document([[[1.0, 0.0], [0.0, 0.0]], [entry, [0.0, 0.0]]])
+
+    @pytest.mark.parametrize("rate", [{"type": "constant", "value": np.nan},
+                                      {"type": "cosine_squared", "omega": np.inf},
+                                      {"type": "exponential", "decay": 1.0, "scale": -np.inf}])
+    def test_non_finite_rate_rejected(self, rate):
+        doc = generator_to_document(dephasing_generator(0.5))
+        doc["jumps"][0]["rate"] = rate
+        with pytest.raises(SerializationError, match="must be a finite number"):
+            generator_from_document(doc)
 
     def test_file_round_trip(self, tmp_path):
         gen = bosonic_generator(1.2, 0.2, 5)
@@ -618,7 +633,7 @@ class TestSerialization:
         assert back.tail_guard is not None
         assert back.tail_guard.bound == gen.tail_guard.bound
         for orig, copy in zip(gen.jumps, back.jumps):
-            assert np.array_equal(copy.operator_at(0.0), orig.operator_at(0.0))
+            assert np.array_equal(copy.operator, orig.operator)
         # a second dump is byte-identical
         path2 = tmp_path / "generator2.json"
         dump(back, path2)

@@ -147,6 +147,14 @@ class TestPropagate:
         assert len(stacked) == len(first)
         assert stacked.entries.shape[:2] == (len(first), 2)
 
+    @pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [0.0, np.inf]], ids=["nan", "inf"])
+    @pytest.mark.parametrize("rate", [lambda t: 0.5 + np.cos(2.0 * t), 0.5],
+                             ids=["time_dependent", "constant"])
+    def test_non_finite_time_fails_before_integrating(self, grid, rate, monkeypatch):
+        _forbid_maps(monkeypatch)
+        with pytest.raises(IntegrationError, match="finite"):
+            propagate(dephasing_generator(rate), DensityMatrix.pure([1, 0.5]), grid)
+
 
 def reference_propagate(generator, states, grid, error_target=1e-7, operator=None):
     """The step-doubling loop written plainly: every segment computes its own
@@ -699,6 +707,14 @@ class TestCpDivisibility:
 
 
 class TestChannelFamilies:
+    @pytest.mark.parametrize("grid", [[0.1, np.nan, 1.0], [0.0, np.inf]], ids=["nan", "inf"])
+    def test_trajectory_rejects_non_finite_times(self, grid):
+        with pytest.raises(IntegrationError, match="finite"):
+            GadcFamily(5.0).trajectories(DensityMatrix.maximally_mixed(2), grid)
+        states = np.stack([np.eye(2) / 2] * len(grid))
+        with pytest.raises(IntegrationError, match="finite"):
+            Trajectory(grid, states, np.zeros_like(states))
+
     def test_gadc_family_states(self, rng):
         fam = GadcFamily(5.0)
         rho0 = random_mixed_state(rng, 2)
@@ -958,7 +974,8 @@ class TestStackedTrajectory:
         stacked = states_off_grid(traj, columns, times)
         for n, t, state in zip(columns, times, stacked):
             k = int(np.argmin(np.abs(grid - t)))
-            one = hermitian_part(_rk4_segment(gen, traj.entries[k, n], float(grid[k]), t, 8))
+            one = hermitian_part(_rk4_segment(gen, traj.entries[k, n], float(grid[k]), t,
+                                              dynamics._OFF_GRID_STEPS))
             np.testing.assert_allclose(state, one, atol=1e-14)
             column = Trajectory(grid, traj.entries[:, n], traj.derivatives[:, n], generator=gen)
             np.testing.assert_allclose(states_off_grid(column, [0], [t])[0], one, atol=1e-14)
@@ -983,7 +1000,7 @@ class TestStackedTrajectory:
         columns, times = np.array([0, 2, 1, 0, 2, 1]), np.array([0.013, 0.27, 1.5, 2.449, 2.99, 0.7])
         nearest = np.argmin(np.abs(grid[None, :] - times[:, None]), axis=1)
         expected = _rk4_segment(dynamics._WholeStates(gen), traj.entries[nearest, columns],
-                                grid[nearest], times, 8)
+                                grid[nearest], times, dynamics._OFF_GRID_STEPS)
         np.testing.assert_allclose(states_off_grid(traj, columns, times), hermitian_part(expected),
                                    rtol=0, atol=1e-12)
 

@@ -12,12 +12,11 @@ from entroflow import (
     partial_trace,
     relative_entropy,
     schatten_norm,
+    entropy_rate,
     spectral_decompose,
-    support_projector,
-    trace_function_derivative,
     von_neumann_entropy,
 )
-from entroflow.linalg import INFINITE_DIVERGENCE, dagger
+from entroflow.linalg import INFINITE_DIVERGENCE, _density_spectra, check_density_stack, dagger
 from entroflow.sampling import (
     haar_pure_state,
     random_cptp_channel,
@@ -63,27 +62,28 @@ class TestSpectralDecompose:
 
 
 class TestSupportProjector:
+    # The support projector and rank, as EigenSystem.projectors and support_mask.
     def test_pure_state(self):
-        pi = support_projector(DensityMatrix.pure([1, 0]))
-        assert pi.rank == 1
-        np.testing.assert_allclose(pi.entries, np.diag([1.0, 0.0]), atol=1e-14)
+        es = spectral_decompose(DensityMatrix.pure([1, 0]))
+        assert es.support_mask().sum() == 1
+        np.testing.assert_allclose(es.projectors(), np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_full_rank(self):
-        pi = support_projector(DensityMatrix.maximally_mixed(2))
-        assert pi.rank == 2
-        np.testing.assert_allclose(pi.entries, np.eye(2), atol=1e-14)
+        es = spectral_decompose(DensityMatrix.maximally_mixed(2))
+        assert es.support_mask().sum() == 2
+        np.testing.assert_allclose(es.projectors(), np.eye(2), atol=1e-14)
 
     def test_rank_two_with_kernel(self):
         rho = DensityMatrix.diagonal([1 - np.exp(-1), np.exp(-1), 0.0])
-        pi = support_projector(rho)
-        assert pi.rank == 2
-        np.testing.assert_allclose(pi.entries, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+        es = spectral_decompose(rho)
+        pi = es.projectors()
+        assert es.support_mask().sum() == 2
+        np.testing.assert_allclose(pi, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
         # Pi rho Pi = rho
-        np.testing.assert_allclose(pi.entries @ rho.entries @ pi.entries, rho.entries, atol=1e-12)
+        np.testing.assert_allclose(pi @ rho.entries @ pi, rho.entries, atol=1e-12)
 
     def test_idempotent(self, rng):
-        rho = random_mixed_state(rng, 4)
-        pi = support_projector(rho).entries
+        pi = spectral_decompose(random_mixed_state(rng, 4)).projectors()
         np.testing.assert_allclose(pi @ pi, pi, atol=1e-12)
 
 
@@ -231,36 +231,19 @@ class TestPartialTrace:
 
 
 class TestTraceFunctionDerivative:
+    # d/ds Tr{f(A + s A_dot)} = Tr{f'(A) A_dot} for f(x) = x log x and a
+    # traceless A_dot is -entropy_rate(A, A_dot).
     def test_traceless_direction_at_maximally_mixed(self):
-        val = trace_function_derivative(np.eye(2) / 2, np.diag([0.5, -0.5]), "xlogx")
+        val = -entropy_rate(np.eye(2) / 2, np.diag([0.5, -0.5]))
         assert val == pytest.approx(0.0, abs=1e-14)
 
     def test_diagonal_value(self):
-        val = trace_function_derivative(np.diag([0.75, 0.25]), np.diag([1.0, -1.0]), "xlogx")
+        val = -entropy_rate(np.diag([0.75, 0.25]), np.diag([1.0, -1.0]))
         assert val == pytest.approx(np.log(3.0), abs=1e-12)
 
     def test_zero_direction(self, rng):
         a = random_mixed_state(rng, 3).entries
-        assert trace_function_derivative(a, np.zeros((3, 3)), "xlogx") == 0.0
-
-    def test_power_family_against_finite_differences(self, rng):
-        a = random_mixed_state(rng, 3).entries + 0.2 * np.eye(3)
-        direction = random_hermitian(rng, 3)
-        for tag, h_exp, f in [("xlogx", 0.0, lambda x: x * np.log(x)),
-                              ("power", 0.35, lambda x: x**1.35)]:
-            val = trace_function_derivative(a, direction, tag, h=h_exp)
-            step = 1e-5
-
-            def tr_f(s):
-                lam = np.linalg.eigvalsh(a + s * direction)
-                return float(np.sum(f(lam)))
-
-            fd = (tr_f(step) - tr_f(-step)) / (2 * step)
-            assert val == pytest.approx(fd, abs=1e-7)
-
-    def test_unknown_tag(self):
-        with pytest.raises(LinalgError):
-            trace_function_derivative(np.eye(2), np.eye(2), "exp")
+        assert entropy_rate(a, np.zeros((3, 3))) == 0.0
 
 
 class TestOperatorConcavity:
@@ -282,6 +265,19 @@ class TestDensityMatrixValidation:
     def test_rejects_bad_trace(self):
         with pytest.raises(LinalgError):
             DensityMatrix(np.diag([0.6, 0.6]))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_non_finite(self, entry):
+        with pytest.raises(LinalgError):
+            DensityMatrix([[entry, 0.0], [0.0, 0.5]])
+
+    def test_non_finite_stack_names_its_index(self):
+        stack = np.array([np.eye(2) / 2, [[np.nan, 0.0], [0.0, 0.5]]])
+        with pytest.raises(LinalgError, match=r"not Hermitian.*stack index \(1,\)"):
+            check_density_stack(stack)
+        for subnormalized in (False, True):  # past the Hermiticity check: the PSD test
+            with pytest.raises(LinalgError, match=r"not PSD.*stack index \(1,\)"):
+                _density_spectra(stack, subnormalized)
 
     def test_subnormalized_flag(self):
         sub = DensityMatrix(np.diag([0.3, 0.3]), subnormalized=True)

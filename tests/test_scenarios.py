@@ -92,6 +92,11 @@ QUTRIT_HAMILTONIAN_GENERATOR = {**QUTRIT_JUMP_GENERATOR, "hamiltonian": QUTRIT_M
                                 "jumps": DEFAULT_CONFIGS["custom"]["parameters"]["generator"]["jumps"]}
 RATELESS_GENERATOR = {**QUTRIT_JUMP_GENERATOR, "jumps": [
     {"rate": {"type": "constant"}, "operator": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}
+NAN_STATE = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+NAN_RATE_GENERATOR = {**QUTRIT_JUMP_GENERATOR, "jumps": [
+    {"rate": {"type": "constant", "value": float("nan")}, "operator": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}
+NAN_HAMILTONIAN_GENERATOR = {**QUTRIT_HAMILTONIAN_GENERATOR,
+                             "hamiltonian": [[[0.0, 0.0], [float("nan"), 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
 
 
 @pytest.mark.parametrize("scenario, key, value", [
@@ -126,6 +131,9 @@ RATELESS_GENERATOR = {**QUTRIT_JUMP_GENERATOR, "jumps": [
     ("custom", "generator", {"kind": "lindblad_generator", "dim": 2}),  # no hamiltonian, jumps
     ("custom", "initial_state", [[1, 0], [0, 0]]),        # entries are not [re, im] pairs
     ("custom", "generator", RATELESS_GENERATOR),          # constant rate without a value
+    ("custom", "initial_state", NAN_STATE),               # NaN entry
+    ("custom", "generator", NAN_RATE_GENERATOR),          # NaN rate
+    ("custom", "generator", NAN_HAMILTONIAN_GENERATOR),   # NaN Hamiltonian entry
     ("decoherence_measures", "base", 0),                  # Gamma(t) < 0 for t > pi/2
     ("decoherence_measures", "base", -0.5),               # Gamma(t) < 0 for t > 0.95
     ("decoherence_measures", "amplitude", 7),             # Gamma(t) < 0 near t = 2.3
@@ -146,6 +154,9 @@ def test_bad_config_fails_in_validate(scenario, key, value, tmp_path):
     ("generator", {"kind": "lindblad_generator", "dim": 2}, "no 'hamiltonian'"),
     ("initial_state", [[1, 0], [0, 0]], "entry [0][0]"),
     ("generator", RATELESS_GENERATOR, "no 'value'"),
+    ("initial_state", NAN_STATE, "entry [0][0] is not finite"),
+    ("generator", NAN_RATE_GENERATOR, "'value' must be a finite number"),
+    ("generator", NAN_HAMILTONIAN_GENERATOR, "entry [0][1] is not finite"),
 ])
 def test_custom_validate_names_the_malformed_part(key, value, named):
     config = copy.deepcopy(DEFAULT_CONFIGS["custom"])
