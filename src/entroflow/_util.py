@@ -1,7 +1,9 @@
-"""The CSV writer shared across the package."""
+"""Helpers shared across the package: the CSV writer and the test for a
+finite number in a JSON document."""
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,3 +18,14 @@ def write_csv(path, header: list[str], rows) -> None:
                  for v in row]
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def is_finite_number(value) -> bool:
+    """A JSON number that is a finite float: never a bool, not NaN or inf,
+    and no integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .linalg import (
     DensityMatrix,
@@ -26,6 +26,9 @@ from .linalg import (
     hermitian_part,
     require_hermitian,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "ChannelError",
@@ -495,6 +498,8 @@ def _sandwich_matrix(dim: int, sandwiches) -> sparse.csr_array:
     """Matrix of X -> sum_k c_k K_k X M_k for (c_k, K_k, M_k) in ``sandwiches``:
     sum_k c_k kron(K_k, M_k^T) in the row-stacking convention, assembled as one
     CSR matrix from the nonzero entries of the factors."""
+    from scipy import sparse
+
     n = dim * dim
     if not sandwiches:
         return sparse.csr_array((n, n), dtype=complex)
@@ -541,7 +546,9 @@ class LindbladGenerator:
     constant) merged into one block L_0, and one dissipator D_i for each
     jump term with a time-dependent rate and a constant operator.  The
     blocks are stacked vertically into one CSR matrix [L_0; D_1; ...; D_m],
-    and their conjugate transposes into a second one for the adjoint.  A
+    and their conjugate transposes into a second one for the adjoint.
+    ``scipy.sparse`` is imported there, by the first generator a process
+    builds, so the closed-form channel runs never load it.  A
     constant Hamiltonian is checked for Hermiticity there, and it and every
     constant operator must be dim x dim.  A callable Hamiltonian or operator
     is built into a matrix, and checked, at each time it is evaluated.
@@ -591,6 +598,8 @@ class LindbladGenerator:
         blocks = [_sandwich_matrix(self.dim, constant)] + dissipators
         self._rated_terms = tuple(rated)
         self._callable_parts = self._hamiltonian is None or bool(self._callable_terms)
+        from scipy import sparse
+
         self._compiled = {
             False: sparse.vstack(blocks, format="csr"),
             True: sparse.vstack([b.conj().T.tocsr() for b in blocks], format="csr"),

@@ -14,6 +14,11 @@ channel family is its maps over a grid as (T, d^2, d^2) stacks, M_{t,0}
 and the exact limits d/dt M_{t,0} and K_t = d/d eps M_{t+eps,t} at
 eps = 0, each carrying a stack of initial states to (T, N, d, d) states in
 one product: no finite differences.
+
+``scipy.linalg`` is imported by the first map build, which calls
+``expm``, and ``scipy.sparse`` by the first
+:class:`~entroflow.channels.LindbladGenerator`; the closed-form channel
+families (GADC, dephasing) need neither.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._util import write_csv
 from .channels import (
@@ -536,6 +540,15 @@ _CF4_WEIGHTS = ((3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 
 # exponential: the widths of a linspace grid differ by rounding only (on
 # 101 points, 8 distinct widths within 8.9e-16 of each other).
 _WIDTH_RTOL = 1e-12
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported on the first call, which rebinds this
+    module's ``expm`` to it: a run that builds no map never loads
+    scipy.linalg, and later calls go to scipy directly."""
+    global expm
+    from scipy.linalg import expm
+    return expm(a)
 
 
 def _cf4_maps(operator, starts: np.ndarray, widths: np.ndarray, steps: int) -> np.ndarray:

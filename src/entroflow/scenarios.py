@@ -17,7 +17,6 @@ constructor ``"check"``.  Runners read the validated values as they are.
 from __future__ import annotations
 
 import copy
-import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nonunitarity, witnesses
-from ._util import write_csv
+from ._util import is_finite_number, write_csv
 from .channels import (
     ChannelError,
     ConstantCoefficient,
@@ -78,13 +77,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
-
-
 _JSON_TYPES = {
     int: ("integer", _is_int),
-    float: ("number", _is_number),
+    float: ("number", is_finite_number),
     list: ("list", lambda value: isinstance(value, list)),
     dict: ("mapping", lambda value: isinstance(value, dict)),
 }
@@ -271,10 +266,11 @@ def _depolarizing_points(params: dict) -> list[tuple]:
 
 def _check_fig2_depolarizing(params: dict) -> list[str]:
     problems = [f"q_values entry {q!r} is not a number"
-                for q in params["q_values"] if not _is_number(q)]
+                for q in params["q_values"] if not is_finite_number(q)]
     problems += [f"extra_points entry {p!r} is not a [d, q] pair of an integer and a number"
                  for p in params["extra_points"] if not (
-                     isinstance(p, list) and len(p) == 2 and _is_int(p[0]) and _is_number(p[1]))]
+                     isinstance(p, list) and len(p) == 2
+                     and _is_int(p[0]) and is_finite_number(p[1]))]
     points = [] if problems else _depolarizing_points(params)
     if not (problems or points):
         return ["q_values and extra_points are both empty: no (d, q) point to compute"]
@@ -379,7 +375,7 @@ def _check_gaussian_bounds(params: dict) -> list[str]:
     problems = [f"dynamics[{kind!r}] needs numbers gamma_plus and gamma_minus only, got {gammas!r}"
                 for kind, gammas in dynamics.items()
                 if not (isinstance(gammas, dict) and set(gammas) == {"gamma_plus", "gamma_minus"}
-                        and all(_is_number(g) for g in gammas.values()))]
+                        and all(is_finite_number(g) for g in gammas.values()))]
     if problems:
         return problems
     try:  # the checks the run itself makes, in its order: rates, cutoff, thermal tail mass

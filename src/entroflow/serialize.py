@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 
+from ._util import is_finite_number
 from .channels import (
     ConstantCoefficient,
     CosineSquaredCoefficient,
@@ -44,12 +45,12 @@ _REQUIRED = object()
 
 
 def _field(doc, key: str, what: str, default=_REQUIRED, number: bool = False):
-    """doc[key] of a ``what`` document; a missing key or a non-number (NaN and inf too) raises."""
+    """doc[key] of a ``what`` document; a missing key or a non-number (NaN,
+    inf and an integer too large for a float too) raises."""
     if not isinstance(doc, dict) or (key not in doc and default is _REQUIRED):
         raise SerializationError(f"{what} document has no {key!r}: {doc!r}")
     value = doc.get(key, default)
-    if number and (isinstance(value, bool) or not isinstance(value, (int, float))
-                   or isinstance(value, float) and not np.isfinite(value)):
+    if number and not is_finite_number(value):
         raise SerializationError(f"{what} {key!r} must be a finite number, got {value!r}")
     return value
 
@@ -66,6 +67,8 @@ def _complex(entry, i: int, j: int) -> complex:
     except (TypeError, ValueError):
         raise SerializationError(
             f"matrix entry [{i}][{j}] is not an [re, im] pair: {entry!r}") from None
+    except OverflowError:  # an integer too large for a float
+        value = complex(np.inf)
     if not np.isfinite(value):
         raise SerializationError(f"matrix entry [{i}][{j}] is not finite: {entry!r}")
     return value

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._util import write_csv
 from .channels import (
@@ -472,6 +471,7 @@ def semigroup_sandwich(generator: LindbladGenerator, rho0, t: float,
     if np.max(np.abs(generator.apply(0.0, np.eye(generator.dim)))) > atol:
         raise WitnessError("generator is not unital")
     a = _require_full_rank(rho0, "initial state")
+    from scipy.linalg import expm
 
     m_t = expm(t * s.matrix)
     v0 = a.reshape(-1)

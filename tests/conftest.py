@@ -1,14 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import entroflow
 from entroflow import (
+    DensityMatrix,
     DephasingFamily,
     GadcFamily,
+    LindbladGenerator,
     SuperOperator,
     dephasing_channel,
     gadc,
     intermediate_map,
+    propagate,
+    semigroup_sandwich,
 )
+from entroflow.channels import SIGMA_X, SIGMA_Z
 
 _ACCEPTANCE: dict[str, str] = {}
 
@@ -53,6 +64,34 @@ def reference_maps(family):
     def interval_map(s, t):
         return intermediate_map(family.generator, s, t, atol=family.map_atol)
     return (lambda t: interval_map(0.0, t)), (lambda t, eps: interval_map(t, t + eps))
+
+
+def fresh_interpreter(code: str, *args: str) -> str:
+    """The output of ``python -c code *args`` in a new interpreter, which
+    imports this checkout's package and this file as ``conftest``."""
+    paths = [str(Path(entroflow.__file__).resolve().parents[1]), str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def first_scipy_use(case: str) -> np.ndarray:
+    """A computation whose first step needs scipy: the trajectory entries of a
+    driven, damped qubit under a ``constant`` or ``time_dependent`` rate
+    (a generator compiled by scipy.sparse, maps built by scipy.linalg.expm),
+    or the ``sandwich`` bounds of a dephasing semigroup.  It lives here, not in
+    a test module, so that a fresh interpreter can import it without scipy."""
+    if case == "sandwich":
+        bounds = semigroup_sandwich(LindbladGenerator(2, jumps=[(0.5, SIGMA_Z)]),
+                                    np.array([[0.7, 0.2], [0.2, 0.3]]), 0.4)
+        return np.array([bounds.lower, bounds.entropy, bounds.upper, bounds.initial_entropy,
+                         bounds.relative_entropy_bound])
+    lowering = np.array([[0, 1], [0, 0]], dtype=complex)
+    rate = 0.7 if case == "constant" else (lambda t: 0.5 + 0.4 * np.cos(3.0 * t))
+    generator = LindbladGenerator(2, hamiltonian=0.3 * SIGMA_X, jumps=[(rate, lowering)])
+    return propagate(generator, DensityMatrix.pure([1, 0.5]), np.linspace(0.0, 2.0, 21)).entries
 
 
 def pytest_runtest_logreport(report):

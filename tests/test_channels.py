@@ -611,14 +611,15 @@ class TestSerialization:
         with pytest.raises(SerializationError):
             generator_to_document(gen)
 
-    @pytest.mark.parametrize("entry", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0]])
+    @pytest.mark.parametrize("entry", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0], [0, -10**400]])
     def test_non_finite_matrix_entry_rejected(self, entry):
         with pytest.raises(SerializationError, match=r"entry \[1\]\[0\] is not finite"):
             matrix_from_document([[[1.0, 0.0], [0.0, 0.0]], [entry, [0.0, 0.0]]])
 
     @pytest.mark.parametrize("rate", [{"type": "constant", "value": np.nan},
                                       {"type": "cosine_squared", "omega": np.inf},
-                                      {"type": "exponential", "decay": 1.0, "scale": -np.inf}])
+                                      {"type": "exponential", "decay": 1.0, "scale": -np.inf},
+                                      {"type": "constant", "value": 10**400}])
     def test_non_finite_rate_rejected(self, rate):
         doc = generator_to_document(dephasing_generator(0.5))
         doc["jumps"][0]["rate"] = rate

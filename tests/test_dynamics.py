@@ -53,9 +53,30 @@ from entroflow.dynamics import (
 from entroflow.linalg import LinalgError, dagger, hermitian_part
 from entroflow.sampling import random_full_rank_state, random_mixed_state
 
-from conftest import reference_maps
+from conftest import first_scipy_use, fresh_interpreter, reference_maps
 
 DAMPING_RATE_AT_ONE = -0.19914228500721254  # e^-1 log(e^-1 / (1 - e^-1))
+
+
+@pytest.mark.parametrize("case", ["constant", "time_dependent", "sandwich"])
+def test_scipy_loads_on_first_use(case, tmp_path):
+    # A fresh interpreter in which the case is the first user of scipy: the
+    # generator compiles through a lazy scipy.sparse import, the first map
+    # build rebinds dynamics.expm to scipy.linalg.expm (the name the
+    # benchmark's tracer wraps), and semigroup_sandwich imports expm itself.
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import scipy\n"
+            "from conftest import first_scipy_use\n"
+            "from entroflow import dynamics\n"
+            "assert not [m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg'))]\n"
+            "assert dynamics.expm.__module__ == 'entroflow.dynamics'\n"
+            "np.save(sys.argv[1], first_scipy_use(sys.argv[2]))\n"
+            "print(dynamics.expm is scipy.linalg.expm)\n")
+    path = tmp_path / "result.npy"
+    out = fresh_interpreter(code, str(path), case)
+    assert out.strip() == str(case != "sandwich")
+    assert np.array_equal(np.load(path), first_scipy_use(case))
 
 
 def random_qubit_generator(rng, dim=2, n_jumps=2):

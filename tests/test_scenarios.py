@@ -1,16 +1,10 @@
 import copy
 import csv
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-
-import entroflow
 
 from entroflow.channels import ChannelError, LindbladGenerator, bosonic_generator, thermal_state
 from entroflow.cli import main
@@ -28,6 +22,8 @@ from entroflow.scenarios import (
     run_config,
     validate_config,
 )
+
+from conftest import fresh_interpreter
 
 
 def test_check_result_coerces_numpy_bool_for_report_json():
@@ -70,17 +66,22 @@ def test_closed_form_roots_without_a_sign_change(monkeypatch):
     assert roots.shape == (0,)
 
 
-def test_package_import_leaves_scipy_optimize_out():
-    # A fresh interpreter: scipy.optimize costs about 0.3 s of start-up, and
-    # the package needs nothing from it.
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(entroflow.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")])}
-    code = ("import sys; import entroflow, entroflow.cli, entroflow.scenarios; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+def test_imports_and_closed_form_runs_leave_scipy_out(tmp_path):
+    # A fresh interpreter.  scipy.optimize, scipy.sparse and scipy.linalg
+    # cost most of a start-up: the package imports none of them, and the
+    # closed-form scenarios never load scipy.sparse or scipy.linalg.
+    code = ("import sys\n"
+            "def loaded(): return sorted(m for m in sys.modules\n"
+            "                            if m.startswith(('scipy.optimize', 'scipy.sparse', 'scipy.linalg')))\n"
+            "import entroflow, entroflow.cli, entroflow.scenarios\n"
+            "print(loaded())\n"
+            "from entroflow.scenarios import DEFAULT_CONFIGS, run_config\n"
+            "for name in sys.argv[2:]:\n"
+            "    assert all(c.passed for c in run_config(DEFAULT_CONFIGS[name], sys.argv[1]).checks)\n"
+            "print(loaded())\n")
+    out = fresh_interpreter(code, str(tmp_path), "fig1_gadc", "fig2_depolarizing",
+                            "appendixB_damping", "appendixB_oscillatory")
+    assert out.splitlines() == ["[]", "[]"]
 
 
 TRACE_TWO_STATE = [[[1.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [1.0, 0.0]]]
@@ -97,6 +98,10 @@ NAN_RATE_GENERATOR = {**QUTRIT_JUMP_GENERATOR, "jumps": [
     {"rate": {"type": "constant", "value": float("nan")}, "operator": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}
 NAN_HAMILTONIAN_GENERATOR = {**QUTRIT_HAMILTONIAN_GENERATOR,
                              "hamiltonian": [[[0.0, 0.0], [float("nan"), 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
+HUGE = 10**400  # a JSON integer too large for a float
+HUGE_STATE = [[[HUGE, 0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+HUGE_RATE_GENERATOR = {**QUTRIT_JUMP_GENERATOR, "jumps": [
+    {"rate": {"type": "constant", "value": HUGE}, "operator": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}
 
 
 @pytest.mark.parametrize("scenario, key, value", [
@@ -140,6 +145,9 @@ NAN_HAMILTONIAN_GENERATOR = {**QUTRIT_HAMILTONIAN_GENERATOR,
     ("fig1_gadc", "t_step", 1e-6),                        # 3,000,001 grid points
     ("gaussian_bounds", "n_points", 3000000),             # 3,000,000 grid points
     ("fig1_gadc", "t_step", 1e-9),                        # 3e9 points, 24 GB as a grid
+    pytest.param("fig1_gadc", "t_max", HUGE, id="fig1_gadc-t_max-huge"),  # beyond the float range
+    ("custom", "initial_state", HUGE_STATE),              # entry beyond the float range
+    ("custom", "generator", HUGE_RATE_GENERATOR),         # rate beyond the float range
 ])
 def test_bad_config_fails_in_validate(scenario, key, value, tmp_path):
     config = copy.deepcopy(DEFAULT_CONFIGS[scenario])
