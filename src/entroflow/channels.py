@@ -38,14 +38,11 @@ __all__ = [
     "CptpReport",
     "UnitalityTag",
     "UnitalityClass",
-    "compose",
     "is_cptp",
     "unitality_class",
-    "identity_channel",
     "unitary_channel",
     "depolarizing",
     "gadc",
-    "gadc_coherence",
     "dephasing_channel",
     "partial_trace_channel",
     "transpose_superoperator",
@@ -65,6 +62,11 @@ __all__ = [
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# Largest thermal mass (N/(N+1))^cutoff a truncated mode may drop.
+THERMAL_TAIL_ATOL = 1e-8
+# Largest population of the top Fock levels a tail guard trusts.
+TAIL_GUARD_BOUND = 1e-8
 
 
 class ChannelError(ValueError):
@@ -123,13 +125,6 @@ class SuperOperator:
         s4 = self.matrix.reshape(d_out, d_out, d_in, d_in)
         # J[(i,a),(j,b)] = <a| N(|i><j|) |b> = S[(a,b),(i,j)]
         return s4.transpose(2, 0, 3, 1).reshape(d_in * d_out, d_in * d_out)
-
-    def superoperator(self) -> "SuperOperator":
-        return self
-
-    @classmethod
-    def identity(cls, dim: int) -> "SuperOperator":
-        return cls(np.eye(dim * dim, dtype=complex), dim_in=dim, dim_out=dim)
 
 
 def apply_superoperators(matrices: np.ndarray, operators) -> np.ndarray:
@@ -255,13 +250,6 @@ class UnitalityClass:
         return self.tag in (UnitalityTag.UNITAL, UnitalityTag.STRICTLY_SUB_UNITAL)
 
 
-def compose(outer, inner):
-    """outer after inner.  Kraus-level when both are channels."""
-    if isinstance(outer, QuantumChannel) and isinstance(inner, QuantumChannel):
-        return outer.compose(inner)
-    return outer.superoperator().compose(inner)
-
-
 def is_cptp(channel_like, atol: float = 1e-8) -> CptpReport:
     """Check complete positivity (Choi PSD) and trace preservation."""
     choi = channel_like.choi()
@@ -301,10 +289,6 @@ def unitality_class(channel_like, atol: float = 1e-9) -> UnitalityClass:
 # ---------------------------------------------------------------------------
 # Builtin channels
 # ---------------------------------------------------------------------------
-
-def identity_channel(dim: int) -> QuantumChannel:
-    return QuantumChannel([np.eye(dim, dtype=complex)])
-
 
 def unitary_channel(u) -> QuantumChannel:
     u = np.asarray(u, dtype=complex)
@@ -364,11 +348,6 @@ def gadc(t: float, omega: float) -> QuantumChannel:
         sq * np.array([[0, 0], [sl, 0]], dtype=complex),
     ]
     return QuantumChannel(kraus)
-
-
-def gadc_coherence(t: float, omega: float) -> float:
-    """Population imbalance W_t = cos(2 omega t)(1 - e^{-t}) of the evolved I/2."""
-    return float(np.cos(2.0 * omega * t) * (1.0 - np.exp(-t)))
 
 
 def dephasing_channel(coherence: float) -> QuantumChannel:
@@ -481,7 +460,7 @@ class TailGuard:
     """Population bound on the top Fock levels of a truncated mode."""
 
     levels: int = 2
-    bound: float = 1e-8
+    bound: float = TAIL_GUARD_BOUND
 
     def check(self, state: np.ndarray):
         """Population of the top ``levels`` levels: a float for one state, an
@@ -830,13 +809,14 @@ def check_bosonic_rates(gamma_plus: float, gamma_minus: float) -> None:
         raise ChannelError("bosonic rates must be non-negative")
 
 
-def check_thermal_tail(mean_photons: float, cutoff: int, tail_atol: float = 1e-8) -> None:
+def check_thermal_tail(mean_photons: float, cutoff: int) -> None:
     """A non-negative mean photon number whose thermal tail beyond the
-    cutoff, (N/(N+1))^cutoff, stays within ``tail_atol`` (the vacuum has none)."""
+    cutoff, (N/(N+1))^cutoff, stays within ``THERMAL_TAIL_ATOL`` (the vacuum
+    has none)."""
     if mean_photons < 0:
         raise ChannelError("mean photon number must be non-negative")
     tail = (mean_photons / (mean_photons + 1.0))**cutoff if mean_photons > 0 else 0.0
-    if tail > tail_atol:
+    if tail > THERMAL_TAIL_ATOL:
         raise ChannelError(
             f"cutoff {cutoff} insufficient for N={mean_photons}: tail mass {tail:.3e}"
         )
@@ -848,14 +828,13 @@ def annihilation_operator(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
 
 
-def bosonic_generator(gamma_plus: float, gamma_minus: float, cutoff: int,
-                      tail_bound: float = 1e-8) -> LindbladGenerator:
+def bosonic_generator(gamma_plus: float, gamma_minus: float, cutoff: int) -> LindbladGenerator:
     """Phase-insensitive single-mode generator gamma_+ L_+ + gamma_- L_-.
 
     L_+ raises with the creation operator, L_- lowers with the annihilation
     operator.  The truncation breaks [a, a^dag] = I on the top level, so the
     generator carries a tail guard: propagation is trusted only while the
-    population of the top two levels stays below ``tail_bound``.
+    population of the top two levels stays below ``TAIL_GUARD_BOUND``.
     """
     check_bosonic_rates(gamma_plus, gamma_minus)
     a = annihilation_operator(cutoff)
@@ -864,17 +843,17 @@ def bosonic_generator(gamma_plus: float, gamma_minus: float, cutoff: int,
         JumpTerm(ConstantCoefficient(float(gamma_minus)), a),
     ]
     return LindbladGenerator(cutoff, jumps=jumps,
-                             tail_guard=TailGuard(levels=2, bound=tail_bound))
+                             tail_guard=TailGuard(levels=2, bound=TAIL_GUARD_BOUND))
 
 
-def thermal_state(mean_photons: float, cutoff: int, tail_atol: float = 1e-8) -> DensityMatrix:
+def thermal_state(mean_photons: float, cutoff: int) -> DensityMatrix:
     """Geometric Fock-diagonal state with the given mean photon number.
 
-    The truncated tail (N/(N+1))^cutoff must stay below ``tail_atol``;
+    The truncated tail (N/(N+1))^cutoff must stay below ``THERMAL_TAIL_ATOL``;
     otherwise the cutoff is declared insufficient.  The retained weights are
     renormalized.
     """
-    check_thermal_tail(mean_photons, cutoff, tail_atol)
+    check_thermal_tail(mean_photons, cutoff)
     if mean_photons == 0:
         probs = np.zeros(cutoff)
         probs[0] = 1.0

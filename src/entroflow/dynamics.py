@@ -77,6 +77,10 @@ __all__ = [
 
 TRACE_DOT_ATOL = 1e-9
 SUPPORT_DOT_ATOL = 1e-8
+# Step-count doublings an interval map may take before it is declared unconverged.
+MAX_MAP_DOUBLINGS = 14
+# Pure states sampled for a positivity counterexample when CP-divisibility fails.
+POSITIVITY_SAMPLES = 24
 
 
 class IntegrationError(RuntimeError):
@@ -310,19 +314,18 @@ def _spectra_at(states: np.ndarray, t: float) -> EigenSystem:
         raise IntegrationError(f"state at t={t:.6g} lost positivity: {exc}") from exc
 
 
-def _clean(raw: np.ndarray, t: float) -> tuple[np.ndarray, EigenSystem, np.ndarray]:
+def _renormalized(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Trace-renormalize a stack of exactly Hermitian matrices (a
-    :func:`hermitian_part`) and validate it with one eigh; returns it, its
-    spectra and the trace defects.  Divided by real traces the stack stays
-    exactly Hermitian, so it is not symmetrized again."""
+    :func:`hermitian_part`); returns it and the trace defects.  Divided by
+    real traces the stack stays exactly Hermitian, so it is not symmetrized
+    again."""
     tr = np.real(np.trace(raw, axis1=-2, axis2=-1))
-    states = raw / tr[:, None, None]
-    return states, _spectra_at(states, t), np.abs(tr - 1.0)
+    return raw / tr[:, None, None], np.abs(tr - 1.0)
 
 
 def _validated(states: np.ndarray, grid: np.ndarray) -> EigenSystem:
     """The spectra of the states (T, N, d, d) on the grid, from one eigh;
-    lost positivity names the first failing time, as :func:`_clean` does."""
+    lost positivity names the first failing time, as :func:`_spectra_at` does."""
     try:
         return _density_spectra(states)
     except LinalgError:
@@ -360,11 +363,18 @@ class _WholeStates:
 # apply: up to m = 25 one dense (N, m) x (m, m) apply took 3-8 us against
 # 6-14 us for the sparse product's dispatch (N = 1-16 states, on a 2-core
 # host), the two were level near m = 36-64, and the sparse one led at
-# m = 100.  The interval maps chain one such product per grid interval,
-# where RK4 takes at least seven, plus the maps' exponentials, so the limit
-# stands for them: every stack of a qubit, qutrit or d = 4 generator takes
-# them, and so does a Fock-diagonal stack of a phase-insensitive bosonic
-# generator (its m = d populations) at any cutoff.
+# m = 100.  Every stack of a qubit, qutrit or d = 4 generator takes the
+# interval maps, and so does a Fock-diagonal stack of a phase-insensitive
+# bosonic generator (its m = d populations) at any cutoff.  Past the limit
+# the maps win only for time-independent generators.  On one generic
+# invariant set, 41 grid points and N = 1 (2-core host), the maps against
+# RK4 took:
+# - time-independent: 0.008 vs 0.037 s at m = 64, 0.019 vs 0.077 s at
+#   m = 144 and 0.15 vs 0.39 s at m = 400;
+# - time-dependent: 0.37 vs 0.04 s at m = 64 and 17.8 vs 0.74 s at
+#   m = 400, since every interval builds and certifies its own CF4 maps.
+# The coherent union of a cutoff-40 mode (m = 1600) would also need a
+# 1600 x 1600 expm, about 4 s, for each distinct interval width.
 _DENSE_COORDINATES = 16
 
 
@@ -437,11 +447,11 @@ def propagate(generator: LindbladGenerator, states, grid,
         initial = require_hermitian(stack[None] if single else stack, name="initial state")
     except LinalgError as exc:
         raise IntegrationError(str(exc)) from exc
-    current, spectrum, defect = _clean(initial, float(grid[0]))
+    current, defect = _renormalized(initial)
     operator = _integration_operator(generator, current)
     intervals = _rk4_intervals if isinstance(operator, _WholeStates) else _map_intervals
     rho, dots, spectrum, defects, truncated_at = intervals(
-        operator, generator.tail_guard, grid, current, spectrum, defect,
+        operator, generator.tail_guard, grid, current, defect,
         error_target, max_refinements, on_tail_breach)
 
     if truncated_at is not None and len(rho) < 3:
@@ -461,13 +471,14 @@ def _stall_message(t0: float, t1: float, budget: float, max_refinements: int) ->
             f"no convergence to {budget:.1e} within {max_refinements} doublings")
 
 
-def _rk4_intervals(operator, guard, grid, current, spectrum, defect,
+def _rk4_intervals(operator, guard, grid, current, defect,
                    error_target, max_refinements, on_tail_breach):
     """:func:`propagate` by classical RK4 with step doubling, interval by
-    interval, from the cleaned initial stack ``current`` (N, d, d), its
-    spectra and trace defects.  Returns the states, their derivatives,
-    spectra and trace defects up to the last trusted grid point, and the
-    time of the tail breach that ended them (None).
+    interval, from the renormalized initial stack ``current`` (N, d, d) and
+    its trace defects.  Returns the states, their derivatives, spectra and
+    trace defects up to the last trusted grid point, and the time of the
+    tail breach that ended them (None).  Each state is validated by the eigh
+    that gives its spectra, the initial ones first.
 
     Each interval does its work once.  Every segment of interval k starts
     from the derivative L_{t_k}(rho_k) stored for grid point k, so the
@@ -499,6 +510,7 @@ def _rk4_intervals(operator, guard, grid, current, spectrum, defect,
         """The states at t1 from the coordinates y at t0, in ``substeps`` steps."""
         return hermitian_part(operator.states(_rk4_segment(operator, y, t0, t1, substeps, k1)))
 
+    spectrum = _spectra_at(current, float(grid[0]))
     y, k1 = store(0, float(grid[0]))
     substeps = 1
     length, truncated_at = len(grid), None
@@ -516,7 +528,8 @@ def _rk4_intervals(operator, guard, grid, current, spectrum, defect,
                 break
         else:
             raise IntegrationError(_stall_message(t0, t1, budget, max_refinements))
-        current, spectrum, defect = _clean(trial, t1)
+        current, defect = _renormalized(trial)
+        spectrum = _spectra_at(current, t1)
         if guard is not None:
             tails = guard.check(current)
             if np.any(tails > guard.bound):
@@ -624,7 +637,7 @@ def _regrow(operator, starts: np.ndarray, widths: np.ndarray, counts: np.ndarray
     return None
 
 
-def _map_intervals(operator, guard, grid, current, spectrum, defect,
+def _map_intervals(operator, guard, grid, current, defect,
                    error_target, max_refinements, on_tail_breach):
     """:func:`propagate` on a dense restriction by the maps of its grid
     intervals, with the arguments and results of :func:`_rk4_intervals`.
@@ -646,8 +659,8 @@ def _map_intervals(operator, guard, grid, current, spectrum, defect,
     coordinates; each state logs the trace defect its interval map left.
     The tail guard reads the population rows.  The states up to the first
     breach, that one included, are scattered to (T, N, d, d) and validated
-    with one eigh, the initial states among them (``spectrum`` is not read),
-    and the derivatives are one product with G(t_k).
+    with one eigh, the initial states among them, and the derivatives are
+    one product with G(t_k).
     """
     n_states, m = current.shape[0], len(operator.index)
     widths = np.diff(grid)
@@ -728,11 +741,12 @@ def _whole_space(generator: LindbladGenerator):
 
 
 def _certified_maps(operator, starts: np.ndarray, widths: np.ndarray, atol,
-                    steps: int = 1, max_doublings: int = 14) -> np.ndarray:
+                    steps: int = 1) -> np.ndarray:
     """The (K, m, m) row-convention maps of the intervals [starts, starts +
     widths] at once: exact exponentials for a time-independent generator,
-    else CF4 maps from ``steps`` steps, each interval doubling its count
-    until its n- and 2n-step maps agree entrywise within ``atol``."""
+    else CF4 maps from ``steps`` steps, each interval doubling its count, at
+    most ``MAX_MAP_DOUBLINGS`` times, until its n- and 2n-step maps agree
+    entrywise within ``atol``."""
     if operator.time_independent:
         maps, which = _width_maps(operator, widths)
         return maps[which]
@@ -740,26 +754,26 @@ def _certified_maps(operator, starts: np.ndarray, widths: np.ndarray, atol,
     coarse, fine = (_cf4_maps(operator, starts, widths, n) for n in (steps, 2 * steps))
     while (failing := ~(np.max(np.abs(fine - coarse), axis=(-2, -1)) <= atol)).any():
         stalled = _regrow(operator, starts, widths, counts, coarse, fine, failing,
-                          steps * 2 ** (max_doublings - 1))
+                          steps * 2 ** (MAX_MAP_DOUBLINGS - 1))
         if stalled is not None:
             raise IntegrationError("time-ordered product did not converge to "
                                    f"{np.broadcast_to(atol, widths.shape)[stalled]:.1e} "
-                                   f"within {max_doublings} doublings")
+                                   f"within {MAX_MAP_DOUBLINGS} doublings")
     return fine
 
 
 def intermediate_map(generator: LindbladGenerator, s: float, t: float,
-                     steps: int = 1, atol: float = 1e-8,
-                     max_doublings: int = 14) -> SuperOperator:
+                     steps: int = 1, atol: float = 1e-8) -> SuperOperator:
     """Propagator M_{t,s}: the one-interval case of :func:`_certified_maps`,
-    whose CF4 step count is doubled from ``steps``, at most ``max_doublings``
-    times, until the n- and 2n-step maps agree entrywise within ``atol``."""
+    whose CF4 step count is doubled from ``steps``, at most
+    ``MAX_MAP_DOUBLINGS`` times, until the n- and 2n-step maps agree
+    entrywise within ``atol``."""
     if not (np.isfinite(s) and np.isfinite(t)):
         raise IntegrationError("intermediate map needs finite times")
     if t < s:
         raise IntegrationError("intermediate map requires s <= t")
     maps = _certified_maps(_whole_space(generator), np.array([float(s)]), np.array([t - s]),
-                           atol, steps, max_doublings)
+                           atol, steps)
     return SuperOperator(maps[0].T)
 
 
@@ -858,16 +872,17 @@ class DivisibilityReport:
 
 
 def cp_divisibility_check(generator: LindbladGenerator, grid, atol: float = 1e-9,
-                          positivity_samples: int = 24, seed: int = 11) -> DivisibilityReport:
+                          seed: int = 11) -> DivisibilityReport:
     """Test every consecutive interval map for complete positivity.
 
     The verdict is ``cp_divisible`` when all interval Choi matrices are PSD
     and trace-preserving within tolerance, ``not_cp_divisible`` when some
-    interval map also breaks positivity on sampled pure states, and
-    ``p_divisible_only_undetermined`` when complete positivity fails but
-    positivity survives the sampling (the check never certifies
-    P-divisibility, it only reports that CP evidence failed without a
-    positivity counterexample).  Sampled rate signs are reported alongside.
+    interval map also breaks positivity on one of ``POSITIVITY_SAMPLES``
+    sampled pure states, and ``p_divisible_only_undetermined`` when complete
+    positivity fails but positivity survives the sampling (the check never
+    certifies P-divisibility, it only reports that CP evidence failed
+    without a positivity counterexample).  Sampled rate signs are reported
+    alongside.
     """
     grid = _checked_grid(grid)
     if len(grid) < 2:
@@ -889,7 +904,7 @@ def cp_divisibility_check(generator: LindbladGenerator, grid, atol: float = 1e-9
     else:
         rng = np.random.default_rng(seed)
         positive = True
-        for _ in range(positivity_samples):
+        for _ in range(POSITIVITY_SAMPLES):
             v = rng.normal(size=generator.dim) + 1j * rng.normal(size=generator.dim)
             v /= np.linalg.norm(v)
             out = worst_map.apply(np.outer(v, v.conj()))

@@ -39,7 +39,6 @@ __all__ = [
     "von_neumann_entropy",
     "relative_entropy",
     "schatten_norm",
-    "trace_distance",
     "partial_trace",
 ]
 
@@ -317,12 +316,11 @@ def von_neumann_entropy(rho) -> float:
     return float(spectral_decompose(rho).entropies())
 
 
-def relative_entropy(rho, sigma, support_atol: float = SUPPORT_LEAK_ATOL,
-                     tol: float = ZERO_EIGENVALUE_RTOL):
+def relative_entropy(rho, sigma, tol: float = ZERO_EIGENVALUE_RTOL):
     """Quantum relative entropy D(rho || sigma).
 
     Returns :data:`INFINITE_DIVERGENCE` when supp(rho) is not contained in
-    supp(sigma), detected as Tr{(1 - Pi_sigma) rho} > ``support_atol``;
+    supp(sigma), detected as Tr{(1 - Pi_sigma) rho} > ``SUPPORT_LEAK_ATOL``;
     otherwise sum_ij |<phi_i|psi_j>|^2 p_i (log p_i - log q_j) over the supports.
     """
     es_r = spectral_decompose(rho)
@@ -334,7 +332,7 @@ def relative_entropy(rho, sigma, support_atol: float = SUPPORT_LEAK_ATOL,
     p = es_r.eigenvalues[mask_r]
     q = es_s.eigenvalues[mask_s]
     overlaps = np.abs(dagger(es_r.eigenvectors[:, mask_r]) @ es_s.eigenvectors[:, mask_s]) ** 2
-    if float(np.sum(p * (1.0 - overlaps.sum(axis=1)))) > support_atol:
+    if float(np.sum(p * (1.0 - overlaps.sum(axis=1)))) > SUPPORT_LEAK_ATOL:
         return INFINITE_DIVERGENCE
     log_ratio = np.log(p)[:, None] - np.log(q)[None, :]
     return float(np.sum(overlaps * p[:, None] * log_ratio))
@@ -355,11 +353,6 @@ def schatten_norm(operator, p: float) -> float:
     if p == 1:
         return float(np.sum(singular_values))
     return float(np.sum(singular_values**p) ** (1.0 / p))
-
-
-def trace_distance(a, b) -> float:
-    """Half the trace norm of the difference."""
-    return 0.5 * schatten_norm(as_matrix(a) - as_matrix(b), 1)
 
 
 def partial_trace(rho_ab, dims: tuple[int, int], keep: str) -> DensityMatrix:

@@ -17,7 +17,9 @@ brackets the norm of a Hermiticity-preserving map M, lower <= norm <= upper:
   matrix of M: Y0 = Y1 = |J| satisfy [[Y0, -J], [-J, Y1]] >= 0.
 
 The ascent stops, skipping any remaining starts, as soon as
-upper - lower <= tol.
+upper - lower <= tol.  Inputs psi are plain unit amplitude arrays of shape
+(d^2,), psi = vec R with R indexed (reference, input); the bracket returns
+the best one as its ``maximizer``, at which ||T(psi)||_1 is ``lower``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .linalg import hermitian_part
 
 __all__ = [
     "NonUnitarityError",
-    "PureBipartiteState",
     "OslashResult",
     "oslash_norm",
     "oslash_depolarizing_analytic",
@@ -51,35 +52,6 @@ _MAX_EXTRAPOLATION = 64.0
 
 class NonUnitarityError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class PureBipartiteState:
-    """Unit vector on reference x input with equal local dimensions."""
-
-    amplitudes: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if v.size != self.dim**2:
-            raise NonUnitarityError(f"amplitude vector has length {v.size}, expected {self.dim**2}")
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-12:
-            raise NonUnitarityError(f"state norm {norm} deviates from 1")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "amplitudes", v)
-
-    @classmethod
-    def maximally_entangled(cls, dim: int) -> "PureBipartiteState":
-        v = np.eye(dim, dtype=complex).reshape(-1) / math.sqrt(dim)
-        return cls(v, dim)
-
-    @classmethod
-    def haar_random(cls, rng: np.random.Generator, dim: int) -> "PureBipartiteState":
-        v = rng.normal(size=dim**2) + 1j * rng.normal(size=dim**2)
-        return cls(v / np.linalg.norm(v), dim)
 
 
 def _difference_superoperator(channel: QuantumChannel) -> np.ndarray:
@@ -112,12 +84,14 @@ class OslashResult:
 
     ``value`` is the best seesaw value over the starts run, ``upper`` the
     Watrous dual bound; ``converged`` is true when the bracket closed within
-    ``tol`` or every start run stalled before the step cap.
+    ``tol`` or every start run stalled before the step cap.  ``maximizer``
+    is the unit (d^2,) amplitude vector psi on reference x input at which
+    ||(id (x) M)(|psi><psi|)||_1 = ``value``, the input that certifies it.
     """
 
     value: float
     upper: float
-    maximizer: PureBipartiteState
+    maximizer: np.ndarray
     starts: int
     per_start_values: tuple[float, ...]
     converged: bool
@@ -196,15 +170,15 @@ def _maximize_local_map(map_matrix: np.ndarray, dim: int, starts: int, tol: floa
     choi = _choi_tensor(map_matrix, dim)
     upper = _dual_upper_bound(choi, dim)
     rng = np.random.default_rng(seed)
-    start = PureBipartiteState.maximally_entangled(dim)
+    start = np.eye(dim, dtype=complex).reshape(-1) / math.sqrt(dim)  # maximally entangled
     values: list[float] = []
-    best, best_psi = -math.inf, start.amplitudes
+    best, best_psi = -math.inf, start
     all_stalled = True
     for k in range(starts):
-        if k:
-            start = PureBipartiteState.haar_random(rng, dim)
-        value, psi, stalled = _seesaw(choi, start.amplitudes, dim, upper - tol,
-                                      _STALL_FRACTION * tol)
+        if k:  # Haar-random
+            start = rng.normal(size=dim**2) + 1j * rng.normal(size=dim**2)
+            start /= np.linalg.norm(start)
+        value, psi, stalled = _seesaw(choi, start, dim, upper - tol, _STALL_FRACTION * tol)
         values.append(value)
         all_stalled = all_stalled and stalled
         if value > best:
@@ -214,7 +188,7 @@ def _maximize_local_map(map_matrix: np.ndarray, dim: int, starts: int, tol: floa
     return OslashResult(
         value=best,
         upper=upper,
-        maximizer=PureBipartiteState(best_psi / np.linalg.norm(best_psi), dim),
+        maximizer=best_psi / np.linalg.norm(best_psi),
         starts=len(values),
         per_start_values=tuple(values),
         converged=all_stalled or upper - best <= tol,

@@ -71,6 +71,9 @@ class ScenarioError(ValueError):
 
 
 MAX_GRID_POINTS = 100_000  # the largest default grid, fig1_gadc's, has 3,001
+MAX_CUTOFF = 400           # Fock levels; the CI runs 120, the default 40
+MAX_SAMPLES = 10_000       # sampled states, pairs or optimizer starts
+MAX_DEPOLARIZING_DIM = 16  # fig2_depolarizing's dimensions; the defaults are 2 and 3
 
 
 def _is_int(value) -> bool:
@@ -87,30 +90,37 @@ _JSON_TYPES = {
 
 @dataclass(frozen=True)
 class Param:
-    """One scenario parameter: default, doc and range (>= low, > low if strict).
+    """One scenario parameter: default, doc and range (>= low, > low if
+    strict; <= high).
 
     The JSON type comes from the default: an integer default takes integers
     only, a float default any finite number, a list or dict default the same
-    container; ``bool`` is never a number.  Ranges a package helper already
-    checks (Fock cutoff, thermal occupation, bosonic rates) get no ``low``:
-    the scenario's ``check`` calls that helper, so a bad value is reported
-    once, in the run's own words, and no generator is built.
+    container; ``bool`` is never a number.  Every integer parameter has a
+    ``high``, so that no count reaches numpy or a float power unbounded.
+    Ranges a package helper already checks (Fock cutoff, thermal occupation,
+    bosonic rates) get no ``low``: the scenario's ``check`` calls that
+    helper, so a bad value is reported once, in the run's own words, and no
+    generator is built.
     """
 
     default: object
     doc: str
     low: float | None = None
     strict: bool = False
+    high: int | None = None
 
     @property
     def spec(self) -> str:
-        """The JSON type and range, as in ``number > 0``."""
+        """The JSON type and range, as in ``number > 0`` or ``integer >= 1, <= 10000``."""
         kind = _JSON_TYPES[type(self.default)][0]
-        return kind if self.low is None else f"{kind} {'>' if self.strict else '>='} {self.low:g}"
+        bounds = [] if self.low is None else [f"{'>' if self.strict else '>='} {self.low:g}"]
+        bounds += [] if self.high is None else [f"<= {self.high}"]
+        return f"{kind} {', '.join(bounds)}" if bounds else kind
 
     def problems(self, name: str, value) -> list[str]:
-        ok = _JSON_TYPES[type(self.default)][1](value) and (
-            self.low is None or value > self.low or (value == self.low and not self.strict))
+        ok = (_JSON_TYPES[type(self.default)][1](value)
+              and (self.low is None or value > self.low or (value == self.low and not self.strict))
+              and (self.high is None or value <= self.high))
         return [] if ok else [f"{name}: expected {self.spec}, got {value!r}"]
 
 
@@ -274,8 +284,9 @@ def _check_fig2_depolarizing(params: dict) -> list[str]:
     points = [] if problems else _depolarizing_points(params)
     if not (problems or points):
         return ["q_values and extra_points are both empty: no (d, q) point to compute"]
-    return problems + [f"point (d={d}, q={q}) out of range: d >= 2 and 0 <= q <= d^2/(d^2-1)"
-                       for d, q in points if d < 2 or not 0.0 <= q <= d**2 / (d**2 - 1)]
+    return problems + [f"point (d={d}, q={q}) out of range: 2 <= d <= {MAX_DEPOLARIZING_DIM} "
+                       f"and 0 <= q <= d^2/(d^2-1)" for d, q in points
+                       if not 2 <= d <= MAX_DEPOLARIZING_DIM or not 0.0 <= q <= d**2 / (d**2 - 1)]
 
 
 def run_fig2_depolarizing(params: dict, outdir: Path, seed: int) -> tuple[list[CheckResult], list[str]]:
@@ -590,12 +601,14 @@ SCENARIOS = {
         "runner": run_fig2_depolarizing, "check": _check_fig2_depolarizing,
         "description": "Non-unitarity norm of depolarizing channels vs the closed form",
         "parameters": {
-            "d": Param(2, "input dimension of q_values", low=2),
+            "d": Param(2, "input dimension of q_values", low=2, high=MAX_DEPOLARIZING_DIM),
             "q_values": Param([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7,
                                0.8, 0.9, 1.0, 1.1, 1.2, 1.3],
                               "depolarizing parameters q in [0, d^2/(d^2-1)]"),
-            "extra_points": Param([[3, 0.5], [3, 1.0]], "extra [d, q] pairs"),
-            "starts": Param(32, "optimizer starts per point; fewer once the bracket closes", low=1),
+            "extra_points": Param([[3, 0.5], [3, 1.0]],
+                                  f"extra [d, q] pairs, 2 <= d <= {MAX_DEPOLARIZING_DIM}"),
+            "starts": Param(32, "optimizer starts per point; fewer once the bracket closes",
+                            low=1, high=MAX_SAMPLES),
             "tol": Param(1e-3, "allowed |numeric - analytic|", low=0),
         },
     },
@@ -605,7 +618,7 @@ SCENARIOS = {
         "parameters": {
             "t_min": Param(1e-3, "first grid time, past the t = 0 rank jump", low=0, strict=True),
             "t_max": Param(3.0, "last grid time", low=0, strict=True),
-            "n_points": Param(120, "grid size", low=2),
+            "n_points": Param(120, "grid size", low=2, high=MAX_GRID_POINTS),
             "fd_h": Param(1e-4, "finite-difference step", low=0, strict=True),
             "tol": Param(1e-6, "allowed |rate - finite difference|", low=0, strict=True),
         },
@@ -615,7 +628,8 @@ SCENARIOS = {
         "description": "Entropy rate vs finite differences for the oscillatory trajectory",
         "parameters": {
             "t_max": Param(3.0, "last grid time", low=0, strict=True),
-            "n_points": Param(160, "grid size before rank-change trimming", low=2),
+            "n_points": Param(160, "grid size before rank-change trimming", low=2,
+                              high=MAX_GRID_POINTS),
             "margin": Param(1e-3, "excluded neighborhood of rank changes", low=0, strict=True),
             "fd_h": Param(1e-4, "finite-difference step", low=0, strict=True),
             "tol": Param(1e-6, "allowed |rate - finite difference|", low=0, strict=True),
@@ -626,9 +640,9 @@ SCENARIOS = {
         "description": "Rate lower limits gamma_+ - gamma_- for truncated bosonic dynamics",
         "parameters": {
             "mean_photons": Param(0.2, "thermal occupation of the initial state, at least 0"),
-            "cutoff": Param(40, "Fock-space truncation, at least 2"),
+            "cutoff": Param(40, "Fock-space truncation, at least 2", high=MAX_CUTOFF),
             "t_max": Param(5.0, "end of the time window", low=0, strict=True),
-            "n_points": Param(101, "grid size", low=2),
+            "n_points": Param(101, "grid size", low=2, high=MAX_GRID_POINTS),
             "rate_tol": Param(1e-6, "slack for rate >= bound", low=0),
             "bound_tol": Param(1e-6, "slack for bound = gamma_+ - gamma_-", low=0),
             "dynamics": Param({"amplifier": {"gamma_plus": 1.2, "gamma_minus": 0.2},
@@ -648,9 +662,10 @@ SCENARIOS = {
             "frequency": Param(2.0, "cosine frequency of the oscillating rate", low=0, strict=True),
             "t_max": Param(3.0, "end of the time window", low=0, strict=True),
             "t_step": Param(4e-3, "grid spacing", low=0, strict=True),
-            "n_random": Param(16, "random states in the sampler", low=0),
-            "bloch_points": Param(48, "Bloch-grid size in the sampler", low=0),
-            "n_pairs": Param(64, "state pairs for the trace-distance baseline", low=1),
+            "n_random": Param(16, "random states in the sampler", low=0, high=MAX_SAMPLES),
+            "bloch_points": Param(48, "Bloch-grid size in the sampler", low=0, high=MAX_SAMPLES),
+            "n_pairs": Param(64, "state pairs for the trace-distance baseline", low=1,
+                             high=MAX_SAMPLES),
             "measure_tol": Param(1e-5, "allowed |measure_generator - measure_channel|", low=0),
         },
     },
@@ -666,7 +681,7 @@ SCENARIOS = {
             "initial_state": Param([[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]],
                                    "matrix document of the initial state, generator-sized"),
             "t_max": Param(2.0, "end of the time window", low=0, strict=True),
-            "n_points": Param(101, "grid size", low=2),
+            "n_points": Param(101, "grid size", low=2, high=MAX_GRID_POINTS),
         },
     },
 }

@@ -1,15 +1,15 @@
-"""Serialization of channels and generators to nested key-value documents.
+"""Generator and matrix documents: the nested key-value form in which a
+scenario config carries a Lindblad generator and an initial state.
 
-Documents are plain dicts written as JSON.  Complex matrix entries are
-encoded as [re, im] pairs and dimensions are explicit.  Rates round-trip
-bit-exactly because JSON float text uses repr, which is lossless for IEEE
-doubles; only the named builtin coefficient families (constant,
-cosine-squared, exponential) are serializable.
+Documents are plain dicts and lists, read and written as JSON by the
+caller.  A matrix document is a list of rows of [re, im] pairs; a generator
+document gives its dimension explicitly.  Rates round-trip bit-exactly
+because JSON float text uses repr, which is lossless for IEEE doubles; only
+the named builtin coefficient families (constant, cosine-squared,
+exponential) are serializable.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .channels import (
     ExponentialCoefficient,
     JumpTerm,
     LindbladGenerator,
-    QuantumChannel,
     TailGuard,
 )
 
@@ -28,12 +27,8 @@ __all__ = [
     "SerializationError",
     "matrix_to_document",
     "matrix_from_document",
-    "channel_to_document",
-    "channel_from_document",
     "generator_to_document",
     "generator_from_document",
-    "dump",
-    "load",
 ]
 
 
@@ -110,25 +105,6 @@ def _rate_from_document(doc: dict):
     raise SerializationError(f"unknown rate tag {kind!r}")
 
 
-def channel_to_document(channel: QuantumChannel) -> dict:
-    return {
-        "kind": "quantum_channel",
-        "dim_in": channel.dim_in,
-        "dim_out": channel.dim_out,
-        "kraus": [matrix_to_document(k) for k in channel.kraus],
-    }
-
-
-def channel_from_document(doc: dict) -> QuantumChannel:
-    if doc.get("kind") != "quantum_channel":
-        raise SerializationError(f"not a channel document: kind={doc.get('kind')!r}")
-    kraus = [matrix_from_document(k) for k in doc["kraus"]]
-    channel = QuantumChannel(kraus)
-    if channel.dim_in != doc["dim_in"] or channel.dim_out != doc["dim_out"]:
-        raise SerializationError("declared dimensions disagree with Kraus shapes")
-    return channel
-
-
 def generator_to_document(generator: LindbladGenerator) -> dict:
     if generator.hamiltonian is None:
         hamiltonian = None
@@ -172,31 +148,3 @@ def generator_from_document(doc: dict) -> LindbladGenerator:
     tail_guard = TailGuard(levels=_field(guard, "levels", "tail_guard"),
                            bound=_field(guard, "bound", "tail_guard")) if guard else None
     return LindbladGenerator(dim, hamiltonian=hamiltonian, jumps=jumps, tail_guard=tail_guard)
-
-
-def to_document(obj) -> dict:
-    if isinstance(obj, QuantumChannel):
-        return channel_to_document(obj)
-    if isinstance(obj, LindbladGenerator):
-        return generator_to_document(obj)
-    raise SerializationError(f"cannot serialize {type(obj).__name__}")
-
-
-def from_document(doc: dict):
-    kind = doc.get("kind")
-    if kind == "quantum_channel":
-        return channel_from_document(doc)
-    if kind == "lindblad_generator":
-        return generator_from_document(doc)
-    raise SerializationError(f"unknown document kind {kind!r}")
-
-
-def dump(obj, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_document(obj), fh, indent=1)
-        fh.write("\n")
-
-
-def load(path):
-    with open(path) as fh:
-        return from_document(json.load(fh))

@@ -20,7 +20,6 @@ from ._util import write_csv
 from .channels import (
     LindbladGenerator,
     QuantumChannel,
-    SuperOperator,
     apply_superoperators,
     unitality_class,
 )
@@ -80,6 +79,8 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 EPS_WITNESS = 1e-7       # violation threshold for the rate tests
 EPS_TEST_C = 1e-6        # mismatch threshold for the derivative-consistency test
 RANK_CHANGE_MARGIN = 1e-3
+BISECT_ATOL = 1e-6       # width at which a violation window's boundary is located
+UNITARY_SATURATION_ATOL = 1e-8  # |Delta S - bound| allowed for a unitary interaction
 
 
 class WitnessError(ValueError):
@@ -141,28 +142,20 @@ def entropy_change_upper_bound_holder(channel: QuantumChannel, rho) -> float:
 # Rate bound and non-unitality witness
 # ---------------------------------------------------------------------------
 
-def _pinned_adjoint_traces(generator, times, states: np.ndarray,
+def _pinned_adjoint_traces(generator: LindbladGenerator, times, states: np.ndarray,
                            spectrum: EigenSystem) -> np.ndarray:
     """Tr{Pi L_t^dag(rho)} for states (T, ..., d, d) with their spectra at
-    times (T,), for a structural generator or a superoperator: the
-    expectations of L_t^dag(rho) summed over the supports."""
-    if isinstance(generator, LindbladGenerator):
-        images = generator.adjoint_apply(np.asarray(times, dtype=float), states)
-    elif isinstance(generator, SuperOperator):  # M^dag vec(x), as the row vec(x)^T conj(M)
-        flat = states.reshape(states.shape[:-2] + (-1,))
-        images = (flat @ generator.matrix.conj()).reshape(states.shape)
-    else:
-        raise WitnessError(f"unsupported generator type {type(generator).__name__}")
-    return spectrum.support_traces(images)
+    times (T,): the expectations of L_t^dag(rho) summed over the supports."""
+    return spectrum.support_traces(generator.adjoint_apply(np.asarray(times, dtype=float), states))
 
 
-def _pinned_adjoint_trace(generator, t: float, rho) -> float:
+def _pinned_adjoint_trace(generator: LindbladGenerator, t: float, rho) -> float:
     """Tr{Pi_rho L_t^dag(rho)}: the one-state case of :func:`_pinned_adjoint_traces`."""
     spectrum = spectral_decompose(rho)
     return float(_pinned_adjoint_traces(generator, [t], as_matrix(rho)[None], spectrum[None])[0])
 
 
-def nonunitality_witness(generator, t: float, rho) -> float:
+def nonunitality_witness(generator: LindbladGenerator, t: float, rho) -> float:
     """Tr{Pi_t L_t^dag(rho_t)}.
 
     Zero for unital dynamics at full-rank states, where Pi = I and
@@ -172,7 +165,7 @@ def nonunitality_witness(generator, t: float, rho) -> float:
     return _pinned_adjoint_trace(generator, t, rho)
 
 
-def theorem2_bound(generator, t: float, rho) -> float:
+def theorem2_bound(generator: LindbladGenerator, t: float, rho) -> float:
     """-Tr{Pi_t L_t^dag(rho_t)}: the CP-divisible lower limit on dS/dt."""
     return -_pinned_adjoint_trace(generator, t, rho)
 
@@ -320,16 +313,16 @@ class MeasureResult:
 
 
 def _violation_integrals(grid: np.ndarray, values: np.ndarray, threshold: float,
-                         evaluate, excluded: np.ndarray, bisect_atol: float = 1e-6) -> np.ndarray:
+                         evaluate, excluded: np.ndarray) -> np.ndarray:
     """Integral of |v| over {v < -threshold} by trapezoid rule, per column
     of the (T, N) values.
 
     Interval endpoints where the violation switches on or off are refined
     by bisection on ``evaluate(columns, times)``, the witness off the grid
-    for each (column, time) pair; every window boundary is halved in the
-    same call.  Grid points under the exclusion mask are treated as
-    non-violating; with the default margins this only trims rank-change
-    neighborhoods whose true violation mass is zero.
+    for each (column, time) pair, to ``BISECT_ATOL``; every window boundary
+    is halved in the same call.  Grid points under the exclusion mask are
+    treated as non-violating; with ``RANK_CHANGE_MARGIN`` this only trims
+    rank-change neighborhoods whose true violation mass is zero.
     """
     violating = (values < -threshold) & ~excluded
     a, b = violating[:-1], violating[1:]
@@ -341,29 +334,29 @@ def _violation_integrals(grid: np.ndarray, values: np.ndarray, threshold: float,
         t0, t1 = grid[ks], grid[ks + 1]
         lo, hi = t0.copy(), t1.copy()
         below_lo = v0[ks, ns] < -threshold
-        active = hi - lo > bisect_atol
+        active = hi - lo > BISECT_ATOL
         while active.any():  # root of v(t) = -threshold inside [t0, t1]
             mid = 0.5 * (lo + hi)
             keep_lo = (evaluate(ns[active], mid[active]) < -threshold) == below_lo[active]
             lo[active] = np.where(keep_lo, mid[active], lo[active])
             hi[active] = np.where(keep_lo, hi[active], mid[active])
-            active = hi - lo > bisect_atol
+            active = hi - lo > BISECT_ATOL
         t_star = np.clip(0.5 * (lo + hi), t0, t1)
         np.add.at(totals, ns, np.where(a[ks, ns], 0.5 * (-v0[ks, ns] + threshold) * (t_star - t0),
                                        0.5 * (threshold - v1[ks, ns]) * (t1 - t_star)))
     return totals
 
 
-def _measure(state_sampler, grid, trajectories, values, evaluate,
-             eps_w: float, rank_margin: float) -> MeasureResult:
+def _measure(state_sampler, grid, trajectories, values, evaluate) -> MeasureResult:
     """Max over sampled initial states of the integrated violation of a witness.
 
     ``trajectories(states, grid)`` gives one stacked (T, N, d, d) trajectory
     of all N sampled states, ``values(traj)`` the witness on the grid as a
     (T, N) array, and ``evaluate(states, traj, columns, times)`` the witness
     off the grid for (state, time) pairs, for the bisection that refines the
-    window boundaries.  Grid points within ``rank_margin`` of a rank change
-    of a state are excluded for that state, and so is the grid point just
+    window boundaries.  A grid point counts where the witness is below
+    -``EPS_WITNESS``.  Grid points within ``RANK_CHANGE_MARGIN`` of a rank
+    change of a state are excluded for that state, and so is the grid point just
     before each change (:meth:`Trajectory.rank_jump_rows`, read as (T, N)).
     """
     states = list(state_sampler)
@@ -371,9 +364,9 @@ def _measure(state_sampler, grid, trajectories, values, evaluate,
         raise WitnessError("state sampler yielded no states")
     grid = np.asarray(grid, dtype=float)
     traj = trajectories(states, grid)
-    integrals = _violation_integrals(grid, values(traj), eps_w,
+    integrals = _violation_integrals(grid, values(traj), EPS_WITNESS,
                                      lambda ns, ts: evaluate(states, traj, ns, ts),
-                                     traj.rank_jump_rows(rank_margin))
+                                     traj.rank_jump_rows(RANK_CHANGE_MARGIN))
     best = int(np.argmax(integrals))
     return MeasureResult(value=float(integrals[best]), argmax_state=states[best],
                          samples_used=len(states), sample_values=tuple(map(float, integrals)))
@@ -386,14 +379,13 @@ def _generator_witness(generator: LindbladGenerator, times, states: np.ndarray, 
     return entropy_rate(spectrum, dots) + _pinned_adjoint_traces(generator, times, states, spectrum)
 
 
-def measure_generator(generator: LindbladGenerator, state_sampler, grid,
-                      eps_w: float = EPS_WITNESS,
-                      rank_margin: float = RANK_CHANGE_MARGIN) -> MeasureResult:
+def measure_generator(generator: LindbladGenerator, state_sampler, grid) -> MeasureResult:
     """Max over initial states of the integrated Theorem-2 violation.
 
     The whole sampler is propagated as one stack, and for each sampled rho_0
     |dS/dt + Tr{Pi L^dag rho}| is integrated over the times where it is below
-    -eps_w, with bisection refinement of the window boundaries.
+    -``EPS_WITNESS``, with bisection refinement of the window boundaries;
+    grid points within ``RANK_CHANGE_MARGIN`` of a rank change are excluded.
     """
     def values(traj: Trajectory) -> np.ndarray:
         return _generator_witness(generator, traj.grid, traj.entries, traj.derivatives,
@@ -405,13 +397,13 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid,
                                   spectral_decompose(off_grid))
 
     return _measure(state_sampler, grid, lambda states, g: propagate(generator, states, g),
-                    values, evaluate, eps_w, rank_margin)
+                    values, evaluate)
 
 
-def measure_channel(family: ChannelFamily, state_sampler, grid,
-                    eps_w: float = EPS_WITNESS,
-                    rank_margin: float = RANK_CHANGE_MARGIN) -> MeasureResult:
-    """Max over initial states of the integrated negative part of f(t)."""
+def measure_channel(family: ChannelFamily, state_sampler, grid) -> MeasureResult:
+    """Max over initial states of the integrated negative part of f(t): as
+    :func:`measure_generator`, with f in place of the Theorem-2 witness and
+    the same ``EPS_WITNESS`` and ``RANK_CHANGE_MARGIN``."""
     def values(traj: Trajectory) -> np.ndarray:
         rates, eps_terms = _f_parts(family, traj.grid, traj.entries, traj.derivatives,
                                     traj.spectrum)
@@ -422,7 +414,7 @@ def measure_channel(family: ChannelFamily, state_sampler, grid,
         rates, eps_terms = _f_parts(family, ts, *family.evolve(starts, ts))
         return (rates + eps_terms)[:, 0]
 
-    return _measure(state_sampler, grid, family.trajectories, values, evaluate, eps_w, rank_margin)
+    return _measure(state_sampler, grid, family.trajectories, values, evaluate)
 
 
 def blp_measure(family: ChannelFamily, pair_sampler, grid) -> float:
@@ -533,13 +525,12 @@ def pinsker_gap(channel: QuantumChannel, rho, slack: float = 1e-10) -> PinskerGa
 
 
 def environment_simulation_bound(interaction: QuantumChannel, theta_c, rho_a,
-                                 slack: float = 1e-9,
-                                 equality_slack: float = 1e-8) -> tuple[float, float]:
+                                 slack: float = 1e-9) -> tuple[float, float]:
     """Entropy-change bound for E(rho_A) = F(rho_A (x) theta_C).
 
     Returns (Delta S, S(theta_C) + D(rho_A (x) theta_C || F^dag F(...))) and
     checks Delta S >= bound - slack.  When F is a single-Kraus unitary
-    interaction the two sides must agree within ``equality_slack``.
+    interaction the two sides must agree within ``UNITARY_SATURATION_ATOL``.
     """
     a = as_matrix(rho_a)
     c = as_matrix(theta_c)
@@ -560,7 +551,7 @@ def environment_simulation_bound(interaction: QuantumChannel, theta_c, rho_a,
     if len(interaction.kraus) == 1:
         k = interaction.kraus[0]
         if np.max(np.abs(dagger(k) @ k - np.eye(interaction.dim_in))) < 1e-10:
-            if abs(delta_s - bound) > equality_slack:
+            if abs(delta_s - bound) > UNITARY_SATURATION_ATOL:
                 raise WitnessError(
                     f"unitary interaction should saturate the bound: "
                     f"{delta_s} vs {bound}"

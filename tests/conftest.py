@@ -48,17 +48,19 @@ def brute_force_partial_trace(rho: np.ndarray, dims, keep: str) -> np.ndarray:
 
 
 def reference_maps(family):
-    """M_{t,0} and M_{t+eps,t} of a channel family as two callables giving map
-    objects, built without the family's stacks: :func:`gadc` for GADC (whose
-    step is the channel at time eps), :func:`dephasing_channel` for dephasing,
-    or the diagonal SuperOperator where its coherence factor exceeds 1, and
-    :func:`intermediate_map` for a generator."""
+    """M_{t,0} and M_{t+eps,t} of a channel family as two callables giving
+    SuperOperators, built without the family's stacks: from :func:`gadc` for
+    GADC (whose step is the channel at time eps), from
+    :func:`dephasing_channel` for dephasing, or the diagonal matrix where its
+    coherence factor exceeds 1, and :func:`intermediate_map` for a generator."""
     if isinstance(family, GadcFamily):
-        return (lambda t: gadc(t, family.omega)), (lambda t, eps: gadc(eps, family.omega))
+        return ((lambda t: gadc(t, family.omega).superoperator()),
+                (lambda t, eps: gadc(eps, family.omega).superoperator()))
     if isinstance(family, DephasingFamily):
         def coherence_map(s, t):
             c = float(np.exp(family.gamma_integral(s) - family.gamma_integral(t)))
-            return dephasing_channel(c) if c <= 1.0 else SuperOperator(np.diag([1.0, c, c, 1.0]))
+            return dephasing_channel(c).superoperator() if c <= 1.0 \
+                else SuperOperator(np.diag([1.0, c, c, 1.0]))
         return (lambda t: coherence_map(0.0, t)), (lambda t, eps: coherence_map(t, t + eps))
 
     def interval_map(s, t):

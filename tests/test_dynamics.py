@@ -777,7 +777,7 @@ class TestChannelFamilies:
         # there and the interval map amplifies coherences: no Kraus form exists.
         fam = DephasingFamily(lambda t: 0.5 * t + 0.5 * np.sin(2.0 * t))
         _, step_map = reference_maps(fam)
-        step = step_map(1.5, 1e-3).superoperator()
+        step = step_map(1.5, 1e-3)
         c = np.exp(fam.gamma_integral(1.5) - fam.gamma_integral(1.5 + 1e-3))
         assert c > 1.0
         np.testing.assert_allclose(step.matrix, np.diag([1.0, c, c, 1.0]), rtol=1e-12)
@@ -807,12 +807,12 @@ class TestStackedFamilyMaps:
             # M_{t,0} is the ordered product of the maps between the times,
             # each certified to its share of map_atol over the span
             span = self.TIMES[-1]
-            reference = [SuperOperator.identity(2)]
+            reference = [SuperOperator(np.eye(4))]
             for s, t in zip(self.TIMES[:-1], self.TIMES[1:]):
                 step = intermediate_map(family.generator, s, t, atol=family.map_atol * (t - s) / span)
                 reference.append(step.compose(reference[-1]))
         else:
-            reference = [at(t).superoperator() for t in self.TIMES]
+            reference = [at(t) for t in self.TIMES]
         for m, expected in zip(stacked, reference):
             np.testing.assert_allclose(m, expected.matrix, rtol=0, atol=1e-14)
 
@@ -833,7 +833,7 @@ class TestStackedFamilyMaps:
         _, step = reference_maps(family)
 
         def quotient(e):
-            steps = np.stack([step(t, e).superoperator().matrix for t in self.TIMES])
+            steps = np.stack([step(t, e).matrix for t in self.TIMES])
             return (steps - np.eye(4)) / e
 
         generators = family.step_generators(self.TIMES)
@@ -1079,6 +1079,26 @@ class TestOneSpectrumPerState:
         start = np.diag([1.0 + 1e-7, -1e-7]).astype(complex)
         with pytest.raises(IntegrationError, match="t=0 lost positivity"):
             propagate(dephasing_generator(1.0), [start], np.linspace(0.0, 1.0, 3))
+
+    @pytest.mark.parametrize("case", ["lossy_mode", "qubit_stack"])
+    def test_dense_restriction_decomposes_the_initial_states_once(self, case, rng, monkeypatch):
+        # The interval maps validate every state, the initial ones among
+        # them, with one eigh at the end: propagate takes none before it.
+        if case == "lossy_mode":  # 16 populations, time-independent
+            generator, states = bosonic_generator(0.2, 1.2, 16), thermal_state(0.2, 16)
+        else:  # 4 states, time-dependent rate gamma(t) = 1 + cos(2t)/2
+            generator = oscillating_dephasing(base=1.0, amplitude=0.5)[0]
+            states = [random_mixed_state(rng, 2) for _ in range(4)]
+        grid = np.linspace(0.5, 3.5, 61)
+        calls = count_eig_calls(monkeypatch)
+        propagate(generator, states, grid)
+        assert calls.count("eigh") == 1
+        # A non-PSD initial state is still refused, at t0, by either path.
+        start = np.diag([1.0 + 1e-7, -1e-7] + [0.0] * (generator.dim - 2)).astype(complex)
+        for intervals in (dynamics._map_intervals, dynamics._rk4_intervals):
+            monkeypatch.setattr(dynamics, "_map_intervals", intervals)
+            with pytest.raises(IntegrationError, match=r"^state at t=0\.5 lost positivity: "):
+                propagate(generator, [start], grid)
 
 
 class TestExport:

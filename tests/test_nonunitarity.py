@@ -12,6 +12,7 @@ from entroflow import (
     proposition7_check,
     unitary_channel,
 )
+from entroflow.linalg import dagger, hermitian_part
 from entroflow.nonunitarity import NonUnitarityError
 from entroflow.sampling import random_mixed_unitary_channel, random_unitary
 
@@ -49,6 +50,35 @@ def test_bracket_holds_on_random_unital_channels(seed, d, n_unitaries):
     assert result.value <= result.upper + 1e-9
     assert result.gap == pytest.approx(result.upper - result.value)
     assert result.starts == len(result.per_start_values) <= STARTS
+
+
+def _assert_maximizer_certifies(channel: QuantumChannel, result) -> None:
+    """The maximizer is a unit vector psi on reference x input at which
+    ||(id (x) (id - N^dag N))(|psi><psi|)||_1, built from Kraus operators
+    alone, is the bracket's lower end."""
+    psi = result.maximizer
+    d = channel.dim_in
+    assert psi.shape == (d * d,)
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+    rho = np.outer(psi, psi.conj())
+    back_action = [np.kron(np.eye(d), dagger(b) @ a) for a in channel.kraus for b in channel.kraus]
+    out = rho - sum(k @ rho @ dagger(k) for k in back_action)
+    trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(hermitian_part(out)))))
+    assert trace_norm == pytest.approx(result.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("d, q", [(2, 0.0), (2, 0.7), (2, 1.3), (3, 0.5), (3, 1.0)])
+def test_maximizer_certifies_the_depolarizing_value(d, q):
+    # fig2_depolarizing's default points: q_values at d = 2, extra_points at d = 3
+    channel = depolarizing(d, q)
+    _assert_maximizer_certifies(channel, oslash_norm(channel, seed=7))
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=SEEDS)
+def test_maximizer_certifies_the_value_on_random_mixed_unitary_channels(seed):
+    channel = random_mixed_unitary_channel(np.random.default_rng(seed), 3, 3)
+    _assert_maximizer_certifies(channel, oslash_norm(channel, starts=STARTS, seed=seed))
 
 
 @settings(max_examples=12, deadline=None)

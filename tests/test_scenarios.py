@@ -148,6 +148,16 @@ HUGE_RATE_GENERATOR = {**QUTRIT_JUMP_GENERATOR, "jumps": [
     pytest.param("fig1_gadc", "t_max", HUGE, id="fig1_gadc-t_max-huge"),  # beyond the float range
     ("custom", "initial_state", HUGE_STATE),              # entry beyond the float range
     ("custom", "generator", HUGE_RATE_GENERATOR),         # rate beyond the float range
+    pytest.param("gaussian_bounds", "cutoff", HUGE, id="gaussian_bounds-cutoff-huge"),  # overflows the tail power
+    ("gaussian_bounds", "cutoff", 100_000_000),           # a 10^8-level mode
+    ("gaussian_bounds", "cutoff", 401),                   # one level past the cap
+    pytest.param("decoherence_measures", "n_random", HUGE, id="decoherence_measures-n_random-huge"),
+    ("decoherence_measures", "bloch_points", 10_001),     # one sample past the cap
+    ("decoherence_measures", "n_pairs", 10_001),          # one pair past the cap
+    ("fig2_depolarizing", "starts", 10_001),              # one start past the cap
+    ("fig2_depolarizing", "d", 17),                       # one dimension past the cap
+    ("fig2_depolarizing", "extra_points", [[17, 0.5]]),   # the same d as an extra point
+    ("fig2_depolarizing", "extra_points", [[HUGE, 0.5]]),  # d beyond the float range
 ])
 def test_bad_config_fails_in_validate(scenario, key, value, tmp_path):
     config = copy.deepcopy(DEFAULT_CONFIGS[scenario])
@@ -156,6 +166,17 @@ def test_bad_config_fails_in_validate(scenario, key, value, tmp_path):
     status = main(["run", "--scenario", scenario, "--param", f"{key}={json.dumps(value)}",
                    "--output-dir", str(tmp_path)])
     assert status == 2
+
+
+def test_every_integer_parameter_is_bounded():
+    for scenario, meta in SCENARIOS.items():
+        for name, param in meta["parameters"].items():
+            if type(param.default) is int:
+                assert param.high is not None, (scenario, name)
+                config = copy.deepcopy(DEFAULT_CONFIGS[scenario])
+                config["parameters"][name] = param.high + 1
+                assert validate_config(config) == [
+                    f"{name}: expected {param.spec}, got {param.high + 1}"], (scenario, name)
 
 
 @pytest.mark.parametrize("key, value, named", [

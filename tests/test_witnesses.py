@@ -107,14 +107,6 @@ def test_nonunitality_witness_vanishes_for_unital_generator_at_full_rank(generat
         assert abs(nonunitality_witness(generator, 0.0, rho)) <= 1e-12
 
 
-def test_theorem2_bound_reads_a_superoperator_generator(rng):
-    generator = LindbladGenerator(2, jumps=[JumpTerm(0.4, np.array([[0, 1], [0, 0]])),
-                                            JumpTerm(0.3, SIGMA_Z)])
-    for rho in (DensityMatrix.pure([1.0, 1j]), random_mixed_state(rng, 2)):
-        assert theorem2_bound(generator.superoperator(0.0), 0.0, rho) == pytest.approx(
-            theorem2_bound(generator, 0.0, rho), abs=1e-14)
-
-
 def test_nonunitality_witness_nonzero_for_unital_generator_at_pure_state():
     plus = DensityMatrix.pure(np.array([1.0, 1.0]))
     assert nonunitality_witness(dephasing_generator(1.0), 0.0, plus) == pytest.approx(-0.5)
