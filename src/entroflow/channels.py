@@ -45,7 +45,6 @@ __all__ = [
     "gadc",
     "dephasing_channel",
     "partial_trace_channel",
-    "transpose_superoperator",
     "ConstantCoefficient",
     "CosineSquaredCoefficient",
     "ExponentialCoefficient",
@@ -108,17 +107,6 @@ class SuperOperator:
         if a.shape != (self.dim_in, self.dim_in):
             raise ChannelError(f"input shape {a.shape} does not match dim {self.dim_in}")
         return _unvec(self.matrix @ _vec(a), self.dim_out)
-
-    def adjoint(self) -> "SuperOperator":
-        # Row stacking preserves the Hilbert-Schmidt inner product, so the
-        # adjoint map's matrix is the conjugate transpose.
-        return SuperOperator(dagger(self.matrix), dim_in=self.dim_out, dim_out=self.dim_in)
-
-    def compose(self, inner: "SuperOperator | QuantumChannel") -> "SuperOperator":
-        inner = inner.superoperator() if isinstance(inner, QuantumChannel) else inner
-        if inner.dim_out != self.dim_in:
-            raise ChannelError("dimension mismatch in composition")
-        return SuperOperator(self.matrix @ inner.matrix, dim_in=inner.dim_in, dim_out=self.dim_out)
 
     def choi(self) -> np.ndarray:
         d_in, d_out = self.dim_in, self.dim_out
@@ -373,15 +361,6 @@ def partial_trace_channel(dim_keep: int, dim_drop: int, keep: str = "B") -> Quan
     else:
         raise ChannelError("keep must be 'A' or 'B'")
     return QuantumChannel(kraus)
-
-
-def transpose_superoperator(dim: int) -> SuperOperator:
-    """Matrix transposition: the canonical positive map that is not CP."""
-    m = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            m[i * dim + j, j * dim + i] = 1.0
-    return SuperOperator(m, dim_in=dim, dim_out=dim)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,15 @@ eigendecomposition of the states, from which entropies, ranks and entropy
 rates are read as arrays.  One engine builds the commutator-free
 4th-order Magnus (CF4) maps of many intervals at once: ``propagate`` chains
 them when the stack lies in a dense restriction of the generator to its
-invariant sets (RK4 otherwise), and intermediate maps M_{t,s} are the same
-maps on the whole space.  Each interval doubles its own step count until
-its n- and 2n-step states, or maps, agree: the convergence certificate.  A
-channel family is its maps over a grid as (T, d^2, d^2) stacks, M_{t,0}
-and the exact limits d/dt M_{t,0} and K_t = d/d eps M_{t+eps,t} at
-eps = 0, each carrying a stack of initial states to (T, N, d, d) states in
-one product: no finite differences.
+invariant sets that is small (m <= 16) or time-independent (RK4
+otherwise), and intermediate maps M_{t,s} are the same maps on the whole
+space.  Each interval doubles its own step count until its n- and 2n-step
+states, or maps, agree: the convergence certificate.  A closed-form
+channel family (GADC, dephasing) is its maps over a grid as
+(T, d^2, d^2) stacks, M_{t,0} and the exact limits d/dt M_{t,0} and
+K_t = d/d eps M_{t+eps,t} at eps = 0, each carrying a stack of initial
+states to (T, N, d, d) states in one product: no finite differences.  A
+Lindblad generator needs no family: its K_t is L_t itself.
 
 ``scipy.linalg`` is imported by the first map build, which calls
 ``expm``, and ``scipy.sparse`` by the first
@@ -24,7 +26,6 @@ families (GADC, dephasing) need neither.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
@@ -67,7 +68,6 @@ __all__ = [
     "ChannelFamily",
     "GadcFamily",
     "DephasingFamily",
-    "GeneratorFamily",
     "damping_qubit_state",
     "oscillating_qubit_state",
     "damping_qubit_trajectory",
@@ -212,10 +212,11 @@ def states_off_grid(traj: Trajectory, columns, times) -> np.ndarray:
 
     Each state is integrated by RK4 in ``_OFF_GRID_STEPS`` substeps from the
     grid point nearest to its time, all of them together, each at its own
-    times, through the operator :func:`propagate` would pick for these
-    starts: the dense restriction to the invariant sets they touch when
-    those hold m <= max(d, 16) coordinates, as every qubit or qutrit stack
-    does, and the sparse generator otherwise.
+    times, through the operator :func:`propagate` picks for these starts,
+    whether or not it chains interval maps on it: the dense restriction to
+    the invariant sets they touch when those hold m <= max(d, 16)
+    coordinates, as every qubit or qutrit stack does, and the sparse
+    generator otherwise.
     """
     if traj.generator is None:
         raise IntegrationError("off-grid states need the trajectory's generator")
@@ -363,16 +364,21 @@ class _WholeStates:
 # apply: up to m = 25 one dense (N, m) x (m, m) apply took 3-8 us against
 # 6-14 us for the sparse product's dispatch (N = 1-16 states, on a 2-core
 # host), the two were level near m = 36-64, and the sparse one led at
-# m = 100.  Every stack of a qubit, qutrit or d = 4 generator takes the
-# interval maps, and so does a Fock-diagonal stack of a phase-insensitive
-# bosonic generator (its m = d populations) at any cutoff.  Past the limit
-# the maps win only for time-independent generators.  On one generic
-# invariant set, 41 grid points and N = 1 (2-core host), the maps against
-# RK4 took:
+# m = 100.  Within the limit every restriction takes the interval maps, as
+# every stack of a qubit, qutrit or d = 4 generator does.  Past it, as for
+# the m = d populations of a Fock-diagonal stack of a phase-insensitive
+# bosonic generator, the maps win only for time-independent generators; a
+# time-dependent restriction runs RK4 instead.  On one generic invariant
+# set, 41 grid points and N = 1 (2-core host), the maps against RK4 took:
 # - time-independent: 0.008 vs 0.037 s at m = 64, 0.019 vs 0.077 s at
 #   m = 144 and 0.15 vs 0.39 s at m = 400;
 # - time-dependent: 0.37 vs 0.04 s at m = 64 and 17.8 vs 0.74 s at
 #   m = 400, since every interval builds and certifies its own CF4 maps.
+# A thermal start (N = 0.2, rates 0.2 cos^2(t) up and 1.2 down, 101 points
+# on [0, 5]; warm runs, same host) took 0.30 s by the maps, 0.06 s by RK4 on
+# the restriction and 0.11 s by RK4 on the sparse generator at cutoff 40,
+# and 3.8, 0.21 and 0.62 s at cutoff 80; the states of the maps and of RK4
+# differ by at most 5.0e-10 entrywise.
 # The coherent union of a cutoff-40 mode (m = 1600) would also need a
 # 1600 x 1600 expm, about 4 s, for each distinct interval width.
 _DENSE_COORDINATES = 16
@@ -422,14 +428,18 @@ def propagate(generator: LindbladGenerator, states, grid,
     touches hold m <= max(d, 16) coordinates, as a Fock-diagonal start of a
     phase-insensitive bosonic generator does (its d populations) and every
     stack of a generator with d <= 4 does, the stack is propagated as
-    (N, m) coordinate rows by the m x m maps of the grid intervals, all
-    built at once (:func:`_map_intervals`): commutator-free 4th-order Magnus
-    steps, exact for a time-independent generator, whose maps are then one
-    exponential per interval width.  The rows are chained through the maps,
-    and the Hermitization, the renormalization, the tail guard and the
-    certificate read the rows; the states are scattered to (T, N, d, d)
-    once.  Any other generator or stack runs classical RK4 on the full
-    sparse ``apply``, interval by interval (:func:`_rk4_intervals`).
+    (N, m) coordinate rows.  When m <= 16 or the generator is
+    time-independent, the rows go through the m x m maps of the grid
+    intervals, all built at once (:func:`_map_intervals`): commutator-free
+    4th-order Magnus steps, exact for a time-independent generator, whose
+    maps are then one exponential per interval width.  The rows are chained
+    through the maps, and the Hermitization, the renormalization, the tail
+    guard and the certificate read the rows; the states are scattered to
+    (T, N, d, d) once.  Classical RK4 runs interval by interval
+    (:func:`_rk4_intervals`) on the rows of a time-dependent restriction
+    with m > 16, where every interval would build and certify its own maps
+    (``_DENSE_COORDINATES`` has the timings), and on the full sparse
+    ``apply`` for any other generator or stack.
 
     For generators carrying a tail guard, a population breach of any state
     either raises (``on_tail_breach="raise"``) or ends the whole stack at
@@ -449,8 +459,9 @@ def propagate(generator: LindbladGenerator, states, grid,
         raise IntegrationError(str(exc)) from exc
     current, defect = _renormalized(initial)
     operator = _integration_operator(generator, current)
-    intervals = _rk4_intervals if isinstance(operator, _WholeStates) else _map_intervals
-    rho, dots, spectrum, defects, truncated_at = intervals(
+    by_maps = not isinstance(operator, _WholeStates) and (
+        operator.time_independent or len(operator.index) <= _DENSE_COORDINATES)
+    rho, dots, spectrum, defects, truncated_at = (_map_intervals if by_maps else _rk4_intervals)(
         operator, generator.tail_guard, grid, current, defect,
         error_target, max_refinements, on_tail_breach)
 
@@ -670,9 +681,13 @@ def _map_intervals(operator, guard, grid, current, defect,
     def settle(maps: np.ndarray, which: np.ndarray, start: int):
         """Chain the maps on from grid point ``start``; the Hermitized and
         renormalized rows, their traces before renormalization, the tails
-        and the first breaching grid point (None)."""
+        and the first breaching grid point (None).  A non-finite row (maps
+        that overflowed at huge rates) fails before any division reads it."""
         for k in range(start, len(which)):
             np.dot(z[k], maps[which[k]], out=z[k + 1])
+        finite = np.isfinite(z).all(axis=(1, 2))
+        if not finite.all():
+            raise IntegrationError(f"state at t={grid[np.argmin(finite)]:.6g} is not finite")
         rows = z + z[..., operator.transpose].conj()
         rows *= 0.5
         traces = rows[..., operator.populations].real.sum(axis=-1)
@@ -740,7 +755,7 @@ def _whole_space(generator: LindbladGenerator):
         generator.superoperators(times), -1, -2))
 
 
-def _certified_maps(operator, starts: np.ndarray, widths: np.ndarray, atol,
+def _certified_maps(operator, starts: np.ndarray, widths: np.ndarray, atol: float,
                     steps: int = 1) -> np.ndarray:
     """The (K, m, m) row-convention maps of the intervals [starts, starts +
     widths] at once: exact exponentials for a time-independent generator,
@@ -756,8 +771,7 @@ def _certified_maps(operator, starts: np.ndarray, widths: np.ndarray, atol,
         stalled = _regrow(operator, starts, widths, counts, coarse, fine, failing,
                           steps * 2 ** (MAX_MAP_DOUBLINGS - 1))
         if stalled is not None:
-            raise IntegrationError("time-ordered product did not converge to "
-                                   f"{np.broadcast_to(atol, widths.shape)[stalled]:.1e} "
+            raise IntegrationError(f"time-ordered product did not converge to {atol:.1e} "
                                    f"within {MAX_MAP_DOUBLINGS} doublings")
     return fine
 
@@ -921,15 +935,18 @@ def cp_divisibility_check(generator: LindbladGenerator, grid, atol: float = 1e-9
 # ---------------------------------------------------------------------------
 
 class ChannelFamily:
-    """A dynamics described by its maps, as stacks over a whole grid.
+    """A dynamics described by its maps in closed form, as stacks over a
+    whole grid.
 
-    Subclasses give the (T, d^2, d^2) matrices, in the row-stacking
-    convention of :mod:`entroflow.channels`, of M_{t,0} (``superoperators``)
-    and of K_t = d/d eps M_{t+eps,t} at eps = 0 (``step_generators``), the
-    exact short-time limit of the intermediate maps M_{t+eps,t};
-    ``derivatives``, d/dt M_{t,0}, is K_t M_{t,0} for maps that compose.
-    ``states``, ``evolve``, ``trajectories`` and the witnesses apply them to
-    (N, d, d) stacks of initial states.
+    Subclasses (:class:`GadcFamily`, :class:`DephasingFamily`) give the
+    (T, d^2, d^2) matrices, in the row-stacking convention of
+    :mod:`entroflow.channels`, of M_{t,0} (``superoperators``) and of
+    K_t = d/d eps M_{t+eps,t} at eps = 0 (``step_generators``), the exact
+    short-time limit of the intermediate maps M_{t+eps,t}; ``derivatives``,
+    d/dt M_{t,0}, is K_t M_{t,0} for maps that compose.  ``states``,
+    ``evolve``, ``trajectories`` and the witnesses apply them to (N, d, d)
+    stacks of initial states.  A dynamics given by a Lindblad generator is
+    propagated instead (:func:`propagate`), and its K_t is L_t.
     """
 
     dim: int
@@ -1067,38 +1084,6 @@ class DephasingFamily(ChannelFamily):
         maps = np.zeros(t.shape + (4, 4), dtype=complex)
         maps[:, 1, 1] = maps[:, 2, 2] = -np.imag(shifted) / h
         return maps
-
-
-class GeneratorFamily(ChannelFamily):
-    """Dynamics induced by a Lindblad generator, via time-ordered propagators.
-
-    M_{t,0} chains the maps of the intervals between the sorted distinct
-    times, 0 prepended, built in one :func:`_certified_maps` call (O(T)),
-    each certified to ``map_atol`` times its share of the span; K_t is the
-    superoperator of L_t, and trajectories propagate the stack of states.
-    """
-
-    def __init__(self, generator: LindbladGenerator, map_atol: float = 1e-9):
-        self.generator = generator
-        self.dim = generator.dim
-        self.map_atol = map_atol
-
-    def superoperators(self, times) -> np.ndarray:
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        if not np.all((times >= 0.0) & (times < np.inf)):
-            raise IntegrationError("generator family maps need finite times t >= 0")
-        knots, which = np.unique(np.append(0.0, times), return_inverse=True)
-        widths = np.diff(knots)
-        maps = _certified_maps(_whole_space(self.generator), knots[:-1], widths,
-                               self.map_atol * widths / knots[-1])
-        chained = np.stack(list(accumulate(maps, np.matmul, initial=np.eye(self.dim ** 2))))
-        return np.swapaxes(chained, -1, -2)[which[1:]]
-
-    def step_generators(self, times) -> np.ndarray:
-        return self.generator.superoperators(np.atleast_1d(times))
-
-    def trajectories(self, rho0s, grid) -> Trajectory:
-        return propagate(self.generator, rho0s, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Dense complex Hermitian linear algebra for density operators.
 
 Spectral decompositions, supports and the matrix log restricted to them,
-von Neumann and relative entropies, Schatten norms and partial traces.
-All logarithms are natural, so
-entropic quantities are in nats.  A :class:`DensityMatrix` carries its
+von Neumann and relative entropies and Schatten norms.  All logarithms
+are natural, so entropic quantities are in nats.  A :class:`DensityMatrix` carries its
 spectrum, which every spectral function here reads; a raw array gets one
 fresh decomposition per call.  An :class:`EigenSystem` may hold the spectra
 of a whole stack (..., d, d) of matrices, and its support, log and entropy
@@ -39,7 +38,6 @@ __all__ = [
     "von_neumann_entropy",
     "relative_entropy",
     "schatten_norm",
-    "partial_trace",
 ]
 
 # Eigenvalues <= ZERO_EIGENVALUE_RTOL * lambda_max are treated as kernel.
@@ -133,18 +131,9 @@ class EigenSystem:
         """The spectra of part of a stack, indexed over its leading axes."""
         return EigenSystem(self.eigenvalues[index], self.eigenvectors[index])
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ dagger(v)
-
     def support_mask(self, tol: float = ZERO_EIGENVALUE_RTOL) -> np.ndarray:
         """Eigenvalues above tol * lambda_max, per matrix."""
         return _support_mask(self.eigenvalues, tol)
-
-    def projectors(self, tol: float = ZERO_EIGENVALUE_RTOL) -> np.ndarray:
-        """Projectors onto the supports."""
-        v = self.eigenvectors
-        return hermitian_part((v * self.support_mask(tol)[..., None, :]) @ dagger(v))
 
     def support_logs(self, tol: float = ZERO_EIGENVALUE_RTOL) -> np.ndarray:
         """log lambda on the supports, 0 on the kernels, per matrix."""
@@ -353,25 +342,4 @@ def schatten_norm(operator, p: float) -> float:
     if p == 1:
         return float(np.sum(singular_values))
     return float(np.sum(singular_values**p) ** (1.0 / p))
-
-
-def partial_trace(rho_ab, dims: tuple[int, int], keep: str) -> DensityMatrix:
-    """Trace out one tensor factor of a bipartite state.
-
-    ``dims = (d_A, d_B)`` and ``keep`` is "A" or "B".  Trace and positivity
-    carry over, so the result is validated as a density matrix.
-    """
-    d_a, d_b = dims
-    a = as_matrix(rho_ab)
-    if a.shape != (d_a * d_b, d_a * d_b):
-        raise LinalgError(f"state of shape {a.shape} does not match dims {dims}")
-    four = a.reshape(d_a, d_b, d_a, d_b)
-    if keep == "B":
-        reduced = np.einsum("abad->bd", four)
-    elif keep == "A":
-        reduced = np.einsum("abcb->ac", four)
-    else:
-        raise LinalgError(f"keep must be 'A' or 'B', got {keep!r}")
-    sub = isinstance(rho_ab, DensityMatrix) and rho_ab.subnormalized
-    return DensityMatrix(hermitian_part(reduced), subnormalized=sub)
 

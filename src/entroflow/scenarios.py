@@ -414,6 +414,10 @@ def run_gaussian_bounds(params: dict, outdir: Path, seed: int):
             checks.append(CheckResult(f"{kind}: tail guard leaves a usable grid", False,
                                       str(exc), "at least 3 grid points"))
             continue
+        except IntegrationError as exc:  # lost positivity, non-finite states, or a stall
+            checks.append(CheckResult(f"{kind}: trajectory produced", False, str(exc),
+                                      f"trajectory invariants validated on [0, {params['t_max']:g}]"))
+            continue
         expected = gp - gm
         rates = traj.entropy_rates()
         bounds = -witnesses._pinned_adjoint_traces(generator, traj.grid, traj.entries,

@@ -25,7 +25,6 @@ from .channels import (
 )
 from .dynamics import (
     ChannelFamily,
-    GeneratorFamily,
     Trajectory,
     entropy_rate,
     propagate,
@@ -182,18 +181,12 @@ def _epsilon_derivatives(family: ChannelFamily, times, states: np.ndarray,
     Tr{Pi M^dag M(rho)} is <M(Pi), M(rho)>_HS and M_{t,t} = id, so the limit
     is <K_t(Pi), rho> + <Pi, K_t(rho)> = Tr{Pi (K_t + K_t^dag)(rho)}, with
     K_t the family's step generator: one product over the stack, whose
-    expectations are summed over the supports.  For a
-    :class:`GeneratorFamily` K_t = L_t, and the term is read from one
-    ``adjoint_apply`` and one ``apply`` of the generator over the stack,
-    with no dense d^2 x d^2 matrix.
+    expectations are summed over the supports.  For a Lindblad generator
+    K_t = L_t, and :func:`witness_reports` reads the term from the
+    generator's own applications instead.
     """
-    if isinstance(family, GeneratorFamily):
-        generator, times = family.generator, np.asarray(times, dtype=float)
-        images = generator.adjoint_apply(times, states) + generator.apply(times, states)
-    else:
-        k = family.step_generators(times)
-        images = apply_superoperators(k + np.conj(np.swapaxes(k, -1, -2)), states)
-    return spectrum.support_traces(images)
+    k = family.step_generators(times)
+    return spectrum.support_traces(apply_superoperators(k + np.conj(np.swapaxes(k, -1, -2)), states))
 
 
 def epsilon_derivative(family: ChannelFamily, rho_t, t: float) -> float:
@@ -261,25 +254,23 @@ class WitnessReport:
         return self.entropy_rate - self.theorem2_bound
 
 
-def witness_reports(generator: LindbladGenerator, traj: Trajectory,
-                    family: ChannelFamily | None = None) -> list[WitnessReport]:
+def witness_reports(generator: LindbladGenerator, traj: Trajectory) -> list[WitnessReport]:
     """One WitnessReport per point of a one-state trajectory.
 
     The f column and test (a)/(c) need the short-time derivative term
-    Tr{Pi (K_t + K_t^dag)(rho_t)}; when no family is supplied K_t = L_t,
-    the :class:`GeneratorFamily` of the generator, whose term is read from
-    sparse generator applications with no dense superoperator.  Every
-    column is computed over the whole trajectory at once.  Rows at a rank
-    jump (:meth:`Trajectory.rank_jump_rows`) carry no test flags.
+    Tr{Pi (K_t + K_t^dag)(rho_t)}, and K_t = L_t for a Lindblad generator:
+    with the witness Tr{Pi L_t^dag(rho_t)} it is read from one
+    ``adjoint_apply`` and one ``apply`` of the generator over the whole
+    trajectory, with no dense superoperator.  Every column is computed over
+    the whole trajectory at once.  Rows at a rank jump
+    (:meth:`Trajectory.rank_jump_rows`) carry no test flags.
     """
     excluded = traj.rank_jump_rows(RANK_CHANGE_MARGIN)
     rates = traj.entropy_rates()
-    witness = _pinned_adjoint_traces(generator, traj.grid, traj.entries, traj.spectrum)
+    adjoint_images = generator.adjoint_apply(traj.grid, traj.entries)
+    witness = traj.spectrum.support_traces(adjoint_images)
     bounds = -witness
-    if family is None:
-        family = GeneratorFamily(generator)
-    eps_terms = _epsilon_derivatives(family, traj.grid, traj.entries[:, None],
-                                     traj.spectrum[:, None])[:, 0]
+    eps_terms = traj.spectrum.support_traces(adjoint_images + generator.apply(traj.grid, traj.entries))
     f_values = rates + eps_terms
     tests = {"test_a_passed": test_a(f_values), "test_b_passed": test_b(rates, bounds),
              "test_c_passed": test_c(eps_terms, witness)}

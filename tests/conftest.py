@@ -9,17 +9,16 @@ import pytest
 import entroflow
 from entroflow import (
     DensityMatrix,
-    DephasingFamily,
     GadcFamily,
     LindbladGenerator,
     SuperOperator,
     dephasing_channel,
     gadc,
-    intermediate_map,
     propagate,
     semigroup_sandwich,
 )
 from entroflow.channels import SIGMA_X, SIGMA_Z
+from entroflow.linalg import dagger, hermitian_part
 
 _ACCEPTANCE: dict[str, str] = {}
 
@@ -29,43 +28,28 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def brute_force_partial_trace(rho: np.ndarray, dims, keep: str) -> np.ndarray:
-    """Element-indexed summation oracle, independent of the library routine."""
-    d_a, d_b = dims
-    if keep == "B":
-        out = np.zeros((d_b, d_b), dtype=complex)
-        for i in range(d_b):
-            for j in range(d_b):
-                for a in range(d_a):
-                    out[i, j] += rho[a * d_b + i, a * d_b + j]
-    else:
-        out = np.zeros((d_a, d_a), dtype=complex)
-        for i in range(d_a):
-            for j in range(d_a):
-                for b in range(d_b):
-                    out[i, j] += rho[i * d_b + b, j * d_b + b]
-    return out
+def support_projectors(spectrum):
+    """The projectors onto the supports of a spectrum, or of a stack of them,
+    built from the eigenvectors that ``support_mask`` selects."""
+    v = spectrum.eigenvectors
+    return hermitian_part((v * spectrum.support_mask()[..., None, :]) @ dagger(v))
 
 
 def reference_maps(family):
     """M_{t,0} and M_{t+eps,t} of a channel family as two callables giving
     SuperOperators, built without the family's stacks: from :func:`gadc` for
-    GADC (whose step is the channel at time eps), from
+    GADC (whose step is the channel at time eps), and from
     :func:`dephasing_channel` for dephasing, or the diagonal matrix where its
-    coherence factor exceeds 1, and :func:`intermediate_map` for a generator."""
+    coherence factor exceeds 1."""
     if isinstance(family, GadcFamily):
         return ((lambda t: gadc(t, family.omega).superoperator()),
                 (lambda t, eps: gadc(eps, family.omega).superoperator()))
-    if isinstance(family, DephasingFamily):
-        def coherence_map(s, t):
-            c = float(np.exp(family.gamma_integral(s) - family.gamma_integral(t)))
-            return dephasing_channel(c).superoperator() if c <= 1.0 \
-                else SuperOperator(np.diag([1.0, c, c, 1.0]))
-        return (lambda t: coherence_map(0.0, t)), (lambda t, eps: coherence_map(t, t + eps))
 
-    def interval_map(s, t):
-        return intermediate_map(family.generator, s, t, atol=family.map_atol)
-    return (lambda t: interval_map(0.0, t)), (lambda t, eps: interval_map(t, t + eps))
+    def coherence_map(s, t):
+        c = float(np.exp(family.gamma_integral(s) - family.gamma_integral(t)))
+        return dephasing_channel(c).superoperator() if c <= 1.0 \
+            else SuperOperator(np.diag([1.0, c, c, 1.0]))
+    return (lambda t: coherence_map(0.0, t)), (lambda t, eps: coherence_map(t, t + eps))
 
 
 def fresh_interpreter(code: str, *args: str) -> str:

@@ -8,6 +8,7 @@ from entroflow import (
     DensityMatrix,
     LindbladGenerator,
     QuantumChannel,
+    SuperOperator,
     UnitalityTag,
     annihilation_operator,
     bosonic_generator,
@@ -17,7 +18,6 @@ from entroflow import (
     is_cptp,
     partial_trace_channel,
     thermal_state,
-    transpose_superoperator,
     unitality_class,
     unitary_channel,
     von_neumann_entropy,
@@ -137,7 +137,7 @@ class TestChoiAndCptp:
         assert is_cptp(unitary_channel(np.eye(2))).passed
 
     def test_transpose_not_cp(self):
-        report = is_cptp(transpose_superoperator(2))
+        report = is_cptp(SuperOperator(np.eye(4)[[0, 2, 1, 3]]))  # X -> X^T
         assert report.choi_min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
         assert not report.completely_positive
         assert report.trace_preserving

@@ -6,11 +6,10 @@ from entroflow import (
     DensityMatrix,
     DephasingFamily,
     GadcFamily,
-    GeneratorFamily,
     IntegrationError,
     LindbladGenerator,
-    SuperOperator,
     TailMassError,
+    annihilation_operator,
     bosonic_generator,
     closed_form_trajectory,
     cp_divisibility_check,
@@ -53,7 +52,7 @@ from entroflow.dynamics import (
 from entroflow.linalg import LinalgError, dagger, hermitian_part
 from entroflow.sampling import random_full_rank_state, random_mixed_state
 
-from conftest import first_scipy_use, fresh_interpreter, reference_maps
+from conftest import first_scipy_use, fresh_interpreter, reference_maps, support_projectors
 
 DAMPING_RATE_AT_ONE = -0.19914228500721254  # e^-1 log(e^-1 / (1 - e^-1))
 
@@ -116,7 +115,7 @@ class TestPropagate:
         traj = propagate(gen, random_full_rank_state(rng, 2), np.linspace(0, 1, 21))
         for dot in traj.derivatives:
             assert abs(np.trace(dot)) <= 1e-9
-        for pi, dot in zip(traj.spectrum.projectors(), traj.derivatives):
+        for pi, dot in zip(support_projectors(traj.spectrum), traj.derivatives):
             assert abs(np.trace(pi @ dot)) <= 1e-8
 
     def test_tail_guard_raises(self):
@@ -498,6 +497,36 @@ class TestIntervalMaps:
         assert traj.truncated_at is None
         assert np.max(np.abs(traj.entropy_rates())) <= 1e-12
 
+    @pytest.mark.parametrize("cutoff", [40, 80])
+    def test_time_dependent_fock_stack_above_the_limit_runs_rk4(self, cutoff, monkeypatch):
+        # The m = cutoff populations of a thermal start under a timed rate:
+        # the interval maps would build and certify CF4 maps for every
+        # interval (0.30 s against 0.06 s by RK4 at cutoff 40, 3.8 s against
+        # 0.21 s at cutoff 80), so RK4 integrates the dense restriction.  At
+        # cutoff 40 it agrees with the maps, which a raised limit forces,
+        # within 5.0e-10 entrywise.
+        a = annihilation_operator(cutoff)
+        generator = LindbladGenerator(cutoff, jumps=[
+            JumpTerm(CosineSquaredCoefficient(omega=1.0, scale=0.2), dagger(a)), (1.2, a)])
+        start, grid = thermal_state(0.2, cutoff), np.linspace(0.0, 5.0, 101)
+        operator = dynamics._integration_operator(generator, start.entries[None])
+        assert isinstance(operator, _Restriction) and not operator.time_independent
+        assert len(operator.index) == cutoff
+        built = []
+
+        def counted(operator, starts, widths, steps, _original=dynamics._cf4_maps):
+            built.append(steps)
+            return _original(operator, starts, widths, steps)
+
+        monkeypatch.setattr(dynamics, "_cf4_maps", counted)
+        stepped = propagate(generator, start, grid)
+        assert built == []
+        if cutoff == 40:
+            monkeypatch.setattr(dynamics, "_DENSE_COORDINATES", cutoff)
+            mapped = propagate(generator, start, grid)
+            assert built
+            assert np.max(np.abs(stepped.entries - mapped.entries)) <= 1e-9
+
     def test_restriction_applies_once(self, monkeypatch):
         calls = []
         pick = dynamics._integration_operator
@@ -542,13 +571,13 @@ class TestIntermediateMap:
         full = intermediate_map(gen, 0.2, 1.4)
         left = intermediate_map(gen, 0.8, 1.4)
         right = intermediate_map(gen, 0.2, 0.8)
-        np.testing.assert_allclose(full.matrix, left.compose(right).matrix, atol=1e-7)
+        np.testing.assert_allclose(full.matrix, left.matrix @ right.matrix, atol=1e-7)
 
     def test_semigroup_property(self):
         gen = depolarizing_generator(2, 0.3)
         m_t = intermediate_map(gen, 0.0, 0.6)
         m_2t = intermediate_map(gen, 0.0, 1.2)
-        np.testing.assert_allclose(m_2t.matrix, m_t.compose(m_t).matrix, atol=1e-7)
+        np.testing.assert_allclose(m_2t.matrix, m_t.matrix @ m_t.matrix, atol=1e-7)
 
     def test_dephasing_interval_cptp(self):
         gen = dephasing_generator(1.0)
@@ -763,15 +792,6 @@ class TestChannelFamilies:
         for a, b in zip(traj_fam.states, traj_gen.states):
             assert np.max(np.abs(a.entries - b.entries)) <= 1e-7
 
-    def test_generator_family_consistency(self, rng):
-        gen = dephasing_generator(lambda t: 0.5 + np.cos(2 * t))
-        fam = GeneratorFamily(gen)
-        rho0 = random_mixed_state(rng, 2)
-        direct = fam.states([rho0], [0.9])[0, 0]
-        _, step = reference_maps(fam)
-        stepped = step(0.5, 0.4).apply(fam.states([rho0], [0.5])[0, 0])
-        np.testing.assert_allclose(direct, stepped, atol=1e-7)
-
     def test_dephasing_step_where_gamma_decreases_is_not_cp(self):
         # gamma(t) = 0.5 + cos 2t is negative on (pi/3, 2pi/3), so Gamma decreases
         # there and the interval map amplifies coherences: no Kraus form exists.
@@ -797,49 +817,46 @@ class TestStackedFamilyMaps:
 
     @pytest.mark.parametrize("family", [
         GadcFamily(5.0), _oscillating_family(), DephasingFamily(lambda t: t),
-        GeneratorFamily(dephasing_generator(lambda t: 0.5 + np.cos(2 * t))),
-    ], ids=["gadc", "oscillating_dephasing", "markovian_dephasing", "generator"])
+    ], ids=["gadc", "oscillating_dephasing", "markovian_dephasing"])
     def test_stacks_equal_per_time_maps(self, family):
         at, _ = reference_maps(family)
         stacked = family.superoperators(self.TIMES)
         assert stacked.shape == (len(self.TIMES), 4, 4)
-        if isinstance(family, GeneratorFamily):
-            # M_{t,0} is the ordered product of the maps between the times,
-            # each certified to its share of map_atol over the span
-            span = self.TIMES[-1]
-            reference = [SuperOperator(np.eye(4))]
-            for s, t in zip(self.TIMES[:-1], self.TIMES[1:]):
-                step = intermediate_map(family.generator, s, t, atol=family.map_atol * (t - s) / span)
-                reference.append(step.compose(reference[-1]))
-        else:
-            reference = [at(t) for t in self.TIMES]
-        for m, expected in zip(stacked, reference):
-            np.testing.assert_allclose(m, expected.matrix, rtol=0, atol=1e-14)
+        for m, t in zip(stacked, self.TIMES):
+            np.testing.assert_allclose(m, at(t).matrix, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("family, k_tol", [
         (GadcFamily(5.0), 1.3e-5), (_oscillating_family(), 6e-7),
         (DephasingFamily(lambda t: t), 1e-7),
-        (GeneratorFamily(dephasing_generator(lambda t: 0.5 + np.cos(2 * t))), 6e-7),
+        (dephasing_generator(lambda t: 0.5 + np.cos(2 * t)), 6e-7),
     ], ids=["gadc", "oscillating_dephasing", "markovian_dephasing", "generator"])
     def test_exact_limits_match_finite_differences(self, family, k_tol):
         # K_t against the Richardson quotient 2 q(eps/2) - q(eps) of the steps,
         # q(eps) = (M_{t+eps,t} - I)/eps at eps = 1e-3, whose O(eps^2) error on
         # TIMES is 1.25e-5 (GADC), 5.3e-7 (oscillating dephasing, generator) and
-        # 8.3e-8 (Markovian dephasing).  d/dt M_{t,0} against the central
+        # 8.3e-8 (Markovian dephasing).  A generator's K_t is L_t, and its steps
+        # are intermediate maps.  d/dt M_{t,0} of a family against the central
         # difference of the maps with h = 1e-5, taken about t + h so that no
         # time is negative: 7.4e-9 at most (GADC).
         eps, h = 1e-3, 1e-5
 
-        _, step = reference_maps(family)
+        if isinstance(family, LindbladGenerator):
+            def step(t, e):
+                return intermediate_map(family, t, t + e)
+            generators = family.superoperators(self.TIMES)
+        else:
+            _, step = reference_maps(family)
+            generators = family.step_generators(self.TIMES)
 
         def quotient(e):
             steps = np.stack([step(t, e).matrix for t in self.TIMES])
             return (steps - np.eye(4)) / e
 
-        generators = family.step_generators(self.TIMES)
         assert generators.shape == (len(self.TIMES), 4, 4)
         np.testing.assert_allclose(generators, 2 * quotient(eps / 2) - quotient(eps),
                                    rtol=0, atol=k_tol)
+        if isinstance(family, LindbladGenerator):
+            return
         mid = self.TIMES + h
         central = (family.superoperators(mid + h) - family.superoperators(mid - h)) / (2 * h)
         np.testing.assert_allclose(family.derivatives(mid), central, rtol=0, atol=1e-8)
@@ -866,39 +883,6 @@ class TestStackedFamilyMaps:
         for t, row in zip(self.TIMES, states):
             for rho0, state in zip(rho0s, row):
                 np.testing.assert_allclose(state, gadc(t, 5.0).apply(rho0), atol=1e-14)
-
-    def test_generator_family_steps_grow_linearly(self, monkeypatch):
-        # T times 0.03 apart: chaining the interval maps builds each interval
-        # once (30 and 668 CF4 steps for T = 11 and 101; the shares of
-        # map_atol shrink as the span grows), where maps built from 0 for
-        # every time grow quadratically (242 and 23,576 steps).
-        built = []
-
-        def counted(operator, starts, widths, steps, _original=dynamics._cf4_maps):
-            built.append(len(starts) * steps)
-            return _original(operator, starts, widths, steps)
-
-        monkeypatch.setattr(dynamics, "_cf4_maps", counted)
-        fam = GeneratorFamily(dephasing_generator(lambda t: 0.5 + np.cos(2 * t)))
-        counts = {}
-        for n in (11, 101):
-            built.clear()
-            fam.superoperators(0.03 * np.arange(n))
-            counts[n] = sum(built)
-        assert counts[11] >= 3 * 10 and counts[101] >= 3 * 100  # a 1- and a 2-step map each
-        assert counts[101] <= 3 * (100 / 10) * counts[11]
-
-    def test_generator_family_takes_unsorted_repeated_times(self, rng):
-        fam = GeneratorFamily(dephasing_generator(lambda t: 0.5 + np.cos(2 * t)))
-        times = np.linspace(0.0, 3.0, 101)
-        times = np.concatenate([rng.permutation(times), times[[7, 50, 50, 100]]])
-        maps = fam.superoperators(times)
-        assert maps.shape == (len(times), 4, 4)
-        coherences = np.exp(-(0.5 * times + 0.5 * np.sin(2.0 * times)))
-        expected = np.zeros_like(maps)
-        expected[:, 0, 0] = expected[:, 3, 3] = 1.0
-        expected[:, 1, 1] = expected[:, 2, 2] = coherences
-        assert np.max(np.abs(maps - expected)) <= fam.map_atol
 
     def test_family_trajectory_rates_match_finite_differences(self, rng):
         # The trajectory keeps its closed form: the FD oracle reads the family
@@ -1030,7 +1014,7 @@ class TestClosedFormTrajectories:
     def test_damping_supports_track_rank_jump(self):
         traj = damping_qubit_trajectory(np.array([0.0, 0.1, 0.5]))
         assert list(traj.ranks()) == [1, 2, 2]
-        assert np.trace(traj.spectrum.projectors()[0]).real == pytest.approx(1.0)
+        assert np.trace(support_projectors(traj.spectrum)[0]).real == pytest.approx(1.0)
         assert list(traj.rank_jump_rows(0.01)) == [True, True, False]
 
     def test_oscillating_entropy_values(self):
@@ -1057,7 +1041,7 @@ class TestOneSpectrumPerState:
         traj.entropies()
         traj.entropy_rates()
         traj.ranks()
-        traj.spectrum.projectors()
+        traj.spectrum.support_traces(traj.derivatives)
         for t, state in zip(traj.grid, traj.states):
             theorem2_bound(generator, float(t), state)
 

@@ -225,6 +225,26 @@ def test_coarse_gaussian_grid_fails_a_check_and_keeps_the_other_rows(tmp_path):
     assert kinds == ["lossy"] * 6 + ["additive"] * 6
 
 
+def test_huge_gaussian_rate_fails_a_check_without_a_warning(tmp_path, capsys):
+    # At gamma_+ = 1e300 the interval maps overflow: the first state past
+    # t = 0 is not finite.  The run fails that check, with no traceback, and
+    # the chained rows are never divided by their NaN traces, so no
+    # RuntimeWarning is emitted (pytest turns one into an error).
+    path = tmp_path / "config.json"
+    config = copy.deepcopy(DEFAULT_CONFIGS["gaussian_bounds"])
+    config["parameters"]["dynamics"] = {"amplifier": {"gamma_plus": 1e300, "gamma_minus": 0}}
+    path.write_text(json.dumps(config))
+    status = main(["run", "--config", str(path), "--output-dir", str(tmp_path)])
+    printed = capsys.readouterr()
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert status == 1
+    assert [(c["name"], c["passed"]) for c in report["checks"]] == [
+        ("amplifier: trajectory produced", False)]
+    assert report["checks"][0]["measured"] == "state at t=0.05 is not finite"
+    assert "FAIL amplifier:" in printed.out + printed.err
+    assert "Traceback" not in printed.out + printed.err
+
+
 def _table(path) -> dict[str, np.ndarray]:
     with open(path) as fh:
         rows = list(csv.DictReader(fh))

@@ -8,7 +8,6 @@ from entroflow import (
     DensityMatrix,
     DephasingFamily,
     GadcFamily,
-    GeneratorFamily,
     LindbladGenerator,
     QuantumChannel,
     WitnessReport,
@@ -49,14 +48,13 @@ from entroflow.sampling import (
 from entroflow.scenarios import _oscillating_dephasing
 from entroflow.witnesses import (
     WitnessError,
-    _epsilon_derivatives,
     _f_parts,
     _pinned_adjoint_traces,
     export_witness_reports,
     f_components,
 )
 
-from conftest import reference_maps
+from conftest import reference_maps, support_projectors
 
 
 def test_pinsker_gap_rejects_trace_nonincreasing_operation():
@@ -208,28 +206,22 @@ def _trace_products(a, b):
     return np.real(np.einsum("...ij,...ji->...", a, b))
 
 
-def _dense_epsilon_terms(family, times, states, projectors):
-    """Tr{Pi (K_t + K_t^dag)(rho)} from the family's dense (T, d^2, d^2) step generators."""
-    k = family.step_generators(times)
+def _dense_epsilon_terms(k, states, projectors):
+    """Tr{Pi (K_t + K_t^dag)(rho)} from dense (T, d^2, d^2) step generators
+    K_t, for states and projectors (T, N, d, d)."""
     return _trace_products(projectors, apply_superoperators(
         k + np.conj(np.swapaxes(k, -1, -2)), states))
 
 
 def test_witness_reports_f_matches_the_generator_family(rng):
-    # Without a family K_t = L_t: the f column is the GeneratorFamily route,
-    # read from sparse generator applications; both agree with the dense
-    # route through the stacked superoperators of L_t.
+    # K_t = L_t: the f column, read from sparse generator applications,
+    # agrees with the dense route through the stacked superoperators of L_t.
     generator = _random_semigroup(rng, 3)
     traj = propagate(generator, random_mixed_state(rng, 3), np.linspace(0.0, 1.0, 11))
-    family = GeneratorFamily(generator)
-    plain = witness_reports(generator, traj)
-    with_family = witness_reports(generator, traj, family)
-    assert [r.f_value for r in plain] == [r.f_value for r in with_family]
-    assert [r.flags for r in plain] == [r.flags for r in with_family]
-    projectors = traj.spectrum.projectors()
-    dense = _dense_epsilon_terms(family, traj.grid, traj.entries[:, None], projectors[:, None])
-    np.testing.assert_allclose([r.f_value for r in plain], traj.entropy_rates() + dense[:, 0],
-                               rtol=0, atol=1e-12)
+    dense = _dense_epsilon_terms(generator.superoperators(traj.grid), traj.entries[:, None],
+                                 support_projectors(traj.spectrum)[:, None])
+    np.testing.assert_allclose([r.f_value for r in witness_reports(generator, traj)],
+                               traj.entropy_rates() + dense[:, 0], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 12])
@@ -245,39 +237,44 @@ def test_support_traces_equal_the_projector_form(rng, d):
     states = hermitian_part((v * p[..., None, :]) @ dagger(v))
     spectrum = spectral_decompose(states)
     np.testing.assert_array_equal(spectrum.support_mask().sum(axis=-1), ranks)
-    projectors = spectrum.projectors()
+    projectors = support_projectors(spectrum)
     x = rng.normal(size=states.shape) + 1j * rng.normal(size=states.shape)
     np.testing.assert_allclose(spectrum.support_traces(x), _trace_products(projectors, x),
                                rtol=0, atol=1e-12)
     generator, times = _random_semigroup(rng, d), np.linspace(0.0, 1.0, shape[0])
+    adjoint_images = generator.adjoint_apply(times, states)
     np.testing.assert_allclose(
         _pinned_adjoint_traces(generator, times, states, spectrum),
-        _trace_products(projectors, generator.adjoint_apply(times, states)),
+        _trace_products(projectors, adjoint_images), rtol=0, atol=1e-12)
+    # the short-time term of witness_reports, K_t = L_t
+    np.testing.assert_allclose(
+        spectrum.support_traces(adjoint_images + generator.apply(times, states)),
+        _dense_epsilon_terms(generator.superoperators(times), states, projectors),
         rtol=0, atol=1e-12)
-    family = GeneratorFamily(generator)
-    np.testing.assert_allclose(_epsilon_derivatives(family, times, states, spectrum),
-                               _dense_epsilon_terms(family, times, states, projectors),
-                               rtol=0, atol=1e-12)
 
 
 def test_generator_family_epsilon_terms_need_no_dense_superoperators():
-    # A (T, N) stack at time-dependent rates, against the dense route; and
-    # witness_reports at d = 20 over 101 points, which built 101 dense
-    # 400 x 400 superoperators and their adjoints (558 MiB at its peak).
-    generator = bosonic_generator(0.2, 1.2, 20)
+    # witness_reports at d = 20 over 101 points, at constant and at
+    # time-dependent rates: its f column against the dense route through the
+    # 400 x 400 superoperators of L_t at every tenth point, and its peak
+    # memory with none of them built (101 of them and their adjoints took
+    # 558 MiB at the peak).
+    a = annihilation_operator(20)
+    constant = bosonic_generator(0.2, 1.2, 20)
+    timed = LindbladGenerator(20, jumps=[(lambda t: 0.5 + 0.3 * np.sin(t), a), (0.2, dagger(a))])
     grid = np.linspace(0.0, 2.0, 101)
-    traj = propagate(generator, [thermal_state(0.2, 20), thermal_state(0.5, 20)], grid)
-    timed = GeneratorFamily(LindbladGenerator(20, jumps=[
-        (lambda t: 0.5 + 0.3 * np.sin(t), annihilation_operator(20)), (0.2, dagger(annihilation_operator(20)))]))
-    for family in (GeneratorFamily(generator), timed):
-        times, states, spectrum = grid[::10], traj.entries[::10], traj.spectrum[::10]
-        np.testing.assert_allclose(_epsilon_derivatives(family, times, states, spectrum),
-                                   _dense_epsilon_terms(family, times, states, spectrum.projectors()),
-                                   rtol=0, atol=1e-12)
-    single = propagate(generator, thermal_state(0.2, 20), grid)
+    rows = slice(None, None, 10)
+    for generator in (constant, timed):
+        traj = propagate(generator, thermal_state(0.2, 20), grid)
+        reports = witness_reports(generator, traj)
+        dense = _dense_epsilon_terms(generator.superoperators(grid[rows]), traj.entries[rows, None],
+                                     support_projectors(traj.spectrum[rows])[:, None])
+        np.testing.assert_allclose([r.f_value for r in reports[rows]],
+                                   traj.entropy_rates()[rows] + dense[:, 0], rtol=0, atol=1e-12)
+    single = propagate(constant, thermal_state(0.2, 20), grid)
     tracemalloc.start()
     try:
-        witness_reports(generator, single, GeneratorFamily(generator))
+        witness_reports(constant, single)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -335,7 +332,7 @@ def _f_per_point(family, rho0, t, h=1e-5, eps0=1e-3):
     else:
         dot = (-3 * state(t) + 4 * state(t + h) - state(t + 2 * h)) / (2 * h)
     rate = -np.real(np.trace(hermitian_part(dot) @ matrix_log_on_support(rho)))
-    pi = spectral_decompose(rho).projectors()
+    pi = support_projectors(spectral_decompose(rho))
     base = np.real(np.trace(pi @ rho.entries))
 
     def quotient(eps):
