@@ -1,5 +1,5 @@
-"""Helpers shared across the package: the CSV writer and the test for a
-finite number in a JSON document."""
+"""Helpers shared across the package: the CSV writer and the tests for a
+finite number and for an integer in a JSON document."""
 
 from __future__ import annotations
 
@@ -18,6 +18,11 @@ def write_csv(path, header: list[str], rows) -> None:
                  for v in row]
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def is_int(value) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def is_finite_number(value) -> bool:

@@ -3,12 +3,13 @@
 Channels are carried in Kraus form; the superoperator matrix and the Choi
 matrix are derived caches.  Superoperator matrices use the row-stacking
 convention vec(X) = X.reshape(-1), under which the map X -> K X L has matrix
-kron(K, L.T).  Generators keep their Hamiltonian and rate/jump-operator
-pairs, and are compiled once into sparse d^2 x d^2 matrices in that
-convention: one for all constant parts and one dissipator per time-dependent
-rate, each with its conjugate transpose, which is the matrix of the adjoint
-map.  Applying a generator or its adjoint and building its dense
-superoperator all read those matrices.
+kron(K, L.T).  A generator's Hamiltonian and jump operators are fixed
+d x d matrices, and only its rates depend on time, so every generator is
+compiled once into sparse d^2 x d^2 matrices in that convention: one for
+all constant parts and one dissipator per time-dependent rate, each with
+its conjugate transpose, which is the matrix of the adjoint map.  Applying
+a generator or its adjoint, building its dense superoperator and reading
+its invariant sets all use those matrices; nothing is rebuilt per time.
 """
 
 from __future__ import annotations
@@ -493,23 +494,23 @@ def _constant_rate(rate) -> bool:
 
 
 class LindbladGenerator:
-    """Time-dependent generator: -i[H, rho] + sum_i gamma_i (A_i rho A_i^dag - {A_i^dag A_i, rho}/2).
+    """Time-dependent generator: -i[H, rho] + sum_i gamma_i(t) (A_i rho A_i^dag - {A_i^dag A_i, rho}/2).
 
-    The Hamiltonian may be None (no coherent part), a constant matrix, or a
-    callable of t.  Jump rates are numbers, coefficient objects, or callables.
+    The Hamiltonian is None (no coherent part) or a d x d Hermitian matrix,
+    and every jump operator a d x d matrix; time dependence lives in the
+    rates alone, which are numbers, coefficient objects, or any callable of
+    t.  A callable Hamiltonian or operator is refused with ChannelError.
 
     The generator is compiled once, at construction, into sparse d^2 x d^2
-    blocks in the row-stacking convention: all constant parts (a constant
-    Hamiltonian and every jump term whose rate and operator are both
-    constant) merged into one block L_0, and one dissipator D_i for each
-    jump term with a time-dependent rate and a constant operator.  The
-    blocks are stacked vertically into one CSR matrix [L_0; D_1; ...; D_m],
-    and their conjugate transposes into a second one for the adjoint.
-    ``scipy.sparse`` is imported there, by the first generator a process
-    builds, so the closed-form channel runs never load it.  A
-    constant Hamiltonian is checked for Hermiticity there, and it and every
-    constant operator must be dim x dim.  A callable Hamiltonian or operator
-    is built into a matrix, and checked, at each time it is evaluated.
+    blocks in the row-stacking convention: all constant parts (the
+    Hamiltonian and every jump term with a constant rate) merged into one
+    block L_0, and one dissipator D_i for each jump term with a
+    time-dependent rate.  The blocks are stacked vertically into one CSR
+    matrix [L_0; D_1; ...; D_m], and their conjugate transposes into a
+    second one for the adjoint.  ``scipy.sparse`` is imported there, by the
+    first generator a process builds, so the closed-form channel runs never
+    load it.  The Hamiltonian is checked for Hermiticity there, and it and
+    every operator must be dim x dim.
     ``apply`` reads a stack (..., d, d) as the columns vec(x) of one
     d^2-row matrix, multiplies the stacked matrix onto them once, and
     combines the row blocks as L_0 x + sum_i gamma_i(t) D_i x;
@@ -517,16 +518,15 @@ class LindbladGenerator:
     ``superoperator`` returns the same sum of the same blocks as a dense
     matrix.  Every call thus costs one sparse product.
 
-    The compiled pattern also splits the coordinates of vec(x) into
-    invariant sets (:meth:`invariant_sets`, labelled on first use and
-    cached): entries outside the sets an operator touches stay zero under
-    every L_t, so the generator may act on those sets alone.
-    :meth:`restricted` gives that action through dense restrictions of the
-    compiled blocks, which :func:`~entroflow.dynamics.propagate` takes for
-    stacks whose sets hold m <= max(d, 16) coordinates, and every
-    intermediate map M_{t,s} for all d^2 coordinates.  A generator with a
-    callable Hamiltonian or operator has no fixed pattern and no sets; its
-    maps read :meth:`superoperators`.
+    The compiled pattern, fixed for every generator, also splits the
+    coordinates of vec(x) into invariant sets (:meth:`invariant_sets`,
+    labelled on first use and cached): entries outside the sets an operator
+    touches stay zero under every L_t, so the generator may act on those
+    sets alone.  :meth:`restricted` gives that action through dense
+    restrictions of the compiled blocks, which
+    :func:`~entroflow.dynamics.propagate` takes for stacks whose sets hold
+    m <= max(d, 16) coordinates, and every intermediate map M_{t,s} for all
+    d^2 coordinates.
     """
 
     def __init__(self, dim: int, hamiltonian=None, jumps=(), tail_guard: TailGuard | None = None):
@@ -540,14 +540,11 @@ class LindbladGenerator:
             terms.append(term)
         self.jumps = tuple(terms)
         self.tail_guard = tail_guard
-        self._hamiltonian = None if callable(hamiltonian) else self._checked_hamiltonian(hamiltonian)
-        constant = [] if self._hamiltonian is None else _commutator(self._hamiltonian)
-        rated, dissipators, self._callable_terms = [], [], []
+        constant = [] if hamiltonian is None else _commutator(
+            require_hermitian(self._checked(hamiltonian, "hamiltonian"), name="hamiltonian"))
+        rated, dissipators = [], []
         for term in self.jumps:
-            if callable(term.operator):
-                self._callable_terms.append(term)
-                continue
-            a = self._checked_operator(term.operator)
+            a = self._checked(term.operator, "jump operator")
             if _constant_rate(term.rate):
                 constant += _dissipator(term.rate_at(0.0), a)
             else:
@@ -555,7 +552,6 @@ class LindbladGenerator:
                 dissipators.append(_sandwich_matrix(self.dim, _dissipator(1.0, a)))
         blocks = [_sandwich_matrix(self.dim, constant)] + dissipators
         self._rated_terms = tuple(rated)
-        self._callable_parts = self._hamiltonian is None or bool(self._callable_terms)
         from scipy import sparse
 
         self._compiled = {
@@ -564,29 +560,15 @@ class LindbladGenerator:
         }
         self._sets: np.ndarray | None = None
 
-    def _checked_shape(self, a: np.ndarray, name: str) -> np.ndarray:
+    def _checked(self, m, name: str) -> np.ndarray:
+        if callable(m):
+            raise ChannelError(f"{name} must be a matrix, not a callable of t: "
+                               "time dependence belongs in the rates")
+        a = as_matrix(m)
         if a.shape != (self.dim, self.dim):
             raise ChannelError(f"{name} has shape {a.shape}, but the generator acts on "
                                f"dimension {self.dim}")
         return a
-
-    def _checked_hamiltonian(self, h) -> np.ndarray:
-        if h is None:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return require_hermitian(self._checked_shape(as_matrix(h), "hamiltonian"), name="hamiltonian")
-
-    def _checked_operator(self, op) -> np.ndarray:
-        return self._checked_shape(np.asarray(op, dtype=complex), "jump operator")
-
-    def _built_at(self, t: float, adjoint: bool) -> sparse.sparray:
-        """The callable Hamiltonian and callable-operator terms at t, built
-        (and checked) now as one matrix; its conjugate transpose for the adjoint."""
-        sandwiches = ([] if self._hamiltonian is not None
-                      else _commutator(self._checked_hamiltonian(self.hamiltonian(t))))
-        for term in self._callable_terms:
-            sandwiches += _dissipator(term.rate_at(t), self._checked_operator(term.operator(t)))
-        m = _sandwich_matrix(self.dim, sandwiches)
-        return m.conj().T if adjoint else m
 
     def _act(self, t, x: np.ndarray, adjoint: bool) -> np.ndarray:
         """L_t(x), or L_t^dag(x), for a stack x (..., d, d) at one time or at
@@ -604,10 +586,6 @@ class LindbladGenerator:
             part = blocks[i * n:(i + 1) * n]
             part *= np.repeat(term.rate_at(times), per_time)
             out += part
-        if self._callable_parts:
-            for k, s in enumerate(times):
-                block = slice(k * per_time, (k + 1) * per_time)
-                out[:, block] += self._built_at(float(s), adjoint) @ cols[:, block]
         # Returned in C order: a strided (N, d, d) view would send every later
         # elementwise step through numpy's strided loops, whose rounding
         # differs from the contiguous ones, so a state's trajectory would
@@ -634,19 +612,11 @@ class LindbladGenerator:
         m = blocks[:n]
         for i, term in enumerate(self._rated_terms, start=1):
             m += term.rate_at(t) * blocks[i * n:(i + 1) * n]
-        if self._callable_parts:
-            m += self._built_at(t, adjoint=False).toarray()
         return SuperOperator(m, dim_in=self.dim, dim_out=self.dim)
 
-    def superoperators(self, times) -> np.ndarray:
-        """The matrices of L_t at an array of times, as a (..., d^2, d^2) stack."""
-        times = np.asarray(times, dtype=float)
-        return np.array([self.superoperator(float(t)).matrix for t in times.ravel()]).reshape(
-            times.shape + (self.dim ** 2,) * 2)
-
-    def invariant_sets(self) -> np.ndarray | None:
+    def invariant_sets(self) -> np.ndarray:
         """The invariant set of each coordinate of vec(x), as a (d^2,) array
-        of labels; None for a generator with callable parts.
+        of labels.
 
         Two coordinates share a set when an entry of a compiled block couples
         them, in either direction, and all populations (i, i) share one, so
@@ -657,8 +627,6 @@ class LindbladGenerator:
         entries of the compiled blocks and of their conjugate transposes,
         with pointer jumping, until they settle; once per generator.
         """
-        if self._callable_parts:
-            return None
         if self._sets is None:
             d, n = self.dim, self.dim * self.dim
             # the stored entries of every compiled block and of its transpose
@@ -684,15 +652,12 @@ class LindbladGenerator:
         return _Restriction(self, np.asarray(index))
 
     def is_time_independent(self) -> bool:
-        constant_h = not callable(self.hamiltonian)
-        constant_terms = all(_constant_rate(term.rate) and not callable(term.operator)
-                             for term in self.jumps)
-        return constant_h and constant_terms
+        return not self._rated_terms
 
 
 class _Restriction:
-    """A generator without callable parts on the coordinates ``index`` of
-    vec(x), a union of its invariant sets, as (..., m) rows y.
+    """A generator on the coordinates ``index`` of vec(x), a union of its
+    invariant sets, as (..., m) rows y.
 
     Each compiled block, L_0 and every rated D_i, is restricted to those
     coordinates once, as a dense m x m matrix B_0, B_i acting on rows from

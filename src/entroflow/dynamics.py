@@ -26,7 +26,6 @@ families (GADC, dephasing) need neither.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -390,13 +389,12 @@ def _integration_operator(generator: LindbladGenerator, states: np.ndarray):
     the stack touches, when that union holds m <= max(d, 16) coordinates,
     so that a dense m x m product costs no more than one pass over a state
     or less than the sparse product's dispatch; otherwise the whole
-    generator."""
+    generator.  Every generator has a fixed pattern, hence invariant sets."""
     labels = generator.invariant_sets()
-    if labels is not None:
-        touched = np.any(states.reshape(len(states), -1) != 0, axis=0)
-        index = np.flatnonzero(np.isin(labels, labels[touched]))
-        if len(index) <= max(generator.dim, _DENSE_COORDINATES):
-            return generator.restricted(index)
+    touched = np.any(states.reshape(len(states), -1) != 0, axis=0)
+    index = np.flatnonzero(np.isin(labels, labels[touched]))
+    if len(index) <= max(generator.dim, _DENSE_COORDINATES):
+        return generator.restricted(index)
     return _WholeStates(generator)
 
 
@@ -423,23 +421,23 @@ def propagate(generator: LindbladGenerator, states, grid,
     one eigh, whose spectra the trajectory keeps; a state failing the PSD
     check is an integration failure, named by its time.
 
-    When the generator has no callable parts and the invariant sets
-    (:meth:`LindbladGenerator.invariant_sets`) that the initial stack
-    touches hold m <= max(d, 16) coordinates, as a Fock-diagonal start of a
-    phase-insensitive bosonic generator does (its d populations) and every
-    stack of a generator with d <= 4 does, the stack is propagated as
-    (N, m) coordinate rows.  When m <= 16 or the generator is
-    time-independent, the rows go through the m x m maps of the grid
-    intervals, all built at once (:func:`_map_intervals`): commutator-free
-    4th-order Magnus steps, exact for a time-independent generator, whose
-    maps are then one exponential per interval width.  The rows are chained
+    Every generator has a fixed pattern and invariant sets
+    (:meth:`LindbladGenerator.invariant_sets`).  When the sets that the
+    initial stack touches hold m <= max(d, 16) coordinates, as a
+    Fock-diagonal start of a phase-insensitive bosonic generator does (its
+    d populations) and every stack of a generator with d <= 4 does, the
+    stack is propagated as (N, m) coordinate rows.  When m <= 16 or the
+    generator is time-independent, the rows go through the m x m maps of
+    the grid intervals, all built at once (:func:`_map_intervals`):
+    commutator-free 4th-order Magnus steps, exact for a time-independent
+    generator, whose maps are then one exponential per interval width.  The rows are chained
     through the maps, and the Hermitization, the renormalization, the tail
     guard and the certificate read the rows; the states are scattered to
     (T, N, d, d) once.  Classical RK4 runs interval by interval
     (:func:`_rk4_intervals`) on the rows of a time-dependent restriction
     with m > 16, where every interval would build and certify its own maps
     (``_DENSE_COORDINATES`` has the timings), and on the full sparse
-    ``apply`` for any other generator or stack.
+    ``apply`` for a stack whose sets hold more coordinates.
 
     For generators carrying a tail guard, a population breach of any state
     either raises (``on_tail_breach="raise"``) or ends the whole stack at
@@ -518,8 +516,13 @@ def _rk4_intervals(operator, guard, grid, current, defect,
         return y, k1
 
     def segment(substeps: int) -> np.ndarray:
-        """The states at t1 from the coordinates y at t0, in ``substeps`` steps."""
-        return hermitian_part(operator.states(_rk4_segment(operator, y, t0, t1, substeps, k1)))
+        """The states at t1 from the coordinates y at t0, in ``substeps`` steps;
+        a non-finite one (stages that overflowed at huge rates) fails here."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            end = _rk4_segment(operator, y, t0, t1, substeps, k1)
+        if not np.isfinite(end).all():
+            raise IntegrationError(f"state at t={t1:.6g} is not finite")
+        return hermitian_part(operator.states(end))
 
     spectrum = _spectra_at(current, float(grid[0]))
     y, k1 = store(0, float(grid[0]))
@@ -749,10 +752,7 @@ def closed_form_trajectory(state_fn, grid, derivative_fn) -> Trajectory:
 
 def _whole_space(generator: LindbladGenerator):
     """The generator on all d^2 coordinates, G(t) being the transposed L_t."""
-    if generator.invariant_sets() is not None:
-        return generator.restricted(np.arange(generator.dim ** 2))
-    return SimpleNamespace(time_independent=False, generators=lambda times: np.swapaxes(
-        generator.superoperators(times), -1, -2))
+    return generator.restricted(np.arange(generator.dim ** 2))
 
 
 def _certified_maps(operator, starts: np.ndarray, widths: np.ndarray, atol: float,

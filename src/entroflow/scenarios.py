@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nonunitarity, witnesses
-from ._util import is_finite_number, write_csv
+from ._util import is_finite_number, is_int, write_csv
 from .channels import (
     ChannelError,
     ConstantCoefficient,
@@ -76,12 +76,8 @@ MAX_SAMPLES = 10_000       # sampled states, pairs or optimizer starts
 MAX_DEPOLARIZING_DIM = 16  # fig2_depolarizing's dimensions; the defaults are 2 and 3
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 _JSON_TYPES = {
-    int: ("integer", _is_int),
+    int: ("integer", is_int),
     float: ("number", is_finite_number),
     list: ("list", lambda value: isinstance(value, list)),
     dict: ("mapping", lambda value: isinstance(value, dict)),
@@ -280,7 +276,7 @@ def _check_fig2_depolarizing(params: dict) -> list[str]:
     problems += [f"extra_points entry {p!r} is not a [d, q] pair of an integer and a number"
                  for p in params["extra_points"] if not (
                      isinstance(p, list) and len(p) == 2
-                     and _is_int(p[0]) and is_finite_number(p[1]))]
+                     and is_int(p[0]) and is_finite_number(p[1]))]
     points = [] if problems else _depolarizing_points(params)
     if not (problems or points):
         return ["q_values and extra_points are both empty: no (d, q) point to compute"]
@@ -540,19 +536,23 @@ def run_decoherence_measures(params: dict, outdir: Path, seed: int):
 # ---------------------------------------------------------------------------
 
 def _custom_inputs(params: dict) -> tuple[LindbladGenerator, DensityMatrix]:
-    """The generator and initial state the run propagates."""
-    return (generator_from_document(params["generator"]),
-            DensityMatrix(matrix_from_document(params["initial_state"])))
+    """The generator and initial state the run propagates.  The generator's
+    'dim' must be the initial state's, checked before the generator and its
+    d^2 x d^2 blocks are built."""
+    rho0 = DensityMatrix(matrix_from_document(params["initial_state"]))
+    doc = params["generator"]
+    dim = doc.get("dim") if isinstance(doc, dict) else None
+    if is_int(dim) and dim != rho0.dim:
+        raise SerializationError(f"initial_state is {rho0.dim}x{rho0.dim} but the generator "
+                                 f"acts on dimension {dim}")
+    return generator_from_document(doc), rho0
 
 
 def _check_custom(params: dict) -> list[str]:
     try:
-        generator, rho0 = _custom_inputs(params)
+        _custom_inputs(params)
     except (SerializationError, ChannelError, LinalgError) as exc:
         return [str(exc)]
-    if rho0.dim != generator.dim:
-        return [f"initial_state is {rho0.dim}x{rho0.dim} but the generator "
-                f"acts on dimension {generator.dim}"]
     return []
 
 
@@ -718,7 +718,7 @@ def validate_config(config: dict) -> list[str]:
         return [f"unknown scenario {scenario!r}; known: {sorted(SCENARIOS)}"]
     meta = SCENARIOS[scenario]
     spec = meta["parameters"]
-    problems = [] if _is_int(config.get("seed", 0)) else ["'seed' must be an integer"]
+    problems = [] if is_int(config.get("seed", 0)) else ["'seed' must be an integer"]
     params = config.get("parameters")
     if not isinstance(params, dict):
         return problems + ["missing 'parameters' mapping; required parameters: " + ", ".join(spec)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import is_finite_number
+from ._util import is_finite_number, is_int
 from .channels import (
     ConstantCoefficient,
     CosineSquaredCoefficient,
@@ -106,25 +106,13 @@ def _rate_from_document(doc: dict):
 
 
 def generator_to_document(generator: LindbladGenerator) -> dict:
-    if generator.hamiltonian is None:
-        hamiltonian = None
-    elif callable(generator.hamiltonian):
-        raise SerializationError("time-dependent Hamiltonians are not serializable")
-    else:
-        hamiltonian = matrix_to_document(generator.hamiltonian)
-    jumps = []
-    for term in generator.jumps:
-        if callable(term.operator) and not isinstance(term.operator, np.ndarray):
-            raise SerializationError("time-dependent jump operators are not serializable")
-        jumps.append({
-            "rate": _rate_to_document(term.rate),
-            "operator": matrix_to_document(term.operator),
-        })
+    hamiltonian = generator.hamiltonian
     doc = {
         "kind": "lindblad_generator",
         "dim": generator.dim,
-        "hamiltonian": hamiltonian,
-        "jumps": jumps,
+        "hamiltonian": None if hamiltonian is None else matrix_to_document(hamiltonian),
+        "jumps": [{"rate": _rate_to_document(term.rate),
+                   "operator": matrix_to_document(term.operator)} for term in generator.jumps],
     }
     if generator.tail_guard is not None:
         doc["tail_guard"] = {
@@ -138,13 +126,18 @@ def generator_from_document(doc: dict) -> LindbladGenerator:
     if _field(doc, "kind", "generator", None) != "lindblad_generator":
         raise SerializationError(f"not a generator document: kind={doc.get('kind')!r}")
     dim, hamiltonian, jumps = (_field(doc, k, "generator") for k in ("dim", "hamiltonian", "jumps"))
-    if not (isinstance(dim, int) and dim > 0 and isinstance(jumps, list)):
+    if not (is_int(dim) and dim > 0 and isinstance(jumps, list)):
         raise SerializationError(f"generator 'dim' must be a positive integer and 'jumps' a list: "
                                  f"{doc!r}")
     hamiltonian = None if hamiltonian is None else matrix_from_document(hamiltonian)
     jumps = [JumpTerm(_rate_from_document(_field(j, "rate", "jump")),
                       matrix_from_document(_field(j, "operator", "jump"))) for j in jumps]
-    guard = doc.get("tail_guard")
-    tail_guard = TailGuard(levels=_field(guard, "levels", "tail_guard"),
-                           bound=_field(guard, "bound", "tail_guard")) if guard else None
+    guard, tail_guard = doc.get("tail_guard"), None
+    if guard:
+        levels = _field(guard, "levels", "tail_guard")
+        bound = _field(guard, "bound", "tail_guard", number=True)
+        if not (is_int(levels) and 1 <= levels <= dim and bound >= 0):
+            raise SerializationError(f"tail_guard needs an integer 'levels' in [1, {dim}] and a "
+                                     f"'bound' >= 0, got {guard!r}")
+        tail_guard = TailGuard(levels=levels, bound=bound)
     return LindbladGenerator(dim, hamiltonian=hamiltonian, jumps=jumps, tail_guard=tail_guard)

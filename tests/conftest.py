@@ -35,6 +35,12 @@ def support_projectors(spectrum):
     return hermitian_part((v * spectrum.support_mask()[..., None, :]) @ dagger(v))
 
 
+def superoperators(generator, times) -> np.ndarray:
+    """The matrices of L_t at an array of times, as a (T, d^2, d^2) stack of
+    the generator's ``superoperator(t)``."""
+    return np.stack([generator.superoperator(float(t)).matrix for t in times])
+
+
 def reference_maps(family):
     """M_{t,0} and M_{t+eps,t} of a channel family as two callables giving
     SuperOperators, built without the family's stacks: from :func:`gadc` for

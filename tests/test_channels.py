@@ -315,14 +315,14 @@ def _random_matrix(rng, d):
 
 
 def _engine_generators(rng):
-    """One generator with constant parts, one whose Hamiltonian and operators are callables."""
+    """One generator with a constant and a cosine-squared rate, one with a
+    plain callable rate and no Hamiltonian."""
     h = _random_matrix(rng, 3)
     h = 0.5 * (h + dagger(h))
     a, b = _random_matrix(rng, 3), _random_matrix(rng, 3)
     constant = LindbladGenerator(3, hamiltonian=h, jumps=[
         JumpTerm(0.7, a), JumpTerm(CosineSquaredCoefficient(omega=1.3, scale=0.4), b)])
-    timed = LindbladGenerator(3, hamiltonian=lambda t: np.cos(t) * h, jumps=[
-        JumpTerm(lambda t: 0.2 + np.sin(t), lambda t: a + t * b), JumpTerm(0.5, b)])
+    timed = LindbladGenerator(3, jumps=[JumpTerm(lambda t: 0.2 + np.sin(t), a + b), JumpTerm(0.5, b)])
     return [constant, timed]
 
 
@@ -361,12 +361,6 @@ class TestLindbladEngine:
                 for t, rows, images in zip(times, stack, out):
                     np.testing.assert_allclose(images, apply(t, rows), atol=1e-13)
 
-    def test_callable_hamiltonian_checked_at_every_time(self):
-        gen = LindbladGenerator(2, hamiltonian=lambda t: t * np.array([[0, 1], [0, 0]]))
-        np.testing.assert_allclose(gen.apply(0.0, np.eye(2) / 2), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="not Hermitian"):
-            gen.apply(0.5, np.eye(2) / 2)
-
     def test_constant_hamiltonian_checked_at_construction(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             LindbladGenerator(2, hamiltonian=np.array([[0, 1], [0, 0]]))
@@ -375,7 +369,6 @@ class TestLindbladEngine:
         assert LindbladGenerator(2, jumps=[JumpTerm(0.5, SIGMA_Z)]).is_time_independent()
         assert dephasing_generator(1.0).is_time_independent()
         assert not dephasing_generator(lambda t: 1.0 + t).is_time_independent()
-        assert not LindbladGenerator(2, hamiltonian=lambda t: SIGMA_Z).is_time_independent()
 
 
 def _sets(gen):
@@ -404,12 +397,6 @@ class TestInvariantSets:
 
     def test_random_jump_couples_everything(self, rng):
         assert _sets(LindbladGenerator(3, jumps=[(0.5, _random_matrix(rng, 3))])) == [list(range(9))]
-
-    def test_callable_parts_have_no_sets(self, rng):
-        constant, timed = _engine_generators(rng)
-        assert constant.invariant_sets() is not None and timed.invariant_sets() is None
-        assert LindbladGenerator(2, hamiltonian=lambda t: SIGMA_Z).invariant_sets() is None
-        assert LindbladGenerator(2, jumps=[(0.5, lambda t: SIGMA_X)]).invariant_sets() is None
 
     def test_restricted_apply_equals_the_full_one_in_every_coherence_order(self, rng):
         # Both jumps, and each alone: one-way couplings join a set too.
@@ -469,9 +456,6 @@ def _reference_cases(rng):
         (LindbladGenerator(3, hamiltonian=h, jumps=[
             JumpTerm(0.7, a), JumpTerm(cos2, b), JumpTerm(decay, a), JumpTerm(lambda t: np.sin(3 * t), b)]),
          lambda t: (h, [(0.7, a), (cos2(t), b), (decay(t), a), (np.sin(3 * t), b)])),
-        (LindbladGenerator(3, hamiltonian=lambda t: np.cos(t) * h, jumps=[
-            JumpTerm(lambda t: 0.2 + np.sin(t), lambda t: a + t * b), JumpTerm(0.5, b)]),
-         lambda t: (np.cos(t) * h, [(0.2 + np.sin(t), a + t * b), (0.5, b)])),
     ]
 
 
@@ -537,18 +521,16 @@ class TestLindbladAgainstDenseReference:
         compile_matrix = channels._sandwich_matrix
         monkeypatch.setattr(channels, "_sandwich_matrix",
                             lambda *args: built.append(1) or compile_matrix(*args))
-        constant, rated, timed = [gen for gen, _ in _reference_cases(rng)]
+        generators = [gen for gen, _ in _reference_cases(rng)]  # constant or time-dependent rates
         at_construction = len(built)
         x = _random_matrix(rng, 3)
-        for gen in (constant, rated):  # constant operators, with constant or time-dependent rates
+        for gen in generators:
             for t in (0.0, 0.5, np.array([0.1, 0.2])):
                 y = x if np.ndim(t) == 0 else np.stack([x, x])
                 gen.apply(t, y)
                 gen.adjoint_apply(t, y)
             gen.superoperator(0.3)
         assert len(built) == at_construction
-        timed.apply(0.5, x)  # callable parts are built at every evaluation
-        assert len(built) == at_construction + 1
 
 
 class TestLindbladShapes:
@@ -558,14 +540,14 @@ class TestLindbladShapes:
         with pytest.raises(ChannelError, match="hamiltonian has shape"):
             LindbladGenerator(2, hamiltonian=np.eye(3))
 
-    def test_mis_sized_callable_parts_rejected_when_evaluated(self):
-        gen = LindbladGenerator(2, jumps=[JumpTerm(0.5, lambda t: np.eye(2 + int(t > 1)))])
-        gen.apply(0.5, np.eye(2))
-        with pytest.raises(ChannelError, match="jump operator has shape"):
-            gen.apply(1.5, np.eye(2))
-        gen = LindbladGenerator(2, hamiltonian=lambda t: np.eye(3))
-        with pytest.raises(ChannelError, match="hamiltonian has shape"):
-            gen.superoperator(0.0)
+    def test_callable_hamiltonian_or_operator_rejected_at_construction(self):
+        # Time dependence belongs in the rates: H and every A_i are matrices.
+        with pytest.raises(ChannelError, match="hamiltonian must be a matrix.*in the rates"):
+            LindbladGenerator(2, hamiltonian=lambda t: np.cos(t) * SIGMA_Z)
+        with pytest.raises(ChannelError, match="jump operator must be a matrix.*in the rates"):
+            LindbladGenerator(2, jumps=[JumpTerm(0.5, lambda t: SIGMA_X)])
+        with pytest.raises(ChannelError, match="jump operator must be a matrix"):
+            LindbladGenerator(2, jumps=[(lambda t: 1.0 + t, lambda t: SIGMA_X)])
 
     def test_mis_sized_input_rejected(self):
         with pytest.raises(ChannelError, match="does not match dim"):

@@ -102,6 +102,11 @@ HUGE = 10**400  # a JSON integer too large for a float
 HUGE_STATE = [[[HUGE, 0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
 HUGE_RATE_GENERATOR = {**QUTRIT_JUMP_GENERATOR, "jumps": [
     {"rate": {"type": "constant", "value": HUGE}, "operator": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}
+DEFAULT_GENERATOR = DEFAULT_CONFIGS["custom"]["parameters"]["generator"]
+HUGE_DIM_GENERATOR = {**DEFAULT_GENERATOR, "dim": 100000}  # a 149 GiB dense Hamiltonian, if built
+TEXT_LEVELS_GENERATOR = {**DEFAULT_GENERATOR, "tail_guard": {"levels": "x", "bound": 1e-8}}
+TEXT_BOUND_GENERATOR = {**DEFAULT_GENERATOR, "tail_guard": {"levels": 1, "bound": "a"}}
+NO_LEVELS_GENERATOR = {**DEFAULT_GENERATOR, "tail_guard": {"levels": 0, "bound": 1e-8}}
 
 
 @pytest.mark.parametrize("scenario, key, value", [
@@ -158,6 +163,10 @@ HUGE_RATE_GENERATOR = {**QUTRIT_JUMP_GENERATOR, "jumps": [
     ("fig2_depolarizing", "d", 17),                       # one dimension past the cap
     ("fig2_depolarizing", "extra_points", [[17, 0.5]]),   # the same d as an extra point
     ("fig2_depolarizing", "extra_points", [[HUGE, 0.5]]),  # d beyond the float range
+    ("custom", "generator", HUGE_DIM_GENERATOR),          # dim 100000 for a 2x2 state
+    ("custom", "generator", TEXT_LEVELS_GENERATOR),       # tail-guard levels not an integer
+    ("custom", "generator", TEXT_BOUND_GENERATOR),        # tail-guard bound not a number
+    ("custom", "generator", NO_LEVELS_GENERATOR),         # a tail guard over no level
 ])
 def test_bad_config_fails_in_validate(scenario, key, value, tmp_path):
     config = copy.deepcopy(DEFAULT_CONFIGS[scenario])
@@ -186,12 +195,33 @@ def test_every_integer_parameter_is_bounded():
     ("initial_state", NAN_STATE, "entry [0][0] is not finite"),
     ("generator", NAN_RATE_GENERATOR, "'value' must be a finite number"),
     ("generator", NAN_HAMILTONIAN_GENERATOR, "entry [0][1] is not finite"),
+    ("generator", HUGE_DIM_GENERATOR, "initial_state is 2x2 but the generator acts on dimension 100000"),
+    ("generator", TEXT_LEVELS_GENERATOR, "integer 'levels' in [1, 2]"),
+    ("generator", TEXT_BOUND_GENERATOR, "'bound' must be a finite number"),
+    ("generator", NO_LEVELS_GENERATOR, "integer 'levels' in [1, 2]"),
 ])
 def test_custom_validate_names_the_malformed_part(key, value, named):
     config = copy.deepcopy(DEFAULT_CONFIGS["custom"])
     config["parameters"][key] = value
     [problem] = validate_config(config)
     assert named in problem
+
+
+def test_custom_dim_is_checked_before_the_generator_is_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(LindbladGenerator, "__init__", lambda *args, **kw: built.append(args))
+    config = copy.deepcopy(DEFAULT_CONFIGS["custom"])
+    config["parameters"]["generator"] = HUGE_DIM_GENERATOR
+    assert validate_config(config) and built == []
+
+
+def test_custom_bool_dim_is_not_an_integer():
+    # isinstance(True, int) holds: without the bool test, true would read as dim 1.
+    config = copy.deepcopy(DEFAULT_CONFIGS["custom"])
+    config["parameters"]["generator"] = {**DEFAULT_GENERATOR, "dim": True, "jumps": []}
+    config["parameters"]["initial_state"] = [[[1.0, 0.0]]]
+    [problem] = validate_config(config)
+    assert "'dim' must be a positive integer" in problem
 
 
 @pytest.mark.parametrize("key, value", [

@@ -54,7 +54,7 @@ from entroflow.witnesses import (
     f_components,
 )
 
-from conftest import reference_maps, support_projectors
+from conftest import reference_maps, superoperators, support_projectors
 
 
 def test_pinsker_gap_rejects_trace_nonincreasing_operation():
@@ -218,7 +218,7 @@ def test_witness_reports_f_matches_the_generator_family(rng):
     # agrees with the dense route through the stacked superoperators of L_t.
     generator = _random_semigroup(rng, 3)
     traj = propagate(generator, random_mixed_state(rng, 3), np.linspace(0.0, 1.0, 11))
-    dense = _dense_epsilon_terms(generator.superoperators(traj.grid), traj.entries[:, None],
+    dense = _dense_epsilon_terms(superoperators(generator, traj.grid), traj.entries[:, None],
                                  support_projectors(traj.spectrum)[:, None])
     np.testing.assert_allclose([r.f_value for r in witness_reports(generator, traj)],
                                traj.entropy_rates() + dense[:, 0], rtol=0, atol=1e-12)
@@ -249,7 +249,7 @@ def test_support_traces_equal_the_projector_form(rng, d):
     # the short-time term of witness_reports, K_t = L_t
     np.testing.assert_allclose(
         spectrum.support_traces(adjoint_images + generator.apply(times, states)),
-        _dense_epsilon_terms(generator.superoperators(times), states, projectors),
+        _dense_epsilon_terms(superoperators(generator, times), states, projectors),
         rtol=0, atol=1e-12)
 
 
@@ -267,7 +267,7 @@ def test_generator_family_epsilon_terms_need_no_dense_superoperators():
     for generator in (constant, timed):
         traj = propagate(generator, thermal_state(0.2, 20), grid)
         reports = witness_reports(generator, traj)
-        dense = _dense_epsilon_terms(generator.superoperators(grid[rows]), traj.entries[rows, None],
+        dense = _dense_epsilon_terms(superoperators(generator, grid[rows]), traj.entries[rows, None],
                                      support_projectors(traj.spectrum[rows])[:, None])
         np.testing.assert_allclose([r.f_value for r in reports[rows]],
                                    traj.entropy_rates()[rows] + dense[:, 0], rtol=0, atol=1e-12)
