@@ -453,25 +453,39 @@ class TailGuard:
         return float(tails) if tails.ndim == 0 else tails
 
 
-def _sandwich_matrix(dim: int, sandwiches) -> sparse.csr_array:
-    """Matrix of X -> sum_k c_k K_k X M_k for (c_k, K_k, M_k) in ``sandwiches``:
-    sum_k c_k kron(K_k, M_k^T) in the row-stacking convention, assembled as one
-    CSR matrix from the nonzero entries of the factors."""
-    from scipy import sparse
-
-    n = dim * dim
-    if not sandwiches:
-        return sparse.csr_array((n, n), dtype=complex)
-    rows, cols, vals = [], [], []
+def _sandwich_entries(dim: int, sandwiches, name: str) -> list:
+    """The entries of X -> sum_k c_k K_k X M_k for (c_k, K_k, M_k) in
+    ``sandwiches``: sum_k c_k kron(K_k, M_k^T) in the row-stacking convention,
+    as (rows, cols, values) from the nonzero entries of the factors, one
+    triple per sandwich.  A value that overflows (a rate near the float
+    limit) raises ChannelError naming the part, with no RuntimeWarning."""
+    entries = []
     for c, k, m in sandwiches:
         m_t = m.T
         kr, kc = np.nonzero(k)
         mr, mc = np.nonzero(m_t)
-        rows.append((kr[:, None] * dim + mr).ravel())
-        cols.append((kc[:, None] * dim + mc).ravel())
-        vals.append((c * k[kr, kc][:, None] * m_t[mr, mc]).ravel())
-    return sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(n, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = (c * k[kr, kc][:, None] * m_t[mr, mc]).ravel()
+        if not np.isfinite(vals).all():
+            raise ChannelError(f"{name} gives a non-finite generator entry: its rate times "
+                               "its operator's entries overflows")
+        entries.append(((kr[:, None] * dim + mr).ravel(), (kc[:, None] * dim + mc).ravel(), vals))
+    return entries
+
+
+def _sandwich_matrix(dim: int, entries, name: str) -> sparse.csr_array:
+    """One CSR matrix summing the :func:`_sandwich_entries` triples of
+    ``name``; ChannelError when a sum of finite entries overflows."""
+    from scipy import sparse
+
+    n = dim * dim
+    if not entries:
+        return sparse.csr_array((n, n), dtype=complex)
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    matrix = sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+    if not np.isfinite(matrix.data).all():
+        raise ChannelError(f"the entries of {name} add up to a non-finite generator entry")
+    return matrix
 
 
 def _commutator(h: np.ndarray) -> list:
@@ -481,9 +495,11 @@ def _commutator(h: np.ndarray) -> list:
 
 
 def _dissipator(gamma: float, a: np.ndarray) -> list:
-    """gamma (A X A^dag - {A^dag A, X}/2) as sandwiches."""
+    """gamma (A X A^dag - {A^dag A, X}/2) as sandwiches; an A^dag A that
+    overflows is left to :func:`_sandwich_entries` to refuse."""
     a_dag = dagger(a)
-    ada = a_dag @ a
+    with np.errstate(over="ignore", invalid="ignore"):
+        ada = a_dag @ a
     eye = np.eye(len(a), dtype=complex)
     return [(gamma, a, a_dag), (-0.5 * gamma, ada, eye), (-0.5 * gamma, eye, ada)]
 
@@ -510,7 +526,8 @@ class LindbladGenerator:
     second one for the adjoint.  ``scipy.sparse`` is imported there, by the
     first generator a process builds, so the closed-form channel runs never
     load it.  The Hamiltonian is checked for Hermiticity there, and it and
-    every operator must be dim x dim.
+    every operator must be dim x dim; a jump whose block entries overflow
+    (a rate near the float limit) is refused with ChannelError naming it.
     ``apply`` reads a stack (..., d, d) as the columns vec(x) of one
     d^2-row matrix, multiplies the stacked matrix onto them once, and
     combines the row blocks as L_0 x + sum_i gamma_i(t) D_i x;
@@ -540,17 +557,19 @@ class LindbladGenerator:
             terms.append(term)
         self.jumps = tuple(terms)
         self.tail_guard = tail_guard
-        constant = [] if hamiltonian is None else _commutator(
-            require_hermitian(self._checked(hamiltonian, "hamiltonian"), name="hamiltonian"))
+        constant = [] if hamiltonian is None else _sandwich_entries(self.dim, _commutator(
+            require_hermitian(self._checked(hamiltonian, "hamiltonian"), name="hamiltonian")),
+            "hamiltonian")
         rated, dissipators = [], []
-        for term in self.jumps:
-            a = self._checked(term.operator, "jump operator")
+        for i, term in enumerate(self.jumps):
+            a, name = self._checked(term.operator, "jump operator"), f"jump {i}"
             if _constant_rate(term.rate):
-                constant += _dissipator(term.rate_at(0.0), a)
+                constant += _sandwich_entries(self.dim, _dissipator(term.rate_at(0.0), a), name)
             else:
                 rated.append(term)
-                dissipators.append(_sandwich_matrix(self.dim, _dissipator(1.0, a)))
-        blocks = [_sandwich_matrix(self.dim, constant)] + dissipators
+                entries = _sandwich_entries(self.dim, _dissipator(1.0, a), name)
+                dissipators.append(_sandwich_matrix(self.dim, entries, name))
+        blocks = [_sandwich_matrix(self.dim, constant, "the constant terms")] + dissipators
         self._rated_terms = tuple(rated)
         from scipy import sparse
 
@@ -747,10 +766,15 @@ def check_cutoff(cutoff: int) -> None:
         raise ChannelError("cutoff must be at least 2")
 
 
-def check_bosonic_rates(gamma_plus: float, gamma_minus: float) -> None:
-    """Both rates of a phase-insensitive bosonic generator are non-negative."""
+def check_bosonic_rates(gamma_plus: float, gamma_minus: float, cutoff: int) -> None:
+    """Both rates of a phase-insensitive bosonic generator are non-negative,
+    and (gamma_+ + gamma_-) * cutoff, which bounds every entry of its
+    compiled blocks, is finite."""
     if gamma_plus < 0 or gamma_minus < 0:
         raise ChannelError("bosonic rates must be non-negative")
+    if not np.isfinite((float(gamma_plus) + float(gamma_minus)) * cutoff):
+        raise ChannelError(f"bosonic rates {gamma_plus:g} and {gamma_minus:g} overflow the "
+                           f"generator at cutoff {cutoff}")
 
 
 def check_thermal_tail(mean_photons: float, cutoff: int) -> None:
@@ -780,8 +804,8 @@ def bosonic_generator(gamma_plus: float, gamma_minus: float, cutoff: int) -> Lin
     generator carries a tail guard: propagation is trusted only while the
     population of the top two levels stays below ``TAIL_GUARD_BOUND``.
     """
-    check_bosonic_rates(gamma_plus, gamma_minus)
     a = annihilation_operator(cutoff)
+    check_bosonic_rates(gamma_plus, gamma_minus, cutoff)
     jumps = [
         JumpTerm(ConstantCoefficient(float(gamma_plus)), dagger(a)),
         JumpTerm(ConstantCoefficient(float(gamma_minus)), a),

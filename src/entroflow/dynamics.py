@@ -17,10 +17,10 @@ K_t = d/d eps M_{t+eps,t} at eps = 0, each carrying a stack of initial
 states to (T, N, d, d) states in one product: no finite differences.  A
 Lindblad generator needs no family: its K_t is L_t itself.
 
-``scipy.linalg`` is imported by the first map build, which calls
-``expm``, and ``scipy.sparse`` by the first
-:class:`~entroflow.channels.LindbladGenerator`; the closed-form channel
-families (GADC, dephasing) need neither.
+``scipy.linalg`` is imported by the first map build whose exponent is not
+diagonal (:func:`expm`; dephasing maps are diagonal and need no scipy), and
+``scipy.sparse`` by the first :class:`~entroflow.channels.LindbladGenerator`;
+the closed-form channel families (GADC, dephasing) need neither.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .linalg import (
     LinalgError,
     _density_spectra,
     _entropies,
+    _is_diagonal,
     as_matrix,
     check_density_stack,
     hermitian_part,
@@ -106,8 +107,8 @@ class Trajectory:
     at construction computes the expectations <v_i|rho_dot|v_i> of the
     derivatives in the eigenbases once, and ``entropy_rates`` reads them.
 
-    The states are validated with one stacked eigh
-    (:func:`check_density_stack`) unless ``spectrum`` passes the stacked
+    The states are validated with one stacked eigh, none for a diagonal
+    stack (:func:`check_density_stack`), unless ``spectrum`` passes the stacked
     spectrum of states already validated, so that no state is decomposed
     twice.  ``state_fn`` is set for closed-form trajectories and gives the
     states off the grid without the integrator; ``generator`` is set when
@@ -156,8 +157,10 @@ class Trajectory:
     def states(self) -> list[DensityMatrix]:
         if self._states is None:
             d = self.entries.shape[-1]
+            order = self.spectrum.order
             spectrum = EigenSystem(self.spectrum.eigenvalues.reshape(-1, d),
-                                   self.spectrum.eigenvectors.reshape(-1, d, d))
+                                   self.spectrum.eigenvectors.reshape(-1, d, d),
+                                   None if order is None else order.reshape(-1, d))
             self._states = [DensityMatrix._from_checked(rho, spectrum[k])
                             for k, rho in enumerate(self.entries.reshape(-1, d, d))]
         return self._states
@@ -504,11 +507,17 @@ def _rk4_intervals(operator, guard, grid, current, defect,
     dots = np.empty_like(rho)
     eigenvalues = np.empty((len(grid), n, d))
     eigenvectors = np.empty_like(rho)
+    orders = np.empty((len(grid), n, d), dtype=np.intp)  # None once a spectrum has none
     defects = np.empty((len(grid), n))
 
     def store(k: int, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Keep the state at grid point k; its coordinates and their derivative."""
+        nonlocal orders
         rho[k], eigenvalues[k], eigenvectors[k] = current, spectrum.eigenvalues, spectrum.eigenvectors
+        if orders is not None and spectrum.order is not None:
+            orders[k] = spectrum.order
+        else:
+            orders = None
         y = operator.coordinates(current)
         k1 = operator.apply(t, y)
         dots[k] = operator.states(k1)
@@ -552,7 +561,7 @@ def _rk4_intervals(operator, guard, grid, current, defect,
                 length, truncated_at = k + 1, t1
                 break
         y, k1 = store(k + 1, t1)
-    return (rho[:length], dots[:length], EigenSystem(eigenvalues, eigenvectors)[:length],
+    return (rho[:length], dots[:length], EigenSystem(eigenvalues, eigenvectors, orders)[:length],
             defects[:length], truncated_at)
 
 
@@ -569,13 +578,28 @@ _CF4_WEIGHTS = ((3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 
 _WIDTH_RTOL = 1e-12
 
 
+_scipy_expm = None  # scipy.linalg.expm, bound by the first expm that needs it
+
+
 def expm(a: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm, imported on the first call, which rebinds this
-    module's ``expm`` to it: a run that builds no map never loads
-    scipy.linalg, and later calls go to scipy directly."""
-    global expm
-    from scipy.linalg import expm
-    return expm(a)
+    """The exponentials of a stack (..., m, m) of matrices.
+
+    A stack with no nonzero entry off its diagonals takes one elementwise
+    exp of its diagonals, scattered into zeros: scipy.linalg.expm's own
+    branch for a diagonal matrix, which it takes one matrix at a time.  Any
+    other stack goes to scipy.linalg.expm, imported on first need, so that a
+    run whose maps are all diagonal (every dephasing map) never loads
+    scipy.linalg.
+    """
+    global _scipy_expm
+    if _is_diagonal(a):
+        out = np.zeros(a.shape, dtype=np.result_type(a.dtype, 1.0))
+        diagonals = np.einsum("...ii->...i", out)
+        diagonals[...] = np.exp(np.diagonal(a, axis1=-2, axis2=-1))
+        return out
+    if _scipy_expm is None:
+        from scipy.linalg import expm as _scipy_expm
+    return _scipy_expm(a)
 
 
 def _cf4_maps(operator, starts: np.ndarray, widths: np.ndarray, steps: int) -> np.ndarray:

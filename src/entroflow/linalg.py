@@ -7,7 +7,9 @@ spectrum, which every spectral function here reads; a raw array gets one
 fresh decomposition per call.  An :class:`EigenSystem` may hold the spectra
 of a whole stack (..., d, d) of matrices, and its support, log and entropy
 formulas act on every matrix of the stack at once; the single-matrix
-functions read the same formulas.
+functions read the same formulas.  A stack with no nonzero entry off its
+diagonals is decomposed without eigh: its eigenvalues are its sorted
+diagonals and its eigenvectors permutation columns.
 """
 
 from __future__ import annotations
@@ -108,16 +110,25 @@ def require_hermitian(operator, atol: float = HERMITICITY_ATOL, name: str = "ope
     return hermitian_part(a)
 
 
+def _is_diagonal(a: np.ndarray) -> bool:
+    """Whether a matrix, or a stack (..., m, m) of them, has no nonzero (or
+    NaN) entry off the diagonal anywhere, read from two counts: no copy."""
+    return np.count_nonzero(a) == np.count_nonzero(np.diagonal(a, axis1=-2, axis2=-1))
+
+
 @dataclass(frozen=True)
 class EigenSystem:
     """Eigenvalues sorted in descending order with matching eigenvector columns.
 
     For a stack of matrices the arrays are (..., d) and (..., d, d), and the
-    methods below return one result per matrix of the stack.
+    methods below return one result per matrix of the stack.  ``order`` is
+    set for the spectra of a diagonal stack, (..., d): eigenvector i is the
+    basis vector order[i], so expectations read the diagonal.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    order: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -129,7 +140,8 @@ class EigenSystem:
 
     def __getitem__(self, index) -> "EigenSystem":
         """The spectra of part of a stack, indexed over its leading axes."""
-        return EigenSystem(self.eigenvalues[index], self.eigenvectors[index])
+        order = None if self.order is None else self.order[index]
+        return EigenSystem(self.eigenvalues[index], self.eigenvectors[index], order)
 
     def support_mask(self, tol: float = ZERO_EIGENVALUE_RTOL) -> np.ndarray:
         """Eigenvalues above tol * lambda_max, per matrix."""
@@ -150,8 +162,13 @@ class EigenSystem:
         """Re <v_i|A|v_i> for every eigenvector v_i, per matrix: (..., d).
 
         For Hermitian A this is the diagonal of V^dag A V, from the one
-        product A V and no other stacked temporary.
+        product A V and no other stacked temporary; for the spectra of a
+        diagonal stack, Re A_jj in eigenvalue order, with no product.
         """
+        if self.order is not None:
+            diagonals, order = np.broadcast_arrays(
+                np.diagonal(operators, axis1=-2, axis2=-1).real, self.order)
+            return np.take_along_axis(diagonals, order, axis=-1)
         v = self.eigenvectors
         w = operators @ v
         return (np.einsum("...ji,...ji->...i", v.real, w.real)
@@ -193,8 +210,9 @@ class DensityMatrix:
         self._set(a, spectrum)
 
     def _set(self, entries: np.ndarray, spectrum: EigenSystem) -> None:
-        for array in (entries, spectrum.eigenvalues, spectrum.eigenvectors):
-            array.setflags(write=False)
+        for array in (entries, spectrum.eigenvalues, spectrum.eigenvectors, spectrum.order):
+            if array is not None:
+                array.setflags(write=False)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "dim", entries.shape[0])
         object.__setattr__(self, "spectrum", spectrum)
@@ -232,7 +250,7 @@ class DensityMatrix:
 
 def spectral_decompose(operator, atol: float = HERMITICITY_ATOL) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix, or of a stack (..., d, d) of
-    them in one eigh call, eigenvalues descending.
+    them in one eigh call (none for a diagonal stack), eigenvalues descending.
 
     A :class:`DensityMatrix` returns the spectrum it carries, and an
     :class:`EigenSystem` is returned as it is.  Inputs with asymmetry within
@@ -247,13 +265,26 @@ def spectral_decompose(operator, atol: float = HERMITICITY_ATOL) -> EigenSystem:
 
 
 def _eigh(a: np.ndarray) -> EigenSystem:
-    """One eigh of an exactly Hermitian matrix or stack, eigenvalues descending."""
+    """One eigh of an exactly Hermitian matrix or stack, eigenvalues descending.
+
+    A diagonal stack with finite diagonals takes no eigh: the real parts of
+    its diagonals, sorted, are the eigenvalues eigh returns for it, and the
+    eigenvectors are the matching basis vectors.  A non-finite diagonal goes
+    to eigh, so that the checks read the eigenvalues they always read.
+    """
+    diagonals = np.diagonal(a, axis1=-2, axis2=-1).real
+    if _is_diagonal(a) and np.isfinite(diagonals).all():
+        order = np.argsort(diagonals, axis=-1, kind="stable")[..., ::-1]
+        vectors = np.zeros(a.shape, dtype=np.result_type(a.dtype, 1.0))
+        np.put_along_axis(vectors, order[..., None, :], 1.0, axis=-2)
+        return EigenSystem(np.take_along_axis(diagonals, order, axis=-1), vectors, order)
     ascending, vectors = np.linalg.eigh(a)
     return EigenSystem(ascending[..., ::-1].copy(), vectors[..., ::-1].copy())
 
 
 def check_density_stack(operators, subnormalized: bool = False) -> tuple[np.ndarray, EigenSystem]:
-    """Validate a density matrix, or a stack (..., d, d) of them, with one eigh.
+    """Validate a density matrix, or a stack (..., d, d) of them, with one eigh
+    (none for a diagonal stack).
 
     Each matrix must be Hermitian within ``HERMITICITY_ATOL``, PSD within
     ``PSD_ATOL`` and of unit trace within ``TRACE_ATOL`` (at most 1 when

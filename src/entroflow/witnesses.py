@@ -27,6 +27,7 @@ from .dynamics import (
     ChannelFamily,
     Trajectory,
     entropy_rate,
+    expm,
     propagate,
     states_off_grid,
 )
@@ -454,8 +455,6 @@ def semigroup_sandwich(generator: LindbladGenerator, rho0, t: float,
     if np.max(np.abs(generator.apply(0.0, np.eye(generator.dim)))) > atol:
         raise WitnessError("generator is not unital")
     a = _require_full_rank(rho0, "initial state")
-    from scipy.linalg import expm
-
     m_t = expm(t * s.matrix)
     v0 = a.reshape(-1)
     rho_t = hermitian_part((m_t @ v0).reshape(a.shape))

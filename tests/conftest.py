@@ -73,6 +73,7 @@ def first_scipy_use(case: str) -> np.ndarray:
     """A computation whose first step needs scipy: the trajectory entries of a
     driven, damped qubit under a ``constant`` or ``time_dependent`` rate
     (a generator compiled by scipy.sparse, maps built by scipy.linalg.expm),
+    of a qubit under ``dephasing`` at a time-dependent rate (diagonal maps),
     or the ``sandwich`` bounds of a dephasing semigroup.  It lives here, not in
     a test module, so that a fresh interpreter can import it without scipy."""
     if case == "sandwich":
@@ -82,7 +83,10 @@ def first_scipy_use(case: str) -> np.ndarray:
                          bounds.relative_entropy_bound])
     lowering = np.array([[0, 1], [0, 0]], dtype=complex)
     rate = 0.7 if case == "constant" else (lambda t: 0.5 + 0.4 * np.cos(3.0 * t))
-    generator = LindbladGenerator(2, hamiltonian=0.3 * SIGMA_X, jumps=[(rate, lowering)])
+    if case == "dephasing":
+        generator = LindbladGenerator(2, jumps=[(rate, SIGMA_Z)])
+    else:
+        generator = LindbladGenerator(2, hamiltonian=0.3 * SIGMA_X, jumps=[(rate, lowering)])
     return propagate(generator, DensityMatrix.pure([1, 0.5]), np.linspace(0.0, 2.0, 21)).entries
 
 

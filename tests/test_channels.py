@@ -553,6 +553,20 @@ class TestLindbladShapes:
         with pytest.raises(ChannelError, match="does not match dim"):
             dephasing_generator(1.0).apply(0.0, np.eye(4))
 
+    def test_overflowing_jump_rejected_by_name_without_a_warning(self):
+        # pytest turns a RuntimeWarning into an error, so each case must
+        # raise before numpy warns about the overflow.
+        big = np.array([[2.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ChannelError, match="^jump 1 gives a non-finite generator entry"):
+            LindbladGenerator(2, jumps=[(0.5, SIGMA_Z), (1e308, big)])
+        with pytest.raises(ChannelError, match="^jump 0 gives a non-finite generator entry"):
+            LindbladGenerator(2, jumps=[(lambda t: 1.0, 1e200 * big)])  # A^dag A overflows
+        with pytest.raises(ChannelError, match="^the entries of the constant terms add up"):
+            LindbladGenerator(2, jumps=[(1e308, SIGMA_Z)])  # 1e308 (Z X Z - X) is -2e308 X
+        with pytest.raises(ChannelError, match="bosonic rates 1e\\+308 and 0 overflow"):
+            bosonic_generator(1e308, 0.0, 40)
+        bosonic_generator(1e300, 0.0, 40)  # 4e301 at most: compiled
+
 
 class TestSerialization:
     def test_generator_round_trip_with_tagged_rates(self):

@@ -49,7 +49,7 @@ from entroflow.dynamics import (
     oscillating_qubit_state,
     states_off_grid,
 )
-from entroflow.linalg import LinalgError, dagger, hermitian_part
+from entroflow.linalg import EigenSystem, LinalgError, dagger, hermitian_part
 from entroflow.sampling import random_full_rank_state, random_mixed_state
 
 from conftest import (first_scipy_use, fresh_interpreter, reference_maps, superoperators,
@@ -58,24 +58,24 @@ from conftest import (first_scipy_use, fresh_interpreter, reference_maps, supero
 DAMPING_RATE_AT_ONE = -0.19914228500721254  # e^-1 log(e^-1 / (1 - e^-1))
 
 
-@pytest.mark.parametrize("case", ["constant", "time_dependent", "sandwich"])
+@pytest.mark.parametrize("case", ["constant", "time_dependent", "sandwich", "dephasing"])
 def test_scipy_loads_on_first_use(case, tmp_path):
     # A fresh interpreter in which the case is the first user of scipy: the
-    # generator compiles through a lazy scipy.sparse import, the first map
-    # build rebinds dynamics.expm to scipy.linalg.expm (the name the
-    # benchmark's tracer wraps), and semigroup_sandwich imports expm itself.
+    # generator compiles through a lazy scipy.sparse import, and a map build
+    # loads scipy.linalg only for an exponent that is not diagonal (the
+    # driven qubit's); the dephasing maps and sandwich take dynamics.expm's
+    # elementwise branch.  Either way the numbers are those of this process.
     code = ("import sys\n"
             "import numpy as np\n"
-            "import scipy\n"
             "from conftest import first_scipy_use\n"
             "from entroflow import dynamics\n"
             "assert not [m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg'))]\n"
-            "assert dynamics.expm.__module__ == 'entroflow.dynamics'\n"
             "np.save(sys.argv[1], first_scipy_use(sys.argv[2]))\n"
-            "print(dynamics.expm is scipy.linalg.expm)\n")
+            "assert dynamics.expm.__module__ == 'entroflow.dynamics'\n"
+            "print('scipy.linalg' in sys.modules)\n")
     path = tmp_path / "result.npy"
     out = fresh_interpreter(code, str(path), case)
-    assert out.strip() == str(case != "sandwich")
+    assert out.strip() == str(case in ("constant", "time_dependent"))
     assert np.array_equal(np.load(path), first_scipy_use(case))
 
 
@@ -549,6 +549,60 @@ class TestIntervalMaps:
             calls.clear()
             traj = propagate(generator, DensityMatrix.pure([1, 1]), np.linspace(0.0, 1.0, 51))
             assert len(calls) == 1 and np.array_equal(calls[0], traj.grid)
+
+
+def count_scipy_expm(monkeypatch) -> list[int]:
+    """Record the size of every stack that dynamics.expm hands to scipy."""
+    calls = []
+
+    def counted(a):
+        calls.append(len(a))
+        return expm(a)
+    monkeypatch.setattr(dynamics, "_scipy_expm", counted)
+    return calls
+
+
+class TestExponentials:
+    """dynamics.expm: one elementwise exp for a diagonal stack, scipy otherwise."""
+
+    @pytest.mark.parametrize("shape, dtype", [((6,), complex), ((2, 3), complex), ((5,), float),
+                                              ((1,), complex), ((4,), complex)])
+    def test_diagonal_stacks_equal_scipy_bit_for_bit(self, shape, dtype, rng, monkeypatch):
+        m = 1 if shape == (1,) else 4
+        diagonals = rng.normal(scale=3.0, size=shape + (m,))
+        if dtype is complex:
+            diagonals = diagonals + 1j * rng.normal(scale=3.0, size=diagonals.shape)
+        diagonals[..., 0] = 0.0  # a zero exponent among them
+        a = np.zeros(shape + (m, m), dtype=dtype)
+        np.einsum("...ii->...i", a)[...] = diagonals
+        calls = count_scipy_expm(monkeypatch)
+        out = dynamics.expm(a)
+        assert calls == []
+        reference = expm(a)
+        assert out.dtype == reference.dtype
+        assert np.array_equal(out, reference)
+
+    def test_one_non_diagonal_matrix_sends_the_stack_to_scipy(self, rng, monkeypatch):
+        a = np.zeros((5, 3, 3), dtype=complex)
+        np.einsum("...ii->...i", a)[...] = rng.normal(size=(5, 3))
+        a[3, 0, 1] = 0.2
+        calls = count_scipy_expm(monkeypatch)
+        out = dynamics.expm(a)
+        assert calls == [5]
+        assert np.array_equal(out, expm(a))
+
+    def test_dephasing_maps_need_no_scipy(self, rng, monkeypatch):
+        # Both map kernels on a dephasing generator, time-dependent (CF4) and
+        # constant (one exponential per width), and the whole-space map.
+        calls = count_scipy_expm(monkeypatch)
+        states = [random_mixed_state(rng, 2) for _ in range(3)]
+        grid = np.linspace(0.0, 2.0, 21)
+        propagate(oscillating_dephasing()[0], states, grid)
+        propagate(dephasing_generator(0.7), states, grid)
+        intermediate_map(dephasing_generator(lambda t: 0.5 + np.cos(2.0 * t)), 0.2, 1.4)
+        assert calls == []
+        propagate(random_qubit_generator(rng), states, grid)
+        assert calls
 
 
 class TestIntermediateMap:
@@ -1058,6 +1112,24 @@ class TestOneSpectrumPerState:
         self.read_everything(traj, dephasing_generator(1.0))
         assert calls == []
 
+    @pytest.mark.parametrize("rate", [1.2, lambda t: 1.2 * np.cos(t) ** 2], ids=["maps", "rk4"])
+    def test_diagonal_stack_reads_as_through_eigh(self, rate, monkeypatch):
+        # A thermal start under phase-insensitive dynamics stays diagonal: its
+        # spectra come from the diagonals, on the map and the RK4 path, and
+        # read as eigh's within rounding.
+        a = annihilation_operator(20)
+        generator = LindbladGenerator(20, jumps=[(rate, dagger(a)), (1.4, a)])
+        grid = np.linspace(0.0, 2.0, 21)
+        calls = count_eig_calls(monkeypatch)
+        traj = propagate(generator, thermal_state(0.3, 20), grid)
+        assert calls.count("eigh") == 0 and traj.spectrum.order is not None
+        by_eigh = Trajectory(traj.grid, traj.entries, traj.derivatives,
+                             spectrum=EigenSystem(*np.linalg.eigh(traj.entries))[..., ::-1])
+        for read in ("entropies", "entropy_rates", "ranks"):
+            np.testing.assert_allclose(getattr(traj, read)(), getattr(by_eigh, read)(),
+                                       rtol=0, atol=1e-15)
+        assert traj.states[5].spectrum.order is not None
+
     def test_lost_positivity_is_an_integration_error(self):
         start = np.diag([1.0 + 1e-7, -1e-7]).astype(complex)
         with pytest.raises(IntegrationError, match="t=0 lost positivity"):
@@ -1066,7 +1138,9 @@ class TestOneSpectrumPerState:
     @pytest.mark.parametrize("case", ["lossy_mode", "qubit_stack"])
     def test_dense_restriction_decomposes_the_initial_states_once(self, case, rng, monkeypatch):
         # The interval maps validate every state, the initial ones among
-        # them, with one eigh at the end: propagate takes none before it.
+        # them, with one decomposition at the end, and propagate takes none
+        # before it: one eigh for the dephasing states, and none for the
+        # lossy mode's stack, which is diagonal (its sorted populations).
         if case == "lossy_mode":  # 16 populations, time-independent
             generator, states = bosonic_generator(0.2, 1.2, 16), thermal_state(0.2, 16)
         else:  # 4 states, time-dependent rate gamma(t) = 1 + cos(2t)/2
@@ -1075,7 +1149,7 @@ class TestOneSpectrumPerState:
         grid = np.linspace(0.5, 3.5, 61)
         calls = count_eig_calls(monkeypatch)
         propagate(generator, states, grid)
-        assert calls.count("eigh") == 1
+        assert calls.count("eigh") == (0 if case == "lossy_mode" else 1)
         # A non-PSD initial state is still refused, at t0, by either path.
         start = np.diag([1.0 + 1e-7, -1e-7] + [0.0] * (generator.dim - 2)).astype(complex)
         for intervals in (dynamics._map_intervals, dynamics._rk4_intervals):

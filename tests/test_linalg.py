@@ -15,7 +15,10 @@ from entroflow import (
     spectral_decompose,
     von_neumann_entropy,
 )
-from entroflow.linalg import INFINITE_DIVERGENCE, _density_spectra, check_density_stack, dagger
+from entroflow import linalg
+from entroflow.dynamics import _entropy_rates
+from entroflow.linalg import (INFINITE_DIVERGENCE, EigenSystem, _density_spectra, _eigh,
+                              check_density_stack, dagger)
 from entroflow.sampling import (
     haar_pure_state,
     random_cptp_channel,
@@ -258,3 +261,101 @@ class TestDensityMatrixValidation:
         assert sub.trace() == pytest.approx(0.6)
         with pytest.raises(LinalgError):
             DensityMatrix(np.diag([0.8, 0.8]), subnormalized=True)
+
+
+def diagonal_stack(rng, shape, d, dtype=complex, zeros=0):
+    """Random density matrices (*shape, d, d), diagonal, with ``zeros`` zero
+    populations each (at random levels)."""
+    p = rng.random(shape + (d,))
+    for k in np.ndindex(shape):
+        p[k][rng.permutation(d)[:zeros]] = 0.0
+    p /= p.sum(axis=-1, keepdims=True)
+    a = np.zeros(shape + (d, d), dtype=dtype)
+    np.einsum("...ii->...i", a)[...] = p
+    return a
+
+
+def eigh_spectra(a) -> EigenSystem:
+    ascending, vectors = np.linalg.eigh(a)
+    return EigenSystem(ascending[..., ::-1], vectors[..., ::-1])
+
+
+def refuse_eigh(*args, **kwargs):
+    raise AssertionError("eigh called on a diagonal stack")
+
+
+class TestDiagonalStacks:
+    """A diagonal stack is decomposed from its diagonals, with no eigh, into
+    the spectra eigh gives it."""
+
+    @pytest.mark.parametrize("case", ["random", "ties", "rank_deficient", "single", "real"])
+    def test_equals_eigh(self, case, rng, monkeypatch):
+        d = 5
+        a = {"random": lambda: diagonal_stack(rng, (4, 3), d),
+             "ties": lambda: np.broadcast_to(np.eye(d, dtype=complex) / d, (3, d, d)).copy(),
+             "rank_deficient": lambda: diagonal_stack(rng, (6,), d, zeros=2),
+             "single": lambda: diagonal_stack(rng, (), d),
+             "real": lambda: diagonal_stack(rng, (4,), d, dtype=float, zeros=1)}[case]()
+        operators = a.shape[:-2] + (d, d)
+        b = rng.normal(size=operators) + 1j * rng.normal(size=operators)
+        b = b + dagger(b)
+        reference = eigh_spectra(a)
+        monkeypatch.setattr(np.linalg, "eigh", refuse_eigh)
+        es = _eigh(a)
+        assert es.order is not None
+        assert np.array_equal(es.eigenvalues, reference.eigenvalues)
+        v = es.eigenvectors
+        assert np.array_equal((v * es.eigenvalues[..., None, :]) @ dagger(v), a)
+        assert np.array_equal(np.abs(v), np.abs(v) ** 2)  # permutation columns
+        np.testing.assert_allclose(es.entropies(), reference.entropies(), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(es.support_traces(b), reference.support_traces(b),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_entropy_rates(es, es.expectations(b)),
+                                   _entropy_rates(reference, reference.expectations(b)),
+                                   rtol=0, atol=1e-15)
+        # Per eigenvector wherever the eigenvalue is simple: in a tie eigh
+        # may order the basis vectors differently.
+        lam = es.eigenvalues
+        simple = np.ones(lam.shape, dtype=bool)
+        tied = lam[..., 1:] == lam[..., :-1]
+        simple[..., 1:] &= ~tied
+        simple[..., :-1] &= ~tied
+        np.testing.assert_allclose(np.where(simple, es.expectations(b), 0.0),
+                                   np.where(simple, reference.expectations(b), 0.0),
+                                   rtol=0, atol=1e-15)
+        assert np.array_equal(es[..., :1].order, es.order[..., :1])  # indexing keeps the order
+
+    def test_density_matrix_and_stack_validation_take_no_eigh(self, rng, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", refuse_eigh)
+        a = diagonal_stack(rng, (7,), 4, zeros=1)
+        _, spectrum = check_density_stack(a)
+        assert spectrum.order.shape == (7, 4)
+        rho = DensityMatrix(a[2])
+        assert von_neumann_entropy(rho) == pytest.approx(float(spectrum[2].entropies()), abs=1e-15)
+        assert rho.spectrum.order is not None and not rho.spectrum.order.flags.writeable
+
+    def test_a_single_off_diagonal_entry_goes_to_eigh(self, rng):
+        a = diagonal_stack(rng, (3,), 3)
+        a[1, 0, 2] = a[1, 2, 0] = 0.01
+        spectrum = _eigh(a)
+        assert spectrum.order is None
+        np.testing.assert_allclose(spectrum.eigenvalues, eigh_spectra(a).eigenvalues,
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", ["negative", "nan", "off_trace"])
+    @pytest.mark.parametrize("subnormalized", [False, True])
+    def test_failures_read_as_on_the_eigh_path(self, bad, subnormalized, rng, monkeypatch):
+        a = diagonal_stack(rng, (2, 3), 4)
+        level = {"negative": [1.2, -0.2, 0.0, 0.0], "nan": [np.nan, 0.5, 0.5, 0.0],
+                 "off_trace": [0.6, 0.3, 0.2, 0.1]}[bad]
+        np.einsum("...ii->...i", a)[1, 2] = level
+        with monkeypatch.context() as m:
+            if bad != "nan":  # a non-finite diagonal goes to eigh on purpose
+                m.setattr(np.linalg, "eigh", refuse_eigh)
+            with pytest.raises(LinalgError) as diagonal:
+                _density_spectra(a, subnormalized)
+        monkeypatch.setattr(linalg, "_is_diagonal", lambda a: False)
+        with pytest.raises(LinalgError) as by_eigh:
+            _density_spectra(a, subnormalized)
+        assert str(diagonal.value) == str(by_eigh.value)
+        assert str(diagonal.value).endswith("at stack index (1, 2)")

@@ -107,6 +107,8 @@ HUGE_DIM_GENERATOR = {**DEFAULT_GENERATOR, "dim": 100000}  # a 149 GiB dense Ham
 TEXT_LEVELS_GENERATOR = {**DEFAULT_GENERATOR, "tail_guard": {"levels": "x", "bound": 1e-8}}
 TEXT_BOUND_GENERATOR = {**DEFAULT_GENERATOR, "tail_guard": {"levels": 1, "bound": "a"}}
 NO_LEVELS_GENERATOR = {**DEFAULT_GENERATOR, "tail_guard": {"levels": 0, "bound": 1e-8}}
+OVERFLOWING_JUMP_GENERATOR = {**DEFAULT_GENERATOR, "jumps": [  # 1e308 * 2 * 2 overflows
+    {"rate": {"type": "constant", "value": 1e308}, "operator": [[[2, 0], [0, 0]], [[0, 0], [0, 0]]]}]}
 
 
 @pytest.mark.parametrize("scenario, key, value", [
@@ -167,6 +169,8 @@ NO_LEVELS_GENERATOR = {**DEFAULT_GENERATOR, "tail_guard": {"levels": 0, "bound":
     ("custom", "generator", TEXT_LEVELS_GENERATOR),       # tail-guard levels not an integer
     ("custom", "generator", TEXT_BOUND_GENERATOR),        # tail-guard bound not a number
     ("custom", "generator", NO_LEVELS_GENERATOR),         # a tail guard over no level
+    ("custom", "generator", OVERFLOWING_JUMP_GENERATOR),  # rate times operator overflows
+    ("gaussian_bounds", "dynamics", {"amplifier": {"gamma_plus": 1e308, "gamma_minus": 0}}),
 ])
 def test_bad_config_fails_in_validate(scenario, key, value, tmp_path):
     config = copy.deepcopy(DEFAULT_CONFIGS[scenario])
@@ -199,6 +203,7 @@ def test_every_integer_parameter_is_bounded():
     ("generator", TEXT_LEVELS_GENERATOR, "integer 'levels' in [1, 2]"),
     ("generator", TEXT_BOUND_GENERATOR, "'bound' must be a finite number"),
     ("generator", NO_LEVELS_GENERATOR, "integer 'levels' in [1, 2]"),
+    ("generator", OVERFLOWING_JUMP_GENERATOR, "jump 0 gives a non-finite generator entry"),
 ])
 def test_custom_validate_names_the_malformed_part(key, value, named):
     config = copy.deepcopy(DEFAULT_CONFIGS["custom"])
@@ -227,6 +232,7 @@ def test_custom_bool_dim_is_not_an_integer():
 @pytest.mark.parametrize("key, value", [
     ("cutoff", 1), ("cutoff", 5), ("mean_photons", -1),
     ("dynamics", {"amplifier": {"gamma_plus": 1.2, "gamma_minus": -0.2}}),
+    ("dynamics", {"amplifier": {"gamma_plus": 1e308, "gamma_minus": 0}}),
 ])
 def test_gaussian_bounds_validate_reports_what_the_run_raises(key, value, monkeypatch):
     params = copy.deepcopy(DEFAULT_CONFIGS["gaussian_bounds"]["parameters"])
@@ -273,6 +279,24 @@ def test_huge_gaussian_rate_fails_a_check_without_a_warning(tmp_path, capsys):
     assert report["checks"][0]["measured"] == "state at t=0.05 is not finite"
     assert "FAIL amplifier:" in printed.out + printed.err
     assert "Traceback" not in printed.out + printed.err
+
+
+def test_vacuum_gaussian_start_skips_its_rank_change_rows(tmp_path):
+    # The vacuum is pure: at t = 0 the rate on the support reads 0 while the
+    # bound reads gamma_+, and the numerical rank keeps growing as the top
+    # levels fill.  The checks skip those rows and name them; the table keeps
+    # every row, t = 0 included.
+    config = copy.deepcopy(DEFAULT_CONFIGS["gaussian_bounds"])
+    config["parameters"]["mean_photons"] = 0
+    report = run_config(config, tmp_path)
+    assert report.passed
+    assert len(report.checks) == 6
+    for check in report.checks:
+        assert "rank-change rows excluded: t = 0, 0.05," in check.measured
+    with open(tmp_path / "gaussian_bounds.csv") as fh:
+        starts = [row for row in csv.DictReader(fh) if float(row["t"]) == 0.0]
+    assert [row["dynamics"] for row in starts] == ["amplifier", "lossy", "additive"]
+    assert all(float(row["entropy_rate"]) == 0.0 for row in starts)
 
 
 def _table(path) -> dict[str, np.ndarray]:
