@@ -157,10 +157,8 @@ class Trajectory:
     def states(self) -> list[DensityMatrix]:
         if self._states is None:
             d = self.entries.shape[-1]
-            order = self.spectrum.order
             spectrum = EigenSystem(self.spectrum.eigenvalues.reshape(-1, d),
-                                   self.spectrum.eigenvectors.reshape(-1, d, d),
-                                   None if order is None else order.reshape(-1, d))
+                                   self.spectrum.eigenvectors.reshape(-1, d, d))
             self._states = [DensityMatrix._from_checked(rho, spectrum[k])
                             for k, rho in enumerate(self.entries.reshape(-1, d, d))]
         return self._states
@@ -507,17 +505,11 @@ def _rk4_intervals(operator, guard, grid, current, defect,
     dots = np.empty_like(rho)
     eigenvalues = np.empty((len(grid), n, d))
     eigenvectors = np.empty_like(rho)
-    orders = np.empty((len(grid), n, d), dtype=np.intp)  # None once a spectrum has none
     defects = np.empty((len(grid), n))
 
     def store(k: int, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Keep the state at grid point k; its coordinates and their derivative."""
-        nonlocal orders
         rho[k], eigenvalues[k], eigenvectors[k] = current, spectrum.eigenvalues, spectrum.eigenvectors
-        if orders is not None and spectrum.order is not None:
-            orders[k] = spectrum.order
-        else:
-            orders = None
         y = operator.coordinates(current)
         k1 = operator.apply(t, y)
         dots[k] = operator.states(k1)
@@ -561,7 +553,7 @@ def _rk4_intervals(operator, guard, grid, current, defect,
                 length, truncated_at = k + 1, t1
                 break
         y, k1 = store(k + 1, t1)
-    return (rho[:length], dots[:length], EigenSystem(eigenvalues, eigenvectors, orders)[:length],
+    return (rho[:length], dots[:length], EigenSystem(eigenvalues, eigenvectors)[:length],
             defects[:length], truncated_at)
 
 

@@ -420,17 +420,18 @@ def run_gaussian_bounds(params: dict, outdir: Path, seed: int):
                                                    traj.spectrum)
         for t, r, b in zip(traj.grid, rates, bounds):
             rows.append((kind, t, r, b))
-        # Next to a rank change (a pure start among them) the rate on the
-        # support misses the jump, so the checks skip those rows, as the
-        # measures do, and name them; with no row left both read NaN and fail.
-        excluded = traj.rank_jump_rows(witnesses.RANK_CHANGE_MARGIN)
+        # At a pure state next to a rank change (a vacuum start) the rate on
+        # the support reads 0 while its right limit is +inf, so the checks
+        # skip those rows and name them; with no row left both read NaN and
+        # fail.  A full-rank start has no such row and every row is checked.
+        excluded = traj.rank_jump_rows(witnesses.RANK_CHANGE_MARGIN) & (traj.ranks() == 1)
         kept = ~excluded
         worst_gap = float(np.min((rates - bounds)[kept])) if kept.any() else np.nan
         bound_err = float(np.max(np.abs(bounds - expected)[kept])) if kept.any() else np.nan
         skipped = ""
         if excluded.any():
             times = ", ".join(f"{t:.3g}" for t in traj.grid[excluded])
-            skipped = f" ({excluded.sum()} rank-change rows excluded: t = {times})"
+            skipped = f" (pure rows at a rank change excluded: t = {times})"
         span = f"[0, {traj.grid[-1]:.3g}]"
         if traj.truncated_at is not None:
             span += f" (tail-guard truncation at t={traj.truncated_at:.3g})"

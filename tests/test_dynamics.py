@@ -1122,13 +1122,12 @@ class TestOneSpectrumPerState:
         grid = np.linspace(0.0, 2.0, 21)
         calls = count_eig_calls(monkeypatch)
         traj = propagate(generator, thermal_state(0.3, 20), grid)
-        assert calls.count("eigh") == 0 and traj.spectrum.order is not None
+        assert calls.count("eigh") == 0
         by_eigh = Trajectory(traj.grid, traj.entries, traj.derivatives,
                              spectrum=EigenSystem(*np.linalg.eigh(traj.entries))[..., ::-1])
         for read in ("entropies", "entropy_rates", "ranks"):
             np.testing.assert_allclose(getattr(traj, read)(), getattr(by_eigh, read)(),
                                        rtol=0, atol=1e-15)
-        assert traj.states[5].spectrum.order is not None
 
     def test_lost_positivity_is_an_integration_error(self):
         start = np.diag([1.0 + 1e-7, -1e-7]).astype(complex)

@@ -281,22 +281,29 @@ def test_huge_gaussian_rate_fails_a_check_without_a_warning(tmp_path, capsys):
     assert "Traceback" not in printed.out + printed.err
 
 
-def test_vacuum_gaussian_start_skips_its_rank_change_rows(tmp_path):
-    # The vacuum is pure: at t = 0 the rate on the support reads 0 while the
-    # bound reads gamma_+, and the numerical rank keeps growing as the top
-    # levels fill.  The checks skip those rows and name them; the table keeps
-    # every row, t = 0 included.
+def test_vacuum_gaussian_start_skips_its_pure_row(tmp_path):
+    # The vacuum is pure: at t = 0 the rate on the support reads 0 while its
+    # right limit is +inf, and the rank grows at once.  The checks skip that
+    # row alone and name it; the table keeps every row, t = 0 included.
     config = copy.deepcopy(DEFAULT_CONFIGS["gaussian_bounds"])
     config["parameters"]["mean_photons"] = 0
     report = run_config(config, tmp_path)
     assert report.passed
     assert len(report.checks) == 6
     for check in report.checks:
-        assert "rank-change rows excluded: t = 0, 0.05," in check.measured
+        assert check.measured.endswith(" (pure rows at a rank change excluded: t = 0)")
     with open(tmp_path / "gaussian_bounds.csv") as fh:
         starts = [row for row in csv.DictReader(fh) if float(row["t"]) == 0.0]
     assert [row["dynamics"] for row in starts] == ["amplifier", "lossy", "additive"]
     assert all(float(row["entropy_rate"]) == 0.0 for row in starts)
+
+
+def test_default_gaussian_checks_read_every_row(tmp_path):
+    # The thermal start is full rank: no row is excluded from any check,
+    # although its rank keeps changing as the top levels fill.
+    report = run_config(copy.deepcopy(DEFAULT_CONFIGS["gaussian_bounds"]), tmp_path)
+    assert report.passed and len(report.checks) == 6
+    assert not [check.measured for check in report.checks if "excluded" in check.measured]
 
 
 def _table(path) -> dict[str, np.ndarray]:
