@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .linalg import (
     DensityMatrix,
+    _is_diagonal,
     as_matrix,
     dagger,
     hermitian_part,
@@ -688,7 +690,9 @@ class _Restriction:
     them back into (..., d, d).  ``transpose`` is the position of the
     coordinate of x_ji for each x_ij (the index of a Hermitian stack holds
     both), and ``populations`` that of each x_ii in level order (all
-    populations share one set).  The integrators take it for
+    populations share one set).  ``diagonal`` says whether every block is
+    diagonal, as every dephasing generator's is, so that each coordinate
+    evolves by its own scalar factor.  The integrators take it for
     m <= max(d, 16), where one dense product costs less than the sparse
     one's dispatch.
     """
@@ -713,6 +717,10 @@ class _Restriction:
     @property
     def time_independent(self) -> bool:
         return not self._rated_terms
+
+    @cached_property
+    def diagonal(self) -> bool:
+        return _is_diagonal(self._blocks)
 
     def generators(self, times: np.ndarray) -> np.ndarray:
         """G(t) at every entry of an array of times, as a (..., m, m) stack."""

@@ -112,7 +112,13 @@ class Trajectory:
     spectrum of states already validated, so that no state is decomposed
     twice.  ``state_fn`` is set for closed-form trajectories and gives the
     states off the grid without the integrator; ``generator`` is set when
-    the trajectory came from propagating a master equation.
+    the trajectory came from propagating a master equation, and
+    ``operator`` is then what the states were integrated with (a dense
+    restriction of the generator or the whole of it,
+    :func:`_integration_operator`), which :func:`states_off_grid` reuses:
+    :func:`propagate` passes the one it built, and a trajectory built by
+    hand with a generator derives it once, on first use, from the
+    coordinates that any of its states touches.
     ``renormalization_defects`` logs the trace defect removed at each state,
     and ``truncated_at`` the time at which a tail-guard breach ended the
     whole stack.
@@ -120,7 +126,8 @@ class Trajectory:
 
     def __init__(self, grid, states, derivatives, generator: LindbladGenerator | None = None,
                  state_fn=None, renormalization_defects: np.ndarray | None = None,
-                 truncated_at: float | None = None, spectrum: EigenSystem | None = None):
+                 truncated_at: float | None = None, spectrum: EigenSystem | None = None,
+                 operator=None):
         self.grid = np.asarray(grid, dtype=float)
         entries = as_matrix(states)
         if spectrum is None:
@@ -132,6 +139,7 @@ class Trajectory:
         self.state_fn = state_fn
         self.renormalization_defects = renormalization_defects
         self.truncated_at = truncated_at
+        self._operator = operator
         self._states: list[DensityMatrix] | None = None
         self._check()
 
@@ -152,6 +160,13 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.grid)
+
+    @property
+    def operator(self):
+        if self._operator is None and self.generator is not None:
+            d = self.entries.shape[-1]
+            self._operator = _integration_operator(self.generator, self.entries.reshape(-1, d, d))
+        return self._operator
 
     @property
     def states(self) -> list[DensityMatrix]:
@@ -202,21 +217,33 @@ def _raise_at(bad: np.ndarray, values: np.ndarray, name: str) -> None:
         raise IntegrationError(f"{name} = {values[k]:.3e} at grid point {k[0]}{state}")
 
 
-# RK4 substeps from the nearest grid point to an off-grid time.
+# RK4 substeps from the nearest grid point to an off-grid time, for an
+# operator whose blocks are not all diagonal: its partial-interval maps would
+# need one scipy expm per row.  On 65 full-rank states of a driven qubit with
+# a time-dependent rate, maps for every restriction took 0.16 s per
+# measure_generator against 0.04 s by RK4 (2-core host).
 _OFF_GRID_STEPS = 8
+# Entrywise certificate of a partial-interval map per unit time of its width,
+# no looser than propagate's default error_target.
+_OFF_GRID_ATOL = 1e-7
 
 
 def states_off_grid(traj: Trajectory, columns, times) -> np.ndarray:
     """The state ``columns[c]`` of a propagated stack at ``times[c]`` for every
     c, as one (C, d, d) stack; a one-state trajectory has the one column 0.
 
-    Each state is integrated by RK4 in ``_OFF_GRID_STEPS`` substeps from the
-    grid point nearest to its time, all of them together, each at its own
-    times, through the operator :func:`propagate` picks for these starts,
-    whether or not it chains interval maps on it: the dense restriction to
-    the invariant sets they touch when those hold m <= max(d, 16)
-    coordinates, as every qubit or qutrit stack does, and the sparse
-    generator otherwise.
+    Each state starts from the grid point nearest to its time, before or
+    after it, and goes through the operator the trajectory was integrated
+    with (:attr:`Trajectory.operator`), all of them together, each over its
+    own partial interval.  When that operator is a dense restriction whose
+    blocks are all diagonal, as every dephasing generator's is, each row
+    takes its own partial-interval map from :func:`_certified_maps`,
+    certified to ``_OFF_GRID_ATOL`` per unit time of its width; its CF4
+    exponentials are elementwise (:func:`expm`), so no RK4 and no
+    scipy.linalg is involved.  Every other operator, a restriction with a
+    non-diagonal block or the sparse generator, takes RK4 in
+    ``_OFF_GRID_STEPS`` substeps, since a non-diagonal map would cost one
+    scipy expm per row.  A time on the grid returns the stored state.
     """
     if traj.generator is None:
         raise IntegrationError("off-grid states need the trajectory's generator")
@@ -224,9 +251,14 @@ def states_off_grid(traj: Trajectory, columns, times) -> np.ndarray:
     nearest = np.argmin(np.abs(traj.grid[None, :] - times[:, None]), axis=1)
     d = traj.entries.shape[-1]
     starts = traj.entries.reshape(len(traj), -1, d, d)[nearest, columns]
-    operator = _integration_operator(traj.generator, starts)
-    ends = _rk4_segment(operator, operator.coordinates(starts), traj.grid[nearest], times,
-                        _OFF_GRID_STEPS)
+    operator = traj.operator
+    rows, t0 = operator.coordinates(starts), traj.grid[nearest]
+    if operator.diagonal:
+        widths = times - t0
+        maps = _certified_maps(operator, t0, widths, _OFF_GRID_ATOL * np.abs(widths))
+        ends = np.matmul(rows[:, None], maps)[:, 0]
+    else:
+        ends = _rk4_segment(operator, rows, t0, times, _OFF_GRID_STEPS)
     return hermitian_part(operator.states(ends))
 
 
@@ -347,6 +379,8 @@ class _WholeStates:
     """A generator acting on (N, d, d) stacks as they are: the coordinates
     ``propagate`` integrates are the states themselves."""
 
+    diagonal = False
+
     def __init__(self, generator: LindbladGenerator):
         self.apply = generator.apply
 
@@ -385,12 +419,14 @@ _DENSE_COORDINATES = 16
 
 
 def _integration_operator(generator: LindbladGenerator, states: np.ndarray):
-    """What ``propagate`` and ``states_off_grid`` integrate an (N, d, d) stack
-    with: the generator restricted to the union of its invariant sets that
-    the stack touches, when that union holds m <= max(d, 16) coordinates,
-    so that a dense m x m product costs no more than one pass over a state
-    or less than the sparse product's dispatch; otherwise the whole
-    generator.  Every generator has a fixed pattern, hence invariant sets."""
+    """What ``propagate`` integrates an (N, d, d) stack with, and keeps on
+    the trajectory for ``states_off_grid``: the generator restricted to the
+    union of its invariant sets that the stack touches, when that union
+    holds m <= max(d, 16) coordinates, so that a dense m x m product costs
+    no more than one pass over a state or less than the sparse product's
+    dispatch; otherwise the whole generator.  Every generator has a fixed
+    pattern, hence invariant sets, so every later state of the stack lies
+    in the same union."""
     labels = generator.invariant_sets()
     touched = np.any(states.reshape(len(states), -1) != 0, axis=0)
     index = np.flatnonzero(np.isin(labels, labels[touched]))
@@ -469,7 +505,7 @@ def propagate(generator: LindbladGenerator, states, grid,
     rows = (slice(None), 0) if single else slice(None)
     return Trajectory(grid[:len(rho)], rho[rows], dots[rows], generator=generator,
                       renormalization_defects=defects[rows], truncated_at=truncated_at,
-                      spectrum=spectrum[rows])
+                      spectrum=spectrum[rows], operator=operator)
 
 
 def _breach_message(tails: np.ndarray, bound: float, t: float) -> str:
@@ -771,23 +807,25 @@ def _whole_space(generator: LindbladGenerator):
     return generator.restricted(np.arange(generator.dim ** 2))
 
 
-def _certified_maps(operator, starts: np.ndarray, widths: np.ndarray, atol: float,
+def _certified_maps(operator, starts: np.ndarray, widths: np.ndarray, atol,
                     steps: int = 1) -> np.ndarray:
     """The (K, m, m) row-convention maps of the intervals [starts, starts +
-    widths] at once: exact exponentials for a time-independent generator,
-    else CF4 maps from ``steps`` steps, each interval doubling its count, at
-    most ``MAX_MAP_DOUBLINGS`` times, until its n- and 2n-step maps agree
-    entrywise within ``atol``."""
+    widths] at once (a negative width maps backward): exact exponentials for
+    a time-independent generator, else CF4 maps from ``steps`` steps, each
+    interval doubling its count, at most ``MAX_MAP_DOUBLINGS`` times, until
+    its n- and 2n-step maps agree entrywise within ``atol``, a number or one
+    per interval."""
     if operator.time_independent:
         maps, which = _width_maps(operator, widths)
         return maps[which]
+    atol = np.broadcast_to(atol, widths.shape)
     counts = np.full(len(widths), steps)
     coarse, fine = (_cf4_maps(operator, starts, widths, n) for n in (steps, 2 * steps))
     while (failing := ~(np.max(np.abs(fine - coarse), axis=(-2, -1)) <= atol)).any():
         stalled = _regrow(operator, starts, widths, counts, coarse, fine, failing,
                           steps * 2 ** (MAX_MAP_DOUBLINGS - 1))
         if stalled is not None:
-            raise IntegrationError(f"time-ordered product did not converge to {atol:.1e} "
+            raise IntegrationError(f"time-ordered product did not converge to {atol[stalled]:.1e} "
                                    f"within {MAX_MAP_DOUBLINGS} doublings")
     return fine
 
@@ -829,17 +867,6 @@ def _entropy_rates(spectrum: EigenSystem, expectations: np.ndarray) -> np.ndarra
     return -np.sum(spectrum.support_logs() * expectations, axis=-1)
 
 
-def _rank_change_distance(rho, rho_dot) -> float:
-    """Time for the smallest eigenvalue to reach 0 at its current speed; inf
-    when the state is rank-deficient or that eigenvalue is not moving."""
-    es = spectral_decompose(rho)
-    lam_min, v = es.eigenvalues[-1], es.eigenvectors[:, -1]
-    speed = abs(float(np.real(np.conj(v) @ as_matrix(rho_dot) @ v)))
-    if lam_min <= ZERO_EIGENVALUE_RTOL * es.eigenvalues[0] or speed == 0.0:
-        return np.inf
-    return float(lam_min) / speed
-
-
 def entropy_rate_fd(traj: Trajectory, index, h: float = 1e-4, richardson: bool = False):
     """Finite-difference entropy rate of a one-state trajectory at the grid
     point ``index``, as an oracle: a float for an int index, an array for an
@@ -865,9 +892,14 @@ def entropy_rate_fd(traj: Trajectory, index, h: float = 1e-4, richardson: bool =
         entropies = traj.entropies()
         rates = (entropies[indices + 1] - entropies[indices - 1]) / (2.0 * spacing)
     else:
-        caps = [0.01 * _rank_change_distance(traj.spectrum[k], traj.derivatives[k])
-                for k in indices]
-        coarse = np.minimum(h, caps)
+        # time for the smallest eigenvalue to reach 0 at its current speed;
+        # inf when the state is rank-deficient or that eigenvalue is not moving
+        eigenvalues = traj.spectrum.eigenvalues[indices]
+        smallest, speeds = eigenvalues[:, -1], np.abs(traj._expectations[indices, -1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            distances = np.where((smallest <= ZERO_EIGENVALUE_RTOL * eigenvalues[:, 0])
+                                 | (speeds == 0.0), np.inf, smallest / speeds)
+        coarse = np.minimum(h, 0.01 * distances)
         steps = np.stack([coarse, 0.5 * coarse] if richardson else [coarse])
         t = traj.grid[indices]
         taus = np.stack([t + steps, t - steps]).ravel()

@@ -342,11 +342,12 @@ def _violation_integrals(grid: np.ndarray, values: np.ndarray, threshold: float,
 def _measure(state_sampler, grid, trajectories, values, evaluate) -> MeasureResult:
     """Max over sampled initial states of the integrated violation of a witness.
 
-    ``trajectories(states, grid)`` gives one stacked (T, N, d, d) trajectory
-    of all N sampled states, ``values(traj)`` the witness on the grid as a
-    (T, N) array, and ``evaluate(states, traj, columns, times)`` the witness
-    off the grid for (state, time) pairs, for the bisection that refines the
-    window boundaries.  A grid point counts where the witness is below
+    The N sampled states are stacked once, as (N, d, d).
+    ``trajectories(starts, grid)`` gives one stacked (T, N, d, d) trajectory
+    of that stack, ``values(traj)`` the witness on the grid as a (T, N)
+    array, and ``evaluate(starts, traj, columns, times)`` the witness off the
+    grid for (state, time) pairs, for the bisection that refines the window
+    boundaries.  A grid point counts where the witness is below
     -``EPS_WITNESS``.  Grid points within ``RANK_CHANGE_MARGIN`` of a rank
     change of a state are excluded for that state, and so is the grid point just
     before each change (:meth:`Trajectory.rank_jump_rows`, read as (T, N)).
@@ -355,9 +356,10 @@ def _measure(state_sampler, grid, trajectories, values, evaluate) -> MeasureResu
     if not states:
         raise WitnessError("state sampler yielded no states")
     grid = np.asarray(grid, dtype=float)
-    traj = trajectories(states, grid)
+    starts = np.stack([as_matrix(rho) for rho in states])
+    traj = trajectories(starts, grid)
     integrals = _violation_integrals(grid, values(traj), EPS_WITNESS,
-                                     lambda ns, ts: evaluate(states, traj, ns, ts),
+                                     lambda ns, ts: evaluate(starts, traj, ns, ts),
                                      traj.rank_jump_rows(RANK_CHANGE_MARGIN))
     best = int(np.argmax(integrals))
     return MeasureResult(value=float(integrals[best]), argmax_state=states[best],
@@ -378,12 +380,16 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid) -> Meas
     |dS/dt + Tr{Pi L^dag rho}| is integrated over the times where it is below
     -``EPS_WITNESS``, with bisection refinement of the window boundaries;
     grid points within ``RANK_CHANGE_MARGIN`` of a rank change are excluded.
+    Every bisection round takes its states from :func:`states_off_grid`
+    through the operator the one :func:`propagate` call kept on the
+    trajectory: partial-interval maps for a dephasing-type generator, whose
+    restriction is diagonal, and RK4 substeps for any other.
     """
     def values(traj: Trajectory) -> np.ndarray:
         return _generator_witness(generator, traj.grid, traj.entries, traj.derivatives,
                                   traj.spectrum)
 
-    def evaluate(states, traj, ns, ts) -> np.ndarray:
+    def evaluate(starts, traj, ns, ts) -> np.ndarray:
         off_grid = states_off_grid(traj, ns, ts)
         return _generator_witness(generator, ts, off_grid, generator.apply(ts, off_grid),
                                   spectral_decompose(off_grid))
@@ -401,9 +407,9 @@ def measure_channel(family: ChannelFamily, state_sampler, grid) -> MeasureResult
                                     traj.spectrum)
         return rates + eps_terms
 
-    def evaluate(states, traj, ns, ts) -> np.ndarray:
-        starts = np.stack([as_matrix(states[n]) for n in ns])[:, None]  # row c at time ts[c] only
-        rates, eps_terms = _f_parts(family, ts, *family.evolve(starts, ts))
+    def evaluate(starts, traj, ns, ts) -> np.ndarray:
+        # row c at time ts[c] only
+        rates, eps_terms = _f_parts(family, ts, *family.evolve(starts[ns][:, None], ts))
         return (rates + eps_terms)[:, 0]
 
     return _measure(state_sampler, grid, family.trajectories, values, evaluate)

@@ -42,14 +42,14 @@ from entroflow import dynamics
 from entroflow.dynamics import (
     Trajectory,
     _damping_qubit_derivative,
-    _rank_change_distance,
     _rk4_segment,
     _trace_norms_exceed,
     damping_qubit_state,
     oscillating_qubit_state,
     states_off_grid,
 )
-from entroflow.linalg import EigenSystem, LinalgError, dagger, hermitian_part
+from entroflow.linalg import (ZERO_EIGENVALUE_RTOL, EigenSystem, LinalgError, as_matrix, dagger,
+                              hermitian_part, spectral_decompose)
 from entroflow.sampling import random_full_rank_state, random_mixed_state
 
 from conftest import (first_scipy_use, fresh_interpreter, reference_maps, superoperators,
@@ -675,6 +675,17 @@ class TestEntropyRate:
             entropy_rate(DensityMatrix.maximally_mixed(2), np.eye(2))
 
 
+def rank_change_distance(rho, rho_dot) -> float:
+    """Time for the smallest eigenvalue to reach 0 at its current speed; inf
+    when the state is rank-deficient or that eigenvalue is not moving."""
+    es = spectral_decompose(rho)
+    lam_min, v = es.eigenvalues[-1], es.eigenvectors[:, -1]
+    speed = abs(float(np.real(np.conj(v) @ as_matrix(rho_dot) @ v)))
+    if lam_min <= ZERO_EIGENVALUE_RTOL * es.eigenvalues[0] or speed == 0.0:
+        return np.inf
+    return float(lam_min) / speed
+
+
 class TestEntropyRateFd:
     def test_damping_matches_analytic(self):
         traj = damping_qubit_trajectory(np.array([0.5, 1.0]))
@@ -706,13 +717,13 @@ class TestEntropyRateFd:
             return (entropy_at(t + h) - entropy_at(t - h)) / (2.0 * h)
 
         for k, t in enumerate(grid):
-            h = min(1e-4, 0.01 * _rank_change_distance(traj.spectrum[k], traj.derivatives[k]))
+            h = min(1e-4, 0.01 * rank_change_distance(traj.spectrum[k], traj.derivatives[k]))
             coarse = central_difference(t, h)
             fine = central_difference(t, 0.5 * h)
             assert table[k] == pytest.approx((4.0 * fine - coarse) / 3.0, rel=1e-12, abs=1e-12)
             one = entropy_rate_fd(traj, k, h=1e-4, richardson=True)
             assert isinstance(one, float) and one == table[k]
-        assert 0.01 * _rank_change_distance(traj.spectrum[4], traj.derivatives[4]) < 1e-4
+        assert 0.01 * rank_change_distance(traj.spectrum[4], traj.derivatives[4]) < 1e-4
 
     def test_grid_only_uses_neighbors(self, rng):
         from entroflow.dynamics import Trajectory
@@ -1041,7 +1052,9 @@ class TestStackedTrajectory:
     def test_restricted_rows_take_one_time_each(self, rng):
         # (N, m) coordinate rows of a qubit stack (m = 4) at per-row times,
         # through the dense restriction, against the whole-state segment;
-        # then states_off_grid, which integrates through the same operator.
+        # then states_off_grid, whose partial-interval maps on this diagonal
+        # restriction carry each stored state to its time as the dephasing
+        # closed form rho_01(t) = rho_01(s) exp(-(Gamma(t) - Gamma(s))) does.
         gen = dephasing_generator(lambda t: 0.5 + np.cos(2.0 * t))
         starts = np.stack([random_mixed_state(rng, 2).entries for _ in range(6)])
         t0 = rng.uniform(0.0, 2.5, size=6)
@@ -1057,10 +1070,84 @@ class TestStackedTrajectory:
         traj = propagate(gen, starts[:3], grid)
         columns, times = np.array([0, 2, 1, 0, 2, 1]), np.array([0.013, 0.27, 1.5, 2.449, 2.99, 0.7])
         nearest = np.argmin(np.abs(grid[None, :] - times[:, None]), axis=1)
-        expected = _rk4_segment(dynamics._WholeStates(gen), traj.entries[nearest, columns],
-                                grid[nearest], times, dynamics._OFF_GRID_STEPS)
-        np.testing.assert_allclose(states_off_grid(traj, columns, times), hermitian_part(expected),
-                                   rtol=0, atol=1e-12)
+        integral = oscillating_dephasing()[1]  # Gamma(t) of the rate 0.5 + cos 2t
+        expected = dephased(traj.entries[nearest, columns],
+                            integral(times) - integral(grid[nearest]))
+        np.testing.assert_allclose(states_off_grid(traj, columns, times), expected,
+                                   rtol=0, atol=1e-10)
+
+    def test_non_diagonal_restriction_takes_rk4(self, rng):
+        # A driven qubit with a time-dependent rate: its restriction has
+        # off-diagonal blocks, so its off-grid states stay RK4 in
+        # _OFF_GRID_STEPS substeps from the nearest grid point, before or after.
+        gen = LindbladGenerator(2, hamiltonian=0.7 * SIGMA_X, jumps=[
+            JumpTerm(CosineSquaredCoefficient(omega=1.0, scale=0.8), SIGMA_Z),
+            JumpTerm(0.3, np.array([[0, 1], [0, 0]], dtype=complex))])
+        grid = np.linspace(0.0, 2.0, 21)
+        traj = propagate(gen, [random_mixed_state(rng, 2) for _ in range(3)], grid)
+        operator = traj.operator
+        assert isinstance(operator, _Restriction) and not operator.time_independent
+        assert not operator.diagonal
+        columns, times = np.array([1, 0, 2, 1]), np.array([0.013, 0.47, 1.2, 1.99])
+        nearest = np.argmin(np.abs(grid[None, :] - times[:, None]), axis=1)
+        starts = traj.entries[nearest, columns]
+        expected = hermitian_part(operator.states(_rk4_segment(
+            operator, operator.coordinates(starts), grid[nearest], times, dynamics._OFF_GRID_STEPS)))
+        assert np.array_equal(states_off_grid(traj, columns, times), expected)
+
+    @pytest.mark.parametrize("rate", ["oscillating", "constant"])
+    def test_dephasing_stack_needs_no_rk4_and_no_scipy(self, rng, monkeypatch, rate):
+        gen = oscillating_dephasing()[0] if rate == "oscillating" else dephasing_generator(0.7)
+        grid = np.linspace(0.0, 3.0, 31)
+        traj = propagate(gen, [random_mixed_state(rng, 2) for _ in range(4)], grid)
+        assert traj.operator.diagonal
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("RK4 reached")
+
+        monkeypatch.setattr(dynamics, "_rk4_segment", forbidden)
+        calls = count_scipy_expm(monkeypatch)
+        states = states_off_grid(traj, [0, 3, 1, 2], [0.04, 1.17, 2.2, 2.96])
+        assert calls == [] and states.shape == (4, 2, 2)
+
+    @pytest.mark.parametrize("driven", [False, True], ids=["dephasing", "driven"])
+    def test_grid_times_return_the_stored_states(self, rng, driven):
+        gen = (LindbladGenerator(2, hamiltonian=0.7 * SIGMA_X, jumps=[JumpTerm(0.4, SIGMA_Z)])
+               if driven else oscillating_dephasing()[0])
+        grid = np.linspace(0.0, 3.0, 31)
+        traj = propagate(gen, [random_mixed_state(rng, 2) for _ in range(3)], grid)
+        assert traj.operator.diagonal is not driven
+        columns, rows = np.array([2, 0, 1, 0]), np.array([0, 7, 19, 30])
+        assert np.array_equal(states_off_grid(traj, columns, grid[rows]),
+                              traj.entries[rows, columns])
+
+    @pytest.mark.parametrize("rate", ["oscillating", "constant"])
+    def test_times_before_their_grid_point_match_the_closed_form(self, rng, rate):
+        # Every time lies just before its nearest grid point, so each map runs
+        # backward over a negative width, through and past the window (pi/3,
+        # 2pi/3) where the oscillating rate is negative.
+        if rate == "oscillating":
+            gen, integral = oscillating_dephasing()
+        else:
+            gen, integral = dephasing_generator(0.7), lambda t: 0.7 * t
+        grid = np.linspace(0.0, 3.0, 31)
+        traj = propagate(gen, [random_mixed_state(rng, 2) for _ in range(3)], grid)
+        rows = np.array([1, 9, 11, 16, 21, 30])
+        columns, times = np.array([0, 1, 2, 0, 1, 2]), grid[rows] - np.array([0.049, 0.02, 0.03,
+                                                                              0.001, 0.04, 0.03])
+        nearest = np.argmin(np.abs(grid[None, :] - times[:, None]), axis=1)
+        assert np.array_equal(nearest, rows)
+        expected = dephased(traj.entries[rows, columns], integral(times) - integral(grid[rows]))
+        np.testing.assert_allclose(states_off_grid(traj, columns, times), expected,
+                                   rtol=0, atol=1e-10)
+
+
+def dephased(states, gammas):
+    """The states (C, 2, 2) with their coherences scaled by exp(-gammas)."""
+    out = states.copy()
+    out[:, 0, 1] *= np.exp(-gammas)
+    out[:, 1, 0] *= np.exp(-gammas)
+    return out
 
 
 class TestClosedFormTrajectories:

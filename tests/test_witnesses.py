@@ -147,6 +147,23 @@ def test_measures_agree_on_non_cp_divisible_dephasing():
     assert abs(from_generator - from_channel) <= 1e-5
 
 
+def test_measure_generator_derives_its_operator_once(monkeypatch):
+    # propagate builds the integration operator and keeps it on the
+    # trajectory; every bisection round of the violation windows reads it.
+    from entroflow import dynamics, witnesses
+
+    generator, _ = _oscillating_dephasing(0.5, 1.0, 2.0)
+    states = default_state_sampler(2, np.random.default_rng(7), n_random=2, bloch_points=1)
+    builds, rounds = [], []
+    pick, off_grid = dynamics._integration_operator, witnesses.states_off_grid
+    monkeypatch.setattr(dynamics, "_integration_operator",
+                        lambda *args: builds.append(1) or pick(*args))
+    monkeypatch.setattr(witnesses, "states_off_grid",
+                        lambda *args: rounds.append(1) or off_grid(*args))
+    assert measure_generator(generator, states, np.linspace(0.0, 3.0, 61)).value > 1e-2
+    assert len(builds) == 1 and len(rounds) >= 10
+
+
 def test_markovian_measures_silent_on_pure_states():
     # Pure states change rank at t = 0+; the grid point before that jump must not
     # open a violation window.
