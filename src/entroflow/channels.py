@@ -181,6 +181,17 @@ class QuantumChannel:
         """Hilbert-Schmidt adjoint, Kraus set {K_i^dag}; unital when self is TP."""
         return QuantumChannel([dagger(k) for k in self.kraus])
 
+    def adjoint_apply(self, x) -> np.ndarray:
+        """sum_i K_i^dag x K_i: the adjoint map on one operator, with no
+        adjoint channel built (:meth:`adjoint` classifies its Kraus set)."""
+        a = as_matrix(x)
+        if a.shape != (self.dim_out, self.dim_out):
+            raise ChannelError(f"input shape {a.shape} does not match dim_out {self.dim_out}")
+        out = np.zeros((self.dim_in, self.dim_in), dtype=complex)
+        for k in self.kraus:
+            out += dagger(k) @ a @ k
+        return out
+
     def compose(self, inner: "QuantumChannel") -> "QuantumChannel":
         """self after ``inner``, Kraus set {K_self K_inner}."""
         if inner.dim_out != self.dim_in:
@@ -540,11 +551,12 @@ class LindbladGenerator:
     The compiled pattern, fixed for every generator, also splits the
     coordinates of vec(x) into invariant sets (:meth:`invariant_sets`,
     labelled on first use and cached): entries outside the sets an operator
-    touches stay zero under every L_t, so the generator may act on those
-    sets alone.  :meth:`restricted` gives that action through dense
-    restrictions of the compiled blocks, which
+    touches stay zero under every L_t and every L_t^dag, so the generator
+    and its adjoint may act on those sets alone.  :meth:`restricted` gives
+    that action through dense restrictions of the compiled blocks, which
     :func:`~entroflow.dynamics.propagate` takes for stacks whose sets hold
-    m <= max(d, 16) coordinates, and every intermediate map M_{t,s} for all
+    m <= max(d, 16) coordinates, the Theorem-2 witnesses read on the
+    trajectories it returns, and every intermediate map M_{t,s} for all
     d^2 coordinates.
     """
 
@@ -643,7 +655,9 @@ class LindbladGenerator:
         them, in either direction, and all populations (i, i) share one, so
         that the sets of a phase-covariant generator are its coherence
         orders whatever its rates (a union of invariant sets is invariant).
-        An operator vanishing on a set keeps vanishing there under every L_t.
+        An operator vanishing on a set keeps vanishing there under every L_t
+        and, since the labels spread along the transposed pattern too, under
+        every L_t^dag.
         The labels are the largest coordinate of each set, spread along the
         entries of the compiled blocks and of their conjugate transposes,
         with pointer jumping, until they settle; once per generator.
@@ -685,16 +699,20 @@ class _Restriction:
     the right: y' = y G(t) with G(t) = B_0 + sum_i gamma_i(t) B_i, which
     ``generators`` gives as a stack at an array of times and ``apply(t, y)``
     multiplies onto (N, m) rows at one time t, or at an (N,) array of times,
-    one per row.  ``coordinates`` gathers the rows from an (N, d, d) stack
-    that vanishes off ``index``, and ``states`` scatters a (..., m) stack of
-    them back into (..., d, d).  ``transpose`` is the position of the
-    coordinate of x_ji for each x_ij (the index of a Hermitian stack holds
-    both), and ``populations`` that of each x_ii in level order (all
-    populations share one set).  ``diagonal`` says whether every block is
-    diagonal, as every dephasing generator's is, so that each coordinate
-    evolves by its own scalar factor.  The integrators take it for
-    m <= max(d, 16), where one dense product costs less than the sparse
-    one's dispatch.
+    one per row.  ``adjoint_apply(t, y)`` multiplies the rows by G(t)^dag,
+    the rows of L_t^dag, the same way: the blocks are conjugate-transposed
+    once, on first use, and the rates are real.  It is exact because the
+    sets are invariant under L_t^dag too
+    (:meth:`LindbladGenerator.invariant_sets`).  ``coordinates`` gathers
+    the rows from an (N, d, d) stack that vanishes off ``index``, and
+    ``states`` scatters a (..., m) stack of them back into (..., d, d).
+    ``transpose`` is the position of the coordinate of x_ji for each x_ij
+    (the index of a Hermitian stack holds both), and ``populations`` that
+    of each x_ii in level order (all populations share one set).
+    ``diagonal`` says whether every block is diagonal, as every dephasing
+    generator's is, so that each coordinate evolves by its own scalar
+    factor.  The integrators take it for m <= max(d, 16), where one dense
+    product costs less than the sparse one's dispatch.
     """
 
     def __init__(self, generator: LindbladGenerator, index: np.ndarray):
@@ -729,16 +747,26 @@ class _Restriction:
             out += term.rate_at(times)[..., None, None] * block
         return out
 
-    def apply(self, t, y: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _adjoint_blocks(self) -> np.ndarray:
+        return np.ascontiguousarray(np.conj(np.swapaxes(self._blocks, -1, -2)))
+
+    def _product(self, blocks: np.ndarray, t, y: np.ndarray) -> np.ndarray:
         # ndarray.dot: the same BLAS product as @ on these 2-d operands, at
         # about half the call cost for m <= 16; isinstance, not np.ndim,
         # which takes about 2 us on a float
-        out = y.dot(self._blocks[0])
+        out = y.dot(blocks[0])
         per_row = isinstance(t, np.ndarray)
-        for term, block in zip(self._rated_terms, self._blocks[1:]):
+        for term, block in zip(self._rated_terms, blocks[1:]):
             rate = term.rate_at(t)[:, None] if per_row else term.rate_at(float(t))
             out += rate * y.dot(block)
         return out
+
+    def apply(self, t, y: np.ndarray) -> np.ndarray:
+        return self._product(self._blocks, t, y)
+
+    def adjoint_apply(self, t, y: np.ndarray) -> np.ndarray:
+        return self._product(self._adjoint_blocks, t, y)
 
     def coordinates(self, states: np.ndarray) -> np.ndarray:
         return states.reshape(len(states), -1)[:, self.index]

@@ -115,7 +115,8 @@ class Trajectory:
     the trajectory came from propagating a master equation, and
     ``operator`` is then what the states were integrated with (a dense
     restriction of the generator or the whole of it,
-    :func:`_integration_operator`), which :func:`states_off_grid` reuses:
+    :func:`_integration_operator`), which :func:`states_off_grid` and the
+    Theorem-2 witnesses of :mod:`entroflow.witnesses` reuse:
     :func:`propagate` passes the one it built, and a trajectory built by
     hand with a generator derives it once, on first use, from the
     coordinates that any of its states touches.
@@ -377,12 +378,14 @@ def _state_stack(states) -> np.ndarray:
 
 class _WholeStates:
     """A generator acting on (N, d, d) stacks as they are: the coordinates
-    ``propagate`` integrates are the states themselves."""
+    ``propagate`` integrates are the states themselves, and ``apply`` and
+    ``adjoint_apply`` are the generator's sparse products."""
 
     diagonal = False
 
     def __init__(self, generator: LindbladGenerator):
         self.apply = generator.apply
+        self.adjoint_apply = generator.adjoint_apply
 
     @staticmethod
     def coordinates(states: np.ndarray) -> np.ndarray:
@@ -420,11 +423,11 @@ _DENSE_COORDINATES = 16
 
 def _integration_operator(generator: LindbladGenerator, states: np.ndarray):
     """What ``propagate`` integrates an (N, d, d) stack with, and keeps on
-    the trajectory for ``states_off_grid``: the generator restricted to the
-    union of its invariant sets that the stack touches, when that union
-    holds m <= max(d, 16) coordinates, so that a dense m x m product costs
-    no more than one pass over a state or less than the sparse product's
-    dispatch; otherwise the whole generator.  Every generator has a fixed
+    the trajectory for ``states_off_grid`` and the witnesses: the generator
+    restricted to the union of its invariant sets that the stack touches,
+    when that union holds m <= max(d, 16) coordinates, so that a dense
+    m x m product costs no more than one pass over a state or less than the
+    sparse product's dispatch; otherwise the whole generator.  Every generator has a fixed
     pattern, hence invariant sets, so every later state of the stack lies
     in the same union."""
     labels = generator.invariant_sets()
@@ -795,11 +798,16 @@ def _map_intervals(operator, guard, grid, current, defect,
 def closed_form_trajectory(state_fn, grid, derivative_fn) -> Trajectory:
     """Trajectory from closed-form callables of the state and of its time
     derivative (at a rank-change instant, its right limit), bypassing the
-    integrator."""
+    integrator.
+
+    Both take an array of times (T,) and return the (T, ..., d, d) stack of
+    their values at every time; each is called once, on the whole grid, and
+    ``state_fn`` is kept for :func:`entropy_rate_fd`, which calls it once on
+    all its stencil times."""
     grid = np.asarray(grid, dtype=float)
-    states = np.stack([hermitian_part(as_matrix(state_fn(float(t)))) for t in grid])
-    derivatives = np.stack([as_matrix(derivative_fn(float(t))) for t in grid])
-    return Trajectory(grid, states, hermitian_part(derivatives), state_fn=state_fn)
+    states = hermitian_part(as_matrix(state_fn(grid)))
+    return Trajectory(grid, states, hermitian_part(as_matrix(derivative_fn(grid))),
+                      state_fn=state_fn)
 
 
 def _whole_space(generator: LindbladGenerator):
@@ -904,7 +912,7 @@ def entropy_rate_fd(traj: Trajectory, index, h: float = 1e-4, richardson: bool =
         t = traj.grid[indices]
         taus = np.stack([t + steps, t - steps]).ravel()
         if traj.state_fn is not None:
-            states = np.stack([as_matrix(traj.state_fn(float(tau))) for tau in taus])
+            states = as_matrix(traj.state_fn(taus))
         else:
             states = states_off_grid(traj, np.zeros(len(taus), dtype=int), taus)
         s_plus, s_minus = _entropies(np.linalg.eigvalsh(hermitian_part(states))).reshape(
@@ -1039,7 +1047,7 @@ class ChannelFamily:
         starts = _state_stack(rho0s)
         states, dots, spectrum = self.evolve(starts, grid)
         return Trajectory(grid, states, dots, spectrum=spectrum,
-                          state_fn=lambda t: self.states(starts, [t])[0])
+                          state_fn=lambda times: self.states(starts, times))
 
 
 def _trace_preserving(maps: np.ndarray, atol: float = 1e-8) -> np.ndarray:
@@ -1138,26 +1146,36 @@ class DephasingFamily(ChannelFamily):
 # Closed-form example trajectories
 # ---------------------------------------------------------------------------
 
-def damping_qubit_state(t: float) -> np.ndarray:
-    """Relaxation into |0>: diag(1 - e^{-t}, e^{-t}); rank jumps 1 -> 2 at t = 0+."""
-    e = np.exp(-t)
-    return np.diag([1.0 - e, e]).astype(complex)
+def _diagonal_qubits(upper, lower) -> np.ndarray:
+    """diag(upper, lower) for every entry of two arrays of the same shape,
+    as a (..., 2, 2) stack."""
+    out = np.zeros(np.shape(upper) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 1, 1] = upper, lower
+    return out
 
 
-def _damping_qubit_derivative(t: float) -> np.ndarray:
-    e = np.exp(-t)
-    return np.diag([e, -e]).astype(complex)
+def damping_qubit_state(t) -> np.ndarray:
+    """Relaxation into |0>: diag(1 - e^{-t}, e^{-t}); rank jumps 1 -> 2 at t = 0+.
+    One time gives a (2, 2) matrix, an array of times a (..., 2, 2) stack."""
+    e = np.exp(-np.asarray(t, dtype=float))
+    return _diagonal_qubits(1.0 - e, e)
 
 
-def oscillating_qubit_state(t: float) -> np.ndarray:
-    """diag(cos^2(pi t), sin^2(pi t)); the rank drops to 1 at every half-integer t."""
-    c = np.cos(np.pi * t) ** 2
-    return np.diag([c, 1.0 - c]).astype(complex)
+def _damping_qubit_derivative(t) -> np.ndarray:
+    e = np.exp(-np.asarray(t, dtype=float))
+    return _diagonal_qubits(e, -e)
 
 
-def _oscillating_qubit_derivative(t: float) -> np.ndarray:
-    s = np.pi * np.sin(2.0 * np.pi * t)
-    return np.diag([-s, s]).astype(complex)
+def oscillating_qubit_state(t) -> np.ndarray:
+    """diag(cos^2(pi t), sin^2(pi t)); the rank drops to 1 at every half-integer t.
+    One time gives a (2, 2) matrix, an array of times a (..., 2, 2) stack."""
+    c = np.cos(np.pi * np.asarray(t, dtype=float)) ** 2
+    return _diagonal_qubits(c, 1.0 - c)
+
+
+def _oscillating_qubit_derivative(t) -> np.ndarray:
+    s = np.pi * np.sin(2.0 * np.pi * np.asarray(t, dtype=float))
+    return _diagonal_qubits(-s, s)
 
 
 def damping_qubit_trajectory(grid) -> Trajectory:

@@ -26,6 +26,7 @@ from .channels import (
 from .dynamics import (
     ChannelFamily,
     Trajectory,
+    _WholeStates,
     entropy_rate,
     expm,
     propagate,
@@ -93,7 +94,7 @@ class WitnessError(ValueError):
 
 def _back_action(channel: QuantumChannel, rho) -> np.ndarray:
     """N^dag(N(rho)) as a matrix."""
-    return hermitian_part(channel.adjoint().apply(channel.apply(rho)))
+    return hermitian_part(channel.adjoint_apply(channel.apply(rho)))
 
 
 def entropy_change(channel: QuantumChannel, rho) -> float:
@@ -142,17 +143,35 @@ def entropy_change_upper_bound_holder(channel: QuantumChannel, rho) -> float:
 # Rate bound and non-unitality witness
 # ---------------------------------------------------------------------------
 
-def _pinned_adjoint_traces(generator: LindbladGenerator, times, states: np.ndarray,
+def _images(apply, operator, times, states: np.ndarray) -> np.ndarray:
+    """``apply`` (an operator's ``apply`` or ``adjoint_apply``) on states
+    (T, ..., d, d) at times (T,), as a stack of their shape: the states'
+    coordinates are gathered, multiplied once with one time per row and
+    scattered back."""
+    d = states.shape[-1]
+    flat = states.reshape(-1, d, d)
+    rows = np.repeat(np.asarray(times, dtype=float), len(flat) // len(times))
+    return operator.states(apply(rows, operator.coordinates(flat))).reshape(states.shape)
+
+
+def _pinned_adjoint_traces(operator, times, states: np.ndarray,
                            spectrum: EigenSystem) -> np.ndarray:
     """Tr{Pi L_t^dag(rho)} for states (T, ..., d, d) with their spectra at
-    times (T,): the expectations of L_t^dag(rho) summed over the supports."""
-    return spectrum.support_traces(generator.adjoint_apply(np.asarray(times, dtype=float), states))
+    times (T,): the expectations of L_t^dag(rho) summed over the supports.
+
+    ``operator`` is what the states were integrated with
+    (:attr:`Trajectory.operator`): a dense restriction of the generator to
+    the invariant sets the states touch, which holds L_t^dag exactly, or
+    the whole generator, ``_WholeStates``."""
+    return spectrum.support_traces(_images(operator.adjoint_apply, operator, times, states))
 
 
 def _pinned_adjoint_trace(generator: LindbladGenerator, t: float, rho) -> float:
-    """Tr{Pi_rho L_t^dag(rho)}: the one-state case of :func:`_pinned_adjoint_traces`."""
+    """Tr{Pi_rho L_t^dag(rho)}: the one-state case of
+    :func:`_pinned_adjoint_traces`, through the whole generator."""
     spectrum = spectral_decompose(rho)
-    return float(_pinned_adjoint_traces(generator, [t], as_matrix(rho)[None], spectrum[None])[0])
+    return float(_pinned_adjoint_traces(_WholeStates(generator), [t], as_matrix(rho)[None],
+                                        spectrum[None])[0])
 
 
 def nonunitality_witness(generator: LindbladGenerator, t: float, rho) -> float:
@@ -183,8 +202,8 @@ def _epsilon_derivatives(family: ChannelFamily, times, states: np.ndarray,
     is <K_t(Pi), rho> + <Pi, K_t(rho)> = Tr{Pi (K_t + K_t^dag)(rho)}, with
     K_t the family's step generator: one product over the stack, whose
     expectations are summed over the supports.  For a Lindblad generator
-    K_t = L_t, and :func:`witness_reports` reads the term from the
-    generator's own applications instead.
+    K_t = L_t, and :func:`witness_reports` reads the term from the images
+    of L_t and L_t^dag instead.
     """
     k = family.step_generators(times)
     return spectrum.support_traces(apply_superoperators(k + np.conj(np.swapaxes(k, -1, -2)), states))
@@ -260,18 +279,23 @@ def witness_reports(generator: LindbladGenerator, traj: Trajectory) -> list[Witn
 
     The f column and test (a)/(c) need the short-time derivative term
     Tr{Pi (K_t + K_t^dag)(rho_t)}, and K_t = L_t for a Lindblad generator:
-    with the witness Tr{Pi L_t^dag(rho_t)} it is read from one
-    ``adjoint_apply`` and one ``apply`` of the generator over the whole
-    trajectory, with no dense superoperator.  Every column is computed over
-    the whole trajectory at once.  Rows at a rank jump
+    with the witness Tr{Pi L_t^dag(rho_t)} it is read from the images of
+    L_t^dag and L_t over the whole trajectory, each one product of the
+    operator the trajectory was integrated with (:attr:`Trajectory.operator`,
+    a dense restriction to the invariant sets its states touch, or the
+    sparse generator), with no dense superoperator.  Every column is
+    computed over the whole trajectory at once; a trajectory not propagated
+    with ``generator`` takes the sparse generator.  Rows at a rank jump
     (:meth:`Trajectory.rank_jump_rows`) carry no test flags.
     """
     excluded = traj.rank_jump_rows(RANK_CHANGE_MARGIN)
     rates = traj.entropy_rates()
-    adjoint_images = generator.adjoint_apply(traj.grid, traj.entries)
+    operator = traj.operator if traj.generator is generator else _WholeStates(generator)
+    adjoint_images = _images(operator.adjoint_apply, operator, traj.grid, traj.entries)
     witness = traj.spectrum.support_traces(adjoint_images)
     bounds = -witness
-    eps_terms = traj.spectrum.support_traces(adjoint_images + generator.apply(traj.grid, traj.entries))
+    eps_terms = traj.spectrum.support_traces(
+        adjoint_images + _images(operator.apply, operator, traj.grid, traj.entries))
     f_values = rates + eps_terms
     tests = {"test_a_passed": test_a(f_values), "test_b_passed": test_b(rates, bounds),
              "test_c_passed": test_c(eps_terms, witness)}
@@ -366,11 +390,12 @@ def _measure(state_sampler, grid, trajectories, values, evaluate) -> MeasureResu
                          samples_used=len(states), sample_values=tuple(map(float, integrals)))
 
 
-def _generator_witness(generator: LindbladGenerator, times, states: np.ndarray, dots: np.ndarray,
+def _generator_witness(operator, times, states: np.ndarray, dots: np.ndarray,
                        spectrum: EigenSystem) -> np.ndarray:
     """dS/dt + Tr{Pi L_t^dag(rho_t)} for states (T, ..., d, d) at times (T,),
-    with their derivatives and spectra."""
-    return entropy_rate(spectrum, dots) + _pinned_adjoint_traces(generator, times, states, spectrum)
+    with their derivatives and spectra, through the operator they were
+    integrated with."""
+    return entropy_rate(spectrum, dots) + _pinned_adjoint_traces(operator, times, states, spectrum)
 
 
 def measure_generator(generator: LindbladGenerator, state_sampler, grid) -> MeasureResult:
@@ -383,15 +408,19 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid) -> Meas
     Every bisection round takes its states from :func:`states_off_grid`
     through the operator the one :func:`propagate` call kept on the
     trajectory: partial-interval maps for a dephasing-type generator, whose
-    restriction is diagonal, and RK4 substeps for any other.
+    restriction is diagonal, and RK4 substeps for any other.  The witness
+    Tr{Pi L_t^dag(rho_t)}, on the grid and off it, and L_t(rho_t) off the
+    grid are products of that same operator.
     """
     def values(traj: Trajectory) -> np.ndarray:
-        return _generator_witness(generator, traj.grid, traj.entries, traj.derivatives,
+        return _generator_witness(traj.operator, traj.grid, traj.entries, traj.derivatives,
                                   traj.spectrum)
 
     def evaluate(starts, traj, ns, ts) -> np.ndarray:
         off_grid = states_off_grid(traj, ns, ts)
-        return _generator_witness(generator, ts, off_grid, generator.apply(ts, off_grid),
+        operator = traj.operator
+        return _generator_witness(operator, ts, off_grid,
+                                  _images(operator.apply, operator, ts, off_grid),
                                   spectral_decompose(off_grid))
 
     return _measure(state_sampler, grid, lambda states, g: propagate(generator, states, g),

@@ -97,6 +97,17 @@ class TestAdjoint:
         n = random_cptp_channel(rng, 3)
         np.testing.assert_allclose(n.adjoint().apply(np.eye(3)), np.eye(3), atol=1e-10)
 
+    def test_adjoint_apply_is_the_adjoint_channel(self, rng):
+        # sum_i K_i^dag x K_i without the adjoint channel, also from Tr_A,
+        # whose input and output dimensions differ.
+        for ch in (random_cptp_channel(rng, 3), gadc(0.8, 5.0),
+                   partial_trace_channel(dim_keep=2, dim_drop=3, keep="B")):
+            x = rng.normal(size=(ch.dim_out,) * 2) + 1j * rng.normal(size=(ch.dim_out,) * 2)
+            np.testing.assert_allclose(ch.adjoint_apply(x), ch.adjoint().apply(x),
+                                       rtol=0, atol=1e-14)
+        with pytest.raises(ChannelError):
+            gadc(0.8, 5.0).adjoint_apply(np.eye(3))
+
 
 class TestCompose:
     def test_identity_neutral(self, rng):
@@ -415,6 +426,48 @@ class TestInvariantSets:
                     assert y.shape == (1, cutoff - abs(q))
                     np.testing.assert_allclose(restricted.states(restricted.apply(t, y)),
                                                gen.apply(t, x[None]), rtol=0, atol=1e-13)
+
+
+def _restriction_cases(rng):
+    """(name, generator, coordinates): a dephasing qubit at a time-dependent
+    rate, a driven qutrit, a cutoff-10 mode's populations under a cos^2
+    raising rate, and the coherence orders -1, 0 and 1 of a driven mode, a
+    union of three sets."""
+    qutrit_h = _random_matrix(rng, 3)
+    qutrit = LindbladGenerator(3, hamiltonian=qutrit_h + dagger(qutrit_h),
+                               jumps=[(lambda t: 0.6 + 0.3 * np.sin(t), _random_matrix(rng, 3)),
+                                      (0.4, _random_matrix(rng, 3))])
+    a = annihilation_operator(10)
+    mode = LindbladGenerator(10, jumps=[(CosineSquaredCoefficient(omega=1.1, scale=0.3), dagger(a)),
+                                        (0.8, a)])
+    coherent = _phase_covariant(rng, 8)
+    orders = np.abs(np.subtract.outer(np.arange(8), np.arange(8)).reshape(-1))
+    return [("dephasing", dephasing_generator(lambda t: 0.5 + np.cos(2.0 * t)), np.arange(4)),
+            ("qutrit", qutrit, np.arange(9)),
+            ("populations", mode, np.arange(10) * 11),
+            ("coherent_union", coherent, np.flatnonzero(orders <= 1))]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["dephasing", "qutrit", "populations",
+                                                 "coherent_union"])
+def test_restricted_adjoint_is_the_dual_and_the_gathered_whole_space_adjoint(rng, case):
+    # <y', y G> = <y' G^dag, y> row by row, at one time and at one time per
+    # row, and y G^dag is the whole generator's L_t^dag on the scattered rows,
+    # gathered back: the sets are invariant under L_t^dag too.
+    name, gen, index = _restriction_cases(rng)[case]
+    restricted = gen.restricted(index)
+    labels = gen.invariant_sets()
+    # the coordinates are whole sets
+    np.testing.assert_array_equal(index, np.flatnonzero(np.isin(labels, labels[index])))
+    n, m = 5, len(index)
+    y, y_prime = (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)) for _ in range(2))
+    for t in (0.7, np.linspace(0.0, 2.0, n)):
+        forward, backward = restricted.apply(t, y), restricted.adjoint_apply(t, y_prime)
+        np.testing.assert_allclose(np.sum(y_prime.conj() * forward, axis=-1),
+                                   np.sum(backward.conj() * y, axis=-1), rtol=0, atol=1e-13)
+        whole = gen.adjoint_apply(t, restricted.states(y_prime))
+        np.testing.assert_allclose(backward, restricted.coordinates(whole), rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(np.delete(whole.reshape(n, -1), index, axis=-1), 0.0)
 
 
 def _dense_lindblad(h, terms, x, adjoint=False):

@@ -42,6 +42,7 @@ from entroflow import dynamics
 from entroflow.dynamics import (
     Trajectory,
     _damping_qubit_derivative,
+    _oscillating_qubit_derivative,
     _rk4_segment,
     _trace_norms_exceed,
     damping_qubit_state,
@@ -1160,6 +1161,16 @@ class TestClosedFormTrajectories:
     def test_oscillating_entropy_values(self):
         traj = oscillating_qubit_trajectory(np.array([0.25]))
         assert traj.entropies()[0] == pytest.approx(np.log(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("fn", [damping_qubit_state, _damping_qubit_derivative,
+                                    oscillating_qubit_state, _oscillating_qubit_derivative])
+    def test_array_of_times_is_the_stacked_scalar_calls(self, fn, rng):
+        # bit for bit, rank-change instants included, and shaped (..., 2, 2)
+        times = np.concatenate([[0.0, 0.25, 0.5, 1.0], rng.uniform(0.0, 3.0, size=29)])
+        times = times.reshape(3, 11)
+        stacked = np.stack([fn(float(t)) for t in times.ravel()]).reshape(3, 11, 2, 2)
+        np.testing.assert_array_equal(fn(times), stacked)
+        assert fn(0.3).shape == (2, 2)
 
 
 def count_eig_calls(monkeypatch) -> list[str]:

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 from entroflow.channels import ChannelError, LindbladGenerator, bosonic_generator, thermal_state
 from entroflow.cli import main
+from entroflow.dynamics import propagate
 from entroflow.serialize import generator_to_document, matrix_to_document
 from entroflow.scenarios import (
     SCENARIOS,
@@ -304,6 +305,31 @@ def test_default_gaussian_checks_read_every_row(tmp_path):
     report = run_config(copy.deepcopy(DEFAULT_CONFIGS["gaussian_bounds"]), tmp_path)
     assert report.passed and len(report.checks) == 6
     assert not [check.measured for check in report.checks if "excluded" in check.measured]
+
+
+def test_default_gaussian_bounds_take_no_whole_space_adjoint(tmp_path, monkeypatch):
+    # The Theorem 2 column comes from the restriction of each generator to
+    # the populations of its Fock-diagonal trajectory: no sparse L_t^dag
+    # product, and the whole space's values within rounding.
+    calls = []
+    adjoint_apply = LindbladGenerator.adjoint_apply
+    monkeypatch.setattr(LindbladGenerator, "adjoint_apply",
+                        lambda self, t, x: calls.append(t) or adjoint_apply(self, t, x))
+    config = copy.deepcopy(DEFAULT_CONFIGS["gaussian_bounds"])
+    assert run_config(config, tmp_path).passed
+    assert calls == []
+    with open(tmp_path / "gaussian_bounds.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    params = config["parameters"]
+    grid = np.linspace(0.0, params["t_max"], params["n_points"])
+    for kind, gammas in params["dynamics"].items():
+        generator = bosonic_generator(gammas["gamma_plus"], gammas["gamma_minus"], params["cutoff"])
+        traj = propagate(generator, thermal_state(params["mean_photons"], params["cutoff"]), grid,
+                         on_tail_breach="truncate")
+        whole = -traj.spectrum.support_traces(generator.adjoint_apply(traj.grid, traj.entries))
+        column = [float(row["theorem2_bound"]) for row in rows if row["dynamics"] == kind]
+        assert len(column) == len(traj)
+        np.testing.assert_allclose(column, whole, rtol=0, atol=1e-14)
 
 
 def _table(path) -> dict[str, np.ndarray]:

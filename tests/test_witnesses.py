@@ -35,6 +35,7 @@ from entroflow import (
     witness_reports,
 )
 from entroflow.channels import JumpTerm, SIGMA_Z, apply_superoperators
+from entroflow.dynamics import Trajectory, _WholeStates
 from entroflow.linalg import as_matrix, dagger, hermitian_part, spectral_decompose
 from entroflow.sampling import (
     default_pair_sampler,
@@ -260,14 +261,59 @@ def test_support_traces_equal_the_projector_form(rng, d):
                                rtol=0, atol=1e-12)
     generator, times = _random_semigroup(rng, d), np.linspace(0.0, 1.0, shape[0])
     adjoint_images = generator.adjoint_apply(times, states)
-    np.testing.assert_allclose(
-        _pinned_adjoint_traces(generator, times, states, spectrum),
-        _trace_products(projectors, adjoint_images), rtol=0, atol=1e-12)
+    # through the sparse generator and through its restriction to all d^2
+    # coordinates, one time per (T, N) row either way
+    for operator in (_WholeStates(generator), generator.restricted(np.arange(d * d))):
+        np.testing.assert_allclose(
+            _pinned_adjoint_traces(operator, times, states, spectrum),
+            _trace_products(projectors, adjoint_images), rtol=0, atol=1e-12)
     # the short-time term of witness_reports, K_t = L_t
     np.testing.assert_allclose(
         spectrum.support_traces(adjoint_images + generator.apply(times, states)),
         _dense_epsilon_terms(superoperators(generator, times), states, projectors),
         rtol=0, atol=1e-12)
+
+
+def test_whole_state_stack_reads_the_whole_space_witness():
+    # (|0> + |1>)/sqrt(2) at cutoff 12 touches the populations and the
+    # coherence orders -1 and 1: m = 34 > max(d, 16) coordinates, so
+    # propagate integrates the whole states, and the witness is the sparse
+    # L_t^dag's, bit for bit.  The restriction to the same 34 coordinates,
+    # which no integrator takes here, gives it within rounding.
+    generator, plus = bosonic_generator(0.0, 1.0, 12), np.zeros(12)
+    plus[:2] = 2 ** -0.5
+    traj = propagate(generator, DensityMatrix.pure(plus), np.linspace(0.0, 2.0, 41))
+    assert isinstance(traj.operator, _WholeStates)
+    whole = traj.spectrum.support_traces(generator.adjoint_apply(traj.grid, traj.entries))
+    np.testing.assert_array_equal(
+        _pinned_adjoint_traces(traj.operator, traj.grid, traj.entries, traj.spectrum), whole)
+    np.testing.assert_array_equal([r.nonunitality for r in witness_reports(generator, traj)], whole)
+    # a trajectory that does not carry the generator reads the same
+    bare = Trajectory(traj.grid, traj.entries, traj.derivatives, spectrum=traj.spectrum)
+    np.testing.assert_array_equal([r.nonunitality for r in witness_reports(generator, bare)], whole)
+    labels = generator.invariant_sets()
+    index = np.flatnonzero(np.isin(labels, labels[np.flatnonzero(traj.entries[0].reshape(-1))]))
+    assert len(index) == 34
+    np.testing.assert_allclose(
+        _pinned_adjoint_traces(generator.restricted(index), traj.grid, traj.entries, traj.spectrum),
+        whole, rtol=0, atol=1e-14)
+
+
+def test_back_action_builds_no_adjoint_channel(rng, monkeypatch):
+    # N^dag(N(rho)) from the Kraus operators: the Theorem 1 bounds and the
+    # Pinsker pair build no adjoint QuantumChannel, and give the adjoint
+    # channel's values.
+    channel, rho = random_mixed_unitary_channel(rng, 3, 3), random_full_rank_state(rng, 3)
+    values = (entropy_change_lower_bound, entropy_change_upper_bound,
+              entropy_change_upper_bound_holder, lambda ch, r: pinsker_gap(ch, r).relative_entropy)
+    with monkeypatch.context() as patch:
+        patch.setattr(QuantumChannel, "adjoint_apply", lambda self, x: self.adjoint().apply(x))
+        expected = [f(channel, rho) for f in values]
+
+    def refused(self):
+        raise AssertionError("adjoint channel built")
+    monkeypatch.setattr(QuantumChannel, "adjoint", refused)
+    np.testing.assert_allclose([f(channel, rho) for f in values], expected, rtol=0, atol=1e-14)
 
 
 def test_generator_family_epsilon_terms_need_no_dense_superoperators():
