@@ -5,11 +5,14 @@ matrix are derived caches.  Superoperator matrices use the row-stacking
 convention vec(X) = X.reshape(-1), under which the map X -> K X L has matrix
 kron(K, L.T).  A generator's Hamiltonian and jump operators are fixed
 d x d matrices, and only its rates depend on time, so every generator is
-compiled once into sparse d^2 x d^2 matrices in that convention: one for
-all constant parts and one dissipator per time-dependent rate, each with
-its conjugate transpose, which is the matrix of the adjoint map.  Applying
-a generator or its adjoint, building its dense superoperator and reading
-its invariant sets all use those matrices; nothing is rebuilt per time.
+compiled once into d^2 x d^2 matrices in that convention, each kept as the
+summed (rows, cols, values) numpy triple of its entries: one for all
+constant parts and one dissipator per time-dependent rate.  Its invariant
+sets, its dense restrictions and its dense superoperator are read from
+those triples.  The sparse matrices of the whole-space products, and their
+conjugate transposes (the matrices of the adjoint map), are built from
+them on the first such product, which is where ``scipy.sparse`` is
+imported.  Nothing is rebuilt per time.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,9 +31,6 @@ from .linalg import (
     hermitian_part,
     require_hermitian,
 )
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "ChannelError",
@@ -486,19 +485,23 @@ def _sandwich_entries(dim: int, sandwiches, name: str) -> list:
     return entries
 
 
-def _sandwich_matrix(dim: int, entries, name: str) -> sparse.csr_array:
-    """One CSR matrix summing the :func:`_sandwich_entries` triples of
-    ``name``; ChannelError when a sum of finite entries overflows."""
-    from scipy import sparse
-
+def _summed_entries(dim: int, entries, name: str) -> tuple:
+    """The :func:`_sandwich_entries` triples of ``name`` summed into one
+    (rows, cols, values) triple with one entry per coupled pair of
+    coordinates, sorted by row and then by column (a sum that cancels keeps
+    its entry, so the pattern is that of the factors); ChannelError when a
+    sum of finite entries overflows, with no RuntimeWarning."""
     n = dim * dim
     if not entries:
-        return sparse.csr_array((n, n), dtype=complex)
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0, dtype=complex)
     rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
-    matrix = sparse.csr_array((vals, (rows, cols)), shape=(n, n))
-    if not np.isfinite(matrix.data).all():
+    keys, where = np.unique(rows * n + cols, return_inverse=True)
+    summed = np.zeros(len(keys), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(summed, where, vals)
+    if not np.isfinite(summed).all():
         raise ChannelError(f"the entries of {name} add up to a non-finite generator entry")
-    return matrix
+    return (*np.divmod(keys, n), summed)
 
 
 def _commutator(h: np.ndarray) -> list:
@@ -530,30 +533,31 @@ class LindbladGenerator:
     rates alone, which are numbers, coefficient objects, or any callable of
     t.  A callable Hamiltonian or operator is refused with ChannelError.
 
-    The generator is compiled once, at construction, into sparse d^2 x d^2
-    blocks in the row-stacking convention: all constant parts (the
-    Hamiltonian and every jump term with a constant rate) merged into one
-    block L_0, and one dissipator D_i for each jump term with a
-    time-dependent rate.  The blocks are stacked vertically into one CSR
-    matrix [L_0; D_1; ...; D_m], and their conjugate transposes into a
-    second one for the adjoint.  ``scipy.sparse`` is imported there, by the
-    first generator a process builds, so the closed-form channel runs never
-    load it.  The Hamiltonian is checked for Hermiticity there, and it and
-    every operator must be dim x dim; a jump whose block entries overflow
-    (a rate near the float limit) is refused with ChannelError naming it.
+    The generator is compiled once, at construction, into d^2 x d^2 blocks
+    in the row-stacking convention: all constant parts (the Hamiltonian
+    and every jump term with a constant rate) merged into one block L_0,
+    and one dissipator D_i for each jump term with a time-dependent rate.
+    Each block is kept as its summed (rows, cols, values) triple, sorted by
+    row and column, in numpy alone.  The Hamiltonian is checked for
+    Hermiticity there, and it and every operator must be dim x dim; a jump
+    whose block entries overflow (a rate near the float limit) is refused
+    with ChannelError naming it.  ``superoperator`` scatters the blocks
+    into dense matrices and returns L_0 + sum_i gamma_i(t) D_i.
     ``apply`` reads a stack (..., d, d) as the columns vec(x) of one
-    d^2-row matrix, multiplies the stacked matrix onto them once, and
-    combines the row blocks as L_0 x + sum_i gamma_i(t) D_i x;
-    ``adjoint_apply`` does the same with the conjugate transposes, and
-    ``superoperator`` returns the same sum of the same blocks as a dense
-    matrix.  Every call thus costs one sparse product.
+    d^2-row matrix, multiplies the CSR matrix [L_0; D_1; ...; D_m] onto
+    them once, and combines the row blocks as L_0 x + sum_i gamma_i(t) D_i x;
+    ``adjoint_apply`` does the same with the conjugate transposes.  Every
+    such call costs one sparse product.  The two CSR matrices are built
+    from the triples on the first whole-space product, which imports
+    ``scipy.sparse``; runs whose stacks all propagate on restrictions never
+    load it.
 
     The compiled pattern, fixed for every generator, also splits the
     coordinates of vec(x) into invariant sets (:meth:`invariant_sets`,
     labelled on first use and cached): entries outside the sets an operator
     touches stay zero under every L_t and every L_t^dag, so the generator
     and its adjoint may act on those sets alone.  :meth:`restricted` gives
-    that action through dense restrictions of the compiled blocks, which
+    that action through dense restrictions of the compiled triples, which
     :func:`~entroflow.dynamics.propagate` takes for stacks whose sets hold
     m <= max(d, 16) coordinates, the Theorem-2 witnesses read on the
     trajectories it returns, and every intermediate map M_{t,s} for all
@@ -582,15 +586,10 @@ class LindbladGenerator:
             else:
                 rated.append(term)
                 entries = _sandwich_entries(self.dim, _dissipator(1.0, a), name)
-                dissipators.append(_sandwich_matrix(self.dim, entries, name))
-        blocks = [_sandwich_matrix(self.dim, constant, "the constant terms")] + dissipators
+                dissipators.append(_summed_entries(self.dim, entries, name))
+        self._blocks = (_summed_entries(self.dim, constant, "the constant terms"),
+                        *dissipators)
         self._rated_terms = tuple(rated)
-        from scipy import sparse
-
-        self._compiled = {
-            False: sparse.vstack(blocks, format="csr"),
-            True: sparse.vstack([b.conj().T.tocsr() for b in blocks], format="csr"),
-        }
         self._sets: np.ndarray | None = None
 
     def _checked(self, m, name: str) -> np.ndarray:
@@ -602,6 +601,22 @@ class LindbladGenerator:
             raise ChannelError(f"{name} has shape {a.shape}, but the generator acts on "
                                f"dimension {self.dim}")
         return a
+
+    @cached_property
+    def _compiled(self) -> dict:
+        """The blocks stacked vertically into one CSR matrix [L_0; D_1; ...]
+        (``False``) and their conjugate transposes into a second (``True``),
+        for the whole-space products: built on the first of them."""
+        from scipy import sparse
+
+        n = self.dim * self.dim
+        bounds = np.arange(n + 1)
+        blocks = [sparse.csr_array((vals, cols, np.searchsorted(rows, bounds)), shape=(n, n))
+                  for rows, cols, vals in self._blocks]
+        return {
+            False: sparse.vstack(blocks, format="csr"),
+            True: sparse.vstack([b.conj().T.tocsr() for b in blocks], format="csr"),
+        }
 
     def _act(self, t, x: np.ndarray, adjoint: bool) -> np.ndarray:
         """L_t(x), or L_t^dag(x), for a stack x (..., d, d) at one time or at
@@ -641,10 +656,12 @@ class LindbladGenerator:
     def superoperator(self, t: float) -> SuperOperator:
         """Matrix of L_t: the compiled block L_0 plus sum_i gamma_i(t) D_i, dense."""
         n = self.dim * self.dim
-        blocks = self._compiled[False].toarray()
-        m = blocks[:n]
-        for i, term in enumerate(self._rated_terms, start=1):
-            m += term.rate_at(t) * blocks[i * n:(i + 1) * n]
+        blocks = np.zeros((len(self._blocks), n, n), dtype=complex)
+        for block, (rows, cols, vals) in zip(blocks, self._blocks):
+            block[rows, cols] = vals
+        m = blocks[0]
+        for term, block in zip(self._rated_terms, blocks[1:]):
+            m += term.rate_at(t) * block
         return SuperOperator(m, dim_in=self.dim, dim_out=self.dim)
 
     def invariant_sets(self) -> np.ndarray:
@@ -659,15 +676,14 @@ class LindbladGenerator:
         and, since the labels spread along the transposed pattern too, under
         every L_t^dag.
         The labels are the largest coordinate of each set, spread along the
-        entries of the compiled blocks and of their conjugate transposes,
-        with pointer jumping, until they settle; once per generator.
+        entries of the compiled blocks and of their transposes, with pointer
+        jumping, until they settle; once per generator.
         """
         if self._sets is None:
             d, n = self.dim, self.dim * self.dim
-            # the stored entries of every compiled block and of its transpose
-            rows = np.concatenate([np.repeat(np.arange(m.shape[0]) % n, np.diff(m.indptr))
-                                   for m in self._compiled.values()])
-            cols = np.concatenate([m.indices for m in self._compiled.values()])
+            # the entries of every compiled block and of its transpose
+            rows = np.concatenate([part for r, c, _ in self._blocks for part in (r, c)])
+            cols = np.concatenate([part for r, c, _ in self._blocks for part in (c, r)])
             populations = np.arange(d) * (d + 1)
             labels = np.arange(n)
             while True:
@@ -695,7 +711,8 @@ class _Restriction:
     invariant sets, as (..., m) rows y.
 
     Each compiled block, L_0 and every rated D_i, is restricted to those
-    coordinates once, as a dense m x m matrix B_0, B_i acting on rows from
+    coordinates once, by one scatter of the entries of its triple whose rows
+    lie in the sets, as a dense m x m matrix B_0, B_i acting on rows from
     the right: y' = y G(t) with G(t) = B_0 + sum_i gamma_i(t) B_i, which
     ``generators`` gives as a stack at an array of times and ``apply(t, y)``
     multiplies onto (N, m) rows at one time t, or at an (N,) array of times,
@@ -718,19 +735,17 @@ class _Restriction:
     def __init__(self, generator: LindbladGenerator, index: np.ndarray):
         self.dim, self.index = generator.dim, index
         d, n, m = self.dim, self.dim * self.dim, len(index)
-        compiled = generator._compiled[False]
         self._rated_terms = generator._rated_terms
         position = np.full(n, -1)
         position[index] = np.arange(m)
         row_of, col_of = np.divmod(index, d)
         self.transpose = position[col_of * d + row_of]
         self.populations = position[np.arange(d) * (d + 1)]
-        block, row = np.divmod(np.repeat(np.arange(compiled.shape[0]), np.diff(compiled.indptr)), n)
-        kept = position[row] >= 0  # the rows of the sets, whose entries lie in the sets too
         # each block transposed, since the rows y (N, m) multiply it from the left
-        self._blocks = np.zeros((1 + len(self._rated_terms), m, m), dtype=complex)
-        transposed = (block[kept], position[compiled.indices[kept]], position[row[kept]])
-        self._blocks[transposed] = compiled.data[kept]
+        self._blocks = np.zeros((len(generator._blocks), m, m), dtype=complex)
+        for block, (rows, cols, vals) in zip(self._blocks, generator._blocks):
+            kept = position[rows] >= 0  # the rows of the sets, whose entries lie in the sets too
+            block[position[cols[kept]], position[rows[kept]]] = vals[kept]
 
     @property
     def time_independent(self) -> bool:

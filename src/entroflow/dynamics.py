@@ -19,8 +19,10 @@ Lindblad generator needs no family: its K_t is L_t itself.
 
 ``scipy.linalg`` is imported by the first map build whose exponent is not
 diagonal (:func:`expm`; dephasing maps are diagonal and need no scipy), and
-``scipy.sparse`` by the first :class:`~entroflow.channels.LindbladGenerator`;
-the closed-form channel families (GADC, dephasing) need neither.
+``scipy.sparse`` by the first whole-space product of a
+:class:`~entroflow.channels.LindbladGenerator`, which only a stack too
+large for a dense restriction makes; the closed-form channel families
+(GADC, dephasing) need neither.
 """
 
 from __future__ import annotations

@@ -83,8 +83,11 @@ class OslashResult:
     """Certified bracket ``value <= norm <= upper``.
 
     ``value`` is the best seesaw value over the starts run, ``upper`` the
-    Watrous dual bound; ``converged`` is true when the bracket closed within
-    ``tol`` or every start run stalled before the step cap.  ``maximizer``
+    Watrous dual bound.  ``converged`` is true when the bracket closed
+    within ``tol``.  ``stalled`` is true when it did not and every start
+    run stopped gaining before the step cap, so the open ``gap`` is the
+    ascent's best, not a cut-off one; a start that reached the cap leaves
+    both false.  ``maximizer``
     is the unit (d^2,) amplitude vector psi on reference x input at which
     ||(id (x) M)(|psi><psi|)||_1 = ``value``, the input that certifies it.
     """
@@ -95,6 +98,7 @@ class OslashResult:
     starts: int
     per_start_values: tuple[float, ...]
     converged: bool
+    stalled: bool
 
     def __post_init__(self):
         if self.value < -1e-12 or self.value > 2.0 + 1e-9:
@@ -173,25 +177,27 @@ def _maximize_local_map(map_matrix: np.ndarray, dim: int, starts: int, tol: floa
     start = np.eye(dim, dtype=complex).reshape(-1) / math.sqrt(dim)  # maximally entangled
     values: list[float] = []
     best, best_psi = -math.inf, start
-    all_stalled = True
+    before_cap = True
     for k in range(starts):
         if k:  # Haar-random
             start = rng.normal(size=dim**2) + 1j * rng.normal(size=dim**2)
             start /= np.linalg.norm(start)
-        value, psi, stalled = _seesaw(choi, start, dim, upper - tol, _STALL_FRACTION * tol)
+        value, psi, ended = _seesaw(choi, start, dim, upper - tol, _STALL_FRACTION * tol)
         values.append(value)
-        all_stalled = all_stalled and stalled
+        before_cap = before_cap and ended
         if value > best:
             best, best_psi = value, psi
         if upper - best <= tol:
             break
+    closed = upper - best <= tol
     return OslashResult(
         value=best,
         upper=upper,
         maximizer=best_psi / np.linalg.norm(best_psi),
         starts=len(values),
         per_start_values=tuple(values),
-        converged=all_stalled or upper - best <= tol,
+        converged=closed,
+        stalled=before_cap and not closed,
     )
 
 

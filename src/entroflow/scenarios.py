@@ -475,7 +475,13 @@ def _check_decoherence_measures(params: dict) -> list[str]:
     minima lie at the window's ends or where cos(frequency t) = -base/amplitude,
     at t = (+-phi + 2 pi k)/frequency with phi = arccos(-base/amplitude).  On
     each branch sin(frequency t) is fixed, so Gamma is linear in k and only the
-    first and last k in the window matter."""
+    first and last k in the window matter.  The state sampler must also hold
+    more than the maximally mixed state, a fixed point of unital dephasing
+    on which no witness can fire."""
+    problems = []
+    if params["n_random"] == 0 and params["bloch_points"] == 0:
+        problems.append("n_random and bloch_points are both 0: the sampler holds only the "
+                        "maximally mixed state, which dephasing leaves fixed")
     base, amplitude, frequency = params["base"], params["amplitude"], params["frequency"]
     t_max = params["t_max"]
     times = [0.0, t_max]
@@ -489,9 +495,9 @@ def _check_decoherence_measures(params: dict) -> list[str]:
     gamma = base * times + (amplitude / frequency) * np.sin(frequency * times)
     k = int(np.argmin(gamma))
     if gamma[k] < 0.0:
-        return [f"the integrated rate base*t + (amplitude/frequency)*sin(frequency*t) is "
-                f"{gamma[k]:.3g} at t = {times[k]:.4g}: the dephasing maps are not CP"]
-    return []
+        problems.append(f"the integrated rate base*t + (amplitude/frequency)*sin(frequency*t) "
+                        f"is {gamma[k]:.3g} at t = {times[k]:.4g}: the dephasing maps are not CP")
+    return problems
 
 
 def run_decoherence_measures(params: dict, outdir: Path, seed: int):

@@ -487,7 +487,7 @@ def semigroup_sandwich(generator: LindbladGenerator, rho0, t: float,
     s = generator.superoperator(0.0)
     if np.max(np.abs(s.matrix - dagger(s.matrix))) > atol:
         raise WitnessError("generator is not self-adjoint")
-    if np.max(np.abs(generator.apply(0.0, np.eye(generator.dim)))) > atol:
+    if np.max(np.abs(s.apply(np.eye(generator.dim)))) > atol:
         raise WitnessError("generator is not unital")
     a = _require_full_rank(rho0, "initial state")
     m_t = expm(t * s.matrix)

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+from conftest import fresh_interpreter
+
 
 def test_benchmark_tracer_wraps_every_name():
     # perfbench/spans.py lists a traced name the package no longer has in
@@ -16,3 +18,26 @@ def test_benchmark_tracer_wraps_every_name():
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def test_generator_workloads_leave_scipy_sparse_out(tmp_path):
+    # The memory_measures set-up builds Lindblad generators, and its tasks
+    # and bosonic_bounds' propagate every stack on a dense restriction: a
+    # fresh interpreter must not load scipy.sparse for the build or for one
+    # pass of their tasks, each of which must pass its check.
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "from pathlib import Path\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import workloads\n"
+            "def loaded(): return 'scipy.sparse' in sys.modules\n"
+            "for name in ('memory_measures', 'bosonic_bounds'):\n"
+            "    outdir = Path(sys.argv[2]) / name\n"
+            "    outdir.mkdir()\n"
+            "    workload = workloads.build(name, 1, outdir)\n"
+            "    print(name, loaded())\n"
+            "    for task in workload.tasks:\n"
+            "        assert task.check(task.run())[0], task.name\n"
+            "    print(name, loaded())\n")
+    out = fresh_interpreter(code, str(root / "perfbench"), str(tmp_path))
+    assert out.splitlines() == ["memory_measures False"] * 2 + ["bosonic_bounds False"] * 2

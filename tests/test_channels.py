@@ -570,20 +570,86 @@ class TestLindbladAgainstDenseReference:
         _assert_close((stack.reshape(3, -1) @ s.T).reshape(stack.shape), _dense_lindblad(h, terms, stack))
 
     def test_constant_generator_builds_no_piece_per_call(self, rng, monkeypatch):
-        built = []
-        compile_matrix = channels._sandwich_matrix
-        monkeypatch.setattr(channels, "_sandwich_matrix",
-                            lambda *args: built.append(1) or compile_matrix(*args))
+        # Every block is summed once, at construction.  superoperator,
+        # invariant_sets and restricted read the summed triples; the CSR
+        # pair of the whole-space products is built once per generator, by
+        # its first apply or adjoint_apply (two vstacks), and never again.
+        from scipy import sparse
+
+        summed, stacked = [], []
+        sum_entries, vstack = channels._summed_entries, sparse.vstack
+        monkeypatch.setattr(channels, "_summed_entries",
+                            lambda *args: summed.append(1) or sum_entries(*args))
+        monkeypatch.setattr(sparse, "vstack",
+                            lambda *args, **kwargs: stacked.append(1) or vstack(*args, **kwargs))
         generators = [gen for gen, _ in _reference_cases(rng)]  # constant or time-dependent rates
-        at_construction = len(built)
+        # a copy of each, whose first whole-space product is an adjoint_apply
+        generators += [LindbladGenerator(gen.dim, gen.hamiltonian, gen.jumps) for gen in generators]
+        at_construction = len(summed)
         x = _random_matrix(rng, 3)
-        for gen in generators:
+        for i, gen in enumerate(generators):
+            gen.superoperator(0.3)
+            gen.invariant_sets()
+            gen.restricted(np.arange(9))  # all coordinates: the union of every set
+            assert len(stacked) == 2 * i and "_compiled" not in vars(gen)
+            first = gen.apply if i < len(generators) // 2 else gen.adjoint_apply
+            first(0.0, x)
+            assert len(stacked) == 2 * (i + 1)
             for t in (0.0, 0.5, np.array([0.1, 0.2])):
                 y = x if np.ndim(t) == 0 else np.stack([x, x])
                 gen.apply(t, y)
                 gen.adjoint_apply(t, y)
             gen.superoperator(0.3)
-        assert len(built) == at_construction
+        assert len(stacked) == 2 * len(generators)
+        assert len(summed) == at_construction
+
+    def test_summed_triples_agree_with_scipy_sparse(self, rng, monkeypatch):
+        # Oracle: the unsummed entries of every compiled block summed by
+        # scipy.sparse.csr_array.  superoperator(t) and the blocks of every
+        # restriction (each invariant set, and all coordinates) must agree
+        # with it within 4 ulp of the summed magnitudes, since scipy may add
+        # duplicates in another order.  The Hamiltonian and the jumps of the
+        # reference cases are dense, and the bosonic jumps share their
+        # diagonal, so every block sums duplicates.
+        from scipy import sparse
+
+        raw = {}
+        sum_entries = channels._summed_entries
+
+        def recording(dim, entries, name):
+            triple = sum_entries(dim, entries, name)
+            raw[id(triple)] = entries
+            return triple
+
+        monkeypatch.setattr(channels, "_summed_entries", recording)
+        cases = [gen for gen, _ in _reference_cases(rng)] + [bosonic_generator(0.8, 0.3, 40)]
+        for gen in cases:
+            n = gen.dim ** 2
+            dense, magnitudes = [], []
+            for triple in gen._blocks:
+                rows, cols, vals = (np.concatenate(part) for part in zip(*raw[id(triple)]))
+                assert len(vals) > len(triple[2])  # duplicates were summed
+                dense.append(sparse.csr_array((vals, (rows, cols)), shape=(n, n)).toarray())
+                magnitudes.append(sparse.csr_array((np.abs(vals), (rows, cols)),
+                                                   shape=(n, n)).toarray())
+            for t in (0.0, 0.35, 1.7):
+                expected, magnitude = dense[0].copy(), magnitudes[0].copy()
+                for term, block, size in zip(gen._rated_terms, dense[1:], magnitudes[1:]):
+                    expected += term.rate_at(t) * block
+                    magnitude += abs(term.rate_at(t)) * size
+                _assert_within_ulp(gen.superoperator(t).matrix, expected, magnitude)
+            labels = gen.invariant_sets()
+            for index in [np.flatnonzero(labels == label) for label in np.unique(labels)] \
+                    + [np.arange(n)]:
+                _assert_within_ulp(gen.restricted(index)._blocks,
+                                   *(np.stack([block[np.ix_(index, index)].T for block in blocks])
+                                     for blocks in (dense, magnitudes)))
+
+
+def _assert_within_ulp(actual, expected, magnitude, maxulp=4):
+    """Entrywise |actual - expected| within ``maxulp`` units in the last
+    place of ``magnitude``, the sum of the magnitudes of the terms."""
+    assert np.all(np.abs(actual - expected) <= maxulp * np.spacing(magnitude))
 
 
 class TestLindbladShapes:

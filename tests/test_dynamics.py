@@ -61,11 +61,13 @@ DAMPING_RATE_AT_ONE = -0.19914228500721254  # e^-1 log(e^-1 / (1 - e^-1))
 
 @pytest.mark.parametrize("case", ["constant", "time_dependent", "sandwich", "dephasing"])
 def test_scipy_loads_on_first_use(case, tmp_path):
-    # A fresh interpreter in which the case is the first user of scipy: the
-    # generator compiles through a lazy scipy.sparse import, and a map build
-    # loads scipy.linalg only for an exponent that is not diagonal (the
-    # driven qubit's); the dephasing maps and sandwich take dynamics.expm's
-    # elementwise branch.  Either way the numbers are those of this process.
+    # A fresh interpreter in which the case is the first user of scipy.  A
+    # generator compiles in numpy, and every case propagates on restrictions
+    # or reads the dense superoperator, so none loads scipy.sparse; a map
+    # build loads scipy.linalg only for an exponent that is not diagonal (the
+    # driven qubit's), while the dephasing maps and sandwich take
+    # dynamics.expm's elementwise branch.  Either way the numbers are those
+    # of this process.
     code = ("import sys\n"
             "import numpy as np\n"
             "from conftest import first_scipy_use\n"
@@ -73,6 +75,7 @@ def test_scipy_loads_on_first_use(case, tmp_path):
             "assert not [m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg'))]\n"
             "np.save(sys.argv[1], first_scipy_use(sys.argv[2]))\n"
             "assert dynamics.expm.__module__ == 'entroflow.dynamics'\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy.sparse')]\n"
             "print('scipy.linalg' in sys.modules)\n")
     path = tmp_path / "result.npy"
     out = fresh_interpreter(code, str(path), case)

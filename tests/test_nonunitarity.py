@@ -87,8 +87,20 @@ def test_depolarizing_matches_closed_form_with_closed_bracket(d, fraction):
     q = fraction * d**2 / (d**2 - 1)
     result = oslash_norm(depolarizing(d, q))
     assert abs(result.value - oslash_depolarizing_analytic(d, q)) <= 1e-9
-    assert result.gap <= 1e-6
+    assert result.gap <= 1e-6 and result.converged and not result.stalled
     assert result.starts == 1
+
+
+def test_open_bracket_is_reported_as_stalled_not_converged(monkeypatch):
+    # A random d = 3 mixed-unitary channel whose bracket stays open by about
+    # 0.23: every start stops gaining before the step cap, so the result is
+    # stalled, not converged.  Starts cut off at the cap leave both false.
+    channel = random_mixed_unitary_channel(np.random.default_rng(20261018), 3, 3)
+    result = oslash_norm(channel, starts=STARTS)
+    assert result.gap > 0.1 and not result.converged and result.stalled
+    monkeypatch.setattr("entroflow.nonunitarity._MAX_STEPS", 1)
+    capped = oslash_norm(channel, starts=STARTS)
+    assert capped.gap > 0.1 and not capped.converged and not capped.stalled
 
 
 @settings(max_examples=6, deadline=None)

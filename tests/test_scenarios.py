@@ -85,6 +85,42 @@ def test_imports_and_closed_form_runs_leave_scipy_out(tmp_path):
     assert out.splitlines() == ["[]", "[]"]
 
 
+def test_generator_runs_leave_scipy_sparse_out(tmp_path):
+    # A fresh interpreter.  A generator compiles in numpy, and a default run
+    # propagates every stack on a dense restriction, so decoherence_measures
+    # and custom load neither scipy.sparse nor scipy.linalg (their maps are
+    # diagonal or built by dynamics.expm's own branches), and gaussian_bounds
+    # loads scipy.linalg alone.  Only a whole-space product loads
+    # scipy.sparse: the coherent Fock start at cutoff 12 touches 34 > 16
+    # coordinates, so propagate takes the sparse apply, which must match the
+    # dense superoperator.
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "def loaded(): return sorted({m.split('.')[1] for m in sys.modules\n"
+            "                             if m.startswith(('scipy.sparse', 'scipy.linalg'))})\n"
+            "from entroflow.channels import bosonic_generator\n"
+            "from entroflow.dynamics import propagate\n"
+            "from entroflow.linalg import DensityMatrix\n"
+            "from entroflow.scenarios import DEFAULT_CONFIGS, run_config\n"
+            "for name in sys.argv[2:]:\n"
+            "    assert run_config(DEFAULT_CONFIGS[name], sys.argv[1]).passed\n"
+            "    print(name, loaded())\n"
+            "generator = bosonic_generator(0.0, 1.0, 12)\n"
+            "plus = np.zeros(12)\n"
+            "plus[:2] = 2 ** -0.5\n"
+            "traj = propagate(generator, DensityMatrix.pure(plus), np.linspace(0.0, 1.0, 11))\n"
+            "print('propagate', loaded())\n"
+            "x = traj.entries[1:]\n"
+            "dense = generator.superoperator(0.3).matrix\n"
+            "for adjoint, m in ((False, dense), (True, dense.conj().T)):\n"
+            "    act = generator.adjoint_apply if adjoint else generator.apply\n"
+            "    expected = (x.reshape(len(x), -1) @ m.T).reshape(x.shape)\n"
+            "    assert np.abs(act(0.3, x) - expected).max() <= 1e-14 * np.abs(expected).max()\n")
+    out = fresh_interpreter(code, str(tmp_path), "decoherence_measures", "custom", "gaussian_bounds")
+    assert out.splitlines() == ["decoherence_measures []", "custom []", "gaussian_bounds ['linalg']",
+                                "propagate ['linalg', 'sparse']"]
+
+
 TRACE_TWO_STATE = [[[1.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [1.0, 0.0]]]
 QUTRIT_STATE = [[[p if i == j else 0.0, 0.0] for j in range(3)] for i, p in enumerate([0.34, 0.33, 0.33])]
 QUTRIT_MATRIX = [[[1.0 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
@@ -180,6 +216,24 @@ def test_bad_config_fails_in_validate(scenario, key, value, tmp_path):
     status = main(["run", "--scenario", scenario, "--param", f"{key}={json.dumps(value)}",
                    "--output-dir", str(tmp_path)])
     assert status == 2
+
+
+def test_decoherence_sampler_of_the_mixed_state_alone_fails_in_validate(tmp_path, capsys):
+    # With no random state and no Bloch point the sampler holds only the
+    # maximally mixed state, a fixed point of unital dephasing, and the run
+    # would fail "oscillating profile detected".  Either count alone is fine.
+    config = copy.deepcopy(DEFAULT_CONFIGS["decoherence_measures"])
+    for params, problems in (({"n_random": 0}, 0), ({"bloch_points": 0}, 0),
+                             ({"n_random": 0, "bloch_points": 0}, 1)):
+        config["parameters"].update(DEFAULT_CONFIGS["decoherence_measures"]["parameters"], **params)
+        assert len(validate_config(config)) == problems
+    [problem] = validate_config(config)
+    assert problem.startswith("n_random and bloch_points are both 0")
+    status = main(["run", "--scenario", "decoherence_measures", "--param", "n_random=0",
+                   "--param", "bloch_points=0", "--output-dir", str(tmp_path)])
+    out = capsys.readouterr()
+    assert status == 2 and "Traceback" not in out.out + out.err
+    assert problem in out.out + out.err
 
 
 def test_every_integer_parameter_is_bounded():
