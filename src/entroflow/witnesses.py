@@ -80,7 +80,7 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 EPS_WITNESS = 1e-7       # violation threshold for the rate tests
 EPS_TEST_C = 1e-6        # mismatch threshold for the derivative-consistency test
 RANK_CHANGE_MARGIN = 1e-3
-BISECT_ATOL = 1e-6       # width at which a violation window's boundary is located
+BISECT_ATOL = 1e-6       # largest width of the final bracket of a violation window's edge
 UNITARY_SATURATION_ATOL = 1e-8  # |Delta S - bound| allowed for a unitary interaction
 
 
@@ -333,31 +333,58 @@ def _violation_integrals(grid: np.ndarray, values: np.ndarray, threshold: float,
     """Integral of |v| over {v < -threshold} by trapezoid rule, per column
     of the (T, N) values.
 
-    Interval endpoints where the violation switches on or off are refined
-    by bisection on ``evaluate(columns, times)``, the witness off the grid
-    for each (column, time) pair, to ``BISECT_ATOL``; every window boundary
-    is halved in the same call.  Grid points under the exclusion mask are
-    treated as non-violating; with ``RANK_CHANGE_MARGIN`` this only trims
-    rank-change neighborhoods whose true violation mass is zero.
+    The edge of a window inside a grid interval [t0, t1], the root of
+    v(t) = -threshold, is located by safeguarded false position on
+    ``evaluate(columns, times)``, the witness off the grid for each
+    (column, time) pair.  A round evaluates every open edge at three points
+    of its bracket [lo, hi], all in one call: the false-position point of
+    the bracket's end values (the grid values in the first round, the
+    midpoint where they give none), clipped ``0.4 * BISECT_ATOL`` inside
+    the bracket; a partner point ``0.4 * BISECT_ATOL`` from it, toward the
+    midpoint; and the midpoint.  The new bracket is the first sub-interval
+    from lo whose far end does not share lo's side of the threshold.  The
+    midpoint bounds every round to bisection's halving, and the partner
+    closes the bracket once the false-position point lands within
+    ``0.4 * BISECT_ATOL`` of the root.  Each final bracket is at most
+    ``BISECT_ATOL`` wide and holds a change of side, and the edge is taken
+    at its midpoint.  A non-finite witness value counts as non-violating.
+    Grid points under the exclusion mask are treated as non-violating;
+    with ``RANK_CHANGE_MARGIN`` this only trims rank-change neighborhoods
+    whose true violation mass is zero.
     """
     violating = (values < -threshold) & ~excluded
     a, b = violating[:-1], violating[1:]
     v0, v1 = values[:-1], values[1:]
     totals = np.sum(np.where(a & b, 0.5 * (-v0 - v1) * np.diff(grid)[:, None], 0.0), axis=0)
 
-    ks, ns = np.nonzero(a != b)  # one window boundary per (interval, column)
+    ks, ns = np.nonzero(a != b)  # one window edge per (interval, column)
     if ks.size:
         t0, t1 = grid[ks], grid[ks + 1]
-        lo, hi = t0.copy(), t1.copy()
+        # brackets and their ends' values, shifted so that the root is f = 0
+        ends = np.stack([t0, t1], axis=1)
+        f_ends = np.stack([v0[ks, ns], v1[ks, ns]], axis=1) + threshold
         below_lo = v0[ks, ns] < -threshold
-        active = hi - lo > BISECT_ATOL
-        while active.any():  # root of v(t) = -threshold inside [t0, t1]
+        gap = 0.4 * BISECT_ATOL
+        active = np.flatnonzero(ends[:, 1] - ends[:, 0] > BISECT_ATOL)
+        while active.size:
+            (lo, hi), (f_lo, f_hi) = ends[active].T, f_ends[active].T
             mid = 0.5 * (lo + hi)
-            keep_lo = (evaluate(ns[active], mid[active]) < -threshold) == below_lo[active]
-            lo[active] = np.where(keep_lo, mid[active], lo[active])
-            hi[active] = np.where(keep_lo, hi[active], mid[active])
-            active = hi - lo > BISECT_ATOL
-        t_star = np.clip(0.5 * (lo + hi), t0, t1)
+            with np.errstate(all="ignore"):
+                x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+                x = np.where((np.sign(f_lo) * np.sign(f_hi) <= 0.0) & np.isfinite(x), x, mid)
+            x = np.clip(x, lo + gap, hi - gap)
+            points = np.sort(np.stack([x, x + gap * np.sign(mid - x), mid], axis=1), axis=1)
+            f_points = evaluate(np.repeat(ns[active], 3), points.ravel()).reshape(-1, 3) + threshold
+            # the first evaluated point off lo's side, or hi: the new bracket's far end
+            off_side = (f_points < 0.0) != below_lo[active, None]
+            far = np.argmax(np.column_stack([off_side, np.ones(len(active), bool)]), axis=1)
+            t_all = np.column_stack([lo, points, hi])
+            f_all = np.column_stack([f_lo, f_points, f_hi])
+            pick = np.stack([far, far + 1], axis=1)
+            ends[active] = np.take_along_axis(t_all, pick, axis=1)
+            f_ends[active] = np.take_along_axis(f_all, pick, axis=1)
+            active = active[ends[active, 1] - ends[active, 0] > BISECT_ATOL]
+        t_star = np.clip(ends.mean(axis=1), t0, t1)
         np.add.at(totals, ns, np.where(a[ks, ns], 0.5 * (-v0[ks, ns] + threshold) * (t_star - t0),
                                        0.5 * (threshold - v1[ks, ns]) * (t1 - t_star)))
     return totals
@@ -370,9 +397,10 @@ def _measure(state_sampler, grid, trajectories, values, evaluate) -> MeasureResu
     ``trajectories(starts, grid)`` gives one stacked (T, N, d, d) trajectory
     of that stack, ``values(traj)`` the witness on the grid as a (T, N)
     array, and ``evaluate(starts, traj, columns, times)`` the witness off the
-    grid for (state, time) pairs, for the bisection that refines the window
-    boundaries.  A grid point counts where the witness is below
-    -``EPS_WITNESS``.  Grid points within ``RANK_CHANGE_MARGIN`` of a rank
+    grid for (state, time) pairs, for the false-position search that places
+    each window edge inside a bracket of at most ``BISECT_ATOL``
+    (:func:`_violation_integrals`).  A grid point counts where the witness is
+    below -``EPS_WITNESS``.  Grid points within ``RANK_CHANGE_MARGIN`` of a rank
     change of a state are excluded for that state, and so is the grid point just
     before each change (:meth:`Trajectory.rank_jump_rows`, read as (T, N)).
     """
@@ -403,9 +431,11 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid) -> Meas
 
     The whole sampler is propagated as one stack, and for each sampled rho_0
     |dS/dt + Tr{Pi L^dag rho}| is integrated over the times where it is below
-    -``EPS_WITNESS``, with bisection refinement of the window boundaries;
-    grid points within ``RANK_CHANGE_MARGIN`` of a rank change are excluded.
-    Every bisection round takes its states from :func:`states_off_grid`
+    -``EPS_WITNESS``; each window edge is located by safeguarded false
+    position to a bracket of at most ``BISECT_ATOL`` that holds a change of
+    side, and taken at its midpoint (:func:`_violation_integrals`).  Grid
+    points within ``RANK_CHANGE_MARGIN`` of a rank change are excluded.
+    Every round of that search takes its states from :func:`states_off_grid`
     through the operator the one :func:`propagate` call kept on the
     trajectory: partial-interval maps for a dephasing-type generator, whose
     restriction is diagonal, and RK4 substeps for any other.  The witness
@@ -430,7 +460,9 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid) -> Meas
 def measure_channel(family: ChannelFamily, state_sampler, grid) -> MeasureResult:
     """Max over initial states of the integrated negative part of f(t): as
     :func:`measure_generator`, with f in place of the Theorem-2 witness and
-    the same ``EPS_WITNESS`` and ``RANK_CHANGE_MARGIN``."""
+    the same ``EPS_WITNESS``, ``RANK_CHANGE_MARGIN`` and false-position edge
+    search to ``BISECT_ATOL``, whose rounds evolve the sampled states to their
+    off-grid times with the family's exact maps."""
     def values(traj: Trajectory) -> np.ndarray:
         rates, eps_terms = _f_parts(family, traj.grid, traj.entries, traj.derivatives,
                                     traj.spectrum)

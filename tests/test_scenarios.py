@@ -18,6 +18,7 @@ from entroflow.scenarios import (
     _gadc_closed_form,
     _gadc_closed_roots,
     _oscillatory_grid,
+    _rate_minimum,
     _sign_changes,
     _step_grid,
     run_config,
@@ -234,6 +235,41 @@ def test_decoherence_sampler_of_the_mixed_state_alone_fails_in_validate(tmp_path
     out = capsys.readouterr()
     assert status == 2 and "Traceback" not in out.out + out.err
     assert problem in out.out + out.err
+
+
+@pytest.mark.parametrize("base, amplitude, frequency, t_max", [
+    (0.5, 1.0, 2.0, 3.0), (0.5, 0.0, 2.0, 3.0), (0.5, -0.4, 2.0, 3.0), (0.5, 1.0, 2.0, 1.0),
+    (1.0, 0.8, 0.5, 9.0), (0.2, 0.3, 7.0, 0.3)])
+def test_rate_minimum_matches_a_dense_sample(base, amplitude, frequency, t_max):
+    params = {"base": base, "amplitude": amplitude, "frequency": frequency, "t_max": t_max}
+    gamma_min, t_min = _rate_minimum(params)
+    times = np.linspace(0.0, t_max, 200_001)
+    gamma = base + amplitude * np.cos(frequency * times)
+    assert gamma.min() - 1e-9 <= gamma_min <= gamma.min()
+    assert 0.0 <= t_min <= t_max and gamma_min == base + amplitude * np.cos(frequency * t_min)
+
+
+# A small sampler keeps the non-default runs short.
+SMALL_SAMPLER = ["--param", "n_random=2", "--param", "bloch_points=1", "--param", "n_pairs=4"]
+
+
+@pytest.mark.parametrize("amplitude, extra, status, line", [
+    # gamma = 0.5 > 0: CP-divisible, so every measure and BLP must be silent
+    ("0", [], 0, "PASS oscillating profile is silent: measures = (0.00e+00, 0.00e+00), "
+                 "blp = 0.00e+00; min gamma = 0.5 at t = 0"),
+    # gamma touches 0 at t = pi/2 and never goes below it
+    ("0.5", SMALL_SAMPLER, 0, "PASS oscillating profile is silent"),
+    # gamma dips to -1e-7 on a window narrower than the 4e-3 grid step: the
+    # expectation has no margin, so detection is expected and the miss fails
+    ("0.5000001", SMALL_SAMPLER, 1, "no grid point has gamma < 0"),
+])
+def test_decoherence_expectation_follows_the_closed_form_rate(amplitude, extra, status, line,
+                                                              tmp_path, capsys):
+    assert main(["run", "--scenario", "decoherence_measures", "--param", f"amplitude={amplitude}",
+                 *extra, "--output-dir", str(tmp_path)]) == status
+    out = capsys.readouterr()
+    assert line in out.out and "Traceback" not in out.out + out.err
+    assert ("FAIL" in out.out) == bool(status)
 
 
 def test_every_integer_parameter_is_bounded():

@@ -48,9 +48,12 @@ from entroflow.sampling import (
 )
 from entroflow.scenarios import _oscillating_dephasing
 from entroflow.witnesses import (
+    BISECT_ATOL,
+    EPS_WITNESS,
     WitnessError,
     _f_parts,
     _pinned_adjoint_traces,
+    _violation_integrals,
     export_witness_reports,
     f_components,
 )
@@ -150,7 +153,7 @@ def test_measures_agree_on_non_cp_divisible_dephasing():
 
 def test_measure_generator_derives_its_operator_once(monkeypatch):
     # propagate builds the integration operator and keeps it on the
-    # trajectory; every bisection round of the violation windows reads it.
+    # trajectory; every round of the window-edge search reads it.
     from entroflow import dynamics, witnesses
 
     generator, _ = _oscillating_dephasing(0.5, 1.0, 2.0)
@@ -162,7 +165,126 @@ def test_measure_generator_derives_its_operator_once(monkeypatch):
     monkeypatch.setattr(witnesses, "states_off_grid",
                         lambda *args: rounds.append(1) or off_grid(*args))
     assert measure_generator(generator, states, np.linspace(0.0, 3.0, 61)).value > 1e-2
-    assert len(builds) == 1 and len(rounds) >= 10
+    assert len(builds) == 1 and len(rounds) >= 2
+
+
+def _bisected_integrals(grid, values, threshold, evaluate, excluded):
+    """The window-edge search by plain bisection to BISECT_ATOL, kept as the
+    oracle of :func:`_violation_integrals`: one evaluate call per round, at
+    the midpoint of every open bracket."""
+    violating = (values < -threshold) & ~excluded
+    a, b = violating[:-1], violating[1:]
+    v0, v1 = values[:-1], values[1:]
+    totals = np.sum(np.where(a & b, 0.5 * (-v0 - v1) * np.diff(grid)[:, None], 0.0), axis=0)
+    ks, ns = np.nonzero(a != b)
+    if ks.size:
+        t0, t1 = grid[ks], grid[ks + 1]
+        lo, hi = t0.copy(), t1.copy()
+        below_lo = v0[ks, ns] < -threshold
+        active = hi - lo > BISECT_ATOL
+        while active.any():
+            mid = 0.5 * (lo + hi)
+            keep_lo = (evaluate(ns[active], mid[active]) < -threshold) == below_lo[active]
+            lo[active] = np.where(keep_lo, mid[active], lo[active])
+            hi[active] = np.where(keep_lo, hi[active], mid[active])
+            active = hi - lo > BISECT_ATOL
+        t_star = np.clip(0.5 * (lo + hi), t0, t1)
+        np.add.at(totals, ns, np.where(a[ks, ns], 0.5 * (-v0[ks, ns] + threshold) * (t_star - t0),
+                                       0.5 * (threshold - v1[ks, ns]) * (t1 - t_star)))
+    return totals
+
+
+def _plateau(t, r):
+    # violating below r, exactly at the threshold on [r, r + 0.03], above it after
+    return np.minimum(t - r, 0.0) + np.maximum(t - r - 0.03, 0.0)
+
+
+def _undefined_past(t, r):
+    with np.errstate(invalid="ignore"):
+        return np.where(t < r, t - r, np.nan)
+
+
+# f(t, r) = v(t) + threshold per column root r; the grid interval holding r
+# has one change of side.  The last case is violating everywhere, with grid
+# point 25 excluded (a rank change), so both intervals at it end on
+# violating values.
+EDGE_CASES = {
+    "sin2t-0.3": (lambda t, r: np.sin(2.0 * t) - 0.3 + 0.0 * r, None),
+    "cubic": (lambda t, r: (t - r) ** 3, None),
+    "exponential": (lambda t, r: np.expm1(200.0 * (t - r)), None),
+    "sqrt_cusp": (lambda t, r: np.sign(t - r) * np.sqrt(np.abs(t - r)), None),
+    "plateau": (_plateau, None),
+    "step": (lambda t, r: np.where(t < r, -1.0, 1.0), None),
+    "non_finite": (_undefined_past, None),
+    "excluded_endpoint": (lambda t, r: -1.0 - t + 0.0 * r, 25),
+}
+
+
+def _edge_search(search, f, excluded_row):
+    """Integrals, evaluate rounds, final brackets and the largest |v| at
+    the ends of a window-edge interval, of ``search`` on the witness
+    v = f - EPS_WITNESS over the 61-point grid of [0, 3], with one column per
+    root r.  An edge moves its integral by at most |v| at its interval's ends
+    times half the distance its midpoint moves."""
+    grid = np.linspace(0.0, 3.0, 61)
+    roots = np.array([1.2345, 0.4321, 2.6789])
+    values = f(grid[:, None], roots[None, :]) - EPS_WITNESS
+    excluded = np.zeros(values.shape, bool)
+    if excluded_row is not None:
+        excluded[excluded_row] = True
+    calls = []
+
+    def evaluate(ns, ts):
+        v = f(ts, roots[ns]) - EPS_WITNESS
+        calls.append((ns, ts, v))
+        return v
+
+    integrals = search(grid, values, EPS_WITNESS, evaluate, excluded)
+    violating = (values < -EPS_WITNESS) & ~excluded
+    brackets, v_max = [], 0.0
+    for k, n in zip(*np.nonzero(violating[:-1] != violating[1:])):
+        v_max = np.nanmax([v_max, abs(values[k, n]), abs(values[k + 1, n])])
+        below_lo = values[k, n] < -EPS_WITNESS
+        on, off = [grid[k]], [grid[k + 1]]
+        for ns, ts, v in calls:
+            inside = (ns == n) & (ts > grid[k]) & (ts < grid[k + 1])
+            same = (v[inside] < -EPS_WITNESS) == below_lo
+            on += list(ts[inside][same])
+            off += list(ts[inside][~same])
+        brackets.append((max(on), min(off)))
+    return integrals, len(calls), np.array(brackets), v_max
+
+
+@pytest.mark.parametrize("case", list(EDGE_CASES))
+def test_window_edges_by_false_position_match_bisection(case):
+    f, excluded_row = EDGE_CASES[case]
+    integrals, rounds, brackets, v_max = _edge_search(_violation_integrals, f, excluded_row)
+    oracle, oracle_rounds, _, _ = _edge_search(_bisected_integrals, f, excluded_row)
+    assert len(brackets) > 0
+    assert np.all(brackets[:, 0] < brackets[:, 1])
+    assert np.all(brackets[:, 1] - brackets[:, 0] <= BISECT_ATOL)
+    assert np.all(np.abs(integrals - oracle) <= BISECT_ATOL * v_max)
+    assert rounds <= oracle_rounds == int(np.ceil(np.log2(0.05 / BISECT_ATOL)))
+
+
+def test_oscillating_measure_locates_its_edges_in_few_rounds(monkeypatch):
+    # On the 61-point grid every edge of the window (pi/3, 2pi/3) closes
+    # within 4 rounds, where bisection takes 16, and the measure stays
+    # within its edges' BISECT_ATOL of bisection's.
+    from entroflow import witnesses
+
+    generator, _ = _oscillating_dephasing(0.5, 1.0, 2.0)
+    states = default_state_sampler(2, np.random.default_rng(7), n_random=2, bloch_points=1)
+    grid = np.linspace(0.0, 3.0, 61)
+    rounds, off_grid = [], witnesses.states_off_grid
+    monkeypatch.setattr(witnesses, "states_off_grid",
+                        lambda *args: rounds.append(1) or off_grid(*args))
+    value = measure_generator(generator, states, grid).value
+    assert 2 <= len(rounds) <= 4
+    monkeypatch.setattr(witnesses, "_violation_integrals", _bisected_integrals)
+    rounds.clear()
+    assert abs(measure_generator(generator, states, grid).value - value) <= 1e-8
+    assert len(rounds) == 16
 
 
 def test_markovian_measures_silent_on_pure_states():
