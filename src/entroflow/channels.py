@@ -721,15 +721,18 @@ class _Restriction:
     once, on first use, and the rates are real.  It is exact because the
     sets are invariant under L_t^dag too
     (:meth:`LindbladGenerator.invariant_sets`).  ``coordinates`` gathers
-    the rows from an (N, d, d) stack that vanishes off ``index``, and
+    the rows from a (..., d, d) stack that vanishes off ``index``, and
     ``states`` scatters a (..., m) stack of them back into (..., d, d).
     ``transpose`` is the position of the coordinate of x_ji for each x_ij
     (the index of a Hermitian stack holds both), and ``populations`` that
     of each x_ii in level order (all populations share one set).
     ``diagonal`` says whether every block is diagonal, as every dephasing
     generator's is, so that each coordinate evolves by its own scalar
-    factor.  The integrators take it for m <= max(d, 16), where one dense
-    product costs less than the sparse one's dispatch.
+    factor, and ``populations_only`` whether the coordinates are the d
+    populations alone, as for a Fock-diagonal stack of a phase-insensitive
+    bosonic generator, so that every state on them is diagonal.  The
+    integrators take it for m <= max(d, 16), where one dense product costs
+    less than the sparse one's dispatch.
     """
 
     def __init__(self, generator: LindbladGenerator, index: np.ndarray):
@@ -754,6 +757,10 @@ class _Restriction:
     @cached_property
     def diagonal(self) -> bool:
         return _is_diagonal(self._blocks)
+
+    @cached_property
+    def populations_only(self) -> bool:
+        return np.array_equal(self.populations, np.arange(len(self.index)))
 
     def generators(self, times: np.ndarray) -> np.ndarray:
         """G(t) at every entry of an array of times, as a (..., m, m) stack."""
@@ -784,7 +791,7 @@ class _Restriction:
         return self._product(self._adjoint_blocks, t, y)
 
     def coordinates(self, states: np.ndarray) -> np.ndarray:
-        return states.reshape(len(states), -1)[:, self.index]
+        return states.reshape(states.shape[:-2] + (-1,))[..., self.index]
 
     def states(self, y: np.ndarray) -> np.ndarray:
         out = np.zeros(y.shape[:-1] + (self.dim * self.dim,), dtype=complex)

@@ -4,18 +4,22 @@ A trajectory is a stack whose leading axis is time: a (T, d, d) array of
 states on a fixed time grid for one initial state, or (T, N, d, d) for N,
 the array of their generator-consistent derivatives, and one stacked
 eigendecomposition of the states, from which entropies, ranks and entropy
-rates are read as arrays.  One engine builds the commutator-free
-4th-order Magnus (CF4) maps of many intervals at once: ``propagate`` chains
-them when the stack lies in a dense restriction of the generator to its
-invariant sets that is small (m <= 16) or time-independent (RK4
-otherwise), and intermediate maps M_{t,s} are the same maps on the whole
-space.  Each interval doubles its own step count until its n- and 2n-step
-states, or maps, agree: the convergence certificate.  A closed-form
-channel family (GADC, dephasing) is its maps over a grid as
-(T, d^2, d^2) stacks, M_{t,0} and the exact limits d/dt M_{t,0} and
-K_t = d/d eps M_{t+eps,t} at eps = 0, each carrying a stack of initial
-states to (T, N, d, d) states in one product: no finite differences.  A
-Lindblad generator needs no family: its K_t is L_t itself.
+rates are read as arrays.  A propagated trajectory holds its states and
+derivatives as the coordinate rows it was integrated as, and scatters them
+to (T, N, d, d) only when they are read as matrices; the rows of a
+Fock-diagonal stack are its populations, from which its spectra, checks,
+rates and witnesses are read with no matrix at all.  One engine builds the
+commutator-free 4th-order Magnus (CF4) maps of many intervals at once:
+``propagate`` chains them when the stack lies in a dense restriction of the
+generator to its invariant sets that is small (m <= 16) or
+time-independent (RK4 otherwise), and intermediate maps M_{t,s} are the
+same maps on the whole space.  Each interval doubles its own step count
+until its n- and 2n-step states, or maps, agree: the convergence
+certificate.  A closed-form channel family (GADC, dephasing) is its maps
+over a grid as (T, d^2, d^2) stacks, M_{t,0} and the exact limits
+d/dt M_{t,0} and K_t = d/d eps M_{t+eps,t} at eps = 0, each carrying a
+stack of initial states to (T, N, d, d) states in one product: no finite
+differences.  A Lindblad generator needs no family: its K_t is L_t itself.
 
 ``scipy.linalg`` is imported by the first map build whose exponent is not
 diagonal (:func:`expm`; dephasing maps are diagonal and need no scipy), and
@@ -28,6 +32,7 @@ large for a dense restriction makes; the closed-form channel families
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +49,9 @@ from .linalg import (
     DensityMatrix,
     EigenSystem,
     LinalgError,
+    _check_density,
     _density_spectra,
+    _diagonal_spectra,
     _entropies,
     _is_diagonal,
     as_matrix,
@@ -109,6 +116,15 @@ class Trajectory:
     at construction computes the expectations <v_i|rho_dot|v_i> of the
     derivatives in the eigenbases once, and ``entropy_rates`` reads them.
 
+    A trajectory holds its states and derivatives as coordinate rows
+    (T, ..., m) of a layout: a trajectory built from ``states`` holds their
+    d^2 entries (``_Matrices``), and one from :func:`propagate` the rows it
+    was integrated as, those of ``operator``.  ``entries`` and
+    ``derivatives`` are scattered from the rows on first read; the checks,
+    the spectra of a diagonal stack (Fock-diagonal states, whose rows are
+    their populations), :meth:`coordinates`, :func:`states_off_grid` and
+    the Theorem-2 witnesses of :mod:`entroflow.witnesses` read the rows.
+
     The states are validated with one stacked eigh, none for a diagonal
     stack (:func:`check_density_stack`), unless ``spectrum`` passes the stacked
     spectrum of states already validated, so that no state is decomposed
@@ -118,10 +134,9 @@ class Trajectory:
     ``operator`` is then what the states were integrated with (a dense
     restriction of the generator or the whole of it,
     :func:`_integration_operator`), which :func:`states_off_grid` and the
-    Theorem-2 witnesses of :mod:`entroflow.witnesses` reuse:
-    :func:`propagate` passes the one it built, and a trajectory built by
-    hand with a generator derives it once, on first use, from the
-    coordinates that any of its states touches.
+    witnesses reuse: :func:`propagate` passes the one it built, and a
+    trajectory built by hand with a generator derives it once, on first
+    use, from the coordinates that any of its states touches.
     ``renormalization_defects`` logs the trace defect removed at each state,
     and ``truncated_at`` the time at which a tail-guard breach ended the
     whole stack.
@@ -131,15 +146,33 @@ class Trajectory:
                  state_fn=None, renormalization_defects: np.ndarray | None = None,
                  truncated_at: float | None = None, spectrum: EigenSystem | None = None,
                  operator=None):
-        self.grid = np.asarray(grid, dtype=float)
         entries = as_matrix(states)
         if spectrum is None:
             entries, spectrum = check_density_stack(entries)
-        self.entries = entries
-        self.spectrum = spectrum
-        self.derivatives = as_matrix(derivatives)
-        self.generator = generator
+        layout = _Matrices(entries.shape[-1])
+        self._hold(grid, layout, layout.coordinates(entries),
+                   layout.coordinates(as_matrix(derivatives)), spectrum, generator, operator,
+                   renormalization_defects, truncated_at)
         self.state_fn = state_fn
+
+    @classmethod
+    def _integrated(cls, grid, operator, rows: np.ndarray, dot_rows: np.ndarray,
+                    spectrum: EigenSystem, generator: LindbladGenerator,
+                    renormalization_defects: np.ndarray, truncated_at: float | None):
+        """A trajectory of :func:`propagate`, holding the coordinate rows of
+        ``operator`` that it was integrated as."""
+        traj = cls.__new__(cls)
+        traj._hold(grid, operator, rows, dot_rows, spectrum, generator, operator,
+                   renormalization_defects, truncated_at)
+        traj.state_fn = None
+        return traj
+
+    def _hold(self, grid, layout, rows, dot_rows, spectrum, generator, operator,
+              renormalization_defects, truncated_at) -> None:
+        self.grid = np.asarray(grid, dtype=float)
+        self._layout, self._rows, self._dot_rows = layout, rows, dot_rows
+        self.spectrum = spectrum
+        self.generator = generator
         self.renormalization_defects = renormalization_defects
         self.truncated_at = truncated_at
         self._operator = operator
@@ -147,22 +180,29 @@ class Trajectory:
         self._check()
 
     def _check(self) -> None:
-        if len(self.grid) != len(self.entries) or self.entries.shape != self.derivatives.shape:
+        if len(self.grid) != len(self._rows) or self._rows.shape != self._dot_rows.shape:
             raise IntegrationError("grid, states and derivatives lengths differ")
         _checked_grid(self.grid)
-        traces = np.abs(np.trace(self.derivatives, axis1=-2, axis2=-1))
+        traces = np.abs(self._dot_rows[..., self._layout.populations].sum(axis=-1))
         _raise_at(traces > TRACE_DOT_ATOL, traces, "Tr(rho_dot)")
         ranks = self.ranks()
         steady = np.ones(ranks.shape, dtype=bool)  # the rank does not change next to k
         steady[1:] &= ranks[1:] == ranks[:-1]
         steady[:-1] &= ranks[:-1] == ranks[1:]
-        self._expectations = self.spectrum.expectations(self.derivatives)
-        on_support = np.where(self.spectrum.support_mask(), self._expectations, 0.0)
-        pinned = np.abs(on_support.sum(axis=-1))
+        self._expectations = _expectations(self._layout, self.spectrum, self._dot_rows)
+        pinned = np.abs(self.spectrum.support_sums(self._expectations))
         _raise_at(steady & (pinned > SUPPORT_DOT_ATOL), pinned, "Tr(Pi rho_dot)")
 
     def __len__(self) -> int:
         return len(self.grid)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        return self._layout.states(self._rows)
+
+    @cached_property
+    def derivatives(self) -> np.ndarray:
+        return self._layout.states(self._dot_rows)
 
     @property
     def operator(self):
@@ -171,14 +211,18 @@ class Trajectory:
             self._operator = _integration_operator(self.generator, self.entries.reshape(-1, d, d))
         return self._operator
 
+    def coordinates(self, operator=None) -> np.ndarray:
+        """The states as coordinate rows (T, ..., m) of ``operator``, by
+        default :attr:`operator`: the rows held, with no gather, when the
+        trajectory was integrated with it."""
+        operator = self.operator if operator is None else operator
+        return self._rows if operator is self._layout else operator.coordinates(self.entries)
+
     @property
     def states(self) -> list[DensityMatrix]:
         if self._states is None:
-            d = self.entries.shape[-1]
-            spectrum = EigenSystem(self.spectrum.eigenvalues.reshape(-1, d),
-                                   self.spectrum.eigenvectors.reshape(-1, d, d))
-            self._states = [DensityMatrix._from_checked(rho, spectrum[k])
-                            for k, rho in enumerate(self.entries.reshape(-1, d, d))]
+            self._states = [DensityMatrix._from_checked(self.entries[k], self.spectrum[k])
+                            for k in np.ndindex(self.spectrum.eigenvalues.shape[:-1])]
         return self._states
 
     def ranks(self) -> np.ndarray:
@@ -199,6 +243,17 @@ class Trajectory:
 
     def entropy_rates(self) -> np.ndarray:
         return _entropy_rates(self.spectrum, self._expectations)
+
+
+def _expectations(layout, spectrum: EigenSystem, rows: np.ndarray) -> np.ndarray:
+    """Re <v_i|A|v_i> for the eigenvectors of ``spectrum``, of the operators A
+    held as coordinate rows (..., m) of ``layout``: for the spectra of a
+    diagonal stack, the real parts of the rows' populations in eigenvalue
+    order, with no scatter; otherwise :meth:`EigenSystem.expectations` of
+    the scattered stack."""
+    if spectrum.order is not None:
+        return spectrum.diagonal_expectations(rows[..., layout.populations].real)
+    return spectrum.expectations(layout.states(rows))
 
 
 def _checked_grid(grid) -> np.ndarray:
@@ -246,16 +301,18 @@ def states_off_grid(traj: Trajectory, columns, times) -> np.ndarray:
     scipy.linalg is involved.  Every other operator, a restriction with a
     non-diagonal block or the sparse generator, takes RK4 in
     ``_OFF_GRID_STEPS`` substeps, since a non-diagonal map would cost one
-    scipy expm per row.  A time on the grid returns the stored state.
+    scipy expm per row.  A time on the grid returns the stored state.  The
+    starts are gathered from the trajectory's coordinate rows
+    (:meth:`Trajectory.coordinates`).
     """
     if traj.generator is None:
         raise IntegrationError("off-grid states need the trajectory's generator")
     times = np.asarray(times, dtype=float)
     nearest = np.argmin(np.abs(traj.grid[None, :] - times[:, None]), axis=1)
-    d = traj.entries.shape[-1]
-    starts = traj.entries.reshape(len(traj), -1, d, d)[nearest, columns]
     operator = traj.operator
-    rows, t0 = operator.coordinates(starts), traj.grid[nearest]
+    held = traj.coordinates(operator)
+    rows = held.reshape(len(traj), -1, held.shape[-1])[nearest, columns]
+    t0 = traj.grid[nearest]
     if operator.diagonal:
         widths = times - t0
         maps = _certified_maps(operator, t0, widths, _OFF_GRID_ATOL * np.abs(widths))
@@ -370,6 +427,25 @@ def _validated(states: np.ndarray, grid: np.ndarray) -> EigenSystem:
         raise
 
 
+def _validated_rows(operator, rows: np.ndarray, grid: np.ndarray) -> EigenSystem:
+    """The spectra of the states held as coordinate rows (T, N, m) of a
+    dense restriction, validated as by :func:`_validated`.  When the
+    coordinates are the d populations alone, the spectra and the PSD and
+    trace checks read the populations, with no scatter; only a
+    non-finite population or a failed check scatters the states and
+    leaves them to :func:`_validated`, which names the first failing time."""
+    if operator.populations_only:
+        populations = rows[..., operator.populations].real
+        if np.isfinite(populations).all():
+            spectrum = _diagonal_spectra(populations)
+            try:
+                _check_density(spectrum.eigenvalues[..., -1], populations.sum(axis=-1))
+                return spectrum
+            except LinalgError:
+                pass
+    return _validated(operator.states(rows), grid)
+
+
 def _state_stack(states) -> np.ndarray:
     """One state as a (d, d) array or several as an (N, d, d) stack: a
     :class:`DensityMatrix` or an array as it is, any other iterable stacked."""
@@ -378,24 +454,43 @@ def _state_stack(states) -> np.ndarray:
     return np.stack([as_matrix(rho) for rho in states])
 
 
-class _WholeStates:
-    """A generator acting on (N, d, d) stacks as they are: the coordinates
-    ``propagate`` integrates are the states themselves, and ``apply`` and
-    ``adjoint_apply`` are the generator's sparse products."""
+class _Matrices:
+    """The coordinates of (..., d, d) stacks as they are: the d^2 entries of
+    each matrix in row-major order, as (..., d^2) rows, with the interface
+    of a dense restriction's (``index``, ``populations``, ``coordinates``,
+    ``states``); reshapes, no copies."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.index = np.arange(dim * dim)
+        self.populations = self.index[::dim + 1]
+
+    @staticmethod
+    def coordinates(states: np.ndarray) -> np.ndarray:
+        return states.reshape(states.shape[:-2] + (-1,))
+
+    def states(self, rows: np.ndarray) -> np.ndarray:
+        return rows.reshape(rows.shape[:-1] + (self.dim, self.dim))
+
+
+class _WholeStates(_Matrices):
+    """A generator acting on whole states: the coordinates ``propagate``
+    integrates are the entries of the states (:class:`_Matrices`), and
+    ``apply`` and ``adjoint_apply`` are the generator's sparse products on
+    them, one time per row or one for all."""
 
     diagonal = False
 
     def __init__(self, generator: LindbladGenerator):
-        self.apply = generator.apply
-        self.adjoint_apply = generator.adjoint_apply
+        super().__init__(generator.dim)
+        self._generator = generator
 
-    @staticmethod
-    def coordinates(states: np.ndarray) -> np.ndarray:
-        return states
+    def apply(self, t, rows: np.ndarray) -> np.ndarray:
+        return self._generator.apply(t, rows.reshape(-1, self.dim, self.dim)).reshape(rows.shape)
 
-    @staticmethod
-    def states(coordinates: np.ndarray) -> np.ndarray:
-        return coordinates
+    def adjoint_apply(self, t, rows: np.ndarray) -> np.ndarray:
+        return self._generator.adjoint_apply(
+            t, rows.reshape(-1, self.dim, self.dim)).reshape(rows.shape)
 
 
 # Restrictions up to this many coordinates, or up to d, are propagated as
@@ -460,8 +555,10 @@ def propagate(generator: LindbladGenerator, states, grid,
     is within budget, rejects when ||X||_F is not, and takes eigenvalues
     only in between.  Each state is Hermitized and trace-renormalized once
     (the defect is logged per state), and the states are validated with
-    one eigh, whose spectra the trajectory keeps; a state failing the PSD
-    check is an integration failure, named by its time.
+    one eigh (none for diagonal states), whose spectra the trajectory keeps;
+    a state failing the PSD check is an integration failure, named by its
+    time.  The trajectory holds the coordinate rows the stack was
+    integrated as, with the operator (:meth:`Trajectory._integrated`).
 
     Every generator has a fixed pattern and invariant sets
     (:meth:`LindbladGenerator.invariant_sets`).  When the sets that the
@@ -472,10 +569,12 @@ def propagate(generator: LindbladGenerator, states, grid,
     generator is time-independent, the rows go through the m x m maps of
     the grid intervals, all built at once (:func:`_map_intervals`):
     commutator-free 4th-order Magnus steps, exact for a time-independent
-    generator, whose maps are then one exponential per interval width.  The rows are chained
-    through the maps, and the Hermitization, the renormalization, the tail
-    guard and the certificate read the rows; the states are scattered to
-    (T, N, d, d) once.  Classical RK4 runs interval by interval
+    generator, whose maps are then one exponential per interval width.  The
+    rows are chained through the maps, and the Hermitization, the
+    renormalization, the tail guard and the certificate read the rows; the
+    states are scattered to (T, N, d, d) once, for their eigh, unless the
+    coordinates are the d populations alone, whose rows give the spectra
+    directly.  Classical RK4 runs interval by interval
     (:func:`_rk4_intervals`) on the rows of a time-dependent restriction
     with m > 16, where every interval would build and certify its own maps
     (``_DENSE_COORDINATES`` has the timings), and on the full sparse
@@ -501,16 +600,15 @@ def propagate(generator: LindbladGenerator, states, grid,
     operator = _integration_operator(generator, current)
     by_maps = not isinstance(operator, _WholeStates) and (
         operator.time_independent or len(operator.index) <= _DENSE_COORDINATES)
-    rho, dots, spectrum, defects, truncated_at = (_map_intervals if by_maps else _rk4_intervals)(
+    rows, dots, spectrum, defects, truncated_at = (_map_intervals if by_maps else _rk4_intervals)(
         operator, generator.tail_guard, grid, current, defect,
         error_target, max_refinements, on_tail_breach)
 
-    if truncated_at is not None and len(rho) < 3:
+    if truncated_at is not None and len(rows) < 3:
         raise TailMassError("tail guard tripped before any usable grid point")
-    rows = (slice(None), 0) if single else slice(None)
-    return Trajectory(grid[:len(rho)], rho[rows], dots[rows], generator=generator,
-                      renormalization_defects=defects[rows], truncated_at=truncated_at,
-                      spectrum=spectrum[rows], operator=operator)
+    part = (slice(None), 0) if single else slice(None)
+    return Trajectory._integrated(grid[:len(rows)], operator, rows[part], dots[part],
+                                  spectrum[part], generator, defects[part], truncated_at)
 
 
 def _breach_message(tails: np.ndarray, bound: float, t: float) -> str:
@@ -526,9 +624,10 @@ def _rk4_intervals(operator, guard, grid, current, defect,
                    error_target, max_refinements, on_tail_breach):
     """:func:`propagate` by classical RK4 with step doubling, interval by
     interval, from the renormalized initial stack ``current`` (N, d, d) and
-    its trace defects.  Returns the states, their derivatives, spectra and
-    trace defects up to the last trusted grid point, and the time of the
-    tail breach that ended them (None).  Each state is validated by the eigh
+    its trace defects.  Returns the states and their derivatives as
+    (T, N, m) coordinate rows of ``operator``, their spectra and trace
+    defects up to the last trusted grid point, and the time of the tail
+    breach that ended them (None).  Each state is validated by the eigh
     that gives its spectra, the initial ones first.
 
     Each interval does its work once.  Every segment of interval k starts
@@ -542,18 +641,17 @@ def _rk4_intervals(operator, guard, grid, current, defect,
     summation order only.
     """
     n, d = current.shape[0], current.shape[-1]
-    rho = np.empty((len(grid), n, d, d), dtype=complex)
-    dots = np.empty_like(rho)
+    rows = np.empty((len(grid), n, len(operator.index)), dtype=complex)
+    dots = np.empty_like(rows)
     eigenvalues = np.empty((len(grid), n, d))
-    eigenvectors = np.empty_like(rho)
+    eigenvectors = np.empty((len(grid), n, d, d), dtype=complex)
     defects = np.empty((len(grid), n))
 
     def store(k: int, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Keep the state at grid point k; its coordinates and their derivative."""
-        rho[k], eigenvalues[k], eigenvectors[k] = current, spectrum.eigenvalues, spectrum.eigenvectors
-        y = operator.coordinates(current)
-        k1 = operator.apply(t, y)
-        dots[k] = operator.states(k1)
+        eigenvalues[k], eigenvectors[k] = spectrum.eigenvalues, spectrum.eigenvectors
+        rows[k] = y = operator.coordinates(current)
+        dots[k] = k1 = operator.apply(t, y)
         defects[k] = defect
         return y, k1
 
@@ -594,7 +692,7 @@ def _rk4_intervals(operator, guard, grid, current, defect,
                 length, truncated_at = k + 1, t1
                 break
         y, k1 = store(k + 1, t1)
-    return (rho[:length], dots[:length], EigenSystem(eigenvalues, eigenvectors)[:length],
+    return (rows[:length], dots[:length], EigenSystem(eigenvalues, eigenvectors)[:length],
             defects[:length], truncated_at)
 
 
@@ -729,9 +827,9 @@ def _map_intervals(operator, guard, grid, current, defect,
     the coordinates and divided by their traces, the sums of the population
     coordinates; each state logs the trace defect its interval map left.
     The tail guard reads the population rows.  The states up to the first
-    breach, that one included, are scattered to (T, N, d, d) and validated
-    with one eigh, the initial states among them, and the derivatives are
-    one product with G(t_k).
+    breach, that one included, are validated, the initial states among
+    them (:func:`_validated_rows`), and the derivatives are one product
+    with G(t_k); both are returned as rows.
     """
     n_states, m = current.shape[0], len(operator.index)
     widths = np.diff(grid)
@@ -777,13 +875,12 @@ def _map_intervals(operator, guard, grid, current, defect,
                 break
             start = int(np.argmax(failing))
             if _regrow(operator, starts, widths, counts, coarse, fine, failing, most) is not None:
-                _validated(operator.states(rows[:start + 1]), grid)
+                _validated_rows(operator, rows[:start + 1], grid)
                 raise IntegrationError(_stall_message(grid[start], grid[start + 1],
                                                       error_target * widths[start], max_refinements))
 
     length = len(grid) if breach is None else breach + 1
-    states = operator.states(rows[:length])
-    spectrum = _validated(states, grid)
+    spectrum = _validated_rows(operator, rows[:length], grid)
     truncated_at = None
     if breach is not None:
         if on_tail_breach == "raise":
@@ -793,8 +890,8 @@ def _map_intervals(operator, guard, grid, current, defect,
     defects[0] = defect
     defects[1:] = np.abs(traces[1:length] / traces[:length - 1] - 1.0)
     derivatives = operator.apply(np.repeat(grid[:length], n_states), rows[:length].reshape(-1, m))
-    return (states[:length], operator.states(derivatives.reshape(length, n_states, m)),
-            spectrum[:length], defects, truncated_at)
+    return (rows[:length], derivatives.reshape(length, n_states, m), spectrum[:length],
+            defects, truncated_at)
 
 
 def closed_form_trajectory(state_fn, grid, derivative_fn) -> Trajectory:
@@ -892,7 +989,7 @@ def entropy_rate_fd(traj: Trajectory, index, h: float = 1e-4, richardson: bool =
     reaches across it.  The entropies of every stencil state come from one
     stacked eigvalsh.
     """
-    if traj.entries.ndim != 3:
+    if traj.spectrum.eigenvalues.ndim != 2:
         raise IntegrationError("finite-difference rates need a one-state (T, d, d) trajectory")
     indices = np.atleast_1d(np.asarray(index, dtype=int))
     if traj.state_fn is None and traj.generator is None:

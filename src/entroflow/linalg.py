@@ -9,7 +9,8 @@ of a whole stack (..., d, d) of matrices, and its support, log and entropy
 formulas act on every matrix of the stack at once; the single-matrix
 functions read the same formulas.  A stack with no nonzero entry off its
 diagonals is decomposed without eigh: its eigenvalues are its sorted
-diagonals and its eigenvectors permutation columns.
+diagonals, and the order of that sort stands for its eigenvectors, whose
+permutation columns are built only when read.
 """
 
 from __future__ import annotations
@@ -116,19 +117,31 @@ def _is_diagonal(a: np.ndarray) -> bool:
     return np.count_nonzero(a) == np.count_nonzero(np.diagonal(a, axis1=-2, axis2=-1))
 
 
-@dataclass(frozen=True)
 class EigenSystem:
     """Eigenvalues sorted in descending order with matching eigenvector columns.
 
     For a stack of matrices the arrays are (..., d) and (..., d, d), and the
     methods below return one result per matrix of the stack.  ``order`` is
     set for the spectra of a diagonal stack, (..., d): eigenvector i is the
-    basis vector order[i], so expectations read the diagonal.
+    basis vector order[i], so expectations read the diagonal, and
+    ``eigenvectors``, those permutation columns, is built on first read,
+    read-only; such spectra may be constructed from ``order`` alone.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    order: np.ndarray | None = None
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray | None = None,
+                 order: np.ndarray | None = None):
+        self.eigenvalues = eigenvalues
+        self._eigenvectors = eigenvectors
+        self.order = order
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        if self._eigenvectors is None:
+            vectors = np.zeros(self.order.shape + self.order.shape[-1:], dtype=complex)
+            np.put_along_axis(vectors, self.order[..., None, :], 1.0, axis=-2)
+            vectors.setflags(write=False)
+            self._eigenvectors = vectors
+        return self._eigenvectors
 
     @property
     def dim(self) -> int:
@@ -141,7 +154,8 @@ class EigenSystem:
     def __getitem__(self, index) -> "EigenSystem":
         """The spectra of part of a stack, indexed over its leading axes."""
         order = None if self.order is None else self.order[index]
-        return EigenSystem(self.eigenvalues[index], self.eigenvectors[index], order)
+        vectors = None if self._eigenvectors is None else self._eigenvectors[index]
+        return EigenSystem(self.eigenvalues[index], vectors, order)
 
     def support_mask(self, tol: float = ZERO_EIGENVALUE_RTOL) -> np.ndarray:
         """Eigenvalues above tol * lambda_max, per matrix."""
@@ -156,7 +170,12 @@ class EigenSystem:
         """Re Tr{Pi A} per matrix, with Pi the projector onto its support:
         the :meth:`expectations` of A summed over the support, with no
         projector built."""
-        return np.where(self.support_mask(tol), self.expectations(operators), 0.0).sum(axis=-1)
+        return self.support_sums(self.expectations(operators), tol)
+
+    def support_sums(self, values: np.ndarray, tol: float = ZERO_EIGENVALUE_RTOL) -> np.ndarray:
+        """The sum of values (..., d), one per eigenvector, over the support,
+        per matrix."""
+        return np.where(self.support_mask(tol), values, 0.0).sum(axis=-1)
 
     def expectations(self, operators: np.ndarray) -> np.ndarray:
         """Re <v_i|A|v_i> for every eigenvector v_i, per matrix: (..., d).
@@ -166,13 +185,17 @@ class EigenSystem:
         diagonal stack, Re A_jj in eigenvalue order, with no product.
         """
         if self.order is not None:
-            diagonals, order = np.broadcast_arrays(
-                np.diagonal(operators, axis1=-2, axis2=-1).real, self.order)
-            return np.take_along_axis(diagonals, order, axis=-1)
+            return self.diagonal_expectations(np.diagonal(operators, axis1=-2, axis2=-1).real)
         v = self.eigenvectors
         w = operators @ v
         return (np.einsum("...ji,...ji->...i", v.real, w.real)
                 + np.einsum("...ji,...ji->...i", v.imag, w.imag))
+
+    def diagonal_expectations(self, diagonals: np.ndarray) -> np.ndarray:
+        """The expectations of A for the spectra of a diagonal stack, from
+        the real parts of its diagonals (..., d): Re A_jj in eigenvalue order."""
+        diagonals, order = np.broadcast_arrays(diagonals, self.order)
+        return np.take_along_axis(diagonals, order, axis=-1)
 
     def entropies(self) -> np.ndarray:
         """-sum lambda log lambda in nats, with the 0 log 0 = 0 convention."""
@@ -210,7 +233,7 @@ class DensityMatrix:
         self._set(a, spectrum)
 
     def _set(self, entries: np.ndarray, spectrum: EigenSystem) -> None:
-        for array in (entries, spectrum.eigenvalues, spectrum.eigenvectors, spectrum.order):
+        for array in (entries, spectrum.eigenvalues, spectrum._eigenvectors, spectrum.order):
             if array is not None:
                 array.setflags(write=False)
         object.__setattr__(self, "entries", entries)
@@ -267,19 +290,24 @@ def spectral_decompose(operator, atol: float = HERMITICITY_ATOL) -> EigenSystem:
 def _eigh(a: np.ndarray) -> EigenSystem:
     """One eigh of an exactly Hermitian matrix or stack, eigenvalues descending.
 
-    A diagonal stack with finite diagonals takes no eigh: the real parts of
-    its diagonals, sorted, are the eigenvalues eigh returns for it, and the
-    eigenvectors are the matching basis vectors.  A non-finite diagonal goes
-    to eigh, so that the checks read the eigenvalues they always read.
+    A diagonal stack with finite diagonals takes no eigh: its spectra are
+    :func:`_diagonal_spectra` of its diagonals' real parts, which are the
+    eigenvalues eigh returns for it.  A non-finite diagonal goes to eigh, so
+    that the checks read the eigenvalues they always read.
     """
     diagonals = np.diagonal(a, axis1=-2, axis2=-1).real
     if _is_diagonal(a) and np.isfinite(diagonals).all():
-        order = np.argsort(diagonals, axis=-1, kind="stable")[..., ::-1]
-        vectors = np.zeros(a.shape, dtype=np.result_type(a.dtype, 1.0))
-        np.put_along_axis(vectors, order[..., None, :], 1.0, axis=-2)
-        return EigenSystem(np.take_along_axis(diagonals, order, axis=-1), vectors, order)
+        return _diagonal_spectra(diagonals)
     ascending, vectors = np.linalg.eigh(a)
     return EigenSystem(ascending[..., ::-1].copy(), vectors[..., ::-1].copy())
+
+
+def _diagonal_spectra(diagonals: np.ndarray) -> EigenSystem:
+    """The spectra of diagonal matrices from their real diagonals (..., d):
+    the diagonals sorted descending, by a stable argsort reversed, and that
+    order for the eigenvectors, the matching basis vectors."""
+    order = np.argsort(diagonals, axis=-1, kind="stable")[..., ::-1]
+    return EigenSystem(np.take_along_axis(diagonals, order, axis=-1), order=order)
 
 
 def check_density_stack(operators, subnormalized: bool = False) -> tuple[np.ndarray, EigenSystem]:
@@ -302,8 +330,15 @@ def _density_spectra(a: np.ndarray, subnormalized: bool = False) -> EigenSystem:
     Hermiticity check: for stacks already symmetrized, such as a
     :func:`hermitian_part` divided by real traces."""
     spectrum = _eigh(a)
-    lam_min = spectrum.eigenvalues[..., -1]
-    tr = np.real(np.trace(a, axis1=-2, axis2=-1))
+    _check_density(spectrum.eigenvalues[..., -1], np.real(np.trace(a, axis1=-2, axis2=-1)),
+                   subnormalized)
+    return spectrum
+
+
+def _check_density(lam_min: np.ndarray, tr: np.ndarray, subnormalized: bool = False) -> None:
+    """The PSD and trace checks of :func:`check_density_stack`, read from the
+    smallest eigenvalue and the real trace of each matrix; the first failing
+    matrix of a stack raises :class:`LinalgError`, with its index."""
     # Each check states what passes, so that NaN fails it.
     if subnormalized:
         trace_check = (tr <= 1.0 + TRACE_ATOL, "sub-normalized state has trace {tr} > 1")
@@ -315,7 +350,6 @@ def _density_spectra(a: np.ndarray, subnormalized: bool = False) -> EigenSystem:
             k = np.unravel_index(np.argmin(ok), ok.shape)
             where = f" at stack index {tuple(map(int, k))}" if ok.ndim else ""
             raise LinalgError(message.format(lam=lam_min[k], tr=tr[k]) + where)
-    return spectrum
 
 
 def _support_mask(eigenvalues: np.ndarray, tol: float) -> np.ndarray:

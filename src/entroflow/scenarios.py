@@ -416,7 +416,7 @@ def run_gaussian_bounds(params: dict, outdir: Path, seed: int):
             continue
         expected = gp - gm
         rates = traj.entropy_rates()
-        bounds = -witnesses._pinned_adjoint_traces(traj.operator, traj.grid, traj.entries,
+        bounds = -witnesses._pinned_adjoint_traces(traj.operator, traj.grid, traj.coordinates(),
                                                    traj.spectrum)
         for t, r, b in zip(traj.grid, rates, bounds):
             rows.append((kind, t, r, b))

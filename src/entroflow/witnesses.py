@@ -26,6 +26,7 @@ from .channels import (
 from .dynamics import (
     ChannelFamily,
     Trajectory,
+    _expectations,
     _WholeStates,
     entropy_rate,
     expm,
@@ -143,34 +144,43 @@ def entropy_change_upper_bound_holder(channel: QuantumChannel, rho) -> float:
 # Rate bound and non-unitality witness
 # ---------------------------------------------------------------------------
 
-def _images(apply, operator, times, states: np.ndarray) -> np.ndarray:
-    """``apply`` (an operator's ``apply`` or ``adjoint_apply``) on states
-    (T, ..., d, d) at times (T,), as a stack of their shape: the states'
-    coordinates are gathered, multiplied once with one time per row and
-    scattered back."""
-    d = states.shape[-1]
-    flat = states.reshape(-1, d, d)
-    rows = np.repeat(np.asarray(times, dtype=float), len(flat) // len(times))
-    return operator.states(apply(rows, operator.coordinates(flat))).reshape(states.shape)
+def _images(apply, times, rows: np.ndarray) -> np.ndarray:
+    """``apply`` (an operator's ``apply`` or ``adjoint_apply``) on its
+    coordinate rows (T, ..., m) at times (T,), as rows of the same shape:
+    one product, with one time per row."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    times = np.repeat(np.asarray(times, dtype=float), len(flat) // len(times))
+    return apply(times, flat).reshape(rows.shape)
 
 
-def _pinned_adjoint_traces(operator, times, states: np.ndarray,
+def _support_traces(operator, spectrum: EigenSystem, rows: np.ndarray) -> np.ndarray:
+    """Re Tr{Pi A} for the operators A held as coordinate rows (T, ..., m) of
+    ``operator``, with Pi the support projectors of ``spectrum``: read from
+    the rows' populations for the spectra of a diagonal stack, and from the
+    scattered stack otherwise (:func:`~entroflow.dynamics._expectations`)."""
+    return spectrum.support_sums(_expectations(operator, spectrum, rows))
+
+
+def _pinned_adjoint_traces(operator, times, rows: np.ndarray,
                            spectrum: EigenSystem) -> np.ndarray:
-    """Tr{Pi L_t^dag(rho)} for states (T, ..., d, d) with their spectra at
-    times (T,): the expectations of L_t^dag(rho) summed over the supports.
+    """Tr{Pi L_t^dag(rho)} for states held as coordinate rows (T, ..., m) of
+    ``operator``, with their spectra, at times (T,): the expectations of
+    L_t^dag(rho) summed over the supports.
 
     ``operator`` is what the states were integrated with
-    (:attr:`Trajectory.operator`): a dense restriction of the generator to
-    the invariant sets the states touch, which holds L_t^dag exactly, or
-    the whole generator, ``_WholeStates``."""
-    return spectrum.support_traces(_images(operator.adjoint_apply, operator, times, states))
+    (:attr:`Trajectory.operator`, whose rows :meth:`Trajectory.coordinates`
+    gives): a dense restriction of the generator to the invariant sets the
+    states touch, which holds L_t^dag exactly, or the whole generator,
+    ``_WholeStates``."""
+    return _support_traces(operator, spectrum, _images(operator.adjoint_apply, times, rows))
 
 
 def _pinned_adjoint_trace(generator: LindbladGenerator, t: float, rho) -> float:
     """Tr{Pi_rho L_t^dag(rho)}: the one-state case of
     :func:`_pinned_adjoint_traces`, through the whole generator."""
     spectrum = spectral_decompose(rho)
-    return float(_pinned_adjoint_traces(_WholeStates(generator), [t], as_matrix(rho)[None],
+    operator = _WholeStates(generator)
+    return float(_pinned_adjoint_traces(operator, [t], operator.coordinates(as_matrix(rho)[None]),
                                         spectrum[None])[0])
 
 
@@ -291,11 +301,12 @@ def witness_reports(generator: LindbladGenerator, traj: Trajectory) -> list[Witn
     excluded = traj.rank_jump_rows(RANK_CHANGE_MARGIN)
     rates = traj.entropy_rates()
     operator = traj.operator if traj.generator is generator else _WholeStates(generator)
-    adjoint_images = _images(operator.adjoint_apply, operator, traj.grid, traj.entries)
-    witness = traj.spectrum.support_traces(adjoint_images)
+    rows = traj.coordinates(operator)
+    adjoint_images = _images(operator.adjoint_apply, traj.grid, rows)
+    witness = _support_traces(operator, traj.spectrum, adjoint_images)
     bounds = -witness
-    eps_terms = traj.spectrum.support_traces(
-        adjoint_images + _images(operator.apply, operator, traj.grid, traj.entries))
+    eps_terms = _support_traces(operator, traj.spectrum,
+                                adjoint_images + _images(operator.apply, traj.grid, rows))
     f_values = rates + eps_terms
     tests = {"test_a_passed": test_a(f_values), "test_b_passed": test_b(rates, bounds),
              "test_c_passed": test_c(eps_terms, witness)}
@@ -418,14 +429,6 @@ def _measure(state_sampler, grid, trajectories, values, evaluate) -> MeasureResu
                          samples_used=len(states), sample_values=tuple(map(float, integrals)))
 
 
-def _generator_witness(operator, times, states: np.ndarray, dots: np.ndarray,
-                       spectrum: EigenSystem) -> np.ndarray:
-    """dS/dt + Tr{Pi L_t^dag(rho_t)} for states (T, ..., d, d) at times (T,),
-    with their derivatives and spectra, through the operator they were
-    integrated with."""
-    return entropy_rate(spectrum, dots) + _pinned_adjoint_traces(operator, times, states, spectrum)
-
-
 def measure_generator(generator: LindbladGenerator, state_sampler, grid) -> MeasureResult:
     """Max over initial states of the integrated Theorem-2 violation.
 
@@ -443,15 +446,15 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid) -> Meas
     grid are products of that same operator.
     """
     def values(traj: Trajectory) -> np.ndarray:
-        return _generator_witness(traj.operator, traj.grid, traj.entries, traj.derivatives,
-                                  traj.spectrum)
+        return traj.entropy_rates() + _pinned_adjoint_traces(traj.operator, traj.grid,
+                                                             traj.coordinates(), traj.spectrum)
 
     def evaluate(starts, traj, ns, ts) -> np.ndarray:
         off_grid = states_off_grid(traj, ns, ts)
-        operator = traj.operator
-        return _generator_witness(operator, ts, off_grid,
-                                  _images(operator.apply, operator, ts, off_grid),
-                                  spectral_decompose(off_grid))
+        operator, spectrum = traj.operator, spectral_decompose(off_grid)
+        rows = operator.coordinates(off_grid)
+        dots = operator.states(_images(operator.apply, ts, rows))
+        return entropy_rate(spectrum, dots) + _pinned_adjoint_traces(operator, ts, rows, spectrum)
 
     return _measure(state_sampler, grid, lambda states, g: propagate(generator, states, g),
                     values, evaluate)

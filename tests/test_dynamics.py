@@ -52,6 +52,7 @@ from entroflow.dynamics import (
 from entroflow.linalg import (ZERO_EIGENVALUE_RTOL, EigenSystem, LinalgError, as_matrix, dagger,
                               hermitian_part, spectral_decompose)
 from entroflow.sampling import random_full_rank_state, random_mixed_state
+from entroflow.witnesses import RANK_CHANGE_MARGIN, _pinned_adjoint_traces
 
 from conftest import (first_scipy_use, fresh_interpreter, reference_maps, superoperators,
                       support_projectors)
@@ -1256,6 +1257,96 @@ class TestOneSpectrumPerState:
             monkeypatch.setattr(dynamics, "_map_intervals", intervals)
             with pytest.raises(IntegrationError, match=r"^state at t=0\.5 lost positivity: "):
                 propagate(generator, [start], grid)
+
+
+GAUSSIAN_RATES = {"amplifier": (1.2, 0.2), "lossy": (0.2, 1.2), "additive": (0.2, 0.2)}
+
+
+class TestPopulationRows:
+    """A Fock-diagonal stack is held, validated and read as its population
+    rows, and reads bit for bit as the trajectory rebuilt from its scattered
+    states."""
+
+    @staticmethod
+    def fock_run(kind, cutoff, mean_photons):
+        gamma_plus, gamma_minus = GAUSSIAN_RATES[kind]
+        generator = bosonic_generator(gamma_plus, gamma_minus, cutoff)
+        if cutoff == 2:  # the guard's two top levels would be the whole space
+            generator = LindbladGenerator(cutoff, jumps=generator.jumps)
+        probs = (mean_photons / (mean_photons + 1.0)) ** np.arange(cutoff)
+        start = DensityMatrix.diagonal(probs / probs.sum())
+        traj = propagate(generator, start, np.linspace(0.0, 5.0, 101), on_tail_breach="truncate")
+        return generator, traj
+
+    @pytest.mark.parametrize("cutoff", [2, 12, 40])
+    @pytest.mark.parametrize("kind", list(GAUSSIAN_RATES))
+    @pytest.mark.parametrize("start", ["thermal", "vacuum"])
+    def test_reads_as_the_scattered_states(self, kind, cutoff, start):
+        # N = 0.2, the default, breaches the cutoff-12 tail guard at once
+        mean_photons = 0.0 if start == "vacuum" else (0.05 if cutoff == 12 else 0.2)
+        generator, traj = self.fock_run(kind, cutoff, mean_photons)
+        operator = traj.operator
+        assert isinstance(operator, _Restriction) and operator.populations_only
+        if kind == "amplifier" and cutoff > 2:
+            assert traj.truncated_at is not None  # the tail guard ends it
+        rows = traj.coordinates()
+        states = operator.states(rows)
+        dots = operator.states(operator.apply(traj.grid, rows))
+        rebuilt = Trajectory(traj.grid, states, dots, generator=generator)  # check_density_stack
+        assert traj.spectrum._eigenvectors is None  # not built until read
+        for read in ("entries", "derivatives"):
+            np.testing.assert_array_equal(getattr(traj, read), getattr(rebuilt, read))
+        for read in ("eigenvalues", "order", "eigenvectors"):
+            np.testing.assert_array_equal(getattr(traj.spectrum, read),
+                                          getattr(rebuilt.spectrum, read))
+        assert not traj.spectrum.eigenvectors.flags.writeable
+        for read in ("entropies", "entropy_rates", "ranks"):
+            np.testing.assert_array_equal(getattr(traj, read)(), getattr(rebuilt, read)())
+        excluded = traj.rank_jump_rows(RANK_CHANGE_MARGIN)
+        np.testing.assert_array_equal(excluded, rebuilt.rank_jump_rows(RANK_CHANGE_MARGIN))
+        images = operator.states(operator.adjoint_apply(traj.grid, rows))
+        np.testing.assert_array_equal(
+            _pinned_adjoint_traces(operator, traj.grid, rows, traj.spectrum),
+            rebuilt.spectrum.support_traces(images))
+        pure_excluded = np.flatnonzero(excluded & (traj.ranks() == 1))
+        assert pure_excluded.tolist() == ([0] if start == "vacuum" else [])
+
+    def test_state_views_keep_their_order(self):
+        traj = self.fock_run("lossy", 12, 0.05)[1]
+        for (k,), state in zip(np.ndindex(len(traj)), traj.states):
+            spectrum = state.spectrum
+            np.testing.assert_array_equal(spectrum.order, traj.spectrum.order[k])
+            np.testing.assert_array_equal(spectrum.expectations(traj.derivatives[k]),
+                                          traj._expectations[k])
+            assert not spectrum.eigenvectors.flags.writeable
+            np.testing.assert_array_equal(spectrum.eigenvectors, traj.spectrum.eigenvectors[k])
+
+    @staticmethod
+    def failure(generator, start, grid, monkeypatch, by_scatter: bool) -> str:
+        with monkeypatch.context() as m:
+            if by_scatter:  # every state scattered and validated by _validated
+                m.setattr(_Restriction, "populations_only", property(lambda self: False))
+            with pytest.raises(IntegrationError) as failed:
+                propagate(generator, start, grid)
+        return str(failed.value)
+
+    def test_failures_read_as_through_the_scattered_states(self, monkeypatch):
+        # A negative lowering rate drives the ground population below zero;
+        # at a huge raising rate the interval maps overflow.  Either way the
+        # error names the same time and state as the scattered route.
+        a = annihilation_operator(3)
+        grid = np.linspace(0.0, 1.0, 21)
+        starts = [np.diag(p).astype(complex) for p in ([0.9, 0.05, 0.05], [0.05, 0.9, 0.05])]
+        negative = LindbladGenerator(3, jumps=[(-1.0, a)])
+        message = self.failure(negative, starts, grid, monkeypatch, by_scatter=False)
+        assert message.startswith("state at t=0.1 lost positivity: density matrix not PSD")
+        assert message.endswith("at stack index (1,)")
+        assert message == self.failure(negative, starts, grid, monkeypatch, by_scatter=True)
+        huge = bosonic_generator(1e300, 0.0, 40)
+        message = self.failure(huge, thermal_state(0.2, 40), grid, monkeypatch, by_scatter=False)
+        assert message == "state at t=0.05 is not finite"
+        assert message == self.failure(huge, thermal_state(0.2, 40), grid, monkeypatch,
+                                       by_scatter=True)
 
 
 class TestExport:

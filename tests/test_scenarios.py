@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from entroflow.channels import ChannelError, LindbladGenerator, bosonic_generator, thermal_state
+from entroflow.channels import (ChannelError, LindbladGenerator, _Restriction, bosonic_generator,
+                                thermal_state)
 from entroflow.cli import main
 from entroflow.dynamics import propagate
+from entroflow.linalg import EigenSystem
 from entroflow.serialize import generator_to_document, matrix_to_document
 from entroflow.scenarios import (
     SCENARIOS,
@@ -420,6 +422,21 @@ def test_default_gaussian_bounds_take_no_whole_space_adjoint(tmp_path, monkeypat
         column = [float(row["theorem2_bound"]) for row in rows if row["dynamics"] == kind]
         assert len(column) == len(traj)
         np.testing.assert_allclose(column, whole, rtol=0, atol=1e-14)
+
+
+def test_default_gaussian_bounds_scatter_no_state_stack(tmp_path, monkeypatch):
+    # The thermal starts stay Fock-diagonal, so every spectrum, check, rate
+    # and Theorem 2 trace is read from the population rows: no restriction
+    # scatters rows into a (T, d, d) stack, and no spectrum builds its
+    # permutation eigenvectors.
+    scattered, vectors = [], []
+    states, eigenvectors = _Restriction.states, EigenSystem.eigenvectors
+    monkeypatch.setattr(_Restriction, "states",
+                        lambda self, y: scattered.append(y.shape) or states(self, y))
+    monkeypatch.setattr(EigenSystem, "eigenvectors",
+                        property(lambda self: vectors.append(1) or eigenvectors.fget(self)))
+    assert run_config(copy.deepcopy(DEFAULT_CONFIGS["gaussian_bounds"]), tmp_path).passed
+    assert scattered == [] and vectors == []
 
 
 def _table(path) -> dict[str, np.ndarray]:

@@ -387,7 +387,7 @@ def test_support_traces_equal_the_projector_form(rng, d):
     # coordinates, one time per (T, N) row either way
     for operator in (_WholeStates(generator), generator.restricted(np.arange(d * d))):
         np.testing.assert_allclose(
-            _pinned_adjoint_traces(operator, times, states, spectrum),
+            _pinned_adjoint_traces(operator, times, operator.coordinates(states), spectrum),
             _trace_products(projectors, adjoint_images), rtol=0, atol=1e-12)
     # the short-time term of witness_reports, K_t = L_t
     np.testing.assert_allclose(
@@ -408,7 +408,7 @@ def test_whole_state_stack_reads_the_whole_space_witness():
     assert isinstance(traj.operator, _WholeStates)
     whole = traj.spectrum.support_traces(generator.adjoint_apply(traj.grid, traj.entries))
     np.testing.assert_array_equal(
-        _pinned_adjoint_traces(traj.operator, traj.grid, traj.entries, traj.spectrum), whole)
+        _pinned_adjoint_traces(traj.operator, traj.grid, traj.coordinates(), traj.spectrum), whole)
     np.testing.assert_array_equal([r.nonunitality for r in witness_reports(generator, traj)], whole)
     # a trajectory that does not carry the generator reads the same
     bare = Trajectory(traj.grid, traj.entries, traj.derivatives, spectrum=traj.spectrum)
@@ -416,8 +416,9 @@ def test_whole_state_stack_reads_the_whole_space_witness():
     labels = generator.invariant_sets()
     index = np.flatnonzero(np.isin(labels, labels[np.flatnonzero(traj.entries[0].reshape(-1))]))
     assert len(index) == 34
+    restricted = generator.restricted(index)
     np.testing.assert_allclose(
-        _pinned_adjoint_traces(generator.restricted(index), traj.grid, traj.entries, traj.spectrum),
+        _pinned_adjoint_traces(restricted, traj.grid, traj.coordinates(restricted), traj.spectrum),
         whole, rtol=0, atol=1e-14)
 
 
