@@ -68,6 +68,10 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 THERMAL_TAIL_ATOL = 1e-8
 # Largest population of the top Fock levels a tail guard trusts.
 TAIL_GUARD_BOUND = 1e-8
+# Kraus completeness defect and Choi negativity still counted as CPTP.
+CPTP_ATOL = 1e-8
+# |eigenvalue| of N(I) - I still counted as unital.
+UNITALITY_ATOL = 1e-9
 
 
 class ChannelError(ValueError):
@@ -132,14 +136,15 @@ def apply_superoperators(matrices: np.ndarray, operators) -> np.ndarray:
 class QuantumChannel:
     """Completely positive map in Kraus form.
 
-    Trace preservation is classified at construction: ``trace_preserving``
-    when sum_i K_i^dag K_i = I, otherwise ``trace_nonincreasing`` when it is
-    dominated by the identity.  Maps satisfying neither (e.g. adjoints of
+    Trace preservation is classified at construction, within ``CPTP_ATOL``:
+    ``trace_preserving`` when sum_i K_i^dag K_i = I, otherwise
+    ``trace_nonincreasing`` when it is dominated by the identity.  Maps
+    satisfying neither (e.g. adjoints of
     non-unital channels) are still representable; both flags are False.
     Channels are immutable after construction.
     """
 
-    def __init__(self, kraus, atol: float = 1e-8):
+    def __init__(self, kraus):
         ops = [np.asarray(k, dtype=complex) for k in kraus]
         if not ops:
             raise ChannelError("a channel needs at least one Kraus operator")
@@ -153,12 +158,12 @@ class QuantumChannel:
         gram = sum(dagger(k) @ k for k in self.kraus)
         defect = gram - np.eye(self.dim_in)
         self.completeness_defect = float(np.max(np.abs(defect)))
-        self.trace_preserving = self.completeness_defect <= atol
+        self.trace_preserving = self.completeness_defect <= CPTP_ATOL
         if self.trace_preserving:
             self.trace_nonincreasing = True
         else:
             self.trace_nonincreasing = bool(
-                np.linalg.eigvalsh(hermitian_part(defect))[-1] <= atol
+                np.linalg.eigvalsh(hermitian_part(defect))[-1] <= CPTP_ATOL
             )
         self._superop: SuperOperator | None = None
         self._choi: np.ndarray | None = None
@@ -251,8 +256,8 @@ class UnitalityClass:
         return self.tag in (UnitalityTag.UNITAL, UnitalityTag.STRICTLY_SUB_UNITAL)
 
 
-def is_cptp(channel_like, atol: float = 1e-8) -> CptpReport:
-    """Check complete positivity (Choi PSD) and trace preservation."""
+def is_cptp(channel_like) -> CptpReport:
+    """Check complete positivity (Choi PSD) and trace preservation within ``CPTP_ATOL``."""
     choi = channel_like.choi()
     min_eig = float(np.linalg.eigvalsh(hermitian_part(choi))[0])
     if isinstance(channel_like, QuantumChannel):
@@ -266,21 +271,21 @@ def is_cptp(channel_like, atol: float = 1e-8) -> CptpReport:
     return CptpReport(
         choi_min_eigenvalue=min_eig,
         trace_defect=trace_defect,
-        completely_positive=min_eig >= -atol,
-        trace_preserving=trace_defect <= atol,
+        completely_positive=min_eig >= -CPTP_ATOL,
+        trace_preserving=trace_defect <= CPTP_ATOL,
     )
 
 
-def unitality_class(channel_like, atol: float = 1e-9) -> UnitalityClass:
-    """Classify N(I) against I by the spectrum of N(I) - I."""
+def unitality_class(channel_like) -> UnitalityClass:
+    """Classify N(I) against I by the spectrum of N(I) - I, within ``UNITALITY_ATOL``."""
     image = channel_like.apply(np.eye(channel_like.dim_in, dtype=complex))
     deviation = np.linalg.eigvalsh(hermitian_part(image - np.eye(image.shape[0])))
     lo, hi = float(deviation[0]), float(deviation[-1])
-    if hi <= atol and lo >= -atol:
+    if hi <= UNITALITY_ATOL and lo >= -UNITALITY_ATOL:
         tag = UnitalityTag.UNITAL
-    elif hi <= atol:
+    elif hi <= UNITALITY_ATOL:
         tag = UnitalityTag.STRICTLY_SUB_UNITAL
-    elif lo >= -atol:
+    elif lo >= -UNITALITY_ATOL:
         tag = UnitalityTag.STRICTLY_SUPER_UNITAL
     else:
         tag = UnitalityTag.NEITHER
@@ -361,19 +366,10 @@ def dephasing_channel(coherence: float) -> QuantumChannel:
     ])
 
 
-def partial_trace_channel(dim_keep: int, dim_drop: int, keep: str = "B") -> QuantumChannel:
-    """The channel Tr_A (keep="B") or Tr_B (keep="A") on a bipartite input."""
-    if keep == "B":
-        d_a, d_b = dim_drop, dim_keep
-        kraus = [np.kron(e.reshape(1, -1), np.eye(d_b, dtype=complex))
-                 for e in np.eye(d_a, dtype=complex)]
-    elif keep == "A":
-        d_a, d_b = dim_keep, dim_drop
-        kraus = [np.kron(np.eye(d_a, dtype=complex), e.reshape(1, -1))
-                 for e in np.eye(d_b, dtype=complex)]
-    else:
-        raise ChannelError("keep must be 'A' or 'B'")
-    return QuantumChannel(kraus)
+def partial_trace_channel(dim_keep: int, dim_drop: int) -> QuantumChannel:
+    """The channel Tr_A on A (x) B, of dimensions ``dim_drop`` x ``dim_keep``."""
+    return QuantumChannel([np.kron(e.reshape(1, -1), np.eye(dim_keep, dtype=complex))
+                           for e in np.eye(dim_drop, dtype=complex)])
 
 
 # ---------------------------------------------------------------------------

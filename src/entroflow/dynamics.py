@@ -86,10 +86,13 @@ __all__ = [
 
 TRACE_DOT_ATOL = 1e-9
 SUPPORT_DOT_ATOL = 1e-8
-# Step-count doublings an interval map may take before it is declared unconverged.
-MAX_MAP_DOUBLINGS = 14
-# Pure states sampled for a positivity counterexample when CP-divisibility fails.
-POSITIVITY_SAMPLES = 24
+PROPAGATE_ERROR_TARGET = 1e-7  # trace-norm gap of n- and 2n-step states, per unit time
+MAX_REFINEMENTS = 12           # step-count doublings of a propagate interval before it stalls
+INTERMEDIATE_MAP_ATOL = 1e-8   # entrywise gap of the n- and 2n-step maps of an interval map
+MAX_MAP_DOUBLINGS = 14         # step-count doublings of an interval map before it is unconverged
+DIVISIBILITY_CHOI_ATOL = 1e-9  # Choi negativity that cp_divisibility_check still counts as CP
+POSITIVITY_SAMPLES = 24        # pure states sampled for a positivity counterexample, from
+POSITIVITY_SEED = 11           # this seed, when CP-divisibility fails
 
 
 class IntegrationError(RuntimeError):
@@ -282,7 +285,7 @@ def _raise_at(bad: np.ndarray, values: np.ndarray, name: str) -> None:
 # measure_generator against 0.04 s by RK4 (2-core host).
 _OFF_GRID_STEPS = 8
 # Entrywise certificate of a partial-interval map per unit time of its width,
-# no looser than propagate's default error_target.
+# no looser than PROPAGATE_ERROR_TARGET.
 _OFF_GRID_ATOL = 1e-7
 
 
@@ -536,7 +539,6 @@ def _integration_operator(generator: LindbladGenerator, states: np.ndarray):
 
 
 def propagate(generator: LindbladGenerator, states, grid,
-              error_target: float = 1e-7, max_refinements: int = 12,
               on_tail_breach: str = "raise") -> Trajectory:
     """Integrate rho_dot = L_t(rho_t) over the grid from one initial state, or
     from a sequence or (N, d, d) stack of them.
@@ -547,13 +549,13 @@ def propagate(generator: LindbladGenerator, states, grid,
     :class:`IntegrationError` with its index.  The states are advanced
     together as one stack.  Over every grid interval, the states reached
     with n and with 2n steps must agree in trace norm within
-    ``error_target`` per unit time, so that the accumulated error over the
-    grid respects the same budget; that agreement is the certificate, and
-    an interval doubles n until it holds, at most ``max_refinements``
-    times, or the integrator stalls.  The trace-norm test reads the bracket
-    ||X||_F <= ||X||_1 <= sqrt(d) ||X||_F: it accepts when sqrt(d) ||X||_F
-    is within budget, rejects when ||X||_F is not, and takes eigenvalues
-    only in between.  Each state is Hermitized and trace-renormalized once
+    ``PROPAGATE_ERROR_TARGET`` per unit time, so that the accumulated error
+    over the grid respects the same budget; that agreement is the
+    certificate, and an interval doubles n until it holds, at most
+    ``MAX_REFINEMENTS`` times, or the integrator stalls.  The trace-norm
+    test reads the bracket ||X||_F <= ||X||_1 <= sqrt(d) ||X||_F: it accepts
+    when sqrt(d) ||X||_F is within budget, rejects when ||X||_F is not, and
+    takes eigenvalues only in between.  Each state is Hermitized and trace-renormalized once
     (the defect is logged per state), and the states are validated with
     one eigh (none for diagonal states), whose spectra the trajectory keeps;
     a state failing the PSD check is an integration failure, named by its
@@ -601,8 +603,7 @@ def propagate(generator: LindbladGenerator, states, grid,
     by_maps = not isinstance(operator, _WholeStates) and (
         operator.time_independent or len(operator.index) <= _DENSE_COORDINATES)
     rows, dots, spectrum, defects, truncated_at = (_map_intervals if by_maps else _rk4_intervals)(
-        operator, generator.tail_guard, grid, current, defect,
-        error_target, max_refinements, on_tail_breach)
+        operator, generator.tail_guard, grid, current, defect, on_tail_breach)
 
     if truncated_at is not None and len(rows) < 3:
         raise TailMassError("tail guard tripped before any usable grid point")
@@ -615,13 +616,12 @@ def _breach_message(tails: np.ndarray, bound: float, t: float) -> str:
     return f"tail mass {tails.max():.3e} exceeds {bound:.1e} at t={t:.6g}"
 
 
-def _stall_message(t0: float, t1: float, budget: float, max_refinements: int) -> str:
+def _stall_message(t0: float, t1: float, budget: float) -> str:
     return (f"integrator stalled on [{t0:.6g}, {t1:.6g}]: "
-            f"no convergence to {budget:.1e} within {max_refinements} doublings")
+            f"no convergence to {budget:.1e} within {MAX_REFINEMENTS} doublings")
 
 
-def _rk4_intervals(operator, guard, grid, current, defect,
-                   error_target, max_refinements, on_tail_breach):
+def _rk4_intervals(operator, guard, grid, current, defect, on_tail_breach):
     """:func:`propagate` by classical RK4 with step doubling, interval by
     interval, from the renormalized initial stack ``current`` (N, d, d) and
     its trace defects.  Returns the states and their derivatives as
@@ -670,10 +670,10 @@ def _rk4_intervals(operator, guard, grid, current, defect,
     length, truncated_at = len(grid), None
     for k in range(len(grid) - 1):
         t0, t1 = float(grid[k]), float(grid[k + 1])
-        budget = error_target * (t1 - t0)
+        budget = PROPAGATE_ERROR_TARGET * (t1 - t0)
         substeps = max(1, substeps // 2)
         trial = segment(substeps)
-        for _ in range(max_refinements):
+        for _ in range(MAX_REFINEMENTS):
             substeps *= 2
             refined = segment(substeps)
             converged = not _trace_norms_exceed(trial - refined, budget)
@@ -681,7 +681,7 @@ def _rk4_intervals(operator, guard, grid, current, defect,
             if converged:
                 break
         else:
-            raise IntegrationError(_stall_message(t0, t1, budget, max_refinements))
+            raise IntegrationError(_stall_message(t0, t1, budget))
         current, defect = _renormalized(trial)
         spectrum = _spectra_at(current, t1)
         if guard is not None:
@@ -739,7 +739,7 @@ def _cf4_maps(operator, starts: np.ndarray, widths: np.ndarray, steps: int) -> n
     length s from tau is y -> y exp(s (a2 G1 + a1 G2)) exp(s (a1 G1 + a2 G2))
     with G1, G2 = G(tau + (1/2 -+ sqrt(3)/6) s).  The rates of all Gauss
     points come from one array call per term, the exponentials from one
-    batched expm, and the steps of each interval are multiplied in pairs."""
+    batched expm, and the steps, a power of two, are multiplied in pairs."""
     (c1, c2), (a1, a2) = _GAUSS_NODES, _CF4_WEIGHTS
     s = (widths / steps)[:, None]
     tau = starts[:, None] + s * np.arange(steps)
@@ -747,8 +747,6 @@ def _cf4_maps(operator, starts: np.ndarray, widths: np.ndarray, steps: int) -> n
     s = s[..., None, None]
     maps = expm(s * (a2 * g1 + a1 * g2)) @ expm(s * (a1 * g1 + a2 * g2))
     while maps.shape[1] > 1:
-        if maps.shape[1] % 2:
-            maps = np.concatenate([maps[:, :-2], maps[:, -2:-1] @ maps[:, -1:]], axis=1)
         maps = maps[:, 0::2] @ maps[:, 1::2]
     return maps[:, 0]
 
@@ -806,8 +804,7 @@ def _regrow(operator, starts: np.ndarray, widths: np.ndarray, counts: np.ndarray
     return None
 
 
-def _map_intervals(operator, guard, grid, current, defect,
-                   error_target, max_refinements, on_tail_breach):
+def _map_intervals(operator, guard, grid, current, defect, on_tail_breach):
     """:func:`propagate` on a dense restriction by the maps of its grid
     intervals, with the arguments and results of :func:`_rk4_intervals`.
 
@@ -819,7 +816,7 @@ def _map_intervals(operator, guard, grid, current, defect,
     the first tail breach compares the states its n- and 2n-step maps carry
     from the chained state at its start; the intervals that fail double
     their own n, and the chain is redone from the first of them.  An
-    interval that would pass ``max_refinements`` doublings stalls the
+    interval that would pass ``MAX_REFINEMENTS`` doublings stalls the
     integrator, once the intervals before it have converged and the states
     up to it have been validated.
 
@@ -863,21 +860,21 @@ def _map_intervals(operator, guard, grid, current, defect,
         starts, which = grid[:-1], np.arange(len(widths))
         counts = np.ones(len(widths), dtype=int)
         coarse, fine = (_cf4_maps(operator, starts, widths, steps) for steps in (1, 2))
-        most = 2 ** (max_refinements - 1)  # the coarse count of an interval's last comparison
+        most = 2 ** (MAX_REFINEMENTS - 1)  # the coarse count of an interval's last comparison
+        budgets = PROPAGATE_ERROR_TARGET * widths
         start = 0
         while True:
             rows, traces, tails, breach = settle(fine, which, start)
             stop = len(widths) if breach is None else breach
             failing = np.zeros(len(widths), dtype=bool)
             failing[start:stop] = _maps_disagree(operator, rows[start:stop], coarse[start:stop],
-                                                 fine[start:stop], error_target * widths[start:stop])
+                                                 fine[start:stop], budgets[start:stop])
             if not failing.any():
                 break
             start = int(np.argmax(failing))
             if _regrow(operator, starts, widths, counts, coarse, fine, failing, most) is not None:
                 _validated_rows(operator, rows[:start + 1], grid)
-                raise IntegrationError(_stall_message(grid[start], grid[start + 1],
-                                                      error_target * widths[start], max_refinements))
+                raise IntegrationError(_stall_message(grid[start], grid[start + 1], budgets[start]))
 
     length = len(grid) if breach is None else breach + 1
     spectrum = _validated_rows(operator, rows[:length], grid)
@@ -914,11 +911,10 @@ def _whole_space(generator: LindbladGenerator):
     return generator.restricted(np.arange(generator.dim ** 2))
 
 
-def _certified_maps(operator, starts: np.ndarray, widths: np.ndarray, atol,
-                    steps: int = 1) -> np.ndarray:
+def _certified_maps(operator, starts: np.ndarray, widths: np.ndarray, atol) -> np.ndarray:
     """The (K, m, m) row-convention maps of the intervals [starts, starts +
     widths] at once (a negative width maps backward): exact exponentials for
-    a time-independent generator, else CF4 maps from ``steps`` steps, each
+    a time-independent generator, else CF4 maps from one step, each
     interval doubling its count, at most ``MAX_MAP_DOUBLINGS`` times, until
     its n- and 2n-step maps agree entrywise within ``atol``, a number or one
     per interval."""
@@ -926,29 +922,28 @@ def _certified_maps(operator, starts: np.ndarray, widths: np.ndarray, atol,
         maps, which = _width_maps(operator, widths)
         return maps[which]
     atol = np.broadcast_to(atol, widths.shape)
-    counts = np.full(len(widths), steps)
-    coarse, fine = (_cf4_maps(operator, starts, widths, n) for n in (steps, 2 * steps))
+    counts = np.ones(len(widths), dtype=int)
+    coarse, fine = (_cf4_maps(operator, starts, widths, n) for n in (1, 2))
     while (failing := ~(np.max(np.abs(fine - coarse), axis=(-2, -1)) <= atol)).any():
         stalled = _regrow(operator, starts, widths, counts, coarse, fine, failing,
-                          steps * 2 ** (MAX_MAP_DOUBLINGS - 1))
+                          2 ** (MAX_MAP_DOUBLINGS - 1))
         if stalled is not None:
             raise IntegrationError(f"time-ordered product did not converge to {atol[stalled]:.1e} "
                                    f"within {MAX_MAP_DOUBLINGS} doublings")
     return fine
 
 
-def intermediate_map(generator: LindbladGenerator, s: float, t: float,
-                     steps: int = 1, atol: float = 1e-8) -> SuperOperator:
+def intermediate_map(generator: LindbladGenerator, s: float, t: float) -> SuperOperator:
     """Propagator M_{t,s}: the one-interval case of :func:`_certified_maps`,
-    whose CF4 step count is doubled from ``steps``, at most
-    ``MAX_MAP_DOUBLINGS`` times, until the n- and 2n-step maps agree
-    entrywise within ``atol``."""
+    whose CF4 step count is doubled from one, at most ``MAX_MAP_DOUBLINGS``
+    times, until the n- and 2n-step maps agree entrywise within
+    ``INTERMEDIATE_MAP_ATOL``."""
     if not (np.isfinite(s) and np.isfinite(t)):
         raise IntegrationError("intermediate map needs finite times")
     if t < s:
         raise IntegrationError("intermediate map requires s <= t")
     maps = _certified_maps(_whole_space(generator), np.array([float(s)]), np.array([t - s]),
-                           atol, steps)
+                           INTERMEDIATE_MAP_ATOL)
     return SuperOperator(maps[0].T)
 
 
@@ -974,7 +969,7 @@ def _entropy_rates(spectrum: EigenSystem, expectations: np.ndarray) -> np.ndarra
     return -np.sum(spectrum.support_logs() * expectations, axis=-1)
 
 
-def entropy_rate_fd(traj: Trajectory, index, h: float = 1e-4, richardson: bool = False):
+def entropy_rate_fd(traj: Trajectory, index, h: float = 1e-4):
     """Finite-difference entropy rate of a one-state trajectory at the grid
     point ``index``, as an oracle: a float for an int index, an array for an
     array of indices.
@@ -982,12 +977,12 @@ def entropy_rate_fd(traj: Trajectory, index, h: float = 1e-4, richardson: bool =
     Central differences (S(t+h) - S(t-h)) / 2h using the closed form when the
     trajectory has one, a short local integration when it has a generator,
     and the neighboring grid states otherwise (then h is the grid spacing).
-    ``richardson=True`` combines the h and h/2 stencils for fourth-order
-    accuracy, which matters near rank-change instants.  Off the grid, h is
-    capped at each point at 1 % of the estimated distance to the nearest rank
-    change, lambda_min / |<v_min| rho_dot |v_min>|, so that neither stencil
-    reaches across it.  The entropies of every stencil state come from one
-    stacked eigvalsh.
+    Off the grid, the h and h/2 stencils are combined by Richardson
+    extrapolation for fourth-order accuracy, which matters near rank-change
+    instants, and h is capped at each point at 1 % of the estimated distance
+    to the nearest rank change, lambda_min / |<v_min| rho_dot |v_min>|, so
+    that neither stencil reaches across it.  The entropies of every stencil
+    state come from one stacked eigvalsh.
     """
     if traj.spectrum.eigenvalues.ndim != 2:
         raise IntegrationError("finite-difference rates need a one-state (T, d, d) trajectory")
@@ -1007,7 +1002,7 @@ def entropy_rate_fd(traj: Trajectory, index, h: float = 1e-4, richardson: bool =
             distances = np.where((smallest <= ZERO_EIGENVALUE_RTOL * eigenvalues[:, 0])
                                  | (speeds == 0.0), np.inf, smallest / speeds)
         coarse = np.minimum(h, 0.01 * distances)
-        steps = np.stack([coarse, 0.5 * coarse] if richardson else [coarse])
+        steps = np.stack([coarse, 0.5 * coarse])
         t = traj.grid[indices]
         taus = np.stack([t + steps, t - steps]).ravel()
         if traj.state_fn is not None:
@@ -1017,7 +1012,7 @@ def entropy_rate_fd(traj: Trajectory, index, h: float = 1e-4, richardson: bool =
         s_plus, s_minus = _entropies(np.linalg.eigvalsh(hermitian_part(states))).reshape(
             (2,) + steps.shape)
         rates = (s_plus - s_minus) / (2.0 * steps)
-        rates = (4.0 * rates[1] - rates[0]) / 3.0 if richardson else rates[0]
+        rates = (4.0 * rates[1] - rates[0]) / 3.0
     return float(rates[0]) if np.ndim(index) == 0 else rates
 
 
@@ -1040,25 +1035,24 @@ class DivisibilityReport:
         return min(e.choi_min_eigenvalue for e in self.intervals)
 
 
-def cp_divisibility_check(generator: LindbladGenerator, grid, atol: float = 1e-9,
-                          seed: int = 11) -> DivisibilityReport:
+def cp_divisibility_check(generator: LindbladGenerator, grid) -> DivisibilityReport:
     """Test every consecutive interval map for complete positivity.
 
     The verdict is ``cp_divisible`` when all interval Choi matrices are PSD
-    and trace-preserving within tolerance, ``not_cp_divisible`` when some
-    interval map also breaks positivity on one of ``POSITIVITY_SAMPLES``
-    sampled pure states, and ``p_divisible_only_undetermined`` when complete
-    positivity fails but positivity survives the sampling (the check never
-    certifies P-divisibility, it only reports that CP evidence failed
-    without a positivity counterexample).  Sampled rate signs are reported
-    alongside.
+    (``DIVISIBILITY_CHOI_ATOL``) and trace-preserving, ``not_cp_divisible``
+    when some interval map also breaks positivity on one of
+    ``POSITIVITY_SAMPLES`` sampled pure states, and
+    ``p_divisible_only_undetermined`` when complete positivity fails but
+    positivity survives the sampling (the check never certifies
+    P-divisibility, it only reports that CP evidence failed without a
+    positivity counterexample).  Sampled rate signs are reported alongside.
     """
     grid = _checked_grid(grid)
     if len(grid) < 2:
         raise IntegrationError("time grid needs at least 2 finite points")
     maps = [SuperOperator(m.T) for m in _certified_maps(_whole_space(generator), grid[:-1],
-                                                         np.diff(grid), atol=1e-8)]
-    reports = [is_cptp(m, atol=atol) for m in maps]
+                                                         np.diff(grid), INTERMEDIATE_MAP_ATOL)]
+    reports = [is_cptp(m) for m in maps]
     evidence = [IntervalEvidence(float(a), float(b), r.choi_min_eigenvalue, r.trace_defect)
                 for a, b, r in zip(grid[:-1], grid[1:], reports)]
     worst_map = maps[int(np.argmin([r.choi_min_eigenvalue for r in reports]))]
@@ -1066,12 +1060,12 @@ def cp_divisibility_check(generator: LindbladGenerator, grid, atol: float = 1e-9
     midpoints = 0.5 * (grid[:-1] + grid[1:])
     min_rates = tuple(float(np.min(term.rate_at(midpoints))) for term in generator.jumps)
 
-    cp_ok = all(e.choi_min_eigenvalue >= -atol and e.trace_defect <= 1e-7
+    cp_ok = all(e.choi_min_eigenvalue >= -DIVISIBILITY_CHOI_ATOL and e.trace_defect <= 1e-7
                 for e in evidence)
     if cp_ok:
         verdict = "cp_divisible"
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(POSITIVITY_SEED)
         positive = True
         for _ in range(POSITIVITY_SAMPLES):
             v = rng.normal(size=generator.dim) + 1j * rng.normal(size=generator.dim)

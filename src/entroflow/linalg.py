@@ -92,22 +92,22 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + dagger(a))
 
 
-def require_hermitian(operator, atol: float = HERMITICITY_ATOL, name: str = "operator") -> np.ndarray:
+def require_hermitian(operator, name: str = "operator") -> np.ndarray:
     """Return the symmetrized matrix (or stack (..., d, d) of matrices),
-    rejecting inputs that are genuinely asymmetric or hold a non-finite
-    entry (its gap is NaN); for a stack, the error names the index of the
-    first such matrix."""
+    rejecting inputs whose asymmetry exceeds ``HERMITICITY_ATOL`` or that
+    hold a non-finite entry (its gap is NaN); for a stack, the error names
+    the index of the first such matrix."""
     a = as_matrix(operator)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise LinalgError(f"{name} must be a square matrix, got shape {a.shape}")
     with np.errstate(invalid="ignore"):  # an infinite diagonal entry gives a NaN gap
         gaps = np.abs(a - dagger(a))
-    if not gaps.max(initial=0.0) <= atol:
+    if not gaps.max(initial=0.0) <= HERMITICITY_ATOL:
         asym = gaps.max(axis=(-2, -1))
-        k = np.unravel_index(np.argmin(asym <= atol), asym.shape)
+        k = np.unravel_index(np.argmin(asym <= HERMITICITY_ATOL), asym.shape)
         where = f" at stack index {tuple(map(int, k))}" if asym.ndim else ""
-        raise LinalgError(f"{name} is not Hermitian: max asymmetry {asym[k]:.3e} > {atol:.1e}"
-                          + where)
+        raise LinalgError(f"{name} is not Hermitian: max asymmetry {asym[k]:.3e} "
+                          f"> {HERMITICITY_ATOL:.1e}" + where)
     return hermitian_part(a)
 
 
@@ -157,25 +157,27 @@ class EigenSystem:
         vectors = None if self._eigenvectors is None else self._eigenvectors[index]
         return EigenSystem(self.eigenvalues[index], vectors, order)
 
-    def support_mask(self, tol: float = ZERO_EIGENVALUE_RTOL) -> np.ndarray:
-        """Eigenvalues above tol * lambda_max, per matrix."""
-        return _support_mask(self.eigenvalues, tol)
+    def support_mask(self) -> np.ndarray:
+        """Eigenvalues above ``ZERO_EIGENVALUE_RTOL`` * lambda_max, per
+        matrix; none when lambda_max <= 0."""
+        lam_max = self.eigenvalues.max(axis=-1, keepdims=True, initial=0.0)
+        return (self.eigenvalues > ZERO_EIGENVALUE_RTOL * lam_max) & (lam_max > 0.0)
 
-    def support_logs(self, tol: float = ZERO_EIGENVALUE_RTOL) -> np.ndarray:
+    def support_logs(self) -> np.ndarray:
         """log lambda on the supports, 0 on the kernels, per matrix."""
-        mask = self.support_mask(tol)
+        mask = self.support_mask()
         return np.where(mask, np.log(np.where(mask, self.eigenvalues, 1.0)), 0.0)
 
-    def support_traces(self, operators: np.ndarray, tol: float = ZERO_EIGENVALUE_RTOL) -> np.ndarray:
+    def support_traces(self, operators: np.ndarray) -> np.ndarray:
         """Re Tr{Pi A} per matrix, with Pi the projector onto its support:
         the :meth:`expectations` of A summed over the support, with no
         projector built."""
-        return self.support_sums(self.expectations(operators), tol)
+        return self.support_sums(self.expectations(operators))
 
-    def support_sums(self, values: np.ndarray, tol: float = ZERO_EIGENVALUE_RTOL) -> np.ndarray:
+    def support_sums(self, values: np.ndarray) -> np.ndarray:
         """The sum of values (..., d), one per eigenvector, over the support,
         per matrix."""
-        return np.where(self.support_mask(tol), values, 0.0).sum(axis=-1)
+        return np.where(self.support_mask(), values, 0.0).sum(axis=-1)
 
     def expectations(self, operators: np.ndarray) -> np.ndarray:
         """Re <v_i|A|v_i> for every eigenvector v_i, per matrix: (..., d).
@@ -213,15 +215,13 @@ def _entropies(eigenvalues: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, positive semi-definite matrix with unit (or sub-unit) trace.
+    """Hermitian, positive semi-definite matrix with unit trace.
 
-    ``subnormalized=True`` relaxes the trace condition to Tr <= 1, which is
-    what trace-non-increasing operations produce.  It carries ``spectrum``, its
-    one eigendecomposition, which the PSD check, support, log and entropy read.
+    It carries ``spectrum``, its one eigendecomposition, which the PSD
+    check, support, log and entropy read.
     """
 
     entries: np.ndarray
-    subnormalized: bool = False
     dim: int = field(init=False)
     spectrum: EigenSystem = field(init=False, repr=False, compare=False)
 
@@ -229,7 +229,7 @@ class DensityMatrix:
         a = as_matrix(self.entries)
         if a.ndim != 2:
             raise LinalgError(f"density matrix must be a square matrix, got shape {a.shape}")
-        a, spectrum = check_density_stack(a, subnormalized=self.subnormalized)
+        a, spectrum = check_density_stack(a)
         self._set(a, spectrum)
 
     def _set(self, entries: np.ndarray, spectrum: EigenSystem) -> None:
@@ -245,7 +245,6 @@ class DensityMatrix:
         """A state over one matrix of a stack that :func:`check_density_stack`
         has validated, carrying its spectrum from that stack: no second eigh."""
         state = object.__new__(cls)
-        object.__setattr__(state, "subnormalized", False)
         state._set(entries, spectrum)
         return state
 
@@ -271,20 +270,20 @@ class DensityMatrix:
         return float(np.real(np.trace(self.entries)))
 
 
-def spectral_decompose(operator, atol: float = HERMITICITY_ATOL) -> EigenSystem:
+def spectral_decompose(operator) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix, or of a stack (..., d, d) of
     them in one eigh call (none for a diagonal stack), eigenvalues descending.
 
     A :class:`DensityMatrix` returns the spectrum it carries, and an
     :class:`EigenSystem` is returned as it is.  Inputs with asymmetry within
-    ``atol`` are symmetrized; anything worse is rejected.  The reconstruction
-    V diag(w) V^dag matches the input to machine precision.
+    ``HERMITICITY_ATOL`` are symmetrized; anything worse is rejected.  The
+    reconstruction V diag(w) V^dag matches the input to machine precision.
     """
     if isinstance(operator, DensityMatrix):
         return operator.spectrum
     if isinstance(operator, EigenSystem):
         return operator
-    return _eigh(require_hermitian(operator, atol=atol))
+    return _eigh(require_hermitian(operator))
 
 
 def _eigh(a: np.ndarray) -> EigenSystem:
@@ -310,59 +309,48 @@ def _diagonal_spectra(diagonals: np.ndarray) -> EigenSystem:
     return EigenSystem(np.take_along_axis(diagonals, order, axis=-1), order=order)
 
 
-def check_density_stack(operators, subnormalized: bool = False) -> tuple[np.ndarray, EigenSystem]:
+def check_density_stack(operators) -> tuple[np.ndarray, EigenSystem]:
     """Validate a density matrix, or a stack (..., d, d) of them, with one eigh
     (none for a diagonal stack).
 
     Each matrix must be Hermitian within ``HERMITICITY_ATOL``, PSD within
-    ``PSD_ATOL`` and of unit trace within ``TRACE_ATOL`` (at most 1 when
-    ``subnormalized``).  Returns the symmetrized stack and its spectra; the
-    first failing matrix of a stack raises :class:`LinalgError`, with its
-    index.
+    ``PSD_ATOL`` and of unit trace within ``TRACE_ATOL``.  Returns the
+    symmetrized stack and its spectra; the first failing matrix of a stack
+    raises :class:`LinalgError`, with its index.
     """
     a = require_hermitian(operators, name="density matrix")
-    return a, _density_spectra(a, subnormalized)
+    return a, _density_spectra(a)
 
 
-def _density_spectra(a: np.ndarray, subnormalized: bool = False) -> EigenSystem:
+def _density_spectra(a: np.ndarray) -> EigenSystem:
     """The spectra of an exactly Hermitian matrix or stack, after the PSD and
     trace checks of :func:`check_density_stack`, which this is without the
     Hermiticity check: for stacks already symmetrized, such as a
     :func:`hermitian_part` divided by real traces."""
     spectrum = _eigh(a)
-    _check_density(spectrum.eigenvalues[..., -1], np.real(np.trace(a, axis1=-2, axis2=-1)),
-                   subnormalized)
+    _check_density(spectrum.eigenvalues[..., -1], np.real(np.trace(a, axis1=-2, axis2=-1)))
     return spectrum
 
 
-def _check_density(lam_min: np.ndarray, tr: np.ndarray, subnormalized: bool = False) -> None:
+def _check_density(lam_min: np.ndarray, tr: np.ndarray) -> None:
     """The PSD and trace checks of :func:`check_density_stack`, read from the
     smallest eigenvalue and the real trace of each matrix; the first failing
     matrix of a stack raises :class:`LinalgError`, with its index."""
     # Each check states what passes, so that NaN fails it.
-    if subnormalized:
-        trace_check = (tr <= 1.0 + TRACE_ATOL, "sub-normalized state has trace {tr} > 1")
-    else:
-        trace_check = (np.abs(tr - 1.0) <= TRACE_ATOL, "density matrix has trace {tr}, expected 1")
-    for ok, message in ((lam_min >= -PSD_ATOL, "density matrix not PSD: min eigenvalue {lam:.3e}"),
-                        trace_check):
+    checks = ((lam_min >= -PSD_ATOL, "density matrix not PSD: min eigenvalue {lam:.3e}"),
+              (np.abs(tr - 1.0) <= TRACE_ATOL, "density matrix has trace {tr}, expected 1"))
+    for ok, message in checks:
         if not np.all(ok):
             k = np.unravel_index(np.argmin(ok), ok.shape)
             where = f" at stack index {tuple(map(int, k))}" if ok.ndim else ""
             raise LinalgError(message.format(lam=lam_min[k], tr=tr[k]) + where)
 
 
-def _support_mask(eigenvalues: np.ndarray, tol: float) -> np.ndarray:
-    """Eigenvalues above tol * lambda_max along the last axis; none when lambda_max <= 0."""
-    lam_max = eigenvalues.max(axis=-1, keepdims=True, initial=0.0)
-    return (eigenvalues > tol * lam_max) & (lam_max > 0.0)
-
-
-def matrix_log_on_support(rho, tol: float = ZERO_EIGENVALUE_RTOL) -> np.ndarray:
+def matrix_log_on_support(rho) -> np.ndarray:
     """Natural matrix logarithm restricted to the support; zero on the kernel."""
     es = spectral_decompose(rho)
     v = es.eigenvectors
-    return hermitian_part((v * es.support_logs(tol)[..., None, :]) @ dagger(v))
+    return hermitian_part((v * es.support_logs()[..., None, :]) @ dagger(v))
 
 
 def von_neumann_entropy(rho) -> float:
@@ -370,7 +358,7 @@ def von_neumann_entropy(rho) -> float:
     return float(spectral_decompose(rho).entropies())
 
 
-def relative_entropy(rho, sigma, tol: float = ZERO_EIGENVALUE_RTOL):
+def relative_entropy(rho, sigma):
     """Quantum relative entropy D(rho || sigma).
 
     Returns :data:`INFINITE_DIVERGENCE` when supp(rho) is not contained in
@@ -381,8 +369,8 @@ def relative_entropy(rho, sigma, tol: float = ZERO_EIGENVALUE_RTOL):
     es_s = spectral_decompose(sigma)
     if es_r.dim != es_s.dim:
         raise LinalgError(f"dimension mismatch: {es_r.dim} vs {es_s.dim}")
-    mask_r = _support_mask(es_r.eigenvalues, tol)
-    mask_s = _support_mask(es_s.eigenvalues, tol)
+    mask_r = es_r.support_mask()
+    mask_s = es_s.support_mask()
     p = es_r.eigenvalues[mask_r]
     q = es_s.eigenvalues[mask_s]
     overlaps = np.abs(dagger(es_r.eigenvectors[:, mask_r]) @ es_s.eigenvectors[:, mask_s]) ** 2

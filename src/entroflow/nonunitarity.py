@@ -17,8 +17,8 @@ brackets the norm of a Hermiticity-preserving map M, lower <= norm <= upper:
   matrix of M: Y0 = Y1 = |J| satisfy [[Y0, -J], [-J, Y1]] >= 0.
 
 The ascent stops, skipping any remaining starts, as soon as
-upper - lower <= tol.  Inputs psi are plain unit amplitude arrays of shape
-(d^2,), psi = vec R with R indexed (reference, input); the bracket returns
+upper - lower <= ``BRACKET_TOL``.  Inputs psi are plain unit amplitude
+arrays of shape (d^2,), psi = vec R with R indexed (reference, input); the bracket returns
 the best one as its ``maximizer``, at which ||T(psi)||_1 is ``lower``.
 """
 
@@ -44,7 +44,9 @@ __all__ = [
     "proposition7_check",
 ]
 
-# A start that gains less than this fraction of ``tol`` in one step has stalled.
+# Target width of the bracket: the ascent stops once upper - lower is within it.
+BRACKET_TOL = 1e-6
+# A start that gains less than this fraction of ``BRACKET_TOL`` in one step has stalled.
 _STALL_FRACTION = 1e-4
 _MAX_STEPS = 2000
 _MAX_EXTRAPOLATION = 64.0
@@ -84,7 +86,7 @@ class OslashResult:
 
     ``value`` is the best seesaw value over the starts run, ``upper`` the
     Watrous dual bound.  ``converged`` is true when the bracket closed
-    within ``tol``.  ``stalled`` is true when it did not and every start
+    within ``BRACKET_TOL``.  ``stalled`` is true when it did not and every start
     run stopped gaining before the step cap, so the open ``gap`` is the
     ascent's best, not a cut-off one; a start that reached the cap leaves
     both false.  ``maximizer``
@@ -167,8 +169,7 @@ def _seesaw(choi: np.ndarray, amplitudes: np.ndarray, dim: int, target: float,
     return value, psi, False
 
 
-def _maximize_local_map(map_matrix: np.ndarray, dim: int, starts: int, tol: float,
-                        seed: int) -> OslashResult:
+def _maximize_local_map(map_matrix: np.ndarray, dim: int, starts: int, seed: int) -> OslashResult:
     if starts < 1:
         raise NonUnitarityError(f"starts must be at least 1, got {starts}")
     choi = _choi_tensor(map_matrix, dim)
@@ -182,14 +183,15 @@ def _maximize_local_map(map_matrix: np.ndarray, dim: int, starts: int, tol: floa
         if k:  # Haar-random
             start = rng.normal(size=dim**2) + 1j * rng.normal(size=dim**2)
             start /= np.linalg.norm(start)
-        value, psi, ended = _seesaw(choi, start, dim, upper - tol, _STALL_FRACTION * tol)
+        value, psi, ended = _seesaw(choi, start, dim, upper - BRACKET_TOL,
+                                    _STALL_FRACTION * BRACKET_TOL)
         values.append(value)
         before_cap = before_cap and ended
         if value > best:
             best, best_psi = value, psi
-        if upper - best <= tol:
+        if upper - best <= BRACKET_TOL:
             break
-    closed = upper - best <= tol
+    closed = upper - best <= BRACKET_TOL
     return OslashResult(
         value=best,
         upper=upper,
@@ -201,21 +203,19 @@ def _maximize_local_map(map_matrix: np.ndarray, dim: int, starts: int, tol: floa
     )
 
 
-def oslash_norm(channel: QuantumChannel, starts: int = 32, tol: float = 1e-6,
-                seed: int = 7) -> OslashResult:
+def oslash_norm(channel: QuantumChannel, starts: int = 32, seed: int = 7) -> OslashResult:
     """Diamond norm of id - N^dag o N for a unital channel N, as a bracket.
 
     ``value`` is a lower bound from the seesaw ascent and ``upper`` the
-    Watrous dual bound.  ``tol`` is the target bracket width: the ascent
-    stops, skipping any remaining starts, once ``gap <= tol``; otherwise each
-    of the at most ``starts`` starts (the maximally entangled state first)
-    runs until its gain per step falls below a small fraction of ``tol``,
-    and ``gap`` reports the width left open.
+    Watrous dual bound.  The ascent stops, skipping any remaining starts,
+    once ``gap <= BRACKET_TOL``; otherwise each of the at most ``starts``
+    starts (the maximally entangled state first) runs until its gain per
+    step falls below a small fraction of ``BRACKET_TOL``, and ``gap``
+    reports the width left open.
     """
     if not unitality_class(channel).is_unital:
         raise NonUnitarityError("the non-unitarity norm is defined for unital channels only")
-    return _maximize_local_map(_difference_superoperator(channel),
-                               channel.dim_in, starts, tol, seed)
+    return _maximize_local_map(_difference_superoperator(channel), channel.dim_in, starts, seed)
 
 
 def oslash_depolarizing_analytic(dim: int, q: float) -> float:
@@ -234,24 +234,24 @@ def success_probability(norm_value: float) -> float:
 
 
 def _distance_bracket(channel_a: QuantumChannel, channel_b: QuantumChannel,
-                      starts: int, tol: float, seed: int) -> OslashResult:
+                      starts: int, seed: int) -> OslashResult:
     if (channel_a.dim_in, channel_a.dim_out) != (channel_b.dim_in, channel_b.dim_out):
         raise NonUnitarityError("channels must share input and output dimensions")
     if channel_a.dim_in != channel_a.dim_out:
         raise NonUnitarityError("the maximization assumes equal input/output dimension")
     diff = channel_a.superoperator().matrix - channel_b.superoperator().matrix
     _require_hermiticity_preserving(diff, channel_a.dim_in)
-    return _maximize_local_map(diff, channel_a.dim_in, starts, tol, seed)
+    return _maximize_local_map(diff, channel_a.dim_in, starts, seed)
 
 
 def diamond_distance(channel_a: QuantumChannel, channel_b: QuantumChannel,
-                     starts: int = 32, tol: float = 1e-6, seed: int = 7) -> float:
+                     starts: int = 32, seed: int = 7) -> float:
     """Diamond norm of the difference of two same-dimension channels.
 
-    Returns the lower end of the same bracket as the non-unitarity norm;
-    ``tol`` is the target bracket width, at which the ascent stops.
+    Returns the lower end of the same bracket as the non-unitarity norm,
+    whose ascent stops at a width of ``BRACKET_TOL``.
     """
-    return _distance_bracket(channel_a, channel_b, starts, tol, seed).value
+    return _distance_bracket(channel_a, channel_b, starts, seed).value
 
 
 def proposition7_bound(delta: float) -> float:
@@ -266,27 +266,24 @@ class Proposition7Check:
     delta_estimate: float
     oslash_estimate: float
     bound: float
-    certified: bool
 
 
 def proposition7_check(channel: QuantumChannel, unitary, starts: int = 16,
-                       seed: int = 7, certified_delta: float | None = None) -> Proposition7Check:
+                       seed: int = 7) -> Proposition7Check:
     """Compare the non-unitarity norm against sqrt(2 delta) + delta.
 
     ``delta_estimate`` is the lower end of the bracket on the diamond distance
-    to the given unitary conjugation.  Unless a certified delta is supplied,
-    the bound uses the upper end of that bracket: sqrt(2 delta) + delta grows
-    with delta, so a lower estimate of the norm above it is a real violation,
-    and the check raises on one.
+    to the given unitary conjugation.  The bound uses the upper end of that
+    bracket: sqrt(2 delta) + delta grows with delta, so a lower estimate of
+    the norm above it is a real violation, and the check raises on one.
     """
     u_channel = unitary if isinstance(unitary, QuantumChannel) else unitary_channel(unitary)
-    distance = _distance_bracket(channel, u_channel, starts=starts, tol=1e-6, seed=seed)
+    distance = _distance_bracket(channel, u_channel, starts=starts, seed=seed)
     oslash_est = oslash_norm(channel, starts=starts, seed=seed).value
-    delta = certified_delta if certified_delta is not None else distance.upper
-    bound = proposition7_bound(delta)
+    bound = proposition7_bound(distance.upper)
     if oslash_est > bound + 1e-9:
         raise NonUnitarityError(
-            f"perturbation bound violated: {oslash_est} > {bound} at delta={delta}"
+            f"perturbation bound violated: {oslash_est} > {bound} at delta={distance.upper}"
         )
     return Proposition7Check(delta_estimate=distance.value, oslash_estimate=oslash_est,
-                             bound=bound, certified=True)
+                             bound=bound)

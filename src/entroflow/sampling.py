@@ -25,6 +25,9 @@ __all__ = [
     "random_subunital_operation",
 ]
 
+FULL_RANK_FLOOR = 0.2  # weight of I/d in a random full-rank state
+SUBUNITAL_KRAUS = 3    # Kraus operators of a random sub-unital operation
+
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed unitary (QR of a Ginibre matrix with phase fixing)."""
@@ -46,11 +49,10 @@ def random_mixed_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
     return DensityMatrix(rho / np.trace(rho))
 
 
-def random_full_rank_state(rng: np.random.Generator, dim: int,
-                           floor: float = 0.2) -> DensityMatrix:
-    """Random state mixed with I/d so the smallest eigenvalue stays bounded."""
+def random_full_rank_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
+    """Random state mixed with I/d at weight ``FULL_RANK_FLOOR``, so lambda_min >= that / d."""
     rho = random_mixed_state(rng, dim).entries
-    mixed = (1.0 - floor) * rho + floor * np.eye(dim) / dim
+    mixed = (1.0 - FULL_RANK_FLOOR) * rho + FULL_RANK_FLOOR * np.eye(dim) / dim
     return DensityMatrix(mixed)
 
 
@@ -104,13 +106,11 @@ def default_pair_sampler(dim: int, rng: np.random.Generator,
     return pairs[:n_pairs]
 
 
-def random_cptp_channel(rng: np.random.Generator, dim: int,
-                        n_kraus: int | None = None) -> QuantumChannel:
-    """Random channel from a Haar-random Stinespring isometry."""
-    k = n_kraus or dim
-    g = rng.normal(size=(dim * k, dim)) + 1j * rng.normal(size=(dim * k, dim))
+def random_cptp_channel(rng: np.random.Generator, dim: int) -> QuantumChannel:
+    """Random channel of d Kraus operators from a Haar-random Stinespring isometry."""
+    g = rng.normal(size=(dim * dim, dim)) + 1j * rng.normal(size=(dim * dim, dim))
     q, _ = np.linalg.qr(g)
-    return QuantumChannel([q[i * dim:(i + 1) * dim, :] for i in range(k)])
+    return QuantumChannel([q[i * dim:(i + 1) * dim, :] for i in range(dim)])
 
 
 def random_mixed_unitary_channel(rng: np.random.Generator, dim: int,
@@ -122,15 +122,15 @@ def random_mixed_unitary_channel(rng: np.random.Generator, dim: int,
     ])
 
 
-def random_subunital_operation(rng: np.random.Generator, dim: int,
-                               n_kraus: int = 3) -> QuantumChannel:
+def random_subunital_operation(rng: np.random.Generator, dim: int) -> QuantumChannel:
     """Random sub-unital, trace-non-increasing quantum operation.
 
-    A random CP map is rescaled so that both sum K^dag K (trace side) and
+    A random CP map of ``SUBUNITAL_KRAUS`` Kraus operators is rescaled so
+    that both sum K^dag K (trace side) and
     sum K K^dag (unitality side) are strictly dominated by the identity.
     """
     kraus = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-             for _ in range(n_kraus)]
+             for _ in range(SUBUNITAL_KRAUS)]
     gram_tr = sum(dagger(k) @ k for k in kraus)
     gram_un = sum(k @ dagger(k) for k in kraus)
     top = max(np.linalg.eigvalsh(gram_tr)[-1], np.linalg.eigvalsh(gram_un)[-1])

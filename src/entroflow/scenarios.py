@@ -134,6 +134,12 @@ class CheckResult:
 
 @dataclass
 class RunReport:
+    """The checks and output files of one scenario run.  ``wall_time_s`` times
+    the scenario's runner alone, after :func:`validate_config`: ``custom``
+    also builds its generator in ``validate_config``, outside it, and a
+    first-use import inside the runner (``scipy.linalg`` in
+    ``gaussian_bounds``) falls within it."""
+
     scenario: str
     seed: int
     wall_time_s: float
@@ -316,7 +322,7 @@ def run_fig2_depolarizing(params: dict, outdir: Path, seed: int) -> tuple[list[C
 def _fd_rate_check(traj, params: dict, table: Path) -> CheckResult:
     """Tabulate a closed-form trajectory's entropy rate and its finite differences; compare."""
     rates = traj.entropy_rates()
-    rates_fd = entropy_rate_fd(traj, np.arange(len(traj)), h=params["fd_h"], richardson=True)
+    rates_fd = entropy_rate_fd(traj, np.arange(len(traj)), h=params["fd_h"])
     write_csv(table, ["t", "entropy", "entropy_rate", "entropy_rate_fd"],
               zip(traj.grid, traj.entropies(), rates, rates_fd))
     max_disc = float(np.max(np.abs(rates - rates_fd)))
@@ -475,9 +481,10 @@ def _check_decoherence_measures(params: dict) -> list[str]:
     minima lie at the window's ends or where cos(frequency t) = -base/amplitude,
     at t = (+-phi + 2 pi k)/frequency with phi = arccos(-base/amplitude).  On
     each branch sin(frequency t) is fixed, so Gamma is linear in k and only the
-    first and last k in the window matter.  The state sampler must also hold
-    more than the maximally mixed state, a fixed point of unital dephasing
-    on which no witness can fire."""
+    first and last k in the window matter.  Gamma must be finite there in
+    floating point, which fails where amplitude/frequency overflows.  The
+    state sampler must also hold more than the maximally mixed state, a
+    fixed point of unital dephasing on which no witness can fire."""
     problems = []
     if params["n_random"] == 0 and params["bloch_points"] == 0:
         problems.append("n_random and bloch_points are both 0: the sampler holds only the "
@@ -492,11 +499,13 @@ def _check_decoherence_measures(params: dict) -> list[str]:
             if first <= last:
                 times += [(theta + 2.0 * np.pi * k) / frequency for k in (first, last)]
     times = np.clip(times, 0.0, t_max)
-    gamma = base * times + (amplitude / frequency) * np.sin(frequency * times)
-    k = int(np.argmin(gamma))
-    if gamma[k] < 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * sin(0) is NaN, reported below
+        gamma = base * times + (amplitude / frequency) * np.sin(frequency * times)
+    k = int(np.argmin(np.where(np.isfinite(gamma), gamma, -np.inf)))
+    if not gamma[k] >= 0.0:
+        why = "the dephasing maps are not CP" if gamma[k] < 0.0 else "not finite in floating point"
         problems.append(f"the integrated rate base*t + (amplitude/frequency)*sin(frequency*t) "
-                        f"is {gamma[k]:.3g} at t = {times[k]:.4g}: the dephasing maps are not CP")
+                        f"is {gamma[k]:.3g} at t = {times[k]:.4g}: {why}")
     return problems
 
 
@@ -538,8 +547,12 @@ def run_decoherence_measures(params: dict, outdir: Path, seed: int):
     results = {}
     for tag, gen, family in [("markovian", markov_gen, markov_family),
                              ("oscillating", osc_gen, osc_family)]:
-        m_gen = witnesses.measure_generator(gen, sampler, grid)
-        m_chan = witnesses.measure_channel(family, sampler, grid)
+        try:
+            m_gen = witnesses.measure_generator(gen, sampler, grid)
+            m_chan = witnesses.measure_channel(family, sampler, grid)
+        except IntegrationError as exc:  # a huge rate's rounding breaks an invariant, or a stall
+            return [CheckResult(f"{tag} profile measured", False, f"{type(exc).__name__}: {exc}",
+                                f"trajectory invariants validated on [0, {params['t_max']:g}]")], []
         blp = witnesses.blp_measure(family, pairs, grid)
         results[tag] = (m_gen.value, m_chan.value, blp)
 
@@ -794,6 +807,9 @@ def validate_config(config: dict) -> list[str]:
 
 
 def run_config(config: dict, output_dir, seed_override: int | None = None) -> RunReport:
+    """Validate a config, then run its scenario into ``output_dir``.  The
+    report's ``wall_time_s`` times the runner alone, after the validation
+    (:class:`RunReport`)."""
     problems = validate_config(config)
     if problems:
         raise ScenarioError("; ".join(problems))

@@ -83,6 +83,10 @@ EPS_TEST_C = 1e-6        # mismatch threshold for the derivative-consistency tes
 RANK_CHANGE_MARGIN = 1e-3
 BISECT_ATOL = 1e-6       # largest width of the final bracket of a violation window's edge
 UNITARY_SATURATION_ATOL = 1e-8  # |Delta S - bound| allowed for a unitary interaction
+SANDWICH_GENERATOR_ATOL = 1e-9  # entrywise L - L^dag and L(I) of a self-adjoint unital generator
+SANDWICH_SLACK = 1e-8           # allowed violation of the semigroup sandwich
+PINSKER_SLACK = 1e-10           # allowed violation of either side of the Pinsker pair
+SIMULATION_BOUND_SLACK = 1e-9   # allowed Delta S below the environment-simulation bound
 
 
 class WitnessError(ValueError):
@@ -252,20 +256,19 @@ def f_components(family: ChannelFamily, rho0, t):
 # Memory tests and per-time reports
 # ---------------------------------------------------------------------------
 
-def test_a(f_value: float, tol: float = EPS_WITNESS) -> bool:
-    """Negative f certifies non-Markovianity."""
-    return f_value < -tol
+def test_a(f_value: float) -> bool:
+    """f below -``EPS_WITNESS`` certifies non-Markovianity."""
+    return f_value < -EPS_WITNESS
 
 
-def test_b(rate: float, bound: float, tol: float = EPS_WITNESS) -> bool:
-    """Entropy rate below the CP-divisible limit certifies non-Markovianity."""
-    return rate - bound < -tol
+def test_b(rate: float, bound: float) -> bool:
+    """A rate ``EPS_WITNESS`` below the CP-divisible limit certifies non-Markovianity."""
+    return rate - bound < -EPS_WITNESS
 
 
-def test_c(eps_derivative_value: float, generator_term: float,
-           tol: float = EPS_TEST_C) -> bool:
-    """Mismatch between the channel-side derivative and Tr{Pi L^dag rho}."""
-    return abs(eps_derivative_value - generator_term) > tol
+def test_c(eps_derivative_value: float, generator_term: float) -> bool:
+    """Mismatch above ``EPS_TEST_C`` of the channel-side derivative and Tr{Pi L^dag rho}."""
+    return abs(eps_derivative_value - generator_term) > EPS_TEST_C
 
 
 @dataclass(frozen=True)
@@ -509,20 +512,20 @@ class SandwichBounds:
     relative_entropy_bound: float
 
 
-def semigroup_sandwich(generator: LindbladGenerator, rho0, t: float,
-                       atol: float = 1e-9, slack: float = 1e-8) -> SandwichBounds:
+def semigroup_sandwich(generator: LindbladGenerator, rho0, t: float) -> SandwichBounds:
     """-Tr{rho_0 log rho_2t} <= S(rho_t) <= -Tr{rho_2t log rho_0} for a
     self-adjoint unital semigroup, plus S(rho_t) - S(rho_0) >= D(rho_0||rho_2t).
 
     Requires a time-independent generator whose superoperator is Hermitian
-    (self-adjoint map), unital, and a full-rank initial state.
+    (self-adjoint map) and unital within ``SANDWICH_GENERATOR_ATOL``, and a
+    full-rank initial state; the sandwich may fail by ``SANDWICH_SLACK``.
     """
     if not generator.is_time_independent():
         raise WitnessError("sandwich bounds need a time-independent generator")
     s = generator.superoperator(0.0)
-    if np.max(np.abs(s.matrix - dagger(s.matrix))) > atol:
+    if np.max(np.abs(s.matrix - dagger(s.matrix))) > SANDWICH_GENERATOR_ATOL:
         raise WitnessError("generator is not self-adjoint")
-    if np.max(np.abs(s.apply(np.eye(generator.dim)))) > atol:
+    if np.max(np.abs(s.apply(np.eye(generator.dim)))) > SANDWICH_GENERATOR_ATOL:
         raise WitnessError("generator is not unital")
     a = _require_full_rank(rho0, "initial state")
     m_t = expm(t * s.matrix)
@@ -533,7 +536,7 @@ def semigroup_sandwich(generator: LindbladGenerator, rho0, t: float,
     entropy = von_neumann_entropy(rho_t)
     lower = float(-np.real(np.trace(a @ matrix_log_on_support(rho_2t))))
     upper = float(-np.real(np.trace(rho_2t @ matrix_log_on_support(rho0))))
-    if not (lower - slack <= entropy <= upper + slack):
+    if not (lower - SANDWICH_SLACK <= entropy <= upper + SANDWICH_SLACK):
         raise WitnessError(
             f"sandwich violated at t={t}: {lower} <= {entropy} <= {upper}"
         )
@@ -552,11 +555,12 @@ class PinskerGap:
     reverse_bound: float
 
 
-def pinsker_gap(channel: QuantumChannel, rho, slack: float = 1e-10) -> PinskerGap:
+def pinsker_gap(channel: QuantumChannel, rho) -> PinskerGap:
     """Both sides of the Pinsker pair for a trace-preserving sub-unital channel.
 
     Checks D >= ||rho - N^dag N(rho)||_1^2 / 2 and
-    ||rho - N^dag N(rho)||_1 >= D / ||log rho||_inf, raising on violation.
+    ||rho - N^dag N(rho)||_1 >= D / ||log rho||_inf, raising on a violation
+    by more than ``PINSKER_SLACK``.
     The reverse bound follows from Jensen's operator inequality for the
     unital map N^dag N, which is unital only when N is trace preserving;
     for a trace-non-increasing operation it can fail (N = sqrt(1/2) id on
@@ -576,21 +580,22 @@ def pinsker_gap(channel: QuantumChannel, rho, slack: float = 1e-10) -> PinskerGa
     d = float(d)
     tn = schatten_norm(a - back, 1)
     log_norm = schatten_norm(matrix_log_on_support(rho), np.inf)
-    if d < 0.5 * tn * tn - slack:
+    if d < 0.5 * tn * tn - PINSKER_SLACK:
         raise WitnessError(f"Pinsker inequality violated: D={d}, ||.||_1={tn}")
-    if tn < d / log_norm - slack:
+    if tn < d / log_norm - PINSKER_SLACK:
         raise WitnessError(f"reverse Pinsker violated: D={d}, ||.||_1={tn}")
     return PinskerGap(relative_entropy=d, half_trace_norm_sq=0.5 * tn * tn,
                       reverse_bound=d / log_norm)
 
 
-def environment_simulation_bound(interaction: QuantumChannel, theta_c, rho_a,
-                                 slack: float = 1e-9) -> tuple[float, float]:
+def environment_simulation_bound(interaction: QuantumChannel, theta_c,
+                                 rho_a) -> tuple[float, float]:
     """Entropy-change bound for E(rho_A) = F(rho_A (x) theta_C).
 
     Returns (Delta S, S(theta_C) + D(rho_A (x) theta_C || F^dag F(...))) and
-    checks Delta S >= bound - slack.  When F is a single-Kraus unitary
-    interaction the two sides must agree within ``UNITARY_SATURATION_ATOL``.
+    checks Delta S >= bound - ``SIMULATION_BOUND_SLACK``.  When F is a
+    single-Kraus unitary interaction the two sides must agree within
+    ``UNITARY_SATURATION_ATOL``.
     """
     a = as_matrix(rho_a)
     c = as_matrix(theta_c)
@@ -606,7 +611,7 @@ def environment_simulation_bound(interaction: QuantumChannel, theta_c, rho_a,
     if is_infinite(d):
         raise WitnessError("simulation bound is infinite; support collapsed")
     bound = von_neumann_entropy(theta_c) + float(d)
-    if delta_s < bound - slack:
+    if delta_s < bound - SIMULATION_BOUND_SLACK:
         raise WitnessError(f"simulation bound violated: {delta_s} < {bound}")
     if len(interaction.kraus) == 1:
         k = interaction.kraus[0]

@@ -65,7 +65,7 @@ class TestApply:
 
 class TestAdjoint:
     def test_partial_trace_adjoint_tensors_identity(self, rng):
-        tr_a = partial_trace_channel(dim_keep=2, dim_drop=3, keep="B")
+        tr_a = partial_trace_channel(dim_keep=2, dim_drop=3)
         y = random_mixed_state(rng, 2).entries
         np.testing.assert_allclose(tr_a.adjoint().apply(y), np.kron(np.eye(3), y), atol=1e-12)
 
@@ -101,7 +101,7 @@ class TestAdjoint:
         # sum_i K_i^dag x K_i without the adjoint channel, also from Tr_A,
         # whose input and output dimensions differ.
         for ch in (random_cptp_channel(rng, 3), gadc(0.8, 5.0),
-                   partial_trace_channel(dim_keep=2, dim_drop=3, keep="B")):
+                   partial_trace_channel(dim_keep=2, dim_drop=3)):
             x = rng.normal(size=(ch.dim_out,) * 2) + 1j * rng.normal(size=(ch.dim_out,) * 2)
             np.testing.assert_allclose(ch.adjoint_apply(x), ch.adjoint().apply(x),
                                        rtol=0, atol=1e-14)

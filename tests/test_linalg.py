@@ -252,15 +252,8 @@ class TestDensityMatrixValidation:
         stack = np.array([np.eye(2) / 2, [[np.nan, 0.0], [0.0, 0.5]]])
         with pytest.raises(LinalgError, match=r"not Hermitian.*stack index \(1,\)"):
             check_density_stack(stack)
-        for subnormalized in (False, True):  # past the Hermiticity check: the PSD test
-            with pytest.raises(LinalgError, match=r"not PSD.*stack index \(1,\)"):
-                _density_spectra(stack, subnormalized)
-
-    def test_subnormalized_flag(self):
-        sub = DensityMatrix(np.diag([0.3, 0.3]), subnormalized=True)
-        assert sub.trace() == pytest.approx(0.6)
-        with pytest.raises(LinalgError):
-            DensityMatrix(np.diag([0.8, 0.8]), subnormalized=True)
+        with pytest.raises(LinalgError, match=r"not PSD.*stack index \(1,\)"):
+            _density_spectra(stack)  # past the Hermiticity check: the PSD test
 
 
 def diagonal_stack(rng, shape, d, dtype=complex, zeros=0):
@@ -343,8 +336,11 @@ class TestDiagonalStacks:
                                    rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("bad", ["negative", "nan", "off_trace"])
-    @pytest.mark.parametrize("subnormalized", [False, True])
-    def test_failures_read_as_on_the_eigh_path(self, bad, subnormalized, rng, monkeypatch):
+    @pytest.mark.parametrize("public", [False, True])
+    def test_failures_read_as_on_the_eigh_path(self, bad, public, rng, monkeypatch):
+        # Through _density_spectra, and through check_density_stack, which
+        # checks Hermiticity first (a NaN fails there, on either path).
+        validate = check_density_stack if public else _density_spectra
         a = diagonal_stack(rng, (2, 3), 4)
         level = {"negative": [1.2, -0.2, 0.0, 0.0], "nan": [np.nan, 0.5, 0.5, 0.0],
                  "off_trace": [0.6, 0.3, 0.2, 0.1]}[bad]
@@ -353,9 +349,9 @@ class TestDiagonalStacks:
             if bad != "nan":  # a non-finite diagonal goes to eigh on purpose
                 m.setattr(np.linalg, "eigh", refuse_eigh)
             with pytest.raises(LinalgError) as diagonal:
-                _density_spectra(a, subnormalized)
+                validate(a)
         monkeypatch.setattr(linalg, "_is_diagonal", lambda a: False)
         with pytest.raises(LinalgError) as by_eigh:
-            _density_spectra(a, subnormalized)
+            validate(a)
         assert str(diagonal.value) == str(by_eigh.value)
         assert str(diagonal.value).endswith("at stack index (1, 2)")

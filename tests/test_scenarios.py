@@ -274,6 +274,36 @@ def test_decoherence_expectation_follows_the_closed_form_rate(amplitude, extra, 
     assert ("FAIL" in out.out) == bool(status)
 
 
+@pytest.mark.parametrize("key, profile", [("markovian_rate", "markovian"), ("base", "oscillating")])
+def test_decoherence_integration_error_fails_a_check(key, profile, tmp_path):
+    # At a rate of 1e9 the rounding of the propagated states breaks the
+    # Tr(Pi rho_dot) invariant of a measure's trajectory.  validate accepts
+    # the config, and the run reports a failed check naming the profile and
+    # the error instead of raising.
+    config = copy.deepcopy(DEFAULT_CONFIGS["decoherence_measures"])
+    config["parameters"][key] = 1e9
+    assert validate_config(config) == []
+    [check] = run_config(config, tmp_path).checks
+    assert (check.name, check.passed) == (f"{profile} profile measured", False)
+    assert check.measured.startswith("IntegrationError: Tr(Pi rho_dot) = ")
+
+
+@pytest.mark.parametrize("params", [{"frequency": 5e-324}, {"amplitude": 1e300, "frequency": 1e-10}])
+def test_decoherence_overflowing_rate_integral_fails_in_validate(params, tmp_path, capsys):
+    # amplitude/frequency overflows, so the closed form of Gamma reads
+    # inf * sin(0) = NaN at t = 0: validate reports it with no RuntimeWarning
+    # (an error under pytest), and the run exits 2 with no traceback.
+    config = copy.deepcopy(DEFAULT_CONFIGS["decoherence_measures"])
+    config["parameters"].update(params)
+    [problem] = validate_config(config)
+    assert problem.endswith("is nan at t = 0: not finite in floating point")
+    overrides = [arg for key, value in params.items() for arg in ("--param", f"{key}={value!r}")]
+    assert main(["run", "--scenario", "decoherence_measures", *overrides,
+                 "--output-dir", str(tmp_path)]) == 2
+    out = capsys.readouterr()
+    assert problem in out.out + out.err and "Traceback" not in out.out + out.err
+
+
 def test_every_integer_parameter_is_bounded():
     for scenario, meta in SCENARIOS.items():
         for name, param in meta["parameters"].items():
