@@ -450,13 +450,10 @@ class TailGuard:
     levels: int = 2
     bound: float = TAIL_GUARD_BOUND
 
-    def check(self, state: np.ndarray):
-        """Population of the top ``levels`` levels: a float for one state, an
-        array for a stack (..., d, d)."""
-        return self.tails(np.real(np.diagonal(state, axis1=-2, axis2=-1)))
-
     def tails(self, populations: np.ndarray):
-        """The same from the populations (..., d) of the levels in order."""
+        """Population of the top ``levels`` levels, from the populations
+        (..., d) of the levels in order: a float for one state, an array
+        for a stack."""
         tails = np.sum(populations[..., -self.levels:], axis=-1)
         return float(tails) if tails.ndim == 0 else tails
 

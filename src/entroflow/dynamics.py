@@ -15,11 +15,12 @@ generator to its invariant sets that is small (m <= 16) or
 time-independent (RK4 otherwise), and intermediate maps M_{t,s} are the
 same maps on the whole space.  Each interval doubles its own step count
 until its n- and 2n-step states, or maps, agree: the convergence
-certificate.  A closed-form channel family (GADC, dephasing) is its maps
-over a grid as (T, d^2, d^2) stacks, M_{t,0} and the exact limits
-d/dt M_{t,0} and K_t = d/d eps M_{t+eps,t} at eps = 0, each carrying a
-stack of initial states to (T, N, d, d) states in one product: no finite
-differences.  A Lindblad generator needs no family: its K_t is L_t itself.
+certificate.  Both integrators Hermitize and renormalize the rows, which
+``propagate`` validates with one eigh (none for population rows).  A
+closed-form channel family (GADC, dephasing) is its maps over a grid as
+(T, d^2, d^2) stacks, M_{t,0} and the exact limits d/dt M_{t,0} and
+K_t = d/d eps M_{t+eps,t} at eps = 0, each carrying a stack of initial
+states to (T, N, d, d) states in one product: no finite differences.  A Lindblad generator needs no family: its K_t is L_t itself.
 
 ``scipy.linalg`` is imported by the first map build whose exponent is not
 diagonal (:func:`expm`; dephasing maps are diagonal and need no scipy), and
@@ -122,11 +123,12 @@ class Trajectory:
     A trajectory holds its states and derivatives as coordinate rows
     (T, ..., m) of a layout: a trajectory built from ``states`` holds their
     d^2 entries (``_Matrices``), and one from :func:`propagate` the rows it
-    was integrated as, those of ``operator``.  ``entries`` and
-    ``derivatives`` are scattered from the rows on first read; the checks,
-    the spectra of a diagonal stack (Fock-diagonal states, whose rows are
-    their populations), :meth:`coordinates`, :func:`states_off_grid` and
-    the Theorem-2 witnesses of :mod:`entroflow.witnesses` read the rows.
+    was integrated as, those of ``operator``, by maps or RK4 alike.
+    ``entries`` and ``derivatives`` are scattered from the rows on first
+    read; the checks, the spectra of a diagonal stack (Fock-diagonal states,
+    whose rows are their populations, and whose spectra keep their
+    ``order``), :meth:`coordinates`, :func:`states_off_grid` and the
+    Theorem-2 witnesses of :mod:`entroflow.witnesses` read the rows.
 
     The states are validated with one stacked eigh, none for a diagonal
     stack (:func:`check_density_stack`), unless ``spectrum`` passes the stacked
@@ -377,66 +379,51 @@ def _rk4_segment(generator, rho, t0, t1, substeps: int, k1=None) -> np.ndarray:
 _BRACKET_MARGIN = 1e-9
 
 
-def _exceeding(squares: np.ndarray, budgets: np.ndarray, dim: int, trace_norms) -> np.ndarray:
-    """Per row of a (K, N) array of squared Frobenius norms of Hermitian
-    d x d matrices, whether the largest trace norm in the row exceeds the
-    row's budget (K,): read from the Frobenius bracket where it decides,
-    otherwise from ``trace_norms(rows)``, the trace norms of the (K', N)
-    matrices of the rows (a boolean mask) that it leaves open."""
+def _gaps_exceed(operator, gap: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+    """Per k of a (K, N, m) stack of Hermitian differences held as
+    coordinate rows of ``operator``, whether the largest trace norm of the
+    N differences gap[k] exceeds budgets[k]: read from the Frobenius
+    bracket where it decides, otherwise from one eigvalsh of the
+    differences it leaves open, scattered to d x d."""
+    squares = (np.einsum("knm,knm->kn", gap.real, gap.real)
+               + np.einsum("knm,knm->kn", gap.imag, gap.imag))
     frobenius = np.sqrt(squares.max(axis=-1))
     over = frobenius > budgets * (1.0 + _BRACKET_MARGIN)
-    undecided = ~over & (np.sqrt(dim) * frobenius > budgets * (1.0 - _BRACKET_MARGIN))
+    undecided = ~over & (np.sqrt(operator.dim) * frobenius > budgets * (1.0 - _BRACKET_MARGIN))
     if undecided.any():
-        over[undecided] = trace_norms(undecided).max(axis=-1) > budgets[undecided]
+        norms = np.abs(np.linalg.eigvalsh(operator.states(gap[undecided]))).sum(axis=-1)
+        over[undecided] = norms.max(axis=-1) > budgets[undecided]
     return over
 
 
-def _trace_norms_exceed(x: np.ndarray, budget: float) -> bool:
-    """Whether the largest trace norm of a Hermitian stack (N, d, d) exceeds
-    ``budget``: read from the Frobenius bracket when it decides, otherwise
-    from one stacked eigvalsh."""
-    squares = np.einsum("nij,nij->n", x.real, x.real) + np.einsum("nij,nij->n", x.imag, x.imag)
-    return bool(_exceeding(squares[None], np.array([budget]), x.shape[-1],
-                           lambda rows: np.abs(np.linalg.eigvalsh(x)).sum(axis=-1)[None])[0])
+def _hermitized(operator, z: np.ndarray) -> np.ndarray:
+    """The Hermitian parts (z + z^dag) / 2 of the matrices held as
+    coordinate rows (..., m) of ``operator``, through the transpose
+    permutation of the coordinates, as new rows."""
+    out = z[..., operator.transpose]
+    np.conjugate(out, out=out)
+    out += z
+    out *= 0.5
+    return out
 
 
-def _spectra_at(states: np.ndarray, t: float) -> EigenSystem:
-    """The spectra of a stack of exactly Hermitian, trace-renormalized
-    states at time t, from one eigh; a state failing the PSD check is an
-    integration failure."""
-    try:
-        return _density_spectra(states)
-    except LinalgError as exc:
-        raise IntegrationError(f"state at t={t:.6g} lost positivity: {exc}") from exc
-
-
-def _renormalized(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trace-renormalize a stack of exactly Hermitian matrices (a
-    :func:`hermitian_part`); returns it and the trace defects.  Divided by
-    real traces the stack stays exactly Hermitian, so it is not symmetrized
-    again."""
-    tr = np.real(np.trace(raw, axis1=-2, axis2=-1))
-    return raw / tr[:, None, None], np.abs(tr - 1.0)
-
-
-def _validated(states: np.ndarray, grid: np.ndarray) -> EigenSystem:
-    """The spectra of the states (T, N, d, d) on the grid, from one eigh;
-    lost positivity names the first failing time, as :func:`_spectra_at` does."""
-    try:
-        return _density_spectra(states)
-    except LinalgError:
-        for t, row in zip(grid, states):
-            _spectra_at(row, float(t))
-        raise
+def _renormalized(operator, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of exactly Hermitian matrices divided by their real traces, the
+    sums of their population coordinates, and the trace defects |Tr - 1|.
+    Divided by real traces the matrices stay exactly Hermitian."""
+    traces = np.real(rows[..., operator.populations].sum(axis=-1))
+    return rows / traces[..., None], np.abs(traces - 1.0)
 
 
 def _validated_rows(operator, rows: np.ndarray, grid: np.ndarray) -> EigenSystem:
-    """The spectra of the states held as coordinate rows (T, N, m) of a
-    dense restriction, validated as by :func:`_validated`.  When the
-    coordinates are the d populations alone, the spectra and the PSD and
-    trace checks read the populations, with no scatter; only a
-    non-finite population or a failed check scatters the states and
-    leaves them to :func:`_validated`, which names the first failing time."""
+    """The spectra of the states held as coordinate rows (T, N, m) of
+    ``operator`` on the grid, after the PSD and trace checks: the one
+    validation of propagated states.  When the coordinates are the d
+    populations alone, the spectra and the checks read the populations,
+    with no scatter.  Otherwise, or when a population is not finite or a
+    check fails, the states are scattered for one eigh (none for a diagonal
+    stack), and a failing state is an integration failure that names the
+    first failing time."""
     if operator.populations_only:
         populations = rows[..., operator.populations].real
         if np.isfinite(populations).all():
@@ -446,7 +433,16 @@ def _validated_rows(operator, rows: np.ndarray, grid: np.ndarray) -> EigenSystem
                 return spectrum
             except LinalgError:
                 pass
-    return _validated(operator.states(rows), grid)
+    states = operator.states(rows)
+    try:
+        return _density_spectra(states)
+    except LinalgError:
+        for t, row in zip(grid, states):
+            try:
+                _density_spectra(row)
+            except LinalgError as exc:
+                raise IntegrationError(f"state at t={t:.6g} lost positivity: {exc}") from exc
+        raise
 
 
 def _state_stack(states) -> np.ndarray:
@@ -460,12 +456,15 @@ def _state_stack(states) -> np.ndarray:
 class _Matrices:
     """The coordinates of (..., d, d) stacks as they are: the d^2 entries of
     each matrix in row-major order, as (..., d^2) rows, with the interface
-    of a dense restriction's (``index``, ``populations``, ``coordinates``,
-    ``states``); reshapes, no copies."""
+    of a dense restriction's (``index``, ``transpose``, ``populations``,
+    ``populations_only``, ``coordinates``, ``states``); reshapes, no copies."""
+
+    populations_only = False
 
     def __init__(self, dim: int):
         self.dim = dim
         self.index = np.arange(dim * dim)
+        self.transpose = self.index.reshape(dim, dim).T.ravel()
         self.populations = self.index[::dim + 1]
 
     @staticmethod
@@ -555,38 +554,37 @@ def propagate(generator: LindbladGenerator, states, grid,
     ``MAX_REFINEMENTS`` times, or the integrator stalls.  The trace-norm
     test reads the bracket ||X||_F <= ||X||_1 <= sqrt(d) ||X||_F: it accepts
     when sqrt(d) ||X||_F is within budget, rejects when ||X||_F is not, and
-    takes eigenvalues only in between.  Each state is Hermitized and trace-renormalized once
-    (the defect is logged per state), and the states are validated with
-    one eigh (none for diagonal states), whose spectra the trajectory keeps;
-    a state failing the PSD check is an integration failure, named by its
-    time.  The trajectory holds the coordinate rows the stack was
-    integrated as, with the operator (:meth:`Trajectory._integrated`).
+    takes eigenvalues only in between.
 
     Every generator has a fixed pattern and invariant sets
     (:meth:`LindbladGenerator.invariant_sets`).  When the sets that the
     initial stack touches hold m <= max(d, 16) coordinates, as a
     Fock-diagonal start of a phase-insensitive bosonic generator does (its
     d populations) and every stack of a generator with d <= 4 does, the
-    stack is propagated as (N, m) coordinate rows.  When m <= 16 or the
-    generator is time-independent, the rows go through the m x m maps of
-    the grid intervals, all built at once (:func:`_map_intervals`):
-    commutator-free 4th-order Magnus steps, exact for a time-independent
-    generator, whose maps are then one exponential per interval width.  The
-    rows are chained through the maps, and the Hermitization, the
-    renormalization, the tail guard and the certificate read the rows; the
-    states are scattered to (T, N, d, d) once, for their eigh, unless the
-    coordinates are the d populations alone, whose rows give the spectra
-    directly.  Classical RK4 runs interval by interval
+    stack is propagated as (N, m) coordinate rows of the generator's dense
+    restriction to them, otherwise as the d^2 entries of the states.  When
+    m <= 16 or the generator is time-independent, the rows go through the
+    m x m maps of the grid intervals, all built at once
+    (:func:`_map_intervals`): commutator-free 4th-order Magnus steps, exact
+    for a time-independent generator, whose maps are then one exponential
+    per interval width.  Classical RK4 runs interval by interval
     (:func:`_rk4_intervals`) on the rows of a time-dependent restriction
     with m > 16, where every interval would build and certify its own maps
-    (``_DENSE_COORDINATES`` has the timings), and on the full sparse
-    ``apply`` for a stack whose sets hold more coordinates.
+    (``_DENSE_COORDINATES`` has the timings), and on the whole generator's
+    sparse ``apply``.
 
-    For generators carrying a tail guard, a population breach of any state
-    either raises (``on_tail_breach="raise"``) or ends the whole stack at
-    its last trusted grid point (``"truncate"``), with ``truncated_at`` the
-    time of the breach; fewer than 3 trusted points raise
-    :class:`TailMassError` either way.
+    Either integrator Hermitizes and trace-renormalizes each state once, on
+    the rows (the defect is logged per state), and stops at the first grid
+    point where the generator's tail guard sees a population breach of any
+    state.  The states up to there are validated once, by one eigh of the
+    scattered states, or from the rows when they are the d populations
+    (:func:`_validated_rows`); a state failing the PSD check is an
+    integration failure, named by its time, also before a later stall or
+    overflow.  A breach either raises (``on_tail_breach="raise"``) or ends
+    the whole stack at its last trusted grid point (``"truncate"``), with
+    ``truncated_at`` the time of the breach; fewer than 3 trusted points
+    raise :class:`TailMassError` either way.  The trajectory holds the rows
+    with the operator (:meth:`Trajectory._integrated`).
     """
     grid = _checked_grid(grid)
     if on_tail_breach not in ("raise", "truncate"):
@@ -598,22 +596,28 @@ def propagate(generator: LindbladGenerator, states, grid,
         initial = require_hermitian(stack[None] if single else stack, name="initial state")
     except LinalgError as exc:
         raise IntegrationError(str(exc)) from exc
-    current, defect = _renormalized(initial)
-    operator = _integration_operator(generator, current)
+    operator = _integration_operator(generator, initial)
+    start, defect = _renormalized(operator, operator.coordinates(initial))
     by_maps = not isinstance(operator, _WholeStates) and (
         operator.time_independent or len(operator.index) <= _DENSE_COORDINATES)
-    rows, dots, spectrum, defects, truncated_at = (_map_intervals if by_maps else _rk4_intervals)(
-        operator, generator.tail_guard, grid, current, defect, on_tail_breach)
+    guard = generator.tail_guard
+    rows, dots, defects, breach = (_map_intervals if by_maps else _rk4_intervals)(
+        operator, guard, grid, start, defect)
+    spectrum = _validated_rows(operator, rows, grid)
 
-    if truncated_at is not None and len(rows) < 3:
-        raise TailMassError("tail guard tripped before any usable grid point")
-    part = (slice(None), 0) if single else slice(None)
-    return Trajectory._integrated(grid[:len(rows)], operator, rows[part], dots[part],
+    truncated_at = None
+    if breach is not None:
+        if on_tail_breach == "raise":
+            tails = guard.tails(rows[breach][..., operator.populations].real)
+            raise TailMassError(f"tail mass {tails.max():.3e} exceeds {guard.bound:.1e} "
+                                f"at t={grid[breach]:.6g}")
+        if breach < 3:
+            raise TailMassError("tail guard tripped before any usable grid point")
+        truncated_at = float(grid[breach])
+    length = len(dots)
+    part = (slice(length), 0) if single else slice(length)
+    return Trajectory._integrated(grid[:length], operator, rows[part], dots[part],
                                   spectrum[part], generator, defects[part], truncated_at)
-
-
-def _breach_message(tails: np.ndarray, bound: float, t: float) -> str:
-    return f"tail mass {tails.max():.3e} exceeds {bound:.1e} at t={t:.6g}"
 
 
 def _stall_message(t0: float, t1: float, budget: float) -> str:
@@ -621,79 +625,80 @@ def _stall_message(t0: float, t1: float, budget: float) -> str:
             f"no convergence to {budget:.1e} within {MAX_REFINEMENTS} doublings")
 
 
-def _rk4_intervals(operator, guard, grid, current, defect, on_tail_breach):
+def _breaching(guard, operator, rows: np.ndarray) -> np.ndarray:
+    """Per grid point of the rows (T, N, m), whether the population of the
+    guarded top levels of any of its states exceeds the guard's bound."""
+    return np.any(guard.tails(rows[..., operator.populations].real) > guard.bound, axis=-1)
+
+
+# ||rho||_F <= Tr rho = 1 for a density matrix.  RK4 stops at a state past
+# this bound: once the states of a generator that is not CP leave the
+# density matrices they may grow without bound, chased by ever more substeps.
+_UNBOUNDED_FROBENIUS = np.sqrt(2.0)
+
+
+def _rk4_intervals(operator, guard, grid, start, defect):
     """:func:`propagate` by classical RK4 with step doubling, interval by
-    interval, from the renormalized initial stack ``current`` (N, d, d) and
-    its trace defects.  Returns the states and their derivatives as
-    (T, N, m) coordinate rows of ``operator``, their spectra and trace
-    defects up to the last trusted grid point, and the time of the tail
-    breach that ended them (None).  Each state is validated by the eigh
-    that gives its spectra, the initial ones first.
+    interval, from the renormalized initial rows ``start`` (N, m) of
+    ``operator`` and their trace defects.  Returns the states as Hermitized
+    and renormalized (T', N, m) rows up to the first grid point at which
+    ``guard`` sees a breach, that one included, their derivatives and trace
+    defects up to the point before it, and that point (None when the guard
+    sees none, and then all three run over the whole grid).
 
     Each interval does its work once.  Every segment of interval k starts
     from the derivative L_{t_k}(rho_k) stored for grid point k, so the
     first RK4 stage is shared by the trial, the refined segment and every
     further refinement, and the substep count starts from half the last
     interval's.  The bracket decides as an eigvalsh test would, so the
-    substep counts and the states are those of the plain loop.  On a dense
-    restriction the segments are scattered back to (N, d, d) before the
-    Hermitization, and their numbers differ from the full path's by the
-    summation order only.
+    substep counts and the states are those of the plain loop; on a dense
+    restriction they differ from the whole generator's by the summation
+    order of the products only.  A stall, or a segment that is not finite
+    (stages that overflowed at huge rates), fails once the states reached
+    before it have been validated, and so does a state whose Frobenius norm
+    passes ``_UNBOUNDED_FROBENIUS``, after its own validation.
     """
-    n, d = current.shape[0], current.shape[-1]
-    rows = np.empty((len(grid), n, len(operator.index)), dtype=complex)
+    rows = np.empty((len(grid),) + start.shape, dtype=complex)
     dots = np.empty_like(rows)
-    eigenvalues = np.empty((len(grid), n, d))
-    eigenvectors = np.empty((len(grid), n, d, d), dtype=complex)
-    defects = np.empty((len(grid), n))
+    defects = np.empty(rows.shape[:-1])
+    rows[0], defects[0] = start, defect
 
-    def store(k: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Keep the state at grid point k; its coordinates and their derivative."""
-        eigenvalues[k], eigenvectors[k] = spectrum.eigenvalues, spectrum.eigenvectors
-        rows[k] = y = operator.coordinates(current)
-        dots[k] = k1 = operator.apply(t, y)
-        defects[k] = defect
-        return y, k1
+    def fail(message: str, reached: int) -> IntegrationError:
+        """The loop error, once the first ``reached`` states are validated."""
+        _validated_rows(operator, rows[:reached], grid)
+        return IntegrationError(message)
 
     def segment(substeps: int) -> np.ndarray:
-        """The states at t1 from the coordinates y at t0, in ``substeps`` steps;
-        a non-finite one (stages that overflowed at huge rates) fails here."""
+        """The Hermitized rows at t1 from those at t0, in ``substeps`` steps."""
         with np.errstate(over="ignore", invalid="ignore"):
-            end = _rk4_segment(operator, y, t0, t1, substeps, k1)
+            end = _rk4_segment(operator, rows[k], t0, t1, substeps, k1)
         if not np.isfinite(end).all():
-            raise IntegrationError(f"state at t={t1:.6g} is not finite")
-        return hermitian_part(operator.states(end))
+            raise fail(f"state at t={t1:.6g} is not finite", k + 1)
+        return _hermitized(operator, end)
 
-    spectrum = _spectra_at(current, float(grid[0]))
-    y, k1 = store(0, float(grid[0]))
     substeps = 1
-    length, truncated_at = len(grid), None
     for k in range(len(grid) - 1):
         t0, t1 = float(grid[k]), float(grid[k + 1])
+        dots[k] = k1 = operator.apply(t0, rows[k])
         budget = PROPAGATE_ERROR_TARGET * (t1 - t0)
         substeps = max(1, substeps // 2)
         trial = segment(substeps)
         for _ in range(MAX_REFINEMENTS):
             substeps *= 2
             refined = segment(substeps)
-            converged = not _trace_norms_exceed(trial - refined, budget)
+            converged = not _gaps_exceed(operator, (trial - refined)[None], np.array([budget]))[0]
             trial = refined
             if converged:
                 break
         else:
-            raise IntegrationError(_stall_message(t0, t1, budget))
-        current, defect = _renormalized(trial)
-        spectrum = _spectra_at(current, t1)
-        if guard is not None:
-            tails = guard.check(current)
-            if np.any(tails > guard.bound):
-                if on_tail_breach == "raise":
-                    raise TailMassError(_breach_message(tails, guard.bound, t1))
-                length, truncated_at = k + 1, t1
-                break
-        y, k1 = store(k + 1, t1)
-    return (rows[:length], dots[:length], EigenSystem(eigenvalues, eigenvectors)[:length],
-            defects[:length], truncated_at)
+            raise fail(_stall_message(t0, t1, budget), k + 1)
+        rows[k + 1], defects[k + 1] = _renormalized(operator, trial)
+        if np.linalg.norm(rows[k + 1], axis=-1).max() > _UNBOUNDED_FROBENIUS:
+            raise fail(f"state at t={t1:.6g} is no density matrix", k + 2)
+        if guard is not None and _breaching(guard, operator, rows[k + 1]):
+            return rows[:k + 2], dots[:k + 1], defects[:k + 1], k + 1
+    dots[-1] = operator.apply(float(grid[-1]), rows[-1])
+    return rows, dots, defects, None
 
 
 # Commutator-free 4th-order Magnus step (Blanes, Casas, Oteo & Ros, Phys. Rep.
@@ -771,22 +776,6 @@ def _width_maps(operator, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return exps[group] + residual * (exps @ g)[group], which
 
 
-def _maps_disagree(operator, rows: np.ndarray, coarse: np.ndarray, fine: np.ndarray,
-                   budgets: np.ndarray) -> np.ndarray:
-    """Per interval k, whether the states rows[k] (N, m) carried by the
-    coarse and by the fine map of the interval differ in trace norm by more
-    than budgets[k], for any of them: the difference is Hermitized on the
-    rows, and only the intervals the Frobenius bracket leaves open are
-    scattered to d x d for one eigvalsh."""
-    gap = np.matmul(rows, fine - coarse)
-    gap += gap[..., operator.transpose].conj()
-    gap *= 0.5
-    squares = (np.einsum("knm,knm->kn", gap.real, gap.real)
-               + np.einsum("knm,knm->kn", gap.imag, gap.imag))
-    return _exceeding(squares, budgets, operator.dim,
-                      lambda open_: np.abs(np.linalg.eigvalsh(operator.states(gap[open_]))).sum(axis=-1))
-
-
 def _regrow(operator, starts: np.ndarray, widths: np.ndarray, counts: np.ndarray,
             coarse: np.ndarray, fine: np.ndarray, failing: np.ndarray, most: int) -> int | None:
     """Double, in place, the step count n of the failing intervals below
@@ -804,7 +793,7 @@ def _regrow(operator, starts: np.ndarray, widths: np.ndarray, counts: np.ndarray
     return None
 
 
-def _map_intervals(operator, guard, grid, current, defect, on_tail_breach):
+def _map_intervals(operator, guard, grid, start, defect):
     """:func:`propagate` on a dense restriction by the maps of its grid
     intervals, with the arguments and results of :func:`_rk4_intervals`.
 
@@ -814,81 +803,81 @@ def _map_intervals(operator, guard, grid, current, defect, on_tail_breach):
     interval gets its 1- and 2-step CF4 maps at once (:func:`_cf4_maps`).
     The rows are chained through the 2n-step maps, and every interval up to
     the first tail breach compares the states its n- and 2n-step maps carry
-    from the chained state at its start; the intervals that fail double
+    from the chained state at its start (:func:`_gaps_exceed`, on their
+    Hermitized difference); the intervals that fail double
     their own n, and the chain is redone from the first of them.  An
     interval that would pass ``MAX_REFINEMENTS`` doublings stalls the
-    integrator, once the intervals before it have converged and the states
-    up to it have been validated.
+    integrator, and chained rows that are not finite (maps that overflowed
+    at huge rates) fail, each once the states before it have been
+    validated.
 
     The chained rows are Hermitized through the transpose permutation of
-    the coordinates and divided by their traces, the sums of the population
-    coordinates; each state logs the trace defect its interval map left.
-    The tail guard reads the population rows.  The states up to the first
-    breach, that one included, are validated, the initial states among
-    them (:func:`_validated_rows`), and the derivatives are one product
-    with G(t_k); both are returned as rows.
+    the coordinates (:func:`_hermitized`) and divided by their traces, the
+    sums of the population coordinates; each state logs the trace defect its
+    interval map left.  The tail guard reads the population rows, and the
+    derivatives up to the first breach are one product with G(t_k).
     """
-    n_states, m = current.shape[0], len(operator.index)
+    n_states, m = start.shape
     widths = np.diff(grid)
     z = np.empty((len(grid), n_states, m), dtype=complex)
-    z[0] = operator.coordinates(current)
+    z[0] = start
 
-    def settle(maps: np.ndarray, which: np.ndarray, start: int):
-        """Chain the maps on from grid point ``start``; the Hermitized and
-        renormalized rows, their traces before renormalization, the tails
-        and the first breaching grid point (None).  A non-finite row (maps
-        that overflowed at huge rates) fails before any division reads it."""
-        for k in range(start, len(which)):
-            np.dot(z[k], maps[which[k]], out=z[k + 1])
-        finite = np.isfinite(z).all(axis=(1, 2))
-        if not finite.all():
-            raise IntegrationError(f"state at t={grid[np.argmin(finite)]:.6g} is not finite")
-        rows = z + z[..., operator.transpose].conj()
-        rows *= 0.5
+    def renormalized(chained: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The Hermitized chained rows divided by their traces, the start
+        as it is, and the traces before the division."""
+        rows = _hermitized(operator, chained)
         traces = rows[..., operator.populations].real.sum(axis=-1)
         rows /= traces[..., None]
-        rows[0] = z[0]
+        rows[:1] = chained[:1]
+        return rows, traces
+
+    def settle(maps: np.ndarray, which: np.ndarray, first: int):
+        """Chain the maps on from grid point ``first``; the renormalized
+        rows, their traces and the first breaching grid point (None)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(first, len(which)):
+                np.dot(z[k], maps[which[k]], out=z[k + 1])
+        finite = np.isfinite(z).all(axis=(1, 2))
+        if not finite.all():
+            reached = int(np.argmin(finite))
+            with np.errstate(all="ignore"):  # rows near the float limit
+                _validated_rows(operator, renormalized(z[:reached])[0], grid)
+            raise IntegrationError(f"state at t={grid[reached]:.6g} is not finite")
+        rows, traces = renormalized(z)
         if guard is None:
-            return rows, traces, None, None
-        tails = guard.tails(rows[..., operator.populations].real)
-        over = np.any(tails[1:] > guard.bound, axis=-1)
-        return rows, traces, tails, (1 + int(np.argmax(over)) if over.any() else None)
+            return rows, traces, None
+        over = _breaching(guard, operator, rows[1:])
+        return rows, traces, (1 + int(np.argmax(over)) if over.any() else None)
 
     if operator.time_independent:
-        rows, traces, tails, breach = settle(*_width_maps(operator, widths), 0)
+        rows, traces, breach = settle(*_width_maps(operator, widths), 0)
     else:
         starts, which = grid[:-1], np.arange(len(widths))
         counts = np.ones(len(widths), dtype=int)
         coarse, fine = (_cf4_maps(operator, starts, widths, steps) for steps in (1, 2))
         most = 2 ** (MAX_REFINEMENTS - 1)  # the coarse count of an interval's last comparison
         budgets = PROPAGATE_ERROR_TARGET * widths
-        start = 0
+        first = 0
         while True:
-            rows, traces, tails, breach = settle(fine, which, start)
+            rows, traces, breach = settle(fine, which, first)
             stop = len(widths) if breach is None else breach
+            gaps = np.matmul(rows[first:stop], fine[first:stop] - coarse[first:stop])
             failing = np.zeros(len(widths), dtype=bool)
-            failing[start:stop] = _maps_disagree(operator, rows[start:stop], coarse[start:stop],
-                                                 fine[start:stop], budgets[start:stop])
+            failing[first:stop] = _gaps_exceed(operator, _hermitized(operator, gaps),
+                                               budgets[first:stop])
             if not failing.any():
                 break
-            start = int(np.argmax(failing))
+            first = int(np.argmax(failing))
             if _regrow(operator, starts, widths, counts, coarse, fine, failing, most) is not None:
-                _validated_rows(operator, rows[:start + 1], grid)
-                raise IntegrationError(_stall_message(grid[start], grid[start + 1], budgets[start]))
+                _validated_rows(operator, rows[:first + 1], grid)
+                raise IntegrationError(_stall_message(grid[first], grid[first + 1], budgets[first]))
 
-    length = len(grid) if breach is None else breach + 1
-    spectrum = _validated_rows(operator, rows[:length], grid)
-    truncated_at = None
-    if breach is not None:
-        if on_tail_breach == "raise":
-            raise TailMassError(_breach_message(tails[breach], guard.bound, grid[breach]))
-        length, truncated_at = breach, float(grid[breach])
+    length = len(grid) if breach is None else breach
     defects = np.empty((length, n_states))
     defects[0] = defect
     defects[1:] = np.abs(traces[1:length] / traces[:length - 1] - 1.0)
     derivatives = operator.apply(np.repeat(grid[:length], n_states), rows[:length].reshape(-1, m))
-    return (rows[:length], derivatives.reshape(length, n_states, m), spectrum[:length],
-            defects, truncated_at)
+    return rows[:length + 1], derivatives.reshape(length, n_states, m), defects, breach
 
 
 def closed_form_trajectory(state_fn, grid, derivative_fn) -> Trajectory:

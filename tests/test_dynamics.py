@@ -42,9 +42,10 @@ from entroflow import dynamics
 from entroflow.dynamics import (
     Trajectory,
     _damping_qubit_derivative,
+    _gaps_exceed,
+    _Matrices,
     _oscillating_qubit_derivative,
     _rk4_segment,
-    _trace_norms_exceed,
     damping_qubit_state,
     oscillating_qubit_state,
     states_off_grid,
@@ -205,8 +206,12 @@ def reference_propagate(generator, states, grid, error_target=1e-7, operator=Non
         return operator.states(operator.apply(t, operator.coordinates(rho)))
 
     def clean(raw):
+        # the traces sum the gathered (N, d) diagonals, as propagate sums its
+        # population rows; a stacked np.trace sums them in another order
         sym = hermitian_part(raw)
-        sym = hermitian_part(sym / np.real(np.trace(sym, axis1=-2, axis2=-1))[:, None, None])
+        d = sym.shape[-1]
+        traces = sym.reshape(len(sym), -1)[..., np.arange(d) * (d + 1)].sum(axis=-1).real
+        sym = hermitian_part(sym / traces[:, None, None])
         return sym, np.linalg.eigh(sym)[0][..., ::-1]
 
     rho, lam = clean(np.stack([getattr(s, "entries", s) for s in states]).astype(complex))
@@ -224,7 +229,8 @@ def reference_propagate(generator, states, grid, error_target=1e-7, operator=Non
             trial, converged = refined, disagreement <= error_target * (t1 - t0)
         rho, lam = clean(trial)
         guard = generator.tail_guard
-        if guard is not None and np.any(guard.check(rho) > guard.bound):
+        if guard is not None and np.any(
+                guard.tails(np.diagonal(rho, axis1=-2, axis2=-1).real) > guard.bound):
             break
         entries.append(rho)
         dots.append(derivative(t1, rho))
@@ -255,6 +261,14 @@ def rk4(monkeypatch):
     """propagate through its RK4 loop on every operator, the dense
     restriction included, where it otherwise takes the interval maps."""
     monkeypatch.setattr(dynamics, "_map_intervals", dynamics._rk4_intervals)
+
+
+def trace_norms_exceed(x, budget) -> bool:
+    """The step-doubling test on one Hermitian stack (N, d, d), held as the
+    d^2 entries of its matrices: whether its largest trace norm exceeds
+    ``budget``."""
+    d = x.shape[-1]
+    return bool(_gaps_exceed(_Matrices(d), x.reshape(1, len(x), d * d), np.array([budget]))[0])
 
 
 class TestOnePassPerInterval:
@@ -360,7 +374,7 @@ class TestOnePassPerInterval:
         undecided = []
         for budget in norm * np.array([0.2, 0.9, 0.999, 1.0, 1.001, 1.05, 5.0]):
             calls.clear()
-            assert _trace_norms_exceed(x, budget) == (norm > budget)
+            assert trace_norms_exceed(x, budget) == (norm > budget)
             undecided.append(frobenius <= budget < np.sqrt(d) * frobenius)
             assert calls == (["eigvalsh"] if undecided[-1] else [])
         assert any(undecided) and not all(undecided)
@@ -371,8 +385,8 @@ class TestOnePassPerInterval:
         rank_one[0, 0, 0] = 1.0                     # ||X||_1 = ||X||_F
         flat = np.eye(d, dtype=complex)[None] / d   # ||X||_1 = sqrt(d) ||X||_F
         calls = count_eig_calls(monkeypatch)
-        assert _trace_norms_exceed(rank_one, 0.99)
-        assert not _trace_norms_exceed(flat, 1.01)
+        assert trace_norms_exceed(rank_one, 0.99)
+        assert not trace_norms_exceed(flat, 1.01)
         assert calls == []
 
     def test_first_stage_shared_within_an_interval(self, monkeypatch, rk4):
@@ -486,6 +500,32 @@ class TestIntervalMaps:
             with pytest.raises(IntegrationError, match=r"^state at t=1\.6 lost positivity: "
                                                        r"density matrix not PSD: .* at stack index \(0,\)$"):
                 propagate(generator, DensityMatrix.pure([1, 1]), grid)
+
+    @pytest.mark.parametrize("case", ["stall", "growth"])
+    @pytest.mark.parametrize("integrator", ["maps", "rk4"])
+    def test_lost_positivity_is_named_before_a_later_loop_error(self, integrator, case,
+                                                                monkeypatch):
+        # Both integrators validate the states they reached before a stall,
+        # an overflow or a state past any density matrix ends their loop.
+        # "stall": positivity is lost at t = 1.6 (as above), and the last
+        # interval, [3, 12], cannot converge within 2 doublings.  "growth":
+        # a negative lowering rate of 50 drives the ground population below
+        # zero by t = 0.1 and grows the states without bound; the chained
+        # maps overflow at t = 14.3, and RK4 stops at t = 0.1, where the
+        # Frobenius norm passes sqrt(2).
+        if integrator == "rk4":
+            monkeypatch.setattr(dynamics, "_map_intervals", dynamics._rk4_intervals)
+        if case == "stall":
+            monkeypatch.setattr(dynamics, "MAX_REFINEMENTS", 2)
+            generator, start = oscillating_dephasing(base=0.0)[0], DensityMatrix.pure([1, 1])
+            grid, lost = np.append(np.linspace(0.0, 3.0, 31), 12.0), r"1\.6"
+        else:
+            generator = LindbladGenerator(2, jumps=[(-50.0, np.array([[0, 1], [0, 0]]))])
+            start = DensityMatrix.diagonal([0.5, 0.5])
+            grid, lost = np.linspace(0.0, 16.0, 161), r"0\.1"
+        with pytest.raises(IntegrationError, match=rf"^state at t={lost} lost positivity: "
+                                                   r"density matrix not PSD: .* at stack index \(0,\)$"):
+            propagate(generator, start, grid)
 
     def test_amplifier_truncates_where_rk4_does(self, monkeypatch):
         generator, states, grid = _reference_cases()["bosonic amplifier, tail truncation"]
@@ -1261,13 +1301,18 @@ GAUSSIAN_RATES = {"amplifier": (1.2, 0.2), "lossy": (0.2, 1.2), "additive": (0.2
 
 class TestPopulationRows:
     """A Fock-diagonal stack is held, validated and read as its population
-    rows, and reads bit for bit as the trajectory rebuilt from its scattered
-    states."""
+    rows, on the map and the RK4 path, and reads bit for bit as the
+    trajectory rebuilt from its scattered states."""
 
     @staticmethod
     def fock_run(kind, cutoff, mean_photons):
-        gamma_plus, gamma_minus = GAUSSIAN_RATES[kind]
-        generator = bosonic_generator(gamma_plus, gamma_minus, cutoff)
+        if kind == "timed":  # raising rate 0.2 cos^2(t): RK4 above 16 populations
+            a = annihilation_operator(cutoff)
+            generator = LindbladGenerator(cutoff, jumps=[
+                (CosineSquaredCoefficient(omega=1.0, scale=0.2), dagger(a)), (1.2, a)],
+                tail_guard=bosonic_generator(0.0, 1.2, cutoff).tail_guard)
+        else:
+            generator = bosonic_generator(*GAUSSIAN_RATES[kind], cutoff)
         if cutoff == 2:  # the guard's two top levels would be the whole space
             generator = LindbladGenerator(cutoff, jumps=generator.jumps)
         probs = (mean_photons / (mean_photons + 1.0)) ** np.arange(cutoff)
@@ -1276,7 +1321,7 @@ class TestPopulationRows:
         return generator, traj
 
     @pytest.mark.parametrize("cutoff", [2, 12, 40])
-    @pytest.mark.parametrize("kind", list(GAUSSIAN_RATES))
+    @pytest.mark.parametrize("kind", list(GAUSSIAN_RATES) + ["timed"])
     @pytest.mark.parametrize("start", ["thermal", "vacuum"])
     def test_reads_as_the_scattered_states(self, kind, cutoff, start):
         # N = 0.2, the default, breaches the cutoff-12 tail guard at once
@@ -1288,7 +1333,12 @@ class TestPopulationRows:
             assert traj.truncated_at is not None  # the tail guard ends it
         rows = traj.coordinates()
         states = operator.states(rows)
-        dots = operator.states(operator.apply(traj.grid, rows))
+        if kind == "timed":
+            # RK4 applies the generator at one time per grid point, whose
+            # products differ from one batched apply by rounding
+            dots = traj.derivatives
+        else:
+            dots = operator.states(operator.apply(traj.grid, rows))
         rebuilt = Trajectory(traj.grid, states, dots, generator=generator)  # check_density_stack
         assert traj.spectrum._eigenvectors is None  # not built until read
         for read in ("entries", "derivatives"):
