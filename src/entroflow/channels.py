@@ -136,6 +136,10 @@ def apply_superoperators(matrices: np.ndarray, operators) -> np.ndarray:
 class QuantumChannel:
     """Completely positive map in Kraus form.
 
+    The Kraus operators are held as one read-only (n, d_out, d_in) stack, and
+    ``kraus`` is the tuple of its n read-only (d_out, d_in) views; every Kraus
+    sum below (the completeness Gram, ``apply``, ``adjoint_apply``, the
+    superoperator and Choi matrices) is one product over that stack.
     Trace preservation is classified at construction, within ``CPTP_ATOL``:
     ``trace_preserving`` when sum_i K_i^dag K_i = I, otherwise
     ``trace_nonincreasing`` when it is dominated by the identity.  Maps
@@ -151,11 +155,11 @@ class QuantumChannel:
         shape = ops[0].shape
         if len(shape) != 2 or any(k.shape != shape for k in ops):
             raise ChannelError("Kraus operators must share a common 2-D shape")
-        self.kraus = tuple(k.copy() for k in ops)
-        for k in self.kraus:
-            k.setflags(write=False)
+        self._stack = np.array(ops)
+        self._stack.setflags(write=False)
+        self.kraus = tuple(self._stack)
         self.dim_out, self.dim_in = shape
-        gram = sum(dagger(k) @ k for k in self.kraus)
+        gram = (dagger(self._stack) @ self._stack).sum(axis=0)
         defect = gram - np.eye(self.dim_in)
         self.completeness_defect = float(np.max(np.abs(defect)))
         self.trace_preserving = self.completeness_defect <= CPTP_ATOL
@@ -176,43 +180,28 @@ class QuantumChannel:
         a = as_matrix(rho)
         if a.shape != (self.dim_in, self.dim_in):
             raise ChannelError(f"input shape {a.shape} does not match dim_in {self.dim_in}")
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for k in self.kraus:
-            out += k @ a @ dagger(k)
-        return out
-
-    def adjoint(self) -> "QuantumChannel":
-        """Hilbert-Schmidt adjoint, Kraus set {K_i^dag}; unital when self is TP."""
-        return QuantumChannel([dagger(k) for k in self.kraus])
+        return (self._stack @ a @ dagger(self._stack)).sum(axis=0)
 
     def adjoint_apply(self, x) -> np.ndarray:
-        """sum_i K_i^dag x K_i: the adjoint map on one operator, with no
-        adjoint channel built (:meth:`adjoint` classifies its Kraus set)."""
+        """sum_i K_i^dag x K_i: the adjoint map on one operator."""
         a = as_matrix(x)
         if a.shape != (self.dim_out, self.dim_out):
             raise ChannelError(f"input shape {a.shape} does not match dim_out {self.dim_out}")
-        out = np.zeros((self.dim_in, self.dim_in), dtype=complex)
-        for k in self.kraus:
-            out += dagger(k) @ a @ k
-        return out
-
-    def compose(self, inner: "QuantumChannel") -> "QuantumChannel":
-        """self after ``inner``, Kraus set {K_self K_inner}."""
-        if inner.dim_out != self.dim_in:
-            raise ChannelError("dimension mismatch in composition")
-        return QuantumChannel([a @ b for a in self.kraus for b in inner.kraus])
+        return (dagger(self._stack) @ a @ self._stack).sum(axis=0)
 
     def superoperator(self) -> SuperOperator:
         if self._superop is None:
-            m = sum(np.kron(k, k.conj()) for k in self.kraus)
-            self._superop = SuperOperator(m, dim_in=self.dim_in, dim_out=self.dim_out)
+            # sum_i kron(K_i, conj(K_i)), entry [(a, c), (b, d)] = sum_i K_i[a, b] conj(K_i[c, d])
+            m = np.einsum("nab,ncd->acbd", self._stack, self._stack.conj())
+            self._superop = SuperOperator(m.reshape(self.dim_out**2, self.dim_in**2),
+                                          dim_in=self.dim_in, dim_out=self.dim_out)
         return self._superop
 
     def choi(self) -> np.ndarray:
         if self._choi is None:
-            vecs = [k.T.reshape(-1) for k in self.kraus]
-            j = sum(np.outer(v, v.conj()) for v in vecs)
-            j = hermitian_part(j)
+            # Row i of vecs is vec(K_i^T), so J = sum_i vec(K_i^T) vec(K_i^T)^dag.
+            vecs = self._stack.transpose(0, 2, 1).reshape(len(self.kraus), -1)
+            j = hermitian_part(vecs.T @ vecs.conj())
             j.setflags(write=False)
             self._choi = j
         return self._choi
@@ -303,17 +292,14 @@ def unitary_channel(u) -> QuantumChannel:
     return QuantumChannel([u])
 
 
-def _heisenberg_weyl(dim: int) -> list[np.ndarray]:
-    """The d^2 clock-and-shift unitaries X^a Z^b."""
+def _heisenberg_weyl(dim: int) -> np.ndarray:
+    """The d^2 clock-and-shift unitaries X^a Z^b as a (d^2, d, d) stack,
+    entry [a d + b, j, k] = delta_{j, (k + a) mod d} omega^{b k}."""
     omega = np.exp(2j * np.pi / dim)
-    shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
-    clock = np.diag(omega ** np.arange(dim))
-    ops = []
-    for a in range(dim):
-        xa = np.linalg.matrix_power(shift, a)
-        for b in range(dim):
-            ops.append(xa @ np.linalg.matrix_power(clock, b))
-    return ops
+    k = np.arange(dim)
+    phases = (omega ** k) ** k[:, None]  # [b, k]
+    shifts = k[:, None] == (k + k[:, None, None]) % dim  # [a, j, k]
+    return np.where(shifts[:, None], phases[:, None, :], 0).reshape(dim**2, dim, dim)
 
 
 def depolarizing(dim: int, q: float) -> QuantumChannel:
@@ -329,10 +315,9 @@ def depolarizing(dim: int, q: float) -> QuantumChannel:
         raise ChannelError(f"q={q} outside [0, {q_max}]")
     identity_weight = max(1.0 - q * (1.0 - 1.0 / dim**2), 0.0)
     uniform_weight = q / dim**2
-    ops = _heisenberg_weyl(dim)
-    kraus = [np.sqrt(identity_weight) * ops[0]]
-    kraus += [np.sqrt(uniform_weight) * u for u in ops[1:]]
-    return QuantumChannel(kraus)
+    weights = np.full(dim**2, np.sqrt(uniform_weight))
+    weights[0] = np.sqrt(identity_weight)
+    return QuantumChannel(weights[:, None, None] * _heisenberg_weyl(dim))
 
 
 def gadc(t: float, omega: float) -> QuantumChannel:

@@ -1,7 +1,11 @@
 """Diamond-norm distance from reversibility for unital channels.
 
 The key quantity is the diamond norm of id - N^dag o N, which vanishes
-exactly when the unital channel N is a unitary conjugation.  Every evaluation
+exactly when the unital channel N is a unitary conjugation.  Its matrix is
+I - S^dag S, read from the superoperator matrix S = sum_i K_i (x) conj(K_i) of
+N: the Kraus set {K_i^dag} of N^dag has matrix sum_i K_i^dag (x) conj(K_i^dag)
+= S^dag, and composing maps multiplies their matrices, so the d^4 Kraus
+products of N^dag o N are never formed.  Every evaluation
 brackets the norm of a Hermiticity-preserving map M, lower <= norm <= upper:
 
 * ``lower`` comes from a seesaw ascent over pure bipartite inputs psi on
@@ -57,9 +61,9 @@ class NonUnitarityError(ValueError):
 
 
 def _difference_superoperator(channel: QuantumChannel) -> np.ndarray:
-    """Matrix of id - N^dag o N."""
-    n_dag_n = channel.adjoint().compose(channel).superoperator().matrix
-    return np.eye(n_dag_n.shape[0], dtype=complex) - n_dag_n
+    """Matrix of id - N^dag o N, which is I - S^dag S for S the matrix of N."""
+    s = channel.superoperator().matrix
+    return np.eye(s.shape[1], dtype=complex) - s.conj().T @ s
 
 
 def _choi_tensor(map_matrix: np.ndarray, dim: int) -> np.ndarray:

@@ -32,7 +32,13 @@ from entroflow.channels import (
     SIGMA_Z,
 )
 from entroflow.linalg import dagger
-from entroflow.sampling import random_cptp_channel, random_mixed_state, random_unitary
+from entroflow.sampling import (
+    random_cptp_channel,
+    random_mixed_state,
+    random_mixed_unitary_channel,
+    random_subunital_operation,
+    random_unitary,
+)
 from entroflow.serialize import (
     SerializationError,
     generator_from_document,
@@ -63,29 +69,39 @@ class TestApply:
             unitary_channel(np.eye(2)).apply(np.eye(3))
 
 
+def _adjoint(channel: QuantumChannel) -> QuantumChannel:
+    """The Hilbert-Schmidt adjoint, Kraus set {K_i^dag}."""
+    return QuantumChannel([dagger(k) for k in channel.kraus])
+
+
+def _composed(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
+    """``outer`` after ``inner``, Kraus set {K_outer K_inner}."""
+    return QuantumChannel([a @ b for a in outer.kraus for b in inner.kraus])
+
+
 class TestAdjoint:
     def test_partial_trace_adjoint_tensors_identity(self, rng):
         tr_a = partial_trace_channel(dim_keep=2, dim_drop=3)
         y = random_mixed_state(rng, 2).entries
-        np.testing.assert_allclose(tr_a.adjoint().apply(y), np.kron(np.eye(3), y), atol=1e-12)
+        np.testing.assert_allclose(_adjoint(tr_a).apply(y), np.kron(np.eye(3), y), atol=1e-12)
 
     def test_unitary_adjoint_inverts(self, rng):
         u = random_unitary(rng, 3)
         ch = unitary_channel(u)
         rho = random_mixed_state(rng, 3)
-        np.testing.assert_allclose(ch.adjoint().apply(ch.apply(rho)), rho.entries, atol=1e-12)
+        np.testing.assert_allclose(_adjoint(ch).apply(ch.apply(rho)), rho.entries, atol=1e-12)
 
     def test_depolarizing_self_adjoint(self):
         for q in (0.3, 1.0, 4 / 3):
             d = depolarizing(2, q)
             np.testing.assert_allclose(d.superoperator().matrix,
-                                       d.adjoint().superoperator().matrix, atol=1e-12)
+                                       _adjoint(d).superoperator().matrix, atol=1e-12)
 
     def test_duality_on_builtins(self, rng):
         channels = [depolarizing(2, 0.7), gadc(0.8, 5.0), unitary_channel(np.eye(2)),
                     unitary_channel(random_unitary(rng, 2))]
         for ch in channels:
-            adj = ch.adjoint()
+            adj = _adjoint(ch)
             for _ in range(25):
                 x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
                 y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -95,7 +111,7 @@ class TestAdjoint:
 
     def test_adjoint_of_tp_is_unital(self, rng):
         n = random_cptp_channel(rng, 3)
-        np.testing.assert_allclose(n.adjoint().apply(np.eye(3)), np.eye(3), atol=1e-10)
+        np.testing.assert_allclose(_adjoint(n).apply(np.eye(3)), np.eye(3), atol=1e-10)
 
     def test_adjoint_apply_is_the_adjoint_channel(self, rng):
         # sum_i K_i^dag x K_i without the adjoint channel, also from Tr_A,
@@ -103,38 +119,46 @@ class TestAdjoint:
         for ch in (random_cptp_channel(rng, 3), gadc(0.8, 5.0),
                    partial_trace_channel(dim_keep=2, dim_drop=3)):
             x = rng.normal(size=(ch.dim_out,) * 2) + 1j * rng.normal(size=(ch.dim_out,) * 2)
-            np.testing.assert_allclose(ch.adjoint_apply(x), ch.adjoint().apply(x),
+            np.testing.assert_allclose(ch.adjoint_apply(x), _adjoint(ch).apply(x),
                                        rtol=0, atol=1e-14)
         with pytest.raises(ChannelError):
             gadc(0.8, 5.0).adjoint_apply(np.eye(3))
 
 
 class TestCompose:
+    # Composing maps multiplies their superoperators: S_{A o B} = S_A S_B,
+    # held against the channel of the Kraus products {a @ b}.
     def test_identity_neutral(self, rng):
         n = random_cptp_channel(rng, 2)
-        composed = unitary_channel(np.eye(2)).compose(n)
-        np.testing.assert_allclose(composed.superoperator().matrix,
-                                   n.superoperator().matrix, atol=1e-13)
+        identity = unitary_channel(np.eye(2))
+        product = identity.superoperator().matrix @ n.superoperator().matrix
+        np.testing.assert_allclose(_composed(identity, n).superoperator().matrix, product,
+                                   atol=1e-13)
+        np.testing.assert_allclose(product, n.superoperator().matrix, atol=1e-13)
 
     def test_unitary_reversibility(self, rng):
         u = unitary_channel(random_unitary(rng, 3))
-        round_trip = u.adjoint().compose(u)
-        np.testing.assert_allclose(round_trip.superoperator().matrix,
-                                   np.eye(9), atol=1e-10)
+        product = _adjoint(u).superoperator().matrix @ u.superoperator().matrix
+        np.testing.assert_allclose(_composed(_adjoint(u), u).superoperator().matrix, product,
+                                   atol=1e-10)
+        np.testing.assert_allclose(product, np.eye(9), atol=1e-10)
 
     def test_depolarizing_composition_law(self):
         q = 0.6
-        twice = depolarizing(2, q).compose(depolarizing(2, q))
-        target = depolarizing(2, 2 * q - q * q)
-        np.testing.assert_allclose(twice.superoperator().matrix,
-                                   target.superoperator().matrix, atol=1e-12)
+        once = depolarizing(2, q)
+        product = once.superoperator().matrix @ once.superoperator().matrix
+        np.testing.assert_allclose(_composed(once, once).superoperator().matrix, product,
+                                   atol=1e-12)
+        np.testing.assert_allclose(product, depolarizing(2, 2 * q - q * q).superoperator().matrix,
+                                   atol=1e-12)
 
     def test_sequential_apply_consistency(self, rng):
         n1 = random_cptp_channel(rng, 2)
         n2 = random_cptp_channel(rng, 2)
         rho = random_mixed_state(rng, 2)
-        np.testing.assert_allclose(n2.compose(n1).apply(rho),
-                                   n2.apply(n1.apply(rho)), atol=1e-12)
+        product = SuperOperator(n2.superoperator().matrix @ n1.superoperator().matrix)
+        np.testing.assert_allclose(_composed(n2, n1).apply(rho), product.apply(rho), atol=1e-12)
+        np.testing.assert_allclose(product.apply(rho), n2.apply(n1.apply(rho)), atol=1e-12)
 
 
 class TestChoiAndCptp:
@@ -201,6 +225,56 @@ class TestDepolarizing:
     def test_out_of_range(self):
         with pytest.raises(ChannelError):
             depolarizing(2, 1.5)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 16])
+    def test_clock_and_shift_stack_is_the_matrix_powers(self, d):
+        # Entry a d + b of the stack is X^a Z^b, X the cyclic shift and Z the clock.
+        shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+        clock = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
+        powers = [np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+                  for a in range(d) for b in range(d)]
+        np.testing.assert_allclose(channels._heisenberg_weyl(d), powers, rtol=0, atol=1e-13)
+
+
+# Channels whose Kraus sums are held against per-Kraus loops: TP, mixed-unitary,
+# trace-non-increasing, builtin, and Tr_A, whose input and output dimensions differ.
+STACK_CHANNELS = {
+    "random cptp d = 3": lambda rng: random_cptp_channel(rng, 3),
+    "mixed unitary d = 4": lambda rng: random_mixed_unitary_channel(rng, 4, 3),
+    "sub-unital operation d = 3": lambda rng: random_subunital_operation(rng, 3),
+    "gadc": lambda rng: gadc(0.8, 5.0),
+    "depolarizing d = 3": lambda rng: depolarizing(3, 0.7),
+    "partial trace 3 x 2": lambda rng: partial_trace_channel(dim_keep=2, dim_drop=3),
+}
+
+
+class TestKrausStack:
+    @pytest.mark.parametrize("make", STACK_CHANNELS.values(), ids=STACK_CHANNELS.keys())
+    def test_sums_are_the_per_kraus_loops(self, rng, make):
+        ch = make(rng)
+        x = rng.normal(size=(ch.dim_in,) * 2) + 1j * rng.normal(size=(ch.dim_in,) * 2)
+        y = rng.normal(size=(ch.dim_out,) * 2) + 1j * rng.normal(size=(ch.dim_out,) * 2)
+        vecs = [k.T.reshape(-1) for k in ch.kraus]
+        loops = {
+            "superoperator": (ch.superoperator().matrix,
+                              sum(np.kron(k, k.conj()) for k in ch.kraus)),
+            "choi": (ch.choi(), sum(np.outer(v, v.conj()) for v in vecs)),
+            "apply": (ch.apply(x), sum(k @ x @ dagger(k) for k in ch.kraus)),
+            "adjoint_apply": (ch.adjoint_apply(y), sum(dagger(k) @ y @ k for k in ch.kraus)),
+        }
+        for name, (stacked, loop) in loops.items():
+            np.testing.assert_allclose(stacked, loop, rtol=0, atol=1e-14, err_msg=name)
+        gram = sum(dagger(k) @ k for k in ch.kraus)
+        assert ch.completeness_defect == pytest.approx(
+            np.max(np.abs(gram - np.eye(ch.dim_in))), rel=0, abs=1e-14)
+
+    def test_kraus_entries_are_read_only(self):
+        source = [np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * SIGMA_X]
+        ch = QuantumChannel(source)
+        with pytest.raises(ValueError):
+            ch.kraus[1][0, 1] = 2.0
+        source[1][0, 1] = 2.0  # the channel holds a copy
+        np.testing.assert_array_equal(ch.kraus[1], np.sqrt(0.5) * SIGMA_X)
 
 
 class TestGadc:

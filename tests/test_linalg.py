@@ -7,6 +7,7 @@ from scipy.linalg import logm
 from entroflow import (
     DensityMatrix,
     LinalgError,
+    QuantumChannel,
     is_infinite,
     matrix_log_on_support,
     relative_entropy,
@@ -227,7 +228,7 @@ class TestOperatorConcavity:
     def test_log_concavity_for_unital_adjoints(self, rng):
         # adjoint of a CPTP map is unital; log(N^dag(sigma)) >= N^dag(log sigma)
         for _ in range(10):
-            n_dag = random_cptp_channel(rng, 3).adjoint()
+            n_dag = QuantumChannel([dagger(k) for k in random_cptp_channel(rng, 3).kraus])
             sigma = random_mixed_state(rng, 3).entries + 0.1 * np.eye(3)
             gap = matrix_log_on_support(n_dag.apply(sigma)) - n_dag.apply(
                 matrix_log_on_support(sigma))

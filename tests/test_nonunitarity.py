@@ -13,8 +13,8 @@ from entroflow import (
     unitary_channel,
 )
 from entroflow.linalg import dagger, hermitian_part
-from entroflow.nonunitarity import NonUnitarityError
-from entroflow.sampling import random_mixed_unitary_channel, random_unitary
+from entroflow.nonunitarity import BRACKET_TOL, NonUnitarityError, _difference_superoperator
+from entroflow.sampling import random_cptp_channel, random_mixed_unitary_channel, random_unitary
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 # Few starts keep the open-bracket d = 3 cases cheap; the bracket holds for any number.
@@ -24,8 +24,39 @@ STARTS = 2
 def _choi_of_difference(channel: QuantumChannel) -> np.ndarray:
     """Choi matrix of id - N^dag N, built from Kraus operators alone."""
     d = channel.dim_in
-    n_dag_n = channel.adjoint().compose(channel)
+    n_dag_n = QuantumChannel([dagger(a) @ b for a in channel.kraus for b in channel.kraus])
     return QuantumChannel([np.eye(d)]).choi() - n_dag_n.choi()
+
+
+def _kron_difference(channel: QuantumChannel) -> np.ndarray:
+    """I - sum kron(K, conj K) over the d^4 Kraus products {K_a^dag K_b} of N^dag o N."""
+    composed = [dagger(a) @ b for a in channel.kraus for b in channel.kraus]
+    return np.eye(channel.dim_in**2) - sum(np.kron(k, k.conj()) for k in composed)
+
+
+DIFFERENCE_CHANNELS = {
+    **{f"random cptp d = {d}": (lambda rng, d=d: random_cptp_channel(rng, d)) for d in (2, 3, 4)},
+    **{f"mixed unitary d = {d}": (lambda rng, d=d: random_mixed_unitary_channel(rng, d, 3))
+       for d in (2, 3, 4)},
+    **{f"depolarizing d = {d}": (lambda rng, d=d: depolarizing(d, 0.7)) for d in (2, 3, 4)},
+    **{f"gadc t = {t}": (lambda rng, t=t: gadc(t, 5.0)) for t in (0.3, 0.8, 2.0)},
+}
+
+
+@pytest.mark.parametrize("make", DIFFERENCE_CHANNELS.values(), ids=DIFFERENCE_CHANNELS.keys())
+def test_difference_map_is_identity_minus_s_dag_s(rng, make):
+    channel = make(rng)
+    np.testing.assert_allclose(_difference_superoperator(channel), _kron_difference(channel),
+                               rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0])
+def test_depolarizing_closes_at_the_largest_validated_dimension(q):
+    # d = 16 is the largest dimension fig2_depolarizing accepts; the bracket
+    # closes at the first evaluation from the maximally entangled start.
+    result = oslash_norm(depolarizing(16, q), starts=1)
+    assert result.converged
+    assert abs(result.value - oslash_depolarizing_analytic(16, q)) <= BRACKET_TOL
 
 
 def _maximally_entangled_value(choi: np.ndarray, d: int) -> float:

@@ -424,18 +424,19 @@ def test_whole_state_stack_reads_the_whole_space_witness():
 
 def test_back_action_builds_no_adjoint_channel(rng, monkeypatch):
     # N^dag(N(rho)) from the Kraus operators: the Theorem 1 bounds and the
-    # Pinsker pair build no adjoint QuantumChannel, and give the adjoint
-    # channel's values.
+    # Pinsker pair build no QuantumChannel at all, adjoint or other, and
+    # give the adjoint channel's values.
     channel, rho = random_mixed_unitary_channel(rng, 3, 3), random_full_rank_state(rng, 3)
     values = (entropy_change_lower_bound, entropy_change_upper_bound,
               entropy_change_upper_bound_holder, lambda ch, r: pinsker_gap(ch, r).relative_entropy)
     with monkeypatch.context() as patch:
-        patch.setattr(QuantumChannel, "adjoint_apply", lambda self, x: self.adjoint().apply(x))
+        patch.setattr(QuantumChannel, "adjoint_apply",
+                      lambda self, x: QuantumChannel([dagger(k) for k in self.kraus]).apply(x))
         expected = [f(channel, rho) for f in values]
 
-    def refused(self):
-        raise AssertionError("adjoint channel built")
-    monkeypatch.setattr(QuantumChannel, "adjoint", refused)
+    def refused(self, kraus):
+        raise AssertionError("channel built")
+    monkeypatch.setattr(QuantumChannel, "__init__", refused)
     np.testing.assert_allclose([f(channel, rho) for f in values], expected, rtol=0, atol=1e-14)
 
 
