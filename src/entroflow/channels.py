@@ -632,15 +632,12 @@ class LindbladGenerator:
         return self._act(t, as_matrix(x), adjoint=True)
 
     def superoperator(self, t: float) -> SuperOperator:
-        """Matrix of L_t: the compiled block L_0 plus sum_i gamma_i(t) D_i, dense."""
-        n = self.dim * self.dim
-        blocks = np.zeros((len(self._blocks), n, n), dtype=complex)
-        for block, (rows, cols, vals) in zip(blocks, self._blocks):
-            block[rows, cols] = vals
-        m = blocks[0]
-        for term, block in zip(self._rated_terms, blocks[1:]):
-            m += term.rate_at(t) * block
-        return SuperOperator(m, dim_in=self.dim, dim_out=self.dim)
+        """Matrix of L_t, dense: the transpose of G(t) = B_0 + sum_i gamma_i(t) B_i
+        of the restriction to all d^2 coordinates (:meth:`restricted`), whose
+        blocks act on rows from the right."""
+        whole = self.restricted(np.arange(self.dim * self.dim))
+        m = whole.generators(np.asarray(t, dtype=float))
+        return SuperOperator(np.ascontiguousarray(m.T), dim_in=self.dim, dim_out=self.dim)
 
     def invariant_sets(self) -> np.ndarray:
         """The invariant set of each coordinate of vec(x), as a (d^2,) array

@@ -5,22 +5,24 @@ states on a fixed time grid for one initial state, or (T, N, d, d) for N,
 the array of their generator-consistent derivatives, and one stacked
 eigendecomposition of the states, from which entropies, ranks and entropy
 rates are read as arrays.  A propagated trajectory holds its states and
-derivatives as the coordinate rows it was integrated as, and scatters them
-to (T, N, d, d) only when they are read as matrices; the rows of a
-Fock-diagonal stack are its populations, from which its spectra, checks,
-rates and witnesses are read with no matrix at all.  One engine builds the
-commutator-free 4th-order Magnus (CF4) maps of many intervals at once:
-``propagate`` chains them when the stack lies in a dense restriction of the
-generator to its invariant sets that is small (m <= 16) or
-time-independent (RK4 otherwise), and intermediate maps M_{t,s} are the
-same maps on the whole space.  Each interval doubles its own step count
-until its n- and 2n-step states, or maps, agree: the convergence
-certificate.  Both integrators Hermitize and renormalize the rows, which
-``propagate`` validates with one eigh (none for population rows).  A
-closed-form channel family (GADC, dephasing) is its maps over a grid as
-(T, d^2, d^2) stacks, M_{t,0} and the exact limits d/dt M_{t,0} and
-K_t = d/d eps M_{t+eps,t} at eps = 0, each carrying a stack of initial
-states to (T, N, d, d) states in one product: no finite differences.  A Lindblad generator needs no family: its K_t is L_t itself.
+derivatives as the coordinate rows it was integrated as, with the operator
+that integrated them, the only one the witnesses and the off-grid states
+use; each stack is scattered to (T, N, d, d) at most once, the states when
+``propagate`` validates them, and the rows of a Fock-diagonal stack, its
+populations, are read with no matrix at all.  One engine builds the commutator-free
+4th-order Magnus (CF4) maps of many intervals at once: ``propagate`` chains
+them when the stack lies in a dense restriction of the generator to its
+invariant sets that is small (m <= 16) or time-independent (RK4
+otherwise), and intermediate maps M_{t,s} are the same maps on the whole
+space.  Each interval doubles its own step count until its n- and 2n-step
+states, or maps, agree: the convergence certificate.  Both integrators
+Hermitize and renormalize the rows through one helper each, and end on one
+validation, with one eigh (none for population rows).  A closed-form
+channel family (GADC, dephasing) is its maps over a grid as (T, d^2, d^2)
+stacks, M_{t,0} and the exact limits d/dt M_{t,0} and K_t = d/d eps
+M_{t+eps,t} at eps = 0, each carrying a stack of initial states to
+(T, N, d, d) states in one product: no finite differences.  A Lindblad
+generator's K_t is L_t itself.
 
 ``scipy.linalg`` is imported by the first map build whose exponent is not
 diagonal (:func:`expm`; dephasing maps are diagonal and need no scipy), and
@@ -125,48 +127,45 @@ class Trajectory:
     d^2 entries (``_Matrices``), and one from :func:`propagate` the rows it
     was integrated as, those of ``operator``, by maps or RK4 alike.
     ``entries`` and ``derivatives`` are scattered from the rows on first
-    read; the checks, the spectra of a diagonal stack (Fock-diagonal states,
-    whose rows are their populations, and whose spectra keep their
-    ``order``), :meth:`coordinates`, :func:`states_off_grid` and the
-    Theorem-2 witnesses of :mod:`entroflow.witnesses` read the rows.
+    read, if :func:`propagate` did not scatter them to validate them; the
+    checks, the spectra of a diagonal stack (Fock-diagonal states, whose
+    rows are their populations, and whose spectra keep their ``order``),
+    :meth:`coordinates`, :func:`states_off_grid` and the Theorem-2 witnesses
+    of :mod:`entroflow.witnesses` read the rows.
 
     The states are validated with one stacked eigh, none for a diagonal
     stack (:func:`check_density_stack`), unless ``spectrum`` passes the stacked
     spectrum of states already validated, so that no state is decomposed
     twice.  ``state_fn`` is set for closed-form trajectories and gives the
-    states off the grid without the integrator; ``generator`` is set when
-    the trajectory came from propagating a master equation, and
-    ``operator`` is then what the states were integrated with (a dense
-    restriction of the generator or the whole of it,
-    :func:`_integration_operator`), which :func:`states_off_grid` and the
-    witnesses reuse: :func:`propagate` passes the one it built, and a
-    trajectory built by hand with a generator derives it once, on first
-    use, from the coordinates that any of its states touches.
-    ``renormalization_defects`` logs the trace defect removed at each state,
-    and ``truncated_at`` the time at which a tail-guard breach ended the
-    whole stack.
+    states off the grid without the integrator.  Only :func:`propagate` sets
+    ``generator``, ``operator`` (what the states were integrated with,
+    :func:`_integration_operator`, which :func:`states_off_grid` and the
+    witnesses reuse), ``renormalization_defects`` (the trace defect removed
+    at each state) and ``truncated_at`` (the time at which a tail-guard
+    breach ended the whole stack); they are None otherwise.
     """
 
-    def __init__(self, grid, states, derivatives, generator: LindbladGenerator | None = None,
-                 state_fn=None, renormalization_defects: np.ndarray | None = None,
-                 truncated_at: float | None = None, spectrum: EigenSystem | None = None,
-                 operator=None):
+    def __init__(self, grid, states, derivatives, state_fn=None,
+                 spectrum: EigenSystem | None = None):
         entries = as_matrix(states)
         if spectrum is None:
             entries, spectrum = check_density_stack(entries)
         layout = _Matrices(entries.shape[-1])
         self._hold(grid, layout, layout.coordinates(entries),
-                   layout.coordinates(as_matrix(derivatives)), spectrum, generator, operator,
-                   renormalization_defects, truncated_at)
+                   layout.coordinates(as_matrix(derivatives)), spectrum, None, None, None, None)
         self.state_fn = state_fn
 
     @classmethod
     def _integrated(cls, grid, operator, rows: np.ndarray, dot_rows: np.ndarray,
-                    spectrum: EigenSystem, generator: LindbladGenerator,
-                    renormalization_defects: np.ndarray, truncated_at: float | None):
+                    spectrum: EigenSystem, states: np.ndarray | None,
+                    generator: LindbladGenerator, renormalization_defects: np.ndarray,
+                    truncated_at: float | None):
         """A trajectory of :func:`propagate`, holding the coordinate rows of
-        ``operator`` that it was integrated as."""
+        ``operator`` that it was integrated as, and as ``entries`` the
+        ``states`` scattered from them to validate them, unless None."""
         traj = cls.__new__(cls)
+        if states is not None:
+            traj.entries = states
         traj._hold(grid, operator, rows, dot_rows, spectrum, generator, operator,
                    renormalization_defects, truncated_at)
         traj.state_fn = None
@@ -177,10 +176,9 @@ class Trajectory:
         self.grid = np.asarray(grid, dtype=float)
         self._layout, self._rows, self._dot_rows = layout, rows, dot_rows
         self.spectrum = spectrum
-        self.generator = generator
+        self.generator, self.operator = generator, operator
         self.renormalization_defects = renormalization_defects
         self.truncated_at = truncated_at
-        self._operator = operator
         self._states: list[DensityMatrix] | None = None
         self._check()
 
@@ -209,19 +207,11 @@ class Trajectory:
     def derivatives(self) -> np.ndarray:
         return self._layout.states(self._dot_rows)
 
-    @property
-    def operator(self):
-        if self._operator is None and self.generator is not None:
-            d = self.entries.shape[-1]
-            self._operator = _integration_operator(self.generator, self.entries.reshape(-1, d, d))
-        return self._operator
-
-    def coordinates(self, operator=None) -> np.ndarray:
-        """The states as coordinate rows (T, ..., m) of ``operator``, by
-        default :attr:`operator`: the rows held, with no gather, when the
-        trajectory was integrated with it."""
-        operator = self.operator if operator is None else operator
-        return self._rows if operator is self._layout else operator.coordinates(self.entries)
+    def coordinates(self) -> np.ndarray:
+        """The states as the coordinate rows (T, ..., m) held: those of
+        :attr:`operator` for a propagated trajectory, the d^2 entries of each
+        state otherwise."""
+        return self._rows
 
     @property
     def states(self) -> list[DensityMatrix]:
@@ -315,7 +305,7 @@ def states_off_grid(traj: Trajectory, columns, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     nearest = np.argmin(np.abs(traj.grid[None, :] - times[:, None]), axis=1)
     operator = traj.operator
-    held = traj.coordinates(operator)
+    held = traj.coordinates()
     rows = held.reshape(len(traj), -1, held.shape[-1])[nearest, columns]
     t0 = traj.grid[nearest]
     if operator.diagonal:
@@ -408,34 +398,37 @@ def _hermitized(operator, z: np.ndarray) -> np.ndarray:
 
 
 def _renormalized(operator, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of exactly Hermitian matrices divided by their real traces, the
-    sums of their population coordinates, and the trace defects |Tr - 1|.
-    Divided by real traces the matrices stay exactly Hermitian."""
+    """Rows of exactly Hermitian matrices divided in place by their real
+    traces, the sums of their population coordinates, and those traces.
+    Divided by real traces the matrices stay exactly Hermitian.  A trace
+    cancelled to 0 (states of a generator that is not CP grow) leaves its
+    row as it is, for the validation to refuse."""
     traces = np.real(rows[..., operator.populations].sum(axis=-1))
-    return rows / traces[..., None], np.abs(traces - 1.0)
+    np.divide(rows, traces[..., None], out=rows, where=traces[..., None] != 0.0)
+    return rows, traces
 
 
-def _validated_rows(operator, rows: np.ndarray, grid: np.ndarray) -> EigenSystem:
-    """The spectra of the states held as coordinate rows (T, N, m) of
-    ``operator`` on the grid, after the PSD and trace checks: the one
-    validation of propagated states.  When the coordinates are the d
-    populations alone, the spectra and the checks read the populations,
-    with no scatter.  Otherwise, or when a population is not finite or a
-    check fails, the states are scattered for one eigh (none for a diagonal
-    stack), and a failing state is an integration failure that names the
-    first failing time."""
+def _validated_rows(operator, rows: np.ndarray,
+                    grid: np.ndarray) -> tuple[EigenSystem, np.ndarray | None]:
+    """The spectra and the states (None when unscattered) held as coordinate
+    rows (T, N, m) of ``operator`` on the grid, after the PSD and trace
+    checks: the one validation of propagated states.  The checks read the
+    rows when they are the d populations alone, with no scatter; otherwise,
+    or when a population is not finite or a check fails, the states are
+    scattered for one eigh (none for a diagonal stack), and a failing state
+    is an integration failure that names the first failing time."""
     if operator.populations_only:
         populations = rows[..., operator.populations].real
         if np.isfinite(populations).all():
             spectrum = _diagonal_spectra(populations)
             try:
                 _check_density(spectrum.eigenvalues[..., -1], populations.sum(axis=-1))
-                return spectrum
+                return spectrum, None
             except LinalgError:
                 pass
     states = operator.states(rows)
     try:
-        return _density_spectra(states)
+        return _density_spectra(states), states
     except LinalgError:
         for t, row in zip(grid, states):
             try:
@@ -443,6 +436,15 @@ def _validated_rows(operator, rows: np.ndarray, grid: np.ndarray) -> EigenSystem
             except LinalgError as exc:
                 raise IntegrationError(f"state at t={t:.6g} lost positivity: {exc}") from exc
         raise
+
+
+def _loop_failure(operator, rows: np.ndarray, grid: np.ndarray, message: str) -> IntegrationError:
+    """The error ``message`` that ends an integrator's loop, once the states
+    it reached, held as rows (T', N, m) of ``operator``, are validated: a
+    state that lost positivity is named first, before a later stall or
+    overflow."""
+    _validated_rows(operator, rows, grid)
+    return IntegrationError(message)
 
 
 def _state_stack(states) -> np.ndarray:
@@ -574,17 +576,18 @@ def propagate(generator: LindbladGenerator, states, grid,
     sparse ``apply``.
 
     Either integrator Hermitizes and trace-renormalizes each state once, on
-    the rows (the defect is logged per state), and stops at the first grid
-    point where the generator's tail guard sees a population breach of any
-    state.  The states up to there are validated once, by one eigh of the
-    scattered states, or from the rows when they are the d populations
-    (:func:`_validated_rows`); a state failing the PSD check is an
-    integration failure, named by its time, also before a later stall or
-    overflow.  A breach either raises (``on_tail_breach="raise"``) or ends
-    the whole stack at its last trusted grid point (``"truncate"``), with
-    ``truncated_at`` the time of the breach; fewer than 3 trusted points
-    raise :class:`TailMassError` either way.  The trajectory holds the rows
-    with the operator (:meth:`Trajectory._integrated`).
+    the rows (:func:`_renormalized`; the defect is logged per state), and
+    stops at the first grid point where the generator's tail guard sees a
+    population breach of any state.  The states up to there are validated
+    once, by one eigh of the scattered states, or from the rows when they
+    are the d populations (:func:`_validated_rows`); a state failing the PSD
+    check is an integration failure, named by its time, also before a later
+    stall or overflow (:func:`_loop_failure`).  A breach either raises
+    (``on_tail_breach="raise"``) or ends the whole stack at its last trusted
+    grid point (``"truncate"``), with ``truncated_at`` the time of the
+    breach; fewer than 3 trusted points raise :class:`TailMassError` either
+    way.  The trajectory holds the rows with the operator, and the states
+    scattered to validate them as its ``entries`` (:meth:`Trajectory._integrated`).
     """
     grid = _checked_grid(grid)
     if on_tail_breach not in ("raise", "truncate"):
@@ -597,13 +600,13 @@ def propagate(generator: LindbladGenerator, states, grid,
     except LinalgError as exc:
         raise IntegrationError(str(exc)) from exc
     operator = _integration_operator(generator, initial)
-    start, defect = _renormalized(operator, operator.coordinates(initial))
+    start, traces = _renormalized(operator, operator.coordinates(initial))
     by_maps = not isinstance(operator, _WholeStates) and (
         operator.time_independent or len(operator.index) <= _DENSE_COORDINATES)
     guard = generator.tail_guard
     rows, dots, defects, breach = (_map_intervals if by_maps else _rk4_intervals)(
-        operator, guard, grid, start, defect)
-    spectrum = _validated_rows(operator, rows, grid)
+        operator, guard, grid, start, np.abs(traces - 1.0))
+    spectrum, states = _validated_rows(operator, rows, grid)
 
     truncated_at = None
     if breach is not None:
@@ -616,8 +619,9 @@ def propagate(generator: LindbladGenerator, states, grid,
         truncated_at = float(grid[breach])
     length = len(dots)
     part = (slice(length), 0) if single else slice(length)
-    return Trajectory._integrated(grid[:length], operator, rows[part], dots[part],
-                                  spectrum[part], generator, defects[part], truncated_at)
+    return Trajectory._integrated(grid[:length], operator, rows[part], dots[part], spectrum[part],
+                                  None if states is None else states[part], generator,
+                                  defects[part], truncated_at)
 
 
 def _stall_message(t0: float, t1: float, budget: float) -> str:
@@ -653,27 +657,21 @@ def _rk4_intervals(operator, guard, grid, start, defect):
     interval's.  The bracket decides as an eigvalsh test would, so the
     substep counts and the states are those of the plain loop; on a dense
     restriction they differ from the whole generator's by the summation
-    order of the products only.  A stall, or a segment that is not finite
-    (stages that overflowed at huge rates), fails once the states reached
-    before it have been validated, and so does a state whose Frobenius norm
-    passes ``_UNBOUNDED_FROBENIUS``, after its own validation.
+    order of the products only.  A stall, a segment that is not finite
+    (stages that overflowed at huge rates) and a state whose Frobenius norm
+    passes ``_UNBOUNDED_FROBENIUS`` end the loop (:func:`_loop_failure`).
     """
     rows = np.empty((len(grid),) + start.shape, dtype=complex)
     dots = np.empty_like(rows)
     defects = np.empty(rows.shape[:-1])
     rows[0], defects[0] = start, defect
 
-    def fail(message: str, reached: int) -> IntegrationError:
-        """The loop error, once the first ``reached`` states are validated."""
-        _validated_rows(operator, rows[:reached], grid)
-        return IntegrationError(message)
-
     def segment(substeps: int) -> np.ndarray:
         """The Hermitized rows at t1 from those at t0, in ``substeps`` steps."""
         with np.errstate(over="ignore", invalid="ignore"):
             end = _rk4_segment(operator, rows[k], t0, t1, substeps, k1)
         if not np.isfinite(end).all():
-            raise fail(f"state at t={t1:.6g} is not finite", k + 1)
+            raise _loop_failure(operator, rows[:k + 1], grid, f"state at t={t1:.6g} is not finite")
         return _hermitized(operator, end)
 
     substeps = 1
@@ -691,10 +689,12 @@ def _rk4_intervals(operator, guard, grid, start, defect):
             if converged:
                 break
         else:
-            raise fail(_stall_message(t0, t1, budget), k + 1)
-        rows[k + 1], defects[k + 1] = _renormalized(operator, trial)
+            raise _loop_failure(operator, rows[:k + 1], grid, _stall_message(t0, t1, budget))
+        rows[k + 1], traces = _renormalized(operator, trial)
+        defects[k + 1] = np.abs(traces - 1.0)
         if np.linalg.norm(rows[k + 1], axis=-1).max() > _UNBOUNDED_FROBENIUS:
-            raise fail(f"state at t={t1:.6g} is no density matrix", k + 2)
+            raise _loop_failure(operator, rows[:k + 2], grid,
+                                f"state at t={t1:.6g} is no density matrix")
         if guard is not None and _breaching(guard, operator, rows[k + 1]):
             return rows[:k + 2], dots[:k + 1], defects[:k + 1], k + 1
     dots[-1] = operator.apply(float(grid[-1]), rows[-1])
@@ -744,15 +744,17 @@ def _cf4_maps(operator, starts: np.ndarray, widths: np.ndarray, steps: int) -> n
     length s from tau is y -> y exp(s (a2 G1 + a1 G2)) exp(s (a1 G1 + a2 G2))
     with G1, G2 = G(tau + (1/2 -+ sqrt(3)/6) s).  The rates of all Gauss
     points come from one array call per term, the exponentials from one
-    batched expm, and the steps, a power of two, are multiplied in pairs."""
+    batched expm, and the steps, a power of two, are multiplied in pairs;
+    exponentials that overflowed give maps that are not finite, silently."""
     (c1, c2), (a1, a2) = _GAUSS_NODES, _CF4_WEIGHTS
     s = (widths / steps)[:, None]
     tau = starts[:, None] + s * np.arange(steps)
     g1, g2 = operator.generators(tau + c1 * s), operator.generators(tau + c2 * s)
     s = s[..., None, None]
-    maps = expm(s * (a2 * g1 + a1 * g2)) @ expm(s * (a1 * g1 + a2 * g2))
-    while maps.shape[1] > 1:
-        maps = maps[:, 0::2] @ maps[:, 1::2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        maps = expm(s * (a2 * g1 + a1 * g2)) @ expm(s * (a1 * g1 + a2 * g2))
+        while maps.shape[1] > 1:
+            maps = maps[:, 0::2] @ maps[:, 1::2]
     return maps[:, 0]
 
 
@@ -763,6 +765,7 @@ def _width_maps(operator, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Widths within ``_WIDTH_RTOL`` of the smallest of their group share its
     exponential E: exp((w + delta) G) = E exp(delta G), and the residual
     factor is I + delta G to rounding, since delta ||G|| stays near 1e-13.
+    Exponentials that overflowed give maps that are not finite, silently.
     """
     unique, which = np.unique(widths, return_inverse=True)
     leads = []
@@ -771,26 +774,21 @@ def _width_maps(operator, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             leads.append(i)
     group = np.searchsorted(leads, np.arange(len(unique)), side="right") - 1
     g = operator.generators(np.array(0.0))
-    exps = expm(unique[leads][:, None, None] * g)
     residual = (unique - unique[leads][group])[:, None, None]
-    return exps[group] + residual * (exps @ g)[group], which
+    with np.errstate(over="ignore", invalid="ignore"):
+        exps = expm(unique[leads][:, None, None] * g)
+        return exps[group] + residual * (exps @ g)[group], which
 
 
 def _regrow(operator, starts: np.ndarray, widths: np.ndarray, counts: np.ndarray,
-            coarse: np.ndarray, fine: np.ndarray, failing: np.ndarray, most: int) -> int | None:
-    """Double, in place, the step count n of the failing intervals below
-    ``most``, one :func:`_cf4_maps` call per count; or return the first
-    failing interval, regrowing none, when its n is ``most``."""
-    first = int(np.argmax(failing))
-    if counts[first] >= most:
-        return first
-    grow = failing & (counts < most)
+            coarse: np.ndarray, fine: np.ndarray, grow: np.ndarray) -> None:
+    """Double, in place, the step count n of the intervals ``grow``, one
+    :func:`_cf4_maps` call per count."""
     counts[grow] *= 2
     coarse[grow] = fine[grow]
     for steps in np.unique(counts[grow]):
         pick = grow & (counts == steps)
         fine[pick] = _cf4_maps(operator, starts[pick], widths[pick], 2 * steps)
-    return None
 
 
 def _map_intervals(operator, guard, grid, start, defect):
@@ -804,36 +802,28 @@ def _map_intervals(operator, guard, grid, start, defect):
     The rows are chained through the 2n-step maps, and every interval up to
     the first tail breach compares the states its n- and 2n-step maps carry
     from the chained state at its start (:func:`_gaps_exceed`, on their
-    Hermitized difference); the intervals that fail double
-    their own n, and the chain is redone from the first of them.  An
-    interval that would pass ``MAX_REFINEMENTS`` doublings stalls the
-    integrator, and chained rows that are not finite (maps that overflowed
-    at huge rates) fail, each once the states before it have been
-    validated.
+    Hermitized difference).  The first that fails starts from a settled
+    state and doubles its n alone until it passes; every later one that
+    failed doubles once (:func:`_regrow`), and the chain is redone from the
+    first.  So a run chains about as often as an interval doubles, and a
+    stall costs one interval's doublings.  An interval that would pass
+    ``MAX_REFINEMENTS`` doublings and chained rows that are not finite (maps
+    that overflowed at huge rates) end the loop (:func:`_loop_failure`).
 
-    The chained rows are Hermitized through the transpose permutation of
-    the coordinates (:func:`_hermitized`) and divided by their traces, the
-    sums of the population coordinates; each state logs the trace defect its
-    interval map left.  The tail guard reads the population rows, and the
-    derivatives up to the first breach are one product with G(t_k).
+    The chained rows are Hermitized and divided by their traces
+    (:func:`_hermitized`, :func:`_renormalized`); each state logs the trace
+    defect its interval map left.  The tail guard reads the population rows,
+    and the derivatives up to the first breach are one product with G(t_k).
     """
     n_states, m = start.shape
     widths = np.diff(grid)
     z = np.empty((len(grid), n_states, m), dtype=complex)
     z[0] = start
 
-    def renormalized(chained: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The Hermitized chained rows divided by their traces, the start
-        as it is, and the traces before the division."""
-        rows = _hermitized(operator, chained)
-        traces = rows[..., operator.populations].real.sum(axis=-1)
-        rows /= traces[..., None]
-        rows[:1] = chained[:1]
-        return rows, traces
-
     def settle(maps: np.ndarray, which: np.ndarray, first: int):
         """Chain the maps on from grid point ``first``; the renormalized
-        rows, their traces and the first breaching grid point (None)."""
+        rows (the start as it is), their traces before the division and the
+        first breaching grid point (None)."""
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(first, len(which)):
                 np.dot(z[k], maps[which[k]], out=z[k + 1])
@@ -841,9 +831,11 @@ def _map_intervals(operator, guard, grid, start, defect):
         if not finite.all():
             reached = int(np.argmin(finite))
             with np.errstate(all="ignore"):  # rows near the float limit
-                _validated_rows(operator, renormalized(z[:reached])[0], grid)
-            raise IntegrationError(f"state at t={grid[reached]:.6g} is not finite")
-        rows, traces = renormalized(z)
+                rows = _renormalized(operator, _hermitized(operator, z[:reached]))[0]
+                raise _loop_failure(operator, rows, grid,
+                                    f"state at t={grid[reached]:.6g} is not finite")
+        rows, traces = _renormalized(operator, _hermitized(operator, z))
+        rows[0] = z[0]
         if guard is None:
             return rows, traces, None
         over = _breaching(guard, operator, rows[1:])
@@ -857,25 +849,35 @@ def _map_intervals(operator, guard, grid, start, defect):
         coarse, fine = (_cf4_maps(operator, starts, widths, steps) for steps in (1, 2))
         most = 2 ** (MAX_REFINEMENTS - 1)  # the coarse count of an interval's last comparison
         budgets = PROPAGATE_ERROR_TARGET * widths
+
+        def exceed(lo: int, hi: int) -> np.ndarray:
+            """Whether the n- and 2n-step maps of intervals lo..hi - 1 carry
+            the chained rows at their starts further apart than the budget."""
+            gaps = np.matmul(rows[lo:hi], fine[lo:hi] - coarse[lo:hi])
+            return _gaps_exceed(operator, _hermitized(operator, gaps), budgets[lo:hi])
+
         first = 0
         while True:
             rows, traces, breach = settle(fine, which, first)
             stop = len(widths) if breach is None else breach
-            gaps = np.matmul(rows[first:stop], fine[first:stop] - coarse[first:stop])
             failing = np.zeros(len(widths), dtype=bool)
-            failing[first:stop] = _gaps_exceed(operator, _hermitized(operator, gaps),
-                                               budgets[first:stop])
+            failing[first:stop] = exceed(first, stop)
             if not failing.any():
                 break
             first = int(np.argmax(failing))
-            if _regrow(operator, starts, widths, counts, coarse, fine, failing, most) is not None:
-                _validated_rows(operator, rows[:first + 1], grid)
-                raise IntegrationError(_stall_message(grid[first], grid[first + 1], budgets[first]))
+            while failing[first]:  # its start is settled: no chain is redone
+                if counts[first] >= most:
+                    stall = _stall_message(grid[first], grid[first + 1], budgets[first])
+                    raise _loop_failure(operator, rows[:first + 1], grid, stall)
+                _regrow(operator, starts, widths, counts, coarse, fine, which == first)
+                failing[first] = exceed(first, first + 1)[0]
+            _regrow(operator, starts, widths, counts, coarse, fine, failing & (counts < most))
 
     length = len(grid) if breach is None else breach
     defects = np.empty((length, n_states))
     defects[0] = defect
-    defects[1:] = np.abs(traces[1:length] / traces[:length - 1] - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero trace fails the validation
+        defects[1:] = np.abs(traces[1:length] / traces[:length - 1] - 1.0)
     derivatives = operator.apply(np.repeat(grid[:length], n_states), rows[:length].reshape(-1, m))
     return rows[:length + 1], derivatives.reshape(length, n_states, m), defects, breach
 
@@ -895,11 +897,6 @@ def closed_form_trajectory(state_fn, grid, derivative_fn) -> Trajectory:
                       state_fn=state_fn)
 
 
-def _whole_space(generator: LindbladGenerator):
-    """The generator on all d^2 coordinates, G(t) being the transposed L_t."""
-    return generator.restricted(np.arange(generator.dim ** 2))
-
-
 def _certified_maps(operator, starts: np.ndarray, widths: np.ndarray, atol) -> np.ndarray:
     """The (K, m, m) row-convention maps of the intervals [starts, starts +
     widths] at once (a negative width maps backward): exact exponentials for
@@ -913,12 +910,13 @@ def _certified_maps(operator, starts: np.ndarray, widths: np.ndarray, atol) -> n
     atol = np.broadcast_to(atol, widths.shape)
     counts = np.ones(len(widths), dtype=int)
     coarse, fine = (_cf4_maps(operator, starts, widths, n) for n in (1, 2))
+    most = 2 ** (MAX_MAP_DOUBLINGS - 1)
     while (failing := ~(np.max(np.abs(fine - coarse), axis=(-2, -1)) <= atol)).any():
-        stalled = _regrow(operator, starts, widths, counts, coarse, fine, failing,
-                          2 ** (MAX_MAP_DOUBLINGS - 1))
-        if stalled is not None:
-            raise IntegrationError(f"time-ordered product did not converge to {atol[stalled]:.1e} "
+        first = int(np.argmax(failing))
+        if counts[first] >= most:
+            raise IntegrationError(f"time-ordered product did not converge to {atol[first]:.1e} "
                                    f"within {MAX_MAP_DOUBLINGS} doublings")
+        _regrow(operator, starts, widths, counts, coarse, fine, failing & (counts < most))
     return fine
 
 
@@ -931,8 +929,8 @@ def intermediate_map(generator: LindbladGenerator, s: float, t: float) -> SuperO
         raise IntegrationError("intermediate map needs finite times")
     if t < s:
         raise IntegrationError("intermediate map requires s <= t")
-    maps = _certified_maps(_whole_space(generator), np.array([float(s)]), np.array([t - s]),
-                           INTERMEDIATE_MAP_ATOL)
+    whole = generator.restricted(np.arange(generator.dim ** 2))  # G(t) is the transposed L_t
+    maps = _certified_maps(whole, np.array([float(s)]), np.array([t - s]), INTERMEDIATE_MAP_ATOL)
     return SuperOperator(maps[0].T)
 
 
@@ -1039,8 +1037,9 @@ def cp_divisibility_check(generator: LindbladGenerator, grid) -> DivisibilityRep
     grid = _checked_grid(grid)
     if len(grid) < 2:
         raise IntegrationError("time grid needs at least 2 finite points")
-    maps = [SuperOperator(m.T) for m in _certified_maps(_whole_space(generator), grid[:-1],
-                                                         np.diff(grid), INTERMEDIATE_MAP_ATOL)]
+    whole = generator.restricted(np.arange(generator.dim ** 2))
+    maps = [SuperOperator(m.T) for m in _certified_maps(whole, grid[:-1], np.diff(grid),
+                                                         INTERMEDIATE_MAP_ATOL)]
     reports = [is_cptp(m) for m in maps]
     evidence = [IntervalEvidence(float(a), float(b), r.choi_min_eigenvalue, r.trace_defect)
                 for a, b, r in zip(grid[:-1], grid[1:], reports)]

@@ -36,6 +36,7 @@ from .channels import (
     check_bosonic_rates,
     check_cutoff,
     check_thermal_tail,
+    dephasing_generator,
     depolarizing,
     thermal_state,
 )
@@ -538,8 +539,7 @@ def run_decoherence_measures(params: dict, outdir: Path, seed: int):
                                     bloch_points=params["bloch_points"])
     pairs = default_pair_sampler(2, np.random.default_rng(seed + 1), n_pairs=params["n_pairs"])
 
-    markov_gen = LindbladGenerator(
-        2, jumps=[JumpTerm(ConstantCoefficient(0.5 * params["markovian_rate"]), SIGMA_Z)])
+    markov_gen = dephasing_generator(params["markovian_rate"])
     markov_family = DephasingFamily(lambda t: params["markovian_rate"] * t)
     osc_gen, osc_family = _oscillating_dephasing(
         params["base"], params["amplitude"], params["frequency"])

@@ -179,28 +179,23 @@ def _pinned_adjoint_traces(operator, times, rows: np.ndarray,
     return _support_traces(operator, spectrum, _images(operator.adjoint_apply, times, rows))
 
 
-def _pinned_adjoint_trace(generator: LindbladGenerator, t: float, rho) -> float:
-    """Tr{Pi_rho L_t^dag(rho)}: the one-state case of
-    :func:`_pinned_adjoint_traces`, through the whole generator."""
-    spectrum = spectral_decompose(rho)
-    operator = _WholeStates(generator)
-    return float(_pinned_adjoint_traces(operator, [t], operator.coordinates(as_matrix(rho)[None]),
-                                        spectrum[None])[0])
-
-
 def nonunitality_witness(generator: LindbladGenerator, t: float, rho) -> float:
-    """Tr{Pi_t L_t^dag(rho_t)}.
+    """Tr{Pi_t L_t^dag(rho_t)}: the one-state case of
+    :func:`_pinned_adjoint_traces`, through the whole generator.
 
     Zero for unital dynamics at full-rank states, where Pi = I and
     Tr{L^dag(rho)} = Tr{rho L(I)} = 0.  At rank-deficient states it need not
     vanish: the sigma_z dephasing generator at |+> gives -gamma/2.
     """
-    return _pinned_adjoint_trace(generator, t, rho)
+    operator = _WholeStates(generator)
+    return float(_pinned_adjoint_traces(operator, [t], operator.coordinates(as_matrix(rho)[None]),
+                                        spectral_decompose(rho)[None])[0])
 
 
 def theorem2_bound(generator: LindbladGenerator, t: float, rho) -> float:
-    """-Tr{Pi_t L_t^dag(rho_t)}: the CP-divisible lower limit on dS/dt."""
-    return -_pinned_adjoint_trace(generator, t, rho)
+    """-Tr{Pi_t L_t^dag(rho_t)}: the CP-divisible lower limit on dS/dt, the
+    negative of :func:`nonunitality_witness`."""
+    return -nonunitality_witness(generator, t, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +283,9 @@ class WitnessReport:
 
 
 def witness_reports(generator: LindbladGenerator, traj: Trajectory) -> list[WitnessReport]:
-    """One WitnessReport per point of a one-state trajectory.
+    """One WitnessReport per point of a one-state trajectory that
+    :func:`propagate` integrated with ``generator``; any other trajectory
+    raises :class:`WitnessError`.
 
     The f column and test (a)/(c) need the short-time derivative term
     Tr{Pi (K_t + K_t^dag)(rho_t)}, and K_t = L_t for a Lindblad generator:
@@ -296,15 +293,15 @@ def witness_reports(generator: LindbladGenerator, traj: Trajectory) -> list[Witn
     L_t^dag and L_t over the whole trajectory, each one product of the
     operator the trajectory was integrated with (:attr:`Trajectory.operator`,
     a dense restriction to the invariant sets its states touch, or the
-    sparse generator), with no dense superoperator.  Every column is
-    computed over the whole trajectory at once; a trajectory not propagated
-    with ``generator`` takes the sparse generator.  Rows at a rank jump
-    (:meth:`Trajectory.rank_jump_rows`) carry no test flags.
+    sparse generator) on the rows it holds, with no dense superoperator.
+    Every column is computed over the whole trajectory at once.  Rows at a
+    rank jump (:meth:`Trajectory.rank_jump_rows`) carry no test flags.
     """
+    if traj.generator is not generator:
+        raise WitnessError("witness reports need a trajectory propagated with the generator")
     excluded = traj.rank_jump_rows(RANK_CHANGE_MARGIN)
     rates = traj.entropy_rates()
-    operator = traj.operator if traj.generator is generator else _WholeStates(generator)
-    rows = traj.coordinates(operator)
+    operator, rows = traj.operator, traj.coordinates()
     adjoint_images = _images(operator.adjoint_apply, traj.grid, rows)
     witness = _support_traces(operator, traj.spectrum, adjoint_images)
     bounds = -witness
@@ -468,11 +465,11 @@ def measure_channel(family: ChannelFamily, state_sampler, grid) -> MeasureResult
     :func:`measure_generator`, with f in place of the Theorem-2 witness and
     the same ``EPS_WITNESS``, ``RANK_CHANGE_MARGIN`` and false-position edge
     search to ``BISECT_ATOL``, whose rounds evolve the sampled states to their
-    off-grid times with the family's exact maps."""
+    off-grid times with the family's exact maps.  On the grid the entropy
+    rates are those the trajectory computed at construction."""
     def values(traj: Trajectory) -> np.ndarray:
-        rates, eps_terms = _f_parts(family, traj.grid, traj.entries, traj.derivatives,
-                                    traj.spectrum)
-        return rates + eps_terms
+        return traj.entropy_rates() + _epsilon_derivatives(family, traj.grid, traj.entries,
+                                                           traj.spectrum)
 
     def evaluate(starts, traj, ns, ts) -> np.ndarray:
         # row c at time ts[c] only

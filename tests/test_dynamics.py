@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -526,6 +528,77 @@ class TestIntervalMaps:
         with pytest.raises(IntegrationError, match=rf"^state at t={lost} lost positivity: "
                                                    r"density matrix not PSD: .* at stack index \(0,\)$"):
             propagate(generator, start, grid)
+
+    @pytest.mark.parametrize("case", ["cancelled traces", "overflowed CF4 exponentials",
+                                      "overflowed width exponentials"])
+    def test_map_failures_warn_nothing(self, case):
+        # "cancelled traces": a negative lowering rate of 50 grows the states
+        # to about 1e217 by t = 10 with no overflow, and the rounding of the
+        # chained rows cancels some traces to 0; those rows are left
+        # undivided, and positivity is named lost at t = 0.1.  "overflowed
+        # CF4 exponentials": a dephasing map over [1, 1e4] overflows its CF4
+        # exponentials, and the state it reaches is named not finite.
+        # "overflowed width exponentials": a constant negative dephasing rate
+        # overflows the exponential of the width 999, after positivity is
+        # lost at t = 1.
+        start = DensityMatrix.pure([1, 1])
+        if case == "cancelled traces":
+            generator = LindbladGenerator(2, jumps=[(-50.0, np.array([[0, 1], [0, 0]]))])
+            start, grid = DensityMatrix.diagonal([0.5, 0.5]), np.linspace(0.0, 10.0, 101)
+            message = (r"^state at t=0\.1 lost positivity: density matrix not PSD: "
+                       r"min eigenvalue -7\.321e\+01 at stack index \(0,\)$")
+        elif case == "overflowed CF4 exponentials":
+            generator, grid = dephasing_generator(lambda t: 0.5 + np.cos(2 * t)), [0, 1, 1e4]
+            message = r"^state at t=10000 is not finite$"
+        else:
+            generator, grid = dephasing_generator(-1.0), [0, 1, 1e3]
+            message = (r"^state at t=1 lost positivity: density matrix not PSD: "
+                       r"min eigenvalue -8\.591e-01 at stack index \(0,\)$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match=message):
+                propagate(generator, start, grid)
+
+    def test_the_first_failing_interval_doubles_alone(self, monkeypatch):
+        # A rate oscillating at 1e9 fails every interval of the grid up to
+        # the cap.  The first failing interval doubles alone from its settled
+        # start, so the stall is named after one interval's maps, not those
+        # of every failing interval.
+        generator, _ = oscillating_dephasing(frequency=1e9)
+        grid = np.linspace(0.0, 3.0, 751)
+        built = []
+
+        def counted(operator, starts, widths, steps, _original=dynamics._cf4_maps):
+            built.append((len(starts), steps))
+            return _original(operator, starts, widths, steps)
+
+        monkeypatch.setattr(dynamics, "_cf4_maps", counted)
+        with pytest.raises(IntegrationError, match=r"^integrator stalled on \[0, 0\.004\]: "
+                                                   r"no convergence to 4\.0e-10 within 12 doublings$"):
+            propagate(generator, DensityMatrix.pure([1, 1]), grid)
+        doublings = dynamics.MAX_REFINEMENTS - 1
+        assert built == [(750, 1), (750, 2)] + [(1, 4 * 2 ** j) for j in range(doublings)]
+
+    def test_a_regrowing_run_chains_once_per_doubling(self, monkeypatch):
+        # At frequency 1e3 the intervals of the grid end at 8 to 32 CF4
+        # steps.  The first failing interval doubles alone and the later ones
+        # once per chain, so the grid is chained about as often as one
+        # interval doubles, not once per failing interval.
+        generator, gamma = oscillating_dephasing(frequency=1e3)
+        grid = np.linspace(0.0, 3.0, 751)
+        renormalized = []
+
+        def counted(operator, rows, _original=dynamics._renormalized):
+            renormalized.append(len(rows))
+            return _original(operator, rows)
+
+        monkeypatch.setattr(dynamics, "_renormalized", counted)
+        traj = propagate(generator, DensityMatrix.pure([1, 1]), grid)
+        exact = 0.5 * np.exp(-gamma(grid))
+        assert np.all(np.abs(traj.entries[:, 0, 1] - exact) <= 1e-7 * grid + 1e-15)
+        chains = renormalized[1:]  # the first divides the start
+        assert chains == [len(grid)] * len(chains)
+        assert len(chains) <= dynamics.MAX_REFINEMENTS
 
     def test_amplifier_truncates_where_rk4_does(self, monkeypatch):
         generator, states, grid = _reference_cases()["bosonic amplifier, tail truncation"]
@@ -1088,7 +1161,7 @@ class TestStackedTrajectory:
             one = hermitian_part(_rk4_segment(gen, traj.entries[k, n], float(grid[k]), t,
                                               dynamics._OFF_GRID_STEPS))
             np.testing.assert_allclose(state, one, atol=1e-14)
-            column = Trajectory(grid, traj.entries[:, n], traj.derivatives[:, n], generator=gen)
+            column = propagate(gen, traj.entries[0, n], grid)
             np.testing.assert_allclose(states_off_grid(column, [0], [t])[0], one, atol=1e-14)
 
     def test_restricted_rows_take_one_time_each(self, rng):
@@ -1339,7 +1412,7 @@ class TestPopulationRows:
             dots = traj.derivatives
         else:
             dots = operator.states(operator.apply(traj.grid, rows))
-        rebuilt = Trajectory(traj.grid, states, dots, generator=generator)  # check_density_stack
+        rebuilt = Trajectory(traj.grid, states, dots)  # check_density_stack
         assert traj.spectrum._eigenvectors is None  # not built until read
         for read in ("entries", "derivatives"):
             np.testing.assert_array_equal(getattr(traj, read), getattr(rebuilt, read))

@@ -469,6 +469,19 @@ def test_default_gaussian_bounds_scatter_no_state_stack(tmp_path, monkeypatch):
     assert scattered == [] and vectors == []
 
 
+def test_default_custom_scatters_its_states_once(tmp_path, monkeypatch):
+    # The qubit's rows (m = 4) are scattered once to be validated, and the
+    # trajectory keeps that stack as its states for the export; the
+    # derivatives' expectations and the two witness images take one scatter
+    # each.
+    scattered = []
+    states = _Restriction.states
+    monkeypatch.setattr(_Restriction, "states",
+                        lambda self, y: scattered.append(y.shape) or states(self, y))
+    assert run_config(copy.deepcopy(DEFAULT_CONFIGS["custom"]), tmp_path).passed
+    assert scattered == [(101, 1, 4)] + [(101, 4)] * 3
+
+
 def _table(path) -> dict[str, np.ndarray]:
     with open(path) as fh:
         rows = list(csv.DictReader(fh))

@@ -151,6 +151,26 @@ def test_measures_agree_on_non_cp_divisible_dephasing():
     assert abs(from_generator - from_channel) <= 1e-5
 
 
+def test_measure_channel_reads_the_rates_its_trajectory_holds(monkeypatch):
+    # On the grid, f's entropy rates are those the family trajectory
+    # computed at construction, bit for bit those entropy_rate recomputes;
+    # entropy_rate runs only in the rounds of the window-edge search, on one
+    # (C, 1, d, d) stack of off-grid states each.
+    from entroflow import witnesses
+
+    _, family = _oscillating_dephasing(0.5, 1.0, 2.0)
+    states = default_state_sampler(2, np.random.default_rng(7), n_random=2, bloch_points=1)
+    grid = np.linspace(0.0, 3.0, 61)
+    traj = family.trajectories(states, grid)
+    np.testing.assert_array_equal(traj.entropy_rates(),
+                                  entropy_rate(traj.spectrum, traj.derivatives))
+    shapes, rate = [], witnesses.entropy_rate
+    monkeypatch.setattr(witnesses, "entropy_rate",
+                        lambda rho, dot: shapes.append(np.shape(dot)) or rate(rho, dot))
+    assert measure_channel(family, states, grid).value > 1e-2
+    assert shapes and all(shape[1:] == (1, 2, 2) for shape in shapes)
+
+
 def test_measure_generator_derives_its_operator_once(monkeypatch):
     # propagate builds the integration operator and keeps it on the
     # trajectory; every round of the window-edge search reads it.
@@ -410,16 +430,27 @@ def test_whole_state_stack_reads_the_whole_space_witness():
     np.testing.assert_array_equal(
         _pinned_adjoint_traces(traj.operator, traj.grid, traj.coordinates(), traj.spectrum), whole)
     np.testing.assert_array_equal([r.nonunitality for r in witness_reports(generator, traj)], whole)
-    # a trajectory that does not carry the generator reads the same
-    bare = Trajectory(traj.grid, traj.entries, traj.derivatives, spectrum=traj.spectrum)
-    np.testing.assert_array_equal([r.nonunitality for r in witness_reports(generator, bare)], whole)
     labels = generator.invariant_sets()
     index = np.flatnonzero(np.isin(labels, labels[np.flatnonzero(traj.entries[0].reshape(-1))]))
     assert len(index) == 34
     restricted = generator.restricted(index)
     np.testing.assert_allclose(
-        _pinned_adjoint_traces(restricted, traj.grid, traj.coordinates(restricted), traj.spectrum),
+        _pinned_adjoint_traces(restricted, traj.grid, restricted.coordinates(traj.entries),
+                               traj.spectrum),
         whole, rtol=0, atol=1e-14)
+
+
+def test_witness_reports_need_a_trajectory_propagated_with_the_generator(rng):
+    # The witnesses read the rows and the operator that propagate kept: a
+    # trajectory built from states, or propagated with another generator,
+    # holds neither for this generator, and is refused.
+    generator = _random_semigroup(rng, 3)
+    traj = propagate(generator, random_mixed_state(rng, 3), np.linspace(0.0, 1.0, 11))
+    bare = Trajectory(traj.grid, traj.entries, traj.derivatives, spectrum=traj.spectrum)
+    other = propagate(_random_semigroup(rng, 3), traj.entries[0], traj.grid)
+    for refused in (bare, other):
+        with pytest.raises(WitnessError, match="propagated with the generator"):
+            witness_reports(generator, refused)
 
 
 def test_back_action_builds_no_adjoint_channel(rng, monkeypatch):
