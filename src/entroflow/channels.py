@@ -25,7 +25,6 @@ import numpy as np
 
 from .linalg import (
     DensityMatrix,
-    _is_diagonal,
     as_matrix,
     dagger,
     hermitian_part,
@@ -701,13 +700,11 @@ class _Restriction:
     ``transpose`` is the position of the coordinate of x_ji for each x_ij
     (the index of a Hermitian stack holds both), and ``populations`` that
     of each x_ii in level order (all populations share one set).
-    ``diagonal`` says whether every block is diagonal, as every dephasing
-    generator's is, so that each coordinate evolves by its own scalar
-    factor, and ``populations_only`` whether the coordinates are the d
+    ``populations_only`` says whether the coordinates are the d
     populations alone, as for a Fock-diagonal stack of a phase-insensitive
     bosonic generator, so that every state on them is diagonal.  The
     integrators take it for m <= max(d, 16), where one dense product costs
-    less than the sparse one's dispatch.
+    less than the sparse one's dispatch, and so do the off-grid states.
     """
 
     def __init__(self, generator: LindbladGenerator, index: np.ndarray):
@@ -728,10 +725,6 @@ class _Restriction:
     @property
     def time_independent(self) -> bool:
         return not self._rated_terms
-
-    @cached_property
-    def diagonal(self) -> bool:
-        return _is_diagonal(self._blocks)
 
     @cached_property
     def populations_only(self) -> bool:

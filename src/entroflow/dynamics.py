@@ -7,7 +7,8 @@ eigendecomposition of the states, from which entropies, ranks and entropy
 rates are read as arrays.  A propagated trajectory holds its states and
 derivatives as the coordinate rows it was integrated as, with the operator
 that integrated them, the only one the witnesses and the off-grid states
-use; each stack is scattered to (T, N, d, d) at most once, the states when
+use (RK4 from the nearest grid point, certified as the grid states are);
+each stack is scattered to (T, N, d, d) at most once, the states when
 ``propagate`` validates them, and the rows of a Fock-diagonal stack, its
 populations, are read with no matrix at all.  One engine builds the commutator-free
 4th-order Magnus (CF4) maps of many intervals at once: ``propagate`` chains
@@ -270,51 +271,61 @@ def _raise_at(bad: np.ndarray, values: np.ndarray, name: str) -> None:
         raise IntegrationError(f"{name} = {values[k]:.3e} at grid point {k[0]}{state}")
 
 
-# RK4 substeps from the nearest grid point to an off-grid time, for an
-# operator whose blocks are not all diagonal: its partial-interval maps would
-# need one scipy expm per row.  On 65 full-rank states of a driven qubit with
-# a time-dependent rate, maps for every restriction took 0.16 s per
-# measure_generator against 0.04 s by RK4 (2-core host).
-_OFF_GRID_STEPS = 8
-# Entrywise certificate of a partial-interval map per unit time of its width,
-# no looser than PROPAGATE_ERROR_TARGET.
-_OFF_GRID_ATOL = 1e-7
-
-
 def states_off_grid(traj: Trajectory, columns, times) -> np.ndarray:
     """The state ``columns[c]`` of a propagated stack at ``times[c]`` for every
     c, as one (C, d, d) stack; a one-state trajectory has the one column 0.
 
-    Each state starts from the grid point nearest to its time, before or
-    after it, and goes through the operator the trajectory was integrated
-    with (:attr:`Trajectory.operator`), all of them together, each over its
-    own partial interval.  When that operator is a dense restriction whose
-    blocks are all diagonal, as every dephasing generator's is, each row
-    takes its own partial-interval map from :func:`_certified_maps`,
-    certified to ``_OFF_GRID_ATOL`` per unit time of its width; its CF4
-    exponentials are elementwise (:func:`expm`), so no RK4 and no
-    scipy.linalg is involved.  Every other operator, a restriction with a
-    non-diagonal block or the sparse generator, takes RK4 in
-    ``_OFF_GRID_STEPS`` substeps, since a non-diagonal map would cost one
-    scipy expm per row.  A time on the grid returns the stored state.  The
-    starts are gathered from the trajectory's coordinate rows
-    (:meth:`Trajectory.coordinates`).
+    Each state goes by RK4 through :attr:`Trajectory.operator` from the
+    stored row and derivative row of the grid point nearest to its time
+    (the earlier of two at equal distance), all rows together.  Every row
+    takes 1 substep, then 2, and doubles again while its Hermitized n- and
+    2n-substep states differ in trace norm by more than
+    ``PROPAGATE_ERROR_TARGET`` per unit time of its interval, the
+    certificate of every propagated grid state, decided for all open rows
+    at once (:func:`_gaps_exceed`), or by at most 2n eps, the rounding of
+    the 2n-substep state, which more substeps cannot shrink (within 1e-9 of
+    a grid point the budget falls below it).  A segment that is not finite
+    and a row still open after ``MAX_REFINEMENTS`` doublings raise
+    :class:`IntegrationError`.  A time on the grid returns the stored state.
     """
     if traj.generator is None:
         raise IntegrationError("off-grid states need the trajectory's generator")
-    times = np.asarray(times, dtype=float)
-    nearest = np.argmin(np.abs(traj.grid[None, :] - times[:, None]), axis=1)
-    operator = traj.operator
-    held = traj.coordinates()
-    rows = held.reshape(len(traj), -1, held.shape[-1])[nearest, columns]
+    times, operator = np.asarray(times, dtype=float), traj.operator
+    nearest = _nearest_points(traj.grid, times)
+    starts, dots = (rows.reshape(len(traj), -1, rows.shape[-1])[nearest, columns]
+                    for rows in (traj.coordinates(), traj._dot_rows))
     t0 = traj.grid[nearest]
-    if operator.diagonal:
-        widths = times - t0
-        maps = _certified_maps(operator, t0, widths, _OFF_GRID_ATOL * np.abs(widths))
-        ends = np.matmul(rows[:, None], maps)[:, 0]
-    else:
-        ends = _rk4_segment(operator, rows, t0, times, _OFF_GRID_STEPS)
-    return hermitian_part(operator.states(ends))
+    budgets = PROPAGATE_ERROR_TARGET * np.abs(times - t0)
+    open_rows, ends = np.flatnonzero(times != t0), starts.copy()
+
+    def segment(substeps: int) -> np.ndarray:
+        """The Hermitized rows ``open_rows`` at their times, in ``substeps`` steps."""
+        end = _hermitized(operator, _rk4_segment(operator, starts[open_rows], t0[open_rows],
+                                                 times[open_rows], substeps, dots[open_rows]))
+        if not (finite := np.isfinite(end).all(axis=-1)).all():
+            raise IntegrationError(f"state at t={times[open_rows][~finite][0]:.6g} is not finite")
+        return end
+
+    with np.errstate(over="ignore", invalid="ignore"):  # segment() raises on overflow
+        trial = segment(1)
+        for substeps in 2 ** np.arange(1, MAX_REFINEMENTS + 1):
+            refined = segment(substeps)
+            # 2n eps; gaps of rounding alone measured up to 0.47 n eps at d = 2 to 8
+            floors = np.maximum(budgets[open_rows], substeps * np.finfo(float).eps)
+            over = _gaps_exceed(operator, (trial - refined)[:, None], floors)
+            ends[open_rows] = refined
+            open_rows, trial = open_rows[over], refined[over]
+            if not len(open_rows):
+                return operator.states(ends)
+    c = open_rows[0]
+    raise IntegrationError(_stall_message(t0[c], times[c], budgets[c]))
+
+
+def _nearest_points(grid: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The index of the grid point nearest to each time, the earlier of two
+    at equal distance: the two neighbours of each time by one searchsorted."""
+    after = np.clip(np.searchsorted(grid, times), 1, len(grid) - 1)
+    return after - (np.abs(grid[after - 1] - times) <= np.abs(grid[after] - times))
 
 
 def _rk4_step(generator, rho: np.ndarray, t, dt, k1=None) -> np.ndarray:
@@ -482,8 +493,6 @@ class _WholeStates(_Matrices):
     integrates are the entries of the states (:class:`_Matrices`), and
     ``apply`` and ``adjoint_apply`` are the generator's sparse products on
     them, one time per row or one for all."""
-
-    diagonal = False
 
     def __init__(self, generator: LindbladGenerator):
         super().__init__(generator.dim)
@@ -897,25 +906,22 @@ def closed_form_trajectory(state_fn, grid, derivative_fn) -> Trajectory:
                       state_fn=state_fn)
 
 
-def _certified_maps(operator, starts: np.ndarray, widths: np.ndarray, atol) -> np.ndarray:
+def _certified_maps(operator, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """The (K, m, m) row-convention maps of the intervals [starts, starts +
-    widths] at once (a negative width maps backward): exact exponentials for
-    a time-independent generator, else CF4 maps from one step, each
-    interval doubling its count, at most ``MAX_MAP_DOUBLINGS`` times, until
-    its n- and 2n-step maps agree entrywise within ``atol``, a number or one
-    per interval."""
+    widths] at once: exact exponentials for a time-independent generator,
+    else CF4 maps from one step, each interval doubling its count, at most
+    ``MAX_MAP_DOUBLINGS`` times, until its n- and 2n-step maps agree
+    entrywise within ``INTERMEDIATE_MAP_ATOL``."""
     if operator.time_independent:
         maps, which = _width_maps(operator, widths)
         return maps[which]
-    atol = np.broadcast_to(atol, widths.shape)
     counts = np.ones(len(widths), dtype=int)
     coarse, fine = (_cf4_maps(operator, starts, widths, n) for n in (1, 2))
     most = 2 ** (MAX_MAP_DOUBLINGS - 1)
-    while (failing := ~(np.max(np.abs(fine - coarse), axis=(-2, -1)) <= atol)).any():
-        first = int(np.argmax(failing))
-        if counts[first] >= most:
-            raise IntegrationError(f"time-ordered product did not converge to {atol[first]:.1e} "
-                                   f"within {MAX_MAP_DOUBLINGS} doublings")
+    while (failing := ~(np.max(np.abs(fine - coarse), axis=(-2, -1)) <= INTERMEDIATE_MAP_ATOL)).any():
+        if counts[int(np.argmax(failing))] >= most:
+            raise IntegrationError(f"time-ordered product did not converge to "
+                                   f"{INTERMEDIATE_MAP_ATOL:.1e} within {MAX_MAP_DOUBLINGS} doublings")
         _regrow(operator, starts, widths, counts, coarse, fine, failing & (counts < most))
     return fine
 
@@ -924,13 +930,13 @@ def intermediate_map(generator: LindbladGenerator, s: float, t: float) -> SuperO
     """Propagator M_{t,s}: the one-interval case of :func:`_certified_maps`,
     whose CF4 step count is doubled from one, at most ``MAX_MAP_DOUBLINGS``
     times, until the n- and 2n-step maps agree entrywise within
-    ``INTERMEDIATE_MAP_ATOL``."""
+    ``INTERMEDIATE_MAP_ATOL``; off-grid states take RK4 instead."""
     if not (np.isfinite(s) and np.isfinite(t)):
         raise IntegrationError("intermediate map needs finite times")
     if t < s:
         raise IntegrationError("intermediate map requires s <= t")
     whole = generator.restricted(np.arange(generator.dim ** 2))  # G(t) is the transposed L_t
-    maps = _certified_maps(whole, np.array([float(s)]), np.array([t - s]), INTERMEDIATE_MAP_ATOL)
+    maps = _certified_maps(whole, np.array([float(s)]), np.array([t - s]))
     return SuperOperator(maps[0].T)
 
 
@@ -1038,8 +1044,7 @@ def cp_divisibility_check(generator: LindbladGenerator, grid) -> DivisibilityRep
     if len(grid) < 2:
         raise IntegrationError("time grid needs at least 2 finite points")
     whole = generator.restricted(np.arange(generator.dim ** 2))
-    maps = [SuperOperator(m.T) for m in _certified_maps(whole, grid[:-1], np.diff(grid),
-                                                         INTERMEDIATE_MAP_ATOL)]
+    maps = [SuperOperator(m.T) for m in _certified_maps(whole, grid[:-1], np.diff(grid))]
     reports = [is_cptp(m) for m in maps]
     evidence = [IntervalEvidence(float(a), float(b), r.choi_min_eigenvalue, r.trace_defect)
                 for a, b, r in zip(grid[:-1], grid[1:], reports)]

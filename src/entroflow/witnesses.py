@@ -27,7 +27,7 @@ from .dynamics import (
     ChannelFamily,
     Trajectory,
     _expectations,
-    _WholeStates,
+    _integration_operator,
     entropy_rate,
     expm,
     propagate,
@@ -174,21 +174,22 @@ def _pinned_adjoint_traces(operator, times, rows: np.ndarray,
     ``operator`` is what the states were integrated with
     (:attr:`Trajectory.operator`, whose rows :meth:`Trajectory.coordinates`
     gives): a dense restriction of the generator to the invariant sets the
-    states touch, which holds L_t^dag exactly, or the whole generator,
-    ``_WholeStates``."""
+    states touch, which holds L_t^dag exactly, or the whole generator."""
     return _support_traces(operator, spectrum, _images(operator.adjoint_apply, times, rows))
 
 
 def nonunitality_witness(generator: LindbladGenerator, t: float, rho) -> float:
     """Tr{Pi_t L_t^dag(rho_t)}: the one-state case of
-    :func:`_pinned_adjoint_traces`, through the whole generator.
+    :func:`_pinned_adjoint_traces`, through the operator :func:`propagate`
+    would integrate rho with.
 
     Zero for unital dynamics at full-rank states, where Pi = I and
     Tr{L^dag(rho)} = Tr{rho L(I)} = 0.  At rank-deficient states it need not
     vanish: the sigma_z dephasing generator at |+> gives -gamma/2.
     """
-    operator = _WholeStates(generator)
-    return float(_pinned_adjoint_traces(operator, [t], operator.coordinates(as_matrix(rho)[None]),
+    states = as_matrix(rho)[None]
+    operator = _integration_operator(generator, states)
+    return float(_pinned_adjoint_traces(operator, [t], operator.coordinates(states),
                                         spectral_decompose(rho)[None])[0])
 
 
@@ -440,8 +441,8 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid) -> Meas
     points within ``RANK_CHANGE_MARGIN`` of a rank change are excluded.
     Every round of that search takes its states from :func:`states_off_grid`
     through the operator the one :func:`propagate` call kept on the
-    trajectory: partial-interval maps for a dephasing-type generator, whose
-    restriction is diagonal, and RK4 substeps for any other.  The witness
+    trajectory: step-doubled RK4 from the nearest grid point, certified as
+    every propagated grid state is, or an :class:`IntegrationError`.  The witness
     Tr{Pi L_t^dag(rho_t)}, on the grid and off it, and L_t(rho_t) off the
     grid are products of that same operator.
     """

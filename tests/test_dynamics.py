@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from entroflow import (
@@ -42,6 +43,7 @@ from entroflow.channels import (
 )
 from entroflow import dynamics
 from entroflow.dynamics import (
+    PROPAGATE_ERROR_TARGET,
     Trajectory,
     _damping_qubit_derivative,
     _gaps_exceed,
@@ -1158,18 +1160,17 @@ class TestStackedTrajectory:
         stacked = states_off_grid(traj, columns, times)
         for n, t, state in zip(columns, times, stacked):
             k = int(np.argmin(np.abs(grid - t)))
-            one = hermitian_part(_rk4_segment(gen, traj.entries[k, n], float(grid[k]), t,
-                                              dynamics._OFF_GRID_STEPS))
-            np.testing.assert_allclose(state, one, atol=1e-14)
+            fine = hermitian_part(_rk4_segment(gen, traj.entries[k, n], float(grid[k]), t, 4096))
+            assert trace_norms(state - fine) <= PROPAGATE_ERROR_TARGET * abs(t - grid[k])
             column = propagate(gen, traj.entries[0, n], grid)
-            np.testing.assert_allclose(states_off_grid(column, [0], [t])[0], one, atol=1e-14)
+            np.testing.assert_allclose(states_off_grid(column, [0], [t])[0], state, atol=1e-14)
 
     def test_restricted_rows_take_one_time_each(self, rng):
         # (N, m) coordinate rows of a qubit stack (m = 4) at per-row times,
         # through the dense restriction, against the whole-state segment;
-        # then states_off_grid, whose partial-interval maps on this diagonal
-        # restriction carry each stored state to its time as the dephasing
-        # closed form rho_01(t) = rho_01(s) exp(-(Gamma(t) - Gamma(s))) does.
+        # then states_off_grid, whose certified RK4 on this restriction
+        # carries each stored state to its time as the dephasing closed form
+        # rho_01(t) = rho_01(s) exp(-(Gamma(t) - Gamma(s))) does.
         gen = dephasing_generator(lambda t: 0.5 + np.cos(2.0 * t))
         starts = np.stack([random_mixed_state(rng, 2).entries for _ in range(6)])
         t0 = rng.uniform(0.0, 2.5, size=6)
@@ -1191,36 +1192,70 @@ class TestStackedTrajectory:
         np.testing.assert_allclose(states_off_grid(traj, columns, times), expected,
                                    rtol=0, atol=1e-10)
 
-    def test_non_diagonal_restriction_takes_rk4(self, rng):
-        # A driven qubit with a time-dependent rate: its restriction has
-        # off-diagonal blocks, so its off-grid states stay RK4 in
-        # _OFF_GRID_STEPS substeps from the nearest grid point, before or after.
-        gen = LindbladGenerator(2, hamiltonian=0.7 * SIGMA_X, jumps=[
-            JumpTerm(CosineSquaredCoefficient(omega=1.0, scale=0.8), SIGMA_Z),
-            JumpTerm(0.3, np.array([[0, 1], [0, 0]], dtype=complex))])
+    @pytest.mark.parametrize("scale", [1.0, 20.0])
+    def test_off_grid_states_meet_the_certificate(self, rng, scale):
+        # A driven qubit with a time-dependent rate: each off-grid state, from
+        # its nearest grid point before or after, lies within the certificate
+        # of every propagated grid state of a 4096-substep RK4 from there.
+        # 1.2 lies one ulp before the grid point 1.2000000000000002, where
+        # the certificate is the rounding the reference itself carries.
+        gen = driven_qubit(scale)
         grid = np.linspace(0.0, 2.0, 21)
         traj = propagate(gen, [random_mixed_state(rng, 2) for _ in range(3)], grid)
         operator = traj.operator
         assert isinstance(operator, _Restriction) and not operator.time_independent
-        assert not operator.diagonal
         columns, times = np.array([1, 0, 2, 1]), np.array([0.013, 0.47, 1.2, 1.99])
         nearest = np.argmin(np.abs(grid[None, :] - times[:, None]), axis=1)
-        starts = traj.entries[nearest, columns]
-        expected = hermitian_part(operator.states(_rk4_segment(
-            operator, operator.coordinates(starts), grid[nearest], times, dynamics._OFF_GRID_STEPS)))
-        assert np.array_equal(states_off_grid(traj, columns, times), expected)
+        fine = hermitian_part(operator.states(_rk4_segment(
+            operator, operator.coordinates(traj.entries[nearest, columns]), grid[nearest], times,
+            4096)))
+        gaps = trace_norms(states_off_grid(traj, columns, times) - fine)
+        assert np.all(gaps <= np.maximum(PROPAGATE_ERROR_TARGET * np.abs(times - grid[nearest]),
+                                         4096 * np.finfo(float).eps))
+
+    @pytest.mark.parametrize("scale", [1.0, 20.0])
+    def test_times_within_rounding_of_a_grid_point_do_not_stall(self, rng, scale):
+        # Widths from 1e-9 to 1e-16 on both sides of grid points, where the
+        # budget PROPAGATE_ERROR_TARGET * |w| lies below the rounding of the
+        # states: each row ends at the rounding of one RK4 substep.
+        grid = np.linspace(0.0, 2.0, 21)
+        traj = propagate(driven_qubit(scale), [random_mixed_state(rng, 2) for _ in range(3)],
+                         grid)
+        widths = 10.0 ** -np.arange(9, 17)
+        points = np.repeat([0, 1, 1, 12, 12, 20], len(widths))
+        times = grid[points] + np.tile(widths, 6) * np.repeat([1, 1, -1, 1, -1, -1], len(widths))
+        columns = np.arange(len(times)) % 3
+        operator = traj.operator
+        one = hermitian_part(operator.states(_rk4_segment(
+            operator, operator.coordinates(traj.entries[points, columns]), grid[points], times,
+            1)))
+        assert np.all(trace_norms(states_off_grid(traj, columns, times) - one) <= 1e-14)
+
+    def test_a_stiff_rate_raises_without_a_warning(self, rng):
+        # At rate scale 1e5 the RK4 stages from t = 0 overflow: the call
+        # raises before any gap test, which would read a NaN gap as converged.
+        traj = propagate(driven_qubit(1e5), [random_mixed_state(rng, 2) for _ in range(3)],
+                         np.linspace(0.0, 2.0, 21))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="not finite"):
+                states_off_grid(traj, [1, 0, 2, 1], [0.013, 0.47, 1.2, 1.99])
+
+    def test_nearest_grid_points_match_argmin(self):
+        # Exact midpoints of a dyadic grid tie, and both picks take the
+        # earlier point; so do the rounded midpoints of an irregular grid.
+        for grid in (np.arange(0.0, 4.25, 0.25), np.cumsum([0.0, 0.1, 0.3, 0.05, 0.7, 0.2])):
+            middles = 0.5 * (grid[:-1] + grid[1:])
+            times = np.concatenate([middles, grid, grid[:-1] + 1e-3, grid[1:] - 1e-3,
+                                    [grid[0] - 1.0, grid[-1] + 1.0]])
+            expected = np.argmin(np.abs(grid[None, :] - times[:, None]), axis=1)
+            np.testing.assert_array_equal(dynamics._nearest_points(grid, times), expected)
 
     @pytest.mark.parametrize("rate", ["oscillating", "constant"])
-    def test_dephasing_stack_needs_no_rk4_and_no_scipy(self, rng, monkeypatch, rate):
+    def test_dephasing_stack_needs_no_scipy(self, rng, monkeypatch, rate):
         gen = oscillating_dephasing()[0] if rate == "oscillating" else dephasing_generator(0.7)
         grid = np.linspace(0.0, 3.0, 31)
         traj = propagate(gen, [random_mixed_state(rng, 2) for _ in range(4)], grid)
-        assert traj.operator.diagonal
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("RK4 reached")
-
-        monkeypatch.setattr(dynamics, "_rk4_segment", forbidden)
         calls = count_scipy_expm(monkeypatch)
         states = states_off_grid(traj, [0, 3, 1, 2], [0.04, 1.17, 2.2, 2.96])
         assert calls == [] and states.shape == (4, 2, 2)
@@ -1231,14 +1266,13 @@ class TestStackedTrajectory:
                if driven else oscillating_dephasing()[0])
         grid = np.linspace(0.0, 3.0, 31)
         traj = propagate(gen, [random_mixed_state(rng, 2) for _ in range(3)], grid)
-        assert traj.operator.diagonal is not driven
         columns, rows = np.array([2, 0, 1, 0]), np.array([0, 7, 19, 30])
         assert np.array_equal(states_off_grid(traj, columns, grid[rows]),
                               traj.entries[rows, columns])
 
     @pytest.mark.parametrize("rate", ["oscillating", "constant"])
     def test_times_before_their_grid_point_match_the_closed_form(self, rng, rate):
-        # Every time lies just before its nearest grid point, so each map runs
+        # Every time lies just before its nearest grid point, so each row runs
         # backward over a negative width, through and past the window (pi/3,
         # 2pi/3) where the oscillating rate is negative.
         if rate == "oscillating":
@@ -1255,6 +1289,66 @@ class TestStackedTrajectory:
         expected = dephased(traj.entries[rows, columns], integral(times) - integral(grid[rows]))
         np.testing.assert_allclose(states_off_grid(traj, columns, times), expected,
                                    rtol=0, atol=1e-10)
+
+
+def test_off_grid_states_are_finite_hermitian_or_named():
+    # Random generators whose first rate dips below 0 (over a window of
+    # times when it is time-dependent, throughout when it is constant).
+    # Wherever propagate returns, off-grid states at random (column, time)
+    # pairs are finite and Hermitian or raise IntegrationError, with no
+    # warning.  The 20 derandomized examples are counted: at least a quarter
+    # get past propagate to the off-grid states (11 of 20 with hypothesis
+    # 6.155; 54 of seeds 0 to 9 over each of the 12 draws of d, rate kind
+    # and scale).
+    outcomes = []
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]),
+           time_dependent=st.booleans(), scale=st.sampled_from([0.5, 5.0, 50.0]))
+    def check(seed, d, time_dependent, scale):
+        outcomes.append(off_grid_outcome(seed, d, time_dependent, scale))
+
+    check()
+    assert 4 * sum(outcome != "propagate raised" for outcome in outcomes) >= len(outcomes)
+
+
+def off_grid_outcome(seed, d, time_dependent, scale):
+    """Which of propagate and states_off_grid raised on one random
+    generator with a negative rate, under warnings as errors, after
+    checking the off-grid states when both returned."""
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    ops = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2)]
+    dip = -scale * rng.uniform(0.05, 0.5)
+    jumps = [JumpTerm(dip, ops[0]), JumpTerm(float(scale * rng.uniform(0.2, 1.0)), ops[1])]
+    if time_dependent:
+        jumps.append(JumpTerm(CosineSquaredCoefficient(omega=float(rng.uniform(0.5, 3.0)),
+                                                       scale=2.0 * scale), ops[0]))
+    gen = LindbladGenerator(d, hamiltonian=0.5 * (h + dagger(h)), jumps=jumps)
+    grid = np.linspace(0.0, float(rng.uniform(0.2, 2.0)), int(rng.integers(3, 30)))
+    starts = [random_full_rank_state(rng, d) for _ in range(2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            traj = propagate(gen, starts, grid)
+        except IntegrationError:
+            return "propagate raised"
+        columns = rng.integers(0, 2, size=8)
+        times = rng.uniform(traj.grid[0], traj.grid[-1], size=8)
+        try:
+            states = states_off_grid(traj, columns, times)
+        except IntegrationError:
+            return "off-grid raised"
+    assert np.isfinite(states).all() and np.array_equal(states, dagger(states))
+    return "returned"
+
+
+def driven_qubit(scale):
+    """A qubit driven by 0.7 sigma_x, dephased at the rate scale cos^2(t) and
+    damped at 0.3: a restriction with non-diagonal blocks."""
+    return LindbladGenerator(2, hamiltonian=0.7 * SIGMA_X, jumps=[
+        JumpTerm(CosineSquaredCoefficient(omega=1.0, scale=scale), SIGMA_Z),
+        JumpTerm(0.3, np.array([[0, 1], [0, 0]], dtype=complex))])
 
 
 def dephased(states, gammas):

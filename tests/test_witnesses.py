@@ -58,7 +58,7 @@ from entroflow.witnesses import (
     f_components,
 )
 
-from conftest import reference_maps, superoperators, support_projectors
+from conftest import fresh_interpreter, reference_maps, superoperators, support_projectors
 
 
 def test_pinsker_gap_rejects_trace_nonincreasing_operation():
@@ -107,6 +107,21 @@ def test_nonunitality_witness_vanishes_for_unital_generator_at_full_rank(generat
     for _ in range(5):
         rho = random_full_rank_state(rng, generator.dim)
         assert abs(nonunitality_witness(generator, 0.0, rho)) <= 1e-12
+
+
+def test_nonunitality_witness_leaves_scipy_sparse_out():
+    # A fresh interpreter: one qubit's witness and bound take the dense
+    # restriction propagate would integrate the state with, no sparse product.
+    code = ("import sys\n"
+            "from entroflow import DensityMatrix, dephasing_generator, theorem2_bound\n"
+            "from entroflow.witnesses import nonunitality_witness\n"
+            "plus = DensityMatrix.pure([1, 1])\n"
+            "print(nonunitality_witness(dephasing_generator(1.0), 0.0, plus),\n"
+            "      theorem2_bound(dephasing_generator(1.0), 0.0, plus))\n"
+            "print([m for m in sys.modules if m.startswith('scipy.sparse')])\n")
+    values, loaded = fresh_interpreter(code).splitlines()
+    assert [float(v) for v in values.split()] == pytest.approx([-0.5, 0.5])
+    assert loaded == "[]"
 
 
 def test_nonunitality_witness_nonzero_for_unital_generator_at_pure_state():
