@@ -25,16 +25,18 @@ M_{t+eps,t} at eps = 0, each carrying a stack of initial states to
 (T, N, d, d) states in one product: no finite differences.  A Lindblad
 generator's K_t is L_t itself.
 
-``scipy.linalg`` is imported by the first map build whose exponent is not
-diagonal (:func:`expm`; dephasing maps are diagonal and need no scipy), and
-``scipy.sparse`` by the first whole-space product of a
+Every map is built in numpy (:func:`expm`: elementwise for a diagonal
+exponent, such as every dephasing map, and a batched Padé approximant
+otherwise), so no module here imports ``scipy.linalg``.  ``scipy.sparse``
+is imported by the first whole-space product of a
 :class:`~entroflow.channels.LindbladGenerator`, which only a stack too
 large for a dense restriction makes; the closed-form channel families
-(GADC, dephasing) need neither.
+(GADC, dephasing) never need it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -723,7 +725,23 @@ _CF4_WEIGHTS = ((3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 
 _WIDTH_RTOL = 1e-12
 
 
-_scipy_expm = None  # scipy.linalg.expm, bound by the first expm that needs it
+# Scaling and squaring with diagonal Padé approximants r_m = p_m / q_m,
+# Algorithm 6.1 of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
+# (2009), with exact 1-norms.  The coefficients of p_m(x) = sum_j b_j x^j,
+# b_j = (2m - j)! / (j! (m - j)!) (Higham, SIAM J. Matrix Anal. Appl. 26,
+# 1179 (2005)); the largest eta = max_k ||A^k||_1^(1/k) at which r_m is exp
+# to unit roundoff (theta_m); and the leading coefficient c_(2m+1) =
+# (m!)^2 / ((2m)! (2m + 1)!) of its backward-error series, which sets the
+# over-scaling correction ell(A, m).
+_PADE_DEGREES = (3, 5, 7, 9, 13)
+_PADE_COEFFICIENTS = {m: tuple(float(math.factorial(2 * m - j)
+                                     // (math.factorial(j) * math.factorial(m - j)))
+                               for j in range(m + 1)) for m in _PADE_DEGREES}
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+               9: 2.097847961257068, 13: 4.25}
+_PADE_ERROR = {m: math.factorial(m) ** 2 / (math.factorial(2 * m) * math.factorial(2 * m + 1))
+               for m in _PADE_DEGREES}
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -731,20 +749,124 @@ def expm(a: np.ndarray) -> np.ndarray:
 
     A stack with no nonzero entry off its diagonals takes one elementwise
     exp of its diagonals, scattered into zeros: scipy.linalg.expm's own
-    branch for a diagonal matrix, which it takes one matrix at a time.  Any
-    other stack goes to scipy.linalg.expm, imported on first need, so that a
-    run whose maps are all diagonal (every dephasing map) never loads
-    scipy.linalg.
+    branch for a diagonal matrix, which it takes one matrix at a time, so
+    every dephasing map is the same bits as there.  Any other stack takes
+    :func:`_pade_expm`, one batched Padé approximant in numpy, in real
+    arithmetic where a complex stack has no imaginary part (the Fock
+    population maps), which halves its cost.
     """
-    global _scipy_expm
     if _is_diagonal(a):
         out = np.zeros(a.shape, dtype=np.result_type(a.dtype, 1.0))
         diagonals = np.einsum("...ii->...i", out)
         diagonals[...] = np.exp(np.diagonal(a, axis1=-2, axis2=-1))
         return out
-    if _scipy_expm is None:
-        from scipy.linalg import expm as _scipy_expm
-    return _scipy_expm(a)
+    if np.iscomplexobj(a) and not a.imag.any():
+        return _pade_expm(a.real).astype(a.dtype)
+    return _pade_expm(a)
+
+
+def _pade_expm(a: np.ndarray) -> np.ndarray:
+    """exp of a stack (..., m, m) by scaling and squaring: Algorithm 6.1 of
+    Al-Mohy & Higham with exact 1-norms, scipy.linalg.expm's algorithm, with
+    one Padé degree m for the whole stack and a squaring count s per matrix.
+
+    Both follow from eta_k = ||A^k||_1^(1/k), with A^2, A^4 and A^6 (and
+    A^8 and A^10 past degree 5) the powers of the unscaled stack: m from the
+    stack's largest eta, s from each matrix's own, so that a small matrix
+    is not squared as often as the largest and loses nothing to it.
+    :func:`_overscaling` moves the degree up, or adds squarings, while the
+    leading term of the backward error exceeds unit roundoff.  r_m is one
+    batched solve, then max(s) batched squarings.  A matrix whose A^6 or A^8
+    has no finite 1-norm (non-finite entries, or powers that overflow:
+    scipy's own norms overflow there too) is left out of the choice and
+    gets NaN, with no exception; in the callers' errstate, silently.
+    """
+    a = a.astype(np.result_type(a.dtype, 1.0), copy=False)
+    powers = {1: a, 2: a @ a}
+    powers[4] = powers[2] @ powers[2]
+    powers[6] = powers[4] @ powers[2]
+    norms = {k: _one_norms(powers[k]) for k in (4, 6)}
+    lost = ~np.isfinite(norms[6])
+    powers, norms = _dropped(powers, norms, lost)
+    eta = max(norms[4].max() ** (1 / 4), norms[6].max() ** (1 / 6))
+    for m in (3, 5):
+        if eta <= _PADE_THETA[m] and not _overscaling(powers[1], m).any():
+            return _squared(_pade(powers, m), 0, lost)
+    powers[8] = powers[4] @ powers[4]
+    norms[8] = _one_norms(powers[8])
+    lost = lost | ~np.isfinite(norms[8])
+    powers, norms = _dropped(powers, norms, lost)
+    eta = np.maximum(norms[6] ** (1 / 6), norms[8] ** (1 / 8))
+    for m in (7, 9):
+        if eta.max() <= _PADE_THETA[m] and not _overscaling(powers[1], m).any():
+            return _squared(_pade(powers, m), 0, lost)
+    eta = np.minimum(eta, np.maximum(norms[8] ** (1 / 8), _one_norms(powers[4] @ powers[6]) ** (1 / 10)))
+    s = np.ceil(np.log2(np.maximum(eta / _PADE_THETA[13], 1.0))).astype(int)
+    s += _overscaling(powers[1] * 2.0 ** -s[..., None, None], 13)
+    scale = 2.0 ** -s[..., None, None]
+    return _squared(_pade({k: powers[k] * scale ** k for k in (1, 2, 4, 6)}, 13), s, lost)
+
+
+def _one_norms(a: np.ndarray) -> np.ndarray:
+    """The 1-norms (largest absolute column sums) of a stack (..., m, m)."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def _dropped(powers: dict, norms: dict, lost: np.ndarray) -> tuple[dict, dict]:
+    """The powers and their norms with the ``lost`` matrices set to zero, so
+    that nothing downstream reads their non-finite entries."""
+    if not lost.any():
+        return powers, norms
+    return ({k: np.where(lost[..., None, None], 0.0, p) for k, p in powers.items()},
+            {k: np.where(lost, 0.0, n) for k, n in norms.items()})
+
+
+def _overscaling(a: np.ndarray, m: int) -> np.ndarray:
+    """ell(A, m) of Al-Mohy & Higham for each matrix of a stack: the
+    squarings that take alpha = c_(2m+1) || |A|^(2m+1) ||_1 / ||A||_1 down to
+    unit roundoff.  |A| is nonnegative, so || |A|^(2m+1) ||_1 is the largest
+    entry of 1^T |A|^(2m+1): 2m + 1 vector-matrix products, skipped where
+    alpha <= c_(2m+1) ||A||_1^(2m) already gives ell = 0.  A product that
+    overflows counts as the largest float."""
+    absolute = np.abs(a)
+    norms = absolute.sum(axis=-2).max(axis=-1)
+    if norms.max() <= (_UNIT_ROUNDOFF / _PADE_ERROR[m]) ** (1 / (2 * m)):
+        return np.zeros(norms.shape, dtype=int)
+    v = np.ones(a.shape[:-2] + (1, a.shape[-1]))
+    for _ in range(2 * m + 1):
+        v = v @ absolute
+    alpha = _PADE_ERROR[m] * v.max(axis=(-2, -1)) / np.where(norms > 0.0, norms, 1.0)
+    alpha = np.fmin(alpha, np.finfo(float).max)
+    bits = np.log2(np.maximum(alpha, _UNIT_ROUNDOFF)) - np.log2(_UNIT_ROUNDOFF)
+    return np.ceil(bits / (2 * m)).astype(int)
+
+
+def _pade(powers: dict, m: int) -> np.ndarray:
+    """r_m(A) from the powers of A, in Higham's (2005) form: p_m = V + U and
+    q_m = V - U, with U the odd part and V the even part of p_m, as
+    I + 2 q_m^-1 U, which keeps the rounding of the identity out of a small
+    exponent's result."""
+    b = _PADE_COEFFICIENTS[m]
+    eye = np.eye(powers[1].shape[-1], dtype=powers[1].dtype)
+    if m == 13:
+        a2, a4, a6 = powers[2], powers[4], powers[6]
+        u = powers[1] @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                         + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    else:
+        even = [eye] + [powers[k] for k in range(2, m, 2)]
+        u = powers[1] @ sum(b[k + 1] * p for k, p in zip(range(0, m, 2), even))
+        v = sum(b[k] * p for k, p in zip(range(0, m, 2), even))
+    return np.linalg.solve(v - u, 2.0 * u) + eye
+
+
+def _squared(x: np.ndarray, s, lost: np.ndarray) -> np.ndarray:
+    """Each matrix of x squared its own s times (s an array, or 0), in
+    max(s) batched products, with NaN for the ``lost`` matrices."""
+    for step in range(int(np.max(s))):
+        x = np.where((s > step)[..., None, None], x @ x, x)
+    x[lost] = np.nan
+    return x
 
 
 def _cf4_maps(operator, starts: np.ndarray, widths: np.ndarray, steps: int) -> np.ndarray:

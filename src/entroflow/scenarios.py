@@ -138,8 +138,8 @@ class RunReport:
     """The checks and output files of one scenario run.  ``wall_time_s`` times
     the scenario's runner alone, after :func:`validate_config`: ``custom``
     also builds its generator in ``validate_config``, outside it, and a
-    first-use import inside the runner (``scipy.linalg`` in
-    ``gaussian_bounds``) falls within it."""
+    first-use import inside the runner would fall within it (no default
+    run makes one: none loads ``scipy.sparse`` or ``scipy.linalg``)."""
 
     scenario: str
     seed: int

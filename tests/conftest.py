@@ -72,12 +72,13 @@ def fresh_interpreter(code: str, *args: str) -> str:
 def first_scipy_use(case: str) -> np.ndarray:
     """A computation that would load scipy if any of its steps needed it: the
     trajectory entries of a driven, damped qubit under a ``constant`` or
-    ``time_dependent`` rate (maps built by scipy.linalg.expm), of a qubit
-    under ``dephasing`` at a time-dependent rate (diagonal maps), or the
-    ``sandwich`` bounds of a dephasing semigroup.  Every generator compiles
-    in numpy, and none of these makes a whole-space product, the one step
-    that loads scipy.sparse.  It lives here, not in a test module, so that a
-    fresh interpreter can import it without scipy."""
+    ``time_dependent`` rate (maps by dynamics.expm's Padé kernel), of a
+    qubit under ``dephasing`` at a time-dependent rate (diagonal maps), or
+    the ``sandwich`` bounds of a dephasing semigroup.  Every generator
+    compiles in numpy, every map is built in numpy, and none of these makes
+    a whole-space product, the one step that loads scipy.sparse.  It lives
+    here, not in a test module, so that a fresh interpreter can import it
+    without scipy."""
     if case == "sandwich":
         bounds = semigroup_sandwich(LindbladGenerator(2, jumps=[(0.5, SIGMA_Z)]),
                                     np.array([[0.7, 0.2], [0.2, 0.3]]), 0.4)

@@ -67,25 +67,23 @@ DAMPING_RATE_AT_ONE = -0.19914228500721254  # e^-1 log(e^-1 / (1 - e^-1))
 
 @pytest.mark.parametrize("case", ["constant", "time_dependent", "sandwich", "dephasing"])
 def test_scipy_loads_on_first_use(case, tmp_path):
-    # A fresh interpreter in which the case is the first user of scipy.  A
-    # generator compiles in numpy, and every case propagates on restrictions
-    # or reads the dense superoperator, so none loads scipy.sparse; a map
-    # build loads scipy.linalg only for an exponent that is not diagonal (the
-    # driven qubit's), while the dephasing maps and sandwich take
-    # dynamics.expm's elementwise branch.  Either way the numbers are those
+    # A fresh interpreter in which the case would be the first user of
+    # scipy.  A generator compiles in numpy, and every case propagates on
+    # restrictions or reads the dense superoperator, so none loads
+    # scipy.sparse; the maps are dynamics.expm's, elementwise for the
+    # dephasing maps and sandwich and numpy's Padé kernel for the driven
+    # qubit, so none loads scipy.linalg.  Either way the numbers are those
     # of this process.
     code = ("import sys\n"
             "import numpy as np\n"
             "from conftest import first_scipy_use\n"
-            "from entroflow import dynamics\n"
-            "assert not [m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg'))]\n"
+            "def loaded(): return [m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg'))]\n"
+            "assert not loaded()\n"
             "np.save(sys.argv[1], first_scipy_use(sys.argv[2]))\n"
-            "assert dynamics.expm.__module__ == 'entroflow.dynamics'\n"
-            "assert not [m for m in sys.modules if m.startswith('scipy.sparse')]\n"
-            "print('scipy.linalg' in sys.modules)\n")
+            "print(loaded())\n")
     path = tmp_path / "result.npy"
     out = fresh_interpreter(code, str(path), case)
-    assert out.strip() == str(case in ("constant", "time_dependent"))
+    assert out.strip() == "[]"
     assert np.array_equal(np.load(path), first_scipy_use(case))
 
 
@@ -672,19 +670,49 @@ class TestIntervalMaps:
             assert len(calls) == 1 and np.array_equal(calls[0], traj.grid)
 
 
-def count_scipy_expm(monkeypatch) -> list[int]:
-    """Record the size of every stack that dynamics.expm hands to scipy."""
+def record_pade_calls(monkeypatch) -> list[np.ndarray]:
+    """Record every stack that dynamics.expm hands to its Padé kernel, by the
+    kernel's name."""
     calls = []
+    kernel = dynamics._pade_expm
 
-    def counted(a):
-        calls.append(len(a))
-        return expm(a)
-    monkeypatch.setattr(dynamics, "_scipy_expm", counted)
+    def recorded(a):
+        calls.append(a)
+        return kernel(a)
+    monkeypatch.setattr(dynamics, "_pade_expm", recorded)
     return calls
 
 
+def one_norm_gaps(x, reference):
+    """The 1-norm distance of each matrix of a stack from its reference,
+    relative to the reference's 1-norm."""
+    norm = lambda m: np.abs(m).sum(axis=-2).max(axis=-1)
+    return norm(x - reference) / norm(reference)
+
+
+def mpmath_expm(a):
+    """exp of each matrix of a stack at 40 digits, rounded to complex."""
+    mpmath = pytest.importorskip("mpmath")
+    out = np.empty(a.shape, dtype=complex)
+    with mpmath.workdps(40):
+        for index in np.ndindex(a.shape[:-2]):
+            exp = mpmath.expm(mpmath.matrix(a[index].tolist()))
+            out[index] = [[complex(exp[i, j]) for j in range(exp.cols)] for i in range(exp.rows)]
+    return out
+
+
+def random_exponents(rng, d, norms):
+    """Seeded complex (len(norms), d, d) exponents with those 1-norms, each
+    shifted so that its spectral abscissa is 0 (its exponential stays
+    finite at any norm)."""
+    g = rng.normal(size=(len(norms), d, d)) + 1j * rng.normal(size=(len(norms), d, d))
+    g -= np.linalg.eigvals(g).real.max(axis=-1)[:, None, None] * np.eye(d)
+    return g * (np.asarray(norms) / np.abs(g).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
 class TestExponentials:
-    """dynamics.expm: one elementwise exp for a diagonal stack, scipy otherwise."""
+    """dynamics.expm: one elementwise exp for a diagonal stack, numpy's
+    batched Padé kernel otherwise, with scipy.linalg.expm as the oracle."""
 
     @pytest.mark.parametrize("shape, dtype", [((6,), complex), ((2, 3), complex), ((5,), float),
                                               ((1,), complex), ((4,), complex)])
@@ -696,26 +724,27 @@ class TestExponentials:
         diagonals[..., 0] = 0.0  # a zero exponent among them
         a = np.zeros(shape + (m, m), dtype=dtype)
         np.einsum("...ii->...i", a)[...] = diagonals
-        calls = count_scipy_expm(monkeypatch)
+        calls = record_pade_calls(monkeypatch)
         out = dynamics.expm(a)
         assert calls == []
         reference = expm(a)
         assert out.dtype == reference.dtype
         assert np.array_equal(out, reference)
 
-    def test_one_non_diagonal_matrix_sends_the_stack_to_scipy(self, rng, monkeypatch):
+    def test_one_non_diagonal_matrix_sends_the_stack_to_the_pade_kernel(self, rng, monkeypatch):
         a = np.zeros((5, 3, 3), dtype=complex)
         np.einsum("...ii->...i", a)[...] = rng.normal(size=(5, 3))
         a[3, 0, 1] = 0.2
-        calls = count_scipy_expm(monkeypatch)
+        calls = record_pade_calls(monkeypatch)
         out = dynamics.expm(a)
-        assert calls == [5]
-        assert np.array_equal(out, expm(a))
+        assert [len(c) for c in calls] == [5]
+        assert out.dtype == complex
+        assert one_norm_gaps(out, expm(a)).max() <= 1e-14
 
     def test_dephasing_maps_need_no_scipy(self, rng, monkeypatch):
         # Both map kernels on a dephasing generator, time-dependent (CF4) and
         # constant (one exponential per width), and the whole-space map.
-        calls = count_scipy_expm(monkeypatch)
+        calls = record_pade_calls(monkeypatch)
         states = [random_mixed_state(rng, 2) for _ in range(3)]
         grid = np.linspace(0.0, 2.0, 21)
         propagate(oscillating_dephasing()[0], states, grid)
@@ -725,6 +754,100 @@ class TestExponentials:
         propagate(random_qubit_generator(rng), states, grid)
         assert calls
 
+
+class TestPadeKernel:
+    """Accuracy of dynamics.expm's Padé kernel against scipy.linalg.expm and
+    a 40-digit mpmath reference, and its non-finite inputs."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_random_stacks_match_scipy_and_a_40_digit_reference(self, d, rng):
+        # One stack per norm, each on its own: up to a 1-norm of 100 within
+        # 1e-14 of scipy, and at every norm no farther from the 40-digit
+        # reference than twice scipy's own distance, plus 2 eps.
+        norms = np.array([1e-2, 1.0, 100.0, 1e3])
+        a = random_exponents(rng, d, norms)
+        out = np.array([dynamics.expm(m[None])[0] for m in a])
+        oracle = expm(a)
+        assert np.all(one_norm_gaps(out, oracle)[norms <= 100] <= 1e-14)
+        exact = mpmath_expm(a)
+        eps = np.finfo(float).eps
+        assert np.all(one_norm_gaps(out, exact) <= 2 * one_norm_gaps(oracle, exact) + 2 * eps)
+
+    def test_the_default_gaussian_exponents_match_scipy(self, tmp_path, monkeypatch):
+        # The three (1, 40, 40) exponents of the default gaussian_bounds run,
+        # exp(h G) at the grid width h = 0.05 of each kind's population
+        # generator: real-valued, so the kernel works on their real parts.
+        from entroflow.scenarios import DEFAULT_CONFIGS, run_config
+        kernel = dynamics._pade_expm
+        exponents = record_pade_calls(monkeypatch)
+        assert run_config(DEFAULT_CONFIGS["gaussian_bounds"], tmp_path).passed
+        assert [a.shape for a in exponents] == [(1, 40, 40)] * 3
+        for a in exponents:
+            assert a.dtype == float
+            assert one_norm_gaps(kernel(a), expm(a)).max() <= 1e-14
+
+    @pytest.mark.parametrize("case", ["constant", "time_dependent"])
+    def test_the_driven_qubit_cf4_exponents_match_scipy_and_the_reference(self, case, monkeypatch):
+        kernel = dynamics._pade_expm
+        exponents = record_pade_calls(monkeypatch)
+        first_scipy_use(case)
+        a = np.concatenate([e.reshape(-1, 4, 4) for e in exponents])
+        out = kernel(a)
+        assert one_norm_gaps(out, expm(a)).max() <= 1e-14
+        assert one_norm_gaps(out[::10], mpmath_expm(a[::10])).max() <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("largest", [1e3, 1e15])
+    def test_a_stack_of_mixed_norms_keeps_each_matrix_exact(self, largest, rng):
+        # One degree for the whole stack, set by its largest norm, but each
+        # matrix squared its own number of times: the small ones are as
+        # close to scipy as on their own, however large their neighbour.  A
+        # neighbour of norm 1e15 would take a stack-wide count to 48
+        # squarings, which leaves nothing of a matrix of norm 1e-2.
+        norms = np.array([1e-2, 1e-1, 1.0, 10.0, largest])
+        a = random_exponents(rng, 6, norms)
+        together = dynamics.expm(a)
+        alone = np.array([dynamics.expm(m[None])[0] for m in a])
+        assert np.array_equal(together[-1], alone[-1])
+        assert one_norm_gaps(together[:-1], alone[:-1]).max() <= 1e-15
+        assert one_norm_gaps(together[:-1], expm(a[:-1])).max() <= 1e-15
+
+    def test_zero_matrices_give_the_identity(self, rng):
+        # Zero exponents among non-diagonal ones, and a stack of zeros sent to
+        # the kernel directly: exactly the identity, with no division by
+        # their zero norms.
+        a = random_exponents(rng, 3, [0.5, 0.5, 0.5])
+        a[1] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = dynamics.expm(a)
+            zeros = dynamics._pade_expm(np.zeros((2, 3, 3), dtype=complex))
+        assert np.array_equal(out[1], np.eye(3))
+        assert np.array_equal(zeros, np.broadcast_to(np.eye(3), (2, 3, 3)))
+        assert one_norm_gaps(out, expm(a)).max() <= 1e-14
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "overflowing square", "overflowing sixth power",
+                                     "overflowing eighth power"])
+    def test_non_finite_and_overflowing_matrices_come_out_non_finite(self, bad, rng):
+        # Inside the callers' errstate no warning is raised and no exception
+        # (no OverflowError from the squaring count, no LinAlgError from the
+        # solve): the bad matrix is NaN, and its neighbour in the stack is
+        # still its exponential.  The scales make A^2, A^6 or A^8 of a dense
+        # 4 x 4 matrix overflow while the lower powers stay finite.
+        a = random_exponents(rng, 4, [1.0, 1.0])
+        if bad in ("nan", "inf"):
+            a[1, 0, 1] = float(bad)
+        else:
+            a[1] = {"overflowing square": 1e300, "overflowing sixth power": 1e60,
+                    "overflowing eighth power": 1e45}[bad] * (1.0 + rng.random((4, 4)))
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            out = dynamics.expm(a)
+        assert np.isnan(out[1]).all()
+        assert one_norm_gaps(out[0], expm(a[0])) <= 1e-14
+        if bad == "nan":  # NaN raises no floating-point flag: silent with no errstate too
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.array_equal(dynamics.expm(a), out, equal_nan=True)
 
 class TestIntermediateMap:
     def test_oscillating_dephasing_matches_closed_form(self):
@@ -1256,7 +1379,7 @@ class TestStackedTrajectory:
         gen = oscillating_dephasing()[0] if rate == "oscillating" else dephasing_generator(0.7)
         grid = np.linspace(0.0, 3.0, 31)
         traj = propagate(gen, [random_mixed_state(rng, 2) for _ in range(4)], grid)
-        calls = count_scipy_expm(monkeypatch)
+        calls = record_pade_calls(monkeypatch)
         states = states_off_grid(traj, [0, 3, 1, 2], [0.04, 1.17, 2.2, 2.96])
         assert calls == [] and states.shape == (4, 2, 2)
 

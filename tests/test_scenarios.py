@@ -90,13 +90,13 @@ def test_imports_and_closed_form_runs_leave_scipy_out(tmp_path):
 
 def test_generator_runs_leave_scipy_sparse_out(tmp_path):
     # A fresh interpreter.  A generator compiles in numpy, and a default run
-    # propagates every stack on a dense restriction, so decoherence_measures
-    # and custom load neither scipy.sparse nor scipy.linalg (their maps are
-    # diagonal or built by dynamics.expm's own branches), and gaussian_bounds
-    # loads scipy.linalg alone.  Only a whole-space product loads
-    # scipy.sparse: the coherent Fock start at cutoff 12 touches 34 > 16
-    # coordinates, so propagate takes the sparse apply, which must match the
-    # dense superoperator.
+    # propagates every stack on a dense restriction, and dynamics.expm builds
+    # every map in numpy (elementwise for a diagonal exponent, by its Padé
+    # kernel otherwise), so decoherence_measures, custom and gaussian_bounds
+    # load neither scipy.sparse nor scipy.linalg.  Only a whole-space
+    # product loads scipy.sparse: the coherent Fock start at cutoff 12
+    # touches 34 > 16 coordinates, so propagate takes the sparse apply,
+    # which must match the dense superoperator.
     code = ("import sys\n"
             "import numpy as np\n"
             "def loaded(): return sorted({m.split('.')[1] for m in sys.modules\n"
@@ -120,8 +120,8 @@ def test_generator_runs_leave_scipy_sparse_out(tmp_path):
             "    expected = (x.reshape(len(x), -1) @ m.T).reshape(x.shape)\n"
             "    assert np.abs(act(0.3, x) - expected).max() <= 1e-14 * np.abs(expected).max()\n")
     out = fresh_interpreter(code, str(tmp_path), "decoherence_measures", "custom", "gaussian_bounds")
-    assert out.splitlines() == ["decoherence_measures []", "custom []", "gaussian_bounds ['linalg']",
-                                "propagate ['linalg', 'sparse']"]
+    assert out.splitlines() == ["decoherence_measures []", "custom []", "gaussian_bounds []",
+                                "propagate ['sparse']"]
 
 
 TRACE_TWO_STATE = [[[1.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [1.0, 0.0]]]
