@@ -16,9 +16,9 @@ them when the stack lies in a dense restriction of the generator to its
 invariant sets that is small (m <= 16) or time-independent (RK4
 otherwise), and intermediate maps M_{t,s} are the same maps on the whole
 space.  Each interval doubles its own step count until its n- and 2n-step
-states, or maps, agree: the convergence certificate.  Both integrators
-Hermitize and renormalize the rows through one helper each, and end on one
-validation, with one eigh (none for population rows).  A closed-form
+states, or maps, pass the one certificate (:func:`_certificate`).  Both
+integrators Hermitize and renormalize the rows through one helper each, and
+end on one validation, with one eigh (none for population rows).  A closed-form
 channel family (GADC, dephasing) is its maps over a grid as (T, d^2, d^2)
 stacks, M_{t,0} and the exact limits d/dt M_{t,0} and K_t = d/d eps
 M_{t+eps,t} at eps = 0, each carrying a stack of initial states to
@@ -254,10 +254,13 @@ def _expectations(layout, spectrum: EigenSystem, rows: np.ndarray) -> np.ndarray
     return spectrum.expectations(layout.states(rows))
 
 
-def _checked_grid(grid) -> np.ndarray:
-    """The grid as floats; IntegrationError unless its times are finite and
-    strictly increasing."""
+def _checked_grid(grid, points: int = 1) -> np.ndarray:
+    """The grid as floats; IntegrationError unless it is one axis of at
+    least ``points`` times, finite and strictly increasing."""
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < points:
+        raise IntegrationError(f"time grid needs at least {points} finite point{'s' * (points > 1)}"
+                               f" on one axis, not shape {grid.shape}")
     if not np.all(np.isfinite(grid)):
         raise IntegrationError("time grid needs finite times")
     if np.any(np.diff(grid) <= 0):
@@ -277,50 +280,23 @@ def states_off_grid(traj: Trajectory, columns, times) -> np.ndarray:
     """The state ``columns[c]`` of a propagated stack at ``times[c]`` for every
     c, as one (C, d, d) stack; a one-state trajectory has the one column 0.
 
-    Each state goes by RK4 through :attr:`Trajectory.operator` from the
-    stored row and derivative row of the grid point nearest to its time
-    (the earlier of two at equal distance), all rows together.  Every row
-    takes 1 substep, then 2, and doubles again while its Hermitized n- and
-    2n-substep states differ in trace norm by more than
-    ``PROPAGATE_ERROR_TARGET`` per unit time of its interval, the
-    certificate of every propagated grid state, decided for all open rows
-    at once (:func:`_gaps_exceed`), or by at most 2n eps, the rounding of
-    the 2n-substep state, which more substeps cannot shrink (within 1e-9 of
-    a grid point the budget falls below it).  A segment that is not finite
-    and a row still open after ``MAX_REFINEMENTS`` doublings raise
-    :class:`IntegrationError`.  A time on the grid returns the stored state.
+    Each state off the grid goes by certified RK4 from 1 substep
+    (:func:`_certified_rk4`) through :attr:`Trajectory.operator`, from the
+    stored rows of the grid point nearest to its time (the earlier of two
+    at equal distance), all rows together; a time on the grid returns the
+    stored state.
     """
     if traj.generator is None:
         raise IntegrationError("off-grid states need the trajectory's generator")
-    times, operator = np.asarray(times, dtype=float), traj.operator
+    times = np.asarray(times, dtype=float)
     nearest = _nearest_points(traj.grid, times)
-    starts, dots = (rows.reshape(len(traj), -1, rows.shape[-1])[nearest, columns]
-                    for rows in (traj.coordinates(), traj._dot_rows))
+    ends, dots = (rows.reshape(len(traj), -1, rows.shape[-1])[nearest, columns]
+                  for rows in (traj.coordinates(), traj._dot_rows))
     t0 = traj.grid[nearest]
-    budgets = PROPAGATE_ERROR_TARGET * np.abs(times - t0)
-    open_rows, ends = np.flatnonzero(times != t0), starts.copy()
-
-    def segment(substeps: int) -> np.ndarray:
-        """The Hermitized rows ``open_rows`` at their times, in ``substeps`` steps."""
-        end = _hermitized(operator, _rk4_segment(operator, starts[open_rows], t0[open_rows],
-                                                 times[open_rows], substeps, dots[open_rows]))
-        if not (finite := np.isfinite(end).all(axis=-1)).all():
-            raise IntegrationError(f"state at t={times[open_rows][~finite][0]:.6g} is not finite")
-        return end
-
-    with np.errstate(over="ignore", invalid="ignore"):  # segment() raises on overflow
-        trial = segment(1)
-        for substeps in 2 ** np.arange(1, MAX_REFINEMENTS + 1):
-            refined = segment(substeps)
-            # 2n eps; gaps of rounding alone measured up to 0.47 n eps at d = 2 to 8
-            floors = np.maximum(budgets[open_rows], substeps * np.finfo(float).eps)
-            over = _gaps_exceed(operator, (trial - refined)[:, None], floors)
-            ends[open_rows] = refined
-            open_rows, trial = open_rows[over], refined[over]
-            if not len(open_rows):
-                return operator.states(ends)
-    c = open_rows[0]
-    raise IntegrationError(_stall_message(t0[c], times[c], budgets[c]))
+    if (off := times != t0).any():
+        ends[off] = _certified_rk4(traj.operator, ends[off, None], dots[off, None], t0[off],
+                                   times[off], 1)[0][:, 0]
+    return traj.operator.states(ends)
 
 
 def _nearest_points(grid: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -367,13 +343,62 @@ def _rk4_segment(generator, rho, t0, t1, substeps: int, k1=None) -> np.ndarray:
     generator; t0 and t1 may also be arrays, one entry per state or row.  ``k1``,
     when given, is L_{t0}(rho), which the first substep then does not
     recompute.  The result is not Hermitized."""
-    if np.all(np.equal(t1, t0)):
-        return rho.copy()
     dt = (t1 - t0) / substeps
     out = np.asarray(rho, dtype=complex)
     for j in range(substeps):
         out = _rk4_step(generator, out, t0 + j * dt, dt, k1 if j == 0 else None)
     return out
+
+
+def _certificate(widths, substeps) -> np.ndarray:
+    """The certificate of every propagated state: the states that n and
+    2n = ``substeps`` steps (RK4, or CF4 maps) carry over an interval of
+    width w differ in trace norm by at most max(``PROPAGATE_ERROR_TARGET``
+    |w|, 2n eps).  The first is the budget per unit time of the Richardson
+    error estimate (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4),
+    so the error accumulated over a grid keeps it too; the second the
+    rounding of the 2n-step state (rounding alone measured up to 0.47 n eps
+    at d = 2 to 8), which more steps cannot shrink, and which the budget
+    falls below within about 1e-9 of width."""
+    return np.maximum(PROPAGATE_ERROR_TARGET * np.abs(widths), substeps * np.finfo(float).eps)
+
+
+def _certified_rk4(operator, starts: np.ndarray, dots: np.ndarray, t0: np.ndarray,
+                   t1: np.ndarray, substeps: int) -> tuple[np.ndarray, int]:
+    """Groups k of coordinate rows (K, N, m) of ``operator`` carried by RK4
+    from t0[k] to t1[k], as Hermitized rows, with the substep count at which
+    the last group passed.  Every segment starts from the derivative rows
+    ``dots``.  The groups take ``substeps``, then twice as many, and each
+    group still open doubles again until its n- and 2n-substep rows pass
+    :func:`_certificate` (:func:`_gaps_exceed`, all open groups at once).  A
+    segment that is not finite, and a group still open after
+    ``MAX_REFINEMENTS`` doublings, raise :class:`IntegrationError`."""
+    (n_rows, m), widths = starts.shape[1:], t1 - t0
+    ends, open_groups = np.empty_like(starts), np.arange(len(starts))
+
+    def segment(count: int) -> np.ndarray:
+        """The Hermitized rows of the open groups at t1, in ``count`` substeps."""
+        a, b = (np.repeat(t[open_groups], n_rows) for t in (t0, t1))
+        end = _rk4_segment(operator, starts[open_groups].reshape(-1, m), a, b, count,
+                           dots[open_groups].reshape(-1, m))
+        end = _hermitized(operator, end).reshape(-1, n_rows, m)
+        if not (finite := np.isfinite(end).all(axis=(1, 2))).all():
+            raise IntegrationError(f"state at t={t1[open_groups][~finite][0]:.6g} is not finite")
+        return end
+
+    with np.errstate(over="ignore", invalid="ignore"):  # segment() raises on overflow
+        trial = segment(substeps)
+        for _ in range(MAX_REFINEMENTS):
+            substeps *= 2
+            refined = segment(substeps)
+            budgets = _certificate(widths[open_groups], substeps)
+            over = _gaps_exceed(operator, trial - refined, budgets)
+            ends[open_groups] = refined
+            open_groups, trial = open_groups[over], refined[over]
+            if not len(open_groups):
+                return ends, substeps
+    k = open_groups[0]
+    raise IntegrationError(_stall_message(t0[k], t1[k]))
 
 
 # ||X||_F <= ||X||_1 <= sqrt(d) ||X||_F decides a trace-norm test without an
@@ -559,15 +584,9 @@ def propagate(generator: LindbladGenerator, states, grid,
     for a stack.  The initial states must be Hermitian within
     ``HERMITICITY_ATOL``; the first that is not raises
     :class:`IntegrationError` with its index.  The states are advanced
-    together as one stack.  Over every grid interval, the states reached
-    with n and with 2n steps must agree in trace norm within
-    ``PROPAGATE_ERROR_TARGET`` per unit time, so that the accumulated error
-    over the grid respects the same budget; that agreement is the
-    certificate, and an interval doubles n until it holds, at most
-    ``MAX_REFINEMENTS`` times, or the integrator stalls.  The trace-norm
-    test reads the bracket ||X||_F <= ||X||_1 <= sqrt(d) ||X||_F: it accepts
-    when sqrt(d) ||X||_F is within budget, rejects when ||X||_F is not, and
-    takes eigenvalues only in between.
+    together as one stack.  Every grid interval doubles its step count n,
+    at most ``MAX_REFINEMENTS`` times or the integrator stalls, until its
+    n- and 2n-step states pass :func:`_certificate` (:func:`_gaps_exceed`).
 
     Every generator has a fixed pattern and invariant sets
     (:meth:`LindbladGenerator.invariant_sets`).  When the sets that the
@@ -635,9 +654,9 @@ def propagate(generator: LindbladGenerator, states, grid,
                                   defects[part], truncated_at)
 
 
-def _stall_message(t0: float, t1: float, budget: float) -> str:
-    return (f"integrator stalled on [{t0:.6g}, {t1:.6g}]: "
-            f"no convergence to {budget:.1e} within {MAX_REFINEMENTS} doublings")
+def _stall_message(t0: float, t1: float) -> str:
+    return (f"integrator stalled on [{t0:.6g}, {t1:.6g}]: no convergence to "
+            f"{PROPAGATE_ERROR_TARGET * abs(t1 - t0):.1e} within {MAX_REFINEMENTS} doublings")
 
 
 def _breaching(guard, operator, rows: np.ndarray) -> np.ndarray:
@@ -661,11 +680,11 @@ def _rk4_intervals(operator, guard, grid, start, defect):
     defects up to the point before it, and that point (None when the guard
     sees none, and then all three run over the whole grid).
 
-    Each interval does its work once.  Every segment of interval k starts
-    from the derivative L_{t_k}(rho_k) stored for grid point k, so the
-    first RK4 stage is shared by the trial, the refined segment and every
-    further refinement, and the substep count starts from half the last
-    interval's.  The bracket decides as an eigvalsh test would, so the
+    Each interval is one :func:`_certified_rk4` call, whose every segment
+    starts from the derivative L_{t_k}(rho_k) stored for grid point k, so
+    the first RK4 stage is shared by the trial, the refined segment and
+    every further refinement, and the substep count starts from half the
+    last interval's.  The bracket decides as an eigvalsh test would, so the
     substep counts and the states are those of the plain loop; on a dense
     restriction they differ from the whole generator's by the summation
     order of the products only.  A stall, a segment that is not finite
@@ -676,36 +695,19 @@ def _rk4_intervals(operator, guard, grid, start, defect):
     dots = np.empty_like(rows)
     defects = np.empty(rows.shape[:-1])
     rows[0], defects[0] = start, defect
-
-    def segment(substeps: int) -> np.ndarray:
-        """The Hermitized rows at t1 from those at t0, in ``substeps`` steps."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            end = _rk4_segment(operator, rows[k], t0, t1, substeps, k1)
-        if not np.isfinite(end).all():
-            raise _loop_failure(operator, rows[:k + 1], grid, f"state at t={t1:.6g} is not finite")
-        return _hermitized(operator, end)
-
     substeps = 1
     for k in range(len(grid) - 1):
-        t0, t1 = float(grid[k]), float(grid[k + 1])
-        dots[k] = k1 = operator.apply(t0, rows[k])
-        budget = PROPAGATE_ERROR_TARGET * (t1 - t0)
-        substeps = max(1, substeps // 2)
-        trial = segment(substeps)
-        for _ in range(MAX_REFINEMENTS):
-            substeps *= 2
-            refined = segment(substeps)
-            converged = not _gaps_exceed(operator, (trial - refined)[None], np.array([budget]))[0]
-            trial = refined
-            if converged:
-                break
-        else:
-            raise _loop_failure(operator, rows[:k + 1], grid, _stall_message(t0, t1, budget))
-        rows[k + 1], traces = _renormalized(operator, trial)
+        dots[k] = operator.apply(float(grid[k]), rows[k])
+        try:
+            ends, substeps = _certified_rk4(operator, rows[k][None], dots[k][None], grid[k:k + 1],
+                                            grid[k + 1:k + 2], max(1, substeps // 2))
+        except IntegrationError as exc:
+            raise _loop_failure(operator, rows[:k + 1], grid, str(exc)) from exc
+        rows[k + 1], traces = _renormalized(operator, ends[0])
         defects[k + 1] = np.abs(traces - 1.0)
         if np.linalg.norm(rows[k + 1], axis=-1).max() > _UNBOUNDED_FROBENIUS:
             raise _loop_failure(operator, rows[:k + 2], grid,
-                                f"state at t={t1:.6g} is no density matrix")
+                                f"state at t={grid[k + 1]:.6g} is no density matrix")
         if guard is not None and _breaching(guard, operator, rows[k + 1]):
             return rows[:k + 2], dots[:k + 1], defects[:k + 1], k + 1
     dots[-1] = operator.apply(float(grid[-1]), rows[-1])
@@ -931,15 +933,14 @@ def _map_intervals(operator, guard, grid, start, defect):
     coincide and the certificate holds by construction.  Otherwise every
     interval gets its 1- and 2-step CF4 maps at once (:func:`_cf4_maps`).
     The rows are chained through the 2n-step maps, and every interval up to
-    the first tail breach compares the states its n- and 2n-step maps carry
-    from the chained state at its start (:func:`_gaps_exceed`, on their
-    Hermitized difference).  The first that fails starts from a settled
-    state and doubles its n alone until it passes; every later one that
-    failed doubles once (:func:`_regrow`), and the chain is redone from the
-    first.  So a run chains about as often as an interval doubles, and a
-    stall costs one interval's doublings.  An interval that would pass
-    ``MAX_REFINEMENTS`` doublings and chained rows that are not finite (maps
-    that overflowed at huge rates) end the loop (:func:`_loop_failure`).
+    the first tail breach holds the states its n- and 2n-step maps carry
+    from the chained state at its start to :func:`_certificate`.  The first
+    that fails starts from a settled state and doubles its n alone until it
+    passes; every later one that failed doubles once (:func:`_regrow`), and
+    the chain is redone from the first.  So a run chains about as often as
+    an interval doubles, and a stall costs one interval's doublings.  An
+    interval past ``MAX_REFINEMENTS`` doublings and chained rows that are
+    not finite (maps overflowed at huge rates) end it (:func:`_loop_failure`).
 
     The chained rows are Hermitized and divided by their traces
     (:func:`_hermitized`, :func:`_renormalized`); each state logs the trace
@@ -979,13 +980,13 @@ def _map_intervals(operator, guard, grid, start, defect):
         counts = np.ones(len(widths), dtype=int)
         coarse, fine = (_cf4_maps(operator, starts, widths, steps) for steps in (1, 2))
         most = 2 ** (MAX_REFINEMENTS - 1)  # the coarse count of an interval's last comparison
-        budgets = PROPAGATE_ERROR_TARGET * widths
 
         def exceed(lo: int, hi: int) -> np.ndarray:
             """Whether the n- and 2n-step maps of intervals lo..hi - 1 carry
-            the chained rows at their starts further apart than the budget."""
+            the chained rows at their starts further apart than the certificate."""
             gaps = np.matmul(rows[lo:hi], fine[lo:hi] - coarse[lo:hi])
-            return _gaps_exceed(operator, _hermitized(operator, gaps), budgets[lo:hi])
+            return _gaps_exceed(operator, _hermitized(operator, gaps),
+                                _certificate(widths[lo:hi], 2 * counts[lo:hi]))
 
         first = 0
         while True:
@@ -998,7 +999,7 @@ def _map_intervals(operator, guard, grid, start, defect):
             first = int(np.argmax(failing))
             while failing[first]:  # its start is settled: no chain is redone
                 if counts[first] >= most:
-                    stall = _stall_message(grid[first], grid[first + 1], budgets[first])
+                    stall = _stall_message(grid[first], grid[first + 1])
                     raise _loop_failure(operator, rows[:first + 1], grid, stall)
                 _regrow(operator, starts, widths, counts, coarse, fine, which == first)
                 failing[first] = exceed(first, first + 1)[0]
@@ -1022,7 +1023,7 @@ def closed_form_trajectory(state_fn, grid, derivative_fn) -> Trajectory:
     their values at every time; each is called once, on the whole grid, and
     ``state_fn`` is kept for :func:`entropy_rate_fd`, which calls it once on
     all its stencil times."""
-    grid = np.asarray(grid, dtype=float)
+    grid = _checked_grid(grid)
     states = hermitian_part(as_matrix(state_fn(grid)))
     return Trajectory(grid, states, hermitian_part(as_matrix(derivative_fn(grid))),
                       state_fn=state_fn)
@@ -1162,9 +1163,7 @@ def cp_divisibility_check(generator: LindbladGenerator, grid) -> DivisibilityRep
     P-divisibility, it only reports that CP evidence failed without a
     positivity counterexample).  Sampled rate signs are reported alongside.
     """
-    grid = _checked_grid(grid)
-    if len(grid) < 2:
-        raise IntegrationError("time grid needs at least 2 finite points")
+    grid = _checked_grid(grid, 2)
     whole = generator.restricted(np.arange(generator.dim ** 2))
     maps = [SuperOperator(m.T) for m in _certified_maps(whole, grid[:-1], np.diff(grid))]
     reports = [is_cptp(m) for m in maps]

@@ -26,6 +26,7 @@ from .channels import (
 from .dynamics import (
     ChannelFamily,
     Trajectory,
+    _checked_grid,
     _expectations,
     _integration_operator,
     entropy_rate,
@@ -490,7 +491,7 @@ def blp_measure(family: ChannelFamily, pair_sampler, grid) -> float:
     pairs = list(pair_sampler)
     if not pairs:
         raise WitnessError("pair sampler yielded no state pairs")
-    grid = np.asarray(grid, dtype=float)
+    grid = _checked_grid(grid, 2)
     evolved = family.states([as_matrix(rho1) - as_matrix(rho2) for rho1, rho2 in pairs], grid)
     distances = 0.5 * np.abs(np.linalg.eigvalsh(hermitian_part(evolved))).sum(axis=-1)
     revivals = np.clip(np.gradient(distances, grid, axis=0), 0.0, None)

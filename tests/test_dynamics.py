@@ -184,6 +184,20 @@ class TestPropagate:
         with pytest.raises(IntegrationError, match="finite"):
             propagate(dephasing_generator(rate), DensityMatrix.pure([1, 0.5]), grid)
 
+    @pytest.mark.parametrize("grid", [[], [[0.0, 1.0], [2.0, 3.0]]], ids=["empty", "2-D"])
+    def test_grid_off_one_axis_fails_before_integrating(self, grid, monkeypatch):
+        _forbid_maps(monkeypatch)
+        with pytest.raises(IntegrationError, match=r"at least 1 finite point on one axis"):
+            propagate(dephasing_generator(1.0), DensityMatrix.diagonal([0.6, 0.4]), grid)
+
+    @pytest.mark.parametrize("rate", [lambda t: 0.5 + np.cos(2.0 * t), 0.5],
+                             ids=["time_dependent", "constant"])
+    def test_one_point_grid_holds_the_initial_state(self, rate):
+        rho = DensityMatrix(np.array([[0.6, 0.2], [0.2, 0.4]]))
+        traj = propagate(dephasing_generator(rate), rho, [0.3])
+        assert traj.entries.shape == (1, 2, 2)
+        np.testing.assert_array_equal(traj.entries[0], rho.entries)
+
 
 def reference_propagate(generator, states, grid, error_target=1e-7, operator=None):
     """The step-doubling loop written plainly: every segment computes its own
@@ -355,6 +369,26 @@ class TestOnePassPerInterval:
         assert np.array_equal(traj.derivatives, dots)
         assert np.array_equal(traj.spectrum.eigenvalues, eigenvalues)
 
+    @pytest.mark.parametrize("case", ["populations", "whole states"])
+    def test_a_point_within_rounding_of_the_last_does_not_stall(self, case, monkeypatch):
+        # RK4 on the 20 populations of a thermal start and on a d = 5 state
+        # above the dense limit, both under a timed rate.  Over [0.5, 0.5 +
+        # 1e-12] the budget PROPAGATE_ERROR_TARGET * w lies below the
+        # rounding of the n- and 2n-substep states, which the certificate
+        # then takes: the run ends as the one without the point does.
+        if case == "populations":
+            a = annihilation_operator(20)
+            generator = LindbladGenerator(20, jumps=[
+                JumpTerm(CosineSquaredCoefficient(omega=1.0, scale=0.2), dagger(a)), (1.2, a)])
+            start = thermal_state(0.2, 20)
+        else:
+            lower5 = np.diag(np.ones(4), 1).astype(complex)
+            generator = LindbladGenerator(5, hamiltonian=np.diag(np.arange(5.0)), jumps=[
+                (CosineSquaredCoefficient(omega=1.3, scale=0.4), lower5), (0.2, dagger(lower5))])
+            start = random_full_rank_state(np.random.default_rng(13), 5)
+        _forbid_maps(monkeypatch)
+        ends_within_the_certificate(generator, start, 1e-12)
+
     def test_non_finite_state_fails_without_a_warning(self):
         # A Fock-diagonal start at cutoff 40 under a time-dependent rate runs
         # RK4 on its 40 populations.  At a 1e300 raising rate the first
@@ -436,6 +470,15 @@ def trace_norms(x):
     return np.abs(np.linalg.eigvalsh(x)).sum(axis=-1)
 
 
+def ends_within_the_certificate(generator, start, w):
+    """Propagate ``start`` over [0, 0.5, 0.5 + w, 1] and over [0, 0.5, 1]:
+    the run with the extra point returns, and its last state lies within
+    the certificate over [0, 1] of the other's, plus rounding."""
+    extra = propagate(generator, start, [0.0, 0.5, 0.5 + w, 1.0])
+    plain = propagate(generator, start, [0.0, 0.5, 1.0])
+    assert trace_norms(extra.entries[-1] - plain.entries[-1]) <= PROPAGATE_ERROR_TARGET + 1e-14
+
+
 class TestIntervalMaps:
     """propagate on a dense restriction: CF4 interval maps, built at once."""
 
@@ -490,6 +533,22 @@ class TestIntervalMaps:
         monkeypatch.setattr(dynamics, "MAX_REFINEMENTS", 2)
         with pytest.raises(IntegrationError, match=r"stalled on \[1, 4\].* within 2 doublings"):
             propagate(generator, DensityMatrix.pure([1, 1]), grid)
+
+    def test_a_point_within_rounding_of_the_last_does_not_stall(self):
+        # Random d = 2, 3 generators with a timed rate, on [0, 0.5, 0.5 + w,
+        # 1]: over [0.5, 0.5 + w] the budget PROPAGATE_ERROR_TARGET * w lies
+        # below the rounding of the n- and 2n-step maps' states, which the
+        # certificate then takes.
+        for seed in range(5):
+            for d in (2, 3):
+                rng = np.random.default_rng(seed)
+                h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                ops = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2)]
+                generator = LindbladGenerator(d, hamiltonian=hermitian_part(h), jumps=[
+                    JumpTerm(CosineSquaredCoefficient(omega=1.3, scale=0.6), ops[0]),
+                    JumpTerm(0.3, ops[1])])
+                for w in (1e-9, 1e-11, 1e-13, 1e-15):
+                    ends_within_the_certificate(generator, random_full_rank_state(rng, d), w)
 
     def test_lost_positivity_names_its_time_as_rk4_does(self, monkeypatch):
         # Without the constant part, Gamma(t) = sin(2t)/2 turns negative
@@ -1069,6 +1128,11 @@ class TestChannelFamilies:
         with pytest.raises(IntegrationError, match="finite"):
             Trajectory(grid, states, np.zeros_like(states))
 
+    @pytest.mark.parametrize("grid", [[], [[0.0, 1.0], [2.0, 3.0]]], ids=["empty", "2-D"])
+    def test_trajectory_rejects_a_grid_off_one_axis(self, grid):
+        with pytest.raises(IntegrationError, match="on one axis"):
+            GadcFamily(5.0).trajectories(DensityMatrix.maximally_mixed(2), grid)
+
     def test_gadc_family_states(self, rng):
         fam = GadcFamily(5.0)
         rho0 = random_mixed_state(rng, 2)
@@ -1488,6 +1552,17 @@ class TestClosedFormTrajectories:
         assert list(traj.ranks()) == [1, 2, 2]
         assert np.trace(support_projectors(traj.spectrum)[0]).real == pytest.approx(1.0)
         assert list(traj.rank_jump_rows(0.01)) == [True, True, False]
+
+    @pytest.mark.parametrize("grid", [[], [[0.0, 1.0], [2.0, 3.0]]], ids=["empty", "2-D"])
+    def test_grid_off_one_axis_fails_before_the_closed_form(self, grid):
+        def state_fn(times):
+            raise AssertionError("the closed form was evaluated")
+
+        with pytest.raises(IntegrationError, match="on one axis"):
+            damping_qubit_trajectory(np.array(grid))
+        with pytest.raises(IntegrationError, match="on one axis"):
+            closed_form_trajectory(state_fn, grid, state_fn)
+        assert len(damping_qubit_trajectory(np.array([0.2]))) == 1
 
     def test_oscillating_entropy_values(self):
         traj = oscillating_qubit_trajectory(np.array([0.25]))

@@ -8,6 +8,7 @@ from entroflow import (
     DensityMatrix,
     DephasingFamily,
     GadcFamily,
+    IntegrationError,
     LindbladGenerator,
     QuantumChannel,
     WitnessReport,
@@ -617,3 +618,33 @@ def test_blp_measure_matches_per_pair_loop(family, rng):
 def test_blp_measure_rejects_empty_pair_sampler():
     with pytest.raises(WitnessError, match="no state pairs"):
         blp_measure(DephasingFamily(lambda t: t), [], np.linspace(0.0, 1.0, 11))
+
+
+def test_blp_measure_refuses_grids_that_are_not_increasing():
+    # |+> and |-> under Gamma(t) = t/2 + sin(2t)/2 revive by exp(-Gamma(2pi/3))
+    # - exp(-Gamma(pi/3)) on the sorted grid.  Reversed, shuffled or repeated
+    # times would flip the sign of the gradient or divide by 0, and a single
+    # time has none: each is refused as cp_divisibility_check refuses it,
+    # with no warning (pytest turns one into an error).
+    gamma = lambda t: 0.5 * t + 0.5 * np.sin(2.0 * t)
+    family = DephasingFamily(gamma)
+    pairs = [(DensityMatrix.pure([1, 1]), DensityMatrix.pure([1, -1]))]
+    grid = np.linspace(0.0, 3.0, 301)
+    revival = np.exp(-gamma(2.0 * np.pi / 3.0)) - np.exp(-gamma(np.pi / 3.0))
+    assert blp_measure(family, pairs, grid) == pytest.approx(revival, abs=1e-4)
+    shuffled = np.random.default_rng(0).permutation(grid)
+    for bad in (grid[::-1], shuffled, np.insert(grid, 10, grid[10])):
+        with pytest.raises(IntegrationError, match="time grid must be strictly increasing"):
+            blp_measure(family, pairs, bad)
+    with pytest.raises(IntegrationError, match="time grid needs at least 2 finite points"):
+        blp_measure(family, pairs, [0.5])
+
+
+@pytest.mark.parametrize("measure", ["generator", "channel"])
+def test_measures_refuse_an_empty_grid(measure):
+    rho = DensityMatrix.diagonal([0.6, 0.4])
+    with pytest.raises(IntegrationError, match="on one axis"):
+        if measure == "generator":
+            measure_generator(dephasing_generator(1.0), [rho], [])
+        else:
+            measure_channel(GadcFamily(5.0), [rho], [])
