@@ -117,13 +117,13 @@ class Trajectory:
     or (T, N, d, d) for N initial states; ``derivatives``, of the same
     shape, holds their time derivatives, and ``spectrum`` is the stacked
     eigendecomposition of ``entries`` (an :class:`EigenSystem` over the
-    batch axes).  Entropies, logarithms on the supports, ranks, rank-jump
-    rows and entropy rates are array expressions over that one spectrum,
+    batch axes).  Entropies, logarithms on the supports, ranks, entropy
+    rates and left-out rates are array expressions over that one spectrum,
     shaped (T,) or (T, N); ``states`` lists every state of the stack as a
     :class:`DensityMatrix` carrying its part of it, in time-major order
     (all N states at the first time, then at the next).  The support check
     at construction computes the expectations <v_i|rho_dot|v_i> of the
-    derivatives in the eigenbases once, and ``entropy_rates`` reads them.
+    derivatives in the eigenbases once, and both rates read them.
 
     A trajectory holds its states and derivatives as coordinate rows
     (T, ..., m) of a layout: a trajectory built from ``states`` holds their
@@ -192,7 +192,7 @@ class Trajectory:
         traces = np.abs(self._dot_rows[..., self._layout.populations].sum(axis=-1))
         _raise_at(traces > TRACE_DOT_ATOL, traces, "Tr(rho_dot)")
         ranks = self.ranks()
-        steady = np.ones(ranks.shape, dtype=bool)  # the rank does not change next to k
+        steady = np.full(ranks.shape, len(ranks) > 1)  # rank holds next to k (a lone row: unknown)
         steady[1:] &= ranks[1:] == ranks[:-1]
         steady[:-1] &= ranks[:-1] == ranks[1:]
         self._expectations = _expectations(self._layout, self.spectrum, self._dot_rows)
@@ -226,15 +226,16 @@ class Trajectory:
     def ranks(self) -> np.ndarray:
         return self.spectrum.support_mask().sum(axis=-1)
 
-    def rank_jump_rows(self, margin: float) -> np.ndarray:
-        """Grid points within ``margin`` of a rank change, and the point just
-        before each jump, per state: there the rate on the support misses the
-        jump (at a pure state it reads 0 while its right limit is +inf)."""
-        jumps = np.diff(self.ranks(), axis=0) != 0
-        at = np.flatnonzero(np.any(jumps, axis=tuple(range(1, jumps.ndim))))
-        rows = (np.abs(self.grid[:, None] - self.grid[at + 1][None, :]) < margin) @ jumps[at]
-        rows[:-1] |= jumps
-        return rows
+    def left_out_rates(self) -> np.ndarray:
+        """-sum_{i not in supp} lambda_dot_i (log lambda_i + 1), the entropy rate the
+        kernels add to :meth:`entropy_rates`, with kernel eigenvalues floored at eps *
+        lambda_max, eigh's rounding: at most about 36 |lambda_dot| for a kernel that does
+        not move, 17.5 for |+> at the onset of unit dephasing.  A check that reads the
+        rate skips the rows where this exceeds the tolerance it compares the rate with."""
+        lam = self.spectrum.eigenvalues
+        logs = np.log(np.maximum(lam, np.finfo(float).eps * lam.max(axis=-1, keepdims=True)))
+        return -np.where(self.spectrum.support_mask(), 0.0,
+                         self._expectations * (logs + 1.0)).sum(axis=-1)
 
     def entropies(self) -> np.ndarray:
         return self.spectrum.entropies()

@@ -427,18 +427,17 @@ def run_gaussian_bounds(params: dict, outdir: Path, seed: int):
                                                    traj.spectrum)
         for t, r, b in zip(traj.grid, rates, bounds):
             rows.append((kind, t, r, b))
-        # At a pure state next to a rank change (a vacuum start) the rate on
-        # the support reads 0 while its right limit is +inf, so the checks
-        # skip those rows and name them; with no row left both read NaN and
-        # fail.  A full-rank start has no such row and every row is checked.
-        excluded = traj.rank_jump_rows(witnesses.RANK_CHANGE_MARGIN) & (traj.ranks() == 1)
+        # Where the left-out rate exceeds rate_tol (a level entering a vacuum
+        # start's support), the rate on the support is not the entropy rate:
+        # the checks skip and name those rows; with none left both read NaN and fail.
+        excluded = np.abs(traj.left_out_rates()) > params["rate_tol"]
         kept = ~excluded
         worst_gap = float(np.min((rates - bounds)[kept])) if kept.any() else np.nan
         bound_err = float(np.max(np.abs(bounds - expected)[kept])) if kept.any() else np.nan
         skipped = ""
         if excluded.any():
             times = ", ".join(f"{t:.3g}" for t in traj.grid[excluded])
-            skipped = f" (pure rows at a rank change excluded: t = {times})"
+            skipped = f" (rows whose left-out entropy rate exceeds rate_tol excluded: t = {times})"
         span = f"[0, {traj.grid[-1]:.3g}]"
         if traj.truncated_at is not None:
             span += f" (tail-guard truncation at t={traj.truncated_at:.3g})"
@@ -635,7 +634,7 @@ def run_custom(params: dict, outdir: Path, seed: int):
     witness_table = outdir / "custom_witnesses.csv"
     witnesses.export_witness_reports(reports, witness_table)
 
-    excluded = traj.rank_jump_rows(witnesses.RANK_CHANGE_MARGIN)
+    excluded = np.abs(traj.left_out_rates()) > witnesses.EPS_WITNESS
     worst = min((r.violation for r, skip in zip(reports, excluded) if not skip), default=np.nan)
     span = f"[0, {traj.grid[-1]:.3g}]"
     if traj.truncated_at is not None:

@@ -81,7 +81,6 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 EPS_WITNESS = 1e-7       # violation threshold for the rate tests
 EPS_TEST_C = 1e-6        # mismatch threshold for the derivative-consistency test
-RANK_CHANGE_MARGIN = 1e-3
 BISECT_ATOL = 1e-6       # largest width of the final bracket of a violation window's edge
 UNITARY_SATURATION_ATOL = 1e-8  # |Delta S - bound| allowed for a unitary interaction
 SANDWICH_GENERATOR_ATOL = 1e-9  # entrywise L - L^dag and L(I) of a self-adjoint unital generator
@@ -296,12 +295,12 @@ def witness_reports(generator: LindbladGenerator, traj: Trajectory) -> list[Witn
     operator the trajectory was integrated with (:attr:`Trajectory.operator`,
     a dense restriction to the invariant sets its states touch, or the
     sparse generator) on the rows it holds, with no dense superoperator.
-    Every column is computed over the whole trajectory at once.  Rows at a
-    rank jump (:meth:`Trajectory.rank_jump_rows`) carry no test flags.
+    Every column is computed over the whole trajectory at once.  Rows with
+    |:meth:`Trajectory.left_out_rates`| > ``EPS_WITNESS`` carry no test flags.
     """
     if traj.generator is not generator:
         raise WitnessError("witness reports need a trajectory propagated with the generator")
-    excluded = traj.rank_jump_rows(RANK_CHANGE_MARGIN)
+    excluded = np.abs(traj.left_out_rates()) > EPS_WITNESS
     rates = traj.entropy_rates()
     operator, rows = traj.operator, traj.coordinates()
     adjoint_images = _images(operator.adjoint_apply, traj.grid, rows)
@@ -361,9 +360,9 @@ def _violation_integrals(grid: np.ndarray, values: np.ndarray, threshold: float,
     ``0.4 * BISECT_ATOL`` of the root.  Each final bracket is at most
     ``BISECT_ATOL`` wide and holds a change of side, and the edge is taken
     at its midpoint.  A non-finite witness value counts as non-violating.
-    Grid points under the exclusion mask are treated as non-violating;
-    with ``RANK_CHANGE_MARGIN`` this only trims rank-change neighborhoods
-    whose true violation mass is zero.
+    Grid points under the exclusion mask are treated as non-violating:
+    there the rate on the support misses more than the threshold, so the
+    grid value is no evidence either way.
     """
     violating = (values < -threshold) & ~excluded
     a, b = violating[:-1], violating[1:]
@@ -413,9 +412,8 @@ def _measure(state_sampler, grid, trajectories, values, evaluate) -> MeasureResu
     grid for (state, time) pairs, for the false-position search that places
     each window edge inside a bracket of at most ``BISECT_ATOL``
     (:func:`_violation_integrals`).  A grid point counts where the witness is
-    below -``EPS_WITNESS``.  Grid points within ``RANK_CHANGE_MARGIN`` of a rank
-    change of a state are excluded for that state, and so is the grid point just
-    before each change (:meth:`Trajectory.rank_jump_rows`, read as (T, N)).
+    below -``EPS_WITNESS``.  A grid point is excluded for a state where
+    |:meth:`Trajectory.left_out_rates`| (read as (T, N)) exceeds ``EPS_WITNESS``.
     """
     states = list(state_sampler)
     if not states:
@@ -425,7 +423,7 @@ def _measure(state_sampler, grid, trajectories, values, evaluate) -> MeasureResu
     traj = trajectories(starts, grid)
     integrals = _violation_integrals(grid, values(traj), EPS_WITNESS,
                                      lambda ns, ts: evaluate(starts, traj, ns, ts),
-                                     traj.rank_jump_rows(RANK_CHANGE_MARGIN))
+                                     np.abs(traj.left_out_rates()) > EPS_WITNESS)
     best = int(np.argmax(integrals))
     return MeasureResult(value=float(integrals[best]), argmax_state=states[best],
                          samples_used=len(states), sample_values=tuple(map(float, integrals)))
@@ -439,7 +437,7 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid) -> Meas
     -``EPS_WITNESS``; each window edge is located by safeguarded false
     position to a bracket of at most ``BISECT_ATOL`` that holds a change of
     side, and taken at its midpoint (:func:`_violation_integrals`).  Grid
-    points within ``RANK_CHANGE_MARGIN`` of a rank change are excluded.
+    points whose |left-out rate| exceeds ``EPS_WITNESS`` are excluded.
     Every round of that search takes its states from :func:`states_off_grid`
     through the operator the one :func:`propagate` call kept on the
     trajectory: step-doubled RK4 from the nearest grid point, certified as
@@ -465,7 +463,7 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid) -> Meas
 def measure_channel(family: ChannelFamily, state_sampler, grid) -> MeasureResult:
     """Max over initial states of the integrated negative part of f(t): as
     :func:`measure_generator`, with f in place of the Theorem-2 witness and
-    the same ``EPS_WITNESS``, ``RANK_CHANGE_MARGIN`` and false-position edge
+    the same ``EPS_WITNESS``, left-out-rate exclusion and false-position edge
     search to ``BISECT_ATOL``, whose rounds evolve the sampled states to their
     off-grid times with the family's exact maps.  On the grid the entropy
     rates are those the trajectory computed at construction."""

@@ -57,7 +57,7 @@ from entroflow.dynamics import (
 from entroflow.linalg import (ZERO_EIGENVALUE_RTOL, EigenSystem, LinalgError, as_matrix, dagger,
                               hermitian_part, spectral_decompose)
 from entroflow.sampling import random_full_rank_state, random_mixed_state
-from entroflow.witnesses import RANK_CHANGE_MARGIN, _pinned_adjoint_traces
+from entroflow.witnesses import EPS_WITNESS, _pinned_adjoint_traces
 
 from conftest import (first_scipy_use, fresh_interpreter, reference_maps, superoperators,
                       support_projectors)
@@ -193,10 +193,15 @@ class TestPropagate:
     @pytest.mark.parametrize("rate", [lambda t: 0.5 + np.cos(2.0 * t), 0.5],
                              ids=["time_dependent", "constant"])
     def test_one_point_grid_holds_the_initial_state(self, rate):
-        rho = DensityMatrix(np.array([[0.6, 0.2], [0.2, 0.4]]))
-        traj = propagate(dephasing_generator(rate), rho, [0.3])
-        assert traj.entries.shape == (1, 2, 2)
-        np.testing.assert_array_equal(traj.entries[0], rho.entries)
+        # A lone row has no neighbour to show that its rank holds, so |+>,
+        # whose kernel fills at once, is held too, and its one row reports
+        # the rate its support leaves out.
+        for rho, leaves_out in ((DensityMatrix(np.array([[0.6, 0.2], [0.2, 0.4]])), False),
+                                (DensityMatrix(np.full((2, 2), 0.5)), True)):
+            traj = propagate(dephasing_generator(rate), rho, [0.3])
+            assert traj.entries.shape == (1, 2, 2)
+            np.testing.assert_array_equal(traj.entries[0], rho.entries)
+            assert (np.abs(traj.left_out_rates()) > EPS_WITNESS).tolist() == [leaves_out]
 
 
 def reference_propagate(generator, states, grid, error_target=1e-7, operator=None):
@@ -1270,17 +1275,23 @@ class TestStackedTrajectory:
     """One eigh over the (T, d, d) states gives every spectral read."""
 
     @staticmethod
-    def per_state(traj, margin):
+    def left_out_rate(rho, rho_dot):
+        """-sum over the kernel of lambda_dot (log max(lambda, eps lambda_max) + 1),
+        for one state, from its own eigh."""
+        eigenvalues, vectors = np.linalg.eigh(rho)
+        kernel = eigenvalues <= ZERO_EIGENVALUE_RTOL * eigenvalues.max()
+        speeds = np.einsum("ji,jk,ki->i", vectors.conj(), rho_dot, vectors).real
+        floor = np.finfo(float).eps * eigenvalues.max()
+        return -np.sum(speeds[kernel] * (np.log(np.maximum(eigenvalues[kernel], floor)) + 1.0))
+
+    @classmethod
+    def per_state(cls, traj):
         states = [DensityMatrix(rho) for rho in traj.entries]
-        ranks = np.array([s.spectrum.rank for s in states])
-        rows = np.zeros(len(traj.grid), dtype=bool)
-        for k in range(len(traj.grid) - 1):
-            if ranks[k + 1] != ranks[k]:
-                rows |= np.abs(traj.grid - traj.grid[k + 1]) < margin
-                rows[k] = True
         return (np.array([von_neumann_entropy(s) for s in states]),
                 np.array([entropy_rate(s, dot) for s, dot in zip(states, traj.derivatives)]),
-                ranks, rows)
+                np.array([s.spectrum.rank for s in states]),
+                np.array([cls.left_out_rate(rho, dot)
+                          for rho, dot in zip(traj.entries, traj.derivatives)]))
 
     def test_matches_per_state_formulas_with_one_eigh(self, rng, monkeypatch):
         gen = random_qubit_generator(rng, dim=3)
@@ -1289,14 +1300,15 @@ class TestStackedTrajectory:
         run = propagate(gen, DensityMatrix.pure(psi), grid)  # rank 1 -> 3 at t = 0+
         calls = count_eig_calls(monkeypatch)
         traj = Trajectory(grid, run.entries, run.derivatives)
-        stacked = (traj.entropies(), traj.entropy_rates(), traj.ranks(), traj.rank_jump_rows(0.05))
+        stacked = (traj.entropies(), traj.entropy_rates(), traj.ranks(), traj.left_out_rates())
         assert calls == ["eigh"]
-        entropies, rates, ranks, rows = self.per_state(traj, 0.05)
+        entropies, rates, ranks, left_out = self.per_state(traj)
         np.testing.assert_allclose(stacked[0], entropies, rtol=0, atol=1e-14)
         np.testing.assert_allclose(stacked[1], rates, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(stacked[2], ranks)
-        np.testing.assert_array_equal(stacked[3], rows)
-        assert ranks[0] == 1 and ranks[-1] == 3 and rows.any()
+        np.testing.assert_allclose(stacked[3], left_out, rtol=1e-9, atol=1e-12)
+        assert ranks[0] == 1 and ranks[-1] == 3
+        assert (np.abs(left_out) > EPS_WITNESS).tolist() == [True] + [False] * (len(grid) - 1)
 
     def test_states_carry_the_stored_spectrum(self, rng, monkeypatch):
         grid = np.linspace(0.0, 1.0, 11)
@@ -1308,36 +1320,76 @@ class TestStackedTrajectory:
             assert von_neumann_entropy(state) == pytest.approx(traj.entropies()[k], abs=1e-15)
         assert calls == []
 
-    @staticmethod
-    def reference_rank_jump_rows(grid, ranks, margin):
-        """Rank-jump rows of one state's rank sequence, by the one-state formula."""
-        jumps = np.diff(ranks) != 0
-        changes = grid[1:][jumps]
-        rows = np.any(np.abs(grid[:, None] - changes[None, :]) < margin, axis=1)
-        rows[:-1] |= jumps
-        return rows
-
     @pytest.mark.parametrize("n_states", [None, 1, 5])
-    def test_batched_rank_jump_rows_match_the_one_state_formula(self, rng, n_states):
+    def test_batched_left_out_rates_match_the_one_state_formula(self, rng, n_states):
         grid = np.cumsum(rng.uniform(0.5, 1.5, size=40)) * 1e-2
         shape = (len(grid),) if n_states is None else (len(grid), n_states)
-        # ranks in {1, 2, 3} that hold for a few grid points, then change
-        jumps, shift = rng.random(shape) < 0.2, rng.integers(0, 2, size=shape)
-        ranks = 1 + shift
-        for k in range(1, len(grid)):
-            ranks[k] = np.where(jumps[k], (ranks[k - 1] + shift[k]) % 3 + 1, ranks[k - 1])
-        states = (np.arange(3) < ranks[..., None]) / ranks[..., None]
-        states = states[..., None] * np.eye(3)
-        traj = Trajectory(grid, states, np.zeros_like(states))
-        np.testing.assert_array_equal(traj.ranks(), ranks)
-        columns = ranks[:, None] if n_states is None else ranks
-        assert np.all(np.count_nonzero(np.diff(columns, axis=0), axis=0) >= 3)
-        for margin in (1e-3, 0.025, 0.06):  # inside one spacing, up to several
-            rows = traj.rank_jump_rows(margin)
-            assert rows.shape == shape
-            reference = np.stack([self.reference_rank_jump_rows(grid, column, margin)
-                                  for column in columns.T], axis=1)
-            np.testing.assert_array_equal(rows, reference.reshape(shape))
+        # diagonal states of rank 1, 2 or 3 whose kernels hold exact zeros and
+        # populations below ZERO_EIGENVALUE_RTOL, moving at up to 1e-9 each,
+        # which the support's populations offset to keep the trace
+        ranks = rng.integers(1, 4, size=shape)
+        support = np.arange(3) < ranks[..., None]
+        tails = np.where(~support, rng.choice([0.0, 1e-14, 1e-13], size=shape + (3,)), 0.0)
+        states = np.where(support, (1.0 - tails.sum(axis=-1, keepdims=True)) / ranks[..., None],
+                          tails)
+        speeds = np.where(support, rng.normal(size=shape + (3,)),
+                          rng.uniform(-1e-9, 1e-9, size=shape + (3,)))
+        speeds -= support * speeds.sum(axis=-1, keepdims=True) / ranks[..., None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = Trajectory(grid, states[..., None] * np.eye(3), speeds[..., None] * np.eye(3))
+            left_out = traj.left_out_rates()
+        assert left_out.shape == shape and np.all(np.isfinite(left_out))
+        columns = (states, speeds) if n_states else (states[:, None], speeds[:, None])
+        reference = np.array([[self.left_out_rate(np.diag(p), np.diag(v)) for p, v in zip(*row)]
+                              for row in zip(*columns)])
+        np.testing.assert_allclose(left_out, reference.reshape(shape), rtol=1e-13, atol=0)
+        assert np.all((left_out == 0.0) == (ranks == 3))
+
+    @pytest.mark.parametrize("kind", ["amplifier", "lossy", "additive"])
+    @pytest.mark.parametrize("start", ["thermal", "vacuum"])
+    def test_kept_rows_read_the_whole_entropy_rate(self, kind, start):
+        # The rule's premise: where the left-out part is within EPS_WITNESS,
+        # the rate on the support is the entropy rate.  At cutoff 40 the
+        # thermal start (N0 = 0.2) keeps every row although its Fock tail
+        # keeps crossing ZERO_EIGENVALUE_RTOL; the vacuum drops t = 0, where
+        # the first excited level enters its support.
+        traj = propagate(bosonic_generator(*GAUSSIAN_RATES[kind], 40),
+                         thermal_state(0.2 if start == "thermal" else 0.0, 40),
+                         np.linspace(0.0, 5.0, 101), on_tail_breach="truncate")
+        excluded = np.abs(traj.left_out_rates()) > EPS_WITNESS
+        assert np.flatnonzero(excluded).tolist() == ([0] if start == "vacuum" else [])
+        kept = np.flatnonzero(~excluded[1:-1]) + 1
+        np.testing.assert_allclose(traj.entropy_rates()[kept], entropy_rate_fd(traj, kept),
+                                   rtol=0, atol=1e-8)
+
+    def test_steady_kernels_exclude_no_row_without_a_warning(self, rng):
+        # A pure state under a Hamiltonian of norm 1e6 keeps its rank: its
+        # kernel moves only by rounding of that scale, far below EPS_WITNESS.
+        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        h = (h + dagger(h)) * (1e6 / np.linalg.norm(h + dagger(h), 2))
+        psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = propagate(LindbladGenerator(3, hamiltonian=h), DensityMatrix.pure(psi),
+                             np.linspace(0.0, 1e-5, 21))
+            left_out = traj.left_out_rates()
+            assert np.all(traj.ranks() == 1)
+            assert np.max(np.abs(left_out)) <= EPS_WITNESS
+            # exact zeros of a pure, non-diagonal stack floor at eps * lambda_max
+            pure = np.stack([np.outer(psi, psi.conj()) / np.vdot(psi, psi).real] * 3)
+            assert np.all(np.isfinite(Trajectory([0.0, 1.0, 2.0], pure,
+                                                 np.zeros_like(pure)).left_out_rates()))
+
+    def test_entering_eigenvalue_excludes_its_row_alone(self):
+        # |+> under unit dephasing: at t = 0 the kernel fills at rate 1/2, so
+        # the left-out part is -(1/2)(log eps + 1) = 17.5; every later row is
+        # full rank and leaves nothing out.
+        traj = propagate(dephasing_generator(1.0), DensityMatrix(np.full((2, 2), 0.5)),
+                         np.linspace(0.0, 1.0, 11))
+        left_out = traj.left_out_rates()
+        assert left_out[0] == pytest.approx(-0.5 * (np.log(np.finfo(float).eps) + 1.0), rel=1e-9)
+        assert np.flatnonzero(np.abs(left_out) > EPS_WITNESS).tolist() == [0]
 
     def test_off_grid_states_match_one_state_rk4(self, rng):
         gen = random_qubit_generator(rng, dim=3)
@@ -1551,7 +1603,7 @@ class TestClosedFormTrajectories:
         traj = damping_qubit_trajectory(np.array([0.0, 0.1, 0.5]))
         assert list(traj.ranks()) == [1, 2, 2]
         assert np.trace(support_projectors(traj.spectrum)[0]).real == pytest.approx(1.0)
-        assert list(traj.rank_jump_rows(0.01)) == [True, True, False]
+        assert list(np.abs(traj.left_out_rates()) > EPS_WITNESS) == [True, False, False]
 
     @pytest.mark.parametrize("grid", [[], [[0.0, 1.0], [2.0, 3.0]]], ids=["empty", "2-D"])
     def test_grid_off_one_axis_fails_before_the_closed_form(self, grid):
@@ -1714,14 +1766,14 @@ class TestPopulationRows:
         assert not traj.spectrum.eigenvectors.flags.writeable
         for read in ("entropies", "entropy_rates", "ranks"):
             np.testing.assert_array_equal(getattr(traj, read)(), getattr(rebuilt, read)())
-        excluded = traj.rank_jump_rows(RANK_CHANGE_MARGIN)
-        np.testing.assert_array_equal(excluded, rebuilt.rank_jump_rows(RANK_CHANGE_MARGIN))
+        left_out = traj.left_out_rates()
+        np.testing.assert_array_equal(left_out, rebuilt.left_out_rates())
         images = operator.states(operator.adjoint_apply(traj.grid, rows))
         np.testing.assert_array_equal(
             _pinned_adjoint_traces(operator, traj.grid, rows, traj.spectrum),
             rebuilt.spectrum.support_traces(images))
-        pure_excluded = np.flatnonzero(excluded & (traj.ranks() == 1))
-        assert pure_excluded.tolist() == ([0] if start == "vacuum" else [])
+        excluded = np.flatnonzero(np.abs(left_out) > EPS_WITNESS)
+        assert excluded.tolist() == ([0] if start == "vacuum" else [])
 
     def test_state_views_keep_their_order(self):
         traj = self.fock_run("lossy", 12, 0.05)[1]

@@ -405,16 +405,18 @@ def test_huge_gaussian_rate_fails_a_check_without_a_warning(tmp_path, capsys):
 
 
 def test_vacuum_gaussian_start_skips_its_pure_row(tmp_path):
-    # The vacuum is pure: at t = 0 the rate on the support reads 0 while its
-    # right limit is +inf, and the rank grows at once.  The checks skip that
-    # row alone and name it; the table keeps every row, t = 0 included.
+    # The vacuum is pure: at t = 0 the rate on the support reads 0 while the
+    # entering eigenvalue's left-out part is far above rate_tol.  The checks
+    # skip that row alone and name it; the table keeps every row, t = 0
+    # included.
     config = copy.deepcopy(DEFAULT_CONFIGS["gaussian_bounds"])
     config["parameters"]["mean_photons"] = 0
     report = run_config(config, tmp_path)
     assert report.passed
     assert len(report.checks) == 6
     for check in report.checks:
-        assert check.measured.endswith(" (pure rows at a rank change excluded: t = 0)")
+        assert check.measured.endswith(
+            " (rows whose left-out entropy rate exceeds rate_tol excluded: t = 0)")
     with open(tmp_path / "gaussian_bounds.csv") as fh:
         starts = [row for row in csv.DictReader(fh) if float(row["t"]) == 0.0]
     assert [row["dynamics"] for row in starts] == ["amplifier", "lossy", "additive"]
