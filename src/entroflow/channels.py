@@ -705,6 +705,17 @@ class _Restriction:
     bosonic generator, so that every state on them is diagonal.  The
     integrators take it for m <= max(d, 16), where one dense product costs
     less than the sparse one's dispatch, and so do the off-grid states.
+
+    The dtype comes from the data.  A ``populations_only`` restriction
+    whose kept entries all have a zero imaginary part, as every
+    phase-insensitive bosonic generator's do, stores its blocks as
+    float64; any other restriction stores them as complex128, including a
+    population one whose complex jump operators left rounding-level
+    imaginary parts.  ``coordinates`` gathers float64 rows where float64
+    blocks meet states whose gathered entries have no imaginary part (every
+    Fock-diagonal stack), and the rows as gathered otherwise; products with
+    the blocks keep the rows' dtype, and ``states`` scatters rows into
+    matrices of their own dtype.
     """
 
     def __init__(self, generator: LindbladGenerator, index: np.ndarray):
@@ -717,10 +728,12 @@ class _Restriction:
         self.transpose = position[col_of * d + row_of]
         self.populations = position[np.arange(d) * (d + 1)]
         # each block transposed, since the rows y (N, m) multiply it from the left
-        self._blocks = np.zeros((len(generator._blocks), m, m), dtype=complex)
-        for block, (rows, cols, vals) in zip(self._blocks, generator._blocks):
+        blocks = np.zeros((len(generator._blocks), m, m), dtype=complex)
+        for block, (rows, cols, vals) in zip(blocks, generator._blocks):
             kept = position[rows] >= 0  # the rows of the sets, whose entries lie in the sets too
             block[position[cols[kept]], position[rows[kept]]] = vals[kept]
+        self._blocks = (np.ascontiguousarray(blocks.real)
+                        if self.populations_only and not blocks.imag.any() else blocks)
 
     @property
     def time_independent(self) -> bool:
@@ -759,10 +772,13 @@ class _Restriction:
         return self._product(self._adjoint_blocks, t, y)
 
     def coordinates(self, states: np.ndarray) -> np.ndarray:
-        return states.reshape(states.shape[:-2] + (-1,))[..., self.index]
+        rows = states.reshape(states.shape[:-2] + (-1,))[..., self.index]
+        if self._blocks.dtype == float and np.iscomplexobj(rows) and not rows.imag.any():
+            return np.ascontiguousarray(rows.real)
+        return rows
 
     def states(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(y.shape[:-1] + (self.dim * self.dim,), dtype=complex)
+        out = np.zeros(y.shape[:-1] + (self.dim * self.dim,), dtype=y.dtype)
         out[..., self.index] = y
         return out.reshape(y.shape[:-1] + (self.dim, self.dim))
 

@@ -343,9 +343,10 @@ def _rk4_segment(generator, rho, t0, t1, substeps: int, k1=None) -> np.ndarray:
     or for the coordinates (N, m) of a :meth:`LindbladGenerator.restricted`
     generator; t0 and t1 may also be arrays, one entry per state or row.  ``k1``,
     when given, is L_{t0}(rho), which the first substep then does not
-    recompute.  The result is not Hermitized."""
+    recompute.  Real rows of real blocks stay real.  The result is not
+    Hermitized."""
     dt = (t1 - t0) / substeps
-    out = np.asarray(rho, dtype=complex)
+    out = np.asarray(rho)
     for j in range(substeps):
         out = _rk4_step(generator, out, t0 + j * dt, dt, k1 if j == 0 else None)
     return out
@@ -413,9 +414,11 @@ def _gaps_exceed(operator, gap: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     coordinate rows of ``operator``, whether the largest trace norm of the
     N differences gap[k] exceeds budgets[k]: read from the Frobenius
     bracket where it decides, otherwise from one eigvalsh of the
-    differences it leaves open, scattered to d x d."""
-    squares = (np.einsum("knm,knm->kn", gap.real, gap.real)
-               + np.einsum("knm,knm->kn", gap.imag, gap.imag))
+    differences it leaves open, scattered to d x d.  Real rows add no
+    imaginary parts to the squares."""
+    squares = np.einsum("knm,knm->kn", gap.real, gap.real)
+    if np.iscomplexobj(gap):
+        squares += np.einsum("knm,knm->kn", gap.imag, gap.imag)
     frobenius = np.sqrt(squares.max(axis=-1))
     over = frobenius > budgets * (1.0 + _BRACKET_MARGIN)
     undecided = ~over & (np.sqrt(operator.dim) * frobenius > budgets * (1.0 - _BRACKET_MARGIN))
@@ -428,9 +431,11 @@ def _gaps_exceed(operator, gap: np.ndarray, budgets: np.ndarray) -> np.ndarray:
 def _hermitized(operator, z: np.ndarray) -> np.ndarray:
     """The Hermitian parts (z + z^dag) / 2 of the matrices held as
     coordinate rows (..., m) of ``operator``, through the transpose
-    permutation of the coordinates, as new rows."""
+    permutation of the coordinates, as new rows; real rows are not
+    conjugated."""
     out = z[..., operator.transpose]
-    np.conjugate(out, out=out)
+    if np.iscomplexobj(out):
+        np.conjugate(out, out=out)
     out += z
     out *= 0.5
     return out
@@ -550,10 +555,14 @@ class _WholeStates(_Matrices):
 # - time-dependent: 0.37 vs 0.04 s at m = 64 and 17.8 vs 0.74 s at
 #   m = 400, since every interval builds and certifies its own CF4 maps.
 # A thermal start (N = 0.2, rates 0.2 cos^2(t) up and 1.2 down, 101 points
-# on [0, 5]; warm runs, same host) took 0.30 s by the maps, 0.06 s by RK4 on
-# the restriction and 0.11 s by RK4 on the sparse generator at cutoff 40,
-# and 3.8, 0.21 and 0.62 s at cutoff 80; the states of the maps and of RK4
-# differ by at most 5.0e-10 entrywise.
+# on [0, 5]) took, with its population rows in complex128 -> in float64
+# (medians of 5 warm processes, each the best of 11 runs, 2 for the
+# cutoff-80 maps; one BLAS thread, 2-core host):
+# - cutoff 40: 0.14 -> 0.10 s by the maps, 0.028 -> 0.027 s by RK4 on the
+#   restriction, and 0.065 / 0.061 s by RK4 on the sparse generator, whose
+#   rows stay complex;
+# - cutoff 80: 0.67 -> 0.53 s, 0.066 -> 0.053 s and 0.28 / 0.29 s.
+# The states of the maps and of RK4 differ by at most 5.0e-10 entrywise.
 # The coherent union of a cutoff-40 mode (m = 1600) would also need a
 # 1600 x 1600 expm, about 4 s, for each distinct interval width.
 _DENSE_COORDINATES = 16
@@ -619,6 +628,14 @@ def propagate(generator: LindbladGenerator, states, grid,
     breach; fewer than 3 trusted points raise :class:`TailMassError` either
     way.  The trajectory holds the rows with the operator, and the states
     scattered to validate them as its ``entries`` (:meth:`Trajectory._integrated`).
+
+    The rows take their dtype from the data: float64 where the restriction
+    holds the populations alone with real blocks and the start's
+    populations are real, as for every Fock-diagonal start of a
+    phase-insensitive bosonic generator
+    (:class:`~entroflow.channels._Restriction`), and complex128 otherwise.
+    Both integrators, the interval maps and the off-grid states carry that
+    dtype, and so do the states and derivatives scattered from the rows.
     """
     grid = _checked_grid(grid)
     if on_tail_breach not in ("raise", "truncate"):
@@ -692,7 +709,7 @@ def _rk4_intervals(operator, guard, grid, start, defect):
     (stages that overflowed at huge rates) and a state whose Frobenius norm
     passes ``_UNBOUNDED_FROBENIUS`` end the loop (:func:`_loop_failure`).
     """
-    rows = np.empty((len(grid),) + start.shape, dtype=complex)
+    rows = np.empty((len(grid),) + start.shape, dtype=start.dtype)
     dots = np.empty_like(rows)
     defects = np.empty(rows.shape[:-1])
     rows[0], defects[0] = start, defect
@@ -754,9 +771,13 @@ def expm(a: np.ndarray) -> np.ndarray:
     exp of its diagonals, scattered into zeros: scipy.linalg.expm's own
     branch for a diagonal matrix, which it takes one matrix at a time, so
     every dephasing map is the same bits as there.  Any other stack takes
-    :func:`_pade_expm`, one batched Padé approximant in numpy, in real
-    arithmetic where a complex stack has no imaginary part (the Fock
-    population maps), which halves its cost.
+    :func:`_pade_expm`, one batched Padé approximant in numpy, in the
+    stack's dtype: float64 for a float64 stack, such as the exponents of
+    a Fock population restriction, whose blocks are real
+    (:class:`~entroflow.channels._Restriction`).  A complex stack with no
+    imaginary part, such as the exponents of a real-entried qubit
+    restriction with coherences, is exponentiated in real arithmetic,
+    which halves its cost, and returned as complex.
     """
     if _is_diagonal(a):
         out = np.zeros(a.shape, dtype=np.result_type(a.dtype, 1.0))
@@ -950,7 +971,7 @@ def _map_intervals(operator, guard, grid, start, defect):
     """
     n_states, m = start.shape
     widths = np.diff(grid)
-    z = np.empty((len(grid), n_states, m), dtype=complex)
+    z = np.empty((len(grid), n_states, m), dtype=start.dtype)
     z[0] = start
 
     def settle(maps: np.ndarray, which: np.ndarray, first: int):

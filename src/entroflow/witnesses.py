@@ -151,7 +151,8 @@ def entropy_change_upper_bound_holder(channel: QuantumChannel, rho) -> float:
 def _images(apply, times, rows: np.ndarray) -> np.ndarray:
     """``apply`` (an operator's ``apply`` or ``adjoint_apply``) on its
     coordinate rows (T, ..., m) at times (T,), as rows of the same shape:
-    one product, with one time per row."""
+    one product, with one time per row, float64 for the float64 rows of a
+    real restriction."""
     flat = rows.reshape(-1, rows.shape[-1])
     times = np.repeat(np.asarray(times, dtype=float), len(flat) // len(times))
     return apply(times, flat).reshape(rows.shape)

@@ -93,6 +93,17 @@ def first_scipy_use(case: str) -> np.ndarray:
     return propagate(generator, DensityMatrix.pure([1, 0.5]), np.linspace(0.0, 2.0, 21)).entries
 
 
+def pytest_configure(config):
+    """numpy's ComplexWarning is an error, beside ``error::RuntimeWarning``
+    (pyproject.toml): a complex value written into a float64 row, such as
+    the population rows of a real restriction, fails the test instead of
+    silently losing its imaginary part.  The class is in numpy.exceptions
+    from numpy 1.25 on, and at numpy's top level before."""
+    module = "numpy.exceptions" if hasattr(getattr(np, "exceptions", None),
+                                           "ComplexWarning") else "numpy"
+    config.addinivalue_line("filterwarnings", f"error::{module}.ComplexWarning")
+
+
 def pytest_runtest_logreport(report):
     if "test_acceptance.py" not in report.nodeid:
         return

@@ -235,9 +235,12 @@ def reference_propagate(generator, states, grid, error_target=1e-7, operator=Non
         sym = hermitian_part(sym / traces[:, None, None])
         return sym, np.linalg.eigh(sym)[0][..., ::-1]
 
-    rho, lam = clean(np.stack([getattr(s, "entries", s) for s in states]).astype(complex))
+    raw = np.stack([getattr(s, "entries", s) for s in states]).astype(complex)
     if operator is None:
-        operator = dynamics._integration_operator(generator, rho)
+        operator = dynamics._integration_operator(generator, raw)
+    # in the dtype of the rows propagate carries: float64 where they are real
+    # populations of real blocks, whose divisions by the traces are then real
+    rho, lam = clean(raw.real if operator.coordinates(raw).dtype == float else raw)
     entries, dots, eigenvalues = [rho], [derivative(grid[0], rho)], [lam]
     substeps = 1
     for t0, t1 in zip(grid[:-1], grid[1:]):
@@ -1811,6 +1814,70 @@ class TestPopulationRows:
         assert message == "state at t=0.05 is not finite"
         assert message == self.failure(huge, thermal_state(0.2, 40), grid, monkeypatch,
                                        by_scatter=True)
+
+    @staticmethod
+    def assert_real_rows(traj):
+        operator = traj.operator
+        assert isinstance(operator, _Restriction) and operator.populations_only
+        assert operator._blocks.dtype == np.float64
+        assert traj.coordinates().dtype == np.float64
+        assert traj._dot_rows.dtype == np.float64 and traj.derivatives.dtype == np.float64
+        assert states_off_grid(traj, [0, 0, 0], [0.013, 0.27, 1.99]).dtype == np.float64
+
+    @pytest.mark.parametrize("kind", list(GAUSSIAN_RATES) + ["timed"])
+    def test_real_blocks_carry_float64_rows(self, kind):
+        # The constant kinds take the interval maps; "timed", a time-dependent
+        # cutoff-40 generator (m = 40 > 16), takes RK4 by default.
+        traj = self.fock_run(kind, 40, 0.2)[1]
+        self.assert_real_rows(traj)
+        assert traj.operator.time_independent == (kind != "timed")
+
+    @pytest.mark.parametrize("kind", list(GAUSSIAN_RATES))
+    def test_real_blocks_carry_float64_rows_on_rk4(self, kind, rk4):
+        self.assert_real_rows(self.fock_run(kind, 40, 0.2)[1])
+
+    def test_coherent_stacks_stay_complex(self):
+        # One coherence in a Fock-diagonal start brings the coherence sets
+        # into the restriction (m = 10); a diagonal start under a Hamiltonian
+        # that couples populations to coherences touches them at once.
+        grid = np.linspace(0.0, 1.0, 11)
+        a = annihilation_operator(4)
+        bosonic = LindbladGenerator(4, jumps=[(0.2, dagger(a)), (1.2, a)])
+        coherent = np.diag([0.7, 0.2, 0.07, 0.03]).astype(complex)
+        coherent[0, 1] = coherent[1, 0] = 0.1
+        driven = LindbladGenerator(3, hamiltonian=np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1),
+                                   jumps=[(0.5, annihilation_operator(3))])
+        for generator, start in ((bosonic, coherent),
+                                 (driven, DensityMatrix.diagonal([0.5, 0.3, 0.2]))):
+            traj = propagate(generator, start, grid)
+            assert isinstance(traj.operator, _Restriction) and not traj.operator.populations_only
+            assert traj.operator._blocks.dtype == np.complex128
+            assert traj.coordinates().dtype == np.complex128
+            assert traj.derivatives.dtype == np.complex128
+            assert states_off_grid(traj, [0], [0.27]).dtype == np.complex128
+
+    @pytest.mark.parametrize("kind", list(GAUSSIAN_RATES) + ["timed"])
+    def test_float64_rows_match_complex_rows(self, kind, monkeypatch):
+        # The same restriction with its blocks cast to complex128 carries
+        # complex rows through the same integrator.
+        integration_operator = dynamics._integration_operator
+
+        def complex_blocks(generator, states):
+            operator = integration_operator(generator, states)
+            operator._blocks = operator._blocks.astype(complex)
+            return operator
+
+        real = self.fock_run(kind, 40, 0.2)[1]
+        monkeypatch.setattr(dynamics, "_integration_operator", complex_blocks)
+        complex_ = self.fock_run(kind, 40, 0.2)[1]
+        assert complex_.coordinates().dtype == np.complex128
+        assert len(real) == len(complex_)
+        np.testing.assert_allclose(real.entries, complex_.entries, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(real.entropy_rates(), complex_.entropy_rates(), rtol=0,
+                                   atol=1e-13)
+        bounds = [-_pinned_adjoint_traces(t.operator, t.grid, t.coordinates(), t.spectrum)
+                  for t in (real, complex_)]
+        np.testing.assert_allclose(*bounds, rtol=0, atol=1e-13)
 
 
 class TestExport:
