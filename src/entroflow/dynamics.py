@@ -1421,15 +1421,15 @@ def export_trajectory(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV: t, state entries (re/im pairs), entropy, rate.
 
     Column order: time, then Re/Im of the row-major vectorized state, then
-    entropy, then entropy rate.  Floats are rendered with repr so identical
-    trajectories produce byte-identical files.
+    entropy, then entropy rate.  Each column goes to :func:`write_csv` as a
+    float array (a float64 state's imaginary column reads 0.0), rendered
+    with repr, so identical trajectories produce byte-identical files.
     """
     d = traj.entries.shape[-1]
     header = ["t"]
-    for i in range(d):
-        for j in range(d):
-            header += [f"re_rho_{i}{j}", f"im_rho_{i}{j}"]
+    columns = [traj.grid]
+    for (i, j), entry in zip(np.ndindex(d, d), traj.entries.reshape(len(traj), d * d).T):
+        header += [f"re_rho_{i}{j}", f"im_rho_{i}{j}"]
+        columns += [entry.real, entry.imag]
     header += ["entropy", "entropy_rate"]
-    flat = traj.entries.reshape(len(traj), d * d)
-    re_im = np.stack([flat.real, flat.imag], axis=-1).reshape(len(traj), 2 * d * d)
-    write_csv(path, header, np.column_stack([traj.grid, re_im, traj.entropies(), traj.entropy_rates()]))
+    write_csv(path, header, columns + [traj.entropies(), traj.entropy_rates()])

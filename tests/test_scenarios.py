@@ -60,6 +60,25 @@ def test_closed_form_roots_match_brentq(omega, crossings):
     np.testing.assert_allclose(roots, expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("omega", [2.0, 5.0, 11.0])
+def test_closed_form_roots_take_few_rounds_inside_their_brackets(monkeypatch, omega):
+    # One closed-form evaluation per vectorized round; plain bisection needs
+    # 30 rounds on the default grid.
+    grid = _step_grid(DEFAULT_CONFIGS["fig1_gadc"]["parameters"])
+    f_closed = _gadc_closed_form(omega, grid)[3]
+    rounds = []
+
+    def counting(omega, t):
+        rounds.append(len(t))
+        return _gadc_closed_form(omega, t)
+
+    monkeypatch.setattr("entroflow.scenarios._gadc_closed_form", counting)
+    roots = _gadc_closed_roots(omega, grid, f_closed)
+    ks = _sign_changes(f_closed)
+    assert 0 < len(rounds) <= 12
+    assert np.all((grid[ks] < roots) & (roots < grid[ks + 1]))
+
+
 def test_closed_form_roots_without_a_sign_change(monkeypatch):
     def never_called(omega, t):
         raise AssertionError("the closed form was evaluated off the grid")
@@ -402,6 +421,9 @@ def test_huge_gaussian_rate_fails_a_check_without_a_warning(tmp_path, capsys):
     assert report["checks"][0]["measured"] == "state at t=0.05 is not finite"
     assert "FAIL amplifier:" in printed.out + printed.err
     assert "Traceback" not in printed.out + printed.err
+    # No kind produced rows, so the table holds its header alone.
+    assert (tmp_path / "gaussian_bounds.csv").read_text() == \
+        "dynamics,t,entropy_rate,theorem2_bound\n"
 
 
 def test_vacuum_gaussian_start_skips_its_pure_row(tmp_path):
