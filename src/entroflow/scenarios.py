@@ -10,8 +10,8 @@ Every parameter is declared once, as a :class:`Param` in the catalog
 ``validate_config`` is one loop over it: unknown and missing names, each
 value's JSON type and range, the time grid the run builds (two strictly
 increasing points at least, and at most ``MAX_GRID_POINTS``, counted before
-the grid is allocated), then the scenario's cross-parameter and
-constructor ``"check"``.  Runners read the validated values as they are.
+the grid is allocated), then the scenario's cross-parameter ``"check"`` or
+``"build"``.  Runners read the validated values as they are, or what was built.
 """
 
 from __future__ import annotations
@@ -136,10 +136,9 @@ class CheckResult:
 @dataclass
 class RunReport:
     """The checks and output files of one scenario run.  ``wall_time_s`` times
-    the scenario's runner alone, after :func:`validate_config`: ``custom``
-    also builds its generator in ``validate_config``, outside it, and a
-    first-use import inside the runner would fall within it (no default
-    run makes one: none loads ``scipy.sparse`` or ``scipy.linalg``)."""
+    the scenario's runner alone, after the validation, where ``custom`` builds
+    its generator; a first-use import inside the runner would fall within it
+    (no default run makes one: none loads ``scipy.sparse`` or ``scipy.linalg``)."""
 
     scenario: str
     seed: int
@@ -634,43 +633,35 @@ def run_decoherence_measures(params: dict, outdir: Path, seed: int):
 # custom
 # ---------------------------------------------------------------------------
 
-def _custom_inputs(params: dict) -> tuple[LindbladGenerator, DensityMatrix]:
-    """The generator and initial state the run propagates.  The generator's
-    'dim' must be the initial state's, checked before the generator and its
-    d^2 x d^2 blocks are built."""
+def _custom_inputs(params: dict) -> dict:
+    """The run's parameters, with the generator and initial state built from
+    their documents.  The generator's 'dim' must be the initial state's,
+    checked before the generator and its d^2 x d^2 blocks are built."""
     rho0 = DensityMatrix(matrix_from_document(params["initial_state"]))
     doc = params["generator"]
     dim = doc.get("dim") if isinstance(doc, dict) else None
     if is_int(dim) and dim != rho0.dim:
         raise SerializationError(f"initial_state is {rho0.dim}x{rho0.dim} but the generator "
                                  f"acts on dimension {dim}")
-    return generator_from_document(doc), rho0
-
-
-def _check_custom(params: dict) -> list[str]:
-    try:
-        _custom_inputs(params)
-    except (SerializationError, ChannelError, LinalgError) as exc:
-        return [str(exc)]
-    return []
+    return {**params, "generator": generator_from_document(doc), "initial_state": rho0}
 
 
 def run_custom(params: dict, outdir: Path, seed: int):
-    generator, rho0 = _custom_inputs(params)
+    generator, rho0 = params["generator"], params["initial_state"]
     expected = f"trajectory invariants validated on [0, {params['t_max']:g}]"
     try:
         traj = propagate(generator, rho0, _window_grid(params), on_tail_breach="truncate")
     except IntegrationError as exc:  # lost positivity, stalled, or no usable grid
         return [CheckResult("trajectory produced", False, str(exc), expected)], []
-    reports = witnesses.witness_reports(generator, traj)
+    report = witnesses.witness_reports(generator, traj)
 
     traj_table = outdir / "custom_trajectory.csv"
     export_trajectory(traj, traj_table)
     witness_table = outdir / "custom_witnesses.csv"
-    witnesses.export_witness_reports(reports, witness_table)
+    witnesses.export_witness_reports(report, witness_table)
 
-    excluded = np.abs(traj.left_out_rates()) > witnesses.EPS_WITNESS
-    worst = min((r.violation for r, skip in zip(reports, excluded) if not skip), default=np.nan)
+    kept = report.violation[~report.excluded]
+    worst = np.min(kept) if kept.size else np.nan
     span = f"[0, {traj.grid[-1]:.3g}]"
     if traj.truncated_at is not None:
         span += f" (tail-guard truncation at t={traj.truncated_at:.3g})"
@@ -773,7 +764,7 @@ SCENARIOS = {
         },
     },
     "custom": {
-        "runner": run_custom, "grid": _window_grid, "check": _check_custom,
+        "runner": run_custom, "grid": _window_grid, "build": _custom_inputs,
         "description": "Propagate a serialized generator and export trajectory + witnesses",
         "parameters": {
             "generator": Param({"kind": "lindblad_generator", "dim": 2, "hamiltonian": None,
@@ -805,46 +796,58 @@ def list_scenarios() -> dict:
     }
 
 
-def validate_config(config: dict) -> list[str]:
-    """Schema, range and construction diagnostics, derived from the catalog;
-    runs no scenario, and reports a malformed value instead of raising."""
+def _validated(config: dict) -> tuple[list[str], dict | None]:
+    """The diagnostics of :func:`validate_config`, and the parameters the
+    runner reads: the config's own, or what the scenario's ``"build"`` made."""
     if not isinstance(config, dict):
-        return [f"a config is a mapping of scenario, seed and parameters, got {config!r}"]
+        return [f"a config is a mapping of scenario, seed and parameters, got {config!r}"], None
     scenario = config.get("scenario")
     if scenario is None:
-        return ["missing 'scenario'; required fields: scenario, seed, parameters"]
+        return ["missing 'scenario'; required fields: scenario, seed, parameters"], None
     if not isinstance(scenario, str) or scenario not in SCENARIOS:
-        return [f"unknown scenario {scenario!r}; known: {sorted(SCENARIOS)}"]
+        return [f"unknown scenario {scenario!r}; known: {sorted(SCENARIOS)}"], None
     meta = SCENARIOS[scenario]
     spec = meta["parameters"]
     problems = [] if is_int(config.get("seed", 0)) else ["'seed' must be an integer"]
     params = config.get("parameters")
     if not isinstance(params, dict):
-        return problems + ["missing 'parameters' mapping; required parameters: " + ", ".join(spec)]
+        return problems + ["missing 'parameters' mapping; required parameters: "
+                           + ", ".join(spec)], None
     problems += [f"unknown parameter {name!r}; known: {', '.join(spec)}"
                  for name in params if name not in spec]
     for name, param in spec.items():
         problems += param.problems(name, params[name]) if name in params \
             else [f"missing parameter {name!r}"]
     if problems:
-        return problems
+        return problems, None
     if "grid" in meta:
         try:
             grid = meta["grid"](params)
         except ScenarioError as exc:
-            return [str(exc)]
+            return [str(exc)], None
         if len(grid) < 2 or np.any(np.diff(grid) <= 0.0):
             span = f" on [{grid[0]:g}, {grid[-1]:g}]" if len(grid) else ""
             return [f"the time grid must hold at least two strictly increasing points; "
-                    f"these parameters give {len(grid)}{span}"]
-    return meta["check"](params) if "check" in meta else []
+                    f"these parameters give {len(grid)}{span}"], None
+    if "build" in meta:
+        try:
+            return [], meta["build"](params)
+        except (SerializationError, ChannelError, LinalgError) as exc:
+            return [str(exc)], None
+    return (meta["check"](params) if "check" in meta else []), params
+
+
+def validate_config(config: dict) -> list[str]:
+    """Schema, range and construction diagnostics, derived from the catalog;
+    runs no scenario, and reports a malformed value instead of raising."""
+    return _validated(config)[0]
 
 
 def run_config(config: dict, output_dir, seed_override: int | None = None) -> RunReport:
     """Validate a config, then run its scenario into ``output_dir``.  The
     report's ``wall_time_s`` times the runner alone, after the validation
     (:class:`RunReport`)."""
-    problems = validate_config(config)
+    problems, params = _validated(config)
     if problems:
         raise ScenarioError("; ".join(problems))
     scenario = config["scenario"]
@@ -852,7 +855,7 @@ def run_config(config: dict, output_dir, seed_override: int | None = None) -> Ru
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    checks, outputs = SCENARIOS[scenario]["runner"](config["parameters"], outdir, seed)
+    checks, outputs = SCENARIOS[scenario]["runner"](params, outdir, seed)
     elapsed = time.perf_counter() - start
     return RunReport(scenario=scenario, seed=seed, wall_time_s=elapsed,
                      checks=checks, outputs=outputs)

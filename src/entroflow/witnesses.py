@@ -13,6 +13,7 @@ certified lower bounds on the true suprema.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -235,18 +236,12 @@ def _f_parts(family: ChannelFamily, times, states: np.ndarray, dots: np.ndarray,
     return entropy_rate(spectrum, dots), _epsilon_derivatives(family, times, states, spectrum)
 
 
-def f_components(family: ChannelFamily, rho0, t):
-    """(entropy rate, short-time derivative term) along the family trajectory.
-
-    ``t`` is one time, or an array of times; then both components are
-    arrays over it, computed as one stack.  The rate reads the state's
-    derivative from the family's exact d/dt M_{t,0}.
-    """
-    times = np.atleast_1d(np.asarray(t, dtype=float))
+def f_components(family: ChannelFamily, rho0, times) -> tuple[np.ndarray, np.ndarray]:
+    """(entropy rates, short-time derivative terms) along the family
+    trajectory at an array of times, computed as one stack.  The rate reads
+    the state's derivative from the family's exact d/dt M_{t,0}."""
     rates, eps_terms = _f_parts(family, times, *family.evolve([rho0], times))
-    if np.ndim(t):
-        return rates[:, 0], eps_terms[:, 0]
-    return float(rates[0, 0]), float(eps_terms[0, 0])
+    return rates[:, 0], eps_terms[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -268,26 +263,30 @@ def test_c(eps_derivative_value: float, generator_term: float) -> bool:
     return abs(eps_derivative_value - generator_term) > EPS_TEST_C
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessReport:
-    """Per-time record of the rate, its lower limit, f, and test outcomes."""
+    """The rate, its lower limit, f and nonunitality of a one-state trajectory
+    as (T,) float64 arrays; ``excluded`` marks the rows whose
+    |:meth:`Trajectory.left_out_rates`| exceeds ``EPS_WITNESS``, and ``flags``
+    maps each test's flag name to its (T,) outcomes, false on excluded rows."""
 
-    time: float
-    entropy_rate: float
-    theorem2_bound: float
-    f_value: float
-    nonunitality: float
-    flags: frozenset[str]
+    time: np.ndarray
+    entropy_rate: np.ndarray
+    theorem2_bound: np.ndarray
+    f_value: np.ndarray
+    nonunitality: np.ndarray
+    excluded: np.ndarray
+    flags: dict[str, np.ndarray]
 
     @property
-    def violation(self) -> float:
+    def violation(self) -> np.ndarray:
         return self.entropy_rate - self.theorem2_bound
 
 
-def witness_reports(generator: LindbladGenerator, traj: Trajectory) -> list[WitnessReport]:
-    """One WitnessReport per point of a one-state trajectory that
-    :func:`propagate` integrated with ``generator``; any other trajectory
-    raises :class:`WitnessError`.
+def witness_reports(generator: LindbladGenerator, traj: Trajectory) -> WitnessReport:
+    """The :class:`WitnessReport` of a one-state trajectory that
+    :func:`propagate` integrated with ``generator``; any other trajectory,
+    a stack of several states among them, raises :class:`WitnessError`.
 
     The f column and test (a)/(c) need the short-time derivative term
     Tr{Pi (K_t + K_t^dag)(rho_t)}, and K_t = L_t for a Lindblad generator:
@@ -296,41 +295,38 @@ def witness_reports(generator: LindbladGenerator, traj: Trajectory) -> list[Witn
     operator the trajectory was integrated with (:attr:`Trajectory.operator`,
     a dense restriction to the invariant sets its states touch, or the
     sparse generator) on the rows it holds, with no dense superoperator.
-    Every column is computed over the whole trajectory at once.  Rows with
-    |:meth:`Trajectory.left_out_rates`| > ``EPS_WITNESS`` carry no test flags.
+    Every column is computed over the whole trajectory at once.
     """
     if traj.generator is not generator:
         raise WitnessError("witness reports need a trajectory propagated with the generator")
+    if traj.spectrum.eigenvalues.ndim != 2:
+        raise WitnessError(f"witness reports need a one-state trajectory, not a stack of shape "
+                           f"{traj.spectrum.eigenvalues.shape[:-1]}")
     excluded = np.abs(traj.left_out_rates()) > EPS_WITNESS
     rates = traj.entropy_rates()
     operator, rows = traj.operator, traj.coordinates()
     adjoint_images = _images(operator.adjoint_apply, traj.grid, rows)
     witness = _support_traces(operator, traj.spectrum, adjoint_images)
-    bounds = -witness
     eps_terms = _support_traces(operator, traj.spectrum,
                                 adjoint_images + _images(operator.apply, traj.grid, rows))
     f_values = rates + eps_terms
-    tests = {"test_a_passed": test_a(f_values), "test_b_passed": test_b(rates, bounds),
+    tests = {"test_a_passed": test_a(f_values), "test_b_passed": test_b(rates, -witness),
              "test_c_passed": test_c(eps_terms, witness)}
-    return [WitnessReport(time=float(t), entropy_rate=float(rates[k]),
-                          theorem2_bound=float(bounds[k]), f_value=float(f_values[k]),
-                          nonunitality=float(witness[k]),
-                          flags=frozenset(name for name, passed in tests.items()
-                                          if passed[k] and not excluded[k]))
-            for k, t in enumerate(traj.grid)]
+    return WitnessReport(time=traj.grid, entropy_rate=rates, theorem2_bound=-witness,
+                         f_value=f_values, nonunitality=witness, excluded=excluded,
+                         flags={name: passed & ~excluded for name, passed in tests.items()})
 
 
-def export_witness_reports(reports, path) -> None:
-    """CSV stream: t, rate, bound, f, nonunitality, flags (semicolon-joined).
-
-    The five number columns go to :func:`write_csv` as float64 arrays of the
-    reports' floats and the flags as strings, so the file is byte-identical
-    to one written report by report with repr.
-    """
-    numbers = np.array([(r.time, r.entropy_rate, r.theorem2_bound, r.f_value, r.nonunitality)
-                        for r in reports], dtype=float).reshape(len(reports), 5)
+def export_witness_reports(report: WitnessReport, path) -> None:
+    """CSV stream: t, rate, bound, f, nonunitality, flags.  The number columns
+    go to :func:`write_csv` as the report holds them; a row's flags cell names
+    its true tests, sorted and joined by semicolons."""
+    names = sorted(report.flags)
+    flags = [";".join(compress(names, row))
+             for row in zip(*(report.flags[name].tolist() for name in names))]
     write_csv(path, ["t", "entropy_rate", "theorem2_bound", "f", "nonunitality", "flags"],
-              [*numbers.T, [";".join(sorted(r.flags)) for r in reports]])
+              [report.time, report.entropy_rate, report.theorem2_bound, report.f_value,
+               report.nonunitality, flags])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from entroflow.channels import (ChannelError, LindbladGenerator, _Restriction, b
 from entroflow.cli import main
 from entroflow.dynamics import propagate
 from entroflow.linalg import EigenSystem
-from entroflow.serialize import generator_to_document, matrix_to_document
+from entroflow import scenarios
+from entroflow.serialize import generator_from_document, generator_to_document, matrix_to_document
 from entroflow.scenarios import (
     SCENARIOS,
     DEFAULT_CONFIGS,
@@ -360,6 +361,15 @@ def test_custom_dim_is_checked_before_the_generator_is_built(monkeypatch):
     config = copy.deepcopy(DEFAULT_CONFIGS["custom"])
     config["parameters"]["generator"] = HUGE_DIM_GENERATOR
     assert validate_config(config) and built == []
+
+
+def test_custom_run_builds_its_generator_once(tmp_path, monkeypatch):
+    # validate and run share one build of the generator and initial state.
+    built = []
+    monkeypatch.setattr(scenarios, "generator_from_document",
+                        lambda doc: built.append(doc) or generator_from_document(doc))
+    assert run_config(copy.deepcopy(DEFAULT_CONFIGS["custom"]), tmp_path).passed
+    assert len(built) == 1
 
 
 def test_custom_bool_dim_is_not_an_integer():

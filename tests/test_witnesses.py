@@ -35,7 +35,7 @@ from entroflow import (
     unitary_channel,
     witness_reports,
 )
-from entroflow.channels import JumpTerm, SIGMA_Z, apply_superoperators
+from entroflow.channels import JumpTerm, SIGMA_X, SIGMA_Z, apply_superoperators
 from entroflow.dynamics import Trajectory, _WholeStates
 from entroflow.linalg import as_matrix, dagger, hermitian_part, spectral_decompose
 from entroflow.sampling import (
@@ -139,19 +139,41 @@ def test_time_local_generator_recovers_dephasing(t):
 
 
 def test_export_witness_reports_format(tmp_path):
-    reports = [
-        WitnessReport(time=0.5, entropy_rate=0.1, theorem2_bound=-0.25, f_value=1e-20,
-                      nonunitality=0.25, flags=frozenset({"test_b_passed", "test_a_passed"})),
-        WitnessReport(time=1.0, entropy_rate=-0.0, theorem2_bound=0.0, f_value=2.0,
-                      nonunitality=-0.0, flags=frozenset()),
-    ]
+    report = WitnessReport(
+        time=np.array([0.5, 1.0]), entropy_rate=np.array([0.1, -0.0]),
+        theorem2_bound=np.array([-0.25, 0.0]), f_value=np.array([1e-20, 2.0]),
+        nonunitality=np.array([0.25, -0.0]), excluded=np.array([False, False]),
+        flags={"test_b_passed": np.array([True, False]), "test_c_passed": np.array([False, False]),
+               "test_a_passed": np.array([True, False])})
     path = tmp_path / "w.csv"
-    export_witness_reports(reports, path)
+    export_witness_reports(report, path)
     assert path.read_text().splitlines() == [
         "t,entropy_rate,theorem2_bound,f,nonunitality,flags",
         "0.5,0.1,-0.25,1e-20,0.25,test_a_passed;test_b_passed",
         "1.0,-0.0,0.0,2.0,-0.0,",
     ]
+
+
+def test_exported_flags_follow_the_sign_of_the_dephasing_rate(tmp_path):
+    # gamma(t) = 0.5 + cos 2t from a full-rank start: the generator is unital
+    # and the state keeps full rank, so theorem2_bound = 0 and f is the
+    # entropy rate, whose sign is that of -gamma.  Tests (a) and (b) fire
+    # together where gamma < 0 and neither where gamma > 0.  With Pi = I,
+    # Tr{L_t(rho)} = 0, so the short-time term equals the witness and (c)
+    # never fires.
+    generator, _ = _oscillating_dephasing(0.5, 1.0, 2.0)
+    grid = np.linspace(0.0, 3.0, 301)
+    start = DensityMatrix(0.5 * (np.eye(2) + 0.6 * SIGMA_X))
+    report = witness_reports(generator, propagate(generator, start, grid))
+    assert not report.excluded.any()
+    path = tmp_path / "w.csv"
+    export_witness_reports(report, path)
+    flags = np.array([line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]])
+    gamma = 0.5 + np.cos(2.0 * grid)
+    assert (gamma < -0.05).any() and (gamma > 0.05).any()
+    assert set(flags[gamma < -0.05]) == {"test_a_passed;test_b_passed"}
+    assert set(flags[gamma > 0.05]) == {""}
+    assert not any("test_c_passed" in cell for cell in flags)
 
 
 def test_measures_agree_on_non_cp_divisible_dephasing():
@@ -373,7 +395,7 @@ def test_witness_reports_without_a_family_build_no_superoperator(rng, monkeypatc
     superoperator = LindbladGenerator.superoperator
     monkeypatch.setattr(LindbladGenerator, "superoperator",
                         lambda self, t: built.append(t) or superoperator(self, t))
-    assert len(witness_reports(generator, traj)) == len(traj)
+    assert len(witness_reports(generator, traj).time) == len(traj)
     assert built == []
 
 
@@ -396,7 +418,7 @@ def test_witness_reports_f_matches_the_generator_family(rng):
     traj = propagate(generator, random_mixed_state(rng, 3), np.linspace(0.0, 1.0, 11))
     dense = _dense_epsilon_terms(superoperators(generator, traj.grid), traj.entries[:, None],
                                  support_projectors(traj.spectrum)[:, None])
-    np.testing.assert_allclose([r.f_value for r in witness_reports(generator, traj)],
+    np.testing.assert_allclose(witness_reports(generator, traj).f_value,
                                traj.entropy_rates() + dense[:, 0], rtol=0, atol=1e-12)
 
 
@@ -445,7 +467,7 @@ def test_whole_state_stack_reads_the_whole_space_witness():
     whole = traj.spectrum.support_traces(generator.adjoint_apply(traj.grid, traj.entries))
     np.testing.assert_array_equal(
         _pinned_adjoint_traces(traj.operator, traj.grid, traj.coordinates(), traj.spectrum), whole)
-    np.testing.assert_array_equal([r.nonunitality for r in witness_reports(generator, traj)], whole)
+    np.testing.assert_array_equal(witness_reports(generator, traj).nonunitality, whole)
     labels = generator.invariant_sets()
     index = np.flatnonzero(np.isin(labels, labels[np.flatnonzero(traj.entries[0].reshape(-1))]))
     assert len(index) == 34
@@ -459,7 +481,8 @@ def test_whole_state_stack_reads_the_whole_space_witness():
 def test_witness_reports_need_a_trajectory_propagated_with_the_generator(rng):
     # The witnesses read the rows and the operator that propagate kept: a
     # trajectory built from states, or propagated with another generator,
-    # holds neither for this generator, and is refused.
+    # holds neither for this generator, and is refused.  So is a stack of
+    # states, whose (T, N) columns have no one-state record.
     generator = _random_semigroup(rng, 3)
     traj = propagate(generator, random_mixed_state(rng, 3), np.linspace(0.0, 1.0, 11))
     bare = Trajectory(traj.grid, traj.entries, traj.derivatives, spectrum=traj.spectrum)
@@ -467,6 +490,10 @@ def test_witness_reports_need_a_trajectory_propagated_with_the_generator(rng):
     for refused in (bare, other):
         with pytest.raises(WitnessError, match="propagated with the generator"):
             witness_reports(generator, refused)
+    stacked = propagate(generator, [traj.entries[0]] * 2, traj.grid)
+    with pytest.raises(WitnessError, match=r"one-state trajectory, not a stack of shape "
+                                           r"\(11, 2\)"):
+        witness_reports(generator, stacked)
 
 
 def test_back_action_builds_no_adjoint_channel(rng, monkeypatch):
@@ -500,10 +527,10 @@ def test_generator_family_epsilon_terms_need_no_dense_superoperators():
     rows = slice(None, None, 10)
     for generator in (constant, timed):
         traj = propagate(generator, thermal_state(0.2, 20), grid)
-        reports = witness_reports(generator, traj)
+        report = witness_reports(generator, traj)
         dense = _dense_epsilon_terms(superoperators(generator, grid[rows]), traj.entries[rows, None],
                                      support_projectors(traj.spectrum[rows])[:, None])
-        np.testing.assert_allclose([r.f_value for r in reports[rows]],
+        np.testing.assert_allclose(report.f_value[rows],
                                    traj.entropy_rates()[rows] + dense[:, 0], rtol=0, atol=1e-12)
     single = propagate(constant, thermal_state(0.2, 20), grid)
     tracemalloc.start()
@@ -591,13 +618,13 @@ def test_stacked_f_matches_per_point_f(family, rng):
         assert stacked.shape == times.shape
         for t, f in zip(times, stacked):
             assert f == pytest.approx(_f_per_point(family, rho0, t), abs=fd_reference_tol)
-            assert f == pytest.approx(sum(f_components(family, rho0, t)), abs=1e-10)
+            assert f == pytest.approx(sum(f_components(family, rho0, [t]))[0], abs=1e-10)
     # Row-aligned pairs, as the measure's boundary bisection evaluates them.
     pairs = np.stack([as_matrix(states[k % 2]) for k in range(len(times))])[:, None]
     rates, eps_terms = _f_parts(family, times, *family.evolve(pairs, times))
     for k, t in enumerate(times):
         assert rates[k, 0] + eps_terms[k, 0] == pytest.approx(
-            sum(f_components(family, states[k % 2], t)), abs=1e-10)
+            sum(f_components(family, states[k % 2], [t]))[0], abs=1e-10)
 
 
 @pytest.mark.parametrize("family", [GadcFamily(5.0), _oscillating_dephasing(0.5, 1.0, 2.0)[1]],
