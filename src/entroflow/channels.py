@@ -18,6 +18,7 @@ imported.  Nothing is rebuilt per time.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -391,12 +392,12 @@ class ExponentialCoefficient:
 
 
 # Coefficients whose call is a numpy expression, so that it takes an array of
-# times whole; a constant broadcasts its value.
-_ARRAY_COEFFICIENTS = (ConstantCoefficient, CosineSquaredCoefficient, ExponentialCoefficient)
+# times whole.
+_ARRAY_COEFFICIENTS = (CosineSquaredCoefficient, ExponentialCoefficient)
 
 
 def _as_coefficient(rate):
-    if isinstance(rate, (int, float)):
+    if isinstance(rate, numbers.Real):
         return ConstantCoefficient(float(rate))
     if callable(rate):
         return rate
@@ -408,23 +409,28 @@ class JumpTerm:
     """One dissipator: rate gamma(t) and jump operator A(t).
 
     The rate may be temporarily negative; only the overall evolution has to
-    stay completely positive.
+    stay completely positive.  A plain-number rate is held as its
+    :class:`ConstantCoefficient`.
     """
 
     rate: object
     operator: object
 
+    def __post_init__(self):
+        object.__setattr__(self, "rate", _as_coefficient(self.rate))
+
     def rate_at(self, t):
         """gamma(t): a float for one time, an array of the same shape for an
-        array of times.  The coefficient classes take the array whole; any
-        other callable is called once per time, here only."""
+        array of times.  A constant fills the array with its value, the
+        coefficient classes take it whole, and any other callable is called
+        once per time, here only."""
         if not isinstance(t, np.ndarray):
-            return float(self.rate(t)) if callable(self.rate) else float(self.rate)
+            return float(self.rate(t))
+        if isinstance(self.rate, ConstantCoefficient):
+            return np.full(t.shape, float(self.rate.value))
         if isinstance(self.rate, _ARRAY_COEFFICIENTS):
-            return np.broadcast_to(self.rate(t), t.shape)
-        if callable(self.rate):
-            return np.array([float(self.rate(float(s))) for s in t.ravel()]).reshape(t.shape)
-        return np.full(t.shape, float(self.rate))
+            return self.rate(t)
+        return np.array([float(self.rate(float(s))) for s in t.ravel()]).reshape(t.shape)
 
 
 @dataclass(frozen=True)
@@ -497,11 +503,6 @@ def _dissipator(gamma: float, a: np.ndarray) -> list:
     return [(gamma, a, a_dag), (-0.5 * gamma, ada, eye), (-0.5 * gamma, eye, ada)]
 
 
-def _constant_rate(rate) -> bool:
-    """A rate that does not depend on time: a number or a ConstantCoefficient."""
-    return isinstance(rate, ConstantCoefficient) or not callable(rate)
-
-
 class LindbladGenerator:
     """Time-dependent generator: -i[H, rho] + sum_i gamma_i(t) (A_i rho A_i^dag - {A_i^dag A_i, rho}/2).
 
@@ -544,13 +545,8 @@ class LindbladGenerator:
     def __init__(self, dim: int, hamiltonian=None, jumps=(), tail_guard: TailGuard | None = None):
         self.dim = int(dim)
         self.hamiltonian = hamiltonian
-        terms = []
-        for term in jumps:
-            if not isinstance(term, JumpTerm):
-                rate, op = term
-                term = JumpTerm(_as_coefficient(rate), op)
-            terms.append(term)
-        self.jumps = tuple(terms)
+        self.jumps = tuple(term if isinstance(term, JumpTerm) else JumpTerm(*term)
+                           for term in jumps)
         self.tail_guard = tail_guard
         constant = [] if hamiltonian is None else _sandwich_entries(self.dim, _commutator(
             require_hermitian(self._checked(hamiltonian, "hamiltonian"), name="hamiltonian")),
@@ -558,7 +554,7 @@ class LindbladGenerator:
         rated, dissipators = [], []
         for i, term in enumerate(self.jumps):
             a, name = self._checked(term.operator, "jump operator"), f"jump {i}"
-            if _constant_rate(term.rate):
+            if isinstance(term.rate, ConstantCoefficient):
                 constant += _sandwich_entries(self.dim, _dissipator(term.rate_at(0.0), a), name)
             else:
                 rated.append(term)

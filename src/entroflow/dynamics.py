@@ -576,7 +576,11 @@ def _integration_operator(generator: LindbladGenerator, states: np.ndarray):
     m x m product costs no more than one pass over a state or less than the
     sparse product's dispatch; otherwise the whole generator.  Every generator has a fixed
     pattern, hence invariant sets, so every later state of the stack lies
-    in the same union."""
+    in the same union.  States of another dimension than the generator's
+    raise :class:`IntegrationError` naming both."""
+    if states.shape[-2:] != (generator.dim, generator.dim):
+        raise IntegrationError(f"states of shape {states.shape[-2:]} do not match the "
+                               f"generator's dimension {generator.dim}")
     labels = generator.invariant_sets()
     touched = np.any(states.reshape(len(states), -1) != 0, axis=0)
     index = np.flatnonzero(np.isin(labels, labels[touched]))
@@ -1249,11 +1253,17 @@ class ChannelFamily:
         """M_{t,0}(rho_0) as a (T, d, d) stack for one operator, (T, N, d, d)
         for a sequence or (N, d, d) stack of N operators, each taken through
         every time; a (T, N, d, d) array goes row t through time t only.
+        Operators of another dimension than the family's raise
+        :class:`IntegrationError` naming both.
         """
         times = np.asarray(times, dtype=float)
         if np.any(times < 0):  # families are defined for t >= 0 only
             raise IntegrationError("channel family evaluated at negative time")
-        return apply_superoperators(self.superoperators(times), _state_stack(rho0s))
+        stack = _state_stack(rho0s)
+        if stack.shape[-2:] != (self.dim, self.dim):
+            raise IntegrationError(f"states of shape {stack.shape[-2:]} do not match the "
+                                   f"family's dimension {self.dim}")
+        return apply_superoperators(self.superoperators(times), stack)
 
     def evolve(self, rho0s, times) -> tuple[np.ndarray, np.ndarray, EigenSystem]:
         """States, their time derivatives and their spectra at ``times``.

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nonunitarity, witnesses
-from ._util import is_finite_number, is_int, write_csv
+from ._util import is_finite_number, is_int, refine_brackets, write_csv
 from .channels import (
     ChannelError,
     ConstantCoefficient,
@@ -181,56 +181,14 @@ def _sign_changes(values: np.ndarray) -> np.ndarray:
 
 
 def _gadc_closed_roots(omega: float, grid: np.ndarray, f_closed: np.ndarray) -> np.ndarray:
-    """The zeros of the closed-form f, one per sign change of ``f_closed`` on ``grid``.
-
-    Every bracket takes one Illinois false-position step per vectorized
-    round (M. Dowell & P. Jarratt, BIT 11, 168 (1971)): its trial point is
-    the secant root of the values stored at its ends, held at least half the
-    stop width inside the bracket (so an end that has converged lets the
-    other end jump to it), and an end kept twice in a row has its stored
-    value halved.  A bracket that has not halved over the last two rounds is
-    bisected as well: its midpoint is evaluated in the same call as its
-    trial point, and a bisection's own halving counts for no later round, so
-    the width halves at least every second round after the first two and no
-    bracket needs more than about twice the rounds of bisection.  The bracket shrinks to the stretch
-    between its evaluated points that holds the sign change, so every trial
-    point lies strictly inside its bracket and every bracket keeps its sign
-    change.  The loop stops once each bracket is narrower than
-    1e-12 + 4 eps |t|, the stop width of plain bisection (the relative term
-    ends it where adjacent floats lie farther apart than 1e-12), and returns
-    the midpoints.
-    """
+    """The zeros of the closed-form f, one per sign change of ``f_closed`` on
+    ``grid``: the midpoints of the brackets :func:`refine_brackets` narrows
+    to 1e-12 + 4 eps |t|, the stop width of plain bisection (the relative
+    term ends it where adjacent floats lie farther apart than 1e-12)."""
     ks = _sign_changes(f_closed)
-    n = len(ks)
-    lo, hi = grid[ks], grid[ks + 1]
-    f_lo, f_hi = f_closed[ks], f_closed[ks + 1]
-    sign_lo = np.sign(f_lo)
-    tol = 1e-12 + 4.0 * np.finfo(float).eps * np.abs(hi)
-    margin = 0.5 * tol
-    kept_lo = kept_hi = np.zeros(n, bool)  # the end the last round kept
-    half_widths = [np.inf, np.inf]  # half the widths two rounds and one round back
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while np.any(active := (width := hi - lo) > tol):
-            mid = 0.5 * (lo + hi)
-            trial = np.minimum(np.maximum(lo + width * (f_lo / (f_lo - f_hi)), lo + margin),
-                               hi - margin)
-            trial = np.where(np.isnan(trial), mid, trial)
-            bisect = width > half_widths[0]
-            p = np.where(bisect, np.minimum(trial, mid), trial)
-            q = np.where(bisect, np.maximum(trial, mid), trial)
-            f_p, f_q = _gadc_closed_form(omega, np.concatenate([p, q]))[3].reshape(2, n)
-            # lo < p <= q < hi: the sign change lies in [lo, p], [p, q] or [q, hi].
-            to_p = active & (np.sign(f_p) != sign_lo)
-            to_pq = active & ~to_p & (np.sign(f_q) != sign_lo)
-            to_q = active & ~(to_p | to_pq)
-            f_lo = np.where(to_p & kept_lo, 0.5 * f_lo, f_lo)
-            f_hi = np.where(to_q & kept_hi, 0.5 * f_hi, f_hi)
-            lo, f_lo = (np.where(to_pq, p, np.where(to_q, q, lo)),
-                        np.where(to_pq, f_p, np.where(to_q, f_q, f_lo)))
-            hi, f_hi = (np.where(to_p, p, np.where(to_pq, q, hi)),
-                        np.where(to_p, f_p, np.where(to_pq, f_q, f_hi)))
-            kept_lo, kept_hi = to_p, to_q
-            half_widths = [half_widths[1], 0.5 * np.where(bisect, hi - lo, width)]
+    lo, hi = refine_brackets(lambda _, t: _gadc_closed_form(omega, t)[3], grid[ks], grid[ks + 1],
+                             f_closed[ks], f_closed[ks + 1],
+                             1e-12 + 4.0 * np.finfo(float).eps * np.abs(grid[ks + 1]))
     return 0.5 * (lo + hi)
 
 

@@ -84,8 +84,6 @@ def _rate_to_document(rate) -> dict:
         return {"type": "cosine_squared", "omega": rate.omega, "scale": rate.scale}
     if isinstance(rate, ExponentialCoefficient):
         return {"type": "exponential", "decay": rate.decay, "scale": rate.scale}
-    if isinstance(rate, (int, float)):
-        return {"type": "constant", "value": float(rate)}
     raise SerializationError(
         f"rate {rate!r} is not one of the named serializable coefficient families"
     )

@@ -6,8 +6,11 @@ when it does not; at rank-deficient states it can be nonzero for unital
 dynamics too), its negative lower-bounds the entropy rate of any
 CP-divisible evolution, and its mismatch against the short-time channel
 derivative feeds the memory tests.
-Measures maximize over sampled initial states, so reported values are
-certified lower bounds on the true suprema.
+A measure is the largest integrated violation over a fixed sample of
+initial states, each integral taken by the trapezoid rule with its window
+edges placed within ``BISECT_ATOL``.  It is not a certified bound on the
+true supremum: the sample may miss the maximizing state, and the quadrature
+and the edges carry errors of their own.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from itertools import compress
 
 import numpy as np
 
-from ._util import write_csv
+from ._util import refine_brackets, write_csv
 from .channels import (
     LindbladGenerator,
     QuantumChannel,
@@ -349,23 +352,14 @@ def _violation_integrals(grid: np.ndarray, values: np.ndarray, threshold: float,
     of the (T, N) values.
 
     The edge of a window inside a grid interval [t0, t1], the root of
-    v(t) = -threshold, is located by safeguarded false position on
-    ``evaluate(columns, times)``, the witness off the grid for each
-    (column, time) pair.  A round evaluates every open edge at three points
-    of its bracket [lo, hi], all in one call: the false-position point of
-    the bracket's end values (the grid values in the first round, the
-    midpoint where they give none), clipped ``0.4 * BISECT_ATOL`` inside
-    the bracket; a partner point ``0.4 * BISECT_ATOL`` from it, toward the
-    midpoint; and the midpoint.  The new bracket is the first sub-interval
-    from lo whose far end does not share lo's side of the threshold.  The
-    midpoint bounds every round to bisection's halving, and the partner
-    closes the bracket once the false-position point lands within
-    ``0.4 * BISECT_ATOL`` of the root.  Each final bracket is at most
-    ``BISECT_ATOL`` wide and holds a change of side, and the edge is taken
-    at its midpoint.  A non-finite witness value counts as non-violating.
-    Grid points under the exclusion mask are treated as non-violating:
-    there the rate on the support misses more than the threshold, so the
-    grid value is no evidence either way.
+    v(t) = -threshold, is located by :func:`~entroflow._util.refine_brackets`
+    on v + threshold, read off the grid by ``evaluate(columns, times)`` for
+    each (column, time) pair, to a bracket of at most ``BISECT_ATOL`` that
+    holds a change of side, and taken at the bracket's midpoint.  A
+    non-finite witness value counts as non-violating.  Grid points under
+    the exclusion mask are treated as non-violating: there the rate on the
+    support misses more than the threshold, so the grid value is no
+    evidence either way.
     """
     violating = (values < -threshold) & ~excluded
     a, b = violating[:-1], violating[1:]
@@ -375,31 +369,9 @@ def _violation_integrals(grid: np.ndarray, values: np.ndarray, threshold: float,
     ks, ns = np.nonzero(a != b)  # one window edge per (interval, column)
     if ks.size:
         t0, t1 = grid[ks], grid[ks + 1]
-        # brackets and their ends' values, shifted so that the root is f = 0
-        ends = np.stack([t0, t1], axis=1)
-        f_ends = np.stack([v0[ks, ns], v1[ks, ns]], axis=1) + threshold
-        below_lo = v0[ks, ns] < -threshold
-        gap = 0.4 * BISECT_ATOL
-        active = np.flatnonzero(ends[:, 1] - ends[:, 0] > BISECT_ATOL)
-        while active.size:
-            (lo, hi), (f_lo, f_hi) = ends[active].T, f_ends[active].T
-            mid = 0.5 * (lo + hi)
-            with np.errstate(all="ignore"):
-                x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-                x = np.where((np.sign(f_lo) * np.sign(f_hi) <= 0.0) & np.isfinite(x), x, mid)
-            x = np.clip(x, lo + gap, hi - gap)
-            points = np.sort(np.stack([x, x + gap * np.sign(mid - x), mid], axis=1), axis=1)
-            f_points = evaluate(np.repeat(ns[active], 3), points.ravel()).reshape(-1, 3) + threshold
-            # the first evaluated point off lo's side, or hi: the new bracket's far end
-            off_side = (f_points < 0.0) != below_lo[active, None]
-            far = np.argmax(np.column_stack([off_side, np.ones(len(active), bool)]), axis=1)
-            t_all = np.column_stack([lo, points, hi])
-            f_all = np.column_stack([f_lo, f_points, f_hi])
-            pick = np.stack([far, far + 1], axis=1)
-            ends[active] = np.take_along_axis(t_all, pick, axis=1)
-            f_ends[active] = np.take_along_axis(f_all, pick, axis=1)
-            active = active[ends[active, 1] - ends[active, 0] > BISECT_ATOL]
-        t_star = np.clip(ends.mean(axis=1), t0, t1)
+        lo, hi = refine_brackets(lambda index, ts: evaluate(ns[index], ts) + threshold, t0, t1,
+                                 v0[ks, ns] + threshold, v1[ks, ns] + threshold, BISECT_ATOL)
+        t_star = np.clip(0.5 * (lo + hi), t0, t1)
         np.add.at(totals, ns, np.where(a[ks, ns], 0.5 * (-v0[ks, ns] + threshold) * (t_star - t0),
                                        0.5 * (threshold - v1[ks, ns]) * (t1 - t_star)))
     return totals
@@ -412,9 +384,8 @@ def _measure(state_sampler, grid, trajectories, values, evaluate) -> MeasureResu
     ``trajectories(starts, grid)`` gives one stacked (T, N, d, d) trajectory
     of that stack, ``values(traj)`` the witness on the grid as a (T, N)
     array, and ``evaluate(starts, traj, columns, times)`` the witness off the
-    grid for (state, time) pairs, for the false-position search that places
-    each window edge inside a bracket of at most ``BISECT_ATOL``
-    (:func:`_violation_integrals`).  A grid point counts where the witness is
+    grid for (state, time) pairs, for the edge search of
+    :func:`_violation_integrals`.  A grid point counts where the witness is
     below -``EPS_WITNESS``.  A grid point is excluded for a state where
     |:meth:`Trajectory.left_out_rates`| (read as (T, N)) exceeds ``EPS_WITNESS``.
     """
@@ -437,10 +408,9 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid) -> Meas
 
     The whole sampler is propagated as one stack, and for each sampled rho_0
     |dS/dt + Tr{Pi L^dag rho}| is integrated over the times where it is below
-    -``EPS_WITNESS``; each window edge is located by safeguarded false
-    position to a bracket of at most ``BISECT_ATOL`` that holds a change of
-    side, and taken at its midpoint (:func:`_violation_integrals`).  Grid
-    points whose |left-out rate| exceeds ``EPS_WITNESS`` are excluded.
+    -``EPS_WITNESS``, with each window edge placed by
+    :func:`_violation_integrals`.  Grid points whose |left-out rate|
+    exceeds ``EPS_WITNESS`` are excluded.
     Every round of that search takes its states from :func:`states_off_grid`
     through the operator the one :func:`propagate` call kept on the
     trajectory: step-doubled RK4 from the nearest grid point, certified as
@@ -466,9 +436,9 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid) -> Meas
 def measure_channel(family: ChannelFamily, state_sampler, grid) -> MeasureResult:
     """Max over initial states of the integrated negative part of f(t): as
     :func:`measure_generator`, with f in place of the Theorem-2 witness and
-    the same ``EPS_WITNESS``, left-out-rate exclusion and false-position edge
-    search to ``BISECT_ATOL``, whose rounds evolve the sampled states to their
-    off-grid times with the family's exact maps.  On the grid the entropy
+    the same ``EPS_WITNESS``, left-out-rate exclusion and edge search
+    (:func:`_violation_integrals`), whose rounds evolve the sampled states to
+    their off-grid times with the family's exact maps.  On the grid the entropy
     rates are those the trajectory computed at construction."""
     def values(traj: Trajectory) -> np.ndarray:
         return traj.entropy_rates() + _epsilon_derivatives(family, traj.grid, traj.entries,

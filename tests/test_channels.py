@@ -781,6 +781,24 @@ class TestSerialization:
                 assert copy.rate_at(t) == orig.rate_at(t)
                 assert np.array_equal(copy.operator, orig.operator)
 
+    @pytest.mark.parametrize("number", [0.7, -3, np.float64(1.25), np.int64(2)])
+    def test_number_rate_is_its_constant_coefficient(self, number):
+        # A plain-number rate is held as its ConstantCoefficient, so it
+        # serializes, compiles and evaluates exactly as that coefficient does.
+        plain, coefficient = JumpTerm(number, SIGMA_Z), JumpTerm(ConstantCoefficient(float(number)),
+                                                                 SIGMA_Z)
+        assert plain.rate == coefficient.rate and type(plain.rate.value) is float
+        times = np.array([[0.0, 0.35], [1.7, 2.0]])
+        assert plain.rate_at(0.35) == coefficient.rate_at(0.35) == float(number)
+        assert np.array_equal(plain.rate_at(times), coefficient.rate_at(times))
+        assert plain.rate_at(times).dtype == float
+        generators = [LindbladGenerator(2, jumps=[term]) for term in (plain, coefficient)]
+        assert generator_to_document(generators[0]) == generator_to_document(generators[1])
+        assert LindbladGenerator(2, jumps=[(number, SIGMA_Z)]).jumps[0].rate == coefficient.rate
+        x = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+        for t, y in ((0.0, x), (np.array([0.3, 1.1]), np.stack([x, 2.0 * x]))):
+            assert np.array_equal(generators[0].apply(t, y), generators[1].apply(t, y))
+
     def test_unserializable_rate_rejected(self):
         gen = dephasing_generator(lambda t: np.sin(t))
         with pytest.raises(SerializationError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entroflow._util import write_csv
+from entroflow._util import refine_brackets, write_csv
 
 
 def test_write_csv_formats_numbers_with_repr(tmp_path):
@@ -52,3 +52,50 @@ def test_float_array_column_writes_repr_of_every_float(tmp_path_factory, values)
     write_csv(path, ["x", "y"], [column, list(column)])
     expected = [f"{repr(float(v))},{repr(float(v))}" for v in values]
     assert path.read_text().split("\n") == ["x,y", *expected, ""]
+
+
+def _bracketed(kind, sign, t, r):
+    """Functions with one change of side (f < 0, NaN non-negative) at r,
+    negative before it for sign = 1 and after it for sign = -1."""
+    x = sign * (t - r)
+    with np.errstate(invalid="ignore"):
+        return np.select([kind == 0, kind == 1, kind == 2],
+                         [np.expm1(x) + 0.3 * np.sin(7.0 * x),  # smooth
+                          np.sign(x) * np.sqrt(np.abs(x)),      # cusp
+                          np.where(x < 0.0, -1.0, 2.0)],        # step
+                         np.where(x < 0.0, x, np.nan))          # NaN past the root
+
+
+_LOG_WIDTHS = st.floats(-12.0, -3.0)
+_BRACKET = st.tuples(st.integers(0, 3), st.sampled_from([1.0, -1.0]), st.floats(0.0, 10.0),
+                     st.floats(-12.0, 0.0), st.floats(0.05, 0.95), _LOG_WIDTHS)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(_BRACKET, min_size=1, max_size=8), st.one_of(st.none(), _LOG_WIDTHS))
+def test_refine_brackets_narrows_every_bracket_around_its_change_of_side(brackets, scalar):
+    # Per-bracket widths, or one scalar width, from 1e-12 to 1e-3; initial
+    # brackets from 1e-12 to 1 wide, some already narrower than their width.
+    kind, sign, lo, log_span, place, log_width = (np.array(c) for c in zip(*brackets))
+    hi = lo + 10.0 ** log_span
+    root = lo + place * (hi - lo)
+    width = 10.0 ** (log_width if scalar is None else np.full(len(lo), scalar))
+    f = lambda index, t: _bracketed(kind[index], sign[index], t, root[index])
+    every = np.arange(len(lo))
+    assert np.all((f(every, lo) < 0.0) != (f(every, hi) < 0.0))
+    calls = []
+
+    def evaluate(index, times):
+        calls.append(index)
+        return f(index, times)
+
+    new_lo, new_hi = refine_brackets(evaluate, lo, hi, f(every, lo), f(every, hi),
+                                     width if scalar is None else 10.0 ** scalar)
+    assert np.all((lo <= new_lo) & (new_lo < new_hi) & (new_hi <= hi))
+    assert np.all(new_hi - new_lo <= width)
+    assert np.all((f(every, new_lo) < 0.0) != (f(every, new_hi) < 0.0))
+    # one call per round, in which each round at least halves every bracket
+    # it evaluates; a bracket no wider than its width is never evaluated
+    rounds = np.array([sum(k in index for index in calls) for k in every])
+    assert np.all(rounds <= np.ceil(np.log2(np.maximum((hi - lo) / width, 1.0))))
+    assert np.all(rounds[hi - lo <= width] == 0)

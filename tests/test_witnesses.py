@@ -675,3 +675,30 @@ def test_measures_refuse_an_empty_grid(measure):
             measure_generator(dephasing_generator(1.0), [rho], [])
         else:
             measure_channel(GadcFamily(5.0), [rho], [])
+
+
+_QUBIT_GENERATOR = dephasing_generator(1.0)
+_QUBIT_FAMILY = DephasingFamily(lambda t: t)
+_QUTRIT = np.eye(3) / 3
+_GRID = np.linspace(0.0, 1.0, 5)
+WRONG_DIMENSION_CALLS = {  # the entry point: (what it names, the call)
+    "propagate": ("generator", lambda: propagate(_QUBIT_GENERATOR, _QUTRIT, _GRID)),
+    "measure_generator": ("generator",
+                          lambda: measure_generator(_QUBIT_GENERATOR, [_QUTRIT], _GRID)),
+    "theorem2_bound": ("generator", lambda: theorem2_bound(_QUBIT_GENERATOR, 0.1, _QUTRIT)),
+    "nonunitality_witness": ("generator",
+                             lambda: nonunitality_witness(_QUBIT_GENERATOR, 0.1, _QUTRIT)),
+    "measure_channel": ("family", lambda: measure_channel(_QUBIT_FAMILY, [_QUTRIT], _GRID)),
+    "blp_measure": ("family", lambda: blp_measure(_QUBIT_FAMILY, [(_QUTRIT, _QUTRIT)], _GRID)),
+    "trajectories": ("family", lambda: _QUBIT_FAMILY.trajectories([_QUTRIT], _GRID)),
+    "f_components": ("family", lambda: f_components(_QUBIT_FAMILY, _QUTRIT, _GRID)),
+}
+
+
+@pytest.mark.parametrize("call", list(WRONG_DIMENSION_CALLS))
+def test_states_of_another_dimension_are_named(call):
+    # A qutrit state on a qubit generator or family names both dimensions.
+    kind, run = WRONG_DIMENSION_CALLS[call]
+    with pytest.raises(IntegrationError,
+                       match=rf"states of shape \(3, 3\) do not match the {kind}'s dimension 2"):
+        run()
