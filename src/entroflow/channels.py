@@ -1,23 +1,24 @@
 """Quantum channels and Lindblad generators.
 
-Channels are carried in Kraus form; the superoperator matrix and the Choi
-matrix are derived caches.  Superoperator matrices use the row-stacking
-convention vec(X) = X.reshape(-1), under which the map X -> K X L has matrix
-kron(K, L.T).  A generator's Hamiltonian and jump operators are fixed
-d x d matrices, and only its rates depend on time, so every generator is
-compiled once into d^2 x d^2 matrices in that convention, each kept as the
-summed (rows, cols, values) numpy triple of its entries: one for all
-constant parts and one dissipator per time-dependent rate.  Its invariant
-sets, its dense restrictions and its dense superoperator are read from
-those triples.  The sparse matrices of the whole-space products, and their
-conjugate transposes (the matrices of the adjoint map), are built from
-them on the first such product, which is where ``scipy.sparse`` is
+A map is a plain (..., d_out^2, d_in^2) array, one matrix or a stack of
+them, in the row-stacking convention vec(X) = X.reshape(-1), under which the
+map X -> K X L has matrix kron(K, L.T); :func:`apply_superoperators` applies
+it, :func:`choi_tensor` is the one home of the Choi layout and
+:func:`trace_defects` of the trace defect.  A channel is carried in Kraus
+form, and its map is derived once, read-only.  A generator's Hamiltonian
+and jump operators are fixed d x d matrices, and only its rates depend on
+time, so every generator is compiled once into d^2 x d^2 matrices in that
+convention, each kept as the summed (rows, cols, values) numpy triple of its
+entries: one for all constant parts and one dissipator per time-dependent
+rate.  Its invariant sets, its dense restrictions and its dense map are
+read from those triples.  The sparse matrices of the whole-space products,
+and their conjugate transposes (the matrices of the adjoint map), are built
+from them on the first such product, which is where ``scipy.sparse`` is
 imported.  Nothing is rebuilt per time.
 """
 
 from __future__ import annotations
 
-import enum
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,14 +35,14 @@ from .linalg import (
 
 __all__ = [
     "ChannelError",
-    "SuperOperator",
     "apply_superoperators",
+    "choi_tensor",
+    "trace_defects",
     "QuantumChannel",
     "CptpReport",
-    "UnitalityTag",
-    "UnitalityClass",
     "is_cptp",
-    "unitality_class",
+    "is_unital",
+    "is_sub_unital",
     "unitary_channel",
     "depolarizing",
     "gadc",
@@ -78,54 +79,13 @@ class ChannelError(ValueError):
     """A map violates a structural precondition (dimensions, CP-ness, ...)."""
 
 
-def _vec(x: np.ndarray) -> np.ndarray:
-    return x.reshape(-1)
-
-
-def _unvec(v: np.ndarray, d_out: int) -> np.ndarray:
-    return v.reshape(d_out, d_out)
-
-
-class SuperOperator:
-    """Matrix representation of a linear map on operators.
-
-    Not necessarily completely positive or trace-preserving; this is the
-    representation used for generators, map differences, and intermediate
-    maps that may fail complete positivity.
-    """
-
-    def __init__(self, matrix, dim_in: int | None = None, dim_out: int | None = None):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2:
-            raise ChannelError("superoperator matrix must be 2-D")
-        if dim_in is None:
-            dim_in = round(m.shape[1] ** 0.5)
-        if dim_out is None:
-            dim_out = round(m.shape[0] ** 0.5)
-        if m.shape != (dim_out**2, dim_in**2):
-            raise ChannelError(f"matrix shape {m.shape} incompatible with dims ({dim_in}, {dim_out})")
-        self.matrix = m
-        self.dim_in = dim_in
-        self.dim_out = dim_out
-
-    def apply(self, x) -> np.ndarray:
-        a = as_matrix(x)
-        if a.shape != (self.dim_in, self.dim_in):
-            raise ChannelError(f"input shape {a.shape} does not match dim {self.dim_in}")
-        return _unvec(self.matrix @ _vec(a), self.dim_out)
-
-    def choi(self) -> np.ndarray:
-        d_in, d_out = self.dim_in, self.dim_out
-        s4 = self.matrix.reshape(d_out, d_out, d_in, d_in)
-        # J[(i,a),(j,b)] = <a| N(|i><j|) |b> = S[(a,b),(i,j)]
-        return s4.transpose(2, 0, 3, 1).reshape(d_in * d_out, d_in * d_out)
-
-
 def apply_superoperators(matrices: np.ndarray, operators) -> np.ndarray:
-    """Apply a stack of superoperator matrices (T, d_out^2, d_in^2) to operators.
+    """Apply a map (d_out^2, d_in^2) or a stack of maps (T, d_out^2, d_in^2) to operators.
 
-    Operators (N, d_in, d_in) go through every map, giving (T, N, d_out, d_out);
-    operators (T, N, d_in, d_in) go row t through map t.
+    One map takes an operator (d_in, d_in) or a stack (N, d_in, d_in) to
+    (..., d_out, d_out).  A stack of maps takes operators (N, d_in, d_in)
+    through every map, giving (T, N, d_out, d_out), and operators
+    (T, N, d_in, d_in) row t through map t.
     """
     x = as_matrix(operators)
     out = x.reshape(x.shape[:-2] + (-1,)) @ np.swapaxes(matrices, -1, -2)
@@ -133,13 +93,45 @@ def apply_superoperators(matrices: np.ndarray, operators) -> np.ndarray:
     return out.reshape(out.shape[:-1] + (d_out, d_out))
 
 
+def _dims(maps: np.ndarray) -> tuple[int, int]:
+    """(d_out, d_in) of a map or a stack of maps (..., d_out^2, d_in^2)."""
+    return round(maps.shape[-2] ** 0.5), round(maps.shape[-1] ** 0.5)
+
+
+def choi_tensor(maps) -> np.ndarray:
+    """The Choi tensors J[..., i, a, j, b] = <a| N(|i><j|) |b> of a map
+    (d_out^2, d_in^2) or a stack of maps (..., d_out^2, d_in^2), as a strided
+    (..., d_in, d_out, d_in, d_out) view of ``maps``.
+
+    Reshaped to (..., d_in d_out, d_in d_out) it is the Choi matrix
+    sum_ij |i><j| (x) N(|i><j|), which is PSD exactly when N is completely
+    positive.  Entry [(a, b), (i, j)] of the map is <a| N(|i><j|) |b>.
+    """
+    maps = np.asarray(maps)
+    d_out, d_in = _dims(maps)
+    lead = maps.ndim - 2
+    split = maps.reshape(maps.shape[:-2] + (d_out, d_out, d_in, d_in))
+    return split.transpose(*range(lead), lead + 2, lead, lead + 3, lead + 1)
+
+
+def trace_defects(maps) -> np.ndarray:
+    """max_ij |Tr N(|i><j|) - delta_ij| of a map (d_out^2, d_in^2), or of
+    every map of a stack (..., d_out^2, d_in^2) as an (...,) array: zero
+    exactly when N preserves the trace.  Tr N(|i><j|) is the sum of the map's
+    rows (a, a) in column (i, j)."""
+    maps = np.asarray(maps)
+    d_out, d_in = _dims(maps)
+    traces = maps[..., np.arange(d_out) * (d_out + 1), :].sum(axis=-2)
+    return np.abs(traces - np.eye(d_in).reshape(-1)).max(axis=-1)
+
+
 class QuantumChannel:
     """Completely positive map in Kraus form.
 
     The Kraus operators are held as one read-only (n, d_out, d_in) stack, and
     ``kraus`` is the tuple of its n read-only (d_out, d_in) views; every Kraus
-    sum below (the completeness Gram, ``apply``, ``adjoint_apply``, the
-    superoperator and Choi matrices) is one product over that stack.
+    sum below (the completeness Gram, ``apply``, ``adjoint_apply`` and the
+    map of ``superoperator``) is one product over that stack.
     Trace preservation is classified at construction, within ``CPTP_ATOL``:
     ``trace_preserving`` when sum_i K_i^dag K_i = I, otherwise
     ``trace_nonincreasing`` when it is dominated by the identity.  Maps
@@ -169,8 +161,7 @@ class QuantumChannel:
             self.trace_nonincreasing = bool(
                 np.linalg.eigvalsh(hermitian_part(defect))[-1] <= CPTP_ATOL
             )
-        self._superop: SuperOperator | None = None
-        self._choi: np.ndarray | None = None
+        self._superop: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return (f"QuantumChannel(dim_in={self.dim_in}, dim_out={self.dim_out}, "
@@ -189,22 +180,15 @@ class QuantumChannel:
             raise ChannelError(f"input shape {a.shape} does not match dim_out {self.dim_out}")
         return (dagger(self._stack) @ a @ self._stack).sum(axis=0)
 
-    def superoperator(self) -> SuperOperator:
+    def superoperator(self) -> np.ndarray:
+        """The channel's map, sum_i kron(K_i, conj(K_i)), as a read-only
+        (d_out^2, d_in^2) array, built on the first call."""
         if self._superop is None:
-            # sum_i kron(K_i, conj(K_i)), entry [(a, c), (b, d)] = sum_i K_i[a, b] conj(K_i[c, d])
+            # entry [(a, c), (b, d)] = sum_i K_i[a, b] conj(K_i[c, d])
             m = np.einsum("nab,ncd->acbd", self._stack, self._stack.conj())
-            self._superop = SuperOperator(m.reshape(self.dim_out**2, self.dim_in**2),
-                                          dim_in=self.dim_in, dim_out=self.dim_out)
+            self._superop = m.reshape(self.dim_out**2, self.dim_in**2)
+            self._superop.setflags(write=False)
         return self._superop
-
-    def choi(self) -> np.ndarray:
-        if self._choi is None:
-            # Row i of vecs is vec(K_i^T), so J = sum_i vec(K_i^T) vec(K_i^T)^dag.
-            vecs = self._stack.transpose(0, 2, 1).reshape(len(self.kraus), -1)
-            j = hermitian_part(vecs.T @ vecs.conj())
-            j.setflags(write=False)
-            self._choi = j
-        return self._choi
 
 
 @dataclass(frozen=True)
@@ -222,41 +206,14 @@ class CptpReport:
         return self.passed
 
 
-class UnitalityTag(enum.Enum):
-    UNITAL = "unital"
-    STRICTLY_SUB_UNITAL = "strictly_sub_unital"
-    STRICTLY_SUPER_UNITAL = "strictly_super_unital"
-    NEITHER = "neither"
-
-
-@dataclass(frozen=True)
-class UnitalityClass:
-    tag: UnitalityTag
-    min_eigenvalue: float
-    max_eigenvalue: float
-
-    @property
-    def is_unital(self) -> bool:
-        return self.tag is UnitalityTag.UNITAL
-
-    @property
-    def is_sub_unital(self) -> bool:
-        # Unital counts as (non-strictly) sub-unital.
-        return self.tag in (UnitalityTag.UNITAL, UnitalityTag.STRICTLY_SUB_UNITAL)
-
-
-def is_cptp(channel_like) -> CptpReport:
-    """Check complete positivity (Choi PSD) and trace preservation within ``CPTP_ATOL``."""
-    choi = channel_like.choi()
+def is_cptp(channel) -> CptpReport:
+    """Check complete positivity (Choi PSD) and trace preservation within
+    ``CPTP_ATOL``, of a :class:`QuantumChannel` or of a map (d_out^2, d_in^2)."""
+    m = channel.superoperator() if isinstance(channel, QuantumChannel) else np.asarray(channel)
+    d_out, d_in = _dims(m)
+    choi = choi_tensor(m).reshape(d_in * d_out, d_in * d_out)
     min_eig = float(np.linalg.eigvalsh(hermitian_part(choi))[0])
-    if isinstance(channel_like, QuantumChannel):
-        trace_defect = channel_like.completeness_defect
-    else:
-        d_in = channel_like.dim_in
-        d_out = channel_like.dim_out
-        j4 = choi.reshape(d_in, d_out, d_in, d_out)
-        reduced = np.einsum("iaja->ij", j4)
-        trace_defect = float(np.max(np.abs(reduced - np.eye(d_in))))
+    trace_defect = float(trace_defects(m))
     return CptpReport(
         choi_min_eigenvalue=min_eig,
         trace_defect=trace_defect,
@@ -265,20 +222,21 @@ def is_cptp(channel_like) -> CptpReport:
     )
 
 
-def unitality_class(channel_like) -> UnitalityClass:
-    """Classify N(I) against I by the spectrum of N(I) - I, within ``UNITALITY_ATOL``."""
-    image = channel_like.apply(np.eye(channel_like.dim_in, dtype=complex))
-    deviation = np.linalg.eigvalsh(hermitian_part(image - np.eye(image.shape[0])))
-    lo, hi = float(deviation[0]), float(deviation[-1])
-    if hi <= UNITALITY_ATOL and lo >= -UNITALITY_ATOL:
-        tag = UnitalityTag.UNITAL
-    elif hi <= UNITALITY_ATOL:
-        tag = UnitalityTag.STRICTLY_SUB_UNITAL
-    elif lo >= -UNITALITY_ATOL:
-        tag = UnitalityTag.STRICTLY_SUPER_UNITAL
-    else:
-        tag = UnitalityTag.NEITHER
-    return UnitalityClass(tag=tag, min_eigenvalue=lo, max_eigenvalue=hi)
+def _unitality_deviation(channel: QuantumChannel) -> np.ndarray:
+    """The eigenvalues of N(I) - I, ascending."""
+    image = channel.apply(np.eye(channel.dim_in, dtype=complex))
+    return np.linalg.eigvalsh(hermitian_part(image - np.eye(image.shape[0])))
+
+
+def is_unital(channel: QuantumChannel) -> bool:
+    """N(I) = I, within ``UNITALITY_ATOL`` on every eigenvalue of N(I) - I."""
+    return bool(np.max(np.abs(_unitality_deviation(channel))) <= UNITALITY_ATOL)
+
+
+def is_sub_unital(channel: QuantumChannel) -> bool:
+    """N(I) <= I, within ``UNITALITY_ATOL`` on the largest eigenvalue of
+    N(I) - I; a unital channel is sub-unital."""
+    return bool(_unitality_deviation(channel)[-1] <= UNITALITY_ATOL)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +478,7 @@ class LindbladGenerator:
     Hermiticity there, and it and every operator must be dim x dim; a jump
     whose block entries overflow (a rate near the float limit) is refused
     with ChannelError naming it.  ``superoperator`` scatters the blocks
-    into dense matrices and returns L_0 + sum_i gamma_i(t) D_i.
+    into dense matrices and returns the array L_0 + sum_i gamma_i(t) D_i.
     ``apply`` reads a stack (..., d, d) as the columns vec(x) of one
     d^2-row matrix, multiplies the CSR matrix [L_0; D_1; ...; D_m] onto
     them once, and combines the row blocks as L_0 x + sum_i gamma_i(t) D_i x;
@@ -626,13 +584,14 @@ class LindbladGenerator:
         """L_t^dag(x) for one operator or a stack (..., d, d), with ``t`` as in :meth:`apply`."""
         return self._act(t, as_matrix(x), adjoint=True)
 
-    def superoperator(self, t: float) -> SuperOperator:
-        """Matrix of L_t, dense: the transpose of G(t) = B_0 + sum_i gamma_i(t) B_i
-        of the restriction to all d^2 coordinates (:meth:`restricted`), whose
-        blocks act on rows from the right."""
+    def superoperator(self, t: float) -> np.ndarray:
+        """The map of L_t as a dense C-contiguous (d^2, d^2) array: the
+        transpose of G(t) = B_0 + sum_i gamma_i(t) B_i of the restriction to
+        all d^2 coordinates (:meth:`restricted`), whose blocks act on rows
+        from the right."""
         whole = self.restricted(np.arange(self.dim * self.dim))
         m = whole.generators(np.asarray(t, dtype=float))
-        return SuperOperator(np.ascontiguousarray(m.T), dim_in=self.dim, dim_out=self.dim)
+        return np.ascontiguousarray(m.T)
 
     def invariant_sets(self) -> np.ndarray:
         """The invariant set of each coordinate of vec(x), as a (d^2,) array

@@ -45,10 +45,11 @@ import numpy as np
 from ._util import write_csv
 from .channels import (
     ChannelError,
+    CPTP_ATOL,
     LindbladGenerator,
-    SuperOperator,
     apply_superoperators,
-    is_cptp,
+    choi_tensor,
+    trace_defects,
 )
 from .linalg import (
     ZERO_EIGENVALUE_RTOL,
@@ -1075,8 +1076,9 @@ def _certified_maps(operator, starts: np.ndarray, widths: np.ndarray) -> np.ndar
     return fine
 
 
-def intermediate_map(generator: LindbladGenerator, s: float, t: float) -> SuperOperator:
-    """Propagator M_{t,s}: the one-interval case of :func:`_certified_maps`,
+def intermediate_map(generator: LindbladGenerator, s: float, t: float) -> np.ndarray:
+    """Propagator M_{t,s} as a (d^2, d^2) array in the row-stacking
+    convention: the one-interval case of :func:`_certified_maps`,
     whose CF4 step count is doubled from one, at most ``MAX_MAP_DOUBLINGS``
     times, until the n- and 2n-step maps agree entrywise within
     ``INTERMEDIATE_MAP_ATOL``; off-grid states take RK4 instead."""
@@ -1086,7 +1088,7 @@ def intermediate_map(generator: LindbladGenerator, s: float, t: float) -> SuperO
         raise IntegrationError("intermediate map requires s <= t")
     whole = generator.restricted(np.arange(generator.dim ** 2))  # G(t) is the transposed L_t
     maps = _certified_maps(whole, np.array([float(s)]), np.array([t - s]))
-    return SuperOperator(maps[0].T)
+    return maps[0].T
 
 
 def entropy_rate(rho, rho_dot):
@@ -1182,38 +1184,38 @@ def cp_divisibility_check(generator: LindbladGenerator, grid) -> DivisibilityRep
 
     The verdict is ``cp_divisible`` when all interval Choi matrices are PSD
     (``DIVISIBILITY_CHOI_ATOL``) and trace-preserving, ``not_cp_divisible``
-    when some interval map also breaks positivity on one of
-    ``POSITIVITY_SAMPLES`` sampled pure states, and
+    when the interval map of the lowest Choi eigenvalue also breaks
+    positivity on one of ``POSITIVITY_SAMPLES`` sampled pure states, and
     ``p_divisible_only_undetermined`` when complete positivity fails but
     positivity survives the sampling (the check never certifies
     P-divisibility, it only reports that CP evidence failed without a
     positivity counterexample).  Sampled rate signs are reported alongside.
+    The interval maps are one stack: one stacked eigvalsh gives their Choi
+    minima, :func:`~entroflow.channels.trace_defects` their trace defects,
+    and the samples, one block of draws, go through the worst map in one
+    product.
     """
     grid = _checked_grid(grid, 2)
-    whole = generator.restricted(np.arange(generator.dim ** 2))
-    maps = [SuperOperator(m.T) for m in _certified_maps(whole, grid[:-1], np.diff(grid))]
-    reports = [is_cptp(m) for m in maps]
-    evidence = [IntervalEvidence(float(a), float(b), r.choi_min_eigenvalue, r.trace_defect)
-                for a, b, r in zip(grid[:-1], grid[1:], reports)]
-    worst_map = maps[int(np.argmin([r.choi_min_eigenvalue for r in reports]))]
+    d, n = generator.dim, generator.dim ** 2
+    whole = generator.restricted(np.arange(n))
+    maps = np.swapaxes(_certified_maps(whole, grid[:-1], np.diff(grid)), -1, -2)
+    choi = hermitian_part(choi_tensor(maps).reshape(len(maps), n, n))
+    minima = np.linalg.eigvalsh(choi)[:, 0]
+    defects = trace_defects(maps)
+    evidence = [IntervalEvidence(float(a), float(b), float(lo), float(tr))
+                for a, b, lo, tr in zip(grid[:-1], grid[1:], minima, defects)]
 
     midpoints = 0.5 * (grid[:-1] + grid[1:])
     min_rates = tuple(float(np.min(term.rate_at(midpoints))) for term in generator.jumps)
 
-    cp_ok = all(e.choi_min_eigenvalue >= -DIVISIBILITY_CHOI_ATOL and e.trace_defect <= 1e-7
-                for e in evidence)
-    if cp_ok:
+    if np.all(minima >= -DIVISIBILITY_CHOI_ATOL) and np.all(defects <= 1e-7):
         verdict = "cp_divisible"
     else:
-        rng = np.random.default_rng(POSITIVITY_SEED)
-        positive = True
-        for _ in range(POSITIVITY_SAMPLES):
-            v = rng.normal(size=generator.dim) + 1j * rng.normal(size=generator.dim)
-            v /= np.linalg.norm(v)
-            out = worst_map.apply(np.outer(v, v.conj()))
-            if spectral_decompose(hermitian_part(out)).eigenvalues[-1] < -1e-8:
-                positive = False
-                break
+        draws = np.random.default_rng(POSITIVITY_SEED).normal(size=(POSITIVITY_SAMPLES, 2, d))
+        v = draws[:, 0] + 1j * draws[:, 1]
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        images = apply_superoperators(maps[np.argmin(minima)], v[:, :, None] * v[:, None, :].conj())
+        positive = np.linalg.eigvalsh(hermitian_part(images))[:, 0].min() >= -1e-8
         verdict = "p_divisible_only_undetermined" if positive else "not_cp_divisible"
     return DivisibilityReport(intervals=tuple(evidence),
                               min_sampled_rates=min_rates, verdict=verdict)
@@ -1289,12 +1291,11 @@ class ChannelFamily:
                           state_fn=lambda times: self.states(starts, times))
 
 
-def _trace_preserving(maps: np.ndarray, atol: float = 1e-8) -> np.ndarray:
-    """Check that a stack of superoperator matrices preserves the trace."""
-    d = round(maps.shape[-1] ** 0.5)
-    diagonal = np.arange(d) * (d + 1)  # entries of vec(X) holding X_ii
-    defect = float(np.max(np.abs(maps[..., diagonal, :].sum(axis=-2) - np.eye(d).reshape(-1))))
-    if defect > atol:
+def _trace_preserving(maps: np.ndarray) -> np.ndarray:
+    """Check that a stack of superoperator matrices preserves the trace
+    within ``CPTP_ATOL``."""
+    defect = float(trace_defects(maps).max())
+    if defect > CPTP_ATOL:
         raise ChannelError(f"family map is not trace preserving: defect {defect:.3e}")
     return maps
 
@@ -1342,6 +1343,13 @@ class GadcFamily(ChannelFamily):
         return np.broadcast_to(self.derivatives([0.0]), (np.size(times), 4, 4))
 
 
+def _require_real_gamma(gammas) -> None:
+    """Refuse Gamma values computed in complex arithmetic (:class:`DephasingFamily`)."""
+    if np.iscomplexobj(gammas):
+        raise ChannelError("gamma_integral returned complex values at real times: write it in "
+                           "real arithmetic, or its complex-step rate is not Gamma'(t)")
+
+
 class DephasingFamily(ChannelFamily):
     """Pure-decoherence dynamics with accumulated decoherence Gamma(t).
 
@@ -1354,14 +1362,23 @@ class DephasingFamily(ChannelFamily):
     numpy expression: the rate gamma(t) = Gamma'(t) of K_t is its complex-step
     derivative Im Gamma(t + ih)/h (Squire & Trapp, SIAM Rev. 40, 110 (1998)),
     exact to rounding.  One that drops the imaginary part raises ChannelError.
+    So does one that returns a complex array at real times, such as
+    1 - [(1 + it)^(1-s) + (1 - it)^(1-s)]/2: the imaginary parts of its
+    terms cancel only to rounding, which swamps the h Gamma'(t) that the
+    complex step reads.  Such a Gamma is refused at construction, from one
+    probe at t = 0, and wherever :meth:`superoperators` meets one; written
+    in real arithmetic it is accepted.
     """
 
     def __init__(self, gamma_integral):
         self.gamma_integral = gamma_integral
         self.dim = 2
+        _require_real_gamma(gamma_integral(np.zeros(1)))
 
     def superoperators(self, times) -> np.ndarray:
-        coherences = np.exp(-self.gamma_integral(np.atleast_1d(np.asarray(times, dtype=float))))
+        gammas = self.gamma_integral(np.atleast_1d(np.asarray(times, dtype=float)))
+        _require_real_gamma(gammas)
+        coherences = np.exp(-gammas)
         if np.any(np.abs(coherences) > 1.0):
             raise ChannelError("coherence factor must lie in [-1, 1]")
         maps = np.zeros(coherences.shape + (4, 4), dtype=complex)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QuantumChannel, unitality_class, unitary_channel
+from .channels import QuantumChannel, choi_tensor, is_unital, unitary_channel
 from .linalg import hermitian_part
 
 __all__ = [
@@ -62,13 +62,8 @@ class NonUnitarityError(ValueError):
 
 def _difference_superoperator(channel: QuantumChannel) -> np.ndarray:
     """Matrix of id - N^dag o N, which is I - S^dag S for S the matrix of N."""
-    s = channel.superoperator().matrix
+    s = channel.superoperator()
     return np.eye(s.shape[1], dtype=complex) - s.conj().T @ s
-
-
-def _choi_tensor(map_matrix: np.ndarray, dim: int) -> np.ndarray:
-    """Choi matrix of M as J[i, a, j, c] = M(|i><j|)[a, c]."""
-    return map_matrix.reshape(dim, dim, dim, dim).transpose(2, 0, 3, 1)
 
 
 def _local_map_output(choi: np.ndarray, amplitudes: np.ndarray, dim: int) -> np.ndarray:
@@ -79,7 +74,7 @@ def _local_map_output(choi: np.ndarray, amplitudes: np.ndarray, dim: int) -> np.
 
 
 def _require_hermiticity_preserving(map_matrix: np.ndarray, dim: int) -> None:
-    choi = _choi_tensor(map_matrix, dim).reshape(dim * dim, dim * dim)
+    choi = choi_tensor(map_matrix).reshape(dim * dim, dim * dim)
     if np.max(np.abs(choi - choi.conj().T)) > 1e-9:
         raise NonUnitarityError("map is not Hermiticity-preserving")
 
@@ -176,7 +171,7 @@ def _seesaw(choi: np.ndarray, amplitudes: np.ndarray, dim: int, target: float,
 def _maximize_local_map(map_matrix: np.ndarray, dim: int, starts: int, seed: int) -> OslashResult:
     if starts < 1:
         raise NonUnitarityError(f"starts must be at least 1, got {starts}")
-    choi = _choi_tensor(map_matrix, dim)
+    choi = choi_tensor(map_matrix)
     upper = _dual_upper_bound(choi, dim)
     rng = np.random.default_rng(seed)
     start = np.eye(dim, dtype=complex).reshape(-1) / math.sqrt(dim)  # maximally entangled
@@ -217,7 +212,7 @@ def oslash_norm(channel: QuantumChannel, starts: int = 32, seed: int = 7) -> Osl
     step falls below a small fraction of ``BRACKET_TOL``, and ``gap``
     reports the width left open.
     """
-    if not unitality_class(channel).is_unital:
+    if not is_unital(channel):
         raise NonUnitarityError("the non-unitarity norm is defined for unital channels only")
     return _maximize_local_map(_difference_superoperator(channel), channel.dim_in, starts, seed)
 
@@ -243,7 +238,7 @@ def _distance_bracket(channel_a: QuantumChannel, channel_b: QuantumChannel,
         raise NonUnitarityError("channels must share input and output dimensions")
     if channel_a.dim_in != channel_a.dim_out:
         raise NonUnitarityError("the maximization assumes equal input/output dimension")
-    diff = channel_a.superoperator().matrix - channel_b.superoperator().matrix
+    diff = channel_a.superoperator() - channel_b.superoperator()
     _require_hermiticity_preserving(diff, channel_a.dim_in)
     return _maximize_local_map(diff, channel_a.dim_in, starts, seed)
 

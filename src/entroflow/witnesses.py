@@ -25,7 +25,7 @@ from .channels import (
     LindbladGenerator,
     QuantumChannel,
     apply_superoperators,
-    unitality_class,
+    is_sub_unital,
 )
 from .dynamics import (
     ChannelFamily,
@@ -134,7 +134,7 @@ def _require_full_rank(rho, name: str = "state") -> np.ndarray:
 def entropy_change_upper_bound(channel: QuantumChannel, rho) -> float:
     """Tr{[rho - N^dag(N(rho))] log rho} for a sub-unital channel and rho > 0."""
     a = _require_full_rank(rho)
-    if not unitality_class(channel).is_sub_unital:
+    if not is_sub_unital(channel):
         raise WitnessError("upper bound requires a sub-unital channel")
     diff = a - _back_action(channel, a)
     return float(np.real(np.trace(diff @ matrix_log_on_support(rho))))
@@ -493,12 +493,12 @@ def semigroup_sandwich(generator: LindbladGenerator, rho0, t: float) -> Sandwich
     if not generator.is_time_independent():
         raise WitnessError("sandwich bounds need a time-independent generator")
     s = generator.superoperator(0.0)
-    if np.max(np.abs(s.matrix - dagger(s.matrix))) > SANDWICH_GENERATOR_ATOL:
+    if np.max(np.abs(s - dagger(s))) > SANDWICH_GENERATOR_ATOL:
         raise WitnessError("generator is not self-adjoint")
-    if np.max(np.abs(s.apply(np.eye(generator.dim)))) > SANDWICH_GENERATOR_ATOL:
+    if np.max(np.abs(apply_superoperators(s, np.eye(generator.dim)))) > SANDWICH_GENERATOR_ATOL:
         raise WitnessError("generator is not unital")
     a = _require_full_rank(rho0, "initial state")
-    m_t = expm(t * s.matrix)
+    m_t = expm(t * s)
     v0 = a.reshape(-1)
     rho_t = hermitian_part((m_t @ v0).reshape(a.shape))
     rho_2t = hermitian_part((m_t @ rho_t.reshape(-1)).reshape(a.shape))
@@ -539,7 +539,7 @@ def pinsker_gap(channel: QuantumChannel, rho) -> PinskerGap:
     """
     if not channel.trace_preserving:
         raise WitnessError("Pinsker pair needs a trace-preserving channel")
-    if not unitality_class(channel).is_sub_unital:
+    if not is_sub_unital(channel):
         raise WitnessError("Pinsker pair needs a sub-unital operation")
     a = _require_full_rank(rho)
     back = _back_action(channel, a)

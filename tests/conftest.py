@@ -11,7 +11,6 @@ from entroflow import (
     DensityMatrix,
     GadcFamily,
     LindbladGenerator,
-    SuperOperator,
     dephasing_channel,
     gadc,
     propagate,
@@ -38,12 +37,19 @@ def support_projectors(spectrum):
 def superoperators(generator, times) -> np.ndarray:
     """The matrices of L_t at an array of times, as a (T, d^2, d^2) stack of
     the generator's ``superoperator(t)``."""
-    return np.stack([generator.superoperator(float(t)).matrix for t in times])
+    return np.stack([generator.superoperator(float(t)) for t in times])
+
+
+def kraus_choi(kraus) -> np.ndarray:
+    """The Choi matrix sum_i vec(K_i^T) vec(K_i^T)^dag of a Kraus set, from
+    the Kraus operators alone."""
+    vecs = np.array([np.asarray(k).T.reshape(-1) for k in kraus])
+    return hermitian_part(vecs.T @ vecs.conj())
 
 
 def reference_maps(family):
     """M_{t,0} and M_{t+eps,t} of a channel family as two callables giving
-    SuperOperators, built without the family's stacks: from :func:`gadc` for
+    (4, 4) maps, built without the family's stacks: from :func:`gadc` for
     GADC (whose step is the channel at time eps), and from
     :func:`dephasing_channel` for dephasing, or the diagonal matrix where its
     coherence factor exceeds 1."""
@@ -54,7 +60,7 @@ def reference_maps(family):
     def coherence_map(s, t):
         c = float(np.exp(family.gamma_integral(s) - family.gamma_integral(t)))
         return dephasing_channel(c).superoperator() if c <= 1.0 \
-            else SuperOperator(np.diag([1.0, c, c, 1.0]))
+            else np.diag([1.0, c, c, 1.0])
     return (lambda t: coherence_map(0.0, t)), (lambda t, eps: coherence_map(t, t + eps))
 
 

@@ -41,3 +41,28 @@ def test_generator_workloads_leave_scipy_sparse_out(tmp_path):
             "    print(name, loaded())\n")
     out = fresh_interpreter(code, str(root / "perfbench"), str(tmp_path))
     assert out.splitlines() == ["memory_measures False"] * 2 + ["bosonic_bounds False"] * 2
+
+
+def test_every_workload_task_passes_its_check(tmp_path):
+    # The benchmark reads the package through its workloads' tasks (report
+    # fields such as DivisibilityReport.intervals, PinskerGap and the
+    # oslash_norm bracket): each of the four, built with seed 1 in a fresh
+    # interpreter, must pass every task's own check once.
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "from pathlib import Path\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import workloads\n"
+            "checked = set()\n"
+            "for name in workloads.WORKLOADS:\n"
+            "    outdir = Path(sys.argv[2]) / name\n"
+            "    outdir.mkdir()\n"
+            "    for task in workloads.build(name, 1, outdir).tasks:\n"
+            "        passed, detail = task.check(task.run())\n"
+            "        if not passed:\n"
+            "            print('failed', name, task.name, detail)\n"
+            "        checked.add(name)\n"
+            "print('checked', *sorted(checked))\n")
+    out = fresh_interpreter(code, str(root / "perfbench"), str(tmp_path))
+    assert out.splitlines() == ["checked bosonic_bounds channel_witness diamond_norm "
+                                "memory_measures"]

@@ -8,17 +8,20 @@ from entroflow import (
     DensityMatrix,
     LindbladGenerator,
     QuantumChannel,
-    SuperOperator,
-    UnitalityTag,
     annihilation_operator,
+    apply_superoperators,
     bosonic_generator,
+    choi_tensor,
     dephasing_generator,
     depolarizing,
     gadc,
     is_cptp,
+    is_sub_unital,
+    is_unital,
+    oslash_norm,
     partial_trace_channel,
     thermal_state,
-    unitality_class,
+    trace_defects,
     unitary_channel,
     von_neumann_entropy,
 )
@@ -45,6 +48,8 @@ from entroflow.serialize import (
     generator_to_document,
     matrix_from_document,
 )
+
+from conftest import kraus_choi
 
 
 class TestApply:
@@ -94,8 +99,8 @@ class TestAdjoint:
     def test_depolarizing_self_adjoint(self):
         for q in (0.3, 1.0, 4 / 3):
             d = depolarizing(2, q)
-            np.testing.assert_allclose(d.superoperator().matrix,
-                                       _adjoint(d).superoperator().matrix, atol=1e-12)
+            np.testing.assert_allclose(d.superoperator(),
+                                       _adjoint(d).superoperator(), atol=1e-12)
 
     def test_duality_on_builtins(self, rng):
         channels = [depolarizing(2, 0.7), gadc(0.8, 5.0), unitary_channel(np.eye(2)),
@@ -131,34 +136,36 @@ class TestCompose:
     def test_identity_neutral(self, rng):
         n = random_cptp_channel(rng, 2)
         identity = unitary_channel(np.eye(2))
-        product = identity.superoperator().matrix @ n.superoperator().matrix
-        np.testing.assert_allclose(_composed(identity, n).superoperator().matrix, product,
+        product = identity.superoperator() @ n.superoperator()
+        np.testing.assert_allclose(_composed(identity, n).superoperator(), product,
                                    atol=1e-13)
-        np.testing.assert_allclose(product, n.superoperator().matrix, atol=1e-13)
+        np.testing.assert_allclose(product, n.superoperator(), atol=1e-13)
 
     def test_unitary_reversibility(self, rng):
         u = unitary_channel(random_unitary(rng, 3))
-        product = _adjoint(u).superoperator().matrix @ u.superoperator().matrix
-        np.testing.assert_allclose(_composed(_adjoint(u), u).superoperator().matrix, product,
+        product = _adjoint(u).superoperator() @ u.superoperator()
+        np.testing.assert_allclose(_composed(_adjoint(u), u).superoperator(), product,
                                    atol=1e-10)
         np.testing.assert_allclose(product, np.eye(9), atol=1e-10)
 
     def test_depolarizing_composition_law(self):
         q = 0.6
         once = depolarizing(2, q)
-        product = once.superoperator().matrix @ once.superoperator().matrix
-        np.testing.assert_allclose(_composed(once, once).superoperator().matrix, product,
+        product = once.superoperator() @ once.superoperator()
+        np.testing.assert_allclose(_composed(once, once).superoperator(), product,
                                    atol=1e-12)
-        np.testing.assert_allclose(product, depolarizing(2, 2 * q - q * q).superoperator().matrix,
+        np.testing.assert_allclose(product, depolarizing(2, 2 * q - q * q).superoperator(),
                                    atol=1e-12)
 
     def test_sequential_apply_consistency(self, rng):
         n1 = random_cptp_channel(rng, 2)
         n2 = random_cptp_channel(rng, 2)
         rho = random_mixed_state(rng, 2)
-        product = SuperOperator(n2.superoperator().matrix @ n1.superoperator().matrix)
-        np.testing.assert_allclose(_composed(n2, n1).apply(rho), product.apply(rho), atol=1e-12)
-        np.testing.assert_allclose(product.apply(rho), n2.apply(n1.apply(rho)), atol=1e-12)
+        product = n2.superoperator() @ n1.superoperator()
+        np.testing.assert_allclose(_composed(n2, n1).apply(rho),
+                                   apply_superoperators(product, rho), atol=1e-12)
+        np.testing.assert_allclose(apply_superoperators(product, rho), n2.apply(n1.apply(rho)),
+                                   atol=1e-12)
 
 
 class TestChoiAndCptp:
@@ -168,11 +175,12 @@ class TestChoiAndCptp:
         for i in range(2):
             for j in range(2):
                 expected[i * 2 + i, j * 2 + j] = 1.0
-        np.testing.assert_allclose(unitary_channel(np.eye(2)).choi(), expected, atol=1e-14)
+        choi = choi_tensor(unitary_channel(np.eye(2)).superoperator()).reshape(4, 4)
+        np.testing.assert_allclose(choi, expected, atol=1e-14)
         assert is_cptp(unitary_channel(np.eye(2))).passed
 
     def test_transpose_not_cp(self):
-        report = is_cptp(SuperOperator(np.eye(4)[[0, 2, 1, 3]]))  # X -> X^T
+        report = is_cptp(np.eye(4)[[0, 2, 1, 3]])  # X -> X^T
         assert report.choi_min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
         assert not report.completely_positive
         assert report.trace_preserving
@@ -182,36 +190,33 @@ class TestChoiAndCptp:
 
     def test_choi_psd_for_builtins(self, rng):
         for ch in (depolarizing(3, 0.9), gadc(1.3, 2.0), random_cptp_channel(rng, 3)):
-            assert np.linalg.eigvalsh(ch.choi())[0] >= -1e-10
-
-    def test_superoperator_choi_agree(self, rng):
-        ch = random_cptp_channel(rng, 3)
-        np.testing.assert_allclose(ch.superoperator().choi(), ch.choi(), atol=1e-12)
+            n = ch.dim_in * ch.dim_out
+            assert np.linalg.eigvalsh(choi_tensor(ch.superoperator()).reshape(n, n))[0] >= -1e-10
 
     def test_kraus_superoperator_consistency(self, rng):
         ch = random_cptp_channel(rng, 3)
         rho = random_mixed_state(rng, 3)
-        np.testing.assert_allclose(ch.superoperator().apply(rho), ch.apply(rho), atol=1e-10)
+        np.testing.assert_allclose(apply_superoperators(ch.superoperator(), rho), ch.apply(rho),
+                                   atol=1e-10)
 
 
 class TestUnitality:
     def test_depolarizing_unital(self):
-        assert unitality_class(depolarizing(3, 0.8)).tag is UnitalityTag.UNITAL
+        assert is_unital(depolarizing(3, 0.8))
 
     def test_gadc_generic_is_neither(self):
         # away from p_t = 1/2 and eta_t = 1 the image of I tilts both ways
-        cls = unitality_class(gadc(0.8, 5.0))
-        assert cls.tag is UnitalityTag.NEITHER
+        assert not is_sub_unital(gadc(0.8, 5.0))
 
     def test_gadc_identity_at_t_zero(self):
-        assert unitality_class(gadc(0.0, 5.0)).tag is UnitalityTag.UNITAL
+        assert is_unital(gadc(0.0, 5.0))
 
     def test_unitary_unital(self, rng):
-        assert unitality_class(unitary_channel(random_unitary(rng, 2))).is_unital
+        assert is_unital(unitary_channel(random_unitary(rng, 2)))
 
     def test_strict_subunital(self):
         half = QuantumChannel([np.sqrt(0.5) * np.eye(2)])
-        assert unitality_class(half).tag is UnitalityTag.STRICTLY_SUB_UNITAL
+        assert is_sub_unital(half) and not is_unital(half)
 
 
 class TestDepolarizing:
@@ -239,9 +244,11 @@ class TestDepolarizing:
 # Channels whose Kraus sums are held against per-Kraus loops: TP, mixed-unitary,
 # trace-non-increasing, builtin, and Tr_A, whose input and output dimensions differ.
 STACK_CHANNELS = {
-    "random cptp d = 3": lambda rng: random_cptp_channel(rng, 3),
-    "mixed unitary d = 4": lambda rng: random_mixed_unitary_channel(rng, 4, 3),
-    "sub-unital operation d = 3": lambda rng: random_subunital_operation(rng, 3),
+    **{f"random cptp d = {d}": (lambda rng, d=d: random_cptp_channel(rng, d)) for d in (2, 3)},
+    **{f"mixed unitary d = {d}": (lambda rng, d=d: random_mixed_unitary_channel(rng, d, 3))
+       for d in (2, 3, 4)},
+    **{f"sub-unital operation d = {d}": (lambda rng, d=d: random_subunital_operation(rng, d))
+       for d in (2, 3)},
     "gadc": lambda rng: gadc(0.8, 5.0),
     "depolarizing d = 3": lambda rng: depolarizing(3, 0.7),
     "partial trace 3 x 2": lambda rng: partial_trace_channel(dim_keep=2, dim_drop=3),
@@ -254,11 +261,10 @@ class TestKrausStack:
         ch = make(rng)
         x = rng.normal(size=(ch.dim_in,) * 2) + 1j * rng.normal(size=(ch.dim_in,) * 2)
         y = rng.normal(size=(ch.dim_out,) * 2) + 1j * rng.normal(size=(ch.dim_out,) * 2)
-        vecs = [k.T.reshape(-1) for k in ch.kraus]
+        n = ch.dim_in * ch.dim_out
         loops = {
-            "superoperator": (ch.superoperator().matrix,
-                              sum(np.kron(k, k.conj()) for k in ch.kraus)),
-            "choi": (ch.choi(), sum(np.outer(v, v.conj()) for v in vecs)),
+            "superoperator": (ch.superoperator(), sum(np.kron(k, k.conj()) for k in ch.kraus)),
+            "choi": (choi_tensor(ch.superoperator()).reshape(n, n), kraus_choi(ch.kraus)),
             "apply": (ch.apply(x), sum(k @ x @ dagger(k) for k in ch.kraus)),
             "adjoint_apply": (ch.adjoint_apply(y), sum(dagger(k) @ y @ k for k in ch.kraus)),
         }
@@ -267,6 +273,8 @@ class TestKrausStack:
         gram = sum(dagger(k) @ k for k in ch.kraus)
         assert ch.completeness_defect == pytest.approx(
             np.max(np.abs(gram - np.eye(ch.dim_in))), rel=0, abs=1e-14)
+        assert trace_defects(ch.superoperator()) == pytest.approx(
+            ch.completeness_defect, rel=0, abs=1e-14)
 
     def test_kraus_entries_are_read_only(self):
         source = [np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * SIGMA_X]
@@ -275,6 +283,14 @@ class TestKrausStack:
             ch.kraus[1][0, 1] = 2.0
         source[1][0, 1] = 2.0  # the channel holds a copy
         np.testing.assert_array_equal(ch.kraus[1], np.sqrt(0.5) * SIGMA_X)
+
+    def test_superoperator_is_read_only(self):
+        # A write to the cached map would change every later result read from it.
+        ch = depolarizing(2, 0.5)
+        before = oslash_norm(ch).value
+        with pytest.raises(ValueError):
+            ch.superoperator()[:] = 0.0
+        assert oslash_norm(ch).value == before
 
 
 class TestGadc:
@@ -391,7 +407,7 @@ class TestLindbladApply:
         gen = dephasing_generator(lambda t: 0.5 + np.cos(2 * t))
         rho = random_mixed_state(rng, 2).entries
         for t in (0.0, 0.9):
-            np.testing.assert_allclose(gen.superoperator(t).apply(rho),
+            np.testing.assert_allclose(apply_superoperators(gen.superoperator(t), rho),
                                        gen.apply(t, rho), atol=1e-12)
 
 
@@ -417,7 +433,7 @@ class TestLindbladEngine:
     def test_apply_adjoint_and_superoperator_agree(self, rng):
         for gen in _engine_generators(rng):
             for t in (0.0, 0.35, 1.7):
-                s = gen.superoperator(t).matrix
+                s = gen.superoperator(t)
                 for _ in range(3):
                     x, y = _random_matrix(rng, 3), _random_matrix(rng, 3)
                     np.testing.assert_allclose(gen.apply(t, x).reshape(-1), s @ x.reshape(-1),
@@ -622,7 +638,7 @@ class TestLindbladAgainstDenseReference:
     def test_superoperator(self, rng):
         for gen, parts in _reference_cases(rng):
             for t in (0.0, 0.35, 1.7):
-                _assert_close(gen.superoperator(t).matrix, _dense_lindblad_matrix(*parts(t)))
+                _assert_close(gen.superoperator(t), _dense_lindblad_matrix(*parts(t)))
 
     def test_array_of_times_one_per_row(self, rng):
         times = np.array([0.0, 0.4, 1.3])
@@ -640,7 +656,7 @@ class TestLindbladAgainstDenseReference:
         stack = np.stack([_random_matrix(rng, 40) for _ in range(3)])
         _assert_close(gen.apply(0.5, stack), _dense_lindblad(h, terms, stack))
         _assert_close(gen.adjoint_apply(0.5, stack), _dense_lindblad(h, terms, stack, adjoint=True))
-        s = gen.superoperator(0.5).matrix
+        s = gen.superoperator(0.5)
         _assert_close((stack.reshape(3, -1) @ s.T).reshape(stack.shape), _dense_lindblad(h, terms, stack))
 
     def test_constant_generator_builds_no_piece_per_call(self, rng, monkeypatch):
@@ -711,7 +727,7 @@ class TestLindbladAgainstDenseReference:
                 for term, block, size in zip(gen._rated_terms, dense[1:], magnitudes[1:]):
                     expected += term.rate_at(t) * block
                     magnitude += abs(term.rate_at(t)) * size
-                _assert_within_ulp(gen.superoperator(t).matrix, expected, magnitude)
+                _assert_within_ulp(gen.superoperator(t), expected, magnitude)
             labels = gen.invariant_sets()
             for index in [np.flatnonzero(labels == label) for label in np.unique(labels)] \
                     + [np.arange(n)]:

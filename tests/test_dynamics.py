@@ -925,30 +925,30 @@ class TestIntermediateMap:
             gamma = 0.5 * (t - s) + 0.5 * (np.sin(2.0 * t) - np.sin(2.0 * s))
             c = np.exp(-gamma)
             m = intermediate_map(gen, s, t)
-            assert np.max(np.abs(m.matrix - np.diag([1.0, c, c, 1.0]))) <= atol
+            assert np.max(np.abs(m - np.diag([1.0, c, c, 1.0]))) <= atol
 
     def test_time_independent_matches_expm(self):
         gen = dephasing_generator(1.0)
         m = intermediate_map(gen, 0.3, 1.7)
-        direct = expm(1.4 * gen.superoperator(0.0).matrix)
-        assert np.max(np.abs(m.matrix - direct)) <= 1e-9
+        direct = expm(1.4 * gen.superoperator(0.0))
+        assert np.max(np.abs(m - direct)) <= 1e-9
 
     def test_identity_at_equal_times(self):
         m = intermediate_map(dephasing_generator(1.0), 0.5, 0.5)
-        np.testing.assert_allclose(m.matrix, np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(m, np.eye(4), atol=1e-14)
 
     def test_composition_law(self):
         gen = dephasing_generator(lambda t: 0.5 + np.cos(2.0 * t))
         full = intermediate_map(gen, 0.2, 1.4)
         left = intermediate_map(gen, 0.8, 1.4)
         right = intermediate_map(gen, 0.2, 0.8)
-        np.testing.assert_allclose(full.matrix, left.matrix @ right.matrix, atol=1e-7)
+        np.testing.assert_allclose(full, left @ right, atol=1e-7)
 
     def test_semigroup_property(self):
         gen = depolarizing_generator(2, 0.3)
         m_t = intermediate_map(gen, 0.0, 0.6)
         m_2t = intermediate_map(gen, 0.0, 1.2)
-        np.testing.assert_allclose(m_2t.matrix, m_t.matrix @ m_t.matrix, atol=1e-7)
+        np.testing.assert_allclose(m_2t, m_t @ m_t, atol=1e-7)
 
     def test_dephasing_interval_cptp(self):
         gen = dephasing_generator(1.0)
@@ -1070,6 +1070,48 @@ def _forbid_maps(monkeypatch):
         monkeypatch.setattr(dynamics, kernel, built)
 
 
+def _per_interval_divisibility(generator, grid):
+    """Oracle for :func:`cp_divisibility_check`: its Choi minima, trace
+    defects and verdict from one interval map at a time, with the Choi
+    matrix, its reduced trace and each sampled state's image written out."""
+    grid = np.asarray(grid, dtype=float)
+    d = generator.dim
+    whole = generator.restricted(np.arange(d * d))
+    maps = [m.T for m in dynamics._certified_maps(whole, grid[:-1], np.diff(grid))]
+    minima, defects = [], []
+    for m in maps:
+        choi = m.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+        minima.append(float(np.linalg.eigvalsh(hermitian_part(choi))[0]))
+        reduced = np.einsum("iaja->ij", choi.reshape(d, d, d, d))
+        defects.append(float(np.max(np.abs(reduced - np.eye(d)))))
+    if all(lo >= -dynamics.DIVISIBILITY_CHOI_ATOL and tr <= 1e-7
+           for lo, tr in zip(minima, defects)):
+        return minima, defects, "cp_divisible"
+    worst = maps[int(np.argmin(minima))]
+    rng = np.random.default_rng(dynamics.POSITIVITY_SEED)
+    for _ in range(dynamics.POSITIVITY_SAMPLES):
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        v /= np.linalg.norm(v)
+        image = (worst @ np.outer(v, v.conj()).reshape(-1)).reshape(d, d)
+        if spectral_decompose(hermitian_part(image)).eigenvalues[-1] < -1e-8:
+            return minima, defects, "not_cp_divisible"
+    return minima, defects, "p_divisible_only_undetermined"
+
+
+# The generators of the cases below, the oscillating profile over a whole
+# period, and the benchmark's grid at the edge of its window.
+DIVISIBILITY_CASES = {
+    "markovian": lambda: (dephasing_generator(1.0), np.linspace(0, 1, 6)),
+    "negative_rate": lambda: (dephasing_generator(lambda t: -np.sin(t)), np.linspace(0.5, 2.5, 6)),
+    "eternal": lambda: (LindbladGenerator(2, jumps=[
+        JumpTerm(0.5, SIGMA_X), JumpTerm(0.5, SIGMA_Y),
+        JumpTerm(lambda t: -0.5 * np.tanh(t), SIGMA_Z)]), np.linspace(0.5, 2.0, 4)),
+    "bosonic_amplifier": lambda: (bosonic_generator(1.5, 0.5, 6), np.linspace(0, 0.4, 3)),
+    "whole_period": lambda: (oscillating_dephasing()[0], np.linspace(0.0, 3.0, 31)),
+    "edge_of_window": lambda: (oscillating_dephasing()[0], np.array([1.0, 1.1, 1.2])),
+}
+
+
 class TestCpDivisibility:
     def test_markovian_dephasing(self):
         report = cp_divisibility_check(dephasing_generator(1.0), np.linspace(0, 1, 6))
@@ -1108,6 +1150,15 @@ class TestCpDivisibility:
         assert [(e.t_start, e.t_end) for e in report.intervals] == list(zip(grid[:-1], grid[1:]))
         assert np.max(np.abs(np.array(minima) - expected)) <= 1e-8
         assert np.any(expected < -1e-3) and report.verdict == "not_cp_divisible"
+
+    @pytest.mark.parametrize("case", DIVISIBILITY_CASES.values(), ids=DIVISIBILITY_CASES.keys())
+    def test_stacked_check_is_the_per_interval_loop(self, case):
+        generator, grid = case()
+        report = cp_divisibility_check(generator, grid)
+        minima, defects, verdict = _per_interval_divisibility(generator, grid)
+        assert [e.choi_min_eigenvalue for e in report.intervals] == minima
+        assert [e.trace_defect for e in report.intervals] == defects
+        assert report.verdict == verdict
 
     def test_grid_of_one_point_fails_up_front(self, monkeypatch):
         _forbid_maps(monkeypatch)
@@ -1176,7 +1227,7 @@ class TestChannelFamilies:
         step = step_map(1.5, 1e-3)
         c = np.exp(fam.gamma_integral(1.5) - fam.gamma_integral(1.5 + 1e-3))
         assert c > 1.0
-        np.testing.assert_allclose(step.matrix, np.diag([1.0, c, c, 1.0]), rtol=1e-12)
+        np.testing.assert_allclose(step, np.diag([1.0, c, c, 1.0]), rtol=1e-12)
         assert not is_cptp(step)
         assert is_cptp(step_map(0.5, 1e-3))
 
@@ -1199,7 +1250,7 @@ class TestStackedFamilyMaps:
         stacked = family.superoperators(self.TIMES)
         assert stacked.shape == (len(self.TIMES), 4, 4)
         for m, t in zip(stacked, self.TIMES):
-            np.testing.assert_allclose(m, at(t).matrix, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(m, at(t), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("family, k_tol", [
         (GadcFamily(5.0), 1.3e-5), (_oscillating_family(), 6e-7),
@@ -1225,7 +1276,7 @@ class TestStackedFamilyMaps:
             generators = family.step_generators(self.TIMES)
 
         def quotient(e):
-            steps = np.stack([step(t, e).matrix for t in self.TIMES])
+            steps = np.stack([step(t, e) for t in self.TIMES])
             return (steps - np.eye(4)) / e
 
         assert generators.shape == (len(self.TIMES), 4, 4)
@@ -1250,6 +1301,27 @@ class TestStackedFamilyMaps:
         fam = DephasingFamily(lambda t: np.real(t))  # Gamma(t) = t, read at real times only
         with pytest.raises(ChannelError, match="complex time"):
             fam.step_generators([0.5])
+
+    @pytest.mark.parametrize("s", [3.0, 4.0])
+    def test_dephasing_gamma_must_be_real_at_real_times(self, s):
+        # Gamma = 1 - [(1 + it)^(1-s) + (1 - it)^(1-s)]/2 is real on the real
+        # axis but computed in complex arithmetic, so its complex step is not
+        # the rate (s - 1)(1 + t^2)^(-s/2) sin(s arctan t); the same Gamma in
+        # real arithmetic gives that rate to rounding.
+        with pytest.raises(ChannelError, match="real arithmetic"):
+            DephasingFamily(lambda t: 1.0 - 0.5 * ((1 + 1j * t) ** (1 - s) + (1 - 1j * t) ** (1 - s)))
+        fam = DephasingFamily(
+            lambda t: 1.0 - (1.0 + t * t) ** ((1 - s) / 2) * np.cos((s - 1) * np.arctan(t)))
+        t = np.linspace(0.0, 10.0, 11)
+        rate = (s - 1) * (1.0 + t * t) ** (-s / 2) * np.sin(s * np.arctan(t))
+        np.testing.assert_allclose(-fam.step_generators(t)[:, 1, 1], rate, rtol=0, atol=1e-15)
+
+    def test_dephasing_gamma_complex_past_the_probe_is_refused(self):
+        # Gamma = log 2 - log(2 - t) is real at the probe t = 0 and complex past t = 2.
+        fam = DephasingFamily(lambda t: np.log(2.0) - np.emath.log(2.0 - t))
+        fam.superoperators([0.0, 1.0])
+        with pytest.raises(ChannelError, match="real arithmetic"):
+            fam.superoperators([1.0, 3.0])
 
     def test_states_map_every_initial_state_through_every_time(self, rng):
         fam = GadcFamily(5.0)

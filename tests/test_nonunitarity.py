@@ -16,6 +16,8 @@ from entroflow.linalg import dagger, hermitian_part
 from entroflow.nonunitarity import BRACKET_TOL, NonUnitarityError, _difference_superoperator
 from entroflow.sampling import random_cptp_channel, random_mixed_unitary_channel, random_unitary
 
+from conftest import kraus_choi
+
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 # Few starts keep the open-bracket d = 3 cases cheap; the bracket holds for any number.
 STARTS = 2
@@ -23,9 +25,8 @@ STARTS = 2
 
 def _choi_of_difference(channel: QuantumChannel) -> np.ndarray:
     """Choi matrix of id - N^dag N, built from Kraus operators alone."""
-    d = channel.dim_in
-    n_dag_n = QuantumChannel([dagger(a) @ b for a in channel.kraus for b in channel.kraus])
-    return QuantumChannel([np.eye(d)]).choi() - n_dag_n.choi()
+    products = [dagger(a) @ b for a in channel.kraus for b in channel.kraus]
+    return kraus_choi([np.eye(channel.dim_in)]) - kraus_choi(products)
 
 
 def _kron_difference(channel: QuantumChannel) -> np.ndarray:

@@ -134,7 +134,7 @@ def test_generator_runs_leave_scipy_sparse_out(tmp_path):
             "traj = propagate(generator, DensityMatrix.pure(plus), np.linspace(0.0, 1.0, 11))\n"
             "print('propagate', loaded())\n"
             "x = traj.entries[1:]\n"
-            "dense = generator.superoperator(0.3).matrix\n"
+            "dense = generator.superoperator(0.3)\n"
             "for adjoint, m in ((False, dense), (True, dense.conj().T)):\n"
             "    act = generator.adjoint_apply if adjoint else generator.apply\n"
             "    expected = (x.reshape(len(x), -1) @ m.T).reshape(x.shape)\n"

@@ -585,7 +585,7 @@ def _f_per_point(family, rho0, t, h=1e-5, eps0=1e-3):
     at, step_map = reference_maps(family)
 
     def state(tau):
-        return at(tau).apply(rho0)
+        return apply_superoperators(at(tau), rho0)
 
     rho = DensityMatrix(hermitian_part(state(t)))
     if t >= h:
@@ -598,7 +598,8 @@ def _f_per_point(family, rho0, t, h=1e-5, eps0=1e-3):
 
     def quotient(eps):
         step = step_map(t, eps)
-        return (np.real(np.vdot(step.apply(pi), step.apply(rho.entries))) - base) / eps
+        return (np.real(np.vdot(apply_superoperators(step, pi),
+                                apply_superoperators(step, rho.entries))) - base) / eps
 
     return rate + 2 * quotient(eps0 / 2) - quotient(eps0)
 
@@ -635,7 +636,8 @@ def test_blp_measure_matches_per_pair_loop(family, rng):
     at, _ = reference_maps(family)
     best = 0.0
     for rho1, rho2 in pairs:
-        distances = [0.5 * np.linalg.svd(at(t).apply(rho1) - at(t).apply(rho2),
+        distances = [0.5 * np.linalg.svd(apply_superoperators(at(t), rho1)
+                                         - apply_superoperators(at(t), rho2),
                                          compute_uv=False).sum() for t in grid]
         revivals = np.clip(np.gradient(distances, grid), 0.0, None)
         best = max(best, float(np.sum(0.5 * (revivals[1:] + revivals[:-1]) * np.diff(grid))))
