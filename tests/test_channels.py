@@ -193,6 +193,11 @@ class TestChoiAndCptp:
             n = ch.dim_in * ch.dim_out
             assert np.linalg.eigvalsh(choi_tensor(ch.superoperator()).reshape(n, n))[0] >= -1e-10
 
+    def test_superoperator_choi_agree(self, rng):
+        ch = random_cptp_channel(rng, 3)
+        np.testing.assert_allclose(choi_tensor(ch.superoperator()).reshape(9, 9),
+                                   kraus_choi(ch.kraus), atol=1e-12)
+
     def test_kraus_superoperator_consistency(self, rng):
         ch = random_cptp_channel(rng, 3)
         rho = random_mixed_state(rng, 3)
