@@ -5,7 +5,7 @@ them, in the row-stacking convention vec(X) = X.reshape(-1), under which the
 map X -> K X L has matrix kron(K, L.T); :func:`apply_superoperators` applies
 it, :func:`choi_tensor` is the one home of the Choi layout and
 :func:`trace_defects` of the trace defect.  A channel is carried in Kraus
-form, and its map is derived once, read-only.  A generator's Hamiltonian
+form, and it acts through its map, derived once, read-only.  A generator's Hamiltonian
 and jump operators are fixed d x d matrices, and only its rates depend on
 time, so every generator is compiled once into d^2 x d^2 matrices in that
 convention, each kept as the summed (rows, cols, values) numpy triple of its
@@ -69,7 +69,7 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 THERMAL_TAIL_ATOL = 1e-8
 # Largest population of the top Fock levels a tail guard trusts.
 TAIL_GUARD_BOUND = 1e-8
-# Kraus completeness defect and Choi negativity still counted as CPTP.
+# Trace defect and Choi negativity still counted as CPTP.
 CPTP_ATOL = 1e-8
 # |eigenvalue| of N(I) - I still counted as unital.
 UNITALITY_ATOL = 1e-9
@@ -128,16 +128,13 @@ def trace_defects(maps) -> np.ndarray:
 class QuantumChannel:
     """Completely positive map in Kraus form.
 
-    The Kraus operators are held as one read-only (n, d_out, d_in) stack, and
-    ``kraus`` is the tuple of its n read-only (d_out, d_in) views; every Kraus
-    sum below (the completeness Gram, ``apply``, ``adjoint_apply`` and the
-    map of ``superoperator``) is one product over that stack.
-    Trace preservation is classified at construction, within ``CPTP_ATOL``:
-    ``trace_preserving`` when sum_i K_i^dag K_i = I, otherwise
-    ``trace_nonincreasing`` when it is dominated by the identity.  Maps
-    satisfying neither (e.g. adjoints of
-    non-unital channels) are still representable; both flags are False.
-    Channels are immutable after construction.
+    The Kraus operators are held as ``kraus``, a tuple of read-only
+    (d_out, d_in) arrays, and the channel's map S = sum_i kron(K_i, conj(K_i))
+    is built from them once, read-only: ``apply`` is a product with S,
+    ``adjoint_apply`` one with S^dag, and ``trace_preserving`` says whether
+    :func:`trace_defects` of S is within ``CPTP_ATOL``.  Maps that do not
+    preserve the trace (e.g. adjoints of non-unital channels) are still
+    representable.  Channels are immutable after construction.
     """
 
     def __init__(self, kraus):
@@ -147,21 +144,15 @@ class QuantumChannel:
         shape = ops[0].shape
         if len(shape) != 2 or any(k.shape != shape for k in ops):
             raise ChannelError("Kraus operators must share a common 2-D shape")
-        self._stack = np.array(ops)
-        self._stack.setflags(write=False)
-        self.kraus = tuple(self._stack)
+        stack = np.array(ops)
+        stack.setflags(write=False)
+        self.kraus = tuple(stack)
         self.dim_out, self.dim_in = shape
-        gram = (dagger(self._stack) @ self._stack).sum(axis=0)
-        defect = gram - np.eye(self.dim_in)
-        self.completeness_defect = float(np.max(np.abs(defect)))
-        self.trace_preserving = self.completeness_defect <= CPTP_ATOL
-        if self.trace_preserving:
-            self.trace_nonincreasing = True
-        else:
-            self.trace_nonincreasing = bool(
-                np.linalg.eigvalsh(hermitian_part(defect))[-1] <= CPTP_ATOL
-            )
-        self._superop: np.ndarray | None = None
+        # entry [(a, c), (b, d)] = sum_i K_i[a, b] conj(K_i[c, d])
+        self._superop = np.einsum("nab,ncd->acbd", stack, stack.conj()).reshape(
+            self.dim_out**2, self.dim_in**2)
+        self._superop.setflags(write=False)
+        self.trace_preserving = bool(trace_defects(self._superop) <= CPTP_ATOL)
 
     def __repr__(self) -> str:
         return (f"QuantumChannel(dim_in={self.dim_in}, dim_out={self.dim_out}, "
@@ -171,23 +162,18 @@ class QuantumChannel:
         a = as_matrix(rho)
         if a.shape != (self.dim_in, self.dim_in):
             raise ChannelError(f"input shape {a.shape} does not match dim_in {self.dim_in}")
-        return (self._stack @ a @ dagger(self._stack)).sum(axis=0)
+        return apply_superoperators(self._superop, a)
 
     def adjoint_apply(self, x) -> np.ndarray:
-        """sum_i K_i^dag x K_i: the adjoint map on one operator."""
+        """sum_i K_i^dag x K_i: the adjoint map, whose matrix is S^dag, on one operator."""
         a = as_matrix(x)
         if a.shape != (self.dim_out, self.dim_out):
             raise ChannelError(f"input shape {a.shape} does not match dim_out {self.dim_out}")
-        return (dagger(self._stack) @ a @ self._stack).sum(axis=0)
+        return apply_superoperators(dagger(self._superop), a)
 
     def superoperator(self) -> np.ndarray:
         """The channel's map, sum_i kron(K_i, conj(K_i)), as a read-only
-        (d_out^2, d_in^2) array, built on the first call."""
-        if self._superop is None:
-            # entry [(a, c), (b, d)] = sum_i K_i[a, b] conj(K_i[c, d])
-            m = np.einsum("nab,ncd->acbd", self._stack, self._stack.conj())
-            self._superop = m.reshape(self.dim_out**2, self.dim_in**2)
-            self._superop.setflags(write=False)
+        (d_out^2, d_in^2) array."""
         return self._superop
 
 

@@ -1249,7 +1249,22 @@ class ChannelFamily:
         raise NotImplementedError
 
     def derivatives(self, times) -> np.ndarray:
-        return self.step_generators(times) @ self.superoperators(times)
+        return self._derivatives(times, self.superoperators(times))
+
+    def _derivatives(self, times, maps: np.ndarray) -> np.ndarray:
+        """d/dt M_{t,0} from the maps M_{t,0} at ``times``: K_t M_{t,0}."""
+        return self.step_generators(times) @ maps
+
+    def _mapped(self, rho0s, times) -> tuple[np.ndarray, np.ndarray]:
+        """The maps M_{t,0} at ``times`` and the stack of ``rho0s``, checked."""
+        times = np.asarray(times, dtype=float)
+        if np.any(times < 0):  # families are defined for t >= 0 only
+            raise IntegrationError("channel family evaluated at negative time")
+        stack = _state_stack(rho0s)
+        if stack.shape[-2:] != (self.dim, self.dim):
+            raise IntegrationError(f"states of shape {stack.shape[-2:]} do not match the "
+                                   f"family's dimension {self.dim}")
+        return self.superoperators(times), stack
 
     def states(self, rho0s, times) -> np.ndarray:
         """M_{t,0}(rho_0) as a (T, d, d) stack for one operator, (T, N, d, d)
@@ -1258,26 +1273,18 @@ class ChannelFamily:
         Operators of another dimension than the family's raise
         :class:`IntegrationError` naming both.
         """
-        times = np.asarray(times, dtype=float)
-        if np.any(times < 0):  # families are defined for t >= 0 only
-            raise IntegrationError("channel family evaluated at negative time")
-        stack = _state_stack(rho0s)
-        if stack.shape[-2:] != (self.dim, self.dim):
-            raise IntegrationError(f"states of shape {stack.shape[-2:]} do not match the "
-                                   f"family's dimension {self.dim}")
-        return apply_superoperators(self.superoperators(times), stack)
+        return apply_superoperators(*self._mapped(rho0s, times))
 
     def evolve(self, rho0s, times) -> tuple[np.ndarray, np.ndarray, EigenSystem]:
         """States, their time derivatives and their spectra at ``times``.
 
-        ``rho0s`` as in :meth:`states`.  The derivatives are the
-        :meth:`derivatives` maps applied to the initial states, the spectra
-        come from one eigh over the whole stack, which also validates the
-        states.
+        ``rho0s`` as in :meth:`states`.  The maps are built once, for the
+        states and the :meth:`derivatives` maps; the spectra come from one
+        eigh over the whole stack, which also validates the states.
         """
-        starts = _state_stack(rho0s)
-        states, spectrum = check_density_stack(hermitian_part(self.states(starts, times)))
-        dots = apply_superoperators(self.derivatives(times), starts)
+        maps, starts = self._mapped(rho0s, times)
+        states, spectrum = check_density_stack(hermitian_part(apply_superoperators(maps, starts)))
+        dots = apply_superoperators(self._derivatives(times, maps), starts)
         return states, hermitian_part(dots), spectrum
 
     def trajectories(self, rho0s, grid) -> Trajectory:
@@ -1338,6 +1345,9 @@ class GadcFamily(ChannelFamily):
         maps[:, 3] = -maps[:, 0]
         maps[:, 1, 1] = maps[:, 2, 2] = -0.5 * np.sqrt(eta)
         return maps
+
+    def _derivatives(self, times, maps: np.ndarray) -> np.ndarray:
+        return self.derivatives(times)
 
     def step_generators(self, times) -> np.ndarray:
         return np.broadcast_to(self.derivatives([0.0]), (np.size(times), 4, 4))

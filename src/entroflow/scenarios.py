@@ -176,8 +176,9 @@ def _gadc_closed_form(omega: float, t: np.ndarray):
 
 
 def _sign_changes(values: np.ndarray) -> np.ndarray:
-    """The k at which values[k] is nonzero and values[k + 1] has the other sign."""
-    return np.flatnonzero((values[:-1] != 0.0) & (values[:-1] * values[1:] < 0.0))
+    """The k at which values[k] is nonzero and values[k + 1] has the other
+    sign, read from the signs, whose product cannot overflow or underflow."""
+    return np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0.0)
 
 
 def _gadc_closed_roots(omega: float, grid: np.ndarray, f_closed: np.ndarray) -> np.ndarray:
@@ -319,6 +320,15 @@ def _fd_rate_check(traj, params: dict, table: Path) -> CheckResult:
     max_disc = float(np.max(np.abs(rates - rates_fd)))
     return CheckResult("rate matches finite differences", max_disc <= params["tol"],
                        f"max |rate - fd| = {max_disc:.3e}", f"<= {params['tol']:g}")
+
+
+def _check_fd_step(params: dict) -> list[str]:
+    """The stencils reach t +- fd_h/2, so half a step must move t_max: a
+    smaller fd_h divides 0 by 0, or differences states rounding tells apart."""
+    t_max, h = params["t_max"], params["fd_h"]
+    if t_max + h / 2 == t_max:
+        return [f"fd_h {h:g} is too small: t_max + fd_h/2 rounds to t_max = {t_max:g}"]
+    return []
 
 
 def _damping_grid(params: dict) -> np.ndarray:
@@ -476,11 +486,17 @@ def _check_decoherence_measures(params: dict) -> list[str]:
     first and last k in the window matter.  Gamma must be finite there in
     floating point, which fails where amplitude/frequency overflows.  The
     state sampler must also hold more than the maximally mixed state, a
-    fixed point of unital dephasing on which no witness can fire."""
+    fixed point of unital dephasing on which no witness can fire, and at
+    about 0.54 KiB per (grid point, sampled state) row, at most 1e6 rows."""
     problems = []
+    samples = 1 + params["n_random"] + params["bloch_points"]  # the maximally mixed state first
     if params["n_random"] == 0 and params["bloch_points"] == 0:
         problems.append("n_random and bloch_points are both 0: the sampler holds only the "
                         "maximally mixed state, which dephasing leaves fixed")
+    points = len(_step_grid(params))
+    if points * samples > 1_000_000:
+        problems.append(f"{points} grid points x {samples} sampled states = {points * samples} "
+                        "rows exceed the 1,000,000 the measures may hold")
     base, amplitude, frequency = params["base"], params["amplitude"], params["frequency"]
     t_max = params["t_max"]
     times = [0.0, t_max]
@@ -665,7 +681,7 @@ SCENARIOS = {
         },
     },
     "appendixB_damping": {
-        "runner": run_appendix_damping, "grid": _damping_grid,
+        "runner": run_appendix_damping, "grid": _damping_grid, "check": _check_fd_step,
         "description": "Entropy rate vs finite differences for the damping trajectory",
         "parameters": {
             "t_min": Param(1e-3, "first grid time, past the t = 0 rank jump", low=0, strict=True),
@@ -676,7 +692,7 @@ SCENARIOS = {
         },
     },
     "appendixB_oscillatory": {
-        "runner": run_appendix_oscillatory, "grid": _oscillatory_grid,
+        "runner": run_appendix_oscillatory, "grid": _oscillatory_grid, "check": _check_fd_step,
         "description": "Entropy rate vs finite differences for the oscillatory trajectory",
         "parameters": {
             "t_max": Param(3.0, "last grid time", low=0, strict=True),

@@ -26,6 +26,7 @@ from .channels import (
     QuantumChannel,
     apply_superoperators,
     is_sub_unital,
+    trace_defects,
 )
 from .dynamics import (
     ChannelFamily,
@@ -34,7 +35,7 @@ from .dynamics import (
     _expectations,
     _integration_operator,
     entropy_rate,
-    expm,
+    intermediate_map,
     propagate,
     states_off_grid,
 )
@@ -45,7 +46,6 @@ from .linalg import (
     dagger,
     hermitian_part,
     is_infinite,
-    matrix_log_on_support,
     relative_entropy,
     schatten_norm,
     spectral_decompose,
@@ -107,13 +107,8 @@ def _back_action(channel: QuantumChannel, rho) -> np.ndarray:
 
 
 def entropy_change(channel: QuantumChannel, rho) -> float:
-    """S(N(rho)) - S(rho)."""
-    a = as_matrix(rho)
-    if a.shape != (channel.dim_in, channel.dim_in):
-        raise WitnessError(
-            f"state dim {a.shape[0]} does not match channel input {channel.dim_in}"
-        )
-    return von_neumann_entropy(hermitian_part(channel.apply(a))) - von_neumann_entropy(rho)
+    """S(N(rho)) - S(rho); a mis-shaped state raises ChannelError."""
+    return von_neumann_entropy(hermitian_part(channel.apply(rho))) - von_neumann_entropy(rho)
 
 
 def entropy_change_lower_bound(channel: QuantumChannel, rho):
@@ -125,27 +120,29 @@ def entropy_change_lower_bound(channel: QuantumChannel, rho):
     return relative_entropy(rho, _back_action(channel, rho))
 
 
-def _require_full_rank(rho, name: str = "state") -> np.ndarray:
-    if spectral_decompose(rho).eigenvalues[-1] <= 1e-12:
+def _require_full_rank(rho, name: str = "state") -> EigenSystem:
+    """The spectrum of ``rho``, which must be full rank."""
+    spectrum = spectral_decompose(rho)
+    if spectrum.eigenvalues[-1] <= 1e-12:
         raise WitnessError(f"{name} must be full rank for this bound")
-    return as_matrix(rho)
+    return spectrum
 
 
 def entropy_change_upper_bound(channel: QuantumChannel, rho) -> float:
     """Tr{[rho - N^dag(N(rho))] log rho} for a sub-unital channel and rho > 0."""
-    a = _require_full_rank(rho)
+    spectrum = _require_full_rank(rho)
     if not is_sub_unital(channel):
         raise WitnessError("upper bound requires a sub-unital channel")
-    diff = a - _back_action(channel, a)
-    return float(np.real(np.trace(diff @ matrix_log_on_support(rho))))
+    diff = as_matrix(rho) - _back_action(channel, rho)
+    return float(spectrum.support_logs() @ spectrum.expectations(diff))
 
 
 def entropy_change_upper_bound_holder(channel: QuantumChannel, rho) -> float:
     """||rho - N^dag(N(rho))||_1 ||log rho||_inf: the norm-product relaxation
-    of the trace-form upper bound."""
-    a = _require_full_rank(rho)
-    diff = a - _back_action(channel, a)
-    return schatten_norm(diff, 1) * schatten_norm(matrix_log_on_support(rho), np.inf)
+    of the trace-form upper bound; ||log rho||_inf = -log lambda_min."""
+    spectrum = _require_full_rank(rho)
+    diff = as_matrix(rho) - _back_action(channel, rho)
+    return schatten_norm(diff, 1) * -float(np.log(spectrum.eigenvalues[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +486,8 @@ def semigroup_sandwich(generator: LindbladGenerator, rho0, t: float) -> Sandwich
     Requires a time-independent generator whose superoperator is Hermitian
     (self-adjoint map) and unital within ``SANDWICH_GENERATOR_ATOL``, and a
     full-rank initial state; the sandwich may fail by ``SANDWICH_SLACK``.
+    M_t is :func:`~entroflow.dynamics.intermediate_map`, and rho_0, rho_t
+    and rho_2t are decomposed once each.
     """
     if not generator.is_time_independent():
         raise WitnessError("sandwich bounds need a time-independent generator")
@@ -497,24 +496,24 @@ def semigroup_sandwich(generator: LindbladGenerator, rho0, t: float) -> Sandwich
         raise WitnessError("generator is not self-adjoint")
     if np.max(np.abs(apply_superoperators(s, np.eye(generator.dim)))) > SANDWICH_GENERATOR_ATOL:
         raise WitnessError("generator is not unital")
-    a = _require_full_rank(rho0, "initial state")
-    m_t = expm(t * s)
-    v0 = a.reshape(-1)
-    rho_t = hermitian_part((m_t @ v0).reshape(a.shape))
-    rho_2t = hermitian_part((m_t @ rho_t.reshape(-1)).reshape(a.shape))
+    initial = _require_full_rank(rho0, "initial state")
+    m_t = intermediate_map(generator, 0.0, t)
+    rho_t = hermitian_part(apply_superoperators(m_t, rho0))
+    rho_2t = hermitian_part(apply_superoperators(m_t, rho_t))
+    at_t, at_2t = spectral_decompose(rho_t), spectral_decompose(rho_2t)
 
-    entropy = von_neumann_entropy(rho_t)
-    lower = float(-np.real(np.trace(a @ matrix_log_on_support(rho_2t))))
-    upper = float(-np.real(np.trace(rho_2t @ matrix_log_on_support(rho0))))
+    entropy = float(at_t.entropies())
+    lower = -float(at_2t.support_logs() @ at_2t.expectations(as_matrix(rho0)))
+    upper = -float(initial.support_logs() @ initial.expectations(rho_2t))
     if not (lower - SANDWICH_SLACK <= entropy <= upper + SANDWICH_SLACK):
         raise WitnessError(
             f"sandwich violated at t={t}: {lower} <= {entropy} <= {upper}"
         )
-    d = relative_entropy(rho0, rho_2t)
+    d = relative_entropy(initial, at_2t)
     if is_infinite(d):
         raise WitnessError("relative entropy bound is infinite on a full-rank pair")
     return SandwichBounds(lower=lower, entropy=entropy, upper=upper,
-                          initial_entropy=von_neumann_entropy(rho0),
+                          initial_entropy=float(initial.entropies()),
                           relative_entropy_bound=float(d))
 
 
@@ -541,15 +540,14 @@ def pinsker_gap(channel: QuantumChannel, rho) -> PinskerGap:
         raise WitnessError("Pinsker pair needs a trace-preserving channel")
     if not is_sub_unital(channel):
         raise WitnessError("Pinsker pair needs a sub-unital operation")
-    a = _require_full_rank(rho)
-    back = _back_action(channel, a)
-    _require_full_rank(back, "N^dag N(rho)")
-    d = relative_entropy(rho, back)
+    spectrum = _require_full_rank(rho)
+    back = _back_action(channel, rho)
+    d = relative_entropy(spectrum, _require_full_rank(back, "N^dag N(rho)"))
     if is_infinite(d):
         raise WitnessError("relative entropy infinite despite full-rank back action")
     d = float(d)
-    tn = schatten_norm(a - back, 1)
-    log_norm = schatten_norm(matrix_log_on_support(rho), np.inf)
+    tn = schatten_norm(as_matrix(rho) - back, 1)
+    log_norm = -float(np.log(spectrum.eigenvalues[-1]))
     if d < 0.5 * tn * tn - PINSKER_SLACK:
         raise WitnessError(f"Pinsker inequality violated: D={d}, ||.||_1={tn}")
     if tn < d / log_norm - PINSKER_SLACK:
@@ -567,14 +565,7 @@ def environment_simulation_bound(interaction: QuantumChannel, theta_c,
     single-Kraus unitary interaction the two sides must agree within
     ``UNITARY_SATURATION_ATOL``.
     """
-    a = as_matrix(rho_a)
-    c = as_matrix(theta_c)
-    joint = np.kron(a, c)
-    if joint.shape != (interaction.dim_in, interaction.dim_in):
-        raise WitnessError(
-            f"joint input dim {joint.shape[0]} does not match channel input "
-            f"{interaction.dim_in}"
-        )
+    joint = np.kron(as_matrix(rho_a), as_matrix(theta_c))
     out = hermitian_part(interaction.apply(joint))
     delta_s = von_neumann_entropy(out) - von_neumann_entropy(rho_a)
     d = relative_entropy(joint, _back_action(interaction, joint))
@@ -583,12 +574,7 @@ def environment_simulation_bound(interaction: QuantumChannel, theta_c,
     bound = von_neumann_entropy(theta_c) + float(d)
     if delta_s < bound - SIMULATION_BOUND_SLACK:
         raise WitnessError(f"simulation bound violated: {delta_s} < {bound}")
-    if len(interaction.kraus) == 1:
-        k = interaction.kraus[0]
-        if np.max(np.abs(dagger(k) @ k - np.eye(interaction.dim_in))) < 1e-10:
-            if abs(delta_s - bound) > UNITARY_SATURATION_ATOL:
-                raise WitnessError(
-                    f"unitary interaction should saturate the bound: "
-                    f"{delta_s} vs {bound}"
-                )
+    if (len(interaction.kraus) == 1 and trace_defects(interaction.superoperator()) < 1e-10
+            and abs(delta_s - bound) > UNITARY_SATURATION_ATOL):
+        raise WitnessError(f"unitary interaction should saturate the bound: {delta_s} vs {bound}")
     return delta_s, bound

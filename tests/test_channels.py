@@ -276,10 +276,9 @@ class TestKrausStack:
         for name, (stacked, loop) in loops.items():
             np.testing.assert_allclose(stacked, loop, rtol=0, atol=1e-14, err_msg=name)
         gram = sum(dagger(k) @ k for k in ch.kraus)
-        assert ch.completeness_defect == pytest.approx(
-            np.max(np.abs(gram - np.eye(ch.dim_in))), rel=0, abs=1e-14)
-        assert trace_defects(ch.superoperator()) == pytest.approx(
-            ch.completeness_defect, rel=0, abs=1e-14)
+        completeness = np.max(np.abs(gram - np.eye(ch.dim_in)))
+        assert trace_defects(ch.superoperator()) == pytest.approx(completeness, rel=0, abs=1e-14)
+        assert ch.trace_preserving == (completeness <= channels.CPTP_ATOL)
 
     def test_kraus_entries_are_read_only(self):
         source = [np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * SIGMA_X]

@@ -1323,6 +1323,32 @@ class TestStackedFamilyMaps:
         with pytest.raises(ChannelError, match="real arithmetic"):
             fam.superoperators([1.0, 3.0])
 
+    @pytest.mark.parametrize("make", [lambda g: DephasingFamily(g), lambda g: GadcFamily(5.0)],
+                             ids=["dephasing", "gadc"])
+    def test_evolve_builds_the_maps_once(self, rng, make):
+        # evolve's states and derivatives read one stack of maps: a dephasing
+        # family calls Gamma once at real times (the maps) and once at complex
+        # times (the rates of K_t), and every array is the one the separate
+        # builds of states and derivatives give, bit for bit.
+        calls = []
+
+        def gamma_integral(t):
+            calls.append(np.iscomplexobj(t))
+            return 0.5 * t + 0.5 * np.sin(2.0 * t)
+
+        family = make(gamma_integral)
+        starts = np.stack([random_mixed_state(rng, 2).entries for _ in range(3)])
+        calls.clear()
+        states, dots, spectrum = family.evolve(starts, self.TIMES)
+        if isinstance(family, DephasingFamily):
+            assert calls == [False, True]
+        expected = hermitian_part(family.states(starts, self.TIMES))
+        np.testing.assert_array_equal(states, expected)
+        np.testing.assert_array_equal(spectrum.eigenvalues,
+                                      spectral_decompose(expected).eigenvalues)
+        np.testing.assert_array_equal(dots, hermitian_part(
+            dynamics.apply_superoperators(family.derivatives(self.TIMES), starts)))
+
     def test_states_map_every_initial_state_through_every_time(self, rng):
         fam = GadcFamily(5.0)
         rho0s = [random_mixed_state(rng, 2) for _ in range(3)]

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,12 @@ OVERFLOWING_JUMP_GENERATOR = {**DEFAULT_GENERATOR, "jumps": [  # 1e308 * 2 * 2 o
     ("custom", "generator", NO_LEVELS_GENERATOR),         # a tail guard over no level
     ("custom", "generator", OVERFLOWING_JUMP_GENERATOR),  # rate times operator overflows
     ("gaussian_bounds", "dynamics", {"amplifier": {"gamma_plus": 1e308, "gamma_minus": 0}}),
+    ("appendixB_damping", "fd_h", 5e-324),                # fd_h/2 rounds to 0: a 0/0 rate
+    ("appendixB_oscillatory", "fd_h", 5e-324),
+    ("appendixB_damping", "fd_h", 1e-300),                # t_max + fd_h/2 rounds to t_max
+    ("appendixB_oscillatory", "fd_h", 1e-300),
+    ("decoherence_measures", "n_random", 2000),           # 751 x 2049 rows, about 0.8 GiB
+    ("decoherence_measures", "t_step", 1e-4),             # 30,001 x 65 rows
 ])
 def test_bad_config_fails_in_validate(scenario, key, value, tmp_path):
     config = copy.deepcopy(DEFAULT_CONFIGS[scenario])
@@ -239,6 +246,28 @@ def test_bad_config_fails_in_validate(scenario, key, value, tmp_path):
     status = main(["run", "--scenario", scenario, "--param", f"{key}={json.dumps(value)}",
                    "--output-dir", str(tmp_path)])
     assert status == 2
+
+
+def test_huge_gadc_frequency_fails_a_check_without_a_warning(tmp_path, capsys):
+    # At omega = 1e300 the pipeline's f reaches -1e300, where the product of
+    # neighbouring values overflows.  The crossings are read from the signs,
+    # so the run fails the closed-form comparison with no RuntimeWarning.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main(["run", "--scenario", "fig1_gadc", "--param", "omega=1e300",
+                       "--output-dir", str(tmp_path)])
+    printed = capsys.readouterr()
+    assert status == 1
+    assert "FAIL f matches closed form" in printed.out + printed.err
+    assert "Traceback" not in printed.out + printed.err
+    assert [str(w.message) for w in caught] == []
+
+
+def test_sign_changes_read_signs():
+    # Products of these neighbours overflow (k = 0) or underflow to -0 (k = 6);
+    # NaN and zero change no sign.
+    values = np.array([1e300, -1e300, np.nan, 1.0, 0.0, -1.0, -1e-200, 1e-200])
+    np.testing.assert_array_equal(_sign_changes(values), [0, 6])
 
 
 def test_decoherence_sampler_of_the_mixed_state_alone_fails_in_validate(tmp_path, capsys):

@@ -35,7 +35,8 @@ from entroflow import (
     unitary_channel,
     witness_reports,
 )
-from entroflow.channels import JumpTerm, SIGMA_X, SIGMA_Z, apply_superoperators
+from entroflow.channels import (ChannelError, JumpTerm, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                                apply_superoperators, trace_defects)
 from entroflow.dynamics import Trajectory, _WholeStates
 from entroflow.linalg import as_matrix, dagger, hermitian_part, spectral_decompose
 from entroflow.sampling import (
@@ -65,8 +66,11 @@ from conftest import fresh_interpreter, reference_maps, superoperators, support_
 def test_pinsker_gap_rejects_trace_nonincreasing_operation():
     # N = sqrt(1/2) id on I/2: D = log 2 exceeds ||rho - N^dag N(rho)||_1 ||log rho||_inf
     # = (1/2) log 2, so the reverse bound fails and the input must be refused up front.
+    # Its one Kraus operator gives sum K^dag K = I/2 <= I: trace-non-increasing,
+    # with a trace defect of 1/2.
     operation = QuantumChannel([np.sqrt(0.5) * np.eye(2)])
-    assert operation.trace_nonincreasing and not operation.trace_preserving
+    assert not operation.trace_preserving
+    assert trace_defects(operation.superoperator()) == pytest.approx(0.5, rel=0, abs=1e-15)
     with pytest.raises(WitnessError, match="trace-preserving"):
         pinsker_gap(operation, DensityMatrix.maximally_mixed(2))
 
@@ -361,6 +365,81 @@ def test_semigroup_sandwich_accepts_plain_number_rates(rng):
     generator = LindbladGenerator(2, jumps=[JumpTerm(0.5, SIGMA_Z)])
     bounds = semigroup_sandwich(generator, random_full_rank_state(rng, 2), 0.4)
     assert bounds.lower <= bounds.entropy <= bounds.upper
+
+
+def _bloch_traces(s, u):
+    """Tr{sigma log tau} for qubits with Bloch vectors s and u (|u| < 1):
+    log tau = (1/2) log((1 - |u|^2)/4) I + artanh(|u|) u.sigma/|u|."""
+    r = np.linalg.norm(u)
+    return 0.5 * np.log((1.0 - r * r) / 4.0) + np.arctanh(r) * (s @ u) / r
+
+
+def test_semigroup_sandwich_on_dephasing_is_the_closed_form():
+    # sigma_z dephasing at rate gamma scales the x and y Bloch components by
+    # exp(-gamma t); the entropy, both sides and D(rho_0||rho_2t) follow from
+    # the Bloch vectors of rho_0, rho_t and rho_2t.
+    gamma, t = 0.7, 0.4
+    r0 = np.array([0.3, -0.4, 0.5])
+    rho0 = 0.5 * (np.eye(2) + r0[0] * SIGMA_X + r0[1] * SIGMA_Y + r0[2] * SIGMA_Z)
+
+    def at(time):
+        return r0 * np.array([np.exp(-gamma * time), np.exp(-gamma * time), 1.0])
+
+    def entropy(r):
+        p = 0.5 * (1.0 + np.linalg.norm(r))
+        return -p * np.log(p) - (1.0 - p) * np.log(1.0 - p)
+
+    bounds = semigroup_sandwich(dephasing_generator(gamma), rho0, t)
+    lower = -_bloch_traces(r0, at(2 * t))
+    expected = {"entropy": entropy(at(t)), "lower": lower,
+                "upper": -_bloch_traces(at(2 * t), r0), "initial_entropy": entropy(r0),
+                "relative_entropy_bound": lower - entropy(r0)}
+    for name, value in expected.items():
+        assert getattr(bounds, name) == pytest.approx(value, rel=0, abs=1e-12), name
+
+
+def _decompositions(monkeypatch):
+    """Count the eigh, eigvalsh and svd calls made after this returns."""
+    counts = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_bounds_decompose_each_operator_once(rng, monkeypatch):
+    channel = random_mixed_unitary_channel(rng, 3)
+    rho = random_full_rank_state(rng, 3)
+    qubit = random_full_rank_state(rng, 2).entries
+    generator = dephasing_generator(0.7)
+    cases = [
+        # the state carries its spectrum: N^dag N(rho), N(I) - I and rho - N^dag N(rho)
+        (lambda: pinsker_gap(channel, rho), {"eigh": 1, "eigvalsh": 1, "svd": 1}),
+        (lambda: pinsker_gap(channel, rho.entries), {"eigh": 2, "eigvalsh": 1, "svd": 1}),
+        (lambda: entropy_change_upper_bound_holder(channel, rho.entries),
+         {"eigh": 1, "eigvalsh": 0, "svd": 1}),
+        # rho_0, rho_t and rho_2t
+        (lambda: semigroup_sandwich(generator, qubit, 0.4), {"eigh": 3, "eigvalsh": 0, "svd": 0}),
+    ]
+    for call, expected in cases:
+        counts = _decompositions(monkeypatch)
+        call()
+        assert counts == expected
+        monkeypatch.undo()
+
+
+def test_misshaped_states_raise_channel_error(rng):
+    channel = random_mixed_unitary_channel(rng, 3)
+    with pytest.raises(ChannelError, match="does not match dim_in 3"):
+        entropy_change(channel, DensityMatrix.maximally_mixed(2))
+    with pytest.raises(ChannelError, match="does not match dim_in 3"):
+        environment_simulation_bound(channel, DensityMatrix.maximally_mixed(2),
+                                     DensityMatrix.maximally_mixed(2))
 
 
 def _random_semigroup(rng, d):
