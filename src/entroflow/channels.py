@@ -85,9 +85,12 @@ def apply_superoperators(matrices: np.ndarray, operators) -> np.ndarray:
     One map takes an operator (d_in, d_in) or a stack (N, d_in, d_in) to
     (..., d_out, d_out).  A stack of maps takes operators (N, d_in, d_in)
     through every map, giving (T, N, d_out, d_out), and operators
-    (T, N, d_in, d_in) row t through map t.
+    (T, N, d_in, d_in) row t through map t; other shapes raise :class:`ChannelError`.
     """
     x = as_matrix(operators)
+    d_in = round(matrices.shape[-1] ** 0.5)
+    if x.shape[-2:] != (d_in, d_in):
+        raise ChannelError(f"input shape {x.shape} does not match dim_in {d_in}")
     out = x.reshape(x.shape[:-2] + (-1,)) @ np.swapaxes(matrices, -1, -2)
     d_out = round(out.shape[-1] ** 0.5)
     return out.reshape(out.shape[:-1] + (d_out, d_out))
@@ -159,17 +162,11 @@ class QuantumChannel:
                 f"n_kraus={len(self.kraus)}, tp={self.trace_preserving})")
 
     def apply(self, rho) -> np.ndarray:
-        a = as_matrix(rho)
-        if a.shape != (self.dim_in, self.dim_in):
-            raise ChannelError(f"input shape {a.shape} does not match dim_in {self.dim_in}")
-        return apply_superoperators(self._superop, a)
+        return apply_superoperators(self._superop, rho)
 
     def adjoint_apply(self, x) -> np.ndarray:
-        """sum_i K_i^dag x K_i: the adjoint map, whose matrix is S^dag, on one operator."""
-        a = as_matrix(x)
-        if a.shape != (self.dim_out, self.dim_out):
-            raise ChannelError(f"input shape {a.shape} does not match dim_out {self.dim_out}")
-        return apply_superoperators(dagger(self._superop), a)
+        """sum_i K_i^dag x K_i: the adjoint map, whose matrix is S^dag."""
+        return apply_superoperators(dagger(self._superop), x)
 
     def superoperator(self) -> np.ndarray:
         """The channel's map, sum_i kron(K_i, conj(K_i)), as a read-only
@@ -192,10 +189,15 @@ class CptpReport:
         return self.passed
 
 
+def _map_of(channel) -> np.ndarray:
+    """The map of a :class:`QuantumChannel`, or maps given as an array."""
+    return channel.superoperator() if isinstance(channel, QuantumChannel) else np.asarray(channel)
+
+
 def is_cptp(channel) -> CptpReport:
     """Check complete positivity (Choi PSD) and trace preservation within
     ``CPTP_ATOL``, of a :class:`QuantumChannel` or of a map (d_out^2, d_in^2)."""
-    m = channel.superoperator() if isinstance(channel, QuantumChannel) else np.asarray(channel)
+    m = _map_of(channel)
     d_out, d_in = _dims(m)
     choi = choi_tensor(m).reshape(d_in * d_out, d_in * d_out)
     min_eig = float(np.linalg.eigvalsh(hermitian_part(choi))[0])
@@ -208,10 +210,11 @@ def is_cptp(channel) -> CptpReport:
     )
 
 
-def _unitality_deviation(channel: QuantumChannel) -> np.ndarray:
-    """The eigenvalues of N(I) - I, ascending."""
-    image = channel.apply(np.eye(channel.dim_in, dtype=complex))
-    return np.linalg.eigvalsh(hermitian_part(image - np.eye(image.shape[0])))
+def _unitality_deviation(channel) -> np.ndarray:
+    """The eigenvalues of N(I) - I, ascending, per map (:func:`_map_of`)."""
+    m = _map_of(channel)
+    image = apply_superoperators(m, np.eye(_dims(m)[1], dtype=complex))
+    return np.linalg.eigvalsh(hermitian_part(image - np.eye(image.shape[-1])))
 
 
 def is_unital(channel: QuantumChannel) -> bool:
@@ -219,10 +222,11 @@ def is_unital(channel: QuantumChannel) -> bool:
     return bool(np.max(np.abs(_unitality_deviation(channel))) <= UNITALITY_ATOL)
 
 
-def is_sub_unital(channel: QuantumChannel) -> bool:
+def is_sub_unital(channel):
     """N(I) <= I, within ``UNITALITY_ATOL`` on the largest eigenvalue of
-    N(I) - I; a unital channel is sub-unital."""
-    return bool(_unitality_deviation(channel)[-1] <= UNITALITY_ATOL)
+    N(I) - I; a unital channel is sub-unital.  One per map of a stack."""
+    sub = _unitality_deviation(channel)[..., -1] <= UNITALITY_ATOL
+    return bool(sub) if sub.ndim == 0 else sub
 
 
 # ---------------------------------------------------------------------------

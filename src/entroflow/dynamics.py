@@ -1249,11 +1249,11 @@ class ChannelFamily:
         raise NotImplementedError
 
     def derivatives(self, times) -> np.ndarray:
-        return self._derivatives(times, self.superoperators(times))
+        return self._derivatives(times, self.superoperators(times), self.step_generators(times))
 
-    def _derivatives(self, times, maps: np.ndarray) -> np.ndarray:
-        """d/dt M_{t,0} from the maps M_{t,0} at ``times``: K_t M_{t,0}."""
-        return self.step_generators(times) @ maps
+    def _derivatives(self, times, maps: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """d/dt M_{t,0} from the maps M_{t,0} and K_t at ``times``: K_t M_{t,0}."""
+        return steps @ maps
 
     def _mapped(self, rho0s, times) -> tuple[np.ndarray, np.ndarray]:
         """The maps M_{t,0} at ``times`` and the stack of ``rho0s``, checked."""
@@ -1275,17 +1275,18 @@ class ChannelFamily:
         """
         return apply_superoperators(*self._mapped(rho0s, times))
 
-    def evolve(self, rho0s, times) -> tuple[np.ndarray, np.ndarray, EigenSystem]:
-        """States, their time derivatives and their spectra at ``times``.
+    def evolve(self, rho0s, times) -> tuple[np.ndarray, np.ndarray, EigenSystem, np.ndarray]:
+        """States, their time derivatives, their spectra and K_t at ``times``.
 
-        ``rho0s`` as in :meth:`states`.  The maps are built once, for the
-        states and the :meth:`derivatives` maps; the spectra come from one
+        ``rho0s`` as in :meth:`states`.  The maps and K_t are built once, for
+        the states and the :meth:`derivatives` maps; the spectra come from one
         eigh over the whole stack, which also validates the states.
         """
         maps, starts = self._mapped(rho0s, times)
+        steps = self.step_generators(times)
         states, spectrum = check_density_stack(hermitian_part(apply_superoperators(maps, starts)))
-        dots = apply_superoperators(self._derivatives(times, maps), starts)
-        return states, hermitian_part(dots), spectrum
+        dots = apply_superoperators(self._derivatives(times, maps, steps), starts)
+        return states, hermitian_part(dots), spectrum, steps
 
     def trajectories(self, rho0s, grid) -> Trajectory:
         """The trajectory of one initial state, or of a stack of them, on a
@@ -1293,7 +1294,7 @@ class ChannelFamily:
         closed form."""
         grid = _checked_grid(grid)
         starts = _state_stack(rho0s)
-        states, dots, spectrum = self.evolve(starts, grid)
+        states, dots, spectrum, _ = self.evolve(starts, grid)
         return Trajectory(grid, states, dots, spectrum=spectrum,
                           state_fn=lambda times: self.states(starts, times))
 
@@ -1346,7 +1347,7 @@ class GadcFamily(ChannelFamily):
         maps[:, 1, 1] = maps[:, 2, 2] = -0.5 * np.sqrt(eta)
         return maps
 
-    def _derivatives(self, times, maps: np.ndarray) -> np.ndarray:
+    def _derivatives(self, times, maps: np.ndarray, steps: np.ndarray) -> np.ndarray:
         return self.derivatives(times)
 
     def step_generators(self, times) -> np.ndarray:

@@ -40,6 +40,7 @@ __all__ = [
     "matrix_log_on_support",
     "von_neumann_entropy",
     "relative_entropy",
+    "relative_entropies",
     "schatten_norm",
 ]
 
@@ -164,9 +165,8 @@ class EigenSystem:
         return (self.eigenvalues > ZERO_EIGENVALUE_RTOL * lam_max) & (lam_max > 0.0)
 
     def support_logs(self) -> np.ndarray:
-        """log lambda on the supports, 0 on the kernels, per matrix."""
-        mask = self.support_mask()
-        return np.where(mask, np.log(np.where(mask, self.eigenvalues, 1.0)), 0.0)
+        """log lambda on the supports, 0 (log 1) on the kernels, per matrix."""
+        return np.log(np.where(self.support_mask(), self.eigenvalues, 1.0))
 
     def support_traces(self, operators: np.ndarray) -> np.ndarray:
         """Re Tr{Pi A} per matrix, with Pi the projector onto its support:
@@ -208,7 +208,7 @@ def _entropies(eigenvalues: np.ndarray) -> np.ndarray:
     """-sum lambda log lambda over the last axis of (..., d) eigenvalues, in
     nats, with 0 log 0 = 0; summed in ascending order, as eigh and eigvalsh
     return them."""
-    lam = np.clip(eigenvalues, 0.0, None)
+    lam = np.maximum(eigenvalues, 0.0)
     positive = lam > 0.0
     return -np.sum(np.where(positive, lam * np.log(np.where(positive, lam, 1.0)), 0.0), axis=-1)
 
@@ -358,26 +358,25 @@ def von_neumann_entropy(rho) -> float:
     return float(spectral_decompose(rho).entropies())
 
 
-def relative_entropy(rho, sigma):
-    """Quantum relative entropy D(rho || sigma).
+def relative_entropies(rho: np.ndarray, entropies: np.ndarray, sigma: EigenSystem) -> np.ndarray:
+    """D(rho || sigma) = -S(rho) - sum_j log q_j <psi_j|rho|psi_j> over supp(sigma)
+    for states rho (..., d, d), their entropies and the spectra (q_j, psi_j)
+    of sigma, stacked alike; inf where Tr{(1 - Pi_sigma) rho} > ``SUPPORT_LEAK_ATOL``."""
+    inside, weights = sigma.support_mask(), sigma.expectations(rho)
+    leaks = np.where(inside, 0.0, weights).sum(axis=-1)
+    d = -entropies - (np.log(np.where(inside, sigma.eigenvalues, 1.0)) * weights).sum(axis=-1)
+    return np.where(leaks > SUPPORT_LEAK_ATOL, np.inf, d)
 
-    Returns :data:`INFINITE_DIVERGENCE` when supp(rho) is not contained in
-    supp(sigma), detected as Tr{(1 - Pi_sigma) rho} > ``SUPPORT_LEAK_ATOL``;
-    otherwise sum_ij |<phi_i|psi_j>|^2 p_i (log p_i - log q_j) over the supports.
-    """
-    es_r = spectral_decompose(rho)
-    es_s = spectral_decompose(sigma)
+
+def relative_entropy(rho, sigma):
+    """Quantum relative entropy D(rho || sigma), the one-pair case of :func:`relative_entropies`,
+    or :data:`INFINITE_DIVERGENCE` when supp(rho) is not contained in supp(sigma)."""
+    es_r, es_s = spectral_decompose(rho), spectral_decompose(sigma)
     if es_r.dim != es_s.dim:
         raise LinalgError(f"dimension mismatch: {es_r.dim} vs {es_s.dim}")
-    mask_r = es_r.support_mask()
-    mask_s = es_s.support_mask()
-    p = es_r.eigenvalues[mask_r]
-    q = es_s.eigenvalues[mask_s]
-    overlaps = np.abs(dagger(es_r.eigenvectors[:, mask_r]) @ es_s.eigenvectors[:, mask_s]) ** 2
-    if float(np.sum(p * (1.0 - overlaps.sum(axis=1)))) > SUPPORT_LEAK_ATOL:
-        return INFINITE_DIVERGENCE
-    log_ratio = np.log(p)[:, None] - np.log(q)[None, :]
-    return float(np.sum(overlaps * p[:, None] * log_ratio))
+    v = es_r.eigenvectors
+    d = relative_entropies((v * es_r.eigenvalues) @ dagger(v), es_r.entropies(), es_s)
+    return INFINITE_DIVERGENCE if np.isinf(d) else float(d)
 
 
 def schatten_norm(operator, p: float) -> float:

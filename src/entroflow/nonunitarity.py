@@ -35,6 +35,7 @@ import numpy as np
 
 from .channels import QuantumChannel, choi_tensor, is_unital, unitary_channel
 from .linalg import hermitian_part
+from .witnesses import Claim
 
 __all__ = [
     "NonUnitarityError",
@@ -44,7 +45,6 @@ __all__ = [
     "success_probability",
     "diamond_distance",
     "proposition7_bound",
-    "Proposition7Check",
     "proposition7_check",
 ]
 
@@ -100,14 +100,6 @@ class OslashResult:
     per_start_values: tuple[float, ...]
     converged: bool
     stalled: bool
-
-    def __post_init__(self):
-        if self.value < -1e-12 or self.value > 2.0 + 1e-9:
-            raise NonUnitarityError(f"norm value {self.value} outside [0, 2]")
-        if self.value > self.upper + 1e-9:
-            raise NonUnitarityError(
-                f"lower bound {self.value} exceeds the dual upper bound {self.upper}"
-            )
 
     @property
     def gap(self) -> float:
@@ -260,29 +252,15 @@ def proposition7_bound(delta: float) -> float:
     return math.sqrt(2.0 * delta) + delta
 
 
-@dataclass(frozen=True)
-class Proposition7Check:
-    delta_estimate: float
-    oslash_estimate: float
-    bound: float
-
-
 def proposition7_check(channel: QuantumChannel, unitary, starts: int = 16,
-                       seed: int = 7) -> Proposition7Check:
-    """Compare the non-unitarity norm against sqrt(2 delta) + delta.
-
-    ``delta_estimate`` is the lower end of the bracket on the diamond distance
-    to the given unitary conjugation.  The bound uses the upper end of that
-    bracket: sqrt(2 delta) + delta grows with delta, so a lower estimate of
-    the norm above it is a real violation, and the check raises on one.
-    """
+                       seed: int = 7) -> Claim:
+    """Proposition 7 as the claim ``proposition7``: sqrt(2 delta) + delta, delta the diamond
+    distance to the unitary conjugation, is at least the non-unitarity norm of a unital
+    channel (masked, the norm NaN, otherwise).  The bound reads the upper end of the bracket
+    on delta and the norm the lower end of its own: a slack below -1e-9 is a real violation."""
     u_channel = unitary if isinstance(unitary, QuantumChannel) else unitary_channel(unitary)
     distance = _distance_bracket(channel, u_channel, starts=starts, seed=seed)
-    oslash_est = oslash_norm(channel, starts=starts, seed=seed).value
-    bound = proposition7_bound(distance.upper)
-    if oslash_est > bound + 1e-9:
-        raise NonUnitarityError(
-            f"perturbation bound violated: {oslash_est} > {bound} at delta={distance.upper}"
-        )
-    return Proposition7Check(delta_estimate=distance.value, oslash_estimate=oslash_est,
-                             bound=bound)
+    unital = is_unital(channel)
+    oslash_est = oslash_norm(channel, starts=starts, seed=seed).value if unital else np.nan
+    return Claim("proposition7", proposition7_bound(distance.upper), oslash_est, 1e-9,
+                 not unital, "a unital channel")

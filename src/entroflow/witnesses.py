@@ -16,14 +16,17 @@ and the edges carry errors of their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
 
 from ._util import refine_brackets, write_csv
 from .channels import (
+    CPTP_ATOL,
     LindbladGenerator,
     QuantumChannel,
+    _map_of,
     apply_superoperators,
     is_sub_unital,
     trace_defects,
@@ -40,14 +43,15 @@ from .dynamics import (
     states_off_grid,
 )
 from .linalg import (
+    INFINITE_DIVERGENCE,
     DensityMatrix,
     EigenSystem,
+    _eigh,
+    _entropies,
     as_matrix,
     dagger,
     hermitian_part,
-    is_infinite,
-    relative_entropy,
-    schatten_norm,
+    relative_entropies,
     spectral_decompose,
     von_neumann_entropy,
 )
@@ -58,11 +62,14 @@ __all__ = [
     "WitnessError",
     "WitnessReport",
     "MeasureResult",
+    "Claim",
+    "channel_claims",
     "entropy_change",
     "entropy_change_lower_bound",
     "entropy_change_upper_bound",
     "entropy_change_upper_bound_holder",
     "theorem2_bound",
+    "rate_limit",
     "nonunitality_witness",
     "epsilon_derivative",
     "f_components",
@@ -74,7 +81,6 @@ __all__ = [
     "measure_generator",
     "measure_channel",
     "blp_measure",
-    "SandwichBounds",
     "semigroup_sandwich",
     "PinskerGap",
     "pinsker_gap",
@@ -86,10 +92,9 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 EPS_WITNESS = 1e-7       # violation threshold for the rate tests
 EPS_TEST_C = 1e-6        # mismatch threshold for the derivative-consistency test
 BISECT_ATOL = 1e-6       # largest width of the final bracket of a violation window's edge
-UNITARY_SATURATION_ATOL = 1e-8  # |Delta S - bound| allowed for a unitary interaction
 SANDWICH_GENERATOR_ATOL = 1e-9  # entrywise L - L^dag and L(I) of a self-adjoint unital generator
 SANDWICH_SLACK = 1e-8           # allowed violation of the semigroup sandwich
-PINSKER_SLACK = 1e-10           # allowed violation of either side of the Pinsker pair
+CHANNEL_SLACK = 1e-10           # allowed violation of Theorem 1, its relaxation or the Pinsker pair
 SIMULATION_BOUND_SLACK = 1e-9   # allowed Delta S below the environment-simulation bound
 
 
@@ -98,51 +103,109 @@ class WitnessError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Entropy change and its bounds
+# Claims: the paper's inequalities, row by row
 # ---------------------------------------------------------------------------
 
-def _back_action(channel: QuantumChannel, rho) -> np.ndarray:
-    """N^dag(N(rho)) as a matrix."""
-    return hermitian_part(channel.adjoint_apply(channel.apply(rho)))
+class Claim:
+    """lhs >= rhs row by row within ``tol``, with ``lhs``, ``rhs`` and ``masked``
+    broadcast to one shape, () for one row.  ``masked`` marks the rows where ``needs``,
+    the inequality's precondition, fails.  A violation is a negative slack, not an error."""
+
+    def __init__(self, name: str, lhs, rhs, tol: float, masked, needs: str):
+        self.name, self.tol, self.needs = name, tol, needs
+        self.lhs, self.rhs, self.masked = np.broadcast_arrays(lhs, rhs, masked)
+        self.slack = self.lhs - self.rhs
+
+    def worst(self) -> tuple[float, tuple[int, ...] | None]:
+        """The smallest slack outside the mask and its index; (NaN, None) if none is."""
+        if self.masked.all():
+            return np.nan, None
+        k = np.unravel_index(np.argmin(np.where(self.masked, np.inf, self.slack)), self.slack.shape)
+        return float(self.slack[k]), tuple(map(int, k))
+
+    def holds(self) -> bool:
+        """Every row outside the mask holds, and one row at least is outside it."""
+        return bool(self.worst()[0] >= -self.tol)
+
+
+class _Sides:
+    """N(rho), N^dag N(rho) and what the inequalities read from them, each built
+    on first read: one map or :class:`QuantumChannel` on any stack of states, or
+    maps (T, ...) on states (T, N, d, d), row t through map t."""
+
+    def __init__(self, maps, states):
+        self.maps, self.states, self.rho = _map_of(maps), states, as_matrix(states)
+
+    spectrum = cached_property(lambda self: spectral_decompose(self.states))
+    image = cached_property(lambda self: hermitian_part(apply_superoperators(self.maps, self.rho)))
+    back = cached_property(lambda self: hermitian_part(  # the matrix of N^dag is S^dag
+        apply_superoperators(dagger(self.maps), self.image)))
+    entropies = cached_property(lambda self: self.spectrum.entropies())
+    entropy_changes = cached_property(  # S(N(rho)) from the eigenvalues of N(rho) alone
+        lambda self: _entropies(np.linalg.eigvalsh(self.image)) - self.entropies)
+    divergences = cached_property(  # D(rho || N^dag N(rho)), inf where the support leaks
+        lambda self: relative_entropies(self.rho, self.entropies, _eigh(self.back)))
+    upper_traces = cached_property(  # Tr{[rho - N^dag N(rho)] log rho}, log on the support
+        lambda self: (self.spectrum.support_logs()
+                      * self.spectrum.expectations(self.rho - self.back)).sum(axis=-1))
+    trace_norms = cached_property(
+        lambda self: np.abs(np.linalg.eigvalsh(self.rho - self.back)).sum(axis=-1))
+    full_rank = cached_property(lambda self: self.spectrum.support_mask().all(axis=-1))
+    log_norms = cached_property(lambda self: -np.log(  # ||log rho||_inf, NaN unless rho > 0
+        np.where(self.full_rank, self.spectrum.eigenvalues[..., -1], np.nan)))
+    not_trace_preserving = cached_property(lambda self: self.per_map(trace_defects) > CPTP_ATOL)
+
+    def per_map(self, test) -> np.ndarray:  # test(maps), shaped to broadcast against the rows
+        values = np.asarray(test(self.maps))
+        return values.reshape(values.shape + (1,) * (self.image.ndim - self.maps.ndim))
+
+
+def channel_claims(maps, states) -> dict[str, Claim]:
+    """Theorem 1 (Buscemi, Das & Wilde, PRA 93, 062314 (2016)), its Hölder
+    relaxation and the Pinsker pair as claims keyed by name, for maps N and
+    states rho (:class:`_Sides`), with Delta S = S(N(rho)) - S(rho) and
+    sigma = N^dag N(rho): ``theorem1_lower`` Delta S >= D(rho || sigma) for
+    positive trace-preserving N (Müller-Hermes & Reeb, AHP 18, 1777 (2017));
+    for sub-unital N and rho > 0, ``theorem1_upper`` Tr{(rho - sigma) log rho}
+    and ``theorem1_holder`` ||rho - sigma||_1 ||log rho||_inf >= Delta S,
+    ``pinsker`` D >= ||rho - sigma||_1^2 / 2 and ``reverse_pinsker``
+    ||rho - sigma||_1 >= D / ||log rho||_inf.  Positivity is not tested, so a
+    negative ``theorem1_lower`` slack on step maps witnesses one that is not."""
+    sides = _Sides(maps, states)
+    ds, d, tn = sides.entropy_changes, sides.divergences, sides.trace_norms
+    masked = sides.not_trace_preserving | ~sides.per_map(is_sub_unital) | ~sides.full_rank
+    needs = "a trace-preserving sub-unital map and a full-rank state"
+    return {claim.name: claim for claim in (
+        Claim("theorem1_lower", ds, d, CHANNEL_SLACK, sides.not_trace_preserving,
+              "a trace-preserving map"),
+        Claim("theorem1_upper", sides.upper_traces, ds, CHANNEL_SLACK, masked, needs),
+        Claim("theorem1_holder", tn * sides.log_norms, ds, CHANNEL_SLACK, masked, needs),
+        Claim("pinsker", d, 0.5 * tn * tn, CHANNEL_SLACK, masked, needs),
+        Claim("reverse_pinsker", tn, d / sides.log_norms, CHANNEL_SLACK, masked, needs))}
 
 
 def entropy_change(channel: QuantumChannel, rho) -> float:
     """S(N(rho)) - S(rho); a mis-shaped state raises ChannelError."""
-    return von_neumann_entropy(hermitian_part(channel.apply(rho))) - von_neumann_entropy(rho)
+    return float(_Sides(channel, rho).entropy_changes)
 
 
 def entropy_change_lower_bound(channel: QuantumChannel, rho):
-    """D(rho || N^dag(N(rho))): a lower bound on the entropy change of any
-    positive trace-preserving map (trace-non-increasing maps need N(rho) > 0).
-
-    Returns the infinite-divergence sentinel on support violation.
-    """
-    return relative_entropy(rho, _back_action(channel, rho))
-
-
-def _require_full_rank(rho, name: str = "state") -> EigenSystem:
-    """The spectrum of ``rho``, which must be full rank."""
-    spectrum = spectral_decompose(rho)
-    if spectrum.eigenvalues[-1] <= 1e-12:
-        raise WitnessError(f"{name} must be full rank for this bound")
-    return spectrum
+    """D(rho || N^dag(N(rho))) of ``theorem1_lower`` (:func:`channel_claims`),
+    or the infinite-divergence sentinel on support violation."""
+    d = _Sides(channel, rho).divergences
+    return INFINITE_DIVERGENCE if np.isinf(d) else float(d)
 
 
 def entropy_change_upper_bound(channel: QuantumChannel, rho) -> float:
-    """Tr{[rho - N^dag(N(rho))] log rho} for a sub-unital channel and rho > 0."""
-    spectrum = _require_full_rank(rho)
-    if not is_sub_unital(channel):
-        raise WitnessError("upper bound requires a sub-unital channel")
-    diff = as_matrix(rho) - _back_action(channel, rho)
-    return float(spectrum.support_logs() @ spectrum.expectations(diff))
+    """Tr{[rho - N^dag(N(rho))] log rho} of ``theorem1_upper`` (:func:`channel_claims`)."""
+    return float(_Sides(channel, rho).upper_traces)
 
 
 def entropy_change_upper_bound_holder(channel: QuantumChannel, rho) -> float:
-    """||rho - N^dag(N(rho))||_1 ||log rho||_inf: the norm-product relaxation
-    of the trace-form upper bound; ||log rho||_inf = -log lambda_min."""
-    spectrum = _require_full_rank(rho)
-    diff = as_matrix(rho) - _back_action(channel, rho)
-    return schatten_norm(diff, 1) * -float(np.log(spectrum.eigenvalues[-1]))
+    """||rho - N^dag(N(rho))||_1 ||log rho||_inf of ``theorem1_holder``
+    (:func:`channel_claims`); NaN unless rho is full rank."""
+    sides = _Sides(channel, rho)
+    return float(sides.trace_norms * sides.log_norms)
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +264,25 @@ def theorem2_bound(generator: LindbladGenerator, t: float, rho) -> float:
     return -nonunitality_witness(generator, t, rho)
 
 
+def rate_limit(traj: Trajectory, tol: float) -> Claim:
+    """Theorem 2 as the claim ``theorem2``, dS/dt >= -Tr{Pi_t L_t^dag(rho_t)} for
+    CP-divisible dynamics, on the rows of a :func:`propagate` trajectory; masked
+    where |:meth:`Trajectory.left_out_rates`| > ``tol``, as that rate is left out."""
+    if traj.operator is None:
+        raise WitnessError("the rate limit needs a trajectory from propagate")
+    bounds = -_pinned_adjoint_traces(traj.operator, traj.grid, traj.coordinates(), traj.spectrum)
+    return Claim("theorem2", traj.entropy_rates(), bounds, tol,
+                 np.abs(traj.left_out_rates()) > tol, "a left-out entropy rate within tol")
+
+
 # ---------------------------------------------------------------------------
 # Channel-side witness: the short-time derivative and f(t)
 # ---------------------------------------------------------------------------
 
-def _epsilon_derivatives(family: ChannelFamily, times, states: np.ndarray,
+def _epsilon_derivatives(steps: np.ndarray, states: np.ndarray,
                          spectrum: EigenSystem) -> np.ndarray:
     """d/d eps Tr{Pi_t (M_{t+eps,t})^dag M_{t+eps,t}(rho_t)} at eps = 0 for
-    states (T, N, d, d) with their spectra at times (T,): a (T, N) array.
+    states (T, N, d, d) with their spectra, from K_t (T, d^2, d^2): a (T, N) array.
 
     Tr{Pi M^dag M(rho)} is <M(Pi), M(rho)>_HS and M_{t,t} = id, so the limit
     is <K_t(Pi), rho> + <Pi, K_t(rho)> = Tr{Pi (K_t + K_t^dag)(rho)}, with
@@ -217,30 +291,29 @@ def _epsilon_derivatives(family: ChannelFamily, times, states: np.ndarray,
     K_t = L_t, and :func:`witness_reports` reads the term from the images
     of L_t and L_t^dag instead.
     """
-    k = family.step_generators(times)
-    return spectrum.support_traces(apply_superoperators(k + np.conj(np.swapaxes(k, -1, -2)), states))
+    return spectrum.support_traces(apply_superoperators(steps + dagger(steps), states))
 
 
 def epsilon_derivative(family: ChannelFamily, rho_t, t: float) -> float:
     """d/d eps Tr{Pi_t (M_{t+eps,t})^dag M_{t+eps,t}(rho_t)} at eps = 0, for
     one state: the T = N = 1 case of the stacked derivative."""
-    a = hermitian_part(as_matrix(rho_t))
-    spectrum = spectral_decompose(rho_t)
-    return float(_epsilon_derivatives(family, [t], a[None, None], spectrum[None, None])[0, 0])
+    a = hermitian_part(as_matrix(rho_t))[None, None]
+    spectrum = spectral_decompose(rho_t)[None, None]
+    return float(_epsilon_derivatives(family.step_generators([t]), a, spectrum)[0, 0])
 
 
-def _f_parts(family: ChannelFamily, times, states: np.ndarray, dots: np.ndarray,
-             spectrum: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
+def _f_parts(states: np.ndarray, dots: np.ndarray, spectrum: EigenSystem,
+             steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(entropy rates, short-time derivative terms) of f for states (T, N, d, d)
-    at times (T,), with their derivatives and spectra: two (T, N) arrays."""
-    return entropy_rate(spectrum, dots), _epsilon_derivatives(family, times, states, spectrum)
+    with their derivatives, spectra and K_t, from :meth:`ChannelFamily.evolve`."""
+    return entropy_rate(spectrum, dots), _epsilon_derivatives(steps, states, spectrum)
 
 
 def f_components(family: ChannelFamily, rho0, times) -> tuple[np.ndarray, np.ndarray]:
     """(entropy rates, short-time derivative terms) along the family
     trajectory at an array of times, computed as one stack.  The rate reads
     the state's derivative from the family's exact d/dt M_{t,0}."""
-    rates, eps_terms = _f_parts(family, times, *family.evolve([rho0], times))
+    rates, eps_terms = _f_parts(*family.evolve([rho0], times))
     return rates[:, 0], eps_terms[:, 0]
 
 
@@ -279,8 +352,9 @@ class WitnessReport:
     flags: dict[str, np.ndarray]
 
     @property
-    def violation(self) -> np.ndarray:
-        return self.entropy_rate - self.theorem2_bound
+    def theorem2(self) -> Claim:
+        return Claim("theorem2", self.entropy_rate, self.theorem2_bound, EPS_WITNESS,
+                     self.excluded, "a left-out entropy rate within tol")
 
 
 def witness_reports(generator: LindbladGenerator, traj: Trajectory) -> WitnessReport:
@@ -374,27 +448,25 @@ def _violation_integrals(grid: np.ndarray, values: np.ndarray, threshold: float,
     return totals
 
 
-def _measure(state_sampler, grid, trajectories, values, evaluate) -> MeasureResult:
+def _measure(state_sampler, grid, on_grid, evaluate) -> MeasureResult:
     """Max over sampled initial states of the integrated violation of a witness.
 
     The N sampled states are stacked once, as (N, d, d).
-    ``trajectories(starts, grid)`` gives one stacked (T, N, d, d) trajectory
-    of that stack, ``values(traj)`` the witness on the grid as a (T, N)
-    array, and ``evaluate(starts, traj, columns, times)`` the witness off the
+    ``on_grid(starts, grid)`` gives one stacked (T, N, d, d) trajectory of
+    that stack and the witness on the grid as a (T, N) :class:`Claim`, and
+    ``evaluate(starts, traj, columns, times)`` the witness off the
     grid for (state, time) pairs, for the edge search of
     :func:`_violation_integrals`.  A grid point counts where the witness is
-    below -``EPS_WITNESS``.  A grid point is excluded for a state where
-    |:meth:`Trajectory.left_out_rates`| (read as (T, N)) exceeds ``EPS_WITNESS``.
+    below -``EPS_WITNESS`` and unmasked: the claims mask |left-out rates| above it.
     """
     states = list(state_sampler)
     if not states:
         raise WitnessError("state sampler yielded no states")
     grid = np.asarray(grid, dtype=float)
     starts = np.stack([as_matrix(rho) for rho in states])
-    traj = trajectories(starts, grid)
-    integrals = _violation_integrals(grid, values(traj), EPS_WITNESS,
-                                     lambda ns, ts: evaluate(starts, traj, ns, ts),
-                                     np.abs(traj.left_out_rates()) > EPS_WITNESS)
+    traj, claim = on_grid(starts, grid)
+    integrals = _violation_integrals(grid, claim.slack, EPS_WITNESS,
+                                     lambda ns, ts: evaluate(starts, traj, ns, ts), claim.masked)
     best = int(np.argmax(integrals))
     return MeasureResult(value=float(integrals[best]), argmax_state=states[best],
                          samples_used=len(states), sample_values=tuple(map(float, integrals)))
@@ -406,8 +478,7 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid) -> Meas
     The whole sampler is propagated as one stack, and for each sampled rho_0
     |dS/dt + Tr{Pi L^dag rho}| is integrated over the times where it is below
     -``EPS_WITNESS``, with each window edge placed by
-    :func:`_violation_integrals`.  Grid points whose |left-out rate|
-    exceeds ``EPS_WITNESS`` are excluded.
+    :func:`_violation_integrals`, the slack of :func:`rate_limit` on the grid.
     Every round of that search takes its states from :func:`states_off_grid`
     through the operator the one :func:`propagate` call kept on the
     trajectory: step-doubled RK4 from the nearest grid point, certified as
@@ -415,9 +486,9 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid) -> Meas
     Tr{Pi L_t^dag(rho_t)}, on the grid and off it, and L_t(rho_t) off the
     grid are products of that same operator.
     """
-    def values(traj: Trajectory) -> np.ndarray:
-        return traj.entropy_rates() + _pinned_adjoint_traces(traj.operator, traj.grid,
-                                                             traj.coordinates(), traj.spectrum)
+    def on_grid(starts, grid) -> tuple[Trajectory, Claim]:
+        traj = propagate(generator, starts, grid)
+        return traj, rate_limit(traj, EPS_WITNESS)
 
     def evaluate(starts, traj, ns, ts) -> np.ndarray:
         off_grid = states_off_grid(traj, ns, ts)
@@ -426,8 +497,7 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid) -> Meas
         dots = operator.states(_images(operator.apply, ts, rows))
         return entropy_rate(spectrum, dots) + _pinned_adjoint_traces(operator, ts, rows, spectrum)
 
-    return _measure(state_sampler, grid, lambda states, g: propagate(generator, states, g),
-                    values, evaluate)
+    return _measure(state_sampler, grid, on_grid, evaluate)
 
 
 def measure_channel(family: ChannelFamily, state_sampler, grid) -> MeasureResult:
@@ -435,18 +505,22 @@ def measure_channel(family: ChannelFamily, state_sampler, grid) -> MeasureResult
     :func:`measure_generator`, with f in place of the Theorem-2 witness and
     the same ``EPS_WITNESS``, left-out-rate exclusion and edge search
     (:func:`_violation_integrals`), whose rounds evolve the sampled states to
-    their off-grid times with the family's exact maps.  On the grid the entropy
-    rates are those the trajectory computed at construction."""
-    def values(traj: Trajectory) -> np.ndarray:
-        return traj.entropy_rates() + _epsilon_derivatives(family, traj.grid, traj.entries,
-                                                           traj.spectrum)
+    their off-grid times with the family's exact maps.  Each stack reads the
+    K_t its :meth:`ChannelFamily.evolve` built."""
+    def on_grid(starts, grid) -> tuple[Trajectory, Claim]:
+        grid = _checked_grid(grid)
+        states, dots, spectrum, steps = family.evolve(starts, grid)
+        traj = Trajectory(grid, states, dots, spectrum=spectrum)
+        f_values = traj.entropy_rates() + _epsilon_derivatives(steps, states, spectrum)
+        return traj, Claim("f", f_values, 0.0, EPS_WITNESS,
+                           np.abs(traj.left_out_rates()) > EPS_WITNESS, "a small left-out rate")
 
     def evaluate(starts, traj, ns, ts) -> np.ndarray:
         # row c at time ts[c] only
-        rates, eps_terms = _f_parts(family, ts, *family.evolve(starts[ns][:, None], ts))
+        rates, eps_terms = _f_parts(*family.evolve(starts[ns][:, None], ts))
         return (rates + eps_terms)[:, 0]
 
-    return _measure(state_sampler, grid, family.trajectories, values, evaluate)
+    return _measure(state_sampler, grid, on_grid, evaluate)
 
 
 def blp_measure(family: ChannelFamily, pair_sampler, grid) -> float:
@@ -470,25 +544,12 @@ def blp_measure(family: ChannelFamily, pair_sampler, grid) -> float:
 # Semigroup sandwich, Pinsker pair, environment simulation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SandwichBounds:
-    lower: float
-    entropy: float
-    upper: float
-    initial_entropy: float
-    relative_entropy_bound: float
-
-
-def semigroup_sandwich(generator: LindbladGenerator, rho0, t: float) -> SandwichBounds:
-    """-Tr{rho_0 log rho_2t} <= S(rho_t) <= -Tr{rho_2t log rho_0} for a
-    self-adjoint unital semigroup, plus S(rho_t) - S(rho_0) >= D(rho_0||rho_2t).
-
-    Requires a time-independent generator whose superoperator is Hermitian
-    (self-adjoint map) and unital within ``SANDWICH_GENERATOR_ATOL``, and a
-    full-rank initial state; the sandwich may fail by ``SANDWICH_SLACK``.
-    M_t is :func:`~entroflow.dynamics.intermediate_map`, and rho_0, rho_t
-    and rho_2t are decomposed once each.
-    """
+def semigroup_sandwich(generator: LindbladGenerator, rho0, t: float) -> dict[str, Claim]:
+    """-Tr{rho_0 log rho_2t} <= S(rho_t) <= -Tr{rho_2t log rho_0} for a self-adjoint unital
+    semigroup, as the claims ``sandwich_lower`` and ``sandwich_upper``, masked unless rho_0 > 0:
+    M_t is self-adjoint, so rho_t and rho_2t are the image and back action of rho_0, and the
+    sides are Theorem 1's shifted by S(rho_0).  A generator that is not time independent,
+    self-adjoint and unital within ``SANDWICH_GENERATOR_ATOL`` raises :class:`WitnessError`."""
     if not generator.is_time_independent():
         raise WitnessError("sandwich bounds need a time-independent generator")
     s = generator.superoperator(0.0)
@@ -496,25 +557,13 @@ def semigroup_sandwich(generator: LindbladGenerator, rho0, t: float) -> Sandwich
         raise WitnessError("generator is not self-adjoint")
     if np.max(np.abs(apply_superoperators(s, np.eye(generator.dim)))) > SANDWICH_GENERATOR_ATOL:
         raise WitnessError("generator is not unital")
-    initial = _require_full_rank(rho0, "initial state")
-    m_t = intermediate_map(generator, 0.0, t)
-    rho_t = hermitian_part(apply_superoperators(m_t, rho0))
-    rho_2t = hermitian_part(apply_superoperators(m_t, rho_t))
-    at_t, at_2t = spectral_decompose(rho_t), spectral_decompose(rho_2t)
-
-    entropy = float(at_t.entropies())
-    lower = -float(at_2t.support_logs() @ at_2t.expectations(as_matrix(rho0)))
-    upper = -float(initial.support_logs() @ initial.expectations(rho_2t))
-    if not (lower - SANDWICH_SLACK <= entropy <= upper + SANDWICH_SLACK):
-        raise WitnessError(
-            f"sandwich violated at t={t}: {lower} <= {entropy} <= {upper}"
-        )
-    d = relative_entropy(initial, at_2t)
-    if is_infinite(d):
-        raise WitnessError("relative entropy bound is infinite on a full-rank pair")
-    return SandwichBounds(lower=lower, entropy=entropy, upper=upper,
-                          initial_entropy=float(initial.entropies()),
-                          relative_entropy_bound=float(d))
+    sides = _Sides(intermediate_map(generator, 0.0, t), rho0)
+    s0, entropy = sides.entropies, sides.entropies + sides.entropy_changes
+    return {claim.name: claim for claim in (
+        Claim("sandwich_lower", entropy, s0 + sides.divergences, SANDWICH_SLACK,
+              ~sides.full_rank, "a full-rank initial state"),
+        Claim("sandwich_upper", s0 + sides.upper_traces, entropy, SANDWICH_SLACK,
+              ~sides.full_rank, "a full-rank initial state"))}
 
 
 @dataclass(frozen=True)
@@ -525,56 +574,24 @@ class PinskerGap:
 
 
 def pinsker_gap(channel: QuantumChannel, rho) -> PinskerGap:
-    """Both sides of the Pinsker pair for a trace-preserving sub-unital channel.
-
-    Checks D >= ||rho - N^dag N(rho)||_1^2 / 2 and
-    ||rho - N^dag N(rho)||_1 >= D / ||log rho||_inf, raising on a violation
-    by more than ``PINSKER_SLACK``.
+    """D(rho || N^dag N(rho)), ||rho - N^dag N(rho)||_1^2 / 2 and D / ||log rho||_inf:
+    the sides of ``pinsker`` and ``reverse_pinsker`` (:func:`channel_claims`).
     The reverse bound follows from Jensen's operator inequality for the
-    unital map N^dag N, which is unital only when N is trace preserving;
-    for a trace-non-increasing operation it can fail (N = sqrt(1/2) id on
-    I/2 gives D = log 2 > ||rho - N^dag N(rho)||_1 ||log rho||_inf
-    = (1/2) log 2), so such inputs are rejected.
-    """
-    if not channel.trace_preserving:
-        raise WitnessError("Pinsker pair needs a trace-preserving channel")
-    if not is_sub_unital(channel):
-        raise WitnessError("Pinsker pair needs a sub-unital operation")
-    spectrum = _require_full_rank(rho)
-    back = _back_action(channel, rho)
-    d = relative_entropy(spectrum, _require_full_rank(back, "N^dag N(rho)"))
-    if is_infinite(d):
-        raise WitnessError("relative entropy infinite despite full-rank back action")
-    d = float(d)
-    tn = schatten_norm(as_matrix(rho) - back, 1)
-    log_norm = -float(np.log(spectrum.eigenvalues[-1]))
-    if d < 0.5 * tn * tn - PINSKER_SLACK:
-        raise WitnessError(f"Pinsker inequality violated: D={d}, ||.||_1={tn}")
-    if tn < d / log_norm - PINSKER_SLACK:
-        raise WitnessError(f"reverse Pinsker violated: D={d}, ||.||_1={tn}")
+    unital N^dag N, so a trace-non-increasing N can break it: N = sqrt(1/2) id
+    on I/2 gives D = log 4 > ||rho - N^dag N(rho)||_1 ||log rho||_inf."""
+    sides = _Sides(channel, rho)
+    d, tn = float(sides.divergences), float(sides.trace_norms)
     return PinskerGap(relative_entropy=d, half_trace_norm_sq=0.5 * tn * tn,
-                      reverse_bound=d / log_norm)
+                      reverse_bound=d / float(sides.log_norms))
 
 
-def environment_simulation_bound(interaction: QuantumChannel, theta_c,
-                                 rho_a) -> tuple[float, float]:
-    """Entropy-change bound for E(rho_A) = F(rho_A (x) theta_C).
-
-    Returns (Delta S, S(theta_C) + D(rho_A (x) theta_C || F^dag F(...))) and
-    checks Delta S >= bound - ``SIMULATION_BOUND_SLACK``.  When F is a
-    single-Kraus unitary interaction the two sides must agree within
-    ``UNITARY_SATURATION_ATOL``.
-    """
-    joint = np.kron(as_matrix(rho_a), as_matrix(theta_c))
-    out = hermitian_part(interaction.apply(joint))
-    delta_s = von_neumann_entropy(out) - von_neumann_entropy(rho_a)
-    d = relative_entropy(joint, _back_action(interaction, joint))
-    if is_infinite(d):
-        raise WitnessError("simulation bound is infinite; support collapsed")
-    bound = von_neumann_entropy(theta_c) + float(d)
-    if delta_s < bound - SIMULATION_BOUND_SLACK:
-        raise WitnessError(f"simulation bound violated: {delta_s} < {bound}")
-    if (len(interaction.kraus) == 1 and trace_defects(interaction.superoperator()) < 1e-10
-            and abs(delta_s - bound) > UNITARY_SATURATION_ATOL):
-        raise WitnessError(f"unitary interaction should saturate the bound: {delta_s} vs {bound}")
-    return delta_s, bound
+def environment_simulation_bound(interaction: QuantumChannel, theta_c, rho_a) -> Claim:
+    """The claim ``environment_simulation`` for E(rho_A) = F(rho_A (x) theta_C),
+    S(E(rho_A)) - S(rho_A) >= S(theta_C) + D(rho_A (x) theta_C || F^dag F(...)):
+    Theorem 1 on rho_A (x) theta_C shifted by S(theta_C), masked unless F is
+    trace preserving, and saturated by a unitary F."""
+    sides = _Sides(interaction, np.kron(as_matrix(rho_a), as_matrix(theta_c)))
+    shift = von_neumann_entropy(theta_c)
+    return Claim("environment_simulation", sides.entropy_changes + shift,
+                 sides.divergences + shift, SIMULATION_BOUND_SLACK, sides.not_trace_preserving,
+                 "a trace-preserving interaction")

@@ -80,16 +80,16 @@ def first_scipy_use(case: str) -> np.ndarray:
     trajectory entries of a driven, damped qubit under a ``constant`` or
     ``time_dependent`` rate (maps by dynamics.expm's Padé kernel), of a
     qubit under ``dephasing`` at a time-dependent rate (diagonal maps), or
-    the ``sandwich`` bounds of a dephasing semigroup.  Every generator
-    compiles in numpy, every map is built in numpy, and none of these makes
+    the sides and masks of the ``sandwich`` claims of a dephasing
+    semigroup.  Every generator compiles in numpy, every map is built in
+    numpy, and none of these makes
     a whole-space product, the one step that loads scipy.sparse.  It lives
     here, not in a test module, so that a fresh interpreter can import it
     without scipy."""
     if case == "sandwich":
-        bounds = semigroup_sandwich(LindbladGenerator(2, jumps=[(0.5, SIGMA_Z)]),
+        claims = semigroup_sandwich(LindbladGenerator(2, jumps=[(0.5, SIGMA_Z)]),
                                     np.array([[0.7, 0.2], [0.2, 0.3]]), 0.4)
-        return np.array([bounds.lower, bounds.entropy, bounds.upper, bounds.initial_entropy,
-                         bounds.relative_entropy_bound])
+        return np.array([(claim.lhs, claim.rhs, claim.masked) for claim in claims.values()])
     lowering = np.array([[0, 1], [0, 0]], dtype=complex)
     rate = 0.7 if case == "constant" else (lambda t: 0.5 + 0.4 * np.cos(3.0 * t))
     if case == "dephasing":

@@ -1326,10 +1326,11 @@ class TestStackedFamilyMaps:
     @pytest.mark.parametrize("make", [lambda g: DephasingFamily(g), lambda g: GadcFamily(5.0)],
                              ids=["dephasing", "gadc"])
     def test_evolve_builds_the_maps_once(self, rng, make):
-        # evolve's states and derivatives read one stack of maps: a dephasing
-        # family calls Gamma once at real times (the maps) and once at complex
-        # times (the rates of K_t), and every array is the one the separate
-        # builds of states and derivatives give, bit for bit.
+        # evolve's states, derivatives and K_t read one stack of maps: a
+        # dephasing family calls Gamma once at real times (the maps) and once
+        # at complex times (the rates of K_t), and every array is the one the
+        # separate builds of states, derivatives and step generators give, bit
+        # for bit.
         calls = []
 
         def gamma_integral(t):
@@ -1339,7 +1340,7 @@ class TestStackedFamilyMaps:
         family = make(gamma_integral)
         starts = np.stack([random_mixed_state(rng, 2).entries for _ in range(3)])
         calls.clear()
-        states, dots, spectrum = family.evolve(starts, self.TIMES)
+        states, dots, spectrum, steps = family.evolve(starts, self.TIMES)
         if isinstance(family, DephasingFamily):
             assert calls == [False, True]
         expected = hermitian_part(family.states(starts, self.TIMES))
@@ -1348,6 +1349,7 @@ class TestStackedFamilyMaps:
                                       spectral_decompose(expected).eigenvalues)
         np.testing.assert_array_equal(dots, hermitian_part(
             dynamics.apply_superoperators(family.derivatives(self.TIMES), starts)))
+        np.testing.assert_array_equal(steps, family.step_generators(self.TIMES))
 
     def test_states_map_every_initial_state_through_every_time(self, rng):
         fam = GadcFamily(5.0)

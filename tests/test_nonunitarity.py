@@ -158,10 +158,17 @@ def test_proposition7_certifies_itself_on_mixed_unitary_channels(seed, d, weight
     u = random_unitary(rng, d)
     others = random_mixed_unitary_channel(rng, d, 2).kraus
     channel = QuantumChannel([np.sqrt(weight) * u] + [np.sqrt(1.0 - weight) * k for k in others])
-    check = proposition7_check(channel, u, starts=STARTS, seed=seed)
-    assert check.oslash_estimate <= check.bound + 1e-9
+    claim = proposition7_check(channel, u, starts=STARTS, seed=seed)
+    assert claim.name == "proposition7" and not claim.masked
+    assert claim.holds() and claim.slack >= -1e-9
 
 
 def test_non_unital_channel_is_rejected():
     with pytest.raises(NonUnitarityError):
         oslash_norm(gadc(0.5, 1.0))
+
+
+def test_proposition7_masks_a_non_unital_channel():
+    claim = proposition7_check(gadc(0.5, 1.0), np.eye(2), starts=2)
+    assert claim.masked and claim.needs == "a unital channel"
+    assert np.isnan(claim.rhs) and not claim.holds()

@@ -238,6 +238,12 @@ OVERFLOWING_JUMP_GENERATOR = {**DEFAULT_GENERATOR, "jumps": [  # 1e308 * 2 * 2 o
     ("appendixB_oscillatory", "fd_h", 1e-300),
     ("decoherence_measures", "n_random", 2000),           # 751 x 2049 rows, about 0.8 GiB
     ("decoherence_measures", "t_step", 1e-4),             # 30,001 x 65 rows
+    ("appendixB_damping", "fd_h", 1e-15),                 # rounding, about 10 eps/fd_h, above tol
+    ("appendixB_oscillatory", "fd_h", 1e-15),
+    ("appendixB_damping", "fd_h", 1e-12),
+    ("appendixB_oscillatory", "fd_h", 1e-12),
+    ("appendixB_damping", "fd_h", 1e-10),
+    ("appendixB_oscillatory", "fd_h", 1e-10),
 ])
 def test_bad_config_fails_in_validate(scenario, key, value, tmp_path):
     config = copy.deepcopy(DEFAULT_CONFIGS[scenario])

@@ -22,6 +22,7 @@ from entroflow import (
     entropy_change_upper_bound_holder,
     entropy_rate,
     blp_measure,
+    channel_claims,
     environment_simulation_bound,
     matrix_log_on_support,
     measure_channel,
@@ -29,6 +30,8 @@ from entroflow import (
     nonunitality_witness,
     pinsker_gap,
     propagate,
+    proposition7_check,
+    rate_limit,
     semigroup_sandwich,
     theorem2_bound,
     thermal_state,
@@ -36,8 +39,8 @@ from entroflow import (
     witness_reports,
 )
 from entroflow.channels import (ChannelError, JumpTerm, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                                apply_superoperators, trace_defects)
-from entroflow.dynamics import Trajectory, _WholeStates
+                                apply_superoperators, depolarizing, gadc, trace_defects)
+from entroflow.dynamics import Trajectory, _WholeStates, intermediate_map
 from entroflow.linalg import as_matrix, dagger, hermitian_part, spectral_decompose
 from entroflow.sampling import (
     default_pair_sampler,
@@ -48,7 +51,7 @@ from entroflow.sampling import (
     random_mixed_unitary_channel,
     random_unitary,
 )
-from entroflow.scenarios import _oscillating_dephasing
+from entroflow.scenarios import DEFAULT_CONFIGS, _oscillating_dephasing, _step_grid
 from entroflow.witnesses import (
     BISECT_ATOL,
     EPS_WITNESS,
@@ -64,15 +67,52 @@ from conftest import fresh_interpreter, reference_maps, superoperators, support_
 
 
 def test_pinsker_gap_rejects_trace_nonincreasing_operation():
-    # N = sqrt(1/2) id on I/2: D = log 2 exceeds ||rho - N^dag N(rho)||_1 ||log rho||_inf
-    # = (1/2) log 2, so the reverse bound fails and the input must be refused up front.
-    # Its one Kraus operator gives sum K^dag K = I/2 <= I: trace-non-increasing,
-    # with a trace defect of 1/2.
+    # N = sqrt(1/2) id on I/2: N^dag N(rho) = rho/4, so D = log 4 exceeds
+    # ||rho - N^dag N(rho)||_1 ||log rho||_inf = (3/4) log 2, and the reverse
+    # bound fails.  Its one Kraus operator gives sum K^dag K = I/2 <= I:
+    # trace-non-increasing, with a trace defect of 1/2.  pinsker_gap reports
+    # the sides; the claims mask every row that needs trace preservation,
+    # and name it.
     operation = QuantumChannel([np.sqrt(0.5) * np.eye(2)])
+    rho = DensityMatrix.maximally_mixed(2)
     assert not operation.trace_preserving
     assert trace_defects(operation.superoperator()) == pytest.approx(0.5, rel=0, abs=1e-15)
-    with pytest.raises(WitnessError, match="trace-preserving"):
-        pinsker_gap(operation, DensityMatrix.maximally_mixed(2))
+    gap = pinsker_gap(operation, rho)
+    assert gap.relative_entropy == pytest.approx(np.log(4.0), rel=0, abs=1e-14)
+    assert gap.half_trace_norm_sq == pytest.approx(0.5 * 0.75**2, rel=0, abs=1e-14)
+    assert gap.reverse_bound == pytest.approx(2.0, rel=0, abs=1e-14)
+    claims = channel_claims(operation.superoperator(), rho)
+    assert claims["reverse_pinsker"].slack == pytest.approx(0.75 - 2.0, rel=0, abs=1e-14)
+    for claim in claims.values():
+        assert claim.masked and "trace-preserving" in claim.needs
+        assert np.isnan(claim.worst()[0]) and claim.worst()[1] is None
+        assert not claim.holds()
+
+
+def test_failed_preconditions_mask_rows_and_name_them():
+    # Row t of each claim goes through map t: a unital channel, a
+    # trace-preserving one that is not sub-unital (N(I) > I), and the
+    # trace-non-increasing sqrt(1/2) id; column 0 is full rank, column 1 pure.
+    maps = np.stack([depolarizing(2, 0.3).superoperator(), gadc(0.8, 5.0).superoperator(),
+                     0.5 * np.eye(4)])
+    full_rank, pure = np.diag([0.7, 0.3]), DensityMatrix.pure([1, 1]).entries
+    claims = channel_claims(maps, np.stack([[full_rank, pure]] * 3))
+    lower = claims.pop("theorem1_lower")
+    np.testing.assert_array_equal(lower.masked, [[False, False]] * 2 + [[True, True]])
+    assert lower.needs == "a trace-preserving map" and lower.holds()
+    for claim in claims.values():
+        np.testing.assert_array_equal(claim.masked, [[False, True]] + [[True, True]] * 2)
+        assert "sub-unital" in claim.needs and "full-rank" in claim.needs
+        assert claim.worst()[1] == (0, 0) and claim.holds()
+    # A pure start masks the sandwich, and an interaction that loses trace
+    # masks the environment bound; neither raises.
+    sandwich = semigroup_sandwich(dephasing_generator(0.7), pure, 0.4)
+    assert all(claim.masked and not claim.holds() for claim in sandwich.values())
+    assert sandwich["sandwich_lower"].needs == "a full-rank initial state"
+    lossy = QuantumChannel([np.sqrt(0.5) * np.eye(4)])
+    simulation = environment_simulation_bound(lossy, np.eye(2) / 2, full_rank)
+    assert simulation.masked and simulation.needs == "a trace-preserving interaction"
+    assert np.isnan(simulation.worst()[0])
 
 
 @settings(max_examples=10, deadline=None)
@@ -101,9 +141,10 @@ def test_entropy_change_above_back_action_divergence(seed, d):
 def test_environment_simulation_bound_tight_for_unitary_interaction(seed):
     rng = np.random.default_rng(seed)
     interaction = unitary_channel(random_unitary(rng, 4))
-    delta_s, bound = environment_simulation_bound(
+    claim = environment_simulation_bound(
         interaction, random_full_rank_state(rng, 2), random_full_rank_state(rng, 2))
-    assert delta_s == pytest.approx(bound, abs=1e-8)
+    assert not claim.masked and claim.holds()
+    assert claim.lhs == pytest.approx(claim.rhs, abs=1e-8)
 
 
 @pytest.mark.parametrize("generator", [dephasing_generator(0.7), depolarizing_generator(3, 0.2)],
@@ -363,8 +404,9 @@ def test_markovian_measures_silent_on_pure_states():
 
 def test_semigroup_sandwich_accepts_plain_number_rates(rng):
     generator = LindbladGenerator(2, jumps=[JumpTerm(0.5, SIGMA_Z)])
-    bounds = semigroup_sandwich(generator, random_full_rank_state(rng, 2), 0.4)
-    assert bounds.lower <= bounds.entropy <= bounds.upper
+    claims = semigroup_sandwich(generator, random_full_rank_state(rng, 2), 0.4)
+    assert sorted(claims) == ["sandwich_lower", "sandwich_upper"]
+    assert all(claim.holds() and not claim.masked for claim in claims.values())
 
 
 def _bloch_traces(s, u):
@@ -389,13 +431,16 @@ def test_semigroup_sandwich_on_dephasing_is_the_closed_form():
         p = 0.5 * (1.0 + np.linalg.norm(r))
         return -p * np.log(p) - (1.0 - p) * np.log(1.0 - p)
 
-    bounds = semigroup_sandwich(dephasing_generator(gamma), rho0, t)
-    lower = -_bloch_traces(r0, at(2 * t))
-    expected = {"entropy": entropy(at(t)), "lower": lower,
-                "upper": -_bloch_traces(at(2 * t), r0), "initial_entropy": entropy(r0),
-                "relative_entropy_bound": lower - entropy(r0)}
-    for name, value in expected.items():
-        assert getattr(bounds, name) == pytest.approx(value, rel=0, abs=1e-12), name
+    claims = semigroup_sandwich(dephasing_generator(gamma), rho0, t)
+    lower, upper = -_bloch_traces(r0, at(2 * t)), -_bloch_traces(at(2 * t), r0)
+    expected = {"sandwich_lower": (entropy(at(t)), lower),
+                "sandwich_upper": (upper, entropy(at(t)))}
+    for name, sides in expected.items():
+        assert (claims[name].lhs, claims[name].rhs) == pytest.approx(sides, rel=0, abs=1e-12), name
+    # The lower side is S(rho_0) + D(rho_0 || rho_2t): Theorem 1 on M_t.
+    m_t = intermediate_map(dephasing_generator(gamma), 0.0, t)
+    assert channel_claims(m_t, rho0)["theorem1_lower"].rhs == pytest.approx(
+        lower - entropy(r0), rel=0, abs=1e-12)
 
 
 def _decompositions(monkeypatch):
@@ -418,13 +463,14 @@ def test_bounds_decompose_each_operator_once(rng, monkeypatch):
     qubit = random_full_rank_state(rng, 2).entries
     generator = dephasing_generator(0.7)
     cases = [
-        # the state carries its spectrum: N^dag N(rho), N(I) - I and rho - N^dag N(rho)
-        (lambda: pinsker_gap(channel, rho), {"eigh": 1, "eigvalsh": 1, "svd": 1}),
-        (lambda: pinsker_gap(channel, rho.entries), {"eigh": 2, "eigvalsh": 1, "svd": 1}),
+        # the state carries its spectrum: N^dag N(rho), and the eigenvalues
+        # of rho - N^dag N(rho) for its trace norm
+        (lambda: pinsker_gap(channel, rho), {"eigh": 1, "eigvalsh": 1, "svd": 0}),
+        (lambda: pinsker_gap(channel, rho.entries), {"eigh": 2, "eigvalsh": 1, "svd": 0}),
         (lambda: entropy_change_upper_bound_holder(channel, rho.entries),
-         {"eigh": 1, "eigvalsh": 0, "svd": 1}),
-        # rho_0, rho_t and rho_2t
-        (lambda: semigroup_sandwich(generator, qubit, 0.4), {"eigh": 3, "eigvalsh": 0, "svd": 0}),
+         {"eigh": 1, "eigvalsh": 1, "svd": 0}),
+        # rho_0 and rho_2t, and the eigenvalues of rho_t for its entropy
+        (lambda: semigroup_sandwich(generator, qubit, 0.4), {"eigh": 2, "eigvalsh": 1, "svd": 0}),
     ]
     for call, expected in cases:
         counts = _decompositions(monkeypatch)
@@ -465,6 +511,121 @@ def test_rate_above_theorem2_limit_on_cp_divisible_semigroups(seed, d):
     traj = propagate(generator, random_mixed_state(rng, d), np.linspace(0.0, 1.0, 11))
     for t, state, dot in zip(traj.grid, traj.states, traj.derivatives):
         assert entropy_rate(state, dot) >= theorem2_bound(generator, float(t), state) - 1e-6
+
+
+def _self_adjoint_unital_semigroup(rng, d):
+    """Two Hermitian jump operators at positive rates and no Hamiltonian: a
+    self-adjoint, unital generator, as the semigroup sandwich needs."""
+    jumps = []
+    for _ in range(2):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        jumps.append(JumpTerm(float(rng.uniform(0.1, 1.0)), (a + dagger(a)) / np.linalg.norm(a)))
+    return LindbladGenerator(d, jumps=jumps)
+
+
+def _stacked_channel_claims(rng, d, make):
+    """channel_claims on 3 random maps from ``make`` and (3, 2, d, d) full-rank states."""
+    maps = np.stack([make(rng, d).superoperator() for _ in range(3)])
+    states = np.stack([[random_full_rank_state(rng, d).entries for _ in range(2)]
+                       for _ in range(3)])
+    return channel_claims(maps, states)
+
+
+def _proposition7_claim(rng, d):
+    u = random_unitary(rng, d)
+    others = random_mixed_unitary_channel(rng, d, 2).kraus
+    weight = float(rng.uniform(0.5, 1.0))
+    channel = QuantumChannel([np.sqrt(weight) * u] + [np.sqrt(1.0 - weight) * k for k in others])
+    return proposition7_check(channel, u, starts=2, seed=7)
+
+
+def _theorem2_claim(rng, d):
+    traj = propagate(_random_semigroup(rng, d), random_mixed_state(rng, d),
+                     np.linspace(0.0, 1.0, 11))
+    return rate_limit(traj, 1e-6)
+
+
+# Each listed inequality on random inputs that meet its precondition: a
+# positive trace-preserving map for the lower bound and the environment
+# bound (random CPTP), a unital one (mixed unitary) for the upper bounds and
+# the Pinsker pair, a self-adjoint unital semigroup for the sandwich, and a
+# CP-divisible semigroup for Theorem 2.
+CLAIM_CASES = {
+    **{name: (lambda rng, d, _name=name, _make=make:
+              _stacked_channel_claims(rng, d, _make)[_name])
+       for name, make in [("theorem1_lower", random_cptp_channel),
+                          ("theorem1_upper", random_mixed_unitary_channel),
+                          ("theorem1_holder", random_mixed_unitary_channel),
+                          ("pinsker", random_mixed_unitary_channel),
+                          ("reverse_pinsker", random_mixed_unitary_channel)]},
+    "environment_simulation": lambda rng, d: environment_simulation_bound(
+        random_cptp_channel(rng, 2 * d), random_full_rank_state(rng, 2),
+        random_full_rank_state(rng, d)),
+    **{name: (lambda rng, d, _name=name: semigroup_sandwich(
+        _self_adjoint_unital_semigroup(rng, d), random_full_rank_state(rng, d),
+        float(rng.uniform(0.05, 2.0)))[_name])
+       for name in ("sandwich_lower", "sandwich_upper")},
+    "proposition7": _proposition7_claim,
+    "theorem2": _theorem2_claim,
+}
+
+
+@pytest.mark.parametrize("name", list(CLAIM_CASES))
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
+def test_each_inequality_holds_on_random_inputs(name, seed, d):
+    claim = CLAIM_CASES[name](np.random.default_rng(seed), d)
+    assert claim.name == name
+    if name != "theorem2":  # a rank-deficient start masks its first rows
+        assert not claim.masked.any(), claim.needs
+    slack, where = claim.worst()
+    assert claim.holds(), (slack, where)
+
+
+def test_theorem1_on_step_maps_flags_exactly_where_gamma_decreases():
+    # Gamma = 0.5 t + 0.5 sin 2t on 151 points of [0, 3]: the step maps
+    # M_{k+1} M_k^-1 of the dephasing family scale coherences by
+    # exp(Gamma_k - Gamma_{k+1}), above 1, so not positive, on the 53 steps
+    # where Gamma decreases.  Theorem 1's lower bound fails there by more than
+    # 1e-10 for every start, and holds everywhere else: the interval
+    # witness of non-P-divisibility, with no derivative taken.
+    gamma = lambda t: 0.5 * t + 0.5 * np.sin(2.0 * t)
+    family = DephasingFamily(gamma)
+    grid = np.linspace(0.0, 3.0, 151)
+    maps = family.superoperators(grid)
+    steps = maps[1:] @ np.linalg.inv(maps[:-1])
+    rng = np.random.default_rng(20)
+    starts = [random_full_rank_state(rng, 2) for _ in range(10)] + [DensityMatrix.pure([1, 1])]
+    claim = channel_claims(steps, family.states(starts, grid[:-1]))["theorem1_lower"]
+    decreasing = np.diff(gamma(grid)) < 0.0
+    assert decreasing.sum() == 53 and claim.slack.shape == (150, 11)
+    assert not claim.masked.any()
+    np.testing.assert_array_equal(claim.slack < -1e-10, np.repeat(decreasing[:, None], 11, axis=1))
+    assert claim.slack[~decreasing].min() > 1e-6
+    assert not claim.holds() and decreasing[claim.worst()[1][0]]
+
+
+def test_measure_channel_builds_each_step_generator_stack_once():
+    # One default-sampler measure_channel on the decoherence_measures profile
+    # evolves three stacks: the grid and two rounds of the window-edge
+    # search.  Each evaluates Gamma once at real times (the maps) and once
+    # at complex times (the rates of K_t), and the short-time derivative term
+    # reads the K_t its stack built.
+    config = DEFAULT_CONFIGS["decoherence_measures"]
+    params = config["parameters"]
+    _, family = _oscillating_dephasing(params["base"], params["amplitude"], params["frequency"])
+    gamma, calls = family.gamma_integral, []
+
+    def counted(t):
+        calls.append(np.iscomplexobj(t))
+        return gamma(t)
+
+    family.gamma_integral = counted
+    sampler = default_state_sampler(2, np.random.default_rng(config["seed"]),
+                                    n_random=params["n_random"],
+                                    bloch_points=params["bloch_points"])
+    assert measure_channel(family, sampler, _step_grid(params)).value > 0.0
+    assert calls == [False, True] * 3
 
 
 def test_witness_reports_without_a_family_build_no_superoperator(rng, monkeypatch):
@@ -701,7 +862,7 @@ def test_stacked_f_matches_per_point_f(family, rng):
             assert f == pytest.approx(sum(f_components(family, rho0, [t]))[0], abs=1e-10)
     # Row-aligned pairs, as the measure's boundary bisection evaluates them.
     pairs = np.stack([as_matrix(states[k % 2]) for k in range(len(times))])[:, None]
-    rates, eps_terms = _f_parts(family, times, *family.evolve(pairs, times))
+    rates, eps_terms = _f_parts(*family.evolve(pairs, times))
     for k, t in enumerate(times):
         assert rates[k, 0] + eps_terms[k, 0] == pytest.approx(
             sum(f_components(family, states[k % 2], [t]))[0], abs=1e-10)
