@@ -128,6 +128,20 @@ def trace_defects(maps) -> np.ndarray:
     return np.abs(traces - np.eye(d_in).reshape(-1)).max(axis=-1)
 
 
+def _preserves_trace(maps) -> np.ndarray:
+    """Whether each map (:func:`trace_defects`) has its trace defect within
+    ``CPTP_ATOL``; a map with a NaN entry has not."""
+    return trace_defects(maps) <= CPTP_ATOL
+
+
+def _choi_minima(maps) -> np.ndarray:
+    """The least eigenvalue of the Hermitian part of each map's Choi matrix
+    (:func:`choi_tensor`), from one stacked eigvalsh."""
+    choi = choi_tensor(maps)
+    k = choi.shape[-2] * choi.shape[-1]  # d_in d_out
+    return np.linalg.eigvalsh(hermitian_part(choi.reshape(choi.shape[:-4] + (k, k))))[..., 0]
+
+
 class QuantumChannel:
     """Completely positive map in Kraus form.
 
@@ -155,7 +169,7 @@ class QuantumChannel:
         self._superop = np.einsum("nab,ncd->acbd", stack, stack.conj()).reshape(
             self.dim_out**2, self.dim_in**2)
         self._superop.setflags(write=False)
-        self.trace_preserving = bool(trace_defects(self._superop) <= CPTP_ATOL)
+        self.trace_preserving = bool(_preserves_trace(self._superop))
 
     def __repr__(self) -> str:
         return (f"QuantumChannel(dim_in={self.dim_in}, dim_out={self.dim_out}, "
@@ -198,16 +212,10 @@ def is_cptp(channel) -> CptpReport:
     """Check complete positivity (Choi PSD) and trace preservation within
     ``CPTP_ATOL``, of a :class:`QuantumChannel` or of a map (d_out^2, d_in^2)."""
     m = _map_of(channel)
-    d_out, d_in = _dims(m)
-    choi = choi_tensor(m).reshape(d_in * d_out, d_in * d_out)
-    min_eig = float(np.linalg.eigvalsh(hermitian_part(choi))[0])
-    trace_defect = float(trace_defects(m))
-    return CptpReport(
-        choi_min_eigenvalue=min_eig,
-        trace_defect=trace_defect,
-        completely_positive=min_eig >= -CPTP_ATOL,
-        trace_preserving=trace_defect <= CPTP_ATOL,
-    )
+    min_eig = float(_choi_minima(m))
+    return CptpReport(choi_min_eigenvalue=min_eig, trace_defect=float(trace_defects(m)),
+                      completely_positive=min_eig >= -CPTP_ATOL,
+                      trace_preserving=bool(_preserves_trace(m)))
 
 
 def _unitality_deviation(channel) -> np.ndarray:
@@ -486,8 +494,8 @@ class LindbladGenerator:
     that action through dense restrictions of the compiled triples, which
     :func:`~entroflow.dynamics.propagate` takes for stacks whose sets hold
     m <= max(d, 16) coordinates, the Theorem-2 witnesses read on the
-    trajectories it returns, and every intermediate map M_{t,s} for all
-    d^2 coordinates.
+    trajectories it returns, and every intermediate map M_{t,s} on the one
+    kept restriction to all d^2 coordinates.
     """
 
     def __init__(self, dim: int, hamiltonian=None, jumps=(), tail_guard: TailGuard | None = None):
@@ -579,9 +587,7 @@ class LindbladGenerator:
         transpose of G(t) = B_0 + sum_i gamma_i(t) B_i of the restriction to
         all d^2 coordinates (:meth:`restricted`), whose blocks act on rows
         from the right."""
-        whole = self.restricted(np.arange(self.dim * self.dim))
-        m = whole.generators(np.asarray(t, dtype=float))
-        return np.ascontiguousarray(m.T)
+        return np.ascontiguousarray(self._whole.generators(np.asarray(t, dtype=float)).T)
 
     def invariant_sets(self) -> np.ndarray:
         """The invariant set of each coordinate of vec(x), as a (d^2,) array
@@ -618,8 +624,15 @@ class LindbladGenerator:
 
     def restricted(self, index) -> _Restriction:
         """The generator on the coordinates ``index`` of vec(x), a union of
-        its invariant sets, through dense restrictions of its compiled blocks."""
-        return _Restriction(self, np.asarray(index))
+        its invariant sets, through dense restrictions of its compiled blocks;
+        all d^2 coordinates in order give the one kept whole-space restriction."""
+        index = np.asarray(index)
+        whole = len(index) == self.dim ** 2 and np.array_equal(index, np.arange(len(index)))
+        return self._whole if whole else _Restriction(self, index)
+
+    @cached_property
+    def _whole(self) -> _Restriction:
+        return _Restriction(self, np.arange(self.dim * self.dim))
 
     def is_time_independent(self) -> bool:
         return not self._rated_terms

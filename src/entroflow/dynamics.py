@@ -14,9 +14,11 @@ populations, are read with no matrix at all.  One engine builds the commutator-f
 4th-order Magnus (CF4) maps of many intervals at once: ``propagate`` chains
 them when the stack lies in a dense restriction of the generator to its
 invariant sets that is small (m <= 16) or time-independent (RK4
-otherwise), and intermediate maps M_{t,s} are the same maps on the whole
-space.  Each interval doubles its own step count until its n- and 2n-step
-states, or maps, pass the one certificate (:func:`_certificate`).  Both
+otherwise), and intermediate maps M_{t,s}, and those of
+``cp_divisibility_check``, are the same maps on the generator's one
+whole-space restriction, built on first use and kept.  Each interval
+doubles its own step count until its n- and 2n-step states, or maps, pass
+the one certificate (:func:`_certificate`).  Both
 integrators Hermitize and renormalize the rows through one helper each, and
 end on one validation, with one eigh (none for population rows).  A closed-form
 channel family (GADC, dephasing) is its maps over a grid as (T, d^2, d^2)
@@ -45,10 +47,10 @@ import numpy as np
 from ._util import write_csv
 from .channels import (
     ChannelError,
-    CPTP_ATOL,
     LindbladGenerator,
+    _choi_minima,
+    _preserves_trace,
     apply_superoperators,
-    choi_tensor,
     trace_defects,
 )
 from .linalg import (
@@ -256,6 +258,16 @@ def _expectations(layout, spectrum: EigenSystem, rows: np.ndarray) -> np.ndarray
     return spectrum.expectations(layout.states(rows))
 
 
+def _images(apply, times, rows: np.ndarray) -> np.ndarray:
+    """``apply`` (an operator's ``apply`` or ``adjoint_apply``) on its
+    coordinate rows (T, ..., m) at times (T,), as rows of the same shape:
+    one product, with one time per row, float64 for the float64 rows of a
+    real restriction."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    times = np.repeat(np.asarray(times, dtype=float), len(flat) // len(times))
+    return apply(times, flat).reshape(rows.shape)
+
+
 def _checked_grid(grid, points: int = 1) -> np.ndarray:
     """The grid as floats; IntegrationError unless it is one axis of at
     least ``points`` times, finite and strictly increasing."""
@@ -280,14 +292,17 @@ def _raise_at(bad: np.ndarray, values: np.ndarray, name: str) -> None:
 
 def states_off_grid(traj: Trajectory, columns, times) -> np.ndarray:
     """The state ``columns[c]`` of a propagated stack at ``times[c]`` for every
-    c, as one (C, d, d) stack; a one-state trajectory has the one column 0.
+    c, as one (C, d, d) stack scattered from :func:`_rows_off_grid`; a
+    one-state trajectory has the one column 0."""
+    return traj.operator.states(_rows_off_grid(traj, columns, times))
 
-    Each state off the grid goes by certified RK4 from 1 substep
-    (:func:`_certified_rk4`) through :attr:`Trajectory.operator`, from the
-    stored rows of the grid point nearest to its time (the earlier of two
-    at equal distance), all rows together; a time on the grid returns the
-    stored state.
-    """
+
+def _rows_off_grid(traj: Trajectory, columns, times) -> np.ndarray:
+    """The states of :func:`states_off_grid` as (C, m) rows of
+    :attr:`Trajectory.operator`, each by certified RK4 from 1 substep
+    (:func:`_certified_rk4`) from the stored rows of the grid point nearest
+    to its time (the earlier of two at equal distance), all rows together;
+    a time on the grid returns the stored row."""
     if traj.generator is None:
         raise IntegrationError("off-grid states need the trajectory's generator")
     times = np.asarray(times, dtype=float)
@@ -298,7 +313,7 @@ def states_off_grid(traj: Trajectory, columns, times) -> np.ndarray:
     if (off := times != t0).any():
         ends[off] = _certified_rk4(traj.operator, ends[off, None], dots[off, None], t0[off],
                                    times[off], 1)[0][:, 0]
-    return traj.operator.states(ends)
+    return ends
 
 
 def _nearest_points(grid: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -308,48 +323,39 @@ def _nearest_points(grid: np.ndarray, times: np.ndarray) -> np.ndarray:
     return after - (np.abs(grid[after - 1] - times) <= np.abs(grid[after] - times))
 
 
-def _rk4_step(generator, rho: np.ndarray, t, dt, k1=None) -> np.ndarray:
-    """One RK4 step; ``t`` and ``dt`` are numbers, or arrays with one entry
-    per state of the stack, a matrix (N, d, d) or a coordinate row (N, m).
-    ``k1``, when given, is L_t(rho), already known.
-
-    The stage inputs share one scratch buffer and the stages are summed into
-    ``k2``, in the order of rho + h/6 (k1 + 2 k2 + 2 k3 + k4).
-    """
-    h = dt.reshape((-1,) + (1,) * (rho.ndim - 1)) if isinstance(dt, np.ndarray) else dt
-    half = 0.5 * h
-    if k1 is None:
-        k1 = generator.apply(t, rho)
-    stage = np.multiply(half, k1)
-    stage += rho
-    k2 = generator.apply(t + 0.5 * dt, stage)
-    np.multiply(half, k2, out=stage)
-    stage += rho
-    k3 = generator.apply(t + 0.5 * dt, stage)
-    np.multiply(h, k3, out=stage)
-    stage += rho
-    k4 = generator.apply(t + dt, stage)
-    k2 *= 2.0
-    k2 += k1
-    k3 *= 2.0
-    k2 += k3
-    k2 += k4
-    k2 *= h / 6.0
-    k2 += rho
-    return k2
-
-
 def _rk4_segment(generator, rho, t0, t1, substeps: int, k1=None) -> np.ndarray:
     """RK4 from t0 to t1 in equal substeps, for one state or a stack (N, d, d),
     or for the coordinates (N, m) of a :meth:`LindbladGenerator.restricted`
     generator; t0 and t1 may also be arrays, one entry per state or row.  ``k1``,
     when given, is L_{t0}(rho), which the first substep then does not
     recompute.  Real rows of real blocks stay real.  The result is not
-    Hermitized."""
-    dt = (t1 - t0) / substeps
+    Hermitized.  A substep's stage inputs share one scratch buffer, and its
+    stages are summed into ``k2`` in the order of rho + h/6 (k1 + 2 k2 + 2 k3 + k4)."""
     out = np.asarray(rho)
+    dt = (t1 - t0) / substeps
+    h = dt.reshape((-1,) + (1,) * (out.ndim - 1)) if isinstance(dt, np.ndarray) else dt
+    half = 0.5 * h
     for j in range(substeps):
-        out = _rk4_step(generator, out, t0 + j * dt, dt, k1 if j == 0 else None)
+        t = t0 + j * dt
+        if j or k1 is None:
+            k1 = generator.apply(t, out)
+        stage = np.multiply(half, k1)
+        stage += out
+        k2 = generator.apply(t + 0.5 * dt, stage)
+        np.multiply(half, k2, out=stage)
+        stage += out
+        k3 = generator.apply(t + 0.5 * dt, stage)
+        np.multiply(h, k3, out=stage)
+        stage += out
+        k4 = generator.apply(t + dt, stage)
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= h / 6.0
+        k2 += out
+        out = k2
     return out
 
 
@@ -492,12 +498,17 @@ def _loop_failure(operator, rows: np.ndarray, grid: np.ndarray, message: str) ->
     return IntegrationError(message)
 
 
-def _state_stack(states) -> np.ndarray:
+def _state_stack(states, dim: int, owner: str) -> np.ndarray:
     """One state as a (d, d) array or several as an (N, d, d) stack: a
-    :class:`DensityMatrix` or an array as it is, any other iterable stacked."""
-    if isinstance(states, (DensityMatrix, np.ndarray)):
-        return as_matrix(states)
-    return np.stack([as_matrix(rho) for rho in states])
+    :class:`DensityMatrix` or an array as it is, any other iterable stacked.
+    States of another dimension than ``dim``, that of the ``owner``
+    ("generator" or "family"), raise :class:`IntegrationError` naming both."""
+    stack = (as_matrix(states) if isinstance(states, (DensityMatrix, np.ndarray))
+             else np.stack([as_matrix(rho) for rho in states]))
+    if stack.shape[-2:] != (dim, dim):
+        raise IntegrationError(f"states of shape {stack.shape[-2:]} do not match the "
+                               f"{owner}'s dimension {dim}")
+    return stack
 
 
 class _Matrices:
@@ -572,16 +583,11 @@ _DENSE_COORDINATES = 16
 def _integration_operator(generator: LindbladGenerator, states: np.ndarray):
     """What ``propagate`` integrates an (N, d, d) stack with, and keeps on
     the trajectory for ``states_off_grid`` and the witnesses: the generator
-    restricted to the union of its invariant sets that the stack touches,
-    when that union holds m <= max(d, 16) coordinates, so that a dense
-    m x m product costs no more than one pass over a state or less than the
-    sparse product's dispatch; otherwise the whole generator.  Every generator has a fixed
-    pattern, hence invariant sets, so every later state of the stack lies
-    in the same union.  States of another dimension than the generator's
-    raise :class:`IntegrationError` naming both."""
-    if states.shape[-2:] != (generator.dim, generator.dim):
-        raise IntegrationError(f"states of shape {states.shape[-2:]} do not match the "
-                               f"generator's dimension {generator.dim}")
+    restricted to the union of its invariant sets that the stack touches
+    (all of them: the one kept whole-space restriction), when that union
+    holds m <= max(d, 16) coordinates (``_DENSE_COORDINATES``); otherwise the
+    whole generator.  Every generator has a fixed pattern, hence invariant
+    sets, so every later state of the stack lies in the same union."""
     labels = generator.invariant_sets()
     touched = np.any(states.reshape(len(states), -1) != 0, axis=0)
     index = np.flatnonzero(np.isin(labels, labels[touched]))
@@ -646,7 +652,7 @@ def propagate(generator: LindbladGenerator, states, grid,
     if on_tail_breach not in ("raise", "truncate"):
         raise ValueError("on_tail_breach must be 'raise' or 'truncate'")
 
-    stack = _state_stack(states)
+    stack = _state_stack(states, generator.dim, "generator")
     single = stack.ndim == 2
     try:
         initial = require_hermitian(stack[None] if single else stack, name="initial state")
@@ -1037,8 +1043,7 @@ def _map_intervals(operator, guard, grid, start, defect):
     defects[0] = defect
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero trace fails the validation
         defects[1:] = np.abs(traces[1:length] / traces[:length - 1] - 1.0)
-    derivatives = operator.apply(np.repeat(grid[:length], n_states), rows[:length].reshape(-1, m))
-    return rows[:length + 1], derivatives.reshape(length, n_states, m), defects, breach
+    return rows[:length + 1], _images(operator.apply, grid[:length], rows[:length]), defects, breach
 
 
 def closed_form_trajectory(state_fn, grid, derivative_fn) -> Trajectory:
@@ -1076,19 +1081,21 @@ def _certified_maps(operator, starts: np.ndarray, widths: np.ndarray) -> np.ndar
     return fine
 
 
+def _interval_maps(generator, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The maps of the intervals [starts, starts + widths] as a (K, d^2, d^2)
+    stack: :func:`_certified_maps` on the generator's whole-space restriction,
+    transposed (G(t) is the transposed L_t) to the channels' convention."""
+    whole = generator.restricted(_Matrices(generator.dim).index)
+    return np.swapaxes(_certified_maps(whole, starts, widths), -1, -2)
+
+
 def intermediate_map(generator: LindbladGenerator, s: float, t: float) -> np.ndarray:
     """Propagator M_{t,s} as a (d^2, d^2) array in the row-stacking
-    convention: the one-interval case of :func:`_certified_maps`,
-    whose CF4 step count is doubled from one, at most ``MAX_MAP_DOUBLINGS``
-    times, until the n- and 2n-step maps agree entrywise within
-    ``INTERMEDIATE_MAP_ATOL``; off-grid states take RK4 instead."""
-    if not (np.isfinite(s) and np.isfinite(t)):
-        raise IntegrationError("intermediate map needs finite times")
-    if t < s:
-        raise IntegrationError("intermediate map requires s <= t")
-    whole = generator.restricted(np.arange(generator.dim ** 2))  # G(t) is the transposed L_t
-    maps = _certified_maps(whole, np.array([float(s)]), np.array([t - s]))
-    return maps[0].T
+    convention: the one-interval case of :func:`_interval_maps`, certified
+    as :func:`_certified_maps` states; off-grid states take RK4 instead."""
+    if not (np.isfinite(s) and np.isfinite(t) and s <= t):
+        raise IntegrationError("intermediate map requires s <= t, both finite")
+    return _interval_maps(generator, np.array([float(s)]), np.array([t - s]))[0]
 
 
 def entropy_rate(rho, rho_dot):
@@ -1195,12 +1202,9 @@ def cp_divisibility_check(generator: LindbladGenerator, grid) -> DivisibilityRep
     and the samples, one block of draws, go through the worst map in one
     product.
     """
-    grid = _checked_grid(grid, 2)
-    d, n = generator.dim, generator.dim ** 2
-    whole = generator.restricted(np.arange(n))
-    maps = np.swapaxes(_certified_maps(whole, grid[:-1], np.diff(grid)), -1, -2)
-    choi = hermitian_part(choi_tensor(maps).reshape(len(maps), n, n))
-    minima = np.linalg.eigvalsh(choi)[:, 0]
+    grid, d = _checked_grid(grid, 2), generator.dim
+    maps = _interval_maps(generator, grid[:-1], np.diff(grid))
+    minima = _choi_minima(maps)
     defects = trace_defects(maps)
     evidence = [IntervalEvidence(float(a), float(b), float(lo), float(tr))
                 for a, b, lo, tr in zip(grid[:-1], grid[1:], minima, defects)]
@@ -1256,14 +1260,12 @@ class ChannelFamily:
         return steps @ maps
 
     def _mapped(self, rho0s, times) -> tuple[np.ndarray, np.ndarray]:
-        """The maps M_{t,0} at ``times`` and the stack of ``rho0s``, checked."""
+        """The maps M_{t,0} at finite ``times`` >= 0 and the stack of ``rho0s``, checked."""
         times = np.asarray(times, dtype=float)
-        if np.any(times < 0):  # families are defined for t >= 0 only
-            raise IntegrationError("channel family evaluated at negative time")
-        stack = _state_stack(rho0s)
-        if stack.shape[-2:] != (self.dim, self.dim):
-            raise IntegrationError(f"states of shape {stack.shape[-2:]} do not match the "
-                                   f"family's dimension {self.dim}")
+        if not (defined := np.isfinite(times) & (times >= 0)).all():
+            raise IntegrationError(f"channel family evaluated at non-finite or negative time "
+                                   f"{np.unique(times[~defined])}")
+        stack = _state_stack(rho0s, self.dim, "family")
         return self.superoperators(times), stack
 
     def states(self, rho0s, times) -> np.ndarray:
@@ -1293,18 +1295,17 @@ class ChannelFamily:
         grid, from one :meth:`evolve`; it keeps its states off the grid in
         closed form."""
         grid = _checked_grid(grid)
-        starts = _state_stack(rho0s)
+        starts = _state_stack(rho0s, self.dim, "family")
         states, dots, spectrum, _ = self.evolve(starts, grid)
         return Trajectory(grid, states, dots, spectrum=spectrum,
                           state_fn=lambda times: self.states(starts, times))
 
 
 def _trace_preserving(maps: np.ndarray) -> np.ndarray:
-    """Check that a stack of superoperator matrices preserves the trace
-    within ``CPTP_ATOL``."""
-    defect = float(trace_defects(maps).max())
-    if defect > CPTP_ATOL:
-        raise ChannelError(f"family map is not trace preserving: defect {defect:.3e}")
+    """A stack of family maps, refused unless every map preserves the trace."""
+    if not _preserves_trace(maps).all():
+        raise ChannelError(f"family map is not trace preserving: "
+                           f"defect {trace_defects(maps).max():.3e}")
     return maps
 
 
@@ -1390,7 +1391,7 @@ class DephasingFamily(ChannelFamily):
         gammas = self.gamma_integral(np.atleast_1d(np.asarray(times, dtype=float)))
         _require_real_gamma(gammas)
         coherences = np.exp(-gammas)
-        if np.any(np.abs(coherences) > 1.0):
+        if not (np.abs(coherences) <= 1.0).all():  # NaN fails too
             raise ChannelError("coherence factor must lie in [-1, 1]")
         maps = np.zeros(coherences.shape + (4, 4), dtype=complex)
         maps[..., 0, 0] = maps[..., 3, 3] = 1.0

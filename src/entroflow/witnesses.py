@@ -23,24 +23,25 @@ import numpy as np
 
 from ._util import refine_brackets, write_csv
 from .channels import (
-    CPTP_ATOL,
     LindbladGenerator,
     QuantumChannel,
     _map_of,
+    _preserves_trace,
     apply_superoperators,
     is_sub_unital,
-    trace_defects,
 )
 from .dynamics import (
     ChannelFamily,
     Trajectory,
     _checked_grid,
     _expectations,
+    _images,
     _integration_operator,
+    _rows_off_grid,
+    _state_stack,
     entropy_rate,
     intermediate_map,
     propagate,
-    states_off_grid,
 )
 from .linalg import (
     INFINITE_DIVERGENCE,
@@ -153,7 +154,7 @@ class _Sides:
     full_rank = cached_property(lambda self: self.spectrum.support_mask().all(axis=-1))
     log_norms = cached_property(lambda self: -np.log(  # ||log rho||_inf, NaN unless rho > 0
         np.where(self.full_rank, self.spectrum.eigenvalues[..., -1], np.nan)))
-    not_trace_preserving = cached_property(lambda self: self.per_map(trace_defects) > CPTP_ATOL)
+    not_trace_preserving = cached_property(lambda self: ~self.per_map(_preserves_trace))
 
     def per_map(self, test) -> np.ndarray:  # test(maps), shaped to broadcast against the rows
         values = np.asarray(test(self.maps))
@@ -212,16 +213,6 @@ def entropy_change_upper_bound_holder(channel: QuantumChannel, rho) -> float:
 # Rate bound and non-unitality witness
 # ---------------------------------------------------------------------------
 
-def _images(apply, times, rows: np.ndarray) -> np.ndarray:
-    """``apply`` (an operator's ``apply`` or ``adjoint_apply``) on its
-    coordinate rows (T, ..., m) at times (T,), as rows of the same shape:
-    one product, with one time per row, float64 for the float64 rows of a
-    real restriction."""
-    flat = rows.reshape(-1, rows.shape[-1])
-    times = np.repeat(np.asarray(times, dtype=float), len(flat) // len(times))
-    return apply(times, flat).reshape(rows.shape)
-
-
 def _support_traces(operator, spectrum: EigenSystem, rows: np.ndarray) -> np.ndarray:
     """Re Tr{Pi A} for the operators A held as coordinate rows (T, ..., m) of
     ``operator``, with Pi the support projectors of ``spectrum``: read from
@@ -233,13 +224,9 @@ def _support_traces(operator, spectrum: EigenSystem, rows: np.ndarray) -> np.nda
 def _pinned_adjoint_traces(operator, times, rows: np.ndarray,
                            spectrum: EigenSystem) -> np.ndarray:
     """Tr{Pi L_t^dag(rho)} for states held as coordinate rows (T, ..., m) of
-    ``operator``, with their spectra, at times (T,): the expectations of
-    L_t^dag(rho) summed over the supports.
-
-    ``operator`` is what the states were integrated with
-    (:attr:`Trajectory.operator`, whose rows :meth:`Trajectory.coordinates`
-    gives): a dense restriction of the generator to the invariant sets the
-    states touch, which holds L_t^dag exactly, or the whole generator."""
+    ``operator`` (:attr:`Trajectory.operator`, a dense restriction to the
+    invariant sets they touch, exact for L_t^dag too, or the whole
+    generator), with their spectra, at times (T,)."""
     return _support_traces(operator, spectrum, _images(operator.adjoint_apply, times, rows))
 
 
@@ -252,7 +239,7 @@ def nonunitality_witness(generator: LindbladGenerator, t: float, rho) -> float:
     Tr{L^dag(rho)} = Tr{rho L(I)} = 0.  At rank-deficient states it need not
     vanish: the sigma_z dephasing generator at |+> gives -gamma/2.
     """
-    states = as_matrix(rho)[None]
+    states = _state_stack(as_matrix(rho)[None], generator.dim, "generator")
     operator = _integration_operator(generator, states)
     return float(_pinned_adjoint_traces(operator, [t], operator.coordinates(states),
                                         spectral_decompose(rho)[None])[0])
@@ -264,15 +251,21 @@ def theorem2_bound(generator: LindbladGenerator, t: float, rho) -> float:
     return -nonunitality_witness(generator, t, rho)
 
 
+def _rate_claim(name: str, lhs, rhs, traj: Trajectory, tol: float) -> Claim:
+    """lhs >= rhs within ``tol`` for a rate read on the trajectory's supports: masked
+    where |:meth:`Trajectory.left_out_rates`| > ``tol``, as that rate is left out."""
+    return Claim(name, lhs, rhs, tol, np.abs(traj.left_out_rates()) > tol,
+                 "a left-out entropy rate within tol")
+
+
 def rate_limit(traj: Trajectory, tol: float) -> Claim:
     """Theorem 2 as the claim ``theorem2``, dS/dt >= -Tr{Pi_t L_t^dag(rho_t)} for
-    CP-divisible dynamics, on the rows of a :func:`propagate` trajectory; masked
-    where |:meth:`Trajectory.left_out_rates`| > ``tol``, as that rate is left out."""
+    CP-divisible dynamics, on the rows of a :func:`propagate` trajectory
+    (:func:`_rate_claim`)."""
     if traj.operator is None:
         raise WitnessError("the rate limit needs a trajectory from propagate")
     bounds = -_pinned_adjoint_traces(traj.operator, traj.grid, traj.coordinates(), traj.spectrum)
-    return Claim("theorem2", traj.entropy_rates(), bounds, tol,
-                 np.abs(traj.left_out_rates()) > tol, "a left-out entropy rate within tol")
+    return _rate_claim("theorem2", traj.entropy_rates(), bounds, traj, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -339,22 +332,20 @@ def test_c(eps_derivative_value: float, generator_term: float) -> bool:
 @dataclass(frozen=True, eq=False)
 class WitnessReport:
     """The rate, its lower limit, f and nonunitality of a one-state trajectory
-    as (T,) float64 arrays; ``excluded`` marks the rows whose
-    |:meth:`Trajectory.left_out_rates`| exceeds ``EPS_WITNESS``, and ``flags``
-    maps each test's flag name to its (T,) outcomes, false on excluded rows."""
+    as (T,) float64 arrays: ``entropy_rate``, ``theorem2_bound`` and ``excluded``
+    are the sides and mask of ``theorem2``, :func:`rate_limit`'s claim at
+    ``EPS_WITNESS``.  ``flags`` maps each test's flag name to its (T,)
+    outcomes, false on excluded rows."""
 
     time: np.ndarray
-    entropy_rate: np.ndarray
-    theorem2_bound: np.ndarray
+    theorem2: Claim
     f_value: np.ndarray
     nonunitality: np.ndarray
-    excluded: np.ndarray
     flags: dict[str, np.ndarray]
 
-    @property
-    def theorem2(self) -> Claim:
-        return Claim("theorem2", self.entropy_rate, self.theorem2_bound, EPS_WITNESS,
-                     self.excluded, "a left-out entropy rate within tol")
+    entropy_rate = property(lambda self: self.theorem2.lhs)
+    theorem2_bound = property(lambda self: self.theorem2.rhs)
+    excluded = property(lambda self: self.theorem2.masked)
 
 
 def witness_reports(generator: LindbladGenerator, traj: Trajectory) -> WitnessReport:
@@ -365,18 +356,14 @@ def witness_reports(generator: LindbladGenerator, traj: Trajectory) -> WitnessRe
     The f column and test (a)/(c) need the short-time derivative term
     Tr{Pi (K_t + K_t^dag)(rho_t)}, and K_t = L_t for a Lindblad generator:
     with the witness Tr{Pi L_t^dag(rho_t)} it is read from the images of
-    L_t^dag and L_t over the whole trajectory, each one product of the
-    operator the trajectory was integrated with (:attr:`Trajectory.operator`,
-    a dense restriction to the invariant sets its states touch, or the
-    sparse generator) on the rows it holds, with no dense superoperator.
-    Every column is computed over the whole trajectory at once.
+    L_t^dag and L_t on the rows, one product each of
+    :attr:`Trajectory.operator` over the whole trajectory.
     """
     if traj.generator is not generator:
         raise WitnessError("witness reports need a trajectory propagated with the generator")
     if traj.spectrum.eigenvalues.ndim != 2:
         raise WitnessError(f"witness reports need a one-state trajectory, not a stack of shape "
                            f"{traj.spectrum.eigenvalues.shape[:-1]}")
-    excluded = np.abs(traj.left_out_rates()) > EPS_WITNESS
     rates = traj.entropy_rates()
     operator, rows = traj.operator, traj.coordinates()
     adjoint_images = _images(operator.adjoint_apply, traj.grid, rows)
@@ -384,11 +371,11 @@ def witness_reports(generator: LindbladGenerator, traj: Trajectory) -> WitnessRe
     eps_terms = _support_traces(operator, traj.spectrum,
                                 adjoint_images + _images(operator.apply, traj.grid, rows))
     f_values = rates + eps_terms
+    theorem2 = _rate_claim("theorem2", rates, -witness, traj, EPS_WITNESS)
     tests = {"test_a_passed": test_a(f_values), "test_b_passed": test_b(rates, -witness),
              "test_c_passed": test_c(eps_terms, witness)}
-    return WitnessReport(time=traj.grid, entropy_rate=rates, theorem2_bound=-witness,
-                         f_value=f_values, nonunitality=witness, excluded=excluded,
-                         flags={name: passed & ~excluded for name, passed in tests.items()})
+    return WitnessReport(time=traj.grid, theorem2=theorem2, f_value=f_values, nonunitality=witness,
+                         flags={name: passed & ~theorem2.masked for name, passed in tests.items()})
 
 
 def export_witness_reports(report: WitnessReport, path) -> None:
@@ -479,21 +466,18 @@ def measure_generator(generator: LindbladGenerator, state_sampler, grid) -> Meas
     |dS/dt + Tr{Pi L^dag rho}| is integrated over the times where it is below
     -``EPS_WITNESS``, with each window edge placed by
     :func:`_violation_integrals`, the slack of :func:`rate_limit` on the grid.
-    Every round of that search takes its states from :func:`states_off_grid`
-    through the operator the one :func:`propagate` call kept on the
-    trajectory: step-doubled RK4 from the nearest grid point, certified as
-    every propagated grid state is, or an :class:`IntegrationError`.  The witness
-    Tr{Pi L_t^dag(rho_t)}, on the grid and off it, and L_t(rho_t) off the
-    grid are products of that same operator.
+    Every round of that search reads its states off the grid as rows of
+    the operator that :func:`propagate` kept on the trajectory
+    (:func:`~entroflow.dynamics.states_off_grid`, certified RK4), and the
+    witness and L_t(rho_t) are products of that same operator.
     """
     def on_grid(starts, grid) -> tuple[Trajectory, Claim]:
         traj = propagate(generator, starts, grid)
         return traj, rate_limit(traj, EPS_WITNESS)
 
     def evaluate(starts, traj, ns, ts) -> np.ndarray:
-        off_grid = states_off_grid(traj, ns, ts)
-        operator, spectrum = traj.operator, spectral_decompose(off_grid)
-        rows = operator.coordinates(off_grid)
+        operator, rows = traj.operator, _rows_off_grid(traj, ns, ts)
+        spectrum = spectral_decompose(operator.states(rows))
         dots = operator.states(_images(operator.apply, ts, rows))
         return entropy_rate(spectrum, dots) + _pinned_adjoint_traces(operator, ts, rows, spectrum)
 
@@ -512,8 +496,7 @@ def measure_channel(family: ChannelFamily, state_sampler, grid) -> MeasureResult
         states, dots, spectrum, steps = family.evolve(starts, grid)
         traj = Trajectory(grid, states, dots, spectrum=spectrum)
         f_values = traj.entropy_rates() + _epsilon_derivatives(steps, states, spectrum)
-        return traj, Claim("f", f_values, 0.0, EPS_WITNESS,
-                           np.abs(traj.left_out_rates()) > EPS_WITNESS, "a small left-out rate")
+        return traj, _rate_claim("f", f_values, 0.0, traj, EPS_WITNESS)
 
     def evaluate(starts, traj, ns, ts) -> np.ndarray:
         # row c at time ts[c] only

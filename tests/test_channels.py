@@ -34,7 +34,7 @@ from entroflow.channels import (
     SIGMA_X,
     SIGMA_Z,
 )
-from entroflow.linalg import dagger
+from entroflow.linalg import dagger, hermitian_part
 from entroflow.sampling import (
     random_cptp_channel,
     random_mixed_state,
@@ -192,6 +192,19 @@ class TestChoiAndCptp:
         for ch in (depolarizing(3, 0.9), gadc(1.3, 2.0), random_cptp_channel(rng, 3)):
             n = ch.dim_in * ch.dim_out
             assert np.linalg.eigvalsh(choi_tensor(ch.superoperator()).reshape(n, n))[0] >= -1e-10
+
+    def test_stacked_choi_minima_equal_per_map_eigvalsh(self, rng):
+        # One stacked eigvalsh gives each map's Choi minimum bit for bit as an
+        # eigvalsh of that map alone; is_cptp reads the one-map case.  The
+        # last map, X -> X^T on a qutrit, is not CP.
+        maps = np.stack([random_cptp_channel(rng, 3).superoperator() for _ in range(4)]
+                        + [np.eye(9, dtype=complex)[[0, 3, 6, 1, 4, 7, 2, 5, 8]]])
+        per_map = [np.linalg.eigvalsh(hermitian_part(choi_tensor(m).reshape(9, 9)))[0]
+                   for m in maps]
+        minima = channels._choi_minima(maps)
+        assert minima.tobytes() == np.array(per_map).tobytes()
+        assert [is_cptp(m).choi_min_eigenvalue for m in maps] == per_map
+        assert minima[-1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_superoperator_choi_agree(self, rng):
         ch = random_cptp_channel(rng, 3)

@@ -27,6 +27,7 @@ from entroflow import (
     is_cptp,
     oscillating_qubit_trajectory,
     propagate,
+    semigroup_sandwich,
     theorem2_bound,
     thermal_state,
     von_neumann_entropy,
@@ -1070,6 +1071,31 @@ def _forbid_maps(monkeypatch):
         monkeypatch.setattr(dynamics, kernel, built)
 
 
+def test_one_whole_space_restriction_per_generator(rng, monkeypatch):
+    # superoperator, intermediate_map, cp_divisibility_check,
+    # semigroup_sandwich and a stack that touches every coordinate all read
+    # the generator's one restriction to every coordinate, built on first use.
+    built, init = [], _Restriction.__init__
+    monkeypatch.setattr(_Restriction, "__init__",
+                        lambda self, generator, index: built.append((generator, len(index)))
+                        or init(self, generator, index))
+    grid = np.linspace(0.0, 1.0, 6)
+    semigroup = depolarizing_generator(2, 0.1)  # time independent, self-adjoint and unital
+    timed = LindbladGenerator(2, jumps=[(CosineSquaredCoefficient(omega=1.0), SIGMA_Z),
+                                        (0.3, SIGMA_X)])
+    for generator in (semigroup, timed):
+        generator.superoperator(0.3)
+        intermediate_map(generator, 0.1, 0.6)
+        cp_divisibility_check(generator, grid)
+        if generator is semigroup:
+            semigroup_sandwich(generator, random_full_rank_state(rng, 2), 0.5)
+        traj = propagate(generator, random_full_rank_state(rng, 2), grid)
+        assert traj.operator is generator.restricted(np.arange(4))
+    assert built == [(semigroup, 4), (timed, 4)]
+    assert generator.restricted(np.array([0, 3])) is not generator.restricted(np.array([0, 3]))
+    assert built[2:] == [(timed, 2), (timed, 2)]
+
+
 def _per_interval_divisibility(generator, grid):
     """Oracle for :func:`cp_divisibility_check`: its Choi minima, trace
     defects and verdict from one interval map at a time, with the Choi
@@ -1372,6 +1398,19 @@ class TestStackedFamilyMaps:
     def test_negative_time_rejected(self):
         with pytest.raises(IntegrationError, match="negative time"):
             GadcFamily(5.0).states([DensityMatrix.maximally_mixed(2)], [-0.1, 0.2])
+
+    def test_nan_maps_and_times_are_refused(self):
+        # A map with a NaN entry does not preserve the trace, a NaN coherence
+        # factor lies outside [-1, 1], and a non-finite time is named before
+        # any map is built.
+        for family, times in ((GadcFamily(5.0), [np.nan]), (GadcFamily(np.nan), [1.0])):
+            with pytest.raises(ChannelError, match="not trace preserving: defect nan"):
+                family.superoperators(times)
+        dephasing = DephasingFamily(lambda t: 0.5 * t)
+        with pytest.raises(ChannelError, match=r"coherence factor must lie in \[-1, 1\]"):
+            dephasing.superoperators([np.nan])
+        with pytest.raises(IntegrationError, match=r"non-finite or negative time \[-inf  nan\]"):
+            dephasing.states(np.eye(2) / 2, [0.5, np.nan, -np.inf, np.nan])
 
 
 class TestStackedTrajectory:

@@ -55,6 +55,7 @@ from entroflow.scenarios import DEFAULT_CONFIGS, _oscillating_dephasing, _step_g
 from entroflow.witnesses import (
     BISECT_ATOL,
     EPS_WITNESS,
+    Claim,
     WitnessError,
     _f_parts,
     _pinned_adjoint_traces,
@@ -183,11 +184,36 @@ def test_time_local_generator_recovers_dephasing(t):
     np.testing.assert_allclose(generator, np.diag([0.0, -1.0, -1.0, 0.0]), atol=1e-8)
 
 
+def test_channel_claims_mask_a_nan_map():
+    # A map with a NaN entry fails the trace test, so every claim masks its rows.
+    maps = np.stack([depolarizing(2, 0.3).superoperator(), np.full((4, 4), np.nan)])
+    claims = channel_claims(maps, np.broadcast_to(np.eye(2) / 2, (2, 1, 2, 2)))
+    for claim in claims.values():
+        assert claim.masked.tolist() == [[False], [True]], claim.name
+        assert claim.holds(), claim.name
+
+
+def test_witness_report_holds_the_rate_limit_claim():
+    # witness_reports builds the Theorem 2 claim once, from the same images
+    # and mask as rate_limit: the same sides and mask, bit for bit.  |+>
+    # changes rank at t = 0+, where the left-out rate masks the first row.
+    generator = dephasing_generator(1.0)
+    traj = propagate(generator, DensityMatrix.pure([1.0, 1.0]), np.linspace(0.0, 1.0, 21))
+    report, claim = witness_reports(generator, traj), rate_limit(traj, EPS_WITNESS)
+    for side in ("lhs", "rhs", "masked"):
+        assert getattr(report.theorem2, side).tobytes() == getattr(claim, side).tobytes()
+    assert (report.theorem2.name, report.theorem2.tol, report.theorem2.needs) == \
+        (claim.name, claim.tol, claim.needs)
+    assert report.excluded.tolist() == [True] + [False] * 20
+    assert report.entropy_rate is report.theorem2.lhs and report.excluded is report.theorem2.masked
+
+
 def test_export_witness_reports_format(tmp_path):
+    theorem2 = Claim("theorem2", np.array([0.1, -0.0]), np.array([-0.25, 0.0]), EPS_WITNESS,
+                     np.array([False, False]), "a left-out entropy rate within tol")
     report = WitnessReport(
-        time=np.array([0.5, 1.0]), entropy_rate=np.array([0.1, -0.0]),
-        theorem2_bound=np.array([-0.25, 0.0]), f_value=np.array([1e-20, 2.0]),
-        nonunitality=np.array([0.25, -0.0]), excluded=np.array([False, False]),
+        time=np.array([0.5, 1.0]), theorem2=theorem2, f_value=np.array([1e-20, 2.0]),
+        nonunitality=np.array([0.25, -0.0]),
         flags={"test_b_passed": np.array([True, False]), "test_c_passed": np.array([False, False]),
                "test_a_passed": np.array([True, False])})
     path = tmp_path / "w.csv"
@@ -262,10 +288,10 @@ def test_measure_generator_derives_its_operator_once(monkeypatch):
     generator, _ = _oscillating_dephasing(0.5, 1.0, 2.0)
     states = default_state_sampler(2, np.random.default_rng(7), n_random=2, bloch_points=1)
     builds, rounds = [], []
-    pick, off_grid = dynamics._integration_operator, witnesses.states_off_grid
+    pick, off_grid = dynamics._integration_operator, witnesses._rows_off_grid
     monkeypatch.setattr(dynamics, "_integration_operator",
                         lambda *args: builds.append(1) or pick(*args))
-    monkeypatch.setattr(witnesses, "states_off_grid",
+    monkeypatch.setattr(witnesses, "_rows_off_grid",
                         lambda *args: rounds.append(1) or off_grid(*args))
     assert measure_generator(generator, states, np.linspace(0.0, 3.0, 61)).value > 1e-2
     assert len(builds) == 1 and len(rounds) >= 2
@@ -379,8 +405,8 @@ def test_oscillating_measure_locates_its_edges_in_few_rounds(monkeypatch):
     generator, _ = _oscillating_dephasing(0.5, 1.0, 2.0)
     states = default_state_sampler(2, np.random.default_rng(7), n_random=2, bloch_points=1)
     grid = np.linspace(0.0, 3.0, 61)
-    rounds, off_grid = [], witnesses.states_off_grid
-    monkeypatch.setattr(witnesses, "states_off_grid",
+    rounds, off_grid = [], witnesses._rows_off_grid
+    monkeypatch.setattr(witnesses, "_rows_off_grid",
                         lambda *args: rounds.append(1) or off_grid(*args))
     value = measure_generator(generator, states, grid).value
     assert 2 <= len(rounds) <= 4
