@@ -39,8 +39,6 @@ __all__ = [
     "choi_tensor",
     "trace_defects",
     "QuantumChannel",
-    "CptpReport",
-    "is_cptp",
     "is_unital",
     "is_sub_unital",
     "unitary_channel",
@@ -55,7 +53,6 @@ __all__ = [
     "LindbladGenerator",
     "TailGuard",
     "dephasing_generator",
-    "depolarizing_generator",
     "annihilation_operator",
     "bosonic_generator",
     "thermal_state",
@@ -188,34 +185,9 @@ class QuantumChannel:
         return self._superop
 
 
-@dataclass(frozen=True)
-class CptpReport:
-    choi_min_eigenvalue: float
-    trace_defect: float
-    completely_positive: bool
-    trace_preserving: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.completely_positive and self.trace_preserving
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
 def _map_of(channel) -> np.ndarray:
     """The map of a :class:`QuantumChannel`, or maps given as an array."""
     return channel.superoperator() if isinstance(channel, QuantumChannel) else np.asarray(channel)
-
-
-def is_cptp(channel) -> CptpReport:
-    """Check complete positivity (Choi PSD) and trace preservation within
-    ``CPTP_ATOL``, of a :class:`QuantumChannel` or of a map (d_out^2, d_in^2)."""
-    m = _map_of(channel)
-    min_eig = float(_choi_minima(m))
-    return CptpReport(choi_min_eigenvalue=min_eig, trace_defect=float(trace_defects(m)),
-                      completely_positive=min_eig >= -CPTP_ATOL,
-                      trace_preserving=bool(_preserves_trace(m)))
 
 
 def _unitality_deviation(channel) -> np.ndarray:
@@ -747,17 +719,6 @@ def dephasing_generator(rate) -> LindbladGenerator:
     half = (lambda t: 0.5 * gamma(t)) if not isinstance(gamma, ConstantCoefficient) \
         else ConstantCoefficient(0.5 * gamma.value)
     return LindbladGenerator(2, jumps=[JumpTerm(half, SIGMA_Z)])
-
-
-def depolarizing_generator(dim: int, rate: float) -> LindbladGenerator:
-    """Semigroup generator whose flow is rho -> e^{-c t} rho + (1 - e^{-c t}) I/d.
-
-    Jumps are the non-identity clock-and-shift unitaries with equal constant
-    rates; c = rate * d^2.  Unital and self-adjoint as a superoperator.
-    """
-    ops = _heisenberg_weyl(dim)[1:]
-    jumps = [JumpTerm(ConstantCoefficient(rate), u) for u in ops]
-    return LindbladGenerator(dim, jumps=jumps)
 
 
 def check_cutoff(cutoff: int) -> None:

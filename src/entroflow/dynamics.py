@@ -17,15 +17,20 @@ invariant sets that is small (m <= 16) or time-independent (RK4
 otherwise), and intermediate maps M_{t,s}, and those of
 ``cp_divisibility_check``, are the same maps on the generator's one
 whole-space restriction, built on first use and kept.  Each interval
-doubles its own step count until its n- and 2n-step states, or maps, pass
-the one certificate (:func:`_certificate`).  Both
-integrators Hermitize and renormalize the rows through one helper each, and
-end on one validation, with one eigh (none for population rows).  A closed-form
-channel family (GADC, dephasing) is its maps over a grid as (T, d^2, d^2)
-stacks, M_{t,0} and the exact limits d/dt M_{t,0} and K_t = d/d eps
-M_{t+eps,t} at eps = 0, each carrying a stack of initial states to
-(T, N, d, d) states in one product: no finite differences.  A Lindblad
-generator's K_t is L_t itself.
+doubles its own step count, under one of two tests.  A propagated interval
+doubles until its n- and 2n-step states pass :func:`_certificate`, a
+trace-norm budget per unit time.  An interval map doubles until its n- and
+2n-step maps agree entrywise within ``INTERMEDIATE_MAP_ATOL``, at most
+``MAX_MAP_DOUBLINGS`` times (:func:`_certified_maps`): intermediate maps are
+held to 1e-9 of their closed form, and maps rebuilt under the per-unit-time
+budget miss that bound (2.6e-9 on [0.3, 2.4] for gamma(t) = 0.5 + cos 2t
+dephasing).  Both integrators Hermitize and renormalize the rows through
+one helper each, and end on one validation, with one eigh (none for
+population rows).  A closed-form channel family (GADC, dephasing) is its
+maps over a grid as (T, d^2, d^2) stacks, M_{t,0} and the exact limits
+d/dt M_{t,0} and K_t = d/d eps M_{t+eps,t} at eps = 0, each carrying a
+stack of initial states to (T, N, d, d) states in one product: no finite
+differences.  A Lindblad generator's K_t is L_t itself.
 
 Every map is built in numpy (:func:`expm`: elementwise for a diagonal
 exponent, such as every dephasing map, and a batched Padé approximant
@@ -1066,19 +1071,34 @@ def _certified_maps(operator, starts: np.ndarray, widths: np.ndarray) -> np.ndar
     widths] at once: exact exponentials for a time-independent generator,
     else CF4 maps from one step, each interval doubling its count, at most
     ``MAX_MAP_DOUBLINGS`` times, until its n- and 2n-step maps agree
-    entrywise within ``INTERMEDIATE_MAP_ATOL``."""
+    entrywise within ``INTERMEDIATE_MAP_ATOL``.  A map that is not finite
+    (exponentials that overflowed at huge rates) ends it at once, as
+    :func:`_finite_maps` states."""
     if operator.time_independent:
         maps, which = _width_maps(operator, widths)
-        return maps[which]
+        return _finite_maps(maps[which], starts, widths)
     counts = np.ones(len(widths), dtype=int)
     coarse, fine = (_cf4_maps(operator, starts, widths, n) for n in (1, 2))
     most = 2 ** (MAX_MAP_DOUBLINGS - 1)
-    while (failing := ~(np.max(np.abs(fine - coarse), axis=(-2, -1)) <= INTERMEDIATE_MAP_ATOL)).any():
+    while (failing := ~(np.max(np.abs(_finite_maps(fine, starts, widths) - coarse),
+                               axis=(-2, -1)) <= INTERMEDIATE_MAP_ATOL)).any():
         if counts[int(np.argmax(failing))] >= most:
             raise IntegrationError(f"time-ordered product did not converge to "
                                    f"{INTERMEDIATE_MAP_ATOL:.1e} within {MAX_MAP_DOUBLINGS} doublings")
         _regrow(operator, starts, widths, counts, coarse, fine, failing & (counts < most))
     return fine
+
+
+def _finite_maps(maps: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The maps of the intervals [starts, starts + widths], refused with an
+    :class:`IntegrationError` naming the first interval whose map has an
+    entry that is not finite; no doubling of its steps mends an overflow."""
+    broken = ~np.isfinite(maps).all(axis=(-2, -1))
+    if broken.any():
+        k = int(np.argmax(broken))
+        raise IntegrationError(f"interval map over [{starts[k]:.6g}, {starts[k] + widths[k]:.6g}] "
+                               f"is not finite")
+    return maps
 
 
 def _interval_maps(generator, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -1239,9 +1259,9 @@ class ChannelFamily:
     K_t = d/d eps M_{t+eps,t} at eps = 0 (``step_generators``), the exact
     short-time limit of the intermediate maps M_{t+eps,t}; ``derivatives``,
     d/dt M_{t,0}, is K_t M_{t,0} for maps that compose.  ``states``,
-    ``evolve``, ``trajectories`` and the witnesses apply them to (N, d, d)
-    stacks of initial states.  A dynamics given by a Lindblad generator is
-    propagated instead (:func:`propagate`), and its K_t is L_t.
+    ``evolve`` and the witnesses apply them to (N, d, d) stacks of initial
+    states.  A dynamics given by a Lindblad generator is propagated instead
+    (:func:`propagate`), and its K_t is L_t.
     """
 
     dim: int
@@ -1289,16 +1309,6 @@ class ChannelFamily:
         states, spectrum = check_density_stack(hermitian_part(apply_superoperators(maps, starts)))
         dots = apply_superoperators(self._derivatives(times, maps, steps), starts)
         return states, hermitian_part(dots), spectrum, steps
-
-    def trajectories(self, rho0s, grid) -> Trajectory:
-        """The trajectory of one initial state, or of a stack of them, on a
-        grid, from one :meth:`evolve`; it keeps its states off the grid in
-        closed form."""
-        grid = _checked_grid(grid)
-        starts = _state_stack(rho0s, self.dim, "family")
-        states, dots, spectrum, _ = self.evolve(starts, grid)
-        return Trajectory(grid, states, dots, spectrum=spectrum,
-                          state_fn=lambda times: self.states(starts, times))
 
 
 def _trace_preserving(maps: np.ndarray) -> np.ndarray:
@@ -1424,8 +1434,13 @@ def _diagonal_qubits(upper, lower) -> np.ndarray:
 
 def damping_qubit_state(t) -> np.ndarray:
     """Relaxation into |0>: diag(1 - e^{-t}, e^{-t}); rank jumps 1 -> 2 at t = 0+.
-    One time gives a (2, 2) matrix, an array of times a (..., 2, 2) stack."""
-    e = np.exp(-np.asarray(t, dtype=float))
+    One time gives a (2, 2) matrix, an array of times a (..., 2, 2) stack.
+    Before t = 0 it is no state (and e^{-t} overflows past t = -709), so a
+    negative time raises :class:`IntegrationError`."""
+    t = np.asarray(t, dtype=float)
+    if (t < 0.0).any():
+        raise IntegrationError(f"damping trajectory evaluated at negative time {t.min():.6g}")
+    e = np.exp(-t)
     return _diagonal_qubits(1.0 - e, e)
 
 

@@ -68,7 +68,6 @@ __all__ = [
     "entropy_change",
     "entropy_change_lower_bound",
     "entropy_change_upper_bound",
-    "entropy_change_upper_bound_holder",
     "theorem2_bound",
     "rate_limit",
     "nonunitality_witness",
@@ -200,13 +199,6 @@ def entropy_change_lower_bound(channel: QuantumChannel, rho):
 def entropy_change_upper_bound(channel: QuantumChannel, rho) -> float:
     """Tr{[rho - N^dag(N(rho))] log rho} of ``theorem1_upper`` (:func:`channel_claims`)."""
     return float(_Sides(channel, rho).upper_traces)
-
-
-def entropy_change_upper_bound_holder(channel: QuantumChannel, rho) -> float:
-    """||rho - N^dag(N(rho))||_1 ||log rho||_inf of ``theorem1_holder``
-    (:func:`channel_claims`); NaN unless rho is full rank."""
-    sides = _Sides(channel, rho)
-    return float(sides.trace_norms * sides.log_norms)
 
 
 # ---------------------------------------------------------------------------

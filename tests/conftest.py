@@ -16,7 +16,10 @@ from entroflow import (
     propagate,
     semigroup_sandwich,
 )
-from entroflow.channels import SIGMA_X, SIGMA_Z
+from entroflow import channels
+from entroflow.channels import (CPTP_ATOL, SIGMA_X, SIGMA_Z, ConstantCoefficient, JumpTerm,
+                                _heisenberg_weyl)
+from entroflow.dynamics import Trajectory, _checked_grid, _state_stack
 from entroflow.linalg import dagger, hermitian_part
 
 _ACCEPTANCE: dict[str, str] = {}
@@ -45,6 +48,35 @@ def kraus_choi(kraus) -> np.ndarray:
     the Kraus operators alone."""
     vecs = np.array([np.asarray(k).T.reshape(-1) for k in kraus])
     return hermitian_part(vecs.T @ vecs.conj())
+
+
+def is_cptp(channel) -> bool:
+    """Complete positivity and trace preservation of a channel or of one map,
+    both within ``CPTP_ATOL``: its Choi minimum and its trace defect, through
+    the helpers that ``cp_divisibility_check`` and the channel claims read."""
+    m = channels._map_of(channel)
+    return bool(channels._choi_minima(m) >= -CPTP_ATOL) and bool(channels._preserves_trace(m))
+
+
+def depolarizing_generator(dim: int, rate: float) -> LindbladGenerator:
+    """Semigroup generator whose flow is rho -> e^{-c t} rho + (1 - e^{-c t}) I/d.
+
+    Jumps are the non-identity clock-and-shift unitaries with equal constant
+    rates; c = rate * d^2.  Unital and self-adjoint as a superoperator.
+    """
+    jumps = [JumpTerm(ConstantCoefficient(rate), u) for u in _heisenberg_weyl(dim)[1:]]
+    return LindbladGenerator(dim, jumps=jumps)
+
+
+def family_trajectory(family, rho0s, grid) -> Trajectory:
+    """The trajectory of one initial state, or of a stack of them, of a
+    channel family on a grid, from one ``evolve``; it keeps its states off
+    the grid in closed form, through the family's ``states``."""
+    grid = _checked_grid(grid)
+    starts = _state_stack(rho0s, family.dim, "family")
+    states, dots, spectrum, _ = family.evolve(starts, grid)
+    return Trajectory(grid, states, dots, spectrum=spectrum,
+                      state_fn=lambda times: family.states(starts, times))
 
 
 def reference_maps(family):

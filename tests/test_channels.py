@@ -15,7 +15,6 @@ from entroflow import (
     dephasing_generator,
     depolarizing,
     gadc,
-    is_cptp,
     is_sub_unital,
     is_unital,
     oslash_norm,
@@ -49,7 +48,7 @@ from entroflow.serialize import (
     matrix_from_document,
 )
 
-from conftest import kraus_choi
+from conftest import is_cptp, kraus_choi
 
 
 class TestApply:
@@ -177,16 +176,16 @@ class TestChoiAndCptp:
                 expected[i * 2 + i, j * 2 + j] = 1.0
         choi = choi_tensor(unitary_channel(np.eye(2)).superoperator()).reshape(4, 4)
         np.testing.assert_allclose(choi, expected, atol=1e-14)
-        assert is_cptp(unitary_channel(np.eye(2))).passed
+        assert is_cptp(unitary_channel(np.eye(2)))
 
     def test_transpose_not_cp(self):
-        report = is_cptp(np.eye(4)[[0, 2, 1, 3]])  # X -> X^T
-        assert report.choi_min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
-        assert not report.completely_positive
-        assert report.trace_preserving
+        transpose = np.eye(4)[[0, 2, 1, 3]]  # X -> X^T
+        assert channels._choi_minima(transpose) == pytest.approx(-1.0, abs=1e-12)
+        assert channels._preserves_trace(transpose)
+        assert not is_cptp(transpose)
 
     def test_gadc_cptp(self):
-        assert is_cptp(gadc(0.5, 5.0)).passed
+        assert is_cptp(gadc(0.5, 5.0))
 
     def test_choi_psd_for_builtins(self, rng):
         for ch in (depolarizing(3, 0.9), gadc(1.3, 2.0), random_cptp_channel(rng, 3)):
@@ -195,15 +194,13 @@ class TestChoiAndCptp:
 
     def test_stacked_choi_minima_equal_per_map_eigvalsh(self, rng):
         # One stacked eigvalsh gives each map's Choi minimum bit for bit as an
-        # eigvalsh of that map alone; is_cptp reads the one-map case.  The
-        # last map, X -> X^T on a qutrit, is not CP.
+        # eigvalsh of that map alone.  The last map, X -> X^T on a qutrit, is not CP.
         maps = np.stack([random_cptp_channel(rng, 3).superoperator() for _ in range(4)]
                         + [np.eye(9, dtype=complex)[[0, 3, 6, 1, 4, 7, 2, 5, 8]]])
         per_map = [np.linalg.eigvalsh(hermitian_part(choi_tensor(m).reshape(9, 9)))[0]
                    for m in maps]
         minima = channels._choi_minima(maps)
         assert minima.tobytes() == np.array(per_map).tobytes()
-        assert [is_cptp(m).choi_min_eigenvalue for m in maps] == per_map
         assert minima[-1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_superoperator_choi_agree(self, rng):
@@ -243,7 +240,7 @@ class TestDepolarizing:
         np.testing.assert_allclose(depolarizing(3, 0.0).apply(rho), rho.entries, atol=1e-12)
 
     def test_boundary_q_still_cptp(self):
-        assert is_cptp(depolarizing(2, 4 / 3)).passed
+        assert is_cptp(depolarizing(2, 4 / 3))
 
     def test_out_of_range(self):
         with pytest.raises(ChannelError):

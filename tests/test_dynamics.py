@@ -18,13 +18,11 @@ from entroflow import (
     cp_divisibility_check,
     damping_qubit_trajectory,
     dephasing_generator,
-    depolarizing_generator,
     entropy_rate,
     entropy_rate_fd,
     export_trajectory,
     gadc,
     intermediate_map,
-    is_cptp,
     oscillating_qubit_trajectory,
     propagate,
     semigroup_sandwich,
@@ -42,7 +40,7 @@ from entroflow.channels import (
     SIGMA_Z,
     _Restriction,
 )
-from entroflow import dynamics
+from entroflow import channels, dynamics
 from entroflow.dynamics import (
     PROPAGATE_ERROR_TARGET,
     Trajectory,
@@ -60,7 +58,8 @@ from entroflow.linalg import (ZERO_EIGENVALUE_RTOL, EigenSystem, LinalgError, as
 from entroflow.sampling import random_full_rank_state, random_mixed_state
 from entroflow.witnesses import EPS_WITNESS, _pinned_adjoint_traces
 
-from conftest import (first_scipy_use, fresh_interpreter, reference_maps, superoperators,
+from conftest import (depolarizing_generator, family_trajectory, first_scipy_use,
+                      fresh_interpreter, is_cptp, reference_maps, superoperators,
                       support_projectors)
 
 DAMPING_RATE_AT_ONE = -0.19914228500721254  # e^-1 log(e^-1 / (1 - e^-1))
@@ -953,9 +952,9 @@ class TestIntermediateMap:
 
     def test_dephasing_interval_cptp(self):
         gen = dephasing_generator(1.0)
-        report = is_cptp(intermediate_map(gen, 0.0, 0.8))
-        assert report.choi_min_eigenvalue >= -1e-9
-        assert report.passed
+        interval = intermediate_map(gen, 0.0, 0.8)
+        assert channels._choi_minima(interval) >= -1e-9
+        assert is_cptp(interval)
 
     def test_non_finite_time_fails_up_front(self, monkeypatch):
         _forbid_maps(monkeypatch)
@@ -965,6 +964,27 @@ class TestIntermediateMap:
                 intermediate_map(gen, s, t)
         with pytest.raises(IntegrationError, match="requires s <= t"):
             intermediate_map(gen, 1.0, 0.5)
+
+    @pytest.mark.parametrize("case", ["intermediate_map", "sandwich", "divisibility",
+                                      "driven_divisibility", "timed_intermediate_map"])
+    def test_overflowing_map_names_its_interval(self, case):
+        # A rate of -1e300 overflows every exponential: each route to an
+        # interval map, constant or time-ordered, names the interval, with
+        # no warning, no NaN claim and no numpy error.
+        grown = LindbladGenerator(2, jumps=[(-1e300, SIGMA_Z)])
+        calls = {
+            "intermediate_map": lambda: intermediate_map(grown, 0.0, 1.0),
+            "sandwich": lambda: semigroup_sandwich(grown, np.eye(2) / 2, 1.0),
+            "divisibility": lambda: cp_divisibility_check(grown, [0.0, 1.0]),
+            "driven_divisibility": lambda: cp_divisibility_check(
+                LindbladGenerator(2, hamiltonian=SIGMA_X, jumps=[(-1e300, SIGMA_Z)]), [0.0, 1.0]),
+            "timed_intermediate_map": lambda: intermediate_map(LindbladGenerator(2, jumps=[
+                (CosineSquaredCoefficient(omega=1.0, scale=-1e300), SIGMA_Z)]), 0.0, 1.0),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match=r"interval map over \[0, 1\] is not finite"):
+                calls[case]()
 
 
 class TestEntropyRate:
@@ -1048,8 +1068,8 @@ class TestEntropyRateFd:
             entropy_rate_fd(grid_only, 0)
 
     def test_stacked_trajectory_rejected(self):
-        traj = GadcFamily(5.0).trajectories([DensityMatrix.maximally_mixed(2)] * 2,
-                                            np.linspace(0.1, 1.0, 10))
+        traj = family_trajectory(GadcFamily(5.0), [DensityMatrix.maximally_mixed(2)] * 2,
+                                 np.linspace(0.1, 1.0, 10))
         with pytest.raises(IntegrationError, match="one-state"):
             entropy_rate_fd(traj, 3)
 
@@ -1208,7 +1228,7 @@ class TestChannelFamilies:
     @pytest.mark.parametrize("grid", [[0.1, np.nan, 1.0], [0.0, np.inf]], ids=["nan", "inf"])
     def test_trajectory_rejects_non_finite_times(self, grid):
         with pytest.raises(IntegrationError, match="finite"):
-            GadcFamily(5.0).trajectories(DensityMatrix.maximally_mixed(2), grid)
+            family_trajectory(GadcFamily(5.0), DensityMatrix.maximally_mixed(2), grid)
         states = np.stack([np.eye(2) / 2] * len(grid))
         with pytest.raises(IntegrationError, match="finite"):
             Trajectory(grid, states, np.zeros_like(states))
@@ -1216,7 +1236,7 @@ class TestChannelFamilies:
     @pytest.mark.parametrize("grid", [[], [[0.0, 1.0], [2.0, 3.0]]], ids=["empty", "2-D"])
     def test_trajectory_rejects_a_grid_off_one_axis(self, grid):
         with pytest.raises(IntegrationError, match="on one axis"):
-            GadcFamily(5.0).trajectories(DensityMatrix.maximally_mixed(2), grid)
+            family_trajectory(GadcFamily(5.0), DensityMatrix.maximally_mixed(2), grid)
 
     def test_gadc_family_states(self, rng):
         fam = GadcFamily(5.0)
@@ -1229,7 +1249,7 @@ class TestChannelFamilies:
         fam = GadcFamily(5.0)
         rho0 = DensityMatrix.maximally_mixed(2)
         grid = np.linspace(0.0, 1.0, 11)
-        traj = fam.trajectories(rho0, grid)
+        traj = family_trajectory(fam, rho0, grid)
         t = 0.5
         w_dot = -10 * np.sin(10 * t) * (1 - np.exp(-t)) + np.cos(10 * t) * np.exp(-t)
         np.testing.assert_allclose(traj.derivatives[5], 0.5 * np.diag([w_dot, -w_dot]), atol=1e-9)
@@ -1240,7 +1260,7 @@ class TestChannelFamilies:
         gen = dephasing_generator(gamma)
         rho0 = random_mixed_state(rng, 2)
         grid = np.linspace(0, 1.5, 16)
-        traj_fam = fam.trajectories(rho0, grid)
+        traj_fam = family_trajectory(fam, rho0, grid)
         traj_gen = propagate(gen, rho0, grid)
         for a, b in zip(traj_fam.states, traj_gen.states):
             assert np.max(np.abs(a.entries - b.entries)) <= 1e-7
@@ -1390,7 +1410,7 @@ class TestStackedFamilyMaps:
         # The trajectory keeps its closed form: the FD oracle reads the family
         # off the grid, the rates read the exact derivative on it.
         grid = np.linspace(0.1, 1.0, 10)
-        traj = GadcFamily(5.0).trajectories(random_full_rank_state(rng, 2), grid)
+        traj = family_trajectory(GadcFamily(5.0), random_full_rank_state(rng, 2), grid)
         rates = traj.entropy_rates()
         for k in range(len(grid)):
             assert entropy_rate_fd(traj, k) == pytest.approx(rates[k], abs=1e-6)
@@ -1454,7 +1474,7 @@ class TestStackedTrajectory:
 
     def test_states_carry_the_stored_spectrum(self, rng, monkeypatch):
         grid = np.linspace(0.0, 1.0, 11)
-        traj = GadcFamily(5.0).trajectories(random_mixed_state(rng, 2), grid)
+        traj = family_trajectory(GadcFamily(5.0), random_mixed_state(rng, 2), grid)
         calls = count_eig_calls(monkeypatch)
         for k, state in enumerate(traj.states):
             np.testing.assert_array_equal(state.entries, traj.entries[k])

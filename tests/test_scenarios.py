@@ -1,10 +1,15 @@
+import contextlib
 import copy
 import csv
+import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from entroflow.channels import (ChannelError, LindbladGenerator, _Restriction, bosonic_generator,
@@ -490,6 +495,19 @@ def test_vacuum_gaussian_start_skips_its_pure_row(tmp_path):
     assert all(float(row["entropy_rate"]) == 0.0 for row in starts)
 
 
+def test_gaussian_checks_with_every_row_masked_say_so(tmp_path):
+    # rate_tol is also the left-out-rate threshold: at 0 the claim masks
+    # every lossy row, and both lossy checks fail saying so, with no NaN.
+    config = copy.deepcopy(DEFAULT_CONFIGS["gaussian_bounds"])
+    config["parameters"]["rate_tol"] = 0
+    report = run_config(config, tmp_path)
+    lossy = [check for check in report.checks if check.name.startswith("lossy:")]
+    assert [check.passed for check in lossy] == [False, False]
+    assert {check.measured for check in lossy} == {
+        "no row left: the left-out entropy rate exceeds rate_tol on all 101 rows"}
+    assert not [check.measured for check in report.checks if "nan" in check.measured]
+
+
 def test_default_gaussian_checks_read_every_row(tmp_path):
     # The thermal start is full rank: no row is excluded from any check,
     # although its rank keeps changing as the top levels fill.
@@ -582,6 +600,26 @@ def test_appendix_rates_are_the_closed_form(scenario, rate, tmp_path):
     assert np.max(np.abs(table["entropy_rate"] - rate(table["t"]))) <= 1e-12
 
 
+@pytest.mark.parametrize("params, measured", [
+    # pure at t_min and pure again at t = 27.6: the rank count holds, the support does not
+    ({"t_min": 5e-324, "t_max": 3289.0}, "Tr(Pi rho_dot) = 1.000e+00 at grid point 0"),
+    # a pure row's stencil is not shortened: it reached t = -1e9 and e^{-t} overflowed
+    ({"t_min": 5e-324, "fd_h": 1e9}, "damping trajectory evaluated at negative time -1e+09"),
+    ({"t_max": 100.0, "fd_h": 1000.0}, "damping trajectory evaluated at negative time -972.268"),
+], ids=["rank_change_on_the_first_point", "stencil_of_the_first_point", "stencil_of_a_late_row"])
+def test_damping_grid_the_trajectory_cannot_be_read_on_fails_a_check(params, measured, tmp_path):
+    # Configs the property test below found: validate accepts them, and the
+    # run raised or warned.  The finite-difference check fails naming why,
+    # and no table is written.
+    config = copy.deepcopy(DEFAULT_CONFIGS["appendixB_damping"])
+    config["parameters"].update(params)
+    assert not validate_config(config)
+    report = run_config(config, tmp_path)
+    assert [(check.passed, check.measured) for check in report.checks[:1]] == [(False, measured)]
+    assert all(check.passed for check in report.checks[1:])
+    assert report.outputs == [] and not (tmp_path / "appendixB_damping.csv").exists()
+
+
 def test_default_custom_run_flags_nothing_at_the_rank_jump(tmp_path):
     # |+> under constant damping changes rank at t = 0+; the rows at that jump
     # carry a one-sided rate and must neither flag memory nor set the worst gap.
@@ -663,3 +701,83 @@ def test_validate_never_raises(scenario):
             assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
             if not _json_type_matches(value, param.default):
                 assert problems, (key, value)
+
+
+# validate accepts => run completes, over configs drawn from each scenario's
+# Param table.  An accepted config past one of these caps is not run, so that
+# every run takes well under a second:
+PROPERTY_GRID_CAP = 1_001     # grid points (gaussian_bounds' 100,000 take 2.9 s)
+PROPERTY_CUTOFF_CAP = 100     # gaussian_bounds' Fock levels (400 take 0.9 s)
+PROPERTY_SAMPLE_CAP = 4       # decoherence_measures' n_random, bloch_points and
+                              # n_pairs (n_pairs = 10,000 takes 13 s)
+PROPERTY_PHASE_CAP = 300.0    # decoherence_measures' frequency * t_max (2.6 s at
+                              # frequency 1e4, t_max 3)
+# What a config keeps of its scenario's defaults, inside the caps: fig1_gadc's
+# default grid has 3,001 points, and the default decoherence_measures run
+# takes 0.7-1 s.
+PROPERTY_DEFAULTS = {"fig1_gadc": {"t_step": 3e-3},
+                     "decoherence_measures": {"n_random": 2, "bloch_points": 2, "n_pairs": 4}}
+EDGE_VALUES = (0, -1, 5e-324, 1e-300, 1e9, 1e300)
+WRONG_TYPES = ("x", None, True, [1.0], {"a": 1})
+
+
+def _drawn_values(param):
+    """One parameter's values: the edges, the bounds and high -+ 1, values in
+    range, the empty container of a list or mapping, and wrong JSON types."""
+    wrong = [value for value in WRONG_TYPES if not _json_type_matches(value, param.default)]
+    if isinstance(param.default, (list, dict)):
+        return st.sampled_from([type(param.default)(), *wrong])
+    low = 0 if param.low is None else param.low
+    edges = [*EDGE_VALUES, *([] if param.low is None else [param.low])]
+    if param.high is not None:
+        edges += [param.high - 1, param.high, param.high + 1]
+    in_range = st.integers(low, min(param.high, low + 64)) if isinstance(param.default, int) \
+        else st.floats(low, low + 10.0, exclude_min=param.strict)
+    return st.one_of(st.sampled_from(edges + wrong), in_range)
+
+
+@st.composite
+def _drawn_configs(draw, scenario):
+    """The scenario's defaults (:data:`PROPERTY_DEFAULTS`) with up to two
+    parameters drawn by :func:`_drawn_values`."""
+    spec = SCENARIOS[scenario]["parameters"]
+    params = {**copy.deepcopy(DEFAULT_CONFIGS[scenario]["parameters"]),
+              **PROPERTY_DEFAULTS.get(scenario, {})}
+    for name in draw(st.lists(st.sampled_from(sorted(spec)), max_size=2, unique=True)):
+        params[name] = draw(_drawn_values(spec[name]))
+    return {"scenario": scenario, "seed": 7, "parameters": params}
+
+
+def _within_caps(scenario, params) -> bool:
+    """Whether an accepted config stays inside every PROPERTY_*_CAP."""
+    meta = SCENARIOS[scenario]
+    if "grid" in meta and len(meta["grid"](params)) > PROPERTY_GRID_CAP:
+        return False
+    if scenario == "gaussian_bounds":
+        return params["cutoff"] <= PROPERTY_CUTOFF_CAP
+    if scenario == "decoherence_measures":
+        return (max(params[k] for k in ("n_random", "bloch_points", "n_pairs")) <= PROPERTY_SAMPLE_CAP
+                and params["frequency"] * params["t_max"] <= PROPERTY_PHASE_CAP)
+    return True
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_validate_accepts_then_run_completes(scenario, data):
+    # A config validate accepts runs from the CLI to exit 0 or 1, with no
+    # traceback and no RuntimeWarning (an error under pyproject.toml); any
+    # other config makes run exit 2.
+    config = data.draw(_drawn_configs(scenario))
+    accepted = not validate_config(config)
+    if accepted:
+        assume(_within_caps(scenario, config["parameters"]))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(["run", "--config", str(path), "--output-dir", tmp])
+    printed = out.getvalue() + err.getvalue()
+    assert status in ((0, 1) if accepted else (2,)), printed
+    assert "Traceback" not in printed

@@ -15,11 +15,9 @@ from entroflow import (
     annihilation_operator,
     bosonic_generator,
     dephasing_generator,
-    depolarizing_generator,
     entropy_change,
     entropy_change_lower_bound,
     entropy_change_upper_bound,
-    entropy_change_upper_bound_holder,
     entropy_rate,
     blp_measure,
     channel_claims,
@@ -57,6 +55,7 @@ from entroflow.witnesses import (
     EPS_WITNESS,
     Claim,
     WitnessError,
+    _Sides,
     _f_parts,
     _pinned_adjoint_traces,
     _violation_integrals,
@@ -64,7 +63,8 @@ from entroflow.witnesses import (
     f_components,
 )
 
-from conftest import fresh_interpreter, reference_maps, superoperators, support_projectors
+from conftest import (depolarizing_generator, family_trajectory, fresh_interpreter,
+                      reference_maps, superoperators, support_projectors)
 
 
 def test_pinsker_gap_rejects_trace_nonincreasing_operation():
@@ -270,7 +270,7 @@ def test_measure_channel_reads_the_rates_its_trajectory_holds(monkeypatch):
     _, family = _oscillating_dephasing(0.5, 1.0, 2.0)
     states = default_state_sampler(2, np.random.default_rng(7), n_random=2, bloch_points=1)
     grid = np.linspace(0.0, 3.0, 61)
-    traj = family.trajectories(states, grid)
+    traj = family_trajectory(family, states, grid)
     np.testing.assert_array_equal(traj.entropy_rates(),
                                   entropy_rate(traj.spectrum, traj.derivatives))
     shapes, rate = [], witnesses.entropy_rate
@@ -488,13 +488,17 @@ def test_bounds_decompose_each_operator_once(rng, monkeypatch):
     rho = random_full_rank_state(rng, 3)
     qubit = random_full_rank_state(rng, 2).entries
     generator = dephasing_generator(0.7)
+
+    def holder():  # the lhs of theorem1_holder, ||rho - N^dag N(rho)||_1 ||log rho||_inf
+        sides = _Sides(channel, rho.entries)
+        return sides.trace_norms * sides.log_norms
+
     cases = [
         # the state carries its spectrum: N^dag N(rho), and the eigenvalues
         # of rho - N^dag N(rho) for its trace norm
         (lambda: pinsker_gap(channel, rho), {"eigh": 1, "eigvalsh": 1, "svd": 0}),
         (lambda: pinsker_gap(channel, rho.entries), {"eigh": 2, "eigvalsh": 1, "svd": 0}),
-        (lambda: entropy_change_upper_bound_holder(channel, rho.entries),
-         {"eigh": 1, "eigvalsh": 1, "svd": 0}),
+        (holder, {"eigh": 1, "eigvalsh": 1, "svd": 0}),
         # rho_0 and rho_2t, and the eigenvalues of rho_t for its entropy
         (lambda: semigroup_sandwich(generator, qubit, 0.4), {"eigh": 2, "eigvalsh": 1, "svd": 0}),
     ]
@@ -768,7 +772,8 @@ def test_back_action_builds_no_adjoint_channel(rng, monkeypatch):
     # give the adjoint channel's values.
     channel, rho = random_mixed_unitary_channel(rng, 3, 3), random_full_rank_state(rng, 3)
     values = (entropy_change_lower_bound, entropy_change_upper_bound,
-              entropy_change_upper_bound_holder, lambda ch, r: pinsker_gap(ch, r).relative_entropy)
+              lambda ch, r: channel_claims(ch, r)["theorem1_holder"].lhs,
+              lambda ch, r: pinsker_gap(ch, r).relative_entropy)
     with monkeypatch.context() as patch:
         patch.setattr(QuantumChannel, "adjoint_apply",
                       lambda self, x: QuantumChannel([dagger(k) for k in self.kraus]).apply(x))
@@ -827,7 +832,7 @@ def test_holder_relaxation_above_trace_form_upper_bound(seed, d):
     rho = random_full_rank_state(rng, d)
     upper = entropy_change_upper_bound(channel, rho)
     assert entropy_change(channel, rho) <= upper + 1e-10
-    assert upper <= entropy_change_upper_bound_holder(channel, rho) + 1e-10
+    assert upper <= channel_claims(channel, rho)["theorem1_holder"].lhs + 1e-10
 
 
 @settings(max_examples=15, deadline=None)
@@ -958,7 +963,7 @@ WRONG_DIMENSION_CALLS = {  # the entry point: (what it names, the call)
                              lambda: nonunitality_witness(_QUBIT_GENERATOR, 0.1, _QUTRIT)),
     "measure_channel": ("family", lambda: measure_channel(_QUBIT_FAMILY, [_QUTRIT], _GRID)),
     "blp_measure": ("family", lambda: blp_measure(_QUBIT_FAMILY, [(_QUTRIT, _QUTRIT)], _GRID)),
-    "trajectories": ("family", lambda: _QUBIT_FAMILY.trajectories([_QUTRIT], _GRID)),
+    "evolve": ("family", lambda: _QUBIT_FAMILY.evolve([_QUTRIT], _GRID)),
     "f_components": ("family", lambda: f_components(_QUBIT_FAMILY, _QUTRIT, _GRID)),
 }
 
